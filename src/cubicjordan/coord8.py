@@ -80,6 +80,9 @@ class Hypermatrix:
         text = text.strip()
         if text.startswith("{"):
             data = json.loads(text)
+            unknown = sorted(set(data) - set(PARAM_VARS))
+            if unknown:
+                raise ValueError(f"unknown cube entries: {unknown}")
             return cls.from_named({k: parse_rational(str(v)) for k, v in data.items()})
         parts = text.split()
         if len(parts) != 8:

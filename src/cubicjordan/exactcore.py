@@ -798,7 +798,10 @@ def span_compare(a: Sequence[Poly], b: Sequence[Poly]) -> SpanResult:
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
 def format_rational(value: Rational) -> str:

@@ -49,6 +49,8 @@ def parse_weight_file(text: str) -> "WeightSystem | tuple[WeightSystem, WeightSy
     """JSON weight file: scalar entries give one grading, two-element list
     entries give a bigrading."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("weight file must hold a JSON object")
     bigraded = any(isinstance(v, list) for v in data.values())
     if not bigraded:
         return weight_system({k: parse_rational(str(v)) for k, v in data.items()})

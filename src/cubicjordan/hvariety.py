@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 from typing import Mapping
 
@@ -638,6 +639,13 @@ def pfaffian_vanishing_on_samples(seed: int, samples: int = 30) -> dict:
 CHART_FREE_VARS = ("x12", "x22", "x13", "x23") + PARAM_VARS
 
 
+@cache
+def _sampling_tables() -> tuple[tuple[tuple[str, Poly], ...], tuple[Poly, ...]]:
+    """Chart images of the solved coordinates and the nine generators."""
+    sub = chart_substitution(coord_ring(True))
+    return tuple((n, sub[n]) for n in ("x11", "x21", "u2", "u3")), equations().gens
+
+
 def sample_point(rng: random.Random | int,
                  constraints: Mapping[str, Rational] | None = None,
                  scale: Rational | None = None) -> dict[str, Fraction]:
@@ -655,21 +663,19 @@ def sample_point(rng: random.Random | int,
     unknown = set(constraints) - set(CHART_FREE_VARS)
     if unknown:
         raise ValueError(f"constraints outside the free chart coordinates: {sorted(unknown)}")
-    ring = coord_ring(True)
+    solved, gens = _sampling_tables()
     values: dict[str, Fraction] = {}
     for n in CHART_FREE_VARS:
         values[n] = _frac(constraints[n]) if n in constraints else _rand(rng)
-    sub = chart_substitution(ring)
-    for n in ("x11", "x21", "u2", "u3"):
-        values[n] = sub[n].evaluate(values)
+    for n, image in solved:
+        values[n] = image.evaluate(values)
     values["u1"] = Fraction(1)
     t = _frac(scale) if scale is not None else _rand_nonzero(rng)
     if t == 0:
         raise ValueError("scale must be nonzero")
     for n in COORD_VARS:
         values[n] = values[n] * t
-    eqs = equations(ring)
-    for g in eqs.gens:
+    for g in gens:
         if g.evaluate(values) != 0:
             raise InternalError("constructed point violates the equations")
     return values

@@ -12,13 +12,16 @@ these data, and the defining sharp conditions
 
 are certified as exact polynomial identities with fully symbolic
 arguments.  Universal statements are always checked by expansion with one
-fresh symbol per coordinate, never by sampling.
+fresh symbol per coordinate, never by sampling; a statement linear in an
+argument, such as U_x y = 0 for all y, is checked exactly on the basis
+vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .exactcore import Poly, Rational, Ring
@@ -93,6 +96,50 @@ class JordanPresentation:
         ext = self.ring.extend(names)
         return ext, tuple(ext.var(n) for n in names)
 
+    # -- derived data, computed once per presentation ---------------------
+
+    @cached_property
+    def _gram(self) -> tuple[list[list[Poly]], list[Poly]]:
+        """Second and first partials of the cubic at the unit.
+
+        Entries are polynomials in the parameter variables (constants when
+        the presentation carries none).
+        """
+        at_unit = {n: self.ring.const(v) for n, v in self.unit_values().items()}
+        firsts = [self.cubic.derivative(n) for n in self.coords]
+        grad = [d.substitute(at_unit) for d in firsts]
+        hess = [[firsts[i].derivative(self.coords[j]).substitute(at_unit)
+                 for j in range(self.dim())] for i in range(self.dim())]
+        return hess, grad
+
+    @cached_property
+    def _rational_tables(self) -> tuple[list, list, list] | None:
+        """The trace form and the sharp map as rational coefficient tables,
+        or None when the ring carries parameters besides the coordinates.
+
+        ``gram[j]`` lists ``(i, c)`` with T(x, e_j) = sum of c x_i;
+        ``sharp[k]`` lists ``(i, j, c)`` with x#_k = sum of c x_i x_j; and
+        ``polar[m][k]`` lists ``(i, c)`` with (a # e_m)_k = sum of c a_i,
+        the k-th sharp quadric polarized against the basis vector e_m.
+        """
+        if self.ring.names != self.coords:
+            return None
+        n = self.dim()
+        hess, grad = self._gram
+        g = [c.constant_value() for c in grad]
+        gram = [[(i, c) for i in range(n)
+                 if (c := g[i] * g[j] - hess[i][j].constant_value())]
+                for j in range(n)]
+        sharp = [[] for _ in range(n)]
+        polar = [[[] for _ in range(n)] for _ in range(n)]
+        for k, q in enumerate(self.sharp):
+            for m, c in q.terms.items():
+                i, j = [v for v, e in enumerate(m) for _ in range(e)]
+                sharp[k].append((i, j, c))
+                polar[i][k].append((j, c))
+                polar[j][k].append((i, c))
+        return gram, sharp, polar
+
 
 def _target_ring(p: JordanPresentation, *elements: Element) -> Ring:
     for x in elements:
@@ -120,24 +167,10 @@ def cubic_of(p: JordanPresentation, x: Element) -> Poly:
     return p.cubic.substitute(dict(zip(p.coords, x)), ring)
 
 
-def _gram(p: JordanPresentation) -> tuple[list[list[Poly]], list[Poly]]:
-    """Second and first partials of the cubic at the unit.
-
-    Entries are polynomials in the parameter variables (constants when the
-    presentation carries none).
-    """
-    at_unit = {n: p.ring.const(v) for n, v in p.unit_values().items()}
-    firsts = [p.cubic.derivative(n) for n in p.coords]
-    grad = [d.substitute(at_unit) for d in firsts]
-    hess = [[firsts[i].derivative(p.coords[j]).substitute(at_unit)
-             for j in range(p.dim())] for i in range(p.dim())]
-    return hess, grad
-
-
 def trace_bilinear(p: JordanPresentation, x: Element, y: Element) -> Poly:
     """Bilinear trace form T(x, y) derived from the cubic form."""
     ring = _target_ring(p, x, y)
-    hess, grad = _gram(p)
+    hess, grad = p._gram
     n = p.dim()
     mixed = ring.zero()
     for i in range(n):
@@ -162,7 +195,7 @@ def trace_bilinear(p: JordanPresentation, x: Element, y: Element) -> Poly:
 def trace_linear(p: JordanPresentation, x: Element) -> Poly:
     """Linear trace form T(x) = T(x, unit)."""
     ring = _target_ring(p, x)
-    _, grad = _gram(p)
+    _, grad = p._gram
     acc = ring.zero()
     for g, comp in zip(grad, x):
         if not g.is_zero():
@@ -259,30 +292,63 @@ def verify_sharp_conditions(p: JordanPresentation) -> SharpConditionReport:
                                 "s3" not in residuals, residuals)
 
 
+def _rational_parts(p: JordanPresentation, sigma: Element
+                    ) -> tuple[list[Fraction], list[Fraction], list[Fraction]] | None:
+    """sigma, sigma# and the row T(sigma, e_j) in Fractions, read off the
+    rational tables; None when p has parameters or sigma is not constant."""
+    tables = p._rational_tables
+    if tables is None or any(c.variables() for c in sigma):
+        return None
+    gram, quadrics, _ = tables
+    s = [c.constant_value() for c in sigma]
+    sharp = [sum(c * s[i] * s[j] for i, j, c in q) for q in quadrics]
+    trace = [sum(c * s[i] for i, c in col) for col in gram]
+    return s, sharp, trace
+
+
 def radical_membership(p: JordanPresentation, sigma: Element) -> bool:
-    """True iff U_sigma y vanishes identically for fully symbolic y."""
-    base = _target_ring(p, sigma)
-    names = base.fresh_names("y", p.dim())
-    ext = base.extend(names)
-    y = tuple(ext.var(n) for n in names)
-    sig = tuple(c.convert(ext) for c in sigma)
-    return all(c.is_zero() for c in u_operator(p, sig, y))
+    """True iff U_sigma vanishes: sigma is an absolute zero divisor.
+
+    U_sigma y = T(sigma, y) sigma - sigma# # y is linear in y, so it
+    vanishes for a fully symbolic y exactly when every column
+    U_sigma e_j = T(sigma, e_j) sigma - sigma# # e_j does.  For a constant
+    sigma in a presentation without parameters the nine columns form a 9x9
+    rational matrix computed from the tables of ``_rational_tables``;
+    otherwise each column is expanded symbolically.
+    """
+    parts = _rational_parts(p, sigma)
+    if parts is None:
+        ring = _target_ring(p, sigma)
+        return all(c.is_zero() for j in range(p.dim())
+                   for c in u_operator(p, sigma, p.basis_element(j, ring)))
+    s, sharp, trace = parts
+    polar = p._rational_tables[2]
+    return all(trace[m] * s[k] == sum(c * sharp[i] for i, c in polar[m][k])
+               for m in range(p.dim()) for k in range(p.dim()))
 
 
 def nondegeneracy_test_equiv(p: JordanPresentation, sigma: Element) -> dict[str, bool]:
-    """Radical membership via the U-operator and via N/T vanishing.
+    """Radical membership via the U-operator and via sharp/trace vanishing.
 
-    The second route asks that N(sigma) = 0 and that sigma and sigma# are
-    orthogonal to the whole algebra under the trace form.
+    The second route asks that sigma# = 0 and that sigma is orthogonal to
+    the whole algebra under the trace form.  Both together give U_sigma = 0,
+    and N(sigma) = 0 follows from sigma## = N(sigma) sigma.  Asking instead
+    that N(sigma) = 0 and sigma# be trace-orthogonal to the algebra is
+    weaker when the trace form is degenerate: it accepts elements with
+    T(sigma, -) = 0 and sigma# != 0 in its kernel, where U_sigma y =
+    -sigma# # y does not vanish.
     """
     via_u = radical_membership(p, sigma)
-    n_zero = cubic_of(p, sigma).is_zero()
-    ortho = all(trace_bilinear(p, sigma, p.basis_element(i)).is_zero()
-                for i in range(p.dim()))
-    sharp_sigma = sharp_of(p, sigma)
-    ortho_sharp = all(trace_bilinear(p, sharp_sigma, p.basis_element(i)).is_zero()
-                      for i in range(p.dim()))
-    return {"viaU": via_u, "viaTN": n_zero and ortho and ortho_sharp}
+    parts = _rational_parts(p, sigma)
+    if parts is None:
+        ring = _target_ring(p, sigma)
+        sharp_zero = all(c.is_zero() for c in sharp_of(p, sigma))
+        ortho = all(trace_bilinear(p, sigma, p.basis_element(i, ring)).is_zero()
+                    for i in range(p.dim()))
+    else:
+        _, sharp, trace = parts
+        sharp_zero, ortho = not any(sharp), not any(trace)
+    return {"viaU": via_u, "viaTN": sharp_zero and ortho}
 
 
 def peirce_operator(p: JordanPresentation, x1: Element, x2: Element,

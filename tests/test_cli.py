@@ -31,6 +31,20 @@ def test_bad_hypermatrix_is_input_error(tmp_path, capsys):
     assert run(["classify", "--hypermatrix", str(cube)]) == 2
 
 
+@pytest.mark.parametrize("command,option,text", [
+    ("classify", "--hypermatrix", '{"p333": "1"}'),
+    ("classify", "--hypermatrix", '{"p111": "1/0"}'),
+    ("weights", "--weights", "[]"),
+])
+def test_malformed_file_is_input_error(tmp_path, capsys, command, option, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert run([command, option, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+
+
 def test_missing_file_is_input_error(tmp_path):
     assert run(["classify", "--hypermatrix", str(tmp_path / "none.txt")]) == 2
 
@@ -97,6 +111,11 @@ def test_defect_fixtures_fail_with_residual(tmp_path, capsys, command, defect):
     assert first.get("residual") or first.get("failures") or first.get("nonzero")
     err = capsys.readouterr().err
     assert "first failing claim" in err
+
+
+def test_radicals_pass_where_u_vanishes_off_locus():
+    # seed 13 draws an off-locus point of the p1 algebra with u1 = u2 = u3 = 0
+    assert run(["radicals", "--seed", "13"]) == 0
 
 
 def test_prop76_command():

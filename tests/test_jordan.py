@@ -1,11 +1,15 @@
 """Generic cubic-form Jordan machinery on the diagonal toy algebra and the
 full coordinatized presentation."""
 
+import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cubicjordan import coord8, jordan
+from cubicjordan import coord8, hvariety, jordan
 from cubicjordan.exactcore import Ring
 from cubicjordan.jordan import JordanPresentation
 
@@ -169,6 +173,62 @@ def test_single_pair_coordinate_in_degenerate_radical():
     p = coord8.presentation(P)
     sigma = p.element({"x11": 1})
     assert jordan.radical_membership(p, sigma)
+
+
+def test_u_zero_off_locus_point_is_not_radical():
+    # an off-locus point of the p1 algebra with u1 = u2 = u3 = 0: N(sigma)
+    # and T(sigma, -) vanish, sigma# is nonzero but trace-orthogonal to the
+    # algebra, and U_sigma y = -sigma# # y is not zero
+    p = coord8.presentation(hvariety.representative("p1"))
+    sigma = p.element({"x11": 1, "x21": 3, "x12": 8, "x22": Fraction(-9, 4),
+                       "x13": 2, "x23": Fraction(-2, 3)})
+    sharp = jordan.sharp_of(p, sigma)
+    assert jordan.cubic_of(p, sigma).is_zero()
+    assert not all(c.is_zero() for c in sharp)
+    for i in range(p.dim()):
+        e = p.basis_element(i)
+        assert jordan.trace_bilinear(p, sigma, e).is_zero()
+        assert jordan.trace_bilinear(p, sharp, e).is_zero()
+    assert jordan.nondegeneracy_test_equiv(p, sigma) == {"viaU": False,
+                                                         "viaTN": False}
+
+
+@cache
+def _both_routes(cube: str | tuple):
+    """A parameter-free presentation, read by the rational tables, and the
+    same algebra over a ring with one unused parameter, which takes the
+    symbolic route."""
+    P = hvariety.representative(cube) if isinstance(cube, str) else \
+        coord8.Hypermatrix(dict(zip(coord8.INDEX_TRIPLES, cube)))
+    p = coord8.presentation(P)
+    ring = p.ring.extend(("t",))
+    twin = JordanPresentation(ring, p.coords, p.unit, p.cubic.convert(ring),
+                              tuple(c.convert(ring) for c in p.sharp))
+    assert p._rational_tables is not None and twin._rational_tables is None
+    return p, twin
+
+
+_small = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+_REPS = ("origin", "p1", "p2", "p3", "p4")
+
+
+@settings(max_examples=30, deadline=None)
+@given(cube=st.one_of(st.sampled_from(_REPS), st.tuples(*[_small] * 8)),
+       kind=st.sampled_from(("zero", "random", "u-zero", "locus")),
+       values=st.tuples(*[_small] * 9), seed=st.integers(0, 10**6))
+def test_rational_tables_agree_with_symbolic_route(cube, kind, values, seed):
+    p, twin = _both_routes(cube)
+    if kind == "zero":
+        values = (0,) * 9
+    elif kind == "u-zero":
+        values = values[:6] + (0, 0, 0)
+    elif kind == "locus" and isinstance(cube, str) and cube != "p4":
+        point = hvariety.radical_point(cube, random.Random(seed))
+        values = tuple(point[n] for n in coord8.COORD_VARS)
+    fast = jordan.nondegeneracy_test_equiv(p, p.element(values))
+    slow = jordan.nondegeneracy_test_equiv(twin, twin.element(values))
+    assert fast == slow
+    assert fast["viaU"] or not fast["viaTN"]
 
 
 def test_peirce_operator_projects_to_pair_space(symbolic_presentation):
