@@ -1,9 +1,15 @@
 """Command-line verification front end.
 
-Each subcommand runs one suite of claims and prints a pass/fail line per
-claim; ``all`` runs everything.  Reports are deterministic: identical
-inputs and seed produce byte-identical JSON.  Exit status is 0 when every
-claim passes, 1 when any claim fails, 2 on malformed input.
+``COMMANDS`` maps each subcommand to the names of its suites; suite ``x``
+is the function ``suite_x``, looked up when it runs, so a suite wrapped in
+place after import (as by the tracer of ``perfbench/``) is the one run.
+``all`` runs every row in table order and ignores ``--hypermatrix``,
+``--weights`` and ``--sections``.  Every suite takes one ``Options`` and
+returns claims, and ``run`` prints a pass/fail line per claim.
+
+Reports are deterministic: identical inputs and seed produce
+byte-identical JSON.  Exit status is 0 when every claim passes, 1 when
+any claim fails, 2 on malformed input.
 
 The ``--defect`` flag injects a deliberate fault (a tampered sharp
 component, a skipped chart substitution, or a perturbed dictionary entry)
@@ -22,7 +28,7 @@ from pathlib import Path
 
 from . import coord8, grading, hvariety, jordan, relatives
 from .coord8 import Hypermatrix
-from .exactcore import Poly, span_compare
+from .exactcore import Poly
 
 SCHEMA_VERSION = 1
 
@@ -39,6 +45,18 @@ class Claim:
     @property
     def passed(self) -> bool:
         return self.status == "pass"
+
+
+@dataclasses.dataclass(frozen=True)
+class Options:
+    """What a suite reads: the common flags and the parsed input files."""
+
+    seed: int
+    samples: int
+    defect: str | None = None
+    cube: Hypermatrix | None = None
+    weights: grading.WeightSystem | tuple[grading.WeightSystem, ...] | None = None
+    sections: int = 9
 
 
 def claim(claim_id: str, description: str, ok: bool, data: dict | None = None) -> Claim:
@@ -64,10 +82,10 @@ def _jsonable(value):
 # ---------------------------------------------------------------------------
 
 
-def suite_axioms(seed: int, samples: int, defect: str | None = None) -> list[Claim]:
+def suite_axioms(opts: Options) -> list[Claim]:
     claims: list[Claim] = []
     pres = coord8.presentation(None)
-    if defect == "tampered-sharp":
+    if opts.defect == "tampered-sharp":
         ring = pres.ring
         tampered = list(pres.sharp)
         tampered[0] = tampered[0] + ring.var("x11") * ring.var("x11")
@@ -164,15 +182,14 @@ def _random_invertible(rng: random.Random):
             return PolyMatrix.from_rows(ring, m)
 
 
-def suite_classify(seed: int, samples: int, cube: Hypermatrix | None = None) -> tuple[list[Claim], list[str]]:
-    lines: list[str] = []
-    if cube is not None:
-        label = hvariety.classify_orbit(cube)
-        lines.append(f"{label.label}, D_H = {label.hyperdet}, "
-                     f"flattening ranks {label.flattening_ranks}")
+def suite_classify(opts: Options) -> list[Claim]:
+    if opts.cube is not None:
+        label = hvariety.classify_orbit(opts.cube)
+        print(f"{label.label}, D_H = {label.hyperdet}, "
+              f"flattening ranks {label.flattening_ranks}")
         return [claim("classify/input", "orbit classification of the given cube",
                       True, {"label": label.label, "hyperdet": label.hyperdet,
-                             "ranks": list(label.flattening_ranks)})], lines
+                             "ranks": list(label.flattening_ranks)})]
 
     claims: list[Claim] = []
     expected = {"origin": "origin", "p1": "O1", "p2": "O2", "p3": "O3", "p4": "O4"}
@@ -184,7 +201,7 @@ def suite_classify(seed: int, samples: int, cube: Hypermatrix | None = None) -> 
                             {"label": got.label, "hyperdet": got.hyperdet,
                              "ranks": list(got.flattening_ranks)}))
 
-    rng = random.Random(f"{seed}:classify")
+    rng = random.Random(f"{opts.seed}:classify")
     stable = True
     translates = 0
     for name in ("p1", "p2", "p3", "p4"):
@@ -225,10 +242,10 @@ def suite_classify(seed: int, samples: int, cube: Hypermatrix | None = None) -> 
                         "of each symbolic factor (exponent computed, not assumed)",
                         all(e == 2 for e in exponents.values()),
                         {"exponents": {str(k): v for k, v in exponents.items()}}))
-    return claims, lines
+    return claims
 
 
-def suite_fiber(seed: int, samples: int) -> list[Claim]:
+def suite_fiber(opts: Options) -> list[Claim]:
     claims = []
     rep = hvariety.fiber_certificate_p4()
     claims.append(claim("fiber/p4-minors",
@@ -239,7 +256,7 @@ def suite_fiber(seed: int, samples: int) -> list[Claim]:
                         "degenerate fiber system span-equals the symmetric "
                         "rank-one-plus-kernel system", rep.ok, rep.detail))
     for name in ("origin", "p1", "p2"):
-        rep = hvariety.fiber_component_sampling(name, seed, max(samples, 20))
+        rep = hvariety.fiber_component_sampling(name, opts.seed, max(opts.samples, 20))
         claims.append(claim(f"fiber/{name}-components",
                             "every generator vanishes on sampled points of each "
                             "listed fiber component", rep.ok,
@@ -247,9 +264,9 @@ def suite_fiber(seed: int, samples: int) -> list[Claim]:
     return claims
 
 
-def suite_chart(seed: int, samples: int, defect: str | None = None) -> list[Claim]:
+def suite_chart(opts: Options) -> list[Claim]:
     claims = []
-    rep = hvariety.chart_reduce_u1(skip_u3=(defect == "skip-chart-substitution"))
+    rep = hvariety.chart_reduce_u1(skip_u3=(opts.defect == "skip-chart-substitution"))
     nonzero = [lbl for lbl, r in zip(hvariety.GEN_LABELS, rep.residuals)
                if not r.is_zero()]
     first_bad = next((r.to_str() for r in rep.residuals if not r.is_zero()), None)
@@ -262,51 +279,47 @@ def suite_chart(seed: int, samples: int, defect: str | None = None) -> list[Clai
                         "on the chart the first difference determinant is minus "
                         "the product of the other two",
                         hvariety.chart_det_identity(), {}))
-    pf = hvariety.pfaffian_vanishing_on_samples(seed, max(samples, 30))
+    pf = hvariety.pfaffian_vanishing_on_samples(opts.seed, max(opts.samples, 30))
     claims.append(claim("chart/pfaffians",
                         "all five signed 4x4 Pfaffians of the skew chart matrix "
                         "vanish on rescaled sample points", pf["ok"], pf))
     return claims
 
 
-def suite_radicals(seed: int, samples: int) -> list[Claim]:
+def suite_radicals(opts: Options) -> list[Claim]:
     claims = []
     for name in ("origin", "p1", "p2", "p3", "p4"):
-        rep = hvariety.radical_locus_check(name, seed, max(samples, 20))
+        rep = hvariety.radical_locus_check(name, opts.seed, max(opts.samples, 20))
         claims.append(claim(f"radicals/{name}",
                             "sampled membership matches the stated locus, the "
                             "two membership tests agree, and the specialized "
                             "cubic form matches its display",
                             rep.ok, {**rep.detail, "failures": rep.failures}))
-    sweep = hvariety.nondegenerate_sweep(seed, cubes=50, sigmas_per_cube=2)
+    sweep = hvariety.nondegenerate_sweep(opts.seed, cubes=50, sigmas_per_cube=2)
     claims.append(claim("radicals/generic-nondegenerate",
                         "at cubes with nonvanishing hyperdeterminant no nonzero "
                         "element is an absolute zero divisor", sweep["ok"], sweep))
     return claims
 
 
-def suite_specialize(seed: int, samples: int, defect: str | None = None) -> list[Claim]:
+def suite_specialize(opts: Options) -> list[Claim]:
     claims = []
     for name in ("c2", "m8", "s6"):
-        if defect == "perturbed-dictionary" and name == "c2":
-            d = relatives.dictionary("c2")
+        d = relatives.dictionary(name)
+        if opts.defect == "perturbed-dictionary" and name == "c2":
             ring = d.target
-            bad_mapping = dict(d.mapping)
-            bad_mapping["x22"] = ring.var("th1") + ring.var("A12")
-            specialized = hvariety.equations().substitute(bad_mapping, ring)
-            result = span_compare(specialized.gens, relatives.c2_equations().gens)
-            first = next((str(g) for g, w in zip(specialized.gens, result.a_in_b)
-                          if w is None), None)
-            claims.append(claim("specialize/c2",
-                                "dictionary specialization span-equals the "
-                                "cluster system", result.equal,
-                                {"relation": result.relation, "residual": first}))
-            continue
-        rep = relatives.verify_specialization(name)
+            d = dataclasses.replace(
+                d, mapping={**d.mapping, "x22": ring.var("th1") + ring.var("A12")})
+        rep = relatives.verify_specialization(d)
+        data = {"relation": rep.relation}
+        if not rep.ok:
+            data["residual"] = next(
+                (str(g) for g, w in zip(rep.specialized.gens,
+                                        rep.witness["specialized_in_target"])
+                 if w is None), None)
         claims.append(claim(f"specialize/{name}",
                             "dictionary specialization span-equals the target "
-                            "equation system", rep.ok,
-                            {"relation": rep.relation}))
+                            "equation system", rep.ok, data))
     for name in ("h12", "h11"):
         rep = relatives.verify_specialization(name)
         claims.append(claim(f"specialize/{name}",
@@ -332,10 +345,10 @@ def suite_specialize(seed: int, samples: int, defect: str | None = None) -> list
     return claims
 
 
-def suite_embeddings(seed: int, samples: int) -> list[Claim]:
+def suite_embeddings(opts: Options) -> list[Claim]:
     claims = []
     for part, cid in (("I", "prop76/part-i"), ("II", "prop76/part-ii")):
-        rep = relatives.verify_cluster_embedding(part, seed, max(samples, 30))
+        rep = relatives.verify_cluster_embedding(part, opts.seed, max(opts.samples, 30))
         claims.append(claim(cid,
                             "sampled cluster-slice points satisfy every target "
                             "generator exactly and the transported weight "
@@ -346,8 +359,9 @@ def suite_embeddings(seed: int, samples: int) -> list[Claim]:
     return claims
 
 
-def suite_weights(weights_arg) -> list[Claim]:
+def suite_weights(opts: Options) -> list[Claim]:
     claims = []
+    weights_arg = opts.weights
     eqs = hvariety.equations()
     if weights_arg is None:
         lattice = grading.solve_weight_constraints(eqs)
@@ -383,9 +397,11 @@ def suite_weights(weights_arg) -> list[Claim]:
     return claims
 
 
-def suite_hilbert(weights, sections: int) -> list[Claim]:
+def suite_hilbert(opts: Options) -> list[Claim]:
+    if isinstance(opts.weights, tuple):
+        raise ValueError("hilbert needs a single grading")
     claims = []
-    w = weights if weights is not None else grading.standard_weights()
+    w = opts.weights if opts.weights is not None else grading.standard_weights()
     can = grading.canonical_arithmetic(w)
     claims.append(claim("hilbert/canonical",
                         "generator-weight arithmetic and dualizing twists",
@@ -406,7 +422,7 @@ def suite_hilbert(weights, sections: int) -> list[Claim]:
     claims.append(claim("hilbert/pairing",
                         "resolution shifts pair to the top shift",
                         grading.shift_pairing_holds(w), {}))
-    fano = grading.fano_invariants(w, sections=sections)
+    fano = grading.fano_invariants(w, sections=opts.sections)
     claims.append(claim("hilbert/invariants",
                         "exact anticanonical degree and genus of the section",
                         True, {"degree": fano.degree, "h0": fano.h0,
@@ -414,7 +430,7 @@ def suite_hilbert(weights, sections: int) -> list[Claim]:
     return claims
 
 
-def suite_toric_matrices() -> list[Claim]:
+def suite_toric_matrices(opts: Options) -> list[Claim]:
     claims = []
     eqs = hvariety.equations()
     for kind in ("base", "shifted", "swapped"):
@@ -439,22 +455,32 @@ def suite_toric_matrices() -> list[Claim]:
 # Driver
 # ---------------------------------------------------------------------------
 
+COMMANDS = {
+    "verify-axioms": ("axioms",),
+    "classify": ("classify",),
+    "fiber": ("fiber",),
+    "chart": ("chart",),
+    "radicals": ("radicals",),
+    "specialize": ("specialize",),
+    "prop76": ("embeddings",),
+    "weights": ("weights", "toric_matrices"),
+    "hilbert": ("hilbert",),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cubicjordan",
         description="exact verification suites for the sharp-map variety "
                     "and its relatives")
-    parser.add_argument("command", choices=[
-        "verify-axioms", "classify", "fiber", "chart", "radicals",
-        "specialize", "prop76", "weights", "hilbert", "all"])
+    parser.add_argument("command", choices=[*COMMANDS, "all"])
     parser.add_argument("--hypermatrix", type=Path, default=None,
                         help="cube file: 8 rationals or a JSON object")
     parser.add_argument("--weights", type=Path, default=None,
                         help="JSON weight file, scalar or two-element entries")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--samples", type=int, default=30)
-    parser.add_argument("--sections", type=int, default=9)
+    parser.add_argument("--sections", type=int, default=Options.sections)
     parser.add_argument("--json", type=Path, default=None,
                         help="write the machine-readable report here")
     parser.add_argument("--defect", choices=DEFECTS, default=None,
@@ -477,53 +503,22 @@ def run(argv: list[str] | None = None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 
+    if args.command == "all":
+        suites = [name for row in COMMANDS.values() for name in row]
+        opts = Options(args.seed, args.samples, args.defect)
+    else:
+        suites = COMMANDS[args.command]
+        opts = Options(args.seed, args.samples, args.defect, cube, weights,
+                       args.sections)
     claims: list[Claim] = []
-    lines: list[str] = []
     try:
-        if args.command == "verify-axioms":
-            claims = suite_axioms(args.seed, args.samples, args.defect)
-        elif args.command == "classify":
-            claims, lines = suite_classify(args.seed, args.samples, cube)
-        elif args.command == "fiber":
-            claims = suite_fiber(args.seed, args.samples)
-        elif args.command == "chart":
-            claims = suite_chart(args.seed, args.samples, args.defect)
-        elif args.command == "radicals":
-            claims = suite_radicals(args.seed, args.samples)
-        elif args.command == "specialize":
-            claims = suite_specialize(args.seed, args.samples, args.defect)
-        elif args.command == "prop76":
-            claims = suite_embeddings(args.seed, args.samples)
-        elif args.command == "weights":
-            if weights is None and args.weights is not None:
-                print("input error: unreadable weight file", file=sys.stderr)
-                return 2
-            claims = suite_weights(weights)
-            claims += suite_toric_matrices()
-        elif args.command == "hilbert":
-            if isinstance(weights, tuple):
-                print("input error: hilbert needs a single grading", file=sys.stderr)
-                return 2
-            claims = suite_hilbert(weights, args.sections)
-        elif args.command == "all":
-            claims = suite_axioms(args.seed, args.samples, args.defect)
-            more, lines = suite_classify(args.seed, args.samples, None)
-            claims += more
-            claims += suite_fiber(args.seed, args.samples)
-            claims += suite_chart(args.seed, args.samples, args.defect)
-            claims += suite_radicals(args.seed, args.samples)
-            claims += suite_specialize(args.seed, args.samples, args.defect)
-            claims += suite_embeddings(args.seed, args.samples)
-            claims += suite_weights(None)
-            claims += suite_toric_matrices()
-            claims += suite_hilbert(None, 9)
+        for name in suites:
+            claims += globals()[f"suite_{name}"](opts)
     except (ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 
     claims.sort(key=lambda c: c.claim_id)
-    for line in lines:
-        print(line)
     for c in claims:
         print(f"[{'PASS' if c.passed else 'FAIL'}] {c.claim_id}")
 

@@ -125,9 +125,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
     def degree_in(self, names: Iterable[str]) -> int:
         idx = [self.ring.index(n) for n in names]
         return max((sum(m[i] for i in idx) for m in self.terms), default=0)
@@ -599,91 +596,79 @@ class PolyMatrix:
 # ---------------------------------------------------------------------------
 
 
+def rref(rows: Sequence[Sequence[Rational]], ncols: int
+         ) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form, pivoting only in the first ``ncols`` columns.
+
+    Later columns are carried along as right-hand sides.  Returns the
+    reduced rows and the pivot columns: row ``i`` has its pivot in
+    ``pivots[i]``, and the rows below the last pivot row are zero in the
+    first ``ncols`` columns.  This is the package's one elimination loop.
+    """
+    work = [[Fraction(v) for v in r] for r in rows]
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(work):
+            break
+        found = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if found is None:
+            continue
+        work[r], work[found] = work[found], work[r]
+        pv = work[r][c]
+        pivot_row = work[r] = [v / pv for v in work[r]]
+        for i, row in enumerate(work):
+            f = row[c]
+            if i != r and f != 0:
+                work[i] = [v - f * w for v, w in zip(row, pivot_row)]
+        pivots.append(c)
+    return work, pivots
+
+
+def rref_solution(reduced: list[list[Fraction]], pivots: list[int], ncols: int,
+                  col: int) -> list[Fraction] | None:
+    """The solution with free variables zero for carried column ``col`` of
+    an ``rref`` result, or None if that column is inconsistent."""
+    if any(row[col] != 0 for row in reduced[len(pivots):]):
+        return None
+    x = [Fraction(0)] * ncols
+    for row, c in zip(reduced, pivots):
+        x[c] = row[col]
+    return x
+
+
+def rref_kernel(reduced: list[list[Fraction]], pivots: list[int],
+                ncols: int) -> list[list[Fraction]]:
+    """Kernel basis of the first ``ncols`` columns of an ``rref`` result,
+    one vector per free column."""
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis
+
+
 def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
     """One exact solution of A x = b, or None if inconsistent.
 
     Free variables are set to zero.  ``rows`` is A by rows, m x n.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [list(map(Fraction, r)) + [Fraction(rhs[i])] for i, r in enumerate(rows)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for row, col in pivots:
-        x[col] = aug[row][n]
-    return x
+    n = len(rows[0]) if rows else 0
+    reduced, pivots = rref([[*r, b] for r, b in zip(rows, rhs)], n)
+    return rref_solution(reduced, pivots, n, n)
 
 
 def rank(rows: list[list[Fraction]]) -> int:
-    work = [list(map(Fraction, r)) for r in rows]
-    m = len(work)
-    n = len(work[0]) if m else 0
-    rk = 0
-    for c in range(n):
-        pivot = next((i for i in range(rk, m) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[rk], work[pivot] = work[pivot], work[rk]
-        pv = work[rk][c]
-        for i in range(rk + 1, m):
-            if work[i][c] != 0:
-                f = work[i][c] / pv
-                work[i] = [v - f * w for v, w in zip(work[i], work[rk])]
-        rk += 1
-        if rk == m:
-            break
-    return rk
+    return len(rref(rows, len(rows[0]) if rows else 0)[1])
 
 
 def nullspace(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
     """Basis of the solution space of A x = 0 (A given by rows, n columns)."""
-    m = len(rows)
-    work = [list(map(Fraction, r)) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        pv = work[r][c]
-        work[r] = [v / pv for v in work[r]]
-        for i in range(m):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [v - f * w for v, w in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for row, pc in enumerate(pivots):
-            vec[pc] = -work[row][fc]
-        basis.append(vec)
-    return basis
+    reduced, pivots = rref(rows, n)
+    return rref_kernel(reduced, pivots, n)
 
 
 @dataclass(frozen=True)
@@ -752,38 +737,28 @@ class SpanResult:
         }
 
 
-def _coefficient_rows(polys: Sequence[Poly], support: list[tuple]) -> list[list[Fraction]]:
-    pos = {m: i for i, m in enumerate(support)}
-    rows = []
-    for p in polys:
-        row = [Fraction(0)] * len(support)
-        for m, c in p.terms.items():
-            row[pos[m]] = c
-        rows.append(row)
-    return rows
-
-
 def span_compare(a: Sequence[Poly], b: Sequence[Poly]) -> SpanResult:
-    """Compare the Q-linear spans of two polynomial lists exactly."""
+    """Compare the Q-linear spans of two polynomial lists exactly.
+
+    Column j of the stacked matrix holds the coefficients of the j-th
+    polynomial of ``a`` then ``b``, so writing b's generators in a's
+    generators solves A^T x = B^T: one elimination per direction.
+    """
     polys = list(a) + list(b)
     if polys:
         ring = polys[0].ring
         for p in polys:
             if p.ring != ring:
                 raise ContextError("span comparison across ring contexts")
-    support = sorted({m for p in polys for m in p.terms})
-    rows_a = _coefficient_rows(a, support)
-    rows_b = _coefficient_rows(b, support)
-
-    # x A = target  <=>  A^T x = target
-    def express(rows: list[list[Fraction]], target: list[Fraction]):
-        if not rows:
-            return [] if all(v == 0 for v in target) else None
-        at = [[rows[i][j] for i in range(len(rows))] for j in range(len(target))]
-        return solve_linear(at, target)
-
-    b_in_a = [express(rows_a, t) for t in rows_b]
-    a_in_b = [express(rows_b, t) for t in rows_a]
+    k = len(a)
+    stacked = [[p.terms.get(m, Fraction(0)) for p in polys]
+               for m in sorted({m for p in polys for m in p.terms})]
+    witnesses = []
+    for rows, width in ((stacked, k), ([r[k:] + r[:k] for r in stacked], len(b))):
+        reduced, pivots = rref(rows, width)
+        witnesses.append([rref_solution(reduced, pivots, width, c)
+                          for c in range(width, len(polys))])
+    b_in_a, a_in_b = witnesses
     a_holds = all(w is not None for w in b_in_a)
     b_holds = all(w is not None for w in a_in_b)
     if a_holds and b_holds:
@@ -802,7 +777,3 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text.strip()!r}") from None
-
-
-def format_rational(value: Rational) -> str:
-    return str(_frac(value))

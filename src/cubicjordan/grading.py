@@ -27,8 +27,8 @@ from typing import Mapping, Sequence
 
 from .coord8 import ALL_VARS, PARAM_VARS, U_VARS, X_VARS
 from .errors import InfeasibleWeights, NumeratorNotDivisible
-from .exactcore import (EquationSet, Rational, _frac, nullspace,
-                        parse_rational, solve_linear)
+from .exactcore import (EquationSet, Rational, _frac, parse_rational,
+                        rref, rref_kernel, rref_solution, solve_linear)
 
 WeightSystem = dict[str, Fraction]
 
@@ -145,10 +145,7 @@ class WeightLattice:
     def contains(self, w: Mapping[str, Rational]) -> bool:
         target = [_frac(w[name]) for name in self.variables]
         shifted = [t - p for t, p in zip(target, self.particular)]
-        if not self.basis:
-            return all(v == 0 for v in shifted)
-        cols = [[self.basis[k][i] for k in range(len(self.basis))]
-                for i in range(len(self.variables))]
+        cols = [[vec[i] for vec in self.basis] for i in range(len(self.variables))]
         return solve_linear(cols, shifted) is not None
 
     def relation_holds(self, coefficients: Mapping[str, Rational],
@@ -175,15 +172,16 @@ def solve_weight_constraints(eqs: EquationSet,
     variables = tuple(n for n in names if n in used or n in fixed)
     index = {n: i for i, n in enumerate(variables)}
 
+    # one row per constraint, its right-hand side in the last column
+    n = len(variables)
     rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
     for g in eqs.gens:
         monos = list(g.terms)
         if len(monos) < 2:
             continue
         base = monos[0]
         for m in monos[1:]:
-            row = [Fraction(0)] * len(variables)
+            row = [Fraction(0)] * (n + 1)
             for i, e in enumerate(m):
                 if e:
                     row[index[names[i]]] += e
@@ -191,19 +189,17 @@ def solve_weight_constraints(eqs: EquationSet,
                 if e:
                     row[index[names[i]]] -= e
             rows.append(row)
-            rhs.append(Fraction(0))
     for name, value in fixed.items():
-        row = [Fraction(0)] * len(variables)
+        row = [Fraction(0)] * (n + 1)
         row[index[name]] = Fraction(1)
+        row[n] = _frac(value)
         rows.append(row)
-        rhs.append(_frac(value))
 
-    particular = solve_linear(rows, rhs) if rows else [Fraction(0)] * len(variables)
+    reduced, pivots = rref(rows, n)
+    particular = rref_solution(reduced, pivots, n, n)
     if particular is None:
         raise InfeasibleWeights("homogeneity constraints are inconsistent")
-    basis = nullspace(rows, len(variables)) if rows else [
-        [Fraction(1 if i == j else 0) for j in range(len(variables))]
-        for i in range(len(variables))]
+    basis = rref_kernel(reduced, pivots, n)
     return WeightLattice(variables, particular, basis)
 
 
@@ -296,10 +292,6 @@ def shift_pairing_holds(w: Mapping[str, Rational]) -> bool:
 Poly1 = dict[int, Fraction]
 
 
-def poly1_from_pairs(pairs: Mapping[int, Rational]) -> Poly1:
-    return {e: _frac(c) for e, c in pairs.items() if c != 0}
-
-
 def poly1_add(a: Poly1, b: Poly1) -> Poly1:
     out = dict(a)
     for e, c in b.items():
@@ -309,11 +301,6 @@ def poly1_add(a: Poly1, b: Poly1) -> Poly1:
         else:
             out.pop(e, None)
     return out
-
-
-def poly1_scale(a: Poly1, c: Rational) -> Poly1:
-    c = _frac(c)
-    return {e: v * c for e, v in a.items()} if c else {}
 
 
 def poly1_eval(a: Poly1, t: Rational) -> Fraction:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .exactcore import Poly, Rational, Ring
+from .exactcore import Poly, Rational, Ring, directional_derivative
 
 Element = tuple[Poly, ...]
 
@@ -265,10 +265,7 @@ def verify_sharp_conditions(p: JordanPresentation) -> SharpConditionReport:
     ext, y = p.fresh_symbols("y")
     x = p.generic_element(ext)
     lhs = trace_bilinear(p, sharp_of(p, x), y)
-    rhs = ext.zero()
-    for name, yc in zip(p.coords, y):
-        rhs = rhs + p.cubic.derivative(name).convert(ext) * yc
-    r1 = lhs - rhs
+    r1 = lhs - directional_derivative(p.cubic, dict(zip(p.coords, y)))
     if not r1.is_zero():
         residuals["s1"] = [r1]
 

@@ -249,11 +249,13 @@ class SpecializationReport:
         return not self.failures
 
 
-def verify_specialization(name: str) -> SpecializationReport:
-    """Substitute the named dictionary into the nine ambient generators and
-    compare spans with the target equations (names with no target emit the
-    specialized set only)."""
-    d = dictionary(name)
+def verify_specialization(d: Dictionary | str) -> SpecializationReport:
+    """Substitute a dictionary, or the one of that name, into the nine
+    ambient generators and compare spans with the target equations of its
+    name (names with no target emit the specialized set only)."""
+    if isinstance(d, str):
+        d = dictionary(d)
+    name = d.name
     specialized = d.specialize()
     if name not in TARGET_EQUATIONS:
         return SpecializationReport(name, None, specialized, None)

@@ -183,6 +183,74 @@ def test_solve_and_rank():
     assert len(basis) == 1
 
 
+sparse_rationals = st.one_of(st.just(Fraction(0)), rationals)
+
+
+@st.composite
+def linear_systems(draw):
+    """A small rational matrix A (m x n, possibly m = 0) and a vector b."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 4))
+    row = st.lists(sparse_rationals, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    # repeat a row now and then so that rank deficiency is common
+    if rows and draw(st.booleans()):
+        rows.append([2 * v for v in rows[0]])
+    rhs = draw(st.lists(sparse_rationals, min_size=len(rows), max_size=len(rows)))
+    return rows, n, rhs
+
+
+def apply(rows, x):
+    return [sum((a * v for a, v in zip(r, x)), Fraction(0)) for r in rows]
+
+
+@given(linear_systems())
+@settings(max_examples=50, deadline=None)
+def test_elimination_routines_agree(system):
+    rows, n, rhs = system
+    x = solve_linear(rows, rhs)
+    augmented = [[*r, b] for r, b in zip(rows, rhs)]
+    assert (x is None) == (rank(augmented) > rank(rows))
+    if x is not None:
+        assert apply(rows, x) == rhs
+        assert len(x) == (n if rows else 0)  # no rows: n is unknown
+    basis = nullspace(rows, n)
+    assert rank(rows) + len(basis) == n
+    assert rank(basis) == len(basis)
+    for v in basis:
+        assert apply(rows, v) == [0] * len(rows)
+
+
+def coefficient_rows(polys, support):
+    return [[p.terms.get(m, Fraction(0)) for m in support] for p in polys]
+
+
+@given(st.lists(poly_strategy(max_terms=3, max_degree=1), max_size=3),
+       st.lists(poly_strategy(max_terms=3, max_degree=1), max_size=3),
+       st.lists(st.lists(sparse_rationals, min_size=3, max_size=3), max_size=2))
+@settings(max_examples=50, deadline=None)
+def test_span_compare_matches_ranks(a, b, mixes):
+    # some of b are combinations of a, so containment is common
+    b = b + [sum((c * g for c, g in zip(mix, a)), R.zero()) for mix in mixes]
+    result = span_compare(a, b)
+    support = sorted({m for p in a + b for m in p.terms})
+    rows_a, rows_b = coefficient_rows(a, support), coefficient_rows(b, support)
+    for gens, rows, targets, witnesses in ((a, rows_a, b, result.b_in_a),
+                                            (b, rows_b, a, result.a_in_b)):
+        assert len(witnesses) == len(targets)
+        for target, target_row, w in zip(targets, coefficient_rows(targets, support),
+                                          witnesses):
+            if w is None:
+                assert rank(rows + [target_row]) > rank(rows)
+            else:
+                assert len(w) == len(gens)
+                assert sum((c * g for c, g in zip(w, gens)), R.zero()) == target
+    both = rank(rows_a + rows_b)
+    expected = {(True, True): "equal", (True, False): "a_contains_b",
+                (False, True): "b_contains_a", (False, False): "incomparable"}
+    assert result.relation == expected[both == rank(rows_a), both == rank(rows_b)]
+
+
 def test_span_change_of_basis():
     result = span_compare([X + Y, X - Y], [X, Y])
     assert result.relation == "equal"
