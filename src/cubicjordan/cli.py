@@ -11,9 +11,11 @@ Reports are deterministic: identical inputs and seed produce
 byte-identical JSON.  Exit status is 0 when every claim passes, 1 when
 any claim fails, 2 on malformed input.
 
-The ``--defect`` flag injects a deliberate fault (a tampered sharp
-component, a skipped chart substitution, or a perturbed dictionary entry)
-so the detection machinery itself can be exercised end to end.
+The ``--defect`` flag exercises the detection machinery end to end.
+``DEFECTS`` maps each defect to the command whose suite it tampers with
+(under ``all`` too): that suite hands a tampered copy of one input object
+(a sharp component, the chart substitution, a c2 dictionary entry) to the
+unchanged library certificate, which must then fail.
 """
 
 from __future__ import annotations
@@ -21,18 +23,22 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import coord8, grading, hvariety, jordan, relatives
 from .coord8 import Hypermatrix
+from .errors import NumeratorNotDivisible
 from .exactcore import Poly
 
 SCHEMA_VERSION = 1
 
-DEFECTS = ("tampered-sharp", "skip-chart-substitution", "perturbed-dictionary")
+DEFECTS = {
+    "tampered-sharp": "verify-axioms",
+    "skip-chart-substitution": "chart",
+    "perturbed-dictionary": "specialize",
+}
 
 
 @dataclasses.dataclass
@@ -82,16 +88,25 @@ def _jsonable(value):
 # ---------------------------------------------------------------------------
 
 
+def _tampered_sharp(pres: jordan.JordanPresentation) -> jordan.JordanPresentation:
+    """The presentation with x11^2 added to its first sharp component."""
+    x11 = pres.ring.var("x11")
+    return dataclasses.replace(pres, sharp=(pres.sharp[0] + x11 * x11,) + pres.sharp[1:])
+
+
+def _perturbed_dictionary(d: relatives.Dictionary) -> relatives.Dictionary:
+    """The dictionary with th1 + A12 as the image of x22."""
+    ring = d.target
+    return dataclasses.replace(
+        d, mapping={**d.mapping, "x22": ring.var("th1") + ring.var("A12")})
+
+
 def suite_axioms(opts: Options) -> list[Claim]:
     claims: list[Claim] = []
     pres = coord8.presentation(None)
-    if opts.defect == "tampered-sharp":
-        ring = pres.ring
-        tampered = list(pres.sharp)
-        tampered[0] = tampered[0] + ring.var("x11") * ring.var("x11")
-        pres = dataclasses.replace(pres, sharp=tuple(tampered))
+    checked = _tampered_sharp(pres) if opts.defect == "tampered-sharp" else pres
 
-    rep = jordan.verify_sharp_conditions(pres)
+    rep = jordan.verify_sharp_conditions(checked)
     for tag, key, ok in (("sharp1", "s1", rep.s1), ("sharp2", "s2", rep.s2),
                          ("sharp3", "s3", rep.s3)):
         residual = next((r.to_str() for r in rep.residuals.get(key, [])), None)
@@ -122,7 +137,6 @@ def suite_axioms(opts: Options) -> list[Claim]:
                         "determinant normalization of the representation matrices",
                         table_rep.rep_det_ok, {}))
 
-    # cubic-form specializations and the unit facts
     for name in ("origin", "p1", "p2", "p3"):
         P = hvariety.representative(name)
         got = coord8.cubic_form(P).to_str()
@@ -130,56 +144,17 @@ def suite_axioms(opts: Options) -> list[Claim]:
         claims.append(claim(f"axioms/cubic-display-{name}",
                             "specialized cubic form matches its closed display",
                             got == want, {"computed": got, "expected": want}))
-    symbolic_cubic = coord8.cubic_form(None)
     claims.append(claim("axioms/cubic-integer-coefficients",
                         "fully symbolic cubic form has integer coefficients",
-                        all(c.denominator == 1 for c in symbolic_cubic.coefficients()),
-                        {"terms": len(symbolic_cubic.terms)}))
+                        all(c.denominator == 1 for c in pres.cubic.coefficients()),
+                        {"terms": len(pres.cubic.terms)}))
 
-    base = coord8.presentation(None)
-    unit_ok = []
-    unit = base.unit_element()
-    gen = base.generic_element()
-    # the unit is the sum of the three idempotents and takes cubic value 1
-    idem_sum = tuple(sum((base.basis_element(6 + i)[k] for i in range(3)),
-                         base.ring.zero()) for k in range(9))
-    unit_ok.append(all(a == b for a, b in zip(unit, idem_sum)))
-    unit_ok.append(jordan.cubic_of(base, unit) == 1)
-    # the U-operator of the unit is the identity
-    u_unit = jordan.u_operator(base, unit, gen)
-    unit_ok.append(all(a == b for a, b in zip(u_unit, gen)))
-    # idempotents are bullet-idempotent with vanishing sharp
-    for i in range(3):
-        e = base.basis_element(6 + i)
-        unit_ok.append(all(a == b for a, b in
-                           zip(jordan.bullet_product(base, e, e), e)))
-        unit_ok.append(all(c.is_zero() for c in jordan.sharp_of(base, e)))
-    # the two expressions for the square agree symbolically
-    sq_bullet = jordan.bullet_product(base, gen, gen)
-    sq_sharp = jordan.square_via_sharp(base, gen)
-    unit_ok.append(all(a == b for a, b in zip(sq_bullet, sq_sharp)))
-    # spur identity S(x, y) = T(x) T(y) - T(x, y)
-    ext, y = base.fresh_symbols()
-    x = base.generic_element(ext)
-    lhs = jordan.spur_bilinear(base, x, y)
-    rhs = (jordan.trace_linear(base, x) * jordan.trace_linear(base, y)
-           - jordan.trace_bilinear(base, x, y))
-    unit_ok.append(lhs == rhs)
+    unit_ok = coord8.verify_unit_identities(pres)
     claims.append(claim("axioms/unit-and-idempotents",
                         "unit decomposition, unit operator, idempotent facts, "
                         "square and spur identities all hold symbolically",
                         all(unit_ok), {"checks": len(unit_ok)}))
     return claims
-
-
-def _random_invertible(rng: random.Random):
-    from .exactcore import PolyMatrix
-    ring = coord8.coord_ring(True)
-    while True:
-        m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(2)]
-             for _ in range(2)]
-        if m[0][0] * m[1][1] - m[0][1] * m[1][0] != 0:
-            return PolyMatrix.from_rows(ring, m)
 
 
 def suite_classify(opts: Options) -> list[Claim]:
@@ -201,24 +176,10 @@ def suite_classify(opts: Options) -> list[Claim]:
                             {"label": got.label, "hyperdet": got.hyperdet,
                              "ranks": list(got.flattening_ranks)}))
 
-    rng = random.Random(f"{opts.seed}:classify")
-    stable = True
-    translates = 0
-    for name in ("p1", "p2", "p3", "p4"):
-        want = expected[name]
-        for _ in range(20):
-            g = hvariety.GroupElement(
-                g1=_random_invertible(rng), g2=_random_invertible(rng),
-                g3=_random_invertible(rng),
-                perm=rng.choice([(1, 2, 3), (2, 3, 1), (3, 1, 2),
-                                 (2, 1, 3), (1, 3, 2), (3, 2, 1)]))
-            moved = hvariety.apply_group_to_cube(g, hvariety.representative(name))
-            translates += 1
-            if hvariety.classify_orbit(moved).label != want:
-                stable = False
+    inv = hvariety.translate_invariance(opts.seed)
     claims.append(claim("classify/translate-invariance",
                         "classification is constant on sampled group translates",
-                        stable, {"translates": translates}))
+                        inv["unstable"] == 0, {"translates": inv["translates"]}))
 
     for r in (1, 2, 3):
         rep = hvariety.factor_equivariance_certificate(r)
@@ -266,7 +227,10 @@ def suite_fiber(opts: Options) -> list[Claim]:
 
 def suite_chart(opts: Options) -> list[Claim]:
     claims = []
-    rep = hvariety.chart_reduce_u1(skip_u3=(opts.defect == "skip-chart-substitution"))
+    sub = hvariety.chart_substitution()
+    if opts.defect == "skip-chart-substitution":
+        del sub["u3"]
+    rep = hvariety.chart_reduce_u1(sub)
     nonzero = [lbl for lbl, r in zip(hvariety.GEN_LABELS, rep.residuals)
                if not r.is_zero()]
     first_bad = next((r.to_str() for r in rep.residuals if not r.is_zero()), None)
@@ -307,9 +271,7 @@ def suite_specialize(opts: Options) -> list[Claim]:
     for name in ("c2", "m8", "s6"):
         d = relatives.dictionary(name)
         if opts.defect == "perturbed-dictionary" and name == "c2":
-            ring = d.target
-            d = dataclasses.replace(
-                d, mapping={**d.mapping, "x22": ring.var("th1") + ring.var("A12")})
+            d = _perturbed_dictionary(d)
         rep = relatives.verify_specialization(d)
         data = {"relation": rep.relation}
         if not rep.ok:
@@ -374,17 +336,22 @@ def suite_weights(opts: Options) -> list[Claim]:
         return claims
     if isinstance(weights_arg, tuple):
         rep1, rep2 = grading.check_bigraded(eqs, *weights_arg)
+        data = {"row1": [str(x.weight) for x in rep1.per_generator],
+                "row2": [str(x.weight) for x in rep2.per_generator]}
+        if not (rep1.ok and rep2.ok):
+            data["failures"] = [f"row{n} {f}" for n, r in ((1, rep1), (2, rep2))
+                                for f in r.failures()]
         claims.append(claim("weights/bigraded",
                             "equations are homogeneous under both grading rows",
-                            rep1.ok and rep2.ok,
-                            {"row1": [str(x.weight) for x in rep1.per_generator],
-                             "row2": [str(x.weight) for x in rep2.per_generator]}))
+                            rep1.ok and rep2.ok, data))
         return claims
     rep = grading.check_homogeneous(eqs, weights_arg)
+    data = {"weights": [str(x.weight) for x in rep.per_generator]}
+    if not rep.ok:
+        data["failures"] = rep.failures()
     claims.append(claim("weights/homogeneous",
                         "equations are homogeneous under the given weights",
-                        rep.ok,
-                        {"weights": [str(x.weight) for x in rep.per_generator]}))
+                        rep.ok, data))
     if rep.ok and all(n in weights_arg for n in coord8.ALL_VARS) \
             and all(Fraction(weights_arg[n]) > 0 for n in coord8.ALL_VARS):
         can = grading.canonical_arithmetic(weights_arg)
@@ -422,11 +389,16 @@ def suite_hilbert(opts: Options) -> list[Claim]:
     claims.append(claim("hilbert/pairing",
                         "resolution shifts pair to the top shift",
                         grading.shift_pairing_holds(w), {}))
-    fano = grading.fano_invariants(w, sections=opts.sections)
+    try:
+        fano = grading.fano_invariants(w, sections=opts.sections)
+    except NumeratorNotDivisible as exc:
+        ok, data = False, {"residual": str(exc)}
+    else:
+        ok, data = True, {"degree": fano.degree, "h0": fano.h0,
+                          "genus": fano.genus, "dimension": fano.dimension}
     claims.append(claim("hilbert/invariants",
                         "exact anticanonical degree and genus of the section",
-                        True, {"degree": fano.degree, "h0": fano.h0,
-                               "genus": fano.genus, "dimension": fano.dimension}))
+                        ok, data))
     return claims
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from . import jordan
 from .errors import ShapeError
 from .exactcore import (Poly, PolyMatrix, Rational, Ring, _frac,
                         parse_rational)
@@ -119,15 +120,12 @@ class Hypermatrix:
         return f"Hypermatrix({self.to_text()})"
 
 
-def _coerce_param_ring(P: Hypermatrix | None, extra: Sequence[str] = ()) -> tuple[Ring, dict]:
+def _coerce_param_ring(P: Hypermatrix | None) -> tuple[Ring, dict]:
     """Ring and in-ring parameter values for a symbolic or rational cube."""
     if P is None:
-        ring = coord_ring(True, extra)
+        ring = coord_ring(True)
         return ring, Hypermatrix.symbolic(ring).in_ring(ring)
-    if P.is_rational():
-        ring = coord_ring(False, extra)
-    else:
-        ring = coord_ring(True, extra)
+    ring = coord_ring(not P.is_rational())
     return ring, P.in_ring(ring)
 
 
@@ -153,32 +151,11 @@ def d_entry(p: Mapping, x: Sequence[Poly], k: int, i: int, j: int) -> Poly:
     return a * w - b * v
 
 
-def d_matrix(p: Mapping, x: Sequence[Poly], k: int,
-             xsharp: Sequence[Poly] | None = None,
-             flavor: str = "plain") -> PolyMatrix:
-    """D^(k) built from the difference determinants.
-
-    ``flavor`` selects the plain matrix, or the two mixed versions whose
-    right resp. left column is evaluated on the sharp coordinates.
-    """
-    ring = x[0].ring
-
-    def col(seq):
-        return [d_entry(p, seq, k, 1, 1), d_entry(p, seq, k, 2, 1),
-                d_entry(p, seq, k, 1, 2), d_entry(p, seq, k, 2, 2)]
-
-    d = col(x)
-    if flavor == "plain":
-        d11, d21, d12, d22 = d
-        return PolyMatrix.from_rows(ring, [[-d12, d11], [-d22, d21]])
-    if xsharp is None:
-        raise ValueError("mixed flavors need the sharp coordinates")
-    ds = col(xsharp)
-    if flavor == "mixed_x_xsharp":
-        return PolyMatrix.from_rows(ring, [[-d[2], ds[0]], [-d[3], ds[1]]])
-    if flavor == "mixed_xsharp_x":
-        return PolyMatrix.from_rows(ring, [[-ds[2], d[0]], [-ds[3], d[1]]])
-    raise ValueError(f"unknown flavor {flavor!r}")
+def d_matrix(p: Mapping, x: Sequence[Poly], k: int) -> PolyMatrix:
+    """D^(k) built from the difference determinants."""
+    d11, d21, d12, d22 = (d_entry(p, x, k, i, j)
+                          for i, j in ((1, 1), (2, 1), (1, 2), (2, 2)))
+    return PolyMatrix.from_rows(x[0].ring, [[-d12, d11], [-d22, d21]])
 
 
 def sharp_map(P: Hypermatrix | None, sigma: Element) -> Element:
@@ -206,27 +183,24 @@ def sharp_map(P: Hypermatrix | None, sigma: Element) -> Element:
     )
 
 
-def cubic_form(P: Hypermatrix | None = None, ring: Ring | None = None) -> Poly:
+def cubic_form(P: Hypermatrix | None = None) -> Poly:
     """The cubic form attached to the cube, fully expanded.
 
+    For each factor k it subtracts from u_k u_k# the two mixed determinants
+    of D^(k): its right resp. left column taken at the sharp coordinates.
     The assembled combination has a global factor of three which cancels
     exactly; with symbolic parameters the expansion therefore has integer
     coefficients, which is asserted.
     """
-    if ring is None:
-        ring, p = _coerce_param_ring(P)
-    else:
-        p = (Hypermatrix.symbolic(ring) if P is None else P).in_ring(ring)
+    ring, p = _coerce_param_ring(P)
     sigma = tuple(ring.var(n) for n in COORD_VARS)
     sharp = sharp_map(P, sigma)
-    x, xs = sigma[:6], sharp[:6]
     total = ring.zero()
     for k in (1, 2, 3):
-        u = sigma[5 + k]
-        usharp = sharp[5 + k]
-        mixed_a = d_matrix(p, x, k, xs, "mixed_x_xsharp").det()
-        mixed_b = d_matrix(p, x, k, xs, "mixed_xsharp_x").det()
-        total = total + u * usharp - mixed_a - mixed_b
+        a, b, c, d = d_matrix(p, sigma[:6], k).entries
+        sa, sb, sc, sd = d_matrix(p, sharp[:6], k).entries
+        mixed = (a * sd - sb * c) + (sa * d - b * sc)
+        total = total + sigma[5 + k] * sharp[5 + k] - mixed
     cubic = Fraction(1, 3) * total
     if P is None:
         assert all(c.denominator == 1 for c in cubic.coefficients()), \
@@ -247,7 +221,7 @@ def presentation(P: Hypermatrix | None = None) -> JordanPresentation:
         ring=ring,
         coords=COORD_VARS,
         unit=unit,
-        cubic=cubic_form(P, ring),
+        cubic=cubic_form(P),
         sharp=sharp_map(P, sigma),
     )
 
@@ -272,17 +246,13 @@ def _slot_fill(positions: dict[int, int]) -> tuple[int, int, int]:
     return (positions[1], positions[2], positions[3])
 
 
-def build_peirce_table(P: Hypermatrix | None = None,
-                       ring: Ring | None = None) -> dict[tuple[str, str], Element]:
+def build_peirce_table(P: Hypermatrix | None = None) -> dict[tuple[str, str], Element]:
     """Symmetric table of pairwise sharp products of the nine basis vectors.
 
     Keys are ordered pairs of coordinate names; values are coordinate
     vectors with entries polynomial in the cube parameters.
     """
-    if ring is None:
-        ring, p = _coerce_param_ring(P)
-    else:
-        p = (Hypermatrix.symbolic(ring) if P is None else P).in_ring(ring)
+    ring, p = _coerce_param_ring(P)
 
     zero = tuple(ring.zero() for _ in COORD_VARS)
     pos = {n: i for i, n in enumerate(COORD_VARS)}
@@ -427,11 +397,9 @@ def verify_peirce_identities(P: Hypermatrix | None = None) -> PeirceIdentityRepo
     """Certify, with symbolic cube entries, the identity suite linking the
     product table, the closed-form sharp map, and the 2x2 representation
     matrices of off-diagonal multiplication."""
-    from . import jordan
-
     pres = presentation(P)
     ring = pres.ring
-    table = build_peirce_table(P, ring)
+    table = build_peirce_table(P)
     failures: list[str] = []
 
     sigma = pres.generic_element()
@@ -500,6 +468,35 @@ def verify_peirce_identities(P: Hypermatrix | None = None) -> PeirceIdentityRepo
 
     return PeirceIdentityReport(table_ok, traces_ok, triple_ok, disp_ok,
                                 prod_ok, det_ok, failures)
+
+
+def verify_unit_identities(pres: JordanPresentation) -> list[bool]:
+    """Certify symbolically the facts around the unit, one entry per check.
+
+    The unit is the sum of the three idempotents and has cubic value one;
+    its U-operator is the identity; each idempotent is bullet-idempotent
+    with vanishing sharp; the bullet square of the generic element equals
+    x# + T(x) x - S(x) unit; and S(x, y) = T(x) T(y) - T(x, y) with fresh y.
+    """
+    idempotents = [pres.basis_element(COORD_VARS.index(n)) for n in U_VARS]
+    unit = pres.unit_element()
+    gen = pres.generic_element()
+    idem_sum = tuple(sum((e[k] for e in idempotents), pres.ring.zero())
+                     for k in range(pres.dim()))
+    checks = [unit == idem_sum,
+              jordan.cubic_of(pres, unit) == 1,
+              jordan.u_operator(pres, unit, gen) == gen]
+    for e in idempotents:
+        checks.append(jordan.bullet_product(pres, e, e) == e)
+        checks.append(all(c.is_zero() for c in jordan.sharp_of(pres, e)))
+    checks.append(jordan.bullet_product(pres, gen, gen)
+                  == jordan.square_via_sharp(pres, gen))
+    ext, y = pres.fresh_symbols()
+    x = pres.generic_element(ext)
+    checks.append(jordan.spur_bilinear(pres, x, y)
+                  == jordan.trace_linear(pres, x) * jordan.trace_linear(pres, y)
+                  - jordan.trace_bilinear(pres, x, y))
+    return checks
 
 
 def _basis_combination(pres: JordanPresentation, ring: Ring, pair_complement: int,

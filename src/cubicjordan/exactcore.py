@@ -694,16 +694,11 @@ class EquationSet:
         return len(self.gens)
 
     def substitute(self, mapping: Mapping[str, "Poly | Rational"],
-                   ring: Ring | None = None, drop_zero: bool = False) -> EquationSet:
-        gens, labels = [], []
-        for i, g in enumerate(self.gens):
-            img = g.substitute(mapping, ring)
-            if drop_zero and img.is_zero():
-                continue
-            gens.append(img)
-            labels.append(self.labels[i] if self.labels else str(i))
+                   ring: Ring | None = None) -> EquationSet:
+        gens = tuple(g.substitute(mapping, ring) for g in self.gens)
+        labels = self.labels or tuple(str(i) for i in range(len(gens)))
         target = gens[0].ring if gens else (ring if ring is not None else self.ring)
-        return EquationSet(target, tuple(gens), tuple(labels))
+        return EquationSet(target, gens, labels)
 
 
 EQUAL = "equal"

@@ -88,8 +88,11 @@ class HomogeneityReport:
     def ok(self) -> bool:
         return all(g.homogeneous for g in self.per_generator)
 
-    def weights(self) -> list[Fraction | None]:
-        return [g.weight for g in self.per_generator]
+    def failures(self) -> list[str]:
+        """Label and clashing monomial weights of each generator that is
+        not homogeneous."""
+        return [f"{g.label}: monomial weights {', '.join(map(str, g.clashes))}"
+                for g in self.per_generator if not g.homogeneous]
 
 
 def _monomial_weight(ring_names: Sequence[str], mono: tuple, w: WeightSystem) -> Fraction:
@@ -148,14 +151,13 @@ class WeightLattice:
         cols = [[vec[i] for vec in self.basis] for i in range(len(self.variables))]
         return solve_linear(cols, shifted) is not None
 
-    def relation_holds(self, coefficients: Mapping[str, Rational],
-                       value: Rational = 0) -> bool:
-        """Does sum(c_v * w(v)) = value hold for every lattice point?"""
+    def relation_holds(self, coefficients: Mapping[str, Rational]) -> bool:
+        """Does sum(c_v * w(v)) = 0 hold for every lattice point?"""
         coeff = [Fraction(0)] * len(self.variables)
         for name, c in coefficients.items():
             coeff[self.variables.index(name)] = _frac(c)
         at_particular = sum(c * p for c, p in zip(coeff, self.particular))
-        if at_particular != _frac(value):
+        if at_particular != 0:
             return False
         return all(sum(c * b for c, b in zip(coeff, vec)) == 0 for vec in self.basis)
 
@@ -402,8 +404,7 @@ def series_coefficients(num: Poly1, denominator_weights: Sequence[int],
     return coeffs
 
 
-def fano_invariants(w: Mapping[str, Rational], sections: int = 9,
-                    section_weight: int = 1) -> FanoReport:
+def fano_invariants(w: Mapping[str, Rational], sections: int = 9) -> FanoReport:
     """Degree and genus of the threefold cut by weight-one sections.
 
     The Hilbert series is the numerator over one cyclotomic-type factor
@@ -416,9 +417,9 @@ def fano_invariants(w: Mapping[str, Rational], sections: int = 9,
             raise ValueError("positive integer weights required")
     weights = sorted(int(ws[name]) for name in ALL_VARS)
     for _ in range(sections):
-        if section_weight not in weights:
+        if 1 not in weights:
             raise ValueError("not enough coordinates of the section weight")
-        weights.remove(section_weight)
+        weights.remove(1)
 
     num = hilbert_numerator(ws)
     # pole order at t = 1 is (#factors - 4); the section is projective of

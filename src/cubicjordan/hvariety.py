@@ -326,8 +326,42 @@ def classify_orbit(P: Hypermatrix) -> OrbitLabel:
     return OrbitLabel("O3", det, ranks)
 
 
-def hyperdet_covariance_exponent(r: int, max_power: int = 4) -> int | None:
-    """Exponent e with hyperdet(g . P) = (det g)^e hyperdet(P) for a
+_PERMUTATIONS = ((1, 2, 3), (2, 3, 1), (3, 1, 2), (2, 1, 3), (1, 3, 2), (3, 2, 1))
+
+
+def _random_invertible(rng: random.Random) -> PolyMatrix:
+    """Random invertible 2x2 factor with small rational entries."""
+    ring = coord_ring(True)
+    while True:
+        m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(2)]
+             for _ in range(2)]
+        if m[0][0] * m[1][1] - m[0][1] * m[1][0] != 0:
+            return PolyMatrix.from_rows(ring, m)
+
+
+def translate_invariance(seed: int) -> dict:
+    """Classify 20 random group translates of each nonzero representative.
+
+    A translate is unstable when its orbit label differs from the label of
+    the representative itself.  Draws come from the ``"{seed}:classify"``
+    stream.
+    """
+    rng = random.Random(f"{seed}:classify")
+    translates = unstable = 0
+    for name in ("p1", "p2", "p3", "p4"):
+        P = representative(name)
+        want = classify_orbit(P).label
+        for _ in range(20):
+            g = GroupElement(g1=_random_invertible(rng), g2=_random_invertible(rng),
+                             g3=_random_invertible(rng), perm=rng.choice(_PERMUTATIONS))
+            translates += 1
+            if classify_orbit(apply_group_to_cube(g, P)).label != want:
+                unstable += 1
+    return {"translates": translates, "unstable": unstable}
+
+
+def hyperdet_covariance_exponent(r: int) -> int | None:
+    """Exponent e <= 4 with hyperdet(g . P) = (det g)^e hyperdet(P) for a
     symbolic factor in slot r; computed, not assumed."""
     ring = coord_ring(True, ("ga", "gb", "gc", "gd"))
     g = PolyMatrix.from_rows(ring, [[ring.var("ga"), ring.var("gb")],
@@ -338,7 +372,7 @@ def hyperdet_covariance_exponent(r: int, max_power: int = 4) -> int | None:
     base = hyperdeterminant(sym, ring)
     transformed = base.substitute(sub, ring)
     power = ring.one()
-    for e in range(max_power + 1):
+    for e in range(5):
         if transformed == power * base:
             return e
         power = power * det
@@ -541,32 +575,30 @@ class ChartReport:
         return all(r.is_zero() for r in self.residuals)
 
 
-def chart_substitution(ring: Ring, skip_u3: bool = False) -> dict[str, Poly]:
+def chart_substitution() -> dict[str, Poly]:
     """Triangular elimination on the chart where the first idempotent
-    coordinate is set to one.
+    coordinate is set to one, over the 17-variable ring.
 
     The first pair is solved from its own generator block; the remaining
     idempotent coordinates are the negated determinants of the second and
     third difference matrices (the third one evaluated on the substituted
     first pair column).
     """
+    ring = coord_ring(True)
     p = Hypermatrix.symbolic(ring).in_ring(ring)
     x = tuple(ring.var(n) for n in X_VARS)
     d3 = d_matrix(p, x, 3)
     e11, e21 = d3.apply((ring.var("x12"), ring.var("x22")))
-    sub: dict[str, Poly] = {"u1": ring.one(), "x11": e11, "x21": e21}
     d2 = d_matrix(p, x, 2)
-    sub["u2"] = -d3.det()
-    if not skip_u3:
-        sub["u3"] = -d2.det()
-    return sub
+    return {"u1": ring.one(), "x11": e11, "x21": e21,
+            "u2": -d3.det(), "u3": -d2.det()}
 
 
-def chart_reduce_u1(skip_u3: bool = False) -> ChartReport:
-    """Substitute the chart elimination into all nine generators; every
-    residual must vanish identically in the twelve free coordinates."""
+def chart_reduce_u1(sub: Mapping[str, Poly]) -> ChartReport:
+    """Substitute a chart elimination, normally ``chart_substitution()``,
+    into all nine generators; every residual must vanish identically in the
+    twelve free coordinates."""
     eqs = equations()
-    sub = chart_substitution(eqs.ring, skip_u3)
     residuals = [g.substitute(sub, eqs.ring) for g in eqs.gens]
     free = tuple(n for n in ("x12", "x22", "x13", "x23") + PARAM_VARS)
     return ChartReport(residuals, free, len(free) + 1)
@@ -642,18 +674,17 @@ CHART_FREE_VARS = ("x12", "x22", "x13", "x23") + PARAM_VARS
 @cache
 def _sampling_tables() -> tuple[tuple[tuple[str, Poly], ...], tuple[Poly, ...]]:
     """Chart images of the solved coordinates and the nine generators."""
-    sub = chart_substitution(coord_ring(True))
+    sub = chart_substitution()
     return tuple((n, sub[n]) for n in ("x11", "x21", "u2", "u3")), equations().gens
 
 
 def sample_point(rng: random.Random | int,
-                 constraints: Mapping[str, Rational] | None = None,
-                 scale: Rational | None = None) -> dict[str, Fraction]:
+                 constraints: Mapping[str, Rational] | None = None) -> dict[str, Fraction]:
     """Exact rational point of the variety via the first idempotent chart.
 
     Free chart coordinates are drawn from the RNG unless pinned by
-    ``constraints``; the whole algebra part is then rescaled by a nonzero
-    ``scale``.  Every returned point is re-verified against the nine
+    ``constraints``; the whole algebra part is then rescaled by a random
+    nonzero factor.  Every returned point is re-verified against the nine
     generators.  Only the locus where the first idempotent coordinate is
     nonzero is reachable; use the index permutation action to relocate.
     """
@@ -670,9 +701,7 @@ def sample_point(rng: random.Random | int,
     for n, image in solved:
         values[n] = image.evaluate(values)
     values["u1"] = Fraction(1)
-    t = _frac(scale) if scale is not None else _rand_nonzero(rng)
-    if t == 0:
-        raise ValueError("scale must be nonzero")
+    t = _rand_nonzero(rng)
     for n in COORD_VARS:
         values[n] = values[n] * t
     for g in gens:

@@ -90,9 +90,9 @@ class JordanPresentation:
         vals[i] = 1
         return self.element(vals, ring)
 
-    def fresh_symbols(self, base: str = "y") -> tuple[Ring, Element]:
-        """Extension ring with one fresh symbol per coordinate."""
-        names = self.ring.fresh_names(base, self.dim())
+    def fresh_symbols(self) -> tuple[Ring, Element]:
+        """Extension ring with one fresh symbol ``y1, y2, ...`` per coordinate."""
+        names = self.ring.fresh_names("y", self.dim())
         ext = self.ring.extend(names)
         return ext, tuple(ext.var(n) for n in names)
 
@@ -262,7 +262,7 @@ def verify_sharp_conditions(p: JordanPresentation) -> SharpConditionReport:
     residuals: dict[str, list[Poly]] = {}
 
     # (1) T(x#, y) = dN/dy at x, with x the generic element and fresh y.
-    ext, y = p.fresh_symbols("y")
+    ext, y = p.fresh_symbols()
     x = p.generic_element(ext)
     lhs = trace_bilinear(p, sharp_of(p, x), y)
     r1 = lhs - directional_derivative(p.cubic, dict(zip(p.coords, y)))

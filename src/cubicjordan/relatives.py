@@ -42,8 +42,8 @@ def s6_ring(extra: Sequence[str] = ()) -> Ring:
     return Ring(S6_VARS + tuple(extra))
 
 
-def c2_ring(extra: Sequence[str] = ()) -> Ring:
-    return Ring(C2_VARS + tuple(extra))
+def c2_ring() -> Ring:
+    return Ring(C2_VARS)
 
 
 def _m8_blocks(ring: Ring) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix, Poly, Poly]:
@@ -54,11 +54,10 @@ def _m8_blocks(ring: Ring) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix, Poly, Po
     return X1, X2, W, v("y"), v("z")
 
 
-def m8_equations(ring: Ring | None = None) -> EquationSet:
+def m8_equations() -> EquationSet:
     """Ten generators: one scalar determinant relation, two 2x2 matrix
     relations, and one more scalar determinant relation."""
-    if ring is None:
-        ring = m8_ring()
+    ring = m8_ring()
     X1, X2, W, y, z = _m8_blocks(ring)
     gens: list[Poly] = [y * z - X2.det()]
     labels = ["det-yz"]
@@ -103,10 +102,9 @@ def s6_equations(ring: Ring | None = None) -> EquationSet:
     return EquationSet(ring, tuple(gens), tuple(labels))
 
 
-def c2_equations(ring: Ring | None = None) -> EquationSet:
+def c2_equations() -> EquationSet:
     """The nine exchange relations over the three cyclic index triples."""
-    if ring is None:
-        ring = c2_ring()
+    ring = c2_ring()
     v = ring.var
 
     def th(i: int, j: int) -> Poly:

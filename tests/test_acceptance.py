@@ -98,7 +98,7 @@ def test_06_fiber_certificates():
 
 
 def test_07_chart_reduction_and_pfaffians():
-    rep = hvariety.chart_reduce_u1()
+    rep = hvariety.chart_reduce_u1(hvariety.chart_substitution())
     ok = rep.ok and rep.chart_dimension == 13
     pf = hvariety.pfaffian_vanishing_on_samples(SEED, samples=30)
     ok = ok and pf["ok"] and pf["checked"] >= 30
@@ -159,12 +159,7 @@ def test_11_bigraded_weight_matrices():
 
 def test_12_negative_controls(tmp_path):
     ok = True
-    cases = [
-        ("verify-axioms", "tampered-sharp"),
-        ("chart", "skip-chart-substitution"),
-        ("specialize", "perturbed-dictionary"),
-    ]
-    for command, defect in cases:
+    for defect, command in cli.DEFECTS.items():
         out = tmp_path / f"{defect}.json"
         code = cli.run([command, "--defect", defect, "--samples", "5",
                         "--json", str(out)])

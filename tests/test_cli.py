@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cubicjordan import cli
+from cubicjordan import cli, grading
 
 
 def run(args):
@@ -88,16 +88,53 @@ def test_weights_file_checking(tmp_path):
     assert run(["weights", "--weights", str(w)]) == 0
 
 
+STANDARD = {n: str(v) for n, v in grading.standard_weights().items()}
+
+
+def test_weights_not_grading_the_equations_fail_hilbert_invariants(tmp_path, capsys):
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({**STANDARD, "x11": "3"}))
+    out = tmp_path / "report.json"
+    assert run(["hilbert", "--weights", str(w), "--json", str(out)]) == 1
+    claims = {c["claim_id"]: c for c in json.loads(out.read_text())["claims"]}
+    invariants = claims["hilbert/invariants"]
+    assert invariants["status"] == "fail"
+    assert invariants["data"]["residual"] == \
+        "numerator lacks vanishing order 4 at t = 1; wrong weights"
+    assert "input error" not in capsys.readouterr().err
+
+
+CLASHES_U1_IS_5 = ["g1a: monomial weights 3, 6", "g1b: monomial weights 3, 6",
+                   "g5: monomial weights 4, 7", "g6: monomial weights 4, 7"]
+
+
+@pytest.mark.parametrize("bigraded,claim_id,failures", [
+    (False, "weights/homogeneous", CLASHES_U1_IS_5),
+    (True, "weights/bigraded", ["row2 " + f for f in CLASHES_U1_IS_5]),
+])
+def test_failing_homogeneity_carries_clashing_weights(tmp_path, capsys, bigraded,
+                                                      claim_id, failures):
+    # the standard weights with u1 = 5; bigraded, as the second row
+    bad = {**STANDARD, "u1": "5"}
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({n: [STANDARD[n], bad[n]] for n in bad}
+                            if bigraded else bad))
+    out = tmp_path / "report.json"
+    assert run(["weights", "--weights", str(w), "--json", str(out)]) == 1
+    claims = {c["claim_id"]: c for c in json.loads(out.read_text())["claims"]}
+    assert claims[claim_id]["status"] == "fail"
+    assert claims[claim_id]["data"]["failures"] == failures
+    err = capsys.readouterr().err
+    assert f"first failing claim: {claim_id}: {failures}" in err
+
+
 def test_weights_solver_mode(capsys):
     assert run(["weights"]) == 0
     assert "[PASS] weights/lattice" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command,defect", [
-    ("verify-axioms", "tampered-sharp"),
-    ("chart", "skip-chart-substitution"),
-    ("specialize", "perturbed-dictionary"),
-])
+    (command, defect) for defect, command in cli.DEFECTS.items()])
 def test_defect_fixtures_fail_with_residual(tmp_path, capsys, command, defect):
     out = tmp_path / "report.json"
     code = run([command, "--defect", defect, "--samples", "5",

@@ -23,7 +23,7 @@ def symbolic_setup():
 
 def test_table_cross_cell():
     ring, p = symbolic_setup()
-    table = build_peirce_table(None, ring)
+    table = build_peirce_table(None)
     cell = dict(zip(COORD_VARS, table[("x21", "x22")]))
     assert cell["x13"] == p[(1, 1, 1)]
     assert cell["x23"] == p[(1, 1, 2)]
@@ -32,15 +32,14 @@ def test_table_cross_cell():
 
 def test_table_square_cell():
     ring, p = symbolic_setup()
-    table = build_peirce_table(None, ring)
+    table = build_peirce_table(None)
     cell = dict(zip(COORD_VARS, table[("x13", "x13")]))
     expected = 2 * (-p[(1, 2, 2)] * p[(2, 1, 2)] + p[(1, 1, 2)] * p[(2, 2, 2)])
     assert cell["u3"] == expected
 
 
 def test_table_idempotent_action():
-    ring, _ = symbolic_setup()
-    table = build_peirce_table(None, ring)
+    table = build_peirce_table(None)
     cell = dict(zip(COORD_VARS, table[("u1", "x11")]))
     assert cell["x11"] == -1
     cell = dict(zip(COORD_VARS, table[("u2", "x11")]))
@@ -51,7 +50,7 @@ def test_table_idempotent_action():
 
 def test_table_agrees_with_sharp_map_symbolically(symbolic_presentation):
     p = symbolic_presentation
-    table = build_peirce_table(None, p.ring)
+    table = build_peirce_table(None)
     sigma = p.generic_element()
     via_table = sharp_from_table(table, sigma)
     assert all(a == b for a, b in zip(via_table, p.sharp))
@@ -86,13 +85,6 @@ def test_d_matrix_determinant_feeds_sharp_component():
     sharp = sharp_map(None, sigma)
     v = ring.var
     assert sharp[6] == v("u2") * v("u3") + d_matrix(p, x, 1).det()
-
-
-def test_mixed_flavor_requires_sharp_argument():
-    ring, p = symbolic_setup()
-    x = tuple(ring.var(n) for n in COORD_VARS[:6])
-    with pytest.raises(ValueError):
-        d_matrix(p, x, 1, flavor="mixed_x_xsharp")
 
 
 # -- sharp map -------------------------------------------------------------------
@@ -156,9 +148,13 @@ def test_peirce_identity_suite_passes():
     assert report.ok, report.failures
 
 
+def test_unit_identities_hold(symbolic_presentation):
+    assert coord8.verify_unit_identities(symbolic_presentation) == [True] * 11
+
+
 def test_representation_matrix_displays():
     ring, p = symbolic_setup()
-    table = build_peirce_table(None, ring)
+    table = build_peirce_table(None)
     m = coord8.representation_matrix(table, 3, 2, (ring.one(), ring.zero()), ring)
     assert m.entries == [p[(2, 2, 1)], -p[(2, 1, 1)], p[(2, 2, 2)], -p[(2, 1, 2)]]
 
