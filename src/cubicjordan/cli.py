@@ -116,7 +116,7 @@ def suite_axioms(opts: Options) -> list[Claim]:
             "with symbolic coordinates and parameters",
             ok, {"residual": residual}))
 
-    table_rep = coord8.verify_peirce_identities(None)
+    table_rep = coord8.verify_peirce_identities(pres)
     claims.append(claim("axioms/table-vs-map",
                         "product-table quadratic map equals the closed-form sharp map",
                         table_rep.table_matches_sharp_map, {}))
@@ -516,9 +516,11 @@ def run(argv: list[str] | None = None) -> int:
         args.json.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     if failed:
-        first = failed[0]
-        residual = first.data.get("residual") or first.data.get("failures")
-        print(f"first failing claim: {first.claim_id}: {residual}", file=sys.stderr)
+        def witness(c: Claim):
+            return c.data.get("residual") or c.data.get("failures")
+
+        first = next((c for c in failed if witness(c)), failed[0])
+        print(f"first failing claim: {first.claim_id}: {witness(first)}", file=sys.stderr)
         return 1
     return 0
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import prod
 from typing import Mapping, Sequence
 
 from . import jordan
@@ -183,29 +185,62 @@ def sharp_map(P: Hypermatrix | None, sigma: Element) -> Element:
     )
 
 
-def cubic_form(P: Hypermatrix | None = None) -> Poly:
-    """The cubic form attached to the cube, fully expanded.
+Terms = tuple[tuple[tuple[int, ...], tuple[int, ...], Fraction], ...]
 
-    For each factor k it subtracts from u_k u_k# the two mixed determinants
-    of D^(k): its right resp. left column taken at the sharp coordinates.
-    The assembled combination has a global factor of three which cancels
-    exactly; with symbolic parameters the expansion therefore has integer
-    coefficients, which is asserted.
+
+@cache
+def _symbolic_terms() -> tuple[Terms, tuple[Terms, ...]]:
+    """The cubic form and the nine sharp components with symbolic cube
+    entries, expanded once, as (coordinate exponents, parameter exponents,
+    coefficient) terms.
+
+    For each factor k the cubic subtracts from u_k u_k# the two mixed
+    determinants of D^(k): its right resp. left column taken at the sharp
+    coordinates.  The assembled combination has a global factor of three
+    which cancels exactly, so the expansion has integer coefficients.
     """
-    ring, p = _coerce_param_ring(P)
+    ring, p = _coerce_param_ring(None)
     sigma = tuple(ring.var(n) for n in COORD_VARS)
-    sharp = sharp_map(P, sigma)
+    sharp = sharp_map(None, sigma)
     total = ring.zero()
     for k in (1, 2, 3):
         a, b, c, d = d_matrix(p, sigma[:6], k).entries
         sa, sb, sc, sd = d_matrix(p, sharp[:6], k).entries
         mixed = (a * sd - sb * c) + (sa * d - b * sc)
         total = total + sigma[5 + k] * sharp[5 + k] - mixed
-    cubic = Fraction(1, 3) * total
+
+    def split(f: Poly) -> Terms:
+        n = len(COORD_VARS)
+        return tuple((m[:n], m[n:], c) for m, c in f.terms.items())
+
+    return split(Fraction(1, 3) * total), tuple(split(s) for s in sharp)
+
+
+def _specialize(terms: Terms, P: Hypermatrix | None) -> Poly:
+    """The polynomial of the terms with the cube entries set to those of
+    P, over the nine coordinates; ``P=None`` keeps them symbolic."""
     if P is None:
-        assert all(c.denominator == 1 for c in cubic.coefficients()), \
-            "symbolic cubic form must have integer coefficients"
-    return cubic
+        return Poly(coord_ring(True), {m + e: c for m, e, c in terms})
+    p = P.as_fractions()
+    values = [p[t] for t in INDEX_TRIPLES]
+    monomials: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], Fraction] = {}
+    for m, e, c in terms:
+        value = monomials.get(e)
+        if value is None:
+            value = monomials[e] = prod(v ** k for v, k in zip(values, e) if k)
+        if value:
+            out[m] = out.get(m, 0) + c * value
+    return Poly(coord_ring(False), {m: c for m, c in out.items() if c})
+
+
+def cubic_form(P: Hypermatrix | None = None) -> Poly:
+    """The cubic form attached to the cube, fully expanded.
+
+    ``P=None`` keeps the eight parameters symbolic; a rational cube
+    specializes the symbolic expansion, over the nine coordinates alone.
+    """
+    return _specialize(_symbolic_terms()[0], P)
 
 
 def presentation(P: Hypermatrix | None = None) -> JordanPresentation:
@@ -214,15 +249,14 @@ def presentation(P: Hypermatrix | None = None) -> JordanPresentation:
     ``P=None`` keeps the eight parameters symbolic; a rational cube yields
     a presentation over the nine coordinates alone.
     """
-    ring, _ = _coerce_param_ring(P)
-    sigma = tuple(ring.var(n) for n in COORD_VARS)
     unit = tuple(Fraction(1) if n in U_VARS else Fraction(0) for n in COORD_VARS)
+    cubic = cubic_form(P)
     return JordanPresentation(
-        ring=ring,
+        ring=cubic.ring,
         coords=COORD_VARS,
         unit=unit,
-        cubic=cubic_form(P),
-        sharp=sharp_map(P, sigma),
+        cubic=cubic,
+        sharp=tuple(_specialize(s, P) for s in _symbolic_terms()[1]),
     )
 
 
@@ -393,13 +427,13 @@ class PeirceIdentityReport:
         return not self.failures
 
 
-def verify_peirce_identities(P: Hypermatrix | None = None) -> PeirceIdentityReport:
+def verify_peirce_identities(pres: JordanPresentation) -> PeirceIdentityReport:
     """Certify, with symbolic cube entries, the identity suite linking the
-    product table, the closed-form sharp map, and the 2x2 representation
-    matrices of off-diagonal multiplication."""
-    pres = presentation(P)
+    product table, the closed-form sharp map of ``pres`` (normally
+    ``presentation(None)``), and the 2x2 representation matrices of
+    off-diagonal multiplication."""
     ring = pres.ring
-    table = build_peirce_table(P)
+    table = build_peirce_table(None)
     failures: list[str] = []
 
     sigma = pres.generic_element()
@@ -433,7 +467,7 @@ def verify_peirce_identities(P: Hypermatrix | None = None) -> PeirceIdentityRepo
 
     # displayed representation matrices of the two basis vectors of the
     # (2, 3) space, as maps from the (3, 1) to the (2, 1) space
-    p = (Hypermatrix.symbolic(ring) if P is None else P).in_ring(ring)
+    p = Hypermatrix.symbolic(ring).in_ring(ring)
     disp_ok = True
     m1 = representation_matrix(table, 3, 2, (ring.one(), ring.zero()), ring)
     expect1 = PolyMatrix.from_rows(ring, [[p[(2, 2, 1)], -p[(2, 1, 1)]],

@@ -303,7 +303,7 @@ class Poly:
                 power_cache[key] = base ** e
             return power_cache[key]
 
-        result = target.zero()
+        out: dict = {}
         for m, c in self.terms.items():
             passthrough = [0] * target.nvars
             factor = None
@@ -314,9 +314,14 @@ class Poly:
                     passthrough[target.index(self.ring.names[i])] += e
                 else:
                     factor = power(i, e) if factor is None else factor * power(i, e)
-            term = Poly(target, {tuple(passthrough): c})
-            result = result + (term if factor is None else term * factor)
-        return result
+            if factor is None:
+                key = tuple(passthrough)
+                out[key] = out.get(key, 0) + c
+                continue
+            for fm, fc in factor.terms.items():
+                key = tuple(x + y for x, y in zip(passthrough, fm))
+                out[key] = out.get(key, 0) + c * fc
+        return Poly(target, {m: c for m, c in out.items() if c})
 
     def evaluate(self, values: Mapping[str, Rational]) -> Fraction:
         """Exact value at a rational point covering every used variable."""

@@ -98,72 +98,85 @@ class GroupElement:
                 raise SingularGroupElement("rational factor with zero determinant")
 
 
-def _perm_substitution(ring: Ring, perm: tuple[int, int, int]) -> dict[str, Poly]:
-    """Variable images under the index permutation.
+def _perm_images(perm: tuple[int, int, int], value) -> dict:
+    """Variable images under the index permutation, with ``value(name)``
+    the image carrier of a variable (a Poly or a rational).
 
     Indices permute by ``perm`` on the idempotent and pair blocks, and the
     cube entry with index word A maps to the entry with word A composed
     with the inverse permutation.
     """
     inv = {perm[i]: i + 1 for i in range(3)}
-    sub: dict[str, Poly] = {}
+    images = {}
     for i in (1, 2, 3):
-        sub[f"u{i}"] = ring.var(f"u{perm[i - 1]}")
+        images[f"u{i}"] = value(f"u{perm[i - 1]}")
         for a in (1, 2):
-            sub[x_name(a, i)] = ring.var(x_name(a, perm[i - 1]))
-    for (i, j, k) in coord8.INDEX_TRIPLES:
-        word = (i, j, k)
+            images[x_name(a, i)] = value(x_name(a, perm[i - 1]))
+    for word in coord8.INDEX_TRIPLES:
         image = tuple(word[inv[m] - 1] for m in (1, 2, 3))
-        sub[p_name(*word)] = ring.var(p_name(*image))
-    return sub
+        images[p_name(*word)] = value(p_name(*image))
+    return images
 
 
-def _factor_substitution(ring: Ring, r: int, g: PolyMatrix) -> dict[str, Poly]:
-    """Variable images under one 2x2 factor acting on slot r."""
-    a = g.get(0, 0).convert(ring)
-    b = g.get(0, 1).convert(ring)
-    c = g.get(1, 0).convert(ring)
-    d = g.get(1, 1).convert(ring)
+def _factor_images(r: int, entries, value) -> dict:
+    """Images of the variables moved by one 2x2 factor acting on slot r.
+
+    ``entries`` are the factor's a, b, c, d in row order and ``value(name)``
+    is the image carrier of a variable; they may be Polys or rationals.
+    """
+    a, b, c, d = entries
     det = a * d - b * c
-    sub: dict[str, Poly] = {}
-    sub[x_name(1, r)] = a * ring.var(x_name(1, r)) + b * ring.var(x_name(2, r))
-    sub[x_name(2, r)] = c * ring.var(x_name(1, r)) + d * ring.var(x_name(2, r))
+    lo_x, hi_x = x_name(1, r), x_name(2, r)
+    images = {lo_x: a * value(lo_x) + b * value(hi_x),
+              hi_x: c * value(lo_x) + d * value(hi_x)}
     for i in (1, 2, 3):
         if i != r:
-            sub[f"u{i}"] = det * ring.var(f"u{i}")
-    for (i, j, k) in coord8.INDEX_TRIPLES:
-        word = [i, j, k]
+            images[f"u{i}"] = det * value(f"u{i}")
+    for word in coord8.INDEX_TRIPLES:
         if word[r - 1] != 1:
             continue
-        lo = tuple(word)
-        word[r - 1] = 2
-        hi = tuple(word)
-        sub[p_name(*lo)] = a * ring.var(p_name(*lo)) + b * ring.var(p_name(*hi))
-        sub[p_name(*hi)] = c * ring.var(p_name(*lo)) + d * ring.var(p_name(*hi))
-    return sub
+        hi = list(word)
+        hi[r - 1] = 2
+        lo_p, hi_p = p_name(*word), p_name(*hi)
+        images[lo_p] = a * value(lo_p) + b * value(hi_p)
+        images[hi_p] = c * value(lo_p) + d * value(hi_p)
+    return images
 
 
 def substitution_of(g: GroupElement, ring: Ring) -> dict[str, Poly]:
-    """Composite variable substitution: permutation after the GL factors."""
+    """Composite variable substitution of the group element.
+
+    The substitutions compose in the order factor 1, 2, 3, then the
+    permutation: the image of a variable under factor 1 has the images of
+    factor 2 substituted into it, and so on.  A point therefore moves the
+    opposite way (see ``apply_group_to_point``).
+    """
     g.validate()
     sub: dict[str, Poly] = {n: ring.var(n) for n in ALL_VARS}
-    for r, factor in enumerate(g.factors(), start=1):
-        if factor is None:
-            continue
-        step = _factor_substitution(ring, r, factor)
-        sub = {n: img.substitute(step, ring) for n, img in sub.items()}
+    steps = [_factor_images(r, [e.convert(ring) for e in factor.entries], ring.var)
+             for r, factor in enumerate(g.factors(), start=1) if factor is not None]
     if g.perm != (1, 2, 3):
-        step = _perm_substitution(ring, g.perm)
+        steps.append(_perm_images(g.perm, ring.var))
+    for step in steps:
         sub = {n: img.substitute(step, ring) for n, img in sub.items()}
     return sub
 
 
 def apply_group_to_point(g: GroupElement, point: Mapping[str, Rational]) -> dict[str, Fraction]:
-    """Image of a rational 17-coordinate point under the group element."""
-    ring = coord_ring(True)
-    sub = substitution_of(g, ring)
+    """Image of a rational 17-coordinate point under the group element.
+
+    The value of ``substitution_of(g)`` at the point, computed on the
+    rationals: the point is permuted first, then factors 3, 2 and 1 act.
+    """
+    g.validate()
     vals = {n: _frac(point.get(n, 0)) for n in ALL_VARS}
-    return {n: sub[n].evaluate(vals) for n in ALL_VARS}
+    if g.perm != (1, 2, 3):
+        vals.update(_perm_images(g.perm, vals.__getitem__))
+    for r, factor in reversed(list(enumerate(g.factors(), start=1))):
+        if factor is not None:
+            entries = [e.constant_value() for e in factor.entries]
+            vals.update(_factor_images(r, entries, vals.__getitem__))
+    return vals
 
 
 def apply_group_to_cube(g: GroupElement, P: Hypermatrix) -> Hypermatrix:

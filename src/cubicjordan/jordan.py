@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 from typing import Mapping, Sequence
 
 from .exactcore import Poly, Rational, Ring, directional_derivative
@@ -103,14 +104,40 @@ class JordanPresentation:
         """Second and first partials of the cubic at the unit.
 
         Entries are polynomials in the parameter variables (constants when
-        the presentation carries none).
+        the presentation carries none).  They are read off the terms: a term
+        c x^a (rest) contributes c a_i unit^(a - e_i) (rest) to the i-th
+        partial and c a_i (a_j - [i = j]) unit^(a - e_i - e_j) (rest) to the
+        (i, j) one, where unit^b is the product of the unit's coordinates
+        raised to b.
         """
-        at_unit = {n: self.ring.const(v) for n, v in self.unit_values().items()}
-        firsts = [self.cubic.derivative(n) for n in self.coords]
-        grad = [d.substitute(at_unit) for d in firsts]
-        hess = [[firsts[i].derivative(self.coords[j]).substitute(at_unit)
-                 for j in range(self.dim())] for i in range(self.dim())]
-        return hess, grad
+        n = self.dim()
+        pos = [self.ring.index(name) for name in self.coords]
+        # integral unit coordinates as ints, so that multipliers stay ints
+        unit = [int(u) if u.denominator == 1 else u for u in self.unit]
+        grad: list[dict] = [{} for _ in range(n)]
+        hess: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
+
+        def add(acc: dict, rest: tuple, c: Fraction, mult: int, b: list[int]) -> None:
+            mult *= prod(unit[k] ** e for k, e in enumerate(b) if e)
+            if mult:
+                acc[rest] = acc.get(rest, 0) + c * mult
+
+        for m, c in self.cubic.terms.items():
+            a = [m[k] for k in pos]
+            rest = tuple(0 if k in pos else e for k, e in enumerate(m))
+            for i in (i for i in range(n) if a[i]):
+                ai = a.copy()
+                ai[i] -= 1
+                add(grad[i], rest, c, a[i], ai)
+                for j in (j for j in range(n) if ai[j]):
+                    aij = ai.copy()
+                    aij[j] -= 1
+                    add(hess[i][j], rest, c, a[i] * ai[j], aij)
+
+        def poly(terms: dict) -> Poly:
+            return Poly(self.ring, {r: v for r, v in terms.items() if v})
+
+        return [[poly(h) for h in row] for row in hess], [poly(g) for g in grad]
 
     @cached_property
     def _rational_tables(self) -> tuple[list, list, list] | None:

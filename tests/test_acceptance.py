@@ -31,7 +31,7 @@ def test_01_sharp_condition_certification():
 
 
 def test_02_table_and_map_consistency():
-    rep = coord8.verify_peirce_identities(None)
+    rep = coord8.verify_peirce_identities(coord8.presentation(None))
     report(2, "product table consistent with the sharp map and its identities",
            rep.ok)
 

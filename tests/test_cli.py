@@ -1,10 +1,11 @@
 """Command-line behavior: exit codes, determinism, report schema."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from cubicjordan import cli, grading
+from cubicjordan import cli, coord8, grading
 
 
 def run(args):
@@ -101,7 +102,25 @@ def test_weights_not_grading_the_equations_fail_hilbert_invariants(tmp_path, cap
     assert invariants["status"] == "fail"
     assert invariants["data"]["residual"] == \
         "numerator lacks vanishing order 4 at t = 1; wrong weights"
-    assert "input error" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "input error" not in err
+    # hilbert/canonical fails first but carries no witness
+    assert err.rstrip("\n").endswith(
+        "first failing claim: hilbert/invariants: "
+        "numerator lacks vanishing order 4 at t = 1; wrong weights")
+
+
+def test_fractional_symbolic_cubic_fails_its_claim(tmp_path, monkeypatch, capsys):
+    # add 1/2 x11*x12*x13 to the symbolic cubic: it stays a cubic with
+    # value one at the unit, so only the claims see the change
+    cubic, sharp = coord8._symbolic_terms()
+    half = ((1, 0, 1, 0, 1, 0, 0, 0, 0), (0,) * 8, Fraction(1, 2))
+    monkeypatch.setattr(coord8, "_symbolic_terms", lambda: (cubic + (half,), sharp))
+    out = tmp_path / "report.json"
+    assert run(["verify-axioms", "--json", str(out)]) == 1
+    claims = {c["claim_id"]: c for c in json.loads(out.read_text())["claims"]}
+    assert claims["axioms/cubic-integer-coefficients"]["status"] == "fail"
+    assert "Traceback" not in capsys.readouterr().err
 
 
 CLASHES_U1_IS_5 = ["g1a: monomial weights 3, 6", "g1b: monomial weights 3, 6",

@@ -4,6 +4,8 @@ coordinatized algebra."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicjordan import coord8, hvariety, jordan
 from cubicjordan.coord8 import (COORD_VARS, Hypermatrix, build_peirce_table,
@@ -124,6 +126,43 @@ def test_cubic_form_displays():
         "x21^2*u1 + 2*x21*x22*x13 + x22^2*u2 - x13^2*u3 + u1*u2*u3"
 
 
+def expand_directly(P):
+    """Reference for the specialized cubic and sharp map: the expansion at
+    the cube itself, with the closed-form difference matrices."""
+    ring = coord_ring(P is None)
+    p = (Hypermatrix.symbolic(ring) if P is None else P).in_ring(ring)
+    sigma = tuple(ring.var(n) for n in COORD_VARS)
+    sharp = sharp_map(P, sigma)
+    total = ring.zero()
+    for k in (1, 2, 3):
+        a, b, c, d = d_matrix(p, sigma[:6], k).entries
+        sa, sb, sc, sd = d_matrix(p, sharp[:6], k).entries
+        total = total + sigma[5 + k] * sharp[5 + k] - (a * sd - sb * c) - (sa * d - b * sc)
+    return Fraction(1, 3) * total, sharp
+
+
+def assert_specializes_like_direct_expansion(P):
+    cubic, sharp = expand_directly(P)
+    pres = coord8.presentation(P)
+    assert cubic_form(P) == pres.cubic == cubic
+    assert cubic_form(P).to_str() == cubic.to_str()
+    assert pres.sharp == sharp
+    assert [s.to_str() for s in pres.sharp] == [s.to_str() for s in sharp]
+
+
+@pytest.mark.parametrize("name", ["origin", "p1", "p2", "p3", "p4", None])
+def test_specialization_matches_direct_expansion(name):
+    assert_specializes_like_direct_expansion(
+        None if name is None else hvariety.representative(name))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.tuples(*[st.fractions(min_value=-9, max_value=9, max_denominator=4)] * 8))
+def test_specialization_matches_direct_expansion_at_random_cubes(entries):
+    assert_specializes_like_direct_expansion(
+        Hypermatrix(dict(zip(coord8.INDEX_TRIPLES, entries))))
+
+
 def test_symbolic_cubic_has_integer_coefficients():
     cubic = cubic_form(None)
     assert all(c.denominator == 1 for c in cubic.coefficients())
@@ -143,8 +182,8 @@ def test_directional_derivative_of_cubic_at_unit(symbolic_presentation):
 # -- identity suite ---------------------------------------------------------------
 
 
-def test_peirce_identity_suite_passes():
-    report = coord8.verify_peirce_identities(None)
+def test_peirce_identity_suite_passes(symbolic_presentation):
+    report = coord8.verify_peirce_identities(symbolic_presentation)
     assert report.ok, report.failures
 
 

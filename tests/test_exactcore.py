@@ -102,6 +102,31 @@ def test_derivative_linear_in_direction(f):
         directional_derivative(f, d1) + directional_derivative(f, d2)
 
 
+def substitute_term_by_term(f, mapping, ring):
+    """Reference for ``Poly.substitute``: the image of each term, summed."""
+    result = ring.zero()
+    for m, c in f.terms.items():
+        term = ring.const(c)
+        for name, e in zip(f.ring.names, m):
+            image = mapping.get(name, ring.var(name))
+            term = term * (image if isinstance(image, Poly) else ring.const(image)) ** e
+        result = result + term
+    return result
+
+
+@given(poly_strategy(), poly_strategy(max_terms=3, max_degree=2),
+       poly_strategy(max_terms=3, max_degree=2), rationals)
+@settings(max_examples=20, deadline=None)
+def test_substitute_matches_term_by_term_sum(f, gx, gz, c):
+    # y goes to a constant; z, when left out, passes through by name
+    wide = R.extend(("w",))
+    cases = [({"x": gx, "y": c}, R),
+             ({"x": gx, "y": c, "z": gz}, R),
+             ({"x": gx.convert(wide) * wide.var("w"), "y": c}, wide)]
+    for mapping, ring in cases:
+        assert f.substitute(mapping, ring) == substitute_term_by_term(f, mapping, ring)
+
+
 # -- matrices -----------------------------------------------------------------
 
 

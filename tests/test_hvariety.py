@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicjordan import hvariety
-from cubicjordan.coord8 import COORD_VARS, Hypermatrix, coord_ring
+from cubicjordan.coord8 import ALL_VARS, COORD_VARS, Hypermatrix, coord_ring
 from cubicjordan.errors import SingularGroupElement
 from cubicjordan.exactcore import PolyMatrix, span_compare
 from cubicjordan.hvariety import GroupElement, representative
@@ -73,6 +75,36 @@ def test_group_action_preserves_sampled_points():
     moved = hvariety.apply_group_to_point(g, point)
     eqs = hvariety.equations()
     assert all(gen.evaluate(moved) == 0 for gen in eqs.gens)
+
+
+_small = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+_factor = st.one_of(st.none(), st.tuples(*[_small] * 4))
+
+
+@pytest.mark.parametrize("perm", hvariety._PERMUTATIONS)
+@settings(max_examples=4, deadline=None)
+@given(factors=st.tuples(_factor, _factor, _factor),
+       point=st.tuples(*[_small] * len(ALL_VARS)))
+def test_rational_action_is_the_symbolic_substitution_evaluated(perm, factors, point):
+    ring = coord_ring(True)
+    mats = [None if f is None else PolyMatrix.from_rows(ring, [f[:2], f[2:]])
+            for f in factors]
+    g = GroupElement(*mats, perm=perm)
+    values = dict(zip(ALL_VARS, point))
+    if any(f is not None and f[0] * f[3] == f[1] * f[2] for f in factors):
+        with pytest.raises(SingularGroupElement):
+            hvariety.apply_group_to_point(g, values)
+        return
+    sub = hvariety.substitution_of(g, ring)
+    assert hvariety.apply_group_to_point(g, values) == \
+        {n: sub[n].evaluate(values) for n in ALL_VARS}
+
+
+def test_rational_action_rejects_a_singular_factor():
+    ring = coord_ring(True)
+    g = GroupElement(g2=PolyMatrix.from_rows(ring, [[1, 2], [2, 4]]), perm=(2, 1, 3))
+    with pytest.raises(SingularGroupElement):
+        hvariety.apply_group_to_point(g, {"p111": 1})
 
 
 # -- hyperdeterminant and orbits ------------------------------------------------

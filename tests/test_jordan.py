@@ -245,3 +245,38 @@ def test_peirce_operator_projects_to_pair_space(symbolic_presentation):
             assert comp == p.ring.var(name)
         else:
             assert comp.is_zero()
+
+
+def gram_by_derivatives(p: JordanPresentation):
+    """Reference for ``_gram``: differentiate the cubic, then substitute
+    the unit."""
+    at_unit = {n: p.ring.const(v) for n, v in p.unit_values().items()}
+    firsts = [p.cubic.derivative(n) for n in p.coords]
+    grad = [d.substitute(at_unit) for d in firsts]
+    hess = [[d.derivative(n).substitute(at_unit) for n in p.coords] for d in firsts]
+    return hess, grad
+
+
+def test_gram_matches_derivatives_symbolic(symbolic_presentation):
+    assert symbolic_presentation._gram == gram_by_derivatives(symbolic_presentation)
+
+
+def test_gram_matches_derivatives_at_a_unit_off_zero_and_one():
+    # unit (2, 1/2, 1) with squared coordinates: unit powers other than 0 and 1
+    ring = Ring(("a", "b", "c", "t"))
+    a, b, c, t = ring.gens()
+    p = JordanPresentation(
+        ring=ring, coords=("a", "b", "c"),
+        unit=(Fraction(2), Fraction(1, 2), Fraction(1)),
+        cubic=a * b * c + (2 * b - c) * a * a * t + 3 * c ** 3 - 6 * c * c * b,
+        sharp=(b * c, c * a, a * b))
+    assert p._gram == gram_by_derivatives(p)
+    diagonal = diagonal_presentation()
+    assert diagonal._gram == gram_by_derivatives(diagonal)
+
+
+@settings(max_examples=10, deadline=None)
+@given(cube=st.one_of(st.sampled_from(_REPS), st.tuples(*[_small] * 8)))
+def test_gram_matches_derivatives_rational(cube):
+    p, _ = _both_routes(cube)
+    assert p._gram == gram_by_derivatives(p)
