@@ -22,7 +22,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import prod
 from typing import Mapping, Sequence
 
 from . import jordan
@@ -122,15 +121,6 @@ class Hypermatrix:
         return f"Hypermatrix({self.to_text()})"
 
 
-def _coerce_param_ring(P: Hypermatrix | None) -> tuple[Ring, dict]:
-    """Ring and in-ring parameter values for a symbolic or rational cube."""
-    if P is None:
-        ring = coord_ring(True)
-        return ring, Hypermatrix.symbolic(ring).in_ring(ring)
-    ring = coord_ring(not P.is_rational())
-    return ring, P.in_ring(ring)
-
-
 # ---------------------------------------------------------------------------
 # Difference matrices and the closed-form sharp map
 # ---------------------------------------------------------------------------
@@ -160,10 +150,9 @@ def d_matrix(p: Mapping, x: Sequence[Poly], k: int) -> PolyMatrix:
     return PolyMatrix.from_rows(x[0].ring, [[-d12, d11], [-d22, d21]])
 
 
-def sharp_map(P: Hypermatrix | None, sigma: Element) -> Element:
-    """Closed-form sharp image of a 9-coordinate element."""
-    ring = sigma[0].ring
-    p = (Hypermatrix.symbolic(ring) if P is None else P).in_ring(ring)
+def sharp_map(p: Mapping, sigma: Element) -> Element:
+    """Closed-form sharp image of a 9-coordinate element, with the cube
+    entries ``p`` given in the ring of ``sigma``."""
     x = sigma[:6]
     u1, u2, u3 = sigma[6], sigma[7], sigma[8]
     d1 = d_matrix(p, x, 1)
@@ -185,53 +174,36 @@ def sharp_map(P: Hypermatrix | None, sigma: Element) -> Element:
     )
 
 
-Terms = tuple[tuple[tuple[int, ...], tuple[int, ...], Fraction], ...]
-
-
 @cache
-def _symbolic_terms() -> tuple[Terms, tuple[Terms, ...]]:
+def _symbolic_forms() -> tuple[Poly, tuple[Poly, ...]]:
     """The cubic form and the nine sharp components with symbolic cube
-    entries, expanded once, as (coordinate exponents, parameter exponents,
-    coefficient) terms.
+    entries, expanded once; callers only read them.
 
     For each factor k the cubic subtracts from u_k u_k# the two mixed
     determinants of D^(k): its right resp. left column taken at the sharp
     coordinates.  The assembled combination has a global factor of three
     which cancels exactly, so the expansion has integer coefficients.
     """
-    ring, p = _coerce_param_ring(None)
+    ring = coord_ring(True)
+    p = Hypermatrix.symbolic(ring).in_ring(ring)
     sigma = tuple(ring.var(n) for n in COORD_VARS)
-    sharp = sharp_map(None, sigma)
+    sharp = sharp_map(p, sigma)
     total = ring.zero()
     for k in (1, 2, 3):
         a, b, c, d = d_matrix(p, sigma[:6], k).entries
         sa, sb, sc, sd = d_matrix(p, sharp[:6], k).entries
         mixed = (a * sd - sb * c) + (sa * d - b * sc)
         total = total + sigma[5 + k] * sharp[5 + k] - mixed
-
-    def split(f: Poly) -> Terms:
-        n = len(COORD_VARS)
-        return tuple((m[:n], m[n:], c) for m, c in f.terms.items())
-
-    return split(Fraction(1, 3) * total), tuple(split(s) for s in sharp)
+    return Fraction(1, 3) * total, sharp
 
 
-def _specialize(terms: Terms, P: Hypermatrix | None) -> Poly:
-    """The polynomial of the terms with the cube entries set to those of
-    P, over the nine coordinates; ``P=None`` keeps them symbolic."""
+def _at_cube(f: Poly, P: Hypermatrix | None) -> Poly:
+    """``f`` with the cube entries set to those of P, over the nine
+    coordinates; ``P=None`` keeps them symbolic."""
     if P is None:
-        return Poly(coord_ring(True), {m + e: c for m, e, c in terms})
-    p = P.as_fractions()
-    values = [p[t] for t in INDEX_TRIPLES]
-    monomials: dict[tuple[int, ...], Fraction] = {}
-    out: dict[tuple[int, ...], Fraction] = {}
-    for m, e, c in terms:
-        value = monomials.get(e)
-        if value is None:
-            value = monomials[e] = prod(v ** k for v, k in zip(values, e) if k)
-        if value:
-            out[m] = out.get(m, 0) + c * value
-    return Poly(coord_ring(False), {m: c for m, c in out.items() if c})
+        return f
+    values = {p_name(*t): v for t, v in P.as_fractions().items()}
+    return f.substitute(values, coord_ring(False))
 
 
 def cubic_form(P: Hypermatrix | None = None) -> Poly:
@@ -240,7 +212,7 @@ def cubic_form(P: Hypermatrix | None = None) -> Poly:
     ``P=None`` keeps the eight parameters symbolic; a rational cube
     specializes the symbolic expansion, over the nine coordinates alone.
     """
-    return _specialize(_symbolic_terms()[0], P)
+    return _at_cube(_symbolic_forms()[0], P)
 
 
 def presentation(P: Hypermatrix | None = None) -> JordanPresentation:
@@ -256,7 +228,7 @@ def presentation(P: Hypermatrix | None = None) -> JordanPresentation:
         coords=COORD_VARS,
         unit=unit,
         cubic=cubic,
-        sharp=tuple(_specialize(s, P) for s in _symbolic_terms()[1]),
+        sharp=tuple(_at_cube(s, P) for s in _symbolic_forms()[1]),
     )
 
 
@@ -280,13 +252,14 @@ def _slot_fill(positions: dict[int, int]) -> tuple[int, int, int]:
     return (positions[1], positions[2], positions[3])
 
 
-def build_peirce_table(P: Hypermatrix | None = None) -> dict[tuple[str, str], Element]:
+def build_peirce_table() -> dict[tuple[str, str], Element]:
     """Symmetric table of pairwise sharp products of the nine basis vectors.
 
     Keys are ordered pairs of coordinate names; values are coordinate
-    vectors with entries polynomial in the cube parameters.
+    vectors with entries polynomial in the symbolic cube parameters.
     """
-    ring, p = _coerce_param_ring(P)
+    ring = coord_ring(True)
+    p = Hypermatrix.symbolic(ring).in_ring(ring)
 
     zero = tuple(ring.zero() for _ in COORD_VARS)
     pos = {n: i for i, n in enumerate(COORD_VARS)}
@@ -433,7 +406,7 @@ def verify_peirce_identities(pres: JordanPresentation) -> PeirceIdentityReport:
     ``presentation(None)``), and the 2x2 representation matrices of
     off-diagonal multiplication."""
     ring = pres.ring
-    table = build_peirce_table(None)
+    table = build_peirce_table()
     failures: list[str] = []
 
     sigma = pres.generic_element()

@@ -273,7 +273,7 @@ class Poly:
         """Apply the ring map sending each mapped variable to its image.
 
         Unmapped variables pass through by name and must exist in the
-        target ring.  The target defaults to the ring of the first Poly
+        target ring, as must every Poly image.  The target defaults to the ring of the first Poly
         value in the mapping, else to this polynomial's ring.
         """
         target = ring
@@ -289,6 +289,8 @@ class Poly:
         for n in self.ring.names:
             if n in mapping:
                 v = mapping[n]
+                if isinstance(v, Poly) and v.ring != target:
+                    raise ContextError("mixed ring contexts")
                 images.append(v if isinstance(v, Poly) else target.const(v))
             else:
                 images.append(None)  # pass-through by name

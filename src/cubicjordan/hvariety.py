@@ -42,7 +42,7 @@ def equations(ring: Ring | None = None) -> EquationSet:
     if ring is None:
         ring = coord_ring(True)
     sigma = tuple(ring.var(n) for n in COORD_VARS)
-    gens = coord8.sharp_map(None, sigma)
+    gens = coord8.sharp_map(Hypermatrix.symbolic(ring).in_ring(ring), sigma)
     return EquationSet(ring, tuple(gens), GEN_LABELS)
 
 
@@ -399,10 +399,7 @@ def hyperdet_covariance_exponent(r: int) -> int | None:
 
 def fiber_equations(P: Hypermatrix) -> EquationSet:
     """The nine generators with the cube frozen at rational values."""
-    ring = coord_ring(False)
-    sigma = tuple(ring.var(n) for n in COORD_VARS)
-    gens = coord8.sharp_map(P, sigma)
-    return EquationSet(ring, tuple(gens), GEN_LABELS)
+    return EquationSet(coord_ring(False), coord8.presentation(P).sharp, GEN_LABELS)
 
 
 def _matrix_minors(m: PolyMatrix) -> list[Poly]:

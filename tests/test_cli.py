@@ -113,9 +113,10 @@ def test_weights_not_grading_the_equations_fail_hilbert_invariants(tmp_path, cap
 def test_fractional_symbolic_cubic_fails_its_claim(tmp_path, monkeypatch, capsys):
     # add 1/2 x11*x12*x13 to the symbolic cubic: it stays a cubic with
     # value one at the unit, so only the claims see the change
-    cubic, sharp = coord8._symbolic_terms()
-    half = ((1, 0, 1, 0, 1, 0, 0, 0, 0), (0,) * 8, Fraction(1, 2))
-    monkeypatch.setattr(coord8, "_symbolic_terms", lambda: (cubic + (half,), sharp))
+    cubic, sharp = coord8._symbolic_forms()
+    x11, x12, x13 = (cubic.ring.var(n) for n in ("x11", "x12", "x13"))
+    half = Fraction(1, 2) * x11 * x12 * x13
+    monkeypatch.setattr(coord8, "_symbolic_forms", lambda: (cubic + half, sharp))
     out = tmp_path / "report.json"
     assert run(["verify-axioms", "--json", str(out)]) == 1
     claims = {c["claim_id"]: c for c in json.loads(out.read_text())["claims"]}

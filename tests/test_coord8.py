@@ -25,7 +25,7 @@ def symbolic_setup():
 
 def test_table_cross_cell():
     ring, p = symbolic_setup()
-    table = build_peirce_table(None)
+    table = build_peirce_table()
     cell = dict(zip(COORD_VARS, table[("x21", "x22")]))
     assert cell["x13"] == p[(1, 1, 1)]
     assert cell["x23"] == p[(1, 1, 2)]
@@ -34,14 +34,14 @@ def test_table_cross_cell():
 
 def test_table_square_cell():
     ring, p = symbolic_setup()
-    table = build_peirce_table(None)
+    table = build_peirce_table()
     cell = dict(zip(COORD_VARS, table[("x13", "x13")]))
     expected = 2 * (-p[(1, 2, 2)] * p[(2, 1, 2)] + p[(1, 1, 2)] * p[(2, 2, 2)])
     assert cell["u3"] == expected
 
 
 def test_table_idempotent_action():
-    table = build_peirce_table(None)
+    table = build_peirce_table()
     cell = dict(zip(COORD_VARS, table[("u1", "x11")]))
     assert cell["x11"] == -1
     cell = dict(zip(COORD_VARS, table[("u2", "x11")]))
@@ -52,7 +52,7 @@ def test_table_idempotent_action():
 
 def test_table_agrees_with_sharp_map_symbolically(symbolic_presentation):
     p = symbolic_presentation
-    table = build_peirce_table(None)
+    table = build_peirce_table()
     sigma = p.generic_element()
     via_table = sharp_from_table(table, sigma)
     assert all(a == b for a, b in zip(via_table, p.sharp))
@@ -84,7 +84,7 @@ def test_d_matrix_determinant_feeds_sharp_component():
     ring, p = symbolic_setup()
     sigma = tuple(ring.var(n) for n in COORD_VARS)
     x = sigma[:6]
-    sharp = sharp_map(None, sigma)
+    sharp = sharp_map(p, sigma)
     v = ring.var
     assert sharp[6] == v("u2") * v("u3") + d_matrix(p, x, 1).det()
 
@@ -132,7 +132,7 @@ def expand_directly(P):
     ring = coord_ring(P is None)
     p = (Hypermatrix.symbolic(ring) if P is None else P).in_ring(ring)
     sigma = tuple(ring.var(n) for n in COORD_VARS)
-    sharp = sharp_map(P, sigma)
+    sharp = sharp_map(p, sigma)
     total = ring.zero()
     for k in (1, 2, 3):
         a, b, c, d = d_matrix(p, sigma[:6], k).entries
@@ -193,7 +193,7 @@ def test_unit_identities_hold(symbolic_presentation):
 
 def test_representation_matrix_displays():
     ring, p = symbolic_setup()
-    table = build_peirce_table(None)
+    table = build_peirce_table()
     m = coord8.representation_matrix(table, 3, 2, (ring.one(), ring.zero()), ring)
     assert m.entries == [p[(2, 2, 1)], -p[(2, 1, 1)], p[(2, 2, 2)], -p[(2, 1, 2)]]
 

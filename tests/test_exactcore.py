@@ -127,6 +127,14 @@ def test_substitute_matches_term_by_term_sum(f, gx, gz, c):
         assert f.substitute(mapping, ring) == substitute_term_by_term(f, mapping, ring)
 
 
+def test_substitute_rejects_image_from_another_ring():
+    wide = R.extend(("w",))
+    with pytest.raises(ContextError):
+        (X * Y).substitute({"x": wide.var("w")}, R)
+    with pytest.raises(ContextError):
+        (X * Y).substitute({"x": X, "y": wide.var("w")})
+
+
 # -- matrices -----------------------------------------------------------------
 
 
