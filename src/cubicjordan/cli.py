@@ -9,7 +9,10 @@ returns claims, and ``run`` prints a pass/fail line per claim.
 
 Reports are deterministic: identical inputs and seed produce
 byte-identical JSON.  Exit status is 0 when every claim passes, 1 when
-any claim fails, 2 on malformed input.
+any claim fails, 2 on malformed input (a file that does not parse, or an
+``InputError`` a suite raises on its inputs), and 3 on any other error
+inside a suite, which is a fault of the program: it prints one
+``internal error:`` line instead of a traceback.
 
 The ``--defect`` flag exercises the detection machinery end to end.
 ``DEFECTS`` maps each defect to the command whose suite it tampers with
@@ -29,10 +32,13 @@ from pathlib import Path
 
 from . import coord8, grading, hvariety, jordan, relatives
 from .coord8 import Hypermatrix
-from .errors import NumeratorNotDivisible
+from .errors import InputError, NumeratorNotDivisible
 from .exactcore import Poly
 
 SCHEMA_VERSION = 1
+
+# The paper's degree and genus of the threefold cut by the standard sections.
+STANDARD_FANO = (Fraction(11, 2), 3)
 
 DEFECTS = {
     "tampered-sharp": "verify-axioms",
@@ -366,7 +372,7 @@ def suite_weights(opts: Options) -> list[Claim]:
 
 def suite_hilbert(opts: Options) -> list[Claim]:
     if isinstance(opts.weights, tuple):
-        raise ValueError("hilbert needs a single grading")
+        raise InputError("hilbert needs a single grading")
     claims = []
     w = opts.weights if opts.weights is not None else grading.standard_weights()
     can = grading.canonical_arithmetic(w)
@@ -394,8 +400,15 @@ def suite_hilbert(opts: Options) -> list[Claim]:
     except NumeratorNotDivisible as exc:
         ok, data = False, {"residual": str(exc)}
     else:
-        ok, data = True, {"degree": fano.degree, "h0": fano.h0,
-                          "genus": fano.genus, "dimension": fano.dimension}
+        data = {"degree": fano.degree, "h0": fano.h0,
+                "genus": fano.genus, "dimension": fano.dimension}
+        # the standard grading must give the paper's values; other weights
+        # or section counts only report theirs
+        standard = w == grading.standard_weights() and opts.sections == Options.sections
+        ok = not standard or (fano.degree, fano.genus) == STANDARD_FANO
+        if not ok:
+            data["residual"] = (f"degree {fano.degree}, genus {fano.genus}; expected "
+                                "degree {}, genus {}".format(*STANDARD_FANO))
     claims.append(claim("hilbert/invariants",
                         "exact anticanonical degree and genus of the section",
                         ok, data))
@@ -486,9 +499,12 @@ def run(argv: list[str] | None = None) -> int:
     try:
         for name in suites:
             claims += globals()[f"suite_{name}"](opts)
-    except (ValueError, KeyError) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
     claims.sort(key=lambda c: c.claim_id)
     for c in claims:

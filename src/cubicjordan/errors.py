@@ -1,6 +1,11 @@
 """Exception types shared across the package."""
 
 
+class InputError(ValueError):
+    """User input that a suite cannot work with, such as a weight file
+    without positive integer weights; the CLI reports it with exit 2."""
+
+
 class ContextError(ValueError):
     """Operands belong to different ring contexts."""
 

@@ -8,9 +8,18 @@ Representation
 --------------
 A ``Ring`` is an ordered tuple of variable names.  A ``Poly`` over a ring
 stores a dict mapping dense exponent tuples (one entry per ring variable)
-to ``Fraction`` coefficients; zero coefficients are never stored, and the
-zero polynomial is the empty dict.  Rings are small (at most a few dozen
-variables), which keeps the dense exponent tuples cheap.
+to nonzero coefficients; the zero polynomial is the empty dict.  Rings are
+small (at most a few dozen variables), which keeps the dense exponent
+tuples cheap.
+
+Storage is integer-first: a coefficient is an ``int`` when it is integral
+and a ``Fraction`` only otherwise, and every operation that builds terms
+keeps it so.  Most coefficients met here are integers, and ``int``
+arithmetic is far cheaper than ``Fraction`` arithmetic.  The API boundary
+stays rational: ``constant_value``, ``coefficients`` and ``evaluate``
+return ``Fraction``.  ``evaluate`` sums in integers over one common
+denominator, as FLINT's ``fmpq_poly`` keeps an integer polynomial with one
+denominator (Hart, ICMS 2010).
 
 Canonical display order is graded lexicographic in the registered variable
 order.  It affects only printing, never results.
@@ -24,6 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
+from operator import add, getitem
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ContextError, ShapeError, SkewError
@@ -87,12 +98,12 @@ class Ring:
         c = _frac(value)
         if c == 0:
             return Poly(self, {})
-        return Poly(self, {(0,) * self.nvars: c})
+        return Poly(self, {(0,) * self.nvars: c.numerator if c.denominator == 1 else c})
 
     def var(self, name: str) -> Poly:
         exp = [0] * self.nvars
         exp[self.index(name)] = 1
-        return Poly(self, {tuple(exp): Fraction(1)})
+        return Poly(self, {tuple(exp): 1})
 
     def gens(self) -> tuple[Poly, ...]:
         return tuple(self.var(n) for n in self.names)
@@ -112,13 +123,22 @@ class Ring:
 
 
 class Poly:
-    """Sparse polynomial: dict from exponent tuple to nonzero Fraction."""
+    """Sparse polynomial: dict from exponent tuple to nonzero coefficient,
+    an int when integral and a Fraction otherwise."""
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: Ring, terms: dict):
         self.ring = ring
         self.terms = terms
+
+    @classmethod
+    def collect(cls, ring: Ring, acc: dict) -> Poly:
+        """The polynomial of the nonzero entries of an accumulated term dict,
+        integral coefficients as ints (Fraction arithmetic keeps an integral
+        result a Fraction)."""
+        return cls(ring, {m: c if c.__class__ is int or c.denominator != 1
+                          else c.numerator for m, c in acc.items() if c})
 
     # -- basic queries --------------------------------------------------
 
@@ -153,11 +173,11 @@ class Poly:
         if len(self.terms) == 1:
             (m, c), = self.terms.items()
             if not any(m):
-                return c
+                return _frac(c)
         raise ValueError(f"not a constant polynomial: {self}")
 
     def coefficients(self) -> list[Fraction]:
-        return list(self.terms.values())
+        return [_frac(c) for c in self.terms.values()]
 
     # -- arithmetic ------------------------------------------------------
 
@@ -172,12 +192,8 @@ class Poly:
         other = self._coerce(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Poly(self.ring, out)
+            out[m] = out.get(m, 0) + c
+        return Poly.collect(self.ring, out)
 
     __radd__ = __add__
 
@@ -197,13 +213,9 @@ class Poly:
         out: dict = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                m = tuple(x + y for x, y in zip(ma, mb))
-                s = out.get(m, Fraction(0)) + ca * cb
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return Poly(self.ring, out)
+                m = tuple(map(add, ma, mb))
+                out[m] = out.get(m, 0) + ca * cb
+        return Poly.collect(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -239,12 +251,8 @@ class Poly:
             if e == 0:
                 continue
             mm = m[:i] + (e - 1,) + m[i + 1:]
-            s = out.get(mm, Fraction(0)) + c * e
-            if s:
-                out[mm] = s
-            else:
-                del out[mm]
-        return Poly(self.ring, out)
+            out[mm] = out.get(mm, 0) + c * e
+        return Poly.collect(self.ring, out)
 
     def convert(self, ring: Ring) -> Poly:
         """Re-express over another ring, matching variables by name."""
@@ -261,12 +269,8 @@ class Poly:
                             f"variable {self.ring.names[i]!r} absent from target ring")
                     exp[pos[i]] = e
             mm = tuple(exp)
-            s = out.get(mm, Fraction(0)) + c
-            if s:
-                out[mm] = s
-            else:
-                del out[mm]
-        return Poly(ring, out)
+            out[mm] = out.get(mm, 0) + c
+        return Poly.collect(ring, out)
 
     def substitute(self, mapping: Mapping[str, "Poly | Rational"],
                    ring: Ring | None = None) -> Poly:
@@ -321,29 +325,41 @@ class Poly:
                 out[key] = out.get(key, 0) + c
                 continue
             for fm, fc in factor.terms.items():
-                key = tuple(x + y for x, y in zip(passthrough, fm))
+                key = tuple(map(add, passthrough, fm))
                 out[key] = out.get(key, 0) + c * fc
-        return Poly(target, {m: c for m, c in out.items() if c})
+        return Poly.collect(target, out)
 
     def evaluate(self, values: Mapping[str, Rational]) -> Fraction:
-        """Exact value at a rational point covering every used variable."""
-        vals = {}
-        for n in self.variables():
-            if n not in values:
-                raise ContextError(f"no value supplied for {n!r}")
-            vals[self.ring.index(n)] = _frac(values[n])
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            term = c
-            for i, e in enumerate(m):
-                if e:
-                    term *= vals[i] ** e
-            total += term
-        return total
+        """Exact value at a rational point covering every used variable.
+
+        The sum runs in integers over one common denominator: the lcm L of
+        the coefficient denominators times q_i^E_i for each used variable,
+        where p_i/q_i is its value and E_i its top power.  A term c x^e
+        then contributes c L p^e q^(E - e), an integer.
+        """
+        if not self.terms:
+            return Fraction(0)
+        # weights[i][e] = p_i^e q_i^(E_i - e); an unused variable has only e = 0
+        weights: list = [(1,)] * self.ring.nvars
+        den = 1
+        for i, E in enumerate(map(max, zip(*self.terms))):
+            if not E:
+                continue
+            name = self.ring.names[i]
+            if name not in values:
+                raise ContextError(f"no value supplied for {name!r}")
+            v = _frac(values[name])
+            p, q = v.numerator, v.denominator
+            weights[i] = [p ** e * q ** (E - e) for e in range(E + 1)]
+            den *= q ** E
+        scale = lcm(*(c.denominator for c in self.terms.values()))
+        total = sum(c.numerator * (scale // c.denominator) * prod(map(getitem, weights, m))
+                    for m, c in self.terms.items())
+        return Fraction(total, scale * den)
 
     # -- display ----------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple, Rational]]:
         """Terms in descending graded lexicographic order."""
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]),
                       reverse=True)
@@ -658,12 +674,13 @@ def rref_kernel(reduced: list[list[Fraction]], pivots: list[int],
     return basis
 
 
-def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction],
+                 n: int) -> list[Fraction] | None:
     """One exact solution of A x = b, or None if inconsistent.
 
-    Free variables are set to zero.  ``rows`` is A by rows, m x n.
+    Free variables are set to zero.  ``rows`` is A by rows, m x n; n is
+    passed, not read off the rows, so that m may be zero.
     """
-    n = len(rows[0]) if rows else 0
     reduced, pivots = rref([[*r, b] for r, b in zip(rows, rhs)], n)
     return rref_solution(reduced, pivots, n, n)
 

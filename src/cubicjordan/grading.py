@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .coord8 import ALL_VARS, PARAM_VARS, U_VARS, X_VARS
-from .errors import InfeasibleWeights, NumeratorNotDivisible
+from .errors import InfeasibleWeights, InputError, NumeratorNotDivisible
 from .exactcore import (EquationSet, Rational, _frac, parse_rational,
                         rref, rref_kernel, rref_solution, solve_linear)
 
@@ -101,7 +101,7 @@ def _monomial_weight(ring_names: Sequence[str], mono: tuple, w: WeightSystem) ->
         if e:
             name = ring_names[i]
             if name not in w:
-                raise KeyError(f"no weight assigned to {name!r}")
+                raise InputError(f"no weight assigned to {name!r}")
             total += e * w[name]
     return total
 
@@ -149,7 +149,7 @@ class WeightLattice:
         target = [_frac(w[name]) for name in self.variables]
         shifted = [t - p for t, p in zip(target, self.particular)]
         cols = [[vec[i] for vec in self.basis] for i in range(len(self.variables))]
-        return solve_linear(cols, shifted) is not None
+        return solve_linear(cols, shifted, len(self.basis)) is not None
 
     def relation_holds(self, coefficients: Mapping[str, Rational]) -> bool:
         """Does sum(c_v * w(v)) = 0 hold for every lattice point?"""
@@ -229,9 +229,9 @@ def canonical_arithmetic(w: Mapping[str, Rational]) -> CanonicalReport:
     ws = weight_system(w)
     for name in ALL_VARS:
         if name not in ws:
-            raise KeyError(f"no weight for {name!r}")
+            raise InputError(f"no weight for {name!r}")
         if ws[name] <= 0:
-            raise ValueError("canonical arithmetic expects positive weights")
+            raise InputError("canonical arithmetic expects positive weights")
     c = ws["x11"] + ws["x21"] + ws["u1"]
     d = ws["u1"] + ws["u2"] + ws["u3"]
     delta = c + d
@@ -366,7 +366,7 @@ def hilbert_numerator(w: Mapping[str, Rational]) -> Poly1:
     for term in shifts:
         for s in term:
             if s.denominator != 1:
-                raise ValueError("numerator requires integer weights")
+                raise InputError("numerator requires integer weights")
             out = poly1_add(out, {int(s): Fraction(sign)})
         sign = -sign
     return out
@@ -414,11 +414,11 @@ def fano_invariants(w: Mapping[str, Rational], sections: int = 9) -> FanoReport:
     ws = weight_system(w)
     for name in ALL_VARS:
         if name not in ws or ws[name] <= 0 or ws[name].denominator != 1:
-            raise ValueError("positive integer weights required")
+            raise InputError("positive integer weights required")
     weights = sorted(int(ws[name]) for name in ALL_VARS)
     for _ in range(sections):
         if 1 not in weights:
-            raise ValueError("not enough coordinates of the section weight")
+            raise InputError("not enough coordinates of the section weight")
         weights.remove(1)
 
     num = hilbert_numerator(ws)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import lcm, prod
 from typing import Mapping, Sequence
 
 from .exactcore import Poly, Rational, Ring, directional_derivative
@@ -117,7 +117,7 @@ class JordanPresentation:
         grad: list[dict] = [{} for _ in range(n)]
         hess: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
 
-        def add(acc: dict, rest: tuple, c: Fraction, mult: int, b: list[int]) -> None:
+        def add(acc: dict, rest: tuple, c: Rational, mult: int, b: list[int]) -> None:
             mult *= prod(unit[k] ** e for k, e in enumerate(b) if e)
             if mult:
                 acc[rest] = acc.get(rest, 0) + c * mult
@@ -134,10 +134,8 @@ class JordanPresentation:
                     aij[j] -= 1
                     add(hess[i][j], rest, c, a[i] * ai[j], aij)
 
-        def poly(terms: dict) -> Poly:
-            return Poly(self.ring, {r: v for r, v in terms.items() if v})
-
-        return [[poly(h) for h in row] for row in hess], [poly(g) for g in grad]
+        return ([[Poly.collect(self.ring, h) for h in row] for row in hess],
+                [Poly.collect(self.ring, g) for g in grad])
 
     @cached_property
     def _rational_tables(self) -> tuple[list, list, list] | None:
@@ -148,13 +146,14 @@ class JordanPresentation:
         ``sharp[k]`` lists ``(i, j, c)`` with x#_k = sum of c x_i x_j; and
         ``polar[m][k]`` lists ``(i, c)`` with (a # e_m)_k = sum of c a_i,
         the k-th sharp quadric polarized against the basis vector e_m.
+        Integral coefficients are ints, as in ``Poly``.
         """
         if self.ring.names != self.coords:
             return None
         n = self.dim()
         hess, grad = self._gram
         g = [c.constant_value() for c in grad]
-        gram = [[(i, c) for i in range(n)
+        gram = [[(i, c.numerator if c.denominator == 1 else c) for i in range(n)
                  if (c := g[i] * g[j] - hess[i][j].constant_value())]
                 for j in range(n)]
         sharp = [[] for _ in range(n)]
@@ -317,14 +316,24 @@ def verify_sharp_conditions(p: JordanPresentation) -> SharpConditionReport:
 
 
 def _rational_parts(p: JordanPresentation, sigma: Element
-                    ) -> tuple[list[Fraction], list[Fraction], list[Fraction]] | None:
-    """sigma, sigma# and the row T(sigma, e_j) in Fractions, read off the
-    rational tables; None when p has parameters or sigma is not constant."""
+                    ) -> tuple[list[int], list[Rational], list[Rational]] | None:
+    """A positive multiple s of sigma with integer entries, s# and the row
+    T(s, e_j), read off the rational tables; None when p has parameters or
+    sigma is not constant.
+
+    s is sigma times the lcm of its denominators.  Both callers' tests are
+    homogeneous in sigma, so they give the same answer for s: "sigma# = 0
+    and T(sigma, J) = 0" only asks for zeros, and the radical test
+    T(sigma, e_m) sigma_k = (sigma# # e_m)_k has degree 2 in sigma on both
+    sides, so scaling sigma by c scales both sides by c^2.
+    """
     tables = p._rational_tables
-    if tables is None or any(c.variables() for c in sigma):
+    if tables is None or any(any(m) for c in sigma for m in c.terms):
         return None
     gram, quadrics, _ = tables
-    s = [c.constant_value() for c in sigma]
+    vals = [c.constant_value() for c in sigma]
+    den = lcm(*(v.denominator for v in vals))
+    s = [v.numerator * (den // v.denominator) for v in vals]
     sharp = [sum(c * s[i] * s[j] for i, j, c in q) for q in quadrics]
     trace = [sum(c * s[i] for i, c in col) for col in gram]
     return s, sharp, trace
@@ -337,8 +346,9 @@ def radical_membership(p: JordanPresentation, sigma: Element) -> bool:
     vanishes for a fully symbolic y exactly when every column
     U_sigma e_j = T(sigma, e_j) sigma - sigma# # e_j does.  For a constant
     sigma in a presentation without parameters the nine columns form a 9x9
-    rational matrix computed from the tables of ``_rational_tables``;
-    otherwise each column is expanded symbolically.
+    rational matrix computed from the tables of ``_rational_tables`` for an
+    integer multiple of sigma (see ``_rational_parts``); otherwise each
+    column is expanded symbolically.
     """
     parts = _rational_parts(p, sigma)
     if parts is None:

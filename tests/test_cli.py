@@ -1,11 +1,13 @@
 """Command-line behavior: exit codes, determinism, report schema."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
 from cubicjordan import cli, coord8, grading
+from cubicjordan.errors import ContextError
 
 
 def run(args):
@@ -54,6 +56,37 @@ def test_hilbert_rejects_bigraded_weights(tmp_path):
     w = tmp_path / "w.json"
     w.write_text('{"x11": ["1", "0"]}')
     assert run(["hilbert", "--weights", str(w)]) == 2
+
+
+def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):
+    # a kernel error raised inside a suite is a fault of the program, not
+    # malformed input
+    def broken(opts):
+        raise ContextError("mixed ring contexts")
+
+    monkeypatch.setattr(cli, "suite_fiber", broken)
+    assert run(["fiber"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: ContextError: mixed ring contexts\n"
+
+
+def test_wrong_genus_fails_hilbert_invariants(tmp_path, monkeypatch, capsys):
+    fano_invariants = grading.fano_invariants
+
+    def genus_plus_one(*args, **kwargs):
+        fano = fano_invariants(*args, **kwargs)
+        return dataclasses.replace(fano, genus=fano.genus + 1)
+
+    monkeypatch.setattr(grading, "fano_invariants", genus_plus_one)
+    out = tmp_path / "report.json"
+    assert run(["hilbert", "--json", str(out)]) == 1
+    claims = {c["claim_id"]: c for c in json.loads(out.read_text())["claims"]}
+    invariants = claims["hilbert/invariants"]
+    assert invariants["status"] == "fail"
+    assert invariants["data"]["genus"] == "4"
+    assert invariants["data"]["residual"] == \
+        "degree 11/2, genus 4; expected degree 11/2, genus 3"
+    assert "first failing claim: hilbert/invariants" in capsys.readouterr().err
 
 
 def test_json_report_schema(tmp_path):

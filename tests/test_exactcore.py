@@ -135,6 +135,116 @@ def test_substitute_rejects_image_from_another_ring():
         (X * Y).substitute({"x": X, "y": wide.var("w")})
 
 
+# -- integer-first storage against a plain-Fraction reference ----------------
+#
+# The reference keeps a polynomial as a dict from exponent tuple to nonzero
+# Fraction, integral or not.
+
+
+def ref_clean(acc):
+    return {m: Fraction(c) for m, c in acc.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, Fraction(0)) + ca * cb
+    return ref_clean(out)
+
+
+def ref_substitute(a, images):
+    """images[i] is the reference polynomial replacing variable i."""
+    out = {}
+    for m, c in a.items():
+        term = {(0,) * len(m): Fraction(c)}
+        for i, e in enumerate(m):
+            for _ in range(e):
+                term = ref_mul(term, images[i])
+        out = ref_add(out, term)
+    return out
+
+
+def ref_evaluate(a, values):
+    total = Fraction(0)
+    for m, c in a.items():
+        term = Fraction(c)
+        for v, e in zip(values, m):
+            term *= Fraction(v) ** e
+        total += term
+    return total
+
+
+# ints and integral Fractions, so that const and collect normalize both
+ref_coefficients = st.one_of(st.integers(-6, 6), st.integers(-6, 6).map(Fraction),
+                             rationals)
+ref_polys = st.dictionaries(st.tuples(*([st.integers(0, 3)] * 3)), ref_coefficients,
+                            max_size=4).map(ref_clean)
+point_values = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def stored_integer_first(p):
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in p.terms.values())
+
+
+@given(ref_polys, ref_polys, ref_polys, st.tuples(*[point_values] * 3))
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_fraction_reference(a, b, c, values):
+    pa, pb, pc = (Poly.collect(R, t) for t in (a, b, c))
+    const = values[1]
+    images = {0: b, 1: {(0, 0, 0): const} if const else {}, 2: c}
+    products = {
+        "mul": (pa * pb, ref_mul(a, b)),
+        "add": (pa + pb, ref_add(a, b)),
+        "double": (pa + pa, ref_add(a, a)),
+        "sub": (pa - pb, ref_add(a, {m: -v for m, v in b.items()})),
+        "scale": (pa * const, ref_mul(a, images[1])),
+        "substitute": (pa.substitute({"x": pb, "y": const, "z": pc}),
+                       ref_substitute(a, images)),
+        "derivative": (pa.derivative("x"),
+                       ref_clean({(m[0] - 1,) + m[1:]: m[0] * v
+                                  for m, v in a.items() if m[0]})),
+    }
+    for name, (got, want) in products.items():
+        assert got.terms == want, name
+        assert stored_integer_first(got), name
+    point = dict(zip(R.names, values))
+    for p, ref in ((pa, a), (pa * pb, ref_mul(a, b))):
+        value = p.evaluate(point)
+        assert type(value) is Fraction
+        assert value == ref_evaluate(ref, values)
+
+
+@given(ref_polys, ref_coefficients)
+@settings(max_examples=40, deadline=None)
+def test_boundary_returns_fractions_and_display_is_unchanged(a, c):
+    p = Poly.collect(R, a)
+    assert stored_integer_first(p) and stored_integer_first(R.const(c))
+    assert all(type(v) is Fraction for v in p.coefficients())
+    assert sorted(p.coefficients()) == sorted(a.values())
+    assert type(R.const(c).constant_value()) is Fraction
+    assert R.const(c).constant_value() == c
+    assert type(R.zero().constant_value()) is Fraction
+    assert type(p.evaluate({"x": 1, "y": 2, "z": 3})) is Fraction
+    # the same terms with every coefficient a Fraction print the same
+    assert p.to_str() == Poly(R, a).to_str()
+
+
+def test_evaluate_needs_every_used_variable():
+    with pytest.raises(ContextError):
+        (X * Y + Z).evaluate({"x": 1, "y": 2})
+    assert (X * Y).evaluate({"x": Fraction(1, 2), "y": 4}) == 2
+
+
 # -- matrices -----------------------------------------------------------------
 
 
@@ -210,8 +320,8 @@ def test_sub_pfaffian_squares_are_principal_minors(m):
 def test_solve_and_rank():
     A = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert rank(A) == 1
-    assert solve_linear(A, [Fraction(3), Fraction(6)]) is not None
-    assert solve_linear(A, [Fraction(3), Fraction(7)]) is None
+    assert solve_linear(A, [Fraction(3), Fraction(6)], 2) is not None
+    assert solve_linear(A, [Fraction(3), Fraction(7)], 2) is None
     basis = nullspace(A, 2)
     assert len(basis) == 1
 
@@ -241,12 +351,12 @@ def apply(rows, x):
 @settings(max_examples=50, deadline=None)
 def test_elimination_routines_agree(system):
     rows, n, rhs = system
-    x = solve_linear(rows, rhs)
+    x = solve_linear(rows, rhs, n)
     augmented = [[*r, b] for r, b in zip(rows, rhs)]
     assert (x is None) == (rank(augmented) > rank(rows))
     if x is not None:
         assert apply(rows, x) == rhs
-        assert len(x) == (n if rows else 0)  # no rows: n is unknown
+        assert len(x) == n
     basis = nullspace(rows, n)
     assert rank(rows) + len(basis) == n
     assert rank(basis) == len(basis)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubicjordan import coord8, hvariety, jordan
@@ -229,6 +229,27 @@ def test_rational_tables_agree_with_symbolic_route(cube, kind, values, seed):
     slow = jordan.nondegeneracy_test_equiv(twin, twin.element(values))
     assert fast == slow
     assert fast["viaU"] or not fast["viaTN"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(cube=st.one_of(st.sampled_from(_REPS), st.tuples(*[_small] * 8)),
+       locus=st.booleans(), values=st.tuples(*[_small] * 9),
+       seed=st.integers(0, 10**6))
+@example(cube="p2", locus=True, values=(0,) * 9, seed=0)  # a locus with a quadric
+def test_radical_tests_are_homogeneous_in_sigma(cube, locus, values, seed):
+    # the rational route scales sigma to an integer vector, which is exact
+    # only because both tests are homogeneous in sigma
+    p, twin = _both_routes(cube)
+    if locus and isinstance(cube, str) and cube != "p4":
+        point = hvariety.radical_point(cube, random.Random(seed))
+        values = tuple(point[n] for n in coord8.COORD_VARS)
+    sigma = p.element(values)
+    scaled = p.element([Fraction(3, 7) * v for v in values])
+    tests = jordan.nondegeneracy_test_equiv(p, sigma)
+    assert jordan.nondegeneracy_test_equiv(p, scaled) == tests
+    assert jordan.nondegeneracy_test_equiv(twin, twin.element(values)) == tests
+    assert jordan.radical_membership(p, scaled) == jordan.radical_membership(p, sigma) \
+        == tests["viaU"]
 
 
 def test_peirce_operator_projects_to_pair_space(symbolic_presentation):
