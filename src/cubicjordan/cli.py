@@ -9,10 +9,10 @@ returns claims, and ``run`` prints a pass/fail line per claim.
 
 Reports are deterministic: identical inputs and seed produce
 byte-identical JSON.  Exit status is 0 when every claim passes, 1 when
-any claim fails, 2 on malformed input (a file that does not parse, or an
-``InputError`` a suite raises on its inputs), and 3 on any other error
-inside a suite, which is a fault of the program: it prints one
-``internal error:`` line instead of a traceback.
+any claim fails, 2 on malformed input (a file that does not parse, a
+``--samples`` count below one, or an ``InputError`` a suite raises on its
+inputs), and 3 on any other error inside a suite, which is a fault of the
+program: it prints one ``internal error:`` line instead of a traceback.
 
 The ``--defect`` flag exercises the detection machinery end to end.
 ``DEFECTS`` maps each defect to the command whose suite it tampers with
@@ -223,7 +223,7 @@ def suite_fiber(opts: Options) -> list[Claim]:
                         "degenerate fiber system span-equals the symmetric "
                         "rank-one-plus-kernel system", rep.ok, rep.detail))
     for name in ("origin", "p1", "p2"):
-        rep = hvariety.fiber_component_sampling(name, opts.seed, max(opts.samples, 20))
+        rep = hvariety.fiber_component_sampling(name, opts.seed, opts.samples)
         claims.append(claim(f"fiber/{name}-components",
                             "every generator vanishes on sampled points of each "
                             "listed fiber component", rep.ok,
@@ -249,7 +249,7 @@ def suite_chart(opts: Options) -> list[Claim]:
                         "on the chart the first difference determinant is minus "
                         "the product of the other two",
                         hvariety.chart_det_identity(), {}))
-    pf = hvariety.pfaffian_vanishing_on_samples(opts.seed, max(opts.samples, 30))
+    pf = hvariety.pfaffian_vanishing_on_samples(opts.seed, opts.samples)
     claims.append(claim("chart/pfaffians",
                         "all five signed 4x4 Pfaffians of the skew chart matrix "
                         "vanish on rescaled sample points", pf["ok"], pf))
@@ -259,7 +259,7 @@ def suite_chart(opts: Options) -> list[Claim]:
 def suite_radicals(opts: Options) -> list[Claim]:
     claims = []
     for name in ("origin", "p1", "p2", "p3", "p4"):
-        rep = hvariety.radical_locus_check(name, opts.seed, max(opts.samples, 20))
+        rep = hvariety.radical_locus_check(name, opts.seed, opts.samples)
         claims.append(claim(f"radicals/{name}",
                             "sampled membership matches the stated locus, the "
                             "two membership tests agree, and the specialized "
@@ -316,7 +316,7 @@ def suite_specialize(opts: Options) -> list[Claim]:
 def suite_embeddings(opts: Options) -> list[Claim]:
     claims = []
     for part, cid in (("I", "prop76/part-i"), ("II", "prop76/part-ii")):
-        rep = relatives.verify_cluster_embedding(part, opts.seed, max(opts.samples, 30))
+        rep = relatives.verify_cluster_embedding(part, opts.seed, opts.samples)
         claims.append(claim(cid,
                             "sampled cluster-slice points satisfy every target "
                             "generator exactly and the transported weight "
@@ -480,6 +480,8 @@ def run(argv: list[str] | None = None) -> int:
     cube = None
     weights = None
     try:
+        if args.samples < 1:
+            raise ValueError("--samples must be at least 1")
         if args.hypermatrix is not None:
             cube = Hypermatrix.parse(args.hypermatrix.read_text())
         if args.weights is not None:

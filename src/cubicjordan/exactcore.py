@@ -16,10 +16,21 @@ Storage is integer-first: a coefficient is an ``int`` when it is integral
 and a ``Fraction`` only otherwise, and every operation that builds terms
 keeps it so.  Most coefficients met here are integers, and ``int``
 arithmetic is far cheaper than ``Fraction`` arithmetic.  The API boundary
-stays rational: ``constant_value``, ``coefficients`` and ``evaluate``
-return ``Fraction``.  ``evaluate`` sums in integers over one common
-denominator, as FLINT's ``fmpq_poly`` keeps an integer polynomial with one
-denominator (Hart, ICMS 2010).
+stays rational: ``constant_value``, ``coefficients``, ``evaluate_all``
+and ``rref`` return ``Fraction``.
+
+Work at a rational point runs in integers over one common denominator,
+as FLINT's ``fmpq_poly`` keeps an integer polynomial with one denominator
+(Hart, ICMS 2010).  ``evaluate_all`` evaluates a batch of polynomials of
+one ring at one point from one table of powers p^e q^(E - e) per used
+variable, E being its top power in the batch; ``Poly.evaluate`` is the
+batch of one.  ``Poly.substitute`` folds a constant image p/q into the
+coefficients by the same table and divides once by the common
+denominator, so only non-constant images are raised to powers.  ``rref``
+eliminates fraction-free in integer rows, as in Bareiss's method (Math.
+Comp. 22, 1968), but keeps each row small by dividing out its content
+instead of the previous pivot; it divides the pivot rows by their pivots
+only at the end.
 
 Canonical display order is graded lexicographic in the registered variable
 order.  It affects only printing, never results.
@@ -33,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import add, getitem
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -277,8 +288,15 @@ class Poly:
         """Apply the ring map sending each mapped variable to its image.
 
         Unmapped variables pass through by name and must exist in the
-        target ring, as must every Poly image.  The target defaults to the ring of the first Poly
-        value in the mapping, else to this polynomial's ring.
+        target ring, as must every Poly image.  The target defaults to the
+        ring of the first Poly value in the mapping, else to this
+        polynomial's ring.
+
+        A constant image p/q (a rational or a constant Poly) of a variable
+        with top power E folds into the coefficients: a term with x^e is
+        multiplied by the integer p^e q^(E - e), and the collected terms are
+        divided once by the product of the q^E.  Only non-constant images
+        are raised to powers.
         """
         target = ring
         if target is None:
@@ -288,25 +306,39 @@ class Poly:
                     break
         if target is None:
             target = self.ring
-
-        images: list[Poly | None] = []
         for n in self.ring.names:
-            if n in mapping:
-                v = mapping[n]
-                if isinstance(v, Poly) and v.ring != target:
-                    raise ContextError("mixed ring contexts")
-                images.append(v if isinstance(v, Poly) else target.const(v))
-            else:
-                images.append(None)  # pass-through by name
+            v = mapping.get(n)
+            if isinstance(v, Poly) and v.ring != target:
+                raise ContextError("mixed ring contexts")
+
+        nvars = self.ring.nvars
+        tables: list[list[int] | None] = [None] * nvars  # constant images
+        images: list[Poly | None] = [None] * nvars       # non-constant images
+        pos = [0] * nvars                                # pass-through targets
+        den = 1
+        for i, top in enumerate(map(max, zip(*self.terms))):
+            name = self.ring.names[i]
+            if not top:
+                continue
+            if name not in mapping:
+                pos[i] = target.index(name)
+                continue
+            v = mapping[name]
+            if isinstance(v, Poly):
+                if any(any(m) for m in v.terms):
+                    images[i] = v
+                    continue
+                v = v.constant_value()
+            v = _frac(v)
+            tables[i] = _power_table(v, top)
+            den *= v.denominator ** top
 
         power_cache: dict[tuple[int, int], Poly] = {}
 
         def power(i: int, e: int) -> Poly:
             key = (i, e)
             if key not in power_cache:
-                base = images[i]
-                assert base is not None
-                power_cache[key] = base ** e
+                power_cache[key] = images[i] ** e
             return power_cache[key]
 
         out: dict = {}
@@ -314,12 +346,16 @@ class Poly:
             passthrough = [0] * target.nvars
             factor = None
             for i, e in enumerate(m):
-                if not e:
+                if tables[i] is not None:
+                    c = c * tables[i][e]
+                elif not e:
                     continue
-                if images[i] is None:
-                    passthrough[target.index(self.ring.names[i])] += e
+                elif images[i] is None:
+                    passthrough[pos[i]] += e
                 else:
                     factor = power(i, e) if factor is None else factor * power(i, e)
+            if not c:
+                continue
             if factor is None:
                 key = tuple(passthrough)
                 out[key] = out.get(key, 0) + c
@@ -327,35 +363,13 @@ class Poly:
             for fm, fc in factor.terms.items():
                 key = tuple(map(add, passthrough, fm))
                 out[key] = out.get(key, 0) + c * fc
+        if den != 1:
+            out = {m: Fraction(c, den) for m, c in out.items()}
         return Poly.collect(target, out)
 
     def evaluate(self, values: Mapping[str, Rational]) -> Fraction:
-        """Exact value at a rational point covering every used variable.
-
-        The sum runs in integers over one common denominator: the lcm L of
-        the coefficient denominators times q_i^E_i for each used variable,
-        where p_i/q_i is its value and E_i its top power.  A term c x^e
-        then contributes c L p^e q^(E - e), an integer.
-        """
-        if not self.terms:
-            return Fraction(0)
-        # weights[i][e] = p_i^e q_i^(E_i - e); an unused variable has only e = 0
-        weights: list = [(1,)] * self.ring.nvars
-        den = 1
-        for i, E in enumerate(map(max, zip(*self.terms))):
-            if not E:
-                continue
-            name = self.ring.names[i]
-            if name not in values:
-                raise ContextError(f"no value supplied for {name!r}")
-            v = _frac(values[name])
-            p, q = v.numerator, v.denominator
-            weights[i] = [p ** e * q ** (E - e) for e in range(E + 1)]
-            den *= q ** E
-        scale = lcm(*(c.denominator for c in self.terms.values()))
-        total = sum(c.numerator * (scale // c.denominator) * prod(map(getitem, weights, m))
-                    for m, c in self.terms.items())
-        return Fraction(total, scale * den)
+        """Exact value at a rational point covering every used variable."""
+        return evaluate_all((self,), values)[0]
 
     # -- display ----------------------------------------------------------
 
@@ -388,6 +402,48 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.to_str()})"
+
+
+def _power_table(value: Fraction, top: int) -> list[int]:
+    """p^e q^(top - e) for e = 0..top, where value = p/q in lowest terms."""
+    p, q = value.numerator, value.denominator
+    return [p ** e * q ** (top - e) for e in range(top + 1)]
+
+
+def evaluate_all(polys: Sequence[Poly], values: Mapping[str, Rational]) -> list[Fraction]:
+    """Exact values of polynomials over one ring at one rational point.
+
+    The point must cover every variable some polynomial uses.  All the sums
+    share one power table: for a used variable with value p/q and top power
+    E across the polynomials it holds p^e q^(E - e).  A term c x^e of a
+    polynomial whose coefficient denominators have lcm L then contributes
+    the integer c L p^e q^(E - e) to a sum over the denominator L times the
+    product of the q^E.
+    """
+    if not polys:
+        return []
+    ring = polys[0].ring
+    if any(p.ring != ring for p in polys):
+        raise ContextError("mixed ring contexts")
+    monos = [m for p in polys for m in p.terms]
+    tables: list = [(1,)] * ring.nvars  # an unused variable has only e = 0
+    den = 1
+    for i, top in enumerate(map(max, zip(*monos))):
+        if not top:
+            continue
+        name = ring.names[i]
+        if name not in values:
+            raise ContextError(f"no value supplied for {name!r}")
+        v = _frac(values[name])
+        tables[i] = _power_table(v, top)
+        den *= v.denominator ** top
+    out = []
+    for p in polys:
+        scale = lcm(*(c.denominator for c in p.terms.values()))
+        total = sum(c.numerator * (scale // c.denominator) * prod(map(getitem, tables, m))
+                    for m, c in p.terms.items())
+        out.append(Fraction(total, scale * den))
+    return out
 
 
 def directional_derivative(f: Poly, direction: Mapping[str, "Poly | Rational"]) -> Poly:
@@ -627,24 +683,39 @@ def rref(rows: Sequence[Sequence[Rational]], ncols: int
     reduced rows and the pivot columns: row ``i`` has its pivot in
     ``pivots[i]``, and the rows below the last pivot row are zero in the
     first ``ncols`` columns.  This is the package's one elimination loop.
+
+    Elimination runs in integers: each row is scaled by the lcm of its
+    denominators, a row is cleared by cross-multiplying it with the pivot
+    row, and a changed row is divided by its content.  Only at the end are
+    the pivot rows divided by their pivots, into Fractions.  The rows below
+    them stay integer multiples of the rational ones, which is all that
+    callers need: they test those rows only for zero.
     """
-    work = [[Fraction(v) for v in r] for r in rows]
+    work = []
+    for r in rows:
+        den = lcm(*(v.denominator for v in r))
+        work.append([v.numerator * (den // v.denominator) for v in r])
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
         if r == len(work):
             break
-        found = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        found = next((i for i in range(r, len(work)) if work[i][c]), None)
         if found is None:
             continue
         work[r], work[found] = work[found], work[r]
-        pv = work[r][c]
-        pivot_row = work[r] = [v / pv for v in work[r]]
+        pivot_row = work[r]
+        pv = pivot_row[c]
         for i, row in enumerate(work):
             f = row[c]
-            if i != r and f != 0:
-                work[i] = [v - f * w for v, w in zip(row, pivot_row)]
+            if i != r and f:
+                row = [pv * v - f * w for v, w in zip(row, pivot_row)]
+                g = gcd(*row)
+                work[i] = [v // g for v in row] if g > 1 else row
         pivots.append(c)
+    for r, c in enumerate(pivots):
+        pv = work[r][c]
+        work[r] = [Fraction(v, pv) for v in work[r]]
     return work, pivots
 
 

@@ -411,6 +411,8 @@ def fano_invariants(w: Mapping[str, Rational], sections: int = 9) -> FanoReport:
     per remaining coordinate; the degree is the exact limit of the series
     times (1 - t)^4 at t = 1, obtained by synthetic division.
     """
+    if sections < 0:
+        raise InputError("the number of sections must not be negative")
     ws = weight_system(w)
     for name in ALL_VARS:
         if name not in ws or ws[name] <= 0 or ws[name].denominator != 1:

@@ -32,7 +32,7 @@ from .coord8 import (ALL_VARS, COORD_VARS, PARAM_VARS, X_VARS, U_VARS,
                      Hypermatrix, coord_ring, d_entry, d_matrix, p_name, x_name)
 from .errors import InternalError, ShapeError, SingularGroupElement
 from .exactcore import (EquationSet, Poly, PolyMatrix, Rational, Ring, _frac,
-                        rank, span_compare)
+                        evaluate_all, rank, span_compare)
 
 GEN_LABELS = ("g1a", "g1b", "g2a", "g2b", "g3a", "g3b", "g4", "g5", "g6")
 
@@ -542,7 +542,7 @@ def fiber_component_sampling(name: str, seed: int, samples: int = 20) -> FiberRe
         good = 0
         for _ in range(samples):
             point = _component_points(comp, rng)
-            if all(g.evaluate(point) == 0 for g in eqs.gens):
+            if all(v == 0 for v in evaluate_all(eqs.gens, point)):
                 good += 1
             else:
                 failures.append(f"component {comp}: generator fails to vanish")
@@ -669,7 +669,7 @@ def pfaffian_vanishing_on_samples(seed: int, samples: int = 30) -> dict:
         for n in COORD_VARS:
             rescaled[n] = point[n] / scale
         checked += 1
-        if any(pf.evaluate(rescaled) != 0 for pf in pfs):
+        if any(v != 0 for v in evaluate_all(pfs, rescaled)):
             failures += 1
     return {"checked": checked, "failures": failures, "ok": failures == 0}
 
@@ -682,10 +682,12 @@ CHART_FREE_VARS = ("x12", "x22", "x13", "x23") + PARAM_VARS
 
 
 @cache
-def _sampling_tables() -> tuple[tuple[tuple[str, Poly], ...], tuple[Poly, ...]]:
-    """Chart images of the solved coordinates and the nine generators."""
+def _sampling_tables() -> tuple[tuple[str, ...], tuple[Poly, ...], tuple[Poly, ...]]:
+    """The solved coordinates, their chart images (in the free chart
+    coordinates alone) and the nine generators."""
     sub = chart_substitution()
-    return tuple((n, sub[n]) for n in ("x11", "x21", "u2", "u3")), equations().gens
+    solved = ("x11", "x21", "u2", "u3")
+    return solved, tuple(sub[n] for n in solved), equations().gens
 
 
 def sample_point(rng: random.Random | int,
@@ -704,19 +706,17 @@ def sample_point(rng: random.Random | int,
     unknown = set(constraints) - set(CHART_FREE_VARS)
     if unknown:
         raise ValueError(f"constraints outside the free chart coordinates: {sorted(unknown)}")
-    solved, gens = _sampling_tables()
+    solved, images, gens = _sampling_tables()
     values: dict[str, Fraction] = {}
     for n in CHART_FREE_VARS:
         values[n] = _frac(constraints[n]) if n in constraints else _rand(rng)
-    for n, image in solved:
-        values[n] = image.evaluate(values)
+    values.update(zip(solved, evaluate_all(images, values)))
     values["u1"] = Fraction(1)
     t = _rand_nonzero(rng)
     for n in COORD_VARS:
         values[n] = values[n] * t
-    for g in gens:
-        if g.evaluate(values) != 0:
-            raise InternalError("constructed point violates the equations")
+    if any(v != 0 for v in evaluate_all(gens, values)):
+        raise InternalError("constructed point violates the equations")
     return values
 
 

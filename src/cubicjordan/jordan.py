@@ -54,9 +54,7 @@ class JordanPresentation:
         for s in self.sharp:
             if not s.is_homogeneous_in(self.coords, 2):
                 raise ValueError("sharp components must be homogeneous of degree 2")
-        at_unit = self.cubic.substitute(
-            {n: self.ring.const(v) for n, v in self.unit_values().items()})
-        if at_unit != 1:
+        if self.cubic.substitute(self.unit_values()) != 1:
             raise ValueError("cubic form must take value 1 at the unit")
 
     def unit_values(self) -> dict[str, Fraction]:
@@ -315,8 +313,11 @@ def verify_sharp_conditions(p: JordanPresentation) -> SharpConditionReport:
                                 "s3" not in residuals, residuals)
 
 
-def _rational_parts(p: JordanPresentation, sigma: Element
-                    ) -> tuple[list[int], list[Rational], list[Rational]] | None:
+# s, s# and the row T(s, e_j) of ``_rational_parts``
+_Parts = tuple[list[int], list[Rational], list[Rational]]
+
+
+def _rational_parts(p: JordanPresentation, sigma: Element) -> _Parts | None:
     """A positive multiple s of sigma with integer entries, s# and the row
     T(s, e_j), read off the rational tables; None when p has parameters or
     sigma is not constant.
@@ -350,7 +351,11 @@ def radical_membership(p: JordanPresentation, sigma: Element) -> bool:
     integer multiple of sigma (see ``_rational_parts``); otherwise each
     column is expanded symbolically.
     """
-    parts = _rational_parts(p, sigma)
+    return _u_vanishes(p, sigma, _rational_parts(p, sigma))
+
+
+def _u_vanishes(p: JordanPresentation, sigma: Element, parts: _Parts | None) -> bool:
+    """The U-test of ``radical_membership`` on ``_rational_parts(p, sigma)``."""
     if parts is None:
         ring = _target_ring(p, sigma)
         return all(c.is_zero() for j in range(p.dim())
@@ -372,8 +377,8 @@ def nondegeneracy_test_equiv(p: JordanPresentation, sigma: Element) -> dict[str,
     T(sigma, -) = 0 and sigma# != 0 in its kernel, where U_sigma y =
     -sigma# # y does not vanish.
     """
-    via_u = radical_membership(p, sigma)
     parts = _rational_parts(p, sigma)
+    via_u = _u_vanishes(p, sigma, parts)
     if parts is None:
         ring = _target_ring(p, sigma)
         sharp_zero = all(c.is_zero() for c in sharp_of(p, sigma))

@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 from . import grading, hvariety
 from .errors import UnknownDictionary
 from .exactcore import (EquationSet, Poly, PolyMatrix, Rational, Ring,
-                        span_compare)
+                        evaluate_all, span_compare)
 
 M8_VARS = ("x1", "x2", "x3", "x4", "x5", "x6", "x7", "w1", "w2", "w3", "y", "z")
 S6_VARS = ("s11", "s12", "s13", "s22", "s23", "s33",
@@ -383,9 +383,9 @@ def verify_cluster_embedding(part: str, seed: int, samples: int = 30) -> Embeddi
 
     for k in range(samples):
         cpt = cluster_point(rng, part)
-        values = {name: img.evaluate(cpt) for name, img in images.items()}
-        for g, lbl in zip(target.gens, target.labels):
-            if g.evaluate(values) != 0:
+        values = dict(zip(images, evaluate_all(tuple(images.values()), cpt)))
+        for v, lbl in zip(evaluate_all(target.gens, values), target.labels):
+            if v != 0:
                 report.failures.append(
                     f"part {part}: generator {lbl} fails on sample {k}")
         if report.failures:

@@ -48,6 +48,26 @@ def test_malformed_file_is_input_error(tmp_path, capsys, command, option, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [
+    ["hilbert", "--sections", "-1"],
+    ["all", "--samples", "0"],
+    ["fiber", "--samples", "-5"],
+])
+def test_out_of_range_count_is_input_error(capsys, args):
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+    assert captured.err.count("\n") == 1
+
+
+def test_sampled_claims_draw_exactly_samples(tmp_path):
+    out = tmp_path / "report.json"
+    assert run(["chart", "--samples", "3", "--json", str(out)]) == 0
+    claims = {c["claim_id"]: c for c in json.loads(out.read_text())["claims"]}
+    assert claims["chart/pfaffians"]["data"]["checked"] == 3
+
+
 def test_missing_file_is_input_error(tmp_path):
     assert run(["classify", "--hypermatrix", str(tmp_path / "none.txt")]) == 2
 

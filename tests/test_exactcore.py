@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from cubicjordan.errors import ContextError, ShapeError, SkewError
 from cubicjordan.exactcore import (EquationSet, Poly, PolyMatrix, Ring,
-                                   directional_derivative, nullspace, rank,
-                                   solve_linear, span_compare)
+                                   directional_derivative, evaluate_all, nullspace,
+                                   rank, rref, solve_linear, span_compare)
 
 R = Ring(("x", "y", "z"))
 X, Y, Z = R.gens()
@@ -243,6 +243,51 @@ def test_evaluate_needs_every_used_variable():
     with pytest.raises(ContextError):
         (X * Y + Z).evaluate({"x": 1, "y": 2})
     assert (X * Y).evaluate({"x": Fraction(1, 2), "y": 4}) == 2
+    with pytest.raises(ContextError):
+        evaluate_all([X, Ring(("x",)).var("x")], {"x": 1})
+
+
+@given(st.lists(ref_polys, max_size=4), st.tuples(*[point_values] * 3))
+@settings(max_examples=60, deadline=None)
+def test_evaluate_all_matches_fraction_reference(refs, values):
+    # one table for the whole batch, the zero polynomial among the rest
+    refs = refs + [{}]
+    polys = [Poly.collect(R, t) for t in refs]
+    point = dict(zip(R.names, values))
+    want = [ref_evaluate(t, values) for t in refs]
+    got = evaluate_all(polys, point)
+    assert got == want
+    assert all(type(v) is Fraction for v in got)
+    assert [p.evaluate(point) for p in polys] == want
+    assert evaluate_all(polys[:0], point) == []
+    for name in R.names:
+        partial = {n: v for n, v in point.items() if n != name}
+        if any(name in p.variables() for p in polys):
+            with pytest.raises(ContextError):
+                evaluate_all(polys, partial)
+        else:
+            assert evaluate_all(polys, partial) == want
+
+
+@given(ref_polys, st.tuples(*[st.sampled_from(("rational", "constant", "poly",
+                                                 "pass"))] * 3),
+       st.tuples(*[ref_polys] * 3), st.tuples(*[point_values] * 3))
+@settings(max_examples=60, deadline=None)
+def test_substitute_folds_constant_images(a, kinds, polys, consts):
+    # rational and constant-Poly images fold into the coefficients;
+    # non-constant images and pass-through variables do not
+    mapping, images = {}, {}
+    for i, (name, kind, poly, c) in enumerate(zip(R.names, kinds, polys, consts)):
+        if kind == "pass":
+            images[i] = {tuple(int(k == i) for k in range(3)): Fraction(1)}
+        elif kind == "poly":
+            mapping[name], images[i] = Poly.collect(R, poly), poly
+        else:
+            mapping[name] = c if kind == "rational" else R.const(c)
+            images[i] = {(0, 0, 0): c} if c else {}
+    got = Poly.collect(R, a).substitute(mapping)
+    assert got.terms == ref_substitute(a, images)
+    assert stored_integer_first(got)
 
 
 # -- matrices -----------------------------------------------------------------
@@ -362,6 +407,61 @@ def test_elimination_routines_agree(system):
     assert rank(basis) == len(basis)
     for v in basis:
         assert apply(rows, v) == [0] * len(rows)
+
+
+def ref_rref(rows, ncols):
+    """Gauss-Jordan elimination in Fractions: reduced rows and pivot columns."""
+    work = [[Fraction(v) for v in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        found = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if found is None:
+            continue
+        work[r], work[found] = work[found], work[r]
+        work[r] = [v / work[r][c] for v in work[r]]
+        for i, row in enumerate(work):
+            if i != r and row[c] != 0:
+                work[i] = [v - row[c] * w for v, w in zip(row, work[r])]
+        pivots.append(c)
+    return work, pivots
+
+
+@st.composite
+def rref_inputs(draw):
+    """Rows with denominators, some columns all zero, often fewer rows than
+    columns, and carried columns after the first ``ncols``."""
+    ncols = draw(st.integers(0, 5))
+    width = ncols + draw(st.integers(0, 2))
+    zero_cols = draw(st.sets(st.integers(0, max(width - 1, 0)), max_size=2))
+    entry = st.one_of(sparse_rationals, st.integers(-4, 4))
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=5))
+    rows = [[0 if j in zero_cols else v for j, v in enumerate(r)] for r in rows]
+    if rows and draw(st.booleans()):
+        rows.append([Fraction(-3, 2) * v for v in rows[-1]])
+    return rows, ncols
+
+
+@given(rref_inputs())
+@settings(max_examples=80, deadline=None)
+def test_rref_matches_fraction_reference(system):
+    rows, ncols = system
+    reduced, pivots = rref(rows, ncols)
+    want, want_pivots = ref_rref(rows, ncols)
+    assert pivots == want_pivots
+    assert len(reduced) == len(want)
+    # pivot rows are exactly the reference rows, as Fractions
+    assert reduced[:len(pivots)] == want[:len(pivots)]
+    assert all(type(v) is Fraction for r in reduced[:len(pivots)] for v in r)
+    # a row below the pivots is a nonzero multiple of the reference row
+    for row, ref in zip(reduced[len(pivots):], want[len(pivots):]):
+        assert not any(row[:ncols])
+        k = next((j for j, v in enumerate(ref) if v != 0), None)
+        if k is None:
+            assert not any(row)
+        else:
+            ratio = Fraction(row[k]) / ref[k]
+            assert ratio and all(v == ratio * w for v, w in zip(row, ref))
 
 
 def coefficient_rows(polys, support):

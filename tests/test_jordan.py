@@ -208,6 +208,14 @@ def _both_routes(cube: str | tuple):
     return p, twin
 
 
+def _separate_calls(p: JordanPresentation, sigma) -> dict[str, bool]:
+    """What ``nondegeneracy_test_equiv`` returns, from one call per test."""
+    sharp_zero = all(c.is_zero() for c in jordan.sharp_of(p, sigma))
+    ortho = all(jordan.trace_bilinear(p, sigma, p.basis_element(i)).is_zero()
+                for i in range(p.dim()))
+    return {"viaU": jordan.radical_membership(p, sigma), "viaTN": sharp_zero and ortho}
+
+
 _small = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 _REPS = ("origin", "p1", "p2", "p3", "p4")
 
@@ -229,6 +237,8 @@ def test_rational_tables_agree_with_symbolic_route(cube, kind, values, seed):
     slow = jordan.nondegeneracy_test_equiv(twin, twin.element(values))
     assert fast == slow
     assert fast["viaU"] or not fast["viaTN"]
+    assert fast == _separate_calls(p, p.element(values))
+    assert slow == _separate_calls(twin, twin.element(values))
 
 
 @settings(max_examples=30, deadline=None)
