@@ -21,16 +21,16 @@ and ``rref`` return ``Fraction``.
 
 Work at a rational point runs in integers over one common denominator,
 as FLINT's ``fmpq_poly`` keeps an integer polynomial with one denominator
-(Hart, ICMS 2010).  ``evaluate_all`` evaluates a batch of polynomials of
-one ring at one point from one table of powers p^e q^(E - e) per used
-variable, E being its top power in the batch; ``Poly.evaluate`` is the
-batch of one.  ``Poly.substitute`` folds a constant image p/q into the
-coefficients by the same table and divides once by the common
-denominator, so only non-constant images are raised to powers.  ``rref``
-eliminates fraction-free in integer rows, as in Bareiss's method (Math.
-Comp. 22, 1968), but keeps each row small by dividing out its content
-instead of the previous pivot; it divides the pivot rows by their pivots
-only at the end.
+(Hart, ICMS 2010).  ``compile_batch`` turns a fixed batch of polynomials
+into one generated straight-line function with integer coefficients,
+which callers build once and call at every point; ``evaluate_all`` and
+``Poly.evaluate`` compile for one use.  ``Poly.substitute`` folds a
+constant image p/q of a variable with top power E into the coefficients
+by the integers p^e q^(E - e) and divides once by the common denominator.
+``rref`` eliminates fraction-free in integer rows, as in Bareiss's method
+(Math. Comp. 22, 1968), but keeps each row small by dividing out its
+content instead of the previous pivot; it divides the pivot rows by their
+pivots only at the end.
 
 Canonical display order is graded lexicographic in the registered variable
 order.  It affects only printing, never results.
@@ -44,9 +44,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
-from operator import add, getitem
-from typing import Iterable, Mapping, Sequence, Union
+from math import gcd, lcm
+from operator import add
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import ContextError, ShapeError, SkewError
 
@@ -155,10 +155,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree_in(self, names: Iterable[str]) -> int:
-        idx = [self.ring.index(n) for n in names]
-        return max((sum(m[i] for i in idx) for m in self.terms), default=0)
 
     def is_homogeneous_in(self, names: Iterable[str], degree: int | None = None) -> bool:
         idx = [self.ring.index(n) for n in names]
@@ -330,7 +326,8 @@ class Poly:
                     continue
                 v = v.constant_value()
             v = _frac(v)
-            tables[i] = _power_table(v, top)
+            tables[i] = [v.numerator ** e * v.denominator ** (top - e)
+                         for e in range(top + 1)]
             den *= v.denominator ** top
 
         power_cache: dict[tuple[int, int], Poly] = {}
@@ -404,46 +401,69 @@ class Poly:
         return f"Poly({self.to_str()})"
 
 
-def _power_table(value: Fraction, top: int) -> list[int]:
-    """p^e q^(top - e) for e = 0..top, where value = p/q in lowest terms."""
-    p, q = value.numerator, value.denominator
-    return [p ** e * q ** (top - e) for e in range(top + 1)]
+Batch = Callable[[Mapping[str, Rational]], list[Fraction]]
+
+
+def compile_batch(polys: Sequence[Poly]) -> Batch:
+    """One function returning the exact values of polynomials over one ring
+    at a rational point, generated once from their terms as straight-line
+    code (Kaltofen, JACM 35(1), 1988).
+
+    The point must cover every used variable.  The function writes value i
+    as n_i / Q over the common denominator Q of the point and forms the
+    powers of each n_i and of Q in locals.  A term c x^a of total degree d,
+    in a polynomial of degree D whose coefficient denominators have lcm L,
+    then adds the integer c L n^a Q^(D - d) to a sum over L Q^D; a zero sum
+    is one shared Fraction(0).  The source holds only integers, indices and
+    fixed local names: no name of a ring becomes code.
+    """
+    ring = polys[0].ring if polys else None
+    if any(p.ring != ring for p in polys):
+        raise ContextError("mixed ring contexts")
+    tops = [max(col) for col in zip(*(m for p in polys for m in p.terms))]
+    used = [i for i, top in enumerate(tops) if top]
+    ks = range(len(used))
+    lines = ["def batch(values):", "    Q_0 = 1"]
+    if used:
+        lines += ["    " + "".join(f"k{k}, " for k in ks) + "= KEYS", "    try:",
+                  *(f"        a{k} = values[k{k}]" for k in ks),
+                  "    except KeyError as missing:",
+                  "        raise ContextError("
+                  "f'no value supplied for {missing.args[0]!r}') from None",
+                  *(f"    if a{k}.__class__ not in EXACT: a{k} = frac(a{k})" for k in ks),
+                  f"    Q_1 = lcm({', '.join(f'a{k}.denominator' for k in ks)})"]
+    for k, i in enumerate(used):
+        lines.append(f"    n{k}_1 = a{k}.numerator * (Q_1 // a{k}.denominator)")
+        lines += [f"    n{k}_{e} = n{k}_{e - 1} * n{k}_1" for e in range(2, tops[i] + 1)]
+    degrees = [max(map(sum, p.terms), default=0) for p in polys]
+    lines += [f"    Q_{e} = Q_{e - 1} * Q_1" for e in range(2, max(degrees, default=0) + 1)]
+    slot = dict(zip(used, ks))
+    results = []
+    for j, (p, top) in enumerate(zip(polys, degrees)):
+        scale = lcm(*(c.denominator for c in p.terms.values()))
+        terms = []
+        for m, c in p.terms.items():
+            c = c.numerator * (scale // c.denominator)
+            factors = [str(abs(c))] + [f"n{slot[i]}_{e}" for i, e in enumerate(m) if e]
+            factors += [f"Q_{top - sum(m)}"] if sum(m) < top else []
+            terms.append(("- " if c < 0 else "+ ") + "*".join(factors).removeprefix("1*"))
+        for start in range(0, len(terms) or 1, 64):  # 64 terms per statement
+            chunk = " ".join(terms[start:start + 64]).removeprefix("+ ") or "0"
+            lines.append(f"    s{j} {'+=' if start else '='} {chunk}")
+        results.append(f"F(s{j}, {scale} * Q_{top}) if s{j} else ZERO")
+    lines.append(f"    return [{', '.join(results)}]")
+    namespace = {"F": Fraction, "ZERO": Fraction(0), "lcm": lcm, "frac": _frac,
+                 "EXACT": {int, Fraction}, "ContextError": ContextError,
+                 "KEYS": tuple(ring.names[i] for i in used)}
+    exec("\n".join(lines), namespace)
+    return namespace["batch"]
 
 
 def evaluate_all(polys: Sequence[Poly], values: Mapping[str, Rational]) -> list[Fraction]:
-    """Exact values of polynomials over one ring at one rational point.
-
-    The point must cover every variable some polynomial uses.  All the sums
-    share one power table: for a used variable with value p/q and top power
-    E across the polynomials it holds p^e q^(E - e).  A term c x^e of a
-    polynomial whose coefficient denominators have lcm L then contributes
-    the integer c L p^e q^(E - e) to a sum over the denominator L times the
-    product of the q^E.
-    """
-    if not polys:
-        return []
-    ring = polys[0].ring
-    if any(p.ring != ring for p in polys):
-        raise ContextError("mixed ring contexts")
-    monos = [m for p in polys for m in p.terms]
-    tables: list = [(1,)] * ring.nvars  # an unused variable has only e = 0
-    den = 1
-    for i, top in enumerate(map(max, zip(*monos))):
-        if not top:
-            continue
-        name = ring.names[i]
-        if name not in values:
-            raise ContextError(f"no value supplied for {name!r}")
-        v = _frac(values[name])
-        tables[i] = _power_table(v, top)
-        den *= v.denominator ** top
-    out = []
-    for p in polys:
-        scale = lcm(*(c.denominator for c in p.terms.values()))
-        total = sum(c.numerator * (scale // c.denominator) * prod(map(getitem, tables, m))
-                    for m, c in p.terms.items())
-        out.append(Fraction(total, scale * den))
-    return out
+    """Exact values of polynomials over one ring at one rational point, by
+    the function ``compile_batch`` generates for them.  A caller that
+    evaluates one batch at many points compiles it once."""
+    return compile_batch(polys)(values)
 
 
 def directional_derivative(f: Poly, direction: Mapping[str, "Poly | Rational"]) -> Poly:
@@ -633,14 +653,6 @@ class PolyMatrix:
             acc = acc + (term if pos % 2 == 0 else -term)
         return acc
 
-    def pfaffian(self) -> Poly:
-        """Pfaffian of an even skew matrix; Pf([[0,a],[-a,0]]) = a."""
-        if self.rows != self.cols or self.rows % 2 != 0:
-            raise ShapeError("Pfaffian needs an even square matrix")
-        if not self.is_skew():
-            raise SkewError("matrix is not skew-symmetric")
-        return self._pf(tuple(range(self.rows)))
-
     def sub_pfaffians(self) -> list[Poly]:
         """For odd skew M: Pfaffians of M with row/column i deleted.
 
@@ -819,12 +831,6 @@ class SpanResult:
     @property
     def equal(self) -> bool:
         return self.relation == EQUAL
-
-    def failing_generators(self) -> dict[str, list[int]]:
-        return {
-            "a_not_in_b": [i for i, w in enumerate(self.a_in_b) if w is None],
-            "b_not_in_a": [j for j, w in enumerate(self.b_in_a) if w is None],
-        }
 
 
 def span_compare(a: Sequence[Poly], b: Sequence[Poly]) -> SpanResult:

@@ -348,15 +348,6 @@ def divide_by_one_minus_t(a: Poly1) -> Poly1:
     return out
 
 
-def vanishing_order_at_one(a: Poly1) -> int:
-    order = 0
-    work = dict(a)
-    while work and poly1_eval(work, 1) == 0:
-        work = divide_by_one_minus_t(work)
-        order += 1
-    return order
-
-
 def hilbert_numerator(w: Mapping[str, Rational]) -> Poly1:
     """Alternating sum of shift monomials of the resolution, instantiated
     at a positive integer weight system."""

@@ -31,8 +31,8 @@ from . import coord8, jordan
 from .coord8 import (ALL_VARS, COORD_VARS, PARAM_VARS, X_VARS, U_VARS,
                      Hypermatrix, coord_ring, d_entry, d_matrix, p_name, x_name)
 from .errors import InternalError, ShapeError, SingularGroupElement
-from .exactcore import (EquationSet, Poly, PolyMatrix, Rational, Ring, _frac,
-                        evaluate_all, rank, span_compare)
+from .exactcore import (Batch, EquationSet, Poly, PolyMatrix, Rational, Ring, _frac,
+                        compile_batch, rank, span_compare)
 
 GEN_LABELS = ("g1a", "g1b", "g2a", "g2b", "g3a", "g3b", "g4", "g5", "g6")
 
@@ -468,8 +468,12 @@ def fiber_certificate_p3() -> FiberReport:
 # Component parametrizations of the reducible fibers.  Each component maps
 # an RNG to a 9-coordinate point lying on a dense open part.
 
+# every value a/b of ``_rand``, indexed by a + 9 and b - 1
+_RAND_VALUES = tuple(tuple(Fraction(a, b) for b in range(1, 5)) for a in range(-9, 10))
+
+
 def _rand(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return _RAND_VALUES[rng.randint(-9, 9) + 9][rng.randint(1, 4) - 1]
 
 
 def _rand_nonzero(rng: random.Random) -> Fraction:
@@ -531,10 +535,17 @@ FIBER_COMPONENTS = {
 }
 
 
+@cache
+def _fiber_system(name: str) -> tuple[EquationSet, Batch]:
+    """The fiber system at a representative and its compiled evaluation."""
+    eqs = fiber_equations(representative(name))
+    return eqs, compile_batch(eqs.gens)
+
+
 def fiber_component_sampling(name: str, seed: int, samples: int = 20) -> FiberReport:
     """Every generator of the fiber system vanishes on sampled points of
     each listed component of a reducible fiber."""
-    eqs = fiber_equations(representative(name))
+    eqs, evaluate = _fiber_system(name)
     failures: list[str] = []
     counts = {}
     for comp in FIBER_COMPONENTS[name]:
@@ -542,29 +553,20 @@ def fiber_component_sampling(name: str, seed: int, samples: int = 20) -> FiberRe
         good = 0
         for _ in range(samples):
             point = _component_points(comp, rng)
-            if all(v == 0 for v in evaluate_all(eqs.gens, point)):
+            if all(v == 0 for v in evaluate(point)):
                 good += 1
             else:
                 failures.append(f"component {comp}: generator fails to vanish")
                 break
         counts[comp] = good
     # component quadrics occur among the generators where displayed
-    contain_ok = True
-    if name == "p1":
-        ring = eqs.ring
-        v = ring.var
-        quadrics = [v("u3") * v("x13") - v("x21") * v("x22"),
-                    v("u2") * v("x12") - v("x21") * v("x23"),
-                    v("u1") * v("x11") - v("x22") * v("x23")]
-        res = span_compare(eqs.gens, quadrics)
-        contain_ok = res.relation in ("equal", "a_contains_b")
-    elif name == "p2":
-        ring = eqs.ring
-        v = ring.var
-        quadric = [v("u3") * v("x13") - v("x11") * v("x12") - v("x21") * v("x22")]
-        res = span_compare(eqs.gens, quadric)
-        contain_ok = res.relation in ("equal", "a_contains_b")
-    if not contain_ok:
+    v = eqs.ring.var
+    displayed = {"p1": [v("u3") * v("x13") - v("x21") * v("x22"),
+                        v("u2") * v("x12") - v("x21") * v("x23"),
+                        v("u1") * v("x11") - v("x22") * v("x23")],
+                 "p2": [v("u3") * v("x13") - v("x11") * v("x12") - v("x21") * v("x22")]}
+    if name in displayed and span_compare(eqs.gens, displayed[name]).relation not in (
+            "equal", "a_contains_b"):
         failures.append(f"{name}: displayed component equation not in the span")
     return FiberReport(name, not failures, {"samples": counts}, failures)
 
@@ -651,12 +653,16 @@ def skew_chart_matrix(ring: Ring) -> PolyMatrix:
     return PolyMatrix.from_rows(ring, rows)
 
 
+@cache
+def _chart_pfaffians() -> Batch:
+    """The five signed Pfaffians of the skew chart matrix, compiled."""
+    return compile_batch(skew_chart_matrix(coord_ring(True)).sub_pfaffians())
+
+
 def pfaffian_vanishing_on_samples(seed: int, samples: int = 30) -> dict:
     """All five signed Pfaffians of the skew chart matrix vanish on sampled
     variety points rescaled so the leading pair coordinate is one."""
-    ring = coord_ring(True)
-    skew = skew_chart_matrix(ring)
-    pfs = skew.sub_pfaffians()
+    pfaffians = _chart_pfaffians()
     rng = random.Random(f"{seed}:pfaffians")
     checked = 0
     failures = 0
@@ -664,12 +670,9 @@ def pfaffian_vanishing_on_samples(seed: int, samples: int = 30) -> dict:
         point = sample_point(rng)
         if point["x11"] == 0:
             continue
-        scale = point["x11"]
-        rescaled = dict(point)
-        for n in COORD_VARS:
-            rescaled[n] = point[n] / scale
+        rescaled = {**point, **{n: point[n] / point["x11"] for n in COORD_VARS}}
         checked += 1
-        if any(v != 0 for v in evaluate_all(pfs, rescaled)):
+        if any(v != 0 for v in pfaffians(rescaled)):
             failures += 1
     return {"checked": checked, "failures": failures, "ok": failures == 0}
 
@@ -682,12 +685,12 @@ CHART_FREE_VARS = ("x12", "x22", "x13", "x23") + PARAM_VARS
 
 
 @cache
-def _sampling_tables() -> tuple[tuple[str, ...], tuple[Poly, ...], tuple[Poly, ...]]:
+def _sampling_tables() -> tuple[tuple[str, ...], Batch, Batch]:
     """The solved coordinates, their chart images (in the free chart
-    coordinates alone) and the nine generators."""
+    coordinates alone) and the nine generators, the last two compiled."""
     sub = chart_substitution()
     solved = ("x11", "x21", "u2", "u3")
-    return solved, tuple(sub[n] for n in solved), equations().gens
+    return solved, compile_batch([sub[n] for n in solved]), compile_batch(equations().gens)
 
 
 def sample_point(rng: random.Random | int,
@@ -710,12 +713,12 @@ def sample_point(rng: random.Random | int,
     values: dict[str, Fraction] = {}
     for n in CHART_FREE_VARS:
         values[n] = _frac(constraints[n]) if n in constraints else _rand(rng)
-    values.update(zip(solved, evaluate_all(images, values)))
+    values.update(zip(solved, images(values)))
     values["u1"] = Fraction(1)
     t = _rand_nonzero(rng)
     for n in COORD_VARS:
         values[n] = values[n] * t
-    if any(v != 0 for v in evaluate_all(gens, values)):
+    if any(v != 0 for v in gens(values)):
         raise InternalError("constructed point violates the equations")
     return values
 
@@ -809,8 +812,7 @@ def radical_locus_check(name: str, seed: int, samples: int = 20) -> RadicalRepor
     if name != "p4":
         for _ in range(samples):
             point = radical_point(name, rng_on)
-            sigma = pres.element([point[n] for n in COORD_VARS])
-            tests = jordan.nondegeneracy_test_equiv(pres, sigma)
+            tests = jordan.nondegeneracy_test_equiv(pres, [point[n] for n in COORD_VARS])
             if not tests["viaU"]:
                 failures.append(f"{name}: locus point rejected by the U-operator test")
                 break
@@ -823,8 +825,7 @@ def radical_locus_check(name: str, seed: int, samples: int = 20) -> RadicalRepor
     n_off = 100 if name == "p4" else samples
     for _ in range(n_off):
         point = off_radical_point(name, rng_off)
-        sigma = pres.element([point[n] for n in COORD_VARS])
-        tests = jordan.nondegeneracy_test_equiv(pres, sigma)
+        tests = jordan.nondegeneracy_test_equiv(pres, [point[n] for n in COORD_VARS])
         if tests["viaU"]:
             failures.append(f"{name}: off-locus point accepted by the U-operator test")
             break
@@ -861,7 +862,7 @@ def nondegenerate_sweep(seed: int, cubes: int = 50, sigmas_per_cube: int = 2) ->
                 vals = [_rand(rng) for _ in COORD_VARS]
                 if any(v != 0 for v in vals):
                     break
-            if jordan.radical_membership(pres, pres.element(vals)):
+            if jordan.radical_membership(pres, vals):
                 failures += 1
     return {"cubes": tried, "sigmas": tried * sigmas_per_cube,
             "failures": failures, "ok": failures == 0}

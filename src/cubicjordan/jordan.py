@@ -23,11 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, Union
 
 from .exactcore import Poly, Rational, Ring, directional_derivative
 
 Element = tuple[Poly, ...]
+Sigma = Union[Element, Sequence[Rational]]  # an element or its rational coordinates
 
 
 @dataclass(frozen=True)
@@ -317,7 +318,7 @@ def verify_sharp_conditions(p: JordanPresentation) -> SharpConditionReport:
 _Parts = tuple[list[int], list[Rational], list[Rational]]
 
 
-def _rational_parts(p: JordanPresentation, sigma: Element) -> _Parts | None:
+def _rational_parts(p: JordanPresentation, sigma: Sigma) -> _Parts | None:
     """A positive multiple s of sigma with integer entries, s# and the row
     T(s, e_j), read off the rational tables; None when p has parameters or
     sigma is not constant.
@@ -329,18 +330,26 @@ def _rational_parts(p: JordanPresentation, sigma: Element) -> _Parts | None:
     sides, so scaling sigma by c scales both sides by c^2.
     """
     tables = p._rational_tables
-    if tables is None or any(any(m) for c in sigma for m in c.terms):
+    if tables is None:
         return None
+    if any(isinstance(c, Poly) for c in sigma):
+        if any(any(m) for c in sigma for m in c.terms):
+            return None
+        sigma = [c.constant_value() for c in sigma]
     gram, quadrics, _ = tables
-    vals = [c.constant_value() for c in sigma]
-    den = lcm(*(v.denominator for v in vals))
-    s = [v.numerator * (den // v.denominator) for v in vals]
+    den = lcm(*(v.denominator for v in sigma))
+    s = [v.numerator * (den // v.denominator) for v in sigma]
     sharp = [sum(c * s[i] * s[j] for i, j, c in q) for q in quadrics]
     trace = [sum(c * s[i] for i, c in col) for col in gram]
     return s, sharp, trace
 
 
-def radical_membership(p: JordanPresentation, sigma: Element) -> bool:
+def _symbolic(p: JordanPresentation, sigma: Sigma) -> Element:
+    """Sigma as an element, converting rational coordinates with ``p.element``."""
+    return sigma if any(isinstance(c, Poly) for c in sigma) else p.element(sigma)
+
+
+def radical_membership(p: JordanPresentation, sigma: Sigma) -> bool:
     """True iff U_sigma vanishes: sigma is an absolute zero divisor.
 
     U_sigma y = T(sigma, y) sigma - sigma# # y is linear in y, so it
@@ -354,9 +363,10 @@ def radical_membership(p: JordanPresentation, sigma: Element) -> bool:
     return _u_vanishes(p, sigma, _rational_parts(p, sigma))
 
 
-def _u_vanishes(p: JordanPresentation, sigma: Element, parts: _Parts | None) -> bool:
+def _u_vanishes(p: JordanPresentation, sigma: Sigma, parts: _Parts | None) -> bool:
     """The U-test of ``radical_membership`` on ``_rational_parts(p, sigma)``."""
     if parts is None:
+        sigma = _symbolic(p, sigma)
         ring = _target_ring(p, sigma)
         return all(c.is_zero() for j in range(p.dim())
                    for c in u_operator(p, sigma, p.basis_element(j, ring)))
@@ -366,7 +376,7 @@ def _u_vanishes(p: JordanPresentation, sigma: Element, parts: _Parts | None) -> 
                for m in range(p.dim()) for k in range(p.dim()))
 
 
-def nondegeneracy_test_equiv(p: JordanPresentation, sigma: Element) -> dict[str, bool]:
+def nondegeneracy_test_equiv(p: JordanPresentation, sigma: Sigma) -> dict[str, bool]:
     """Radical membership via the U-operator and via sharp/trace vanishing.
 
     The second route asks that sigma# = 0 and that sigma is orthogonal to
@@ -380,6 +390,7 @@ def nondegeneracy_test_equiv(p: JordanPresentation, sigma: Element) -> dict[str,
     parts = _rational_parts(p, sigma)
     via_u = _u_vanishes(p, sigma, parts)
     if parts is None:
+        sigma = _symbolic(p, sigma)
         ring = _target_ring(p, sigma)
         sharp_zero = all(c.is_zero() for c in sharp_of(p, sigma))
         ortho = all(trace_bilinear(p, sigma, p.basis_element(i, ring)).is_zero()
@@ -388,20 +399,3 @@ def nondegeneracy_test_equiv(p: JordanPresentation, sigma: Element) -> dict[str,
         _, sharp, trace = parts
         sharp_zero, ortho = not any(sharp), not any(trace)
     return {"viaU": via_u, "viaTN": sharp_zero and ortho}
-
-
-def peirce_operator(p: JordanPresentation, x1: Element, x2: Element,
-                    y: Element) -> Element:
-    """Bilinearized operator U_{x1+x2}(y) - U_{x1}(y) - U_{x2}(y).
-
-    Applied to two of the complementary idempotents it projects onto the
-    off-diagonal Peirce space they span.  Used only to recompute Peirce
-    subspaces in tests; not part of the public algebra surface.
-    """
-    ring = _target_ring(p, x1, x2, y)
-    a1 = tuple(c.convert(ring) for c in x1)
-    a2 = tuple(c.convert(ring) for c in x2)
-    both = u_operator(p, tuple(a + b for a, b in zip(a1, a2)), y)
-    first = u_operator(p, a1, y)
-    second = u_operator(p, a2, y)
-    return tuple(both[i] - first[i] - second[i] for i in range(p.dim()))

@@ -20,12 +20,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Mapping, Sequence
 
 from . import grading, hvariety
 from .errors import UnknownDictionary
-from .exactcore import (EquationSet, Poly, PolyMatrix, Rational, Ring,
-                        evaluate_all, span_compare)
+from .exactcore import (Batch, EquationSet, Poly, PolyMatrix, Rational, Ring,
+                        compile_batch, span_compare)
 
 M8_VARS = ("x1", "x2", "x3", "x4", "x5", "x6", "x7", "w1", "w2", "w3", "y", "z")
 S6_VARS = ("s11", "s12", "s13", "s22", "s23", "s33",
@@ -361,6 +362,19 @@ class EmbeddingReport:
         return not self.failures and all(self.weight_relations.values())
 
 
+@cache
+def _embedding_batches(part: str) -> tuple[tuple[str, ...], Batch, tuple[str, ...], Batch]:
+    """The target coordinates of one embedding, their compiled images in
+    the cluster coordinates, and the labels and compiled generators of the
+    target system."""
+    if part == "I":
+        target, images = m8_equations(), _c2_to_m8_images(c2_ring())
+    else:
+        target, images = s6_equations(), _c2_to_s7_images(c2_ring())
+    return (tuple(images), compile_batch(tuple(images.values())), target.labels,
+            compile_batch(target.gens))
+
+
 def verify_cluster_embedding(part: str, seed: int, samples: int = 30) -> EmbeddingReport:
     """Certify one of the two cluster-slice embeddings.
 
@@ -373,18 +387,11 @@ def verify_cluster_embedding(part: str, seed: int, samples: int = 30) -> Embeddi
         raise ValueError("part must be 'I' or 'II'")
     rng = random.Random(f"{seed}:embedding:{part}")
     report = EmbeddingReport(part, samples)
-
-    if part == "I":
-        target = m8_equations()
-        images = _c2_to_m8_images(c2_ring())
-    else:
-        target = s6_equations()
-        images = _c2_to_s7_images(c2_ring())
+    names, images, labels, target = _embedding_batches(part)
 
     for k in range(samples):
         cpt = cluster_point(rng, part)
-        values = dict(zip(images, evaluate_all(tuple(images.values()), cpt)))
-        for v, lbl in zip(evaluate_all(target.gens, values), target.labels):
+        for v, lbl in zip(target(dict(zip(names, images(cpt)))), labels):
             if v != 0:
                 report.failures.append(
                     f"part {part}: generator {lbl} fails on sample {k}")

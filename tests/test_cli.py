@@ -2,7 +2,11 @@
 
 import dataclasses
 import json
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -230,3 +234,28 @@ def test_radicals_pass_where_u_vanishes_off_locus():
 
 def test_prop76_command():
     assert run(["prop76", "--samples", "5"]) == 0
+
+
+CACHE_PROBE = textwrap.dedent("""
+    import json, sys
+    sys.path.insert(0, sys.argv[1])
+    import cubicjordan.cli
+    print(json.dumps({f"{name}.{attr}": fn.cache_info().currsize
+                      for name, module in sorted(sys.modules.items())
+                      if name.startswith("cubicjordan.")
+                      for attr, fn in vars(module).items()
+                      if hasattr(fn, "cache_info")}))
+""")
+
+
+def test_import_fills_no_cache():
+    # the compiled batches and cached expansions are built on first use, so
+    # that starting the program costs no more than importing it
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", CACHE_PROBE, str(src)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    sizes = json.loads(done.stdout)
+    assert {"cubicjordan.hvariety._sampling_tables", "cubicjordan.hvariety._fiber_system",
+            "cubicjordan.hvariety._chart_pfaffians",
+            "cubicjordan.relatives._embedding_batches"} <= set(sizes)
+    assert set(sizes.values()) == {0}

@@ -269,3 +269,14 @@ def test_open_orbit_radical_trivial():
 def test_nondegenerate_sweep_small():
     out = hvariety.nondegenerate_sweep(seed=3, cubes=5, sigmas_per_cube=1)
     assert out["ok"]
+
+
+def test_rand_reads_the_fraction_of_its_two_draws():
+    # the table lookup makes the same two draws, in the same order, as
+    # building the fraction from them would
+    rng, ref = random.Random(11), random.Random(11)
+    for _ in range(500):
+        got = hvariety._rand(rng)
+        assert got == Fraction(ref.randint(-9, 9), ref.randint(1, 4))
+        assert type(got) is Fraction
+    assert rng.getstate() == ref.getstate()

@@ -239,6 +239,11 @@ def test_rational_tables_agree_with_symbolic_route(cube, kind, values, seed):
     assert fast["viaU"] or not fast["viaTN"]
     assert fast == _separate_calls(p, p.element(values))
     assert slow == _separate_calls(twin, twin.element(values))
+    # sigma given by its rational coordinates takes the same two routes
+    assert jordan.nondegeneracy_test_equiv(p, values) == fast
+    assert jordan.nondegeneracy_test_equiv(twin, values) == slow
+    assert jordan.radical_membership(p, values) == jordan.radical_membership(twin, values) \
+        == fast["viaU"]
 
 
 @settings(max_examples=30, deadline=None)
@@ -262,6 +267,18 @@ def test_radical_tests_are_homogeneous_in_sigma(cube, locus, values, seed):
         == tests["viaU"]
 
 
+def peirce_operator(p: JordanPresentation, x1, x2, y):
+    """Bilinearized operator U_{x1+x2}(y) - U_{x1}(y) - U_{x2}(y).
+
+    Applied to two of the complementary idempotents it projects onto the
+    off-diagonal Peirce space they span.
+    """
+    both = jordan.u_operator(p, tuple(a + b for a, b in zip(x1, x2)), y)
+    first = jordan.u_operator(p, x1, y)
+    second = jordan.u_operator(p, x2, y)
+    return tuple(both[i] - first[i] - second[i] for i in range(p.dim()))
+
+
 def test_peirce_operator_projects_to_pair_space(symbolic_presentation):
     # the operator attached to two idempotents projects onto the span of
     # the complementary coordinate pair
@@ -269,7 +286,7 @@ def test_peirce_operator_projects_to_pair_space(symbolic_presentation):
     y = p.generic_element()
     v1 = p.basis_element(6)
     v2 = p.basis_element(7)
-    image = jordan.peirce_operator(p, v1, v2, y)
+    image = peirce_operator(p, v1, v2, y)
     expected = {"x13", "x23"}
     for name, comp in zip(p.coords, image):
         if name in expected:
