@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 from . import jordan
 from .errors import ShapeError
 from .exactcore import (Poly, PolyMatrix, Rational, Ring, _frac,
-                        parse_rational)
+                        parse_rational, substitute_all)
 from .jordan import Element, JordanPresentation
 
 X_VARS = ("x11", "x21", "x12", "x22", "x13", "x23")
@@ -197,13 +197,13 @@ def _symbolic_forms() -> tuple[Poly, tuple[Poly, ...]]:
     return Fraction(1, 3) * total, sharp
 
 
-def _at_cube(f: Poly, P: Hypermatrix | None) -> Poly:
-    """``f`` with the cube entries set to those of P, over the nine
-    coordinates; ``P=None`` keeps them symbolic."""
+def _at_cube(forms: tuple[Poly, ...], P: Hypermatrix | None) -> list[Poly]:
+    """The forms with the cube entries set to those of P, over the nine
+    coordinates, in one substitution; ``P=None`` keeps them symbolic."""
     if P is None:
-        return f
+        return list(forms)
     values = {p_name(*t): v for t, v in P.as_fractions().items()}
-    return f.substitute(values, coord_ring(False))
+    return substitute_all(forms, values, coord_ring(False))
 
 
 def cubic_form(P: Hypermatrix | None = None) -> Poly:
@@ -212,7 +212,7 @@ def cubic_form(P: Hypermatrix | None = None) -> Poly:
     ``P=None`` keeps the eight parameters symbolic; a rational cube
     specializes the symbolic expansion, over the nine coordinates alone.
     """
-    return _at_cube(_symbolic_forms()[0], P)
+    return _at_cube(_symbolic_forms()[:1], P)[0]
 
 
 def presentation(P: Hypermatrix | None = None) -> JordanPresentation:
@@ -222,13 +222,14 @@ def presentation(P: Hypermatrix | None = None) -> JordanPresentation:
     a presentation over the nine coordinates alone.
     """
     unit = tuple(Fraction(1) if n in U_VARS else Fraction(0) for n in COORD_VARS)
-    cubic = cubic_form(P)
+    cubic, sharp = _symbolic_forms()
+    cubic, *sharp = _at_cube((cubic, *sharp), P)
     return JordanPresentation(
         ring=cubic.ring,
         coords=COORD_VARS,
         unit=unit,
         cubic=cubic,
-        sharp=tuple(_at_cube(s, P) for s in _symbolic_forms()[1]),
+        sharp=tuple(sharp),
     )
 
 

@@ -24,13 +24,17 @@ as FLINT's ``fmpq_poly`` keeps an integer polynomial with one denominator
 (Hart, ICMS 2010).  ``compile_batch`` turns a fixed batch of polynomials
 into one generated straight-line function with integer coefficients,
 which callers build once and call at every point; ``evaluate_all`` and
-``Poly.evaluate`` compile for one use.  ``Poly.substitute`` folds a
-constant image p/q of a variable with top power E into the coefficients
-by the integers p^e q^(E - e) and divides once by the common denominator.
-``rref`` eliminates fraction-free in integer rows, as in Bareiss's method
-(Math. Comp. 22, 1968), but keeps each row small by dividing out its
-content instead of the previous pivot; it divides the pivot rows by their
-pivots only at the end.
+``Poly.evaluate`` compile for one use.  ``rref`` eliminates fraction-free
+in integer rows, as in Bareiss's method (Math. Comp. 22, 1968), but keeps
+each row small by dividing out its content instead of the previous pivot;
+it divides the pivot rows by their pivots only at the end.
+
+Symbolic substitution is batched: ``substitute_all`` applies one ring map
+to a batch of polynomials, and ``Poly.substitute`` is its batch of one.
+Constant images fold into the integer coefficients with one division at
+the end; each non-constant image is raised to its powers once, and each
+product of image powers is formed once per batch.  Most products here
+have a single term pair, so their cost is their number, not their width.
 
 Canonical display order is graded lexicographic in the registered variable
 order.  It affects only printing, never results.
@@ -227,16 +231,20 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Poly:
+        """Binary powering from the base itself, with no squaring after the
+        last bit (Knuth, TAOCP vol. 2, 4.6.3)."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = self.ring.one()
-        base = self
-        while n:
+        if not n:
+            return self.ring.one()
+        base, result = self, None
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
@@ -281,88 +289,9 @@ class Poly:
 
     def substitute(self, mapping: Mapping[str, "Poly | Rational"],
                    ring: Ring | None = None) -> Poly:
-        """Apply the ring map sending each mapped variable to its image.
-
-        Unmapped variables pass through by name and must exist in the
-        target ring, as must every Poly image.  The target defaults to the
-        ring of the first Poly value in the mapping, else to this
-        polynomial's ring.
-
-        A constant image p/q (a rational or a constant Poly) of a variable
-        with top power E folds into the coefficients: a term with x^e is
-        multiplied by the integer p^e q^(E - e), and the collected terms are
-        divided once by the product of the q^E.  Only non-constant images
-        are raised to powers.
-        """
-        target = ring
-        if target is None:
-            for v in mapping.values():
-                if isinstance(v, Poly):
-                    target = v.ring
-                    break
-        if target is None:
-            target = self.ring
-        for n in self.ring.names:
-            v = mapping.get(n)
-            if isinstance(v, Poly) and v.ring != target:
-                raise ContextError("mixed ring contexts")
-
-        nvars = self.ring.nvars
-        tables: list[list[int] | None] = [None] * nvars  # constant images
-        images: list[Poly | None] = [None] * nvars       # non-constant images
-        pos = [0] * nvars                                # pass-through targets
-        den = 1
-        for i, top in enumerate(map(max, zip(*self.terms))):
-            name = self.ring.names[i]
-            if not top:
-                continue
-            if name not in mapping:
-                pos[i] = target.index(name)
-                continue
-            v = mapping[name]
-            if isinstance(v, Poly):
-                if any(any(m) for m in v.terms):
-                    images[i] = v
-                    continue
-                v = v.constant_value()
-            v = _frac(v)
-            tables[i] = [v.numerator ** e * v.denominator ** (top - e)
-                         for e in range(top + 1)]
-            den *= v.denominator ** top
-
-        power_cache: dict[tuple[int, int], Poly] = {}
-
-        def power(i: int, e: int) -> Poly:
-            key = (i, e)
-            if key not in power_cache:
-                power_cache[key] = images[i] ** e
-            return power_cache[key]
-
-        out: dict = {}
-        for m, c in self.terms.items():
-            passthrough = [0] * target.nvars
-            factor = None
-            for i, e in enumerate(m):
-                if tables[i] is not None:
-                    c = c * tables[i][e]
-                elif not e:
-                    continue
-                elif images[i] is None:
-                    passthrough[pos[i]] += e
-                else:
-                    factor = power(i, e) if factor is None else factor * power(i, e)
-            if not c:
-                continue
-            if factor is None:
-                key = tuple(passthrough)
-                out[key] = out.get(key, 0) + c
-                continue
-            for fm, fc in factor.terms.items():
-                key = tuple(map(add, passthrough, fm))
-                out[key] = out.get(key, 0) + c * fc
-        if den != 1:
-            out = {m: Fraction(c, den) for m, c in out.items()}
-        return Poly.collect(target, out)
+        """Apply the ring map sending each mapped variable to its image; see
+        ``substitute_all``, of which this is the batch of one."""
+        return substitute_all((self,), mapping, ring)[0]
 
     def evaluate(self, values: Mapping[str, Rational]) -> Fraction:
         """Exact value at a rational point covering every used variable."""
@@ -464,6 +393,92 @@ def evaluate_all(polys: Sequence[Poly], values: Mapping[str, Rational]) -> list[
     the function ``compile_batch`` generates for them.  A caller that
     evaluates one batch at many points compiles it once."""
     return compile_batch(polys)(values)
+
+
+def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, "Poly | Rational"],
+                   ring: Ring | None = None) -> list[Poly]:
+    """Apply one ring map to a batch of polynomials over one ring.
+
+    Unmapped variables pass through by name and must exist in the target
+    ring, as must every Poly image.  The target defaults to the ring of the
+    first Poly value in the mapping, else to the ring of the batch.
+
+    A constant image p/q (a rational or a constant Poly) of a variable with
+    top power E in the batch folds into the coefficients: a term with x^e
+    is multiplied by the integer p^e q^(E - e), and the collected terms are
+    divided once by the product of the q^E.  Each non-constant image has
+    its powers built once, one multiplication per step, and the product of
+    image powers of each term is formed once per batch and reused by every
+    term that has the same exponents of the non-constant images.
+    """
+    if not polys:
+        return []
+    source = polys[0].ring
+    if any(p.ring != source for p in polys):
+        raise ContextError("mixed ring contexts")
+    target = ring if ring is not None else next(
+        (v.ring for v in mapping.values() if isinstance(v, Poly)), source)
+    if any(isinstance(v, Poly) and v.ring != target
+           for v in map(mapping.get, source.names)):
+        raise ContextError("mixed ring contexts")
+
+    tables: list[tuple[int, list[int]]] = []      # constant images
+    powers: dict[int, list[Poly]] = {}           # non-constant images
+    passthrough: list[tuple[int, int]] = []      # (source, target) index
+    den = 1
+    for i, top in enumerate(map(max, zip(*(m for p in polys for m in p.terms)))):
+        name = source.names[i]
+        if not top:
+            continue
+        if name not in mapping:
+            passthrough.append((i, target.index(name)))
+            continue
+        v = mapping[name]
+        if isinstance(v, Poly):
+            if any(any(m) for m in v.terms):
+                powers[i] = [v]  # v^e at index e - 1
+                for _ in range(top - 1):
+                    powers[i].append(v * powers[i][-1])
+                continue
+            v = v.constant_value()
+        v = _frac(v)
+        tables.append((i, [v.numerator ** e * v.denominator ** (top - e)
+                           for e in range(top + 1)]))
+        den *= v.denominator ** top
+
+    images = tuple(powers)
+    products: dict[tuple[int, ...], Poly | None] = {}  # image exponents -> product
+    results = []
+    for p in polys:
+        out: dict = {}
+        for m, c in p.terms.items():
+            for i, table in tables:
+                c *= table[m[i]]
+            if not c:
+                continue
+            exp = [0] * target.nvars
+            for i, t in passthrough:
+                exp[t] = m[i]
+            factor = None
+            if images:
+                key = tuple(m[i] for i in images)
+                if key not in products:
+                    for i, e in zip(images, key):
+                        if e:
+                            factor = powers[i][e - 1] if factor is None else factor * powers[i][e - 1]
+                    products[key] = factor
+                factor = products[key]
+            if factor is None:
+                exp = tuple(exp)
+                out[exp] = out.get(exp, 0) + c
+                continue
+            for fm, fc in factor.terms.items():
+                mm = tuple(map(add, exp, fm))
+                out[mm] = out.get(mm, 0) + c * fc
+        if den != 1:
+            out = {m: Fraction(c, den) for m, c in out.items()}
+        results.append(Poly.collect(target, out))
+    return results
 
 
 def directional_derivative(f: Poly, direction: Mapping[str, "Poly | Rational"]) -> Poly:
@@ -672,7 +687,7 @@ class PolyMatrix:
 
     def substitute(self, mapping: Mapping[str, "Poly | Rational"],
                    ring: Ring | None = None) -> PolyMatrix:
-        entries = [e.substitute(mapping, ring) for e in self.entries]
+        entries = substitute_all(self.entries, mapping, ring)
         return PolyMatrix(entries[0].ring if entries else self.ring,
                           self.rows, self.cols, entries)
 
@@ -802,7 +817,7 @@ class EquationSet:
 
     def substitute(self, mapping: Mapping[str, "Poly | Rational"],
                    ring: Ring | None = None) -> EquationSet:
-        gens = tuple(g.substitute(mapping, ring) for g in self.gens)
+        gens = tuple(substitute_all(self.gens, mapping, ring))
         labels = self.labels or tuple(str(i) for i in range(len(gens)))
         target = gens[0].ring if gens else (ring if ring is not None else self.ring)
         return EquationSet(target, gens, labels)

@@ -32,7 +32,7 @@ from .coord8 import (ALL_VARS, COORD_VARS, PARAM_VARS, X_VARS, U_VARS,
                      Hypermatrix, coord_ring, d_entry, d_matrix, p_name, x_name)
 from .errors import InternalError, ShapeError, SingularGroupElement
 from .exactcore import (Batch, EquationSet, Poly, PolyMatrix, Rational, Ring, _frac,
-                        compile_batch, rank, span_compare)
+                        compile_batch, rank, span_compare, substitute_all)
 
 GEN_LABELS = ("g1a", "g1b", "g2a", "g2b", "g3a", "g3b", "g4", "g5", "g6")
 
@@ -158,7 +158,7 @@ def substitution_of(g: GroupElement, ring: Ring) -> dict[str, Poly]:
     if g.perm != (1, 2, 3):
         steps.append(_perm_images(g.perm, ring.var))
     for step in steps:
-        sub = {n: img.substitute(step, ring) for n, img in sub.items()}
+        sub = dict(zip(sub, substitute_all(tuple(sub.values()), step, ring)))
     return sub
 
 
@@ -468,6 +468,8 @@ def fiber_certificate_p3() -> FiberReport:
 # Component parametrizations of the reducible fibers.  Each component maps
 # an RNG to a 9-coordinate point lying on a dense open part.
 
+_ZERO = Fraction(0)  # the unset coordinates of every sampled point
+
 # every value a/b of ``_rand``, indexed by a + 9 and b - 1
 _RAND_VALUES = tuple(tuple(Fraction(a, b) for b in range(1, 5)) for a in range(-9, 10))
 
@@ -484,7 +486,7 @@ def _rand_nonzero(rng: random.Random) -> Fraction:
 
 
 def _component_points(name: str, rng: random.Random) -> dict[str, Fraction]:
-    point = {n: Fraction(0) for n in COORD_VARS}
+    point = dict.fromkeys(COORD_VARS, _ZERO)
     if name == "origin/all-x":
         for n in X_VARS:
             point[n] = _rand(rng)
@@ -611,7 +613,7 @@ def chart_reduce_u1(sub: Mapping[str, Poly]) -> ChartReport:
     into all nine generators; every residual must vanish identically in the
     twelve free coordinates."""
     eqs = equations()
-    residuals = [g.substitute(sub, eqs.ring) for g in eqs.gens]
+    residuals = substitute_all(eqs.gens, sub, eqs.ring)
     free = tuple(n for n in ("x12", "x22", "x13", "x23") + PARAM_VARS)
     return ChartReport(residuals, free, len(free) + 1)
 
@@ -737,7 +739,7 @@ _NP_DISPLAYS = {
 
 def radical_point(name: str, rng: random.Random) -> dict[str, Fraction]:
     """A sampled point of the stated radical locus for one representative."""
-    point = {n: Fraction(0) for n in COORD_VARS}
+    point = dict.fromkeys(COORD_VARS, _ZERO)
     if name == "origin":
         for n in X_VARS:
             point[n] = _rand(rng)

@@ -25,7 +25,7 @@ from functools import cached_property
 from math import lcm, prod
 from typing import Mapping, Sequence, Union
 
-from .exactcore import Poly, Rational, Ring, directional_derivative
+from .exactcore import Poly, Rational, Ring, directional_derivative, substitute_all
 
 Element = tuple[Poly, ...]
 Sigma = Union[Element, Sequence[Rational]]  # an element or its rational coordinates
@@ -177,7 +177,7 @@ def sharp_of(p: JordanPresentation, x: Element) -> Element:
     """The sharp image of x, by substitution into the sharp components."""
     ring = _target_ring(p, x)
     mapping = dict(zip(p.coords, x))
-    return tuple(s.substitute(mapping, ring) for s in p.sharp)
+    return tuple(substitute_all(p.sharp, mapping, ring))
 
 
 def sharp_product(p: JordanPresentation, x: Element, y: Element) -> Element:

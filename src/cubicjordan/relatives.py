@@ -337,17 +337,22 @@ def cluster_point(rng: random.Random, part: str) -> dict[str, Fraction]:
                    "p211": Fraction(0), "p111": Fraction(1)}
     constraints.update(EMBEDDING_SLICES[part])
     point = hvariety.sample_point(rng, constraints)
+    return {name: point[amb] / coeff for amb, name, coeff in _c2_inverse()}
+
+
+@cache
+def _c2_inverse() -> tuple[tuple[str, str, Rational], ...]:
+    """The linear entries of the c2 dictionary, as (ambient coordinate,
+    cluster coordinate, coefficient): dividing the ambient value by the
+    coefficient inverts the (linear, triangular) dictionary on the slice."""
     c2 = dictionary("c2")
-    # invert the (linear, triangular) cluster dictionary on this slice
-    ring = c2.target
-    out: dict[str, Fraction] = {}
+    out = []
     for amb, img in c2.mapping.items():
         if len(img.terms) == 1:
             (mono, coeff), = img.terms.items()
             if sum(mono) == 1:
-                idx = mono.index(1)
-                out[ring.names[idx]] = point[amb] / coeff
-    return out
+                out.append((amb, c2.target.names[mono.index(1)], coeff))
+    return tuple(out)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, determinism, report schema."""
 
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -135,6 +136,18 @@ def test_json_report_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# sha256 of the --json report of ``all --seed 0 --samples 30``, so that a
+# change meant only to be faster is seen to leave every report byte alone.
+# A change that means to alter the report updates this digest and says why.
+ALL_REPORT_SHA256 = "fb17840460bb7db36bd0afc646fb29d6e37b5a85198c4cee0f603803b491a997"
+
+
+def test_all_report_bytes_are_pinned(tmp_path, capsys):
+    report = tmp_path / "all.json"
+    assert run(["all", "--seed", "0", "--samples", "30", "--json", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == ALL_REPORT_SHA256
+
+
 def test_weights_file_checking(tmp_path):
     w = tmp_path / "w.json"
     w.write_text(json.dumps({
@@ -257,5 +270,6 @@ def test_import_fills_no_cache():
     sizes = json.loads(done.stdout)
     assert {"cubicjordan.hvariety._sampling_tables", "cubicjordan.hvariety._fiber_system",
             "cubicjordan.hvariety._chart_pfaffians",
-            "cubicjordan.relatives._embedding_batches"} <= set(sizes)
+            "cubicjordan.relatives._embedding_batches",
+            "cubicjordan.relatives._c2_inverse"} <= set(sizes)
     assert set(sizes.values()) == {0}

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from cubicjordan.errors import ContextError, ShapeError, SkewError
 from cubicjordan.exactcore import (EquationSet, Poly, PolyMatrix, Ring,
                                    compile_batch, directional_derivative, evaluate_all,
-                                   nullspace, rank, rref, solve_linear, span_compare)
+                                   nullspace, rank, rref, solve_linear, span_compare,
+                                   substitute_all)
 
 R = Ring(("x", "y", "z"))
 X, Y, Z = R.gens()
@@ -138,6 +139,67 @@ def test_substitute_rejects_image_from_another_ring():
         (X * Y).substitute({"x": wide.var("w")}, R)
     with pytest.raises(ContextError):
         (X * Y).substitute({"x": X, "y": wide.var("w")})
+
+
+image_kinds = st.sampled_from(("rational", "constant", "poly", "pass"))
+
+
+@given(st.lists(poly_strategy(), max_size=4), st.tuples(*[image_kinds] * 3),
+       st.tuples(*[poly_strategy(max_terms=3, max_degree=2)] * 3),
+       st.tuples(*[rationals] * 3))
+@settings(max_examples=60, deadline=None)
+def test_substitute_all_matches_term_by_term_sum(batch, kinds, images, consts):
+    # each variable goes to a rational, a constant Poly or a polynomial, or
+    # passes through by name; the extra members share monomials with the
+    # others, and a zero polynomial rides along
+    batch = [*batch, *(f * X + Y for f in batch[:2]), R.zero()]
+    wide = R.extend(("w",))
+    for ring, w in ((R, R.one()), (wide, wide.var("w"))):
+        mapping = {}
+        for name, kind, image, c in zip(R.names, kinds, images, consts):
+            if kind == "poly":
+                mapping[name] = image.convert(ring) * w
+            elif kind != "pass":
+                mapping[name] = c if kind == "rational" else ring.const(c)
+        got = substitute_all(batch, mapping, ring)
+        assert got == [substitute_term_by_term(f, mapping, ring) for f in batch]
+        assert all(stored_integer_first(p) for p in got)
+        assert [f.substitute(mapping, ring) for f in batch] == got
+
+
+def test_substitute_all_edge_cases():
+    assert substitute_all((), {"x": Y}) == []
+    assert substitute_all([R.zero()] * 2, {"x": Y}) == [R.zero()] * 2
+    # the top power of y is taken over the whole batch
+    assert substitute_all([Y ** 3, X + Y], {"y": Fraction(2, 3)}) == \
+        [R.const(Fraction(8, 27)), X + Fraction(2, 3)]
+    # the target ring defaults to that of a Poly image, else to the batch's
+    wide = R.extend(("w",))
+    assert substitute_all([X * Y], {"x": wide.var("w")})[0].ring == wide
+    assert substitute_all([X * Y], {"x": 2})[0] == 2 * Y
+    other = Ring(("a",))
+    with pytest.raises(ContextError):
+        substitute_all([X, other.var("a")], {"x": 1})
+    with pytest.raises(ContextError):
+        substitute_all([X, Y], {"x": Y, "y": wide.var("w")})
+    with pytest.raises(ContextError):
+        substitute_all([X, Y], {"x": wide.var("w")}, R)
+
+
+@given(poly_strategy(max_terms=3, max_degree=2))
+@settings(max_examples=20, deadline=None)
+def test_power_matches_repeated_multiplication(p):
+    expected = R.one()
+    for n in range(7):
+        assert p ** n == expected
+        expected = expected * p
+    assert p ** 1 == p
+
+
+def test_power_rejects_bad_exponents():
+    for n in (-1, 2.0, Fraction(2)):
+        with pytest.raises(ValueError):
+            X ** n
 
 
 # -- integer-first storage against a plain-Fraction reference ----------------
