@@ -168,9 +168,13 @@ def suite_classify(opts: Options) -> list[Claim]:
         label = hvariety.classify_orbit(opts.cube)
         print(f"{label.label}, D_H = {label.hyperdet}, "
               f"flattening ranks {label.flattening_ranks}")
+        data = {"label": label.label, "hyperdet": label.hyperdet,
+                "ranks": list(label.flattening_ranks)}
+        residual = hvariety.orbit_label_residual(opts.cube, label)
+        if residual is not None:
+            data["residual"] = residual
         return [claim("classify/input", "orbit classification of the given cube",
-                      True, {"label": label.label, "hyperdet": label.hyperdet,
-                             "ranks": list(label.flattening_ranks)})]
+                      residual is None, data)]
 
     claims: list[Claim] = []
     expected = {"origin": "origin", "p1": "O1", "p2": "O2", "p3": "O3", "p4": "O4"}

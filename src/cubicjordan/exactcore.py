@@ -21,7 +21,8 @@ and ``rref`` return ``Fraction``.
 
 Work at a rational point runs in integers over one common denominator,
 as FLINT's ``fmpq_poly`` keeps an integer polynomial with one denominator
-(Hart, ICMS 2010).  ``compile_batch`` turns a fixed batch of polynomials
+(Hart, ICMS 2010); ``over_common_denominator`` gives rationals that form.
+``compile_batch`` turns a fixed batch of polynomials
 into one generated straight-line function with integer coefficients,
 which callers build once and call at every point; ``evaluate_all`` and
 ``Poly.evaluate`` compile for one use.  ``rref`` eliminates fraction-free
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Collection, Iterable, Mapping, Sequence, Union
 
 from .errors import ContextError, ShapeError, SkewError
 
@@ -63,6 +64,13 @@ def _frac(value: Rational) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def over_common_denominator(values: Collection[Rational]) -> tuple[list[int], int]:
+    """Integer numerators of rationals over their least common denominator,
+    and that denominator."""
+    q = lcm(*(v.denominator for v in values))
+    return [v.numerator * (q // v.denominator) for v in values], q
 
 
 class Ring:
@@ -718,10 +726,7 @@ def rref(rows: Sequence[Sequence[Rational]], ncols: int
     them stay integer multiples of the rational ones, which is all that
     callers need: they test those rows only for zero.
     """
-    work = []
-    for r in rows:
-        den = lcm(*(v.denominator for v in r))
-        work.append([v.numerator * (den // v.denominator) for v in r])
+    work = [over_common_denominator(r)[0] for r in rows]
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
@@ -862,7 +867,7 @@ def span_compare(a: Sequence[Poly], b: Sequence[Poly]) -> SpanResult:
             if p.ring != ring:
                 raise ContextError("span comparison across ring contexts")
     k = len(a)
-    stacked = [[p.terms.get(m, Fraction(0)) for p in polys]
+    stacked = [[p.terms.get(m, 0) for p in polys]
                for m in sorted({m for p in polys for m in p.terms})]
     witnesses = []
     for rows, width in ((stacked, k), ([r[k:] + r[:k] for r in stacked], len(b))):

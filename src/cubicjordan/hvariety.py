@@ -15,6 +15,10 @@ Generator order (labels used everywhere):
     g3a, g3b   third pair
     g4, g5, g6 idempotent components
 
+Rational cubes are moved under the group, and their hyperdeterminant is
+taken, in integers over one common denominator, which is divided out once
+at the end.
+
 Sampling uses explicitly seeded generators passed by the caller; there is
 no hidden global randomness.
 """
@@ -28,11 +32,12 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import coord8, jordan
-from .coord8 import (ALL_VARS, COORD_VARS, PARAM_VARS, X_VARS, U_VARS,
+from .coord8 import (ALL_VARS, COORD_VARS, INDEX_TRIPLES, PARAM_VARS, X_VARS, U_VARS,
                      Hypermatrix, coord_ring, d_entry, d_matrix, p_name, x_name)
 from .errors import InternalError, ShapeError, SingularGroupElement
 from .exactcore import (Batch, EquationSet, Poly, PolyMatrix, Rational, Ring, _frac,
-                        compile_batch, rank, span_compare, substitute_all)
+                        compile_batch, over_common_denominator, rank, span_compare,
+                        substitute_all)
 
 GEN_LABELS = ("g1a", "g1b", "g2a", "g2b", "g3a", "g3b", "g4", "g5", "g6")
 
@@ -100,7 +105,7 @@ class GroupElement:
 
 def _perm_images(perm: tuple[int, int, int], value) -> dict:
     """Variable images under the index permutation, with ``value(name)``
-    the image carrier of a variable (a Poly or a rational).
+    the image carrier of a variable (a Poly, a rational or an integer).
 
     Indices permute by ``perm`` on the idempotent and pair blocks, and the
     cube entry with index word A maps to the entry with word A composed
@@ -122,7 +127,8 @@ def _factor_images(r: int, entries, value) -> dict:
     """Images of the variables moved by one 2x2 factor acting on slot r.
 
     ``entries`` are the factor's a, b, c, d in row order and ``value(name)``
-    is the image carrier of a variable; they may be Polys or rationals.
+    is the image carrier of a variable; they may be Polys, rationals or
+    integers.
     """
     a, b, c, d = entries
     det = a * d - b * c
@@ -149,7 +155,7 @@ def substitution_of(g: GroupElement, ring: Ring) -> dict[str, Poly]:
     The substitutions compose in the order factor 1, 2, 3, then the
     permutation: the image of a variable under factor 1 has the images of
     factor 2 substituted into it, and so on.  A point therefore moves the
-    opposite way (see ``apply_group_to_point``).
+    opposite way (see ``apply_group_to_cube``).
     """
     g.validate()
     sub: dict[str, Poly] = {n: ring.var(n) for n in ALL_VARS}
@@ -162,27 +168,39 @@ def substitution_of(g: GroupElement, ring: Ring) -> dict[str, Poly]:
     return sub
 
 
-def apply_group_to_point(g: GroupElement, point: Mapping[str, Rational]) -> dict[str, Fraction]:
-    """Image of a rational 17-coordinate point under the group element.
-
-    The value of ``substitution_of(g)`` at the point, computed on the
-    rationals: the point is permuted first, then factors 3, 2 and 1 act.
-    """
-    g.validate()
-    vals = {n: _frac(point.get(n, 0)) for n in ALL_VARS}
-    if g.perm != (1, 2, 3):
-        vals.update(_perm_images(g.perm, vals.__getitem__))
-    for r, factor in reversed(list(enumerate(g.factors(), start=1))):
-        if factor is not None:
-            entries = [e.constant_value() for e in factor.entries]
-            vals.update(_factor_images(r, entries, vals.__getitem__))
-    return vals
+def _integer_factor(factor: PolyMatrix) -> tuple[list[int], int]:
+    """The entries a, b, c, d of a rational 2x2 factor as integers over
+    their common denominator s, with the guards of ``GroupElement.validate``:
+    a factor that is not 2x2 or has zero determinant is rejected."""
+    if (factor.rows, factor.cols) != (2, 2):
+        raise ShapeError("group factors must be 2x2")
+    (a, b, c, d), s = over_common_denominator([e.constant_value() for e in factor.entries])
+    if a * d == b * c:
+        raise SingularGroupElement("rational factor with zero determinant")
+    return [a, b, c, d], s
 
 
 def apply_group_to_cube(g: GroupElement, P: Hypermatrix) -> Hypermatrix:
-    point = {p_name(*t): v for t, v in P.as_fractions().items()}
-    image = apply_group_to_point(g, point)
-    return Hypermatrix.from_named(image)
+    """Image of a rational cube under a group element with rational factors.
+
+    The value of ``substitution_of(g)`` at the cube, moving only the eight
+    cube entries: the cube is permuted first, then factors 3, 2 and 1 act.
+    They act by g1 (x) g2 (x) g3, so one denominator carries through: the
+    entries are integers over the cube's common denominator q, each factor
+    mixes them by its integer entries over its own denominator s, and the
+    images are divided by q times the product of the s once at the end.
+    """
+    factors = [(r, _integer_factor(factor))
+               for r, factor in enumerate(g.factors(), start=1) if factor is not None]
+    nums, den = over_common_denominator(P.as_fractions().values())
+    vals = dict.fromkeys(ALL_VARS, 0)
+    vals.update(zip(PARAM_VARS, nums))
+    if g.perm != (1, 2, 3):
+        vals.update(_perm_images(g.perm, vals.__getitem__))
+    for r, (entries, s) in reversed(factors):
+        vals.update(_factor_images(r, entries, vals.__getitem__))
+        den *= s
+    return Hypermatrix({t: Fraction(vals[n], den) for t, n in zip(INDEX_TRIPLES, PARAM_VARS)})
 
 
 def apply_group_to_equations(g: GroupElement, eqs: EquationSet) -> EquationSet:
@@ -271,9 +289,17 @@ def swap_all_factors_certificate() -> EquivarianceReport:
 
 
 def hyperdeterminant(P: Hypermatrix, ring: Ring | None = None) -> "Poly | Fraction":
-    """Degree-four invariant of the 2x2x2 cube (Cayley's form)."""
+    """Degree-four invariant of the 2x2x2 cube (Cayley's form).
+
+    A rational cube without a ring is evaluated on the integer numerators
+    of its entries over their common denominator q, and the value is
+    divided by q^4 once; otherwise the form is expanded over the ring.
+    """
+    scale = None
     if ring is None and P.is_rational():
-        p = P.as_fractions()
+        nums, q = over_common_denominator(P.entries.values())
+        p = dict(zip(INDEX_TRIPLES, nums))
+        scale = q ** 4
     else:
         if ring is None:
             ring = coord_ring(True)
@@ -292,7 +318,8 @@ def hyperdeterminant(P: Hypermatrix, ring: Ring | None = None) -> "Poly | Fracti
              + p[(1, 1, 2)] * p[(1, 2, 1)] * p[(2, 1, 2)] * p[(2, 2, 1)])
     diag = (p[(1, 1, 1)] * p[(1, 2, 2)] * p[(2, 1, 2)] * p[(2, 2, 1)]
             + p[(1, 1, 2)] * p[(1, 2, 1)] * p[(2, 1, 1)] * p[(2, 2, 2)])
-    return squares - 2 * cross + 4 * diag
+    value = squares - 2 * cross + 4 * diag
+    return value if scale is None else Fraction(value, scale)
 
 
 def flattening(P: Hypermatrix, axis: int) -> list[list[Fraction]]:
@@ -339,16 +366,42 @@ def classify_orbit(P: Hypermatrix) -> OrbitLabel:
     return OrbitLabel("O3", det, ranks)
 
 
+def orbit_label_residual(P: Hypermatrix, label: OrbitLabel) -> str | None:
+    """The first invariant of ``label`` that an independent route at the
+    rational cube contradicts, or None.
+
+    The hyperdeterminant is checked against the symbolic Cayley form
+    evaluated at the cube, and each flattening's "rank <= 1" against the
+    vanishing of its six 2x2 minors.
+    """
+    ring = coord_ring(True)
+    form = hyperdeterminant(Hypermatrix.symbolic(ring), ring)
+    value = form.evaluate(dict(zip(PARAM_VARS, P.as_fractions().values())))
+    if value != label.hyperdet:
+        return f"D_H = {label.hyperdet}, but the Cayley form at the cube is {value}"
+    for axis, r in zip((1, 2, 3), label.flattening_ranks):
+        top, bottom = flattening(P, axis)
+        minors_vanish = all(top[i] * bottom[j] == top[j] * bottom[i]
+                            for i in range(4) for j in range(i + 1, 4))
+        if (r <= 1) != minors_vanish:
+            return (f"flattening {axis} has rank {r}, but its 2x2 minors "
+                    f"{'all' if minors_vanish else 'do not all'} vanish")
+    return None
+
+
 _PERMUTATIONS = ((1, 2, 3), (2, 3, 1), (3, 1, 2), (2, 1, 3), (1, 3, 2), (3, 2, 1))
 
 
-def _random_invertible(rng: random.Random) -> PolyMatrix:
-    """Random invertible 2x2 factor with small rational entries."""
-    ring = coord_ring(True)
+# every value a/b of a factor entry, indexed by a + 5 and b - 1
+_FACTOR_VALUES = tuple(tuple(Fraction(a, b) for b in range(1, 4)) for a in range(-5, 6))
+
+
+def _random_invertible(rng: random.Random, ring: Ring) -> PolyMatrix:
+    """Random invertible 2x2 factor over ``ring`` with small rational entries."""
     while True:
-        m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(2)]
-             for _ in range(2)]
-        if m[0][0] * m[1][1] - m[0][1] * m[1][0] != 0:
+        m = [[_FACTOR_VALUES[rng.randint(-5, 5) + 5][rng.randint(1, 3) - 1]
+              for _ in range(2)] for _ in range(2)]
+        if m[0][0] * m[1][1] != m[0][1] * m[1][0]:
             return PolyMatrix.from_rows(ring, m)
 
 
@@ -360,13 +413,14 @@ def translate_invariance(seed: int) -> dict:
     stream.
     """
     rng = random.Random(f"{seed}:classify")
+    ring = coord_ring(True)
     translates = unstable = 0
     for name in ("p1", "p2", "p3", "p4"):
         P = representative(name)
         want = classify_orbit(P).label
         for _ in range(20):
-            g = GroupElement(g1=_random_invertible(rng), g2=_random_invertible(rng),
-                             g3=_random_invertible(rng), perm=rng.choice(_PERMUTATIONS))
+            g = GroupElement(_random_invertible(rng, ring), _random_invertible(rng, ring),
+                             _random_invertible(rng, ring), rng.choice(_PERMUTATIONS))
             translates += 1
             if classify_orbit(apply_group_to_cube(g, P)).label != want:
                 unstable += 1

@@ -22,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import prod
 from typing import Mapping, Sequence, Union
 
-from .exactcore import Poly, Rational, Ring, directional_derivative, substitute_all
+from .exactcore import (Poly, Rational, Ring, directional_derivative, over_common_denominator,
+                        substitute_all)
 
 Element = tuple[Poly, ...]
 Sigma = Union[Element, Sequence[Rational]]  # an element or its rational coordinates
@@ -337,8 +338,7 @@ def _rational_parts(p: JordanPresentation, sigma: Sigma) -> _Parts | None:
             return None
         sigma = [c.constant_value() for c in sigma]
     gram, quadrics, _ = tables
-    den = lcm(*(v.denominator for v in sigma))
-    s = [v.numerator * (den // v.denominator) for v in sigma]
+    s, _ = over_common_denominator(sigma)
     sharp = [sum(c * s[i] * s[j] for i, j, c in q) for q in quadrics]
     trace = [sum(c * s[i] for i, c in col) for col in gram]
     return s, sharp, trace

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cubicjordan import cli, coord8, grading
+from cubicjordan import cli, coord8, grading, hvariety
 from cubicjordan.errors import ContextError
 
 
@@ -31,6 +31,43 @@ def test_classify_file_output(tmp_path, capsys):
     assert run(["classify", "--hypermatrix", str(cube)]) == 0
     out = capsys.readouterr().out
     assert "O3, D_H = 0, flattening ranks (2, 2, 2)" in out
+
+
+def _classify_report(tmp_path, text):
+    cube = tmp_path / "cube.txt"
+    cube.write_text(text)
+    report = tmp_path / "report.json"
+    code = run(["classify", "--hypermatrix", str(cube), "--json", str(report)])
+    return code, json.loads(report.read_text())["claims"][0]
+
+
+def test_classify_input_fails_on_a_wrong_hyperdeterminant(tmp_path, monkeypatch, capsys):
+    real = hvariety.hyperdeterminant
+
+    def off_by_one(P, ring=None):
+        value = real(P, ring)
+        return value + 1 if ring is None else value
+
+    monkeypatch.setattr(hvariety, "hyperdeterminant", off_by_one)
+    code, got = _classify_report(tmp_path, "1/2 -3/4 2/3 5 -1/7 0 3/2 -2")
+    assert code == 1 and got["status"] == "fail"
+    assert got["data"]["residual"] == ("D_H = -6527/3136, but the Cayley form at "
+                                       "the cube is -9663/3136")
+    assert "first failing claim: classify/input: D_H" in capsys.readouterr().err
+
+
+def test_classify_input_fails_on_a_wrong_flattening_rank(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(hvariety, "rank", lambda rows: 2)
+    code, got = _classify_report(tmp_path, "1 0 0 0 0 0 0 0")
+    assert code == 1 and got["status"] == "fail"
+    assert got["data"]["residual"] == ("flattening 1 has rank 2, but its 2x2 minors "
+                                       "all vanish")
+
+
+def test_classify_input_passes_with_the_same_data(tmp_path, capsys):
+    code, got = _classify_report(tmp_path, "1/2 -3/4 2/3 5 -1/7 0 3/2 -2")
+    assert code == 0
+    assert got["data"] == {"label": "O4", "hyperdet": "-9663/3136", "ranks": [2, 2, 2]}
 
 
 def test_bad_hypermatrix_is_input_error(tmp_path, capsys):

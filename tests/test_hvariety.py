@@ -1,15 +1,20 @@
 """Defining equations, group action, orbits, fibers, charts and sampling."""
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubicjordan import hvariety
-from cubicjordan.coord8 import ALL_VARS, COORD_VARS, Hypermatrix, coord_ring
-from cubicjordan.errors import SingularGroupElement
+from cubicjordan.coord8 import ALL_VARS, COORD_VARS, PARAM_VARS, Hypermatrix, coord_ring
+from cubicjordan.errors import ShapeError, SingularGroupElement
 from cubicjordan.exactcore import PolyMatrix, span_compare
 from cubicjordan.hvariety import GroupElement, representative
 
@@ -64,6 +69,12 @@ def test_singular_factor_rejected():
         GroupElement(g1=bad).validate()
 
 
+def _moved_point(g, point):
+    """The value of the group element's substitution at a rational point."""
+    sub = hvariety.substitution_of(g, coord_ring(True))
+    return {n: sub[n].evaluate(point) for n in ALL_VARS}
+
+
 def test_group_action_preserves_sampled_points():
     rng = random.Random("action-points")
     point = hvariety.sample_point(rng)
@@ -72,7 +83,7 @@ def test_group_action_preserves_sampled_points():
         g1=PolyMatrix.from_rows(ring, [[1, 2], [0, 1]]),
         g2=PolyMatrix.from_rows(ring, [[3, 0], [1, 1]]),
         perm=(2, 3, 1))
-    moved = hvariety.apply_group_to_point(g, point)
+    moved = _moved_point(g, point)
     eqs = hvariety.equations()
     assert all(gen.evaluate(moved) == 0 for gen in eqs.gens)
 
@@ -86,25 +97,58 @@ _factor = st.one_of(st.none(), st.tuples(*[_small] * 4))
 @given(factors=st.tuples(_factor, _factor, _factor),
        point=st.tuples(*[_small] * len(ALL_VARS)))
 def test_rational_action_is_the_symbolic_substitution_evaluated(perm, factors, point):
+    # the integer cube action gives the cube entries of the substitution's
+    # value at the point, whatever the algebra coordinates are
     ring = coord_ring(True)
     mats = [None if f is None else PolyMatrix.from_rows(ring, [f[:2], f[2:]])
             for f in factors]
     g = GroupElement(*mats, perm=perm)
     values = dict(zip(ALL_VARS, point))
+    cube = Hypermatrix.from_named(values)
     if any(f is not None and f[0] * f[3] == f[1] * f[2] for f in factors):
         with pytest.raises(SingularGroupElement):
-            hvariety.apply_group_to_point(g, values)
+            hvariety.apply_group_to_cube(g, cube)
         return
-    sub = hvariety.substitution_of(g, ring)
-    assert hvariety.apply_group_to_point(g, values) == \
-        {n: sub[n].evaluate(values) for n in ALL_VARS}
+    moved = hvariety.apply_group_to_cube(g, cube)
+    assert moved == Hypermatrix.from_named(_moved_point(g, values))
+    assert all(type(v) is Fraction for v in moved.entries.values())
 
 
 def test_rational_action_rejects_a_singular_factor():
     ring = coord_ring(True)
     g = GroupElement(g2=PolyMatrix.from_rows(ring, [[1, 2], [2, 4]]), perm=(2, 1, 3))
     with pytest.raises(SingularGroupElement):
-        hvariety.apply_group_to_point(g, {"p111": 1})
+        hvariety.apply_group_to_cube(g, Hypermatrix({(1, 1, 1): 1}))
+    with pytest.raises(SingularGroupElement):
+        hvariety.substitution_of(g, ring)
+
+
+def test_rational_action_rejects_a_factor_that_is_not_2x2():
+    ring = coord_ring(True)
+    g = GroupElement(g1=PolyMatrix.from_rows(ring, [[1, 0, 0], [0, 1, 0]]))
+    with pytest.raises(ShapeError):
+        hvariety.apply_group_to_cube(g, Hypermatrix({(1, 1, 1): 1}))
+    with pytest.raises(ShapeError):
+        hvariety.substitution_of(g, ring)
+
+
+# sha256 of the 80 translated cubes of ``translate_invariance(7)``, one
+# ``to_text()`` a line: the draws and the action's values stay as they were.
+TRANSLATES_SEED7_SHA256 = "e24f1297fa0ce8ee4cf2bc42fff54eef4fe407b9c81d25b9d3a83c25b5c961ee"
+
+
+def test_translated_cubes_at_seed_7_are_pinned():
+    rng = random.Random("7:classify")
+    ring = coord_ring(True)
+    texts = []
+    for name in ("p1", "p2", "p3", "p4"):
+        for _ in range(20):
+            g = GroupElement(g1=hvariety._random_invertible(rng, ring),
+                             g2=hvariety._random_invertible(rng, ring),
+                             g3=hvariety._random_invertible(rng, ring),
+                             perm=rng.choice(hvariety._PERMUTATIONS))
+            texts.append(hvariety.apply_group_to_cube(g, representative(name)).to_text())
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == TRANSLATES_SEED7_SHA256
 
 
 # -- hyperdeterminant and orbits ------------------------------------------------
@@ -117,6 +161,16 @@ def test_hyperdeterminant_values():
     assert hvariety.hyperdeterminant(P) == 1
 
 
+@settings(max_examples=40, deadline=None)
+@given(entries=st.tuples(*[_small] * 8))
+def test_integer_hyperdeterminant_is_the_cayley_form_evaluated(entries):
+    ring = coord_ring(True)
+    form = hvariety.hyperdeterminant(Hypermatrix.symbolic(ring), ring)
+    got = hvariety.hyperdeterminant(Hypermatrix.from_named(dict(zip(PARAM_VARS, entries))))
+    assert type(got) is Fraction
+    assert got == form.evaluate(dict(zip(PARAM_VARS, entries)))
+
+
 def test_classification_of_representatives():
     expected = {"origin": "origin", "p1": "O1", "p2": "O2", "p3": "O3", "p4": "O4"}
     for name, want in expected.items():
@@ -126,6 +180,23 @@ def test_classification_of_representatives():
 
 def test_translates_keep_their_orbit_label():
     assert hvariety.translate_invariance(7) == {"translates": 80, "unstable": 0}
+
+
+# sha256 of the standard output of ``orbit_census.py --cubes 200 --seed 0``
+CENSUS_SHA256 = "21da82640dea02494117d132509dbac68e8c9deb727343e1558eb04c262d6269"
+
+
+def test_orbit_census_script_runs():
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "orbit_census.py"), "--cubes", "200",
+         "--seed", "0"], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])})
+    assert done.returncode == 0, done.stderr
+    counts = [int(line.split()[1]) for line in done.stdout.split("\n\n")[0].splitlines()]
+    assert sum(counts) == 200
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == CENSUS_SHA256
 
 
 def test_p3_diagnostics():
