@@ -26,8 +26,8 @@ from typing import Mapping, Sequence
 
 from . import jordan
 from .errors import ShapeError
-from .exactcore import (Poly, PolyMatrix, Rational, Ring, _frac,
-                        parse_rational, substitute_all)
+from .exactcore import (Batch, Poly, PolyMatrix, Rational, Ring, _frac, compile_batch,
+                        parse_rational)
 from .jordan import Element, JordanPresentation
 
 X_VARS = ("x11", "x21", "x12", "x22", "x13", "x23")
@@ -197,13 +197,39 @@ def _symbolic_forms() -> tuple[Poly, tuple[Poly, ...]]:
     return Fraction(1, 3) * total, sharp
 
 
-def _at_cube(forms: tuple[Poly, ...], P: Hypermatrix | None) -> list[Poly]:
-    """The forms with the cube entries set to those of P, over the nine
-    coordinates, in one substitution; ``P=None`` keeps them symbolic."""
+@cache
+def _cube_batch() -> tuple[Ring, tuple[tuple[int, tuple], ...], Batch]:
+    """The coefficients of the symbolic forms, compiled once to specialize
+    them at any rational cube.
+
+    Every term of the cubic (form 0) and of the nine sharps (forms 1-9)
+    splits as (polynomial in the eight parameters) x (coordinate monomial).
+    The keys list (form, coordinate monomial) in the order the terms first
+    meet them, and the batch returns each key's coefficient polynomial.
+    """
+    cubic, sharp = _symbolic_forms()
+    n = len(COORD_VARS)
+    coeffs: dict[tuple[int, tuple], dict] = {}
+    for f, form in enumerate((cubic, *sharp)):
+        for m, c in form.terms.items():
+            coeffs.setdefault((f, m[:n]), {})[(0,) * n + m[n:]] = c
+    batch = compile_batch([Poly(cubic.ring, t) for t in coeffs.values()])
+    return coord_ring(False), tuple(coeffs), batch
+
+
+def _at_cube(P: Hypermatrix | None) -> list[Poly]:
+    """The cubic and the nine sharps with the cube entries set to those of
+    P, over the nine coordinates: one call of ``_cube_batch``'s compiled
+    coefficients.  ``P=None`` keeps them symbolic."""
     if P is None:
-        return list(forms)
-    values = {p_name(*t): v for t, v in P.as_fractions().items()}
-    return substitute_all(forms, values, coord_ring(False))
+        cubic, sharp = _symbolic_forms()
+        return [cubic, *sharp]
+    ring, keys, batch = _cube_batch()
+    terms: list[dict] = [{} for _ in range(1 + len(COORD_VARS))]
+    for (f, m), c in zip(keys, batch({p_name(*t): v for t, v in P.as_fractions().items()})):
+        if c:
+            terms[f][m] = c.numerator if c.denominator == 1 else c
+    return [Poly(ring, t) for t in terms]
 
 
 def cubic_form(P: Hypermatrix | None = None) -> Poly:
@@ -212,7 +238,7 @@ def cubic_form(P: Hypermatrix | None = None) -> Poly:
     ``P=None`` keeps the eight parameters symbolic; a rational cube
     specializes the symbolic expansion, over the nine coordinates alone.
     """
-    return _at_cube(_symbolic_forms()[:1], P)[0]
+    return _at_cube(P)[0]
 
 
 def presentation(P: Hypermatrix | None = None) -> JordanPresentation:
@@ -222,8 +248,7 @@ def presentation(P: Hypermatrix | None = None) -> JordanPresentation:
     a presentation over the nine coordinates alone.
     """
     unit = tuple(Fraction(1) if n in U_VARS else Fraction(0) for n in COORD_VARS)
-    cubic, sharp = _symbolic_forms()
-    cubic, *sharp = _at_cube((cubic, *sharp), P)
+    cubic, *sharp = _at_cube(P)
     return JordanPresentation(
         ring=cubic.ring,
         coords=COORD_VARS,

@@ -413,7 +413,8 @@ def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, "Poly | Rational
 
     A constant image p/q (a rational or a constant Poly) of a variable with
     top power E in the batch folds into the coefficients: a term with x^e
-    is multiplied by the integer p^e q^(E - e), and the collected terms are
+    is multiplied by the integer p^e q^(E - e), the integers of all constant
+    images first and the coefficient once, and the collected terms are
     divided once by the product of the q^E.  Each non-constant image has
     its powers built once, one multiplication per step, and the product of
     image powers of each term is formed once per batch and reused by every
@@ -460,10 +461,13 @@ def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, "Poly | Rational
     for p in polys:
         out: dict = {}
         for m, c in p.terms.items():
-            for i, table in tables:
-                c *= table[m[i]]
-            if not c:
-                continue
+            if tables:
+                f = 1
+                for i, table in tables:
+                    f *= table[m[i]]
+                if not f:
+                    continue
+                c *= f
             exp = [0] * target.nvars
             for i, t in passthrough:
                 exp[t] = m[i]

@@ -392,15 +392,14 @@ def orbit_label_residual(P: Hypermatrix, label: OrbitLabel) -> str | None:
 _PERMUTATIONS = ((1, 2, 3), (2, 3, 1), (3, 1, 2), (2, 1, 3), (1, 3, 2), (3, 2, 1))
 
 
-# every value a/b of a factor entry, indexed by a + 5 and b - 1
+# every value a/b of a factor entry, in rows a = -5..5 of columns b = 1..3
 _FACTOR_VALUES = tuple(tuple(Fraction(a, b) for b in range(1, 4)) for a in range(-5, 6))
 
 
 def _random_invertible(rng: random.Random, ring: Ring) -> PolyMatrix:
     """Random invertible 2x2 factor over ``ring`` with small rational entries."""
     while True:
-        m = [[_FACTOR_VALUES[rng.randint(-5, 5) + 5][rng.randint(1, 3) - 1]
-              for _ in range(2)] for _ in range(2)]
+        m = [[rng.choice(rng.choice(_FACTOR_VALUES)) for _ in range(2)] for _ in range(2)]
         if m[0][0] * m[1][1] != m[0][1] * m[1][0]:
             return PolyMatrix.from_rows(ring, m)
 
@@ -524,12 +523,14 @@ def fiber_certificate_p3() -> FiberReport:
 
 _ZERO = Fraction(0)  # the unset coordinates of every sampled point
 
-# every value a/b of ``_rand``, indexed by a + 9 and b - 1
+# every value a/b of ``_rand``, in rows a = -9..9 of columns b = 1..4
 _RAND_VALUES = tuple(tuple(Fraction(a, b) for b in range(1, 5)) for a in range(-9, 10))
 
 
 def _rand(rng: random.Random) -> Fraction:
-    return _RAND_VALUES[rng.randint(-9, 9) + 9][rng.randint(1, 4) - 1]
+    """a/b with a uniform in -9..9, then b uniform in 1..4: one
+    ``Random._randbelow`` call each, as ``randint`` would make."""
+    return rng.choice(rng.choice(_RAND_VALUES))
 
 
 def _rand_nonzero(rng: random.Random) -> Fraction:

@@ -23,13 +23,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .exactcore import (Poly, Rational, Ring, directional_derivative, over_common_denominator,
                         substitute_all)
 
 Element = tuple[Poly, ...]
 Sigma = Union[Element, Sequence[Rational]]  # an element or its rational coordinates
+
+
+class _Tables(NamedTuple):
+    """Integer tables of ``JordanPresentation._rational_tables``."""
+
+    gram: list[list[tuple[int, int]]]
+    gram_den: int
+    sharp: list[list[tuple[int, int, int]]]
+    polar: list[list[list[tuple[int, int]]]]
+    sharp_den: int
 
 
 @dataclass(frozen=True)
@@ -108,28 +118,38 @@ class JordanPresentation:
         c x^a (rest) contributes c a_i unit^(a - e_i) (rest) to the i-th
         partial and c a_i (a_j - [i = j]) unit^(a - e_i - e_j) (rest) to the
         (i, j) one, where unit^b is the product of the unit's coordinates
-        raised to b.
+        raised to b.  That product vanishes unless b is zero on every
+        coordinate where the unit is, so a term whose exponent there sums to
+        more than two is skipped, and so is every index pair that leaves
+        some of that sum behind.
         """
         n = self.dim()
         pos = [self.ring.index(name) for name in self.coords]
+        coords = set(pos)
         # integral unit coordinates as ints, so that multipliers stay ints
         unit = [int(u) if u.denominator == 1 else u for u in self.unit]
+        at_zero = [not u for u in unit]
+        zeros = [k for k in range(n) if at_zero[k]]
+        powered = [k for k in range(n) if unit[k] not in (0, 1)]  # the rest give 1
         grad: list[dict] = [{} for _ in range(n)]
         hess: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
 
         def add(acc: dict, rest: tuple, c: Rational, mult: int, b: list[int]) -> None:
-            mult *= prod(unit[k] ** e for k, e in enumerate(b) if e)
-            if mult:
-                acc[rest] = acc.get(rest, 0) + c * mult
+            acc[rest] = acc.get(rest, 0) + c * (mult * prod(unit[k] ** b[k] for k in powered))
 
         for m, c in self.cubic.terms.items():
             a = [m[k] for k in pos]
-            rest = tuple(0 if k in pos else e for k, e in enumerate(m))
+            left = sum(a[k] for k in zeros)  # exponent on the unit's zeros
+            if left > 2:
+                continue
+            rest = tuple(0 if k in coords else e for k, e in enumerate(m))
             for i in (i for i in range(n) if a[i]):
+                li = left - at_zero[i]
                 ai = a.copy()
                 ai[i] -= 1
-                add(grad[i], rest, c, a[i], ai)
-                for j in (j for j in range(n) if ai[j]):
+                if not li:
+                    add(grad[i], rest, c, a[i], ai)
+                for j in (j for j in range(n) if ai[j] and li == at_zero[j]):
                     aij = ai.copy()
                     aij[j] -= 1
                     add(hess[i][j], rest, c, a[i] * ai[j], aij)
@@ -138,33 +158,38 @@ class JordanPresentation:
                 [Poly.collect(self.ring, g) for g in grad])
 
     @cached_property
-    def _rational_tables(self) -> tuple[list, list, list] | None:
-        """The trace form and the sharp map as rational coefficient tables,
-        or None when the ring carries parameters besides the coordinates.
+    def _rational_tables(self) -> _Tables | None:
+        """The trace form and the sharp map as integer coefficient tables
+        over one denominator each, or None when the ring carries parameters
+        besides the coordinates.
 
-        ``gram[j]`` lists ``(i, c)`` with T(x, e_j) = sum of c x_i;
-        ``sharp[k]`` lists ``(i, j, c)`` with x#_k = sum of c x_i x_j; and
-        ``polar[m][k]`` lists ``(i, c)`` with (a # e_m)_k = sum of c a_i,
-        the k-th sharp quadric polarized against the basis vector e_m.
-        Integral coefficients are ints, as in ``Poly``.
+        ``gram[j]`` lists ``(i, c)`` with T(x, e_j) = sum of c x_i / gram_den;
+        ``sharp[k]`` lists ``(i, j, c)`` with x#_k = sum of c x_i x_j / sharp_den;
+        and ``polar[m][k]`` lists ``(i, c)`` with (a # e_m)_k = sum of
+        c a_i / sharp_den, the k-th sharp quadric polarized against the
+        basis vector e_m, which has the coefficients of ``sharp``.
         """
         if self.ring.names != self.coords:
             return None
         n = self.dim()
         hess, grad = self._gram
-        g = [c.constant_value() for c in grad]
-        gram = [[(i, c.numerator if c.denominator == 1 else c) for i in range(n)
-                 if (c := g[i] * g[j] - hess[i][j].constant_value())]
+        origin = (0,) * n
+        g, q = over_common_denominator([c.terms.get(origin, 0) for c in grad])
+        h, r = over_common_denominator([c.terms.get(origin, 0) for row in hess for c in row])
+        # T(e_i, e_j) = g_i g_j / q^2 - h_ij / r
+        gram = [[(i, c) for i in range(n) if (c := g[i] * g[j] * r - h[n * i + j] * q * q)]
                 for j in range(n)]
+        coeffs, sharp_den = over_common_denominator(
+            [c for q in self.sharp for c in q.terms.values()])
         sharp = [[] for _ in range(n)]
         polar = [[[] for _ in range(n)] for _ in range(n)]
-        for k, q in enumerate(self.sharp):
-            for m, c in q.terms.items():
-                i, j = [v for v, e in enumerate(m) for _ in range(e)]
-                sharp[k].append((i, j, c))
-                polar[i][k].append((j, c))
-                polar[j][k].append((i, c))
-        return gram, sharp, polar
+        for (k, m), c in zip([(k, m) for k, q in enumerate(self.sharp) for m in q.terms],
+                             coeffs):
+            i, j = [v for v, e in enumerate(m) for _ in range(e)]
+            sharp[k].append((i, j, c))
+            polar[i][k].append((j, c))
+            polar[j][k].append((i, c))
+        return _Tables(gram, q * q * r, sharp, polar, sharp_den)
 
 
 def _target_ring(p: JordanPresentation, *elements: Element) -> Ring:
@@ -315,14 +340,15 @@ def verify_sharp_conditions(p: JordanPresentation) -> SharpConditionReport:
                                 "s3" not in residuals, residuals)
 
 
-# s, s# and the row T(s, e_j) of ``_rational_parts``
-_Parts = tuple[list[int], list[Rational], list[Rational]]
+# s, and s# and the row T(s, e_j) over the denominators of ``_rational_tables``
+_Parts = tuple[list[int], list[int], list[int]]
 
 
 def _rational_parts(p: JordanPresentation, sigma: Sigma) -> _Parts | None:
-    """A positive multiple s of sigma with integer entries, s# and the row
-    T(s, e_j), read off the rational tables; None when p has parameters or
-    sigma is not constant.
+    """A positive multiple s of sigma with integer entries, and s# and the
+    row T(s, e_j) as integers over ``sharp_den`` and ``gram_den``, read off
+    the rational tables; None when p has parameters or sigma is not
+    constant.
 
     s is sigma times the lcm of its denominators.  Both callers' tests are
     homogeneous in sigma, so they give the same answer for s: "sigma# = 0
@@ -337,10 +363,9 @@ def _rational_parts(p: JordanPresentation, sigma: Sigma) -> _Parts | None:
         if any(any(m) for c in sigma for m in c.terms):
             return None
         sigma = [c.constant_value() for c in sigma]
-    gram, quadrics, _ = tables
     s, _ = over_common_denominator(sigma)
-    sharp = [sum(c * s[i] * s[j] for i, j, c in q) for q in quadrics]
-    trace = [sum(c * s[i] for i, c in col) for col in gram]
+    sharp = [sum(c * s[i] * s[j] for i, j, c in q) for q in tables.sharp]
+    trace = [sum(c * s[i] for i, c in col) for col in tables.gram]
     return s, sharp, trace
 
 
@@ -356,9 +381,9 @@ def radical_membership(p: JordanPresentation, sigma: Sigma) -> bool:
     vanishes for a fully symbolic y exactly when every column
     U_sigma e_j = T(sigma, e_j) sigma - sigma# # e_j does.  For a constant
     sigma in a presentation without parameters the nine columns form a 9x9
-    rational matrix computed from the tables of ``_rational_tables`` for an
-    integer multiple of sigma (see ``_rational_parts``); otherwise each
-    column is expanded symbolically.
+    rational matrix, compared in cross-multiplied integers from the tables
+    of ``_rational_tables`` for an integer multiple of sigma (see
+    ``_rational_parts``); otherwise each column is expanded symbolically.
     """
     return _u_vanishes(p, sigma, _rational_parts(p, sigma))
 
@@ -371,9 +396,11 @@ def _u_vanishes(p: JordanPresentation, sigma: Sigma, parts: _Parts | None) -> bo
         return all(c.is_zero() for j in range(p.dim())
                    for c in u_operator(p, sigma, p.basis_element(j, ring)))
     s, sharp, trace = parts
-    polar = p._rational_tables[2]
-    return all(trace[m] * s[k] == sum(c * sharp[i] for i, c in polar[m][k])
-               for m in range(p.dim()) for k in range(p.dim()))
+    tables = p._rational_tables
+    # T(s, e_m) s_k = (s# # e_m)_k, both sides times gram_den sharp_den^2
+    lhs, rhs = tables.sharp_den ** 2, tables.gram_den
+    return all(lhs * trace[m] * s[k] == rhs * sum(c * sharp[i] for i, c in col)
+               for m, row in enumerate(tables.polar) for k, col in enumerate(row))
 
 
 def nondegeneracy_test_equiv(p: JordanPresentation, sigma: Sigma) -> dict[str, bool]:

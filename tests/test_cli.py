@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -185,6 +186,17 @@ def test_all_report_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == ALL_REPORT_SHA256
 
 
+# The same for ``all --seed 0 --samples 300``, the path whose draws and
+# rational radical tests grow with the sample count.
+ALL_300_REPORT_SHA256 = "a36635869e241ead2900796ff2bbe2818f5b7f2e475d1de544f6615a6a5d7b2a"
+
+
+def test_all_300_sample_report_bytes_are_pinned(tmp_path, capsys):
+    report = tmp_path / "all.json"
+    assert run(["all", "--seed", "0", "--samples", "300", "--json", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == ALL_300_REPORT_SHA256
+
+
 def test_weights_file_checking(tmp_path):
     w = tmp_path / "w.json"
     w.write_text(json.dumps({
@@ -224,6 +236,9 @@ def test_fractional_symbolic_cubic_fails_its_claim(tmp_path, monkeypatch, capsys
     x11, x12, x13 = (cubic.ring.var(n) for n in ("x11", "x12", "x13"))
     half = Fraction(1, 2) * x11 * x12 * x13
     monkeypatch.setattr(coord8, "_symbolic_forms", lambda: (cubic + half, sharp))
+    # a fresh cache, so the cubes of this test specialize the patched forms
+    # and no later test does
+    monkeypatch.setattr(coord8, "_cube_batch", cache(coord8._cube_batch.__wrapped__))
     out = tmp_path / "report.json"
     assert run(["verify-axioms", "--json", str(out)]) == 1
     claims = {c["claim_id"]: c for c in json.loads(out.read_text())["claims"]}

@@ -4,7 +4,7 @@ coordinatized algebra."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubicjordan import coord8, hvariety, jordan
@@ -12,6 +12,7 @@ from cubicjordan.coord8 import (COORD_VARS, Hypermatrix, build_peirce_table,
                                 coord_ring, cubic_form, d_matrix, sharp_from_table,
                                 sharp_map)
 from cubicjordan.errors import ShapeError
+from cubicjordan.exactcore import substitute_all
 
 
 def symbolic_setup():
@@ -161,6 +162,35 @@ def test_specialization_matches_direct_expansion(name):
 def test_specialization_matches_direct_expansion_at_random_cubes(entries):
     assert_specializes_like_direct_expansion(
         Hypermatrix(dict(zip(coord8.INDEX_TRIPLES, entries))))
+
+
+def specialize_symbolically(P):
+    """Reference for ``_at_cube``: the symbolic forms with the cube entries
+    substituted by ``substitute_all``."""
+    cubic, sharp = coord8._symbolic_forms()
+    values = {coord8.p_name(*t): v for t, v in P.as_fractions().items()}
+    return substitute_all((cubic, *sharp), values, coord_ring(False))
+
+
+def typed_terms(poly):
+    return {m: (type(c), c) for m, c in poly.terms.items()}
+
+
+_entry = st.one_of(st.integers(-9, 9), st.fractions(min_value=-9, max_value=9,
+                                                     max_denominator=6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[_entry] * 8))
+@example((0,) * 8)
+@example((Fraction(1, 2), 0, 0, Fraction(-2, 3), 0, 0, 0, 0))
+def test_compiled_specialization_is_the_substitution(entries):
+    P = Hypermatrix(dict(zip(coord8.INDEX_TRIPLES, entries)))
+    cubic, *sharp = specialize_symbolically(P)
+    pres = coord8.presentation(P)
+    assert pres.ring == cubic_form(P).ring == cubic.ring == coord_ring(False)
+    assert typed_terms(cubic_form(P)) == typed_terms(pres.cubic) == typed_terms(cubic)
+    assert [typed_terms(s) for s in pres.sharp] == [typed_terms(s) for s in sharp]
 
 
 def test_symbolic_cubic_has_integer_coefficients():

@@ -9,13 +9,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from cubicjordan import hvariety
 from cubicjordan.coord8 import ALL_VARS, COORD_VARS, PARAM_VARS, Hypermatrix, coord_ring
 from cubicjordan.errors import ShapeError, SingularGroupElement
-from cubicjordan.exactcore import PolyMatrix, span_compare
+from cubicjordan.exactcore import PolyMatrix, evaluate_all, span_compare
 from cubicjordan.hvariety import GroupElement, representative
 
 
@@ -69,10 +69,11 @@ def test_singular_factor_rejected():
         GroupElement(g1=bad).validate()
 
 
-def _moved_point(g, point):
-    """The value of the group element's substitution at a rational point."""
+def _moved_point(g, point, names=ALL_VARS):
+    """The value of the group element's substitution at a rational point,
+    on the variables ``names``."""
     sub = hvariety.substitution_of(g, coord_ring(True))
-    return {n: sub[n].evaluate(point) for n in ALL_VARS}
+    return dict(zip(names, evaluate_all([sub[n] for n in names], point)))
 
 
 def test_group_action_preserves_sampled_points():
@@ -92,8 +93,10 @@ _small = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 _factor = st.one_of(st.none(), st.tuples(*[_small] * 4))
 
 
+# no shrinking: each example expands ``substitution_of(g)`` symbolically, and
+# shrinking a failure took minutes
 @pytest.mark.parametrize("perm", hvariety._PERMUTATIONS)
-@settings(max_examples=4, deadline=None)
+@settings(max_examples=4, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(factors=st.tuples(_factor, _factor, _factor),
        point=st.tuples(*[_small] * len(ALL_VARS)))
 def test_rational_action_is_the_symbolic_substitution_evaluated(perm, factors, point):
@@ -110,7 +113,7 @@ def test_rational_action_is_the_symbolic_substitution_evaluated(perm, factors, p
             hvariety.apply_group_to_cube(g, cube)
         return
     moved = hvariety.apply_group_to_cube(g, cube)
-    assert moved == Hypermatrix.from_named(_moved_point(g, values))
+    assert moved == Hypermatrix.from_named(_moved_point(g, values, PARAM_VARS))
     assert all(type(v) is Fraction for v in moved.entries.values())
 
 
@@ -343,11 +346,27 @@ def test_nondegenerate_sweep_small():
 
 
 def test_rand_reads_the_fraction_of_its_two_draws():
-    # the table lookup makes the same two draws, in the same order, as
-    # building the fraction from them would
-    rng, ref = random.Random(11), random.Random(11)
-    for _ in range(500):
-        got = hvariety._rand(rng)
-        assert got == Fraction(ref.randint(-9, 9), ref.randint(1, 4))
-        assert type(got) is Fraction
-    assert rng.getstate() == ref.getstate()
+    # the two ``choice`` draws make the same ``_randbelow`` calls, in the
+    # same order, as the two ``randint`` draws of the fraction
+    for seed in (0, 7, 11, "3:nondegenerate", "0:radicals"):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(500):
+            got = hvariety._rand(rng)
+            assert got == Fraction(ref.randint(-9, 9), ref.randint(1, 4))
+            assert type(got) is Fraction
+        assert rng.getstate() == ref.getstate()
+
+
+def test_random_invertible_replays_the_randint_draws():
+    ring = coord_ring(True)
+    for seed in (0, 7, "7:classify", "0:classify"):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(100):
+            while True:
+                m = [[Fraction(ref.randint(-5, 5), ref.randint(1, 3)) for _ in range(2)]
+                     for _ in range(2)]
+                if m[0][0] * m[1][1] != m[0][1] * m[1][0]:
+                    break
+            got = hvariety._random_invertible(rng, ring)
+            assert got.entries == PolyMatrix.from_rows(ring, m).entries
+        assert rng.getstate() == ref.getstate()

@@ -201,11 +201,16 @@ def _both_routes(cube: str | tuple):
     P = hvariety.representative(cube) if isinstance(cube, str) else \
         coord8.Hypermatrix(dict(zip(coord8.INDEX_TRIPLES, cube)))
     p = coord8.presentation(P)
-    ring = p.ring.extend(("t",))
-    twin = JordanPresentation(ring, p.coords, p.unit, p.cubic.convert(ring),
-                              tuple(c.convert(ring) for c in p.sharp))
+    twin = _twin(p)
     assert p._rational_tables is not None and twin._rational_tables is None
     return p, twin
+
+
+def _twin(p: JordanPresentation) -> JordanPresentation:
+    """p over its ring with one unused parameter t."""
+    ring = p.ring.extend(("t",))
+    return JordanPresentation(ring, p.coords, p.unit, p.cubic.convert(ring),
+                              tuple(c.convert(ring) for c in p.sharp))
 
 
 def _separate_calls(p: JordanPresentation, sigma) -> dict[str, bool]:
@@ -244,6 +249,55 @@ def test_rational_tables_agree_with_symbolic_route(cube, kind, values, seed):
     assert jordan.nondegeneracy_test_equiv(twin, values) == slow
     assert jordan.radical_membership(p, values) == jordan.radical_membership(twin, values) \
         == fast["viaU"]
+
+
+def assert_parts_are_the_symbolic_values(p, values):
+    # s# and T(s, e_j) over the tables' denominators are the sharp and the
+    # trace form of the integer multiple s of sigma, as the symbolic twin
+    # computes them
+    twin = _twin(p)
+    tables = p._rational_tables
+    s, sharp, trace = jordan._rational_parts(p, values)
+    assert [Fraction(c, tables.sharp_den) for c in sharp] == \
+        [c.constant_value() for c in jordan.sharp_of(twin, twin.element(s))]
+    assert [Fraction(c, tables.gram_den) for c in trace] == \
+        [jordan.trace_bilinear(twin, twin.element(s), twin.basis_element(j)).constant_value()
+         for j in range(p.dim())]
+
+
+@settings(max_examples=20, deadline=None)
+@given(cube=st.tuples(*[_small] * 8), values=st.tuples(*[_small] * 9))
+@example(cube=(Fraction(2, 3),) + (0,) * 7, values=(Fraction(1, 2),) * 9)
+def test_integer_parts_are_the_symbolic_values(cube, values):
+    assert_parts_are_the_symbolic_values(_both_routes(cube)[0], values)
+
+
+def test_integer_parts_at_a_unit_off_zero_and_one():
+    # the first partials at the unit (2, 1/2, 1) carry a denominator too
+    ring = Ring(("a", "b", "c"))
+    a, b, c = ring.gens()
+    p = JordanPresentation(ring, ("a", "b", "c"),
+                           (Fraction(2), Fraction(1, 2), Fraction(1)),
+                           a * b * c, (b * c, c * a, a * b))
+    assert_parts_are_the_symbolic_values(p, (1, Fraction(-2, 3), 5))
+
+
+@pytest.mark.parametrize("name,radical", [
+    ("p1", {"x11": 1, "x22": Fraction(-4, 5), "x13": 3}),
+    ("p3", {"x11": Fraction(5, 7), "x12": -2, "x23": Fraction(1, 3)})])
+def test_integer_u_test_finds_a_radical_at_a_non_integral_cube(name, radical):
+    # the representative scaled by 2/3 keeps its radical; its tables carry
+    # denominators, which the integer U-test cross-multiplies
+    cube = tuple(Fraction(2, 3) * hvariety.representative(name).entries[t]
+                 for t in coord8.INDEX_TRIPLES)
+    p, twin = _both_routes(cube)
+    assert p._rational_tables.sharp_den > 1
+    off = {**radical, "x21": Fraction(1, 2)}
+    for values, want in ((radical, True), (off, False)):
+        assert jordan.radical_membership(p, p.element(values)) is want
+        assert jordan.radical_membership(twin, twin.element(values)) is want
+        assert jordan.nondegeneracy_test_equiv(p, p.element(values)) == \
+            jordan.nondegeneracy_test_equiv(twin, twin.element(values))
 
 
 @settings(max_examples=30, deadline=None)
