@@ -18,7 +18,6 @@ symbolic input is one of the package's core certificates.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -27,7 +26,7 @@ from typing import Mapping, Sequence
 from . import jordan
 from .errors import ShapeError
 from .exactcore import (Batch, Poly, PolyMatrix, Rational, Ring, _frac, compile_batch,
-                        parse_rational)
+                        parse_json, parse_rational)
 from .jordan import Element, JordanPresentation
 
 X_VARS = ("x11", "x21", "x12", "x22", "x13", "x23")
@@ -81,7 +80,7 @@ class Hypermatrix:
         the parameter names with "a/b" string values."""
         text = text.strip()
         if text.startswith("{"):
-            data = json.loads(text)
+            data = parse_json(text)
             unknown = sorted(set(data) - set(PARAM_VARS))
             if unknown:
                 raise ValueError(f"unknown cube entries: {unknown}")

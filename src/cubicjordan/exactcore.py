@@ -47,6 +47,7 @@ the Q-linear spans of equation sets.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -552,9 +553,6 @@ class PolyMatrix:
     def get(self, i: int, j: int) -> Poly:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> list[Poly]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
     def transpose(self) -> PolyMatrix:
         return PolyMatrix(self.ring, self.cols, self.rows,
                           [self.get(i, j) for j in range(self.cols)
@@ -890,6 +888,19 @@ def span_compare(a: Sequence[Poly], b: Sequence[Poly]) -> SpanResult:
     else:
         relation = INCOMPARABLE
     return SpanResult(relation, a_in_b, b_in_a)
+
+
+def parse_json(text: str) -> object:
+    """``json.loads`` that rejects an object repeating a key, which it
+    would otherwise read as the last value given."""
+    def no_repeats(pairs: list[tuple[str, object]]) -> dict:
+        out = {}
+        for k, v in pairs:
+            if k in out:
+                raise ValueError(f"repeated key {k!r}")
+            out[k] = v
+        return out
+    return json.loads(text, object_pairs_hook=no_repeats)
 
 
 def parse_rational(text: str) -> Fraction:

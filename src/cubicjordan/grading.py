@@ -20,14 +20,14 @@ linear section.  All of it is rational arithmetic, never floating point.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Mapping, Sequence
 
 from .coord8 import ALL_VARS, PARAM_VARS, U_VARS, X_VARS
 from .errors import InfeasibleWeights, InputError, NumeratorNotDivisible
-from .exactcore import (EquationSet, Rational, _frac, parse_rational,
+from .exactcore import (EquationSet, Rational, _frac, parse_json, parse_rational,
                         rref, rref_kernel, rref_solution, solve_linear)
 
 WeightSystem = dict[str, Fraction]
@@ -48,7 +48,7 @@ def standard_weights() -> WeightSystem:
 def parse_weight_file(text: str) -> "WeightSystem | tuple[WeightSystem, WeightSystem]":
     """JSON weight file: scalar entries give one grading, two-element list
     entries give a bigrading."""
-    data = json.loads(text)
+    data = parse_json(text)
     if not isinstance(data, dict):
         raise ValueError("weight file must hold a JSON object")
     bigraded = any(isinstance(v, list) for v in data.values())
@@ -305,11 +305,6 @@ def poly1_add(a: Poly1, b: Poly1) -> Poly1:
     return out
 
 
-def poly1_eval(a: Poly1, t: Rational) -> Fraction:
-    t = _frac(t)
-    return sum((c * t ** e for e, c in a.items()), Fraction(0))
-
-
 def poly1_str(a: Poly1) -> str:
     if not a:
         return "0"
@@ -328,26 +323,6 @@ def poly1_str(a: Poly1) -> str:
     return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
-def divide_by_one_minus_t(a: Poly1) -> Poly1:
-    """Exact quotient a / (1 - t); raises when (1 - t) does not divide."""
-    if not a:
-        return {}
-    degree = max(a)
-    out: Poly1 = {}
-    carry = Fraction(0)
-    # synthetic division at the root t = 1; dividing by (1 - t) negates the
-    # quotient of division by (t - 1)
-    for e in range(degree, -1, -1):
-        carry += a.get(e, Fraction(0))
-        if e == 0:
-            if carry != 0:
-                raise NumeratorNotDivisible("numerator does not vanish at t = 1")
-        else:
-            if carry:
-                out[e - 1] = -carry
-    return out
-
-
 def hilbert_numerator(w: Mapping[str, Rational]) -> Poly1:
     """Alternating sum of shift monomials of the resolution, instantiated
     at a positive integer weight system."""
@@ -364,8 +339,29 @@ def hilbert_numerator(w: Mapping[str, Rational]) -> Poly1:
 
 
 def numerator_is_palindromic(num: Poly1, delta: int) -> bool:
-    """t^delta * Num(1/t) == Num(t)."""
-    return all(num.get(e) == num.get(delta - e) for e in range(delta + 1))
+    """t^delta * Num(1/t) == Num(t), compared in the degrees 0 to delta."""
+    return all(num.get(delta - e) == c for e, c in num.items() if 0 <= e <= delta)
+
+
+def _binomial(e: int, k: int) -> int:
+    """C(e, k) for any integer e: the t^k coefficient of (1 + t)^e."""
+    return comb(e, k) if e >= 0 else (-1) ** k * comb(k - e - 1, k)
+
+
+def _order_four_residue(num: Poly1) -> Fraction:
+    """q(1) for num = (1 - t)^4 q; raises when (1 - t)^4 does not divide.
+
+    The k-th Taylor coefficient of num at t = 1 is the sum of c_e C(e, k)
+    over the terms c_e t^e.  Order at least four means the first four
+    vanish, and q(1) is then the fourth, since (1 - t)^4 = (t - 1)^4.
+    Each costs one pass over the terms, whatever the degrees.
+    """
+    taylor = [sum((c * _binomial(e, k) for e, c in num.items()), Fraction(0))
+              for k in range(5)]
+    if any(taylor[:4]):
+        raise NumeratorNotDivisible(
+            "numerator lacks vanishing order 4 at t = 1; wrong weights")
+    return taylor[4]
 
 
 @dataclass
@@ -400,7 +396,8 @@ def fano_invariants(w: Mapping[str, Rational], sections: int = 9) -> FanoReport:
 
     The Hilbert series is the numerator over one cyclotomic-type factor
     per remaining coordinate; the degree is the exact limit of the series
-    times (1 - t)^4 at t = 1, obtained by synthetic division.
+    times (1 - t)^4 at t = 1, read off the numerator's Taylor coefficients
+    there (``_order_four_residue``).
     """
     if sections < 0:
         raise InputError("the number of sections must not be negative")
@@ -418,15 +415,7 @@ def fano_invariants(w: Mapping[str, Rational], sections: int = 9) -> FanoReport:
     # pole order at t = 1 is (#factors - 4); the section is projective of
     # dimension one less
     expected_dim = len(weights) - 4 - 1
-    quotient = dict(num)
-    try:
-        for _ in range(4):
-            quotient = divide_by_one_minus_t(quotient)
-    except NumeratorNotDivisible:
-        raise NumeratorNotDivisible(
-            "numerator lacks vanishing order 4 at t = 1; wrong weights") from None
-
-    residue = poly1_eval(quotient, 1)
+    residue = _order_four_residue(num)
     denom_product = 1
     for a in weights:
         denom_product *= a
@@ -441,9 +430,6 @@ def fano_invariants(w: Mapping[str, Rational], sections: int = 9) -> FanoReport:
 # ---------------------------------------------------------------------------
 # Two-row weight matrices of the toric construction
 # ---------------------------------------------------------------------------
-
-WTMAT_VARS = ("v",) + ALL_VARS
-
 
 def _row(v: Rational, u1: Rational, x2: Rational, x3: Rational, p: Rational,
          u2: Rational, u3: Rational, x1: Rational) -> WeightSystem:

@@ -337,6 +337,17 @@ def flattening(P: Hypermatrix, axis: int) -> list[list[Fraction]]:
     return rows
 
 
+def _flattening_rank(rows: list[list[Fraction]]) -> int:
+    """Rank of a 2x4 flattening: 0 if every entry is zero, 1 if its six
+    2x2 minors vanish, 2 otherwise."""
+    top, bottom = rows
+    if not any(top) and not any(bottom):
+        return 0
+    if all(top[i] * bottom[j] == top[j] * bottom[i] for i in range(4) for j in range(i + 1, 4)):
+        return 1
+    return 2
+
+
 @dataclass
 class OrbitLabel:
     label: str
@@ -353,7 +364,7 @@ def classify_orbit(P: Hypermatrix) -> OrbitLabel:
     cones (some rank one), and the generic degenerate orbit.
     """
     vals = P.as_fractions()
-    ranks = tuple(rank(flattening(P, axis)) for axis in (1, 2, 3))
+    ranks = tuple(_flattening_rank(flattening(P, axis)) for axis in (1, 2, 3))
     det = hyperdeterminant(P)
     if all(v == 0 for v in vals.values()):
         return OrbitLabel("origin", det, ranks)
@@ -371,8 +382,8 @@ def orbit_label_residual(P: Hypermatrix, label: OrbitLabel) -> str | None:
     rational cube contradicts, or None.
 
     The hyperdeterminant is checked against the symbolic Cayley form
-    evaluated at the cube, and each flattening's "rank <= 1" against the
-    vanishing of its six 2x2 minors.
+    evaluated at the cube, and each flattening rank against the rank that
+    exact elimination gives.
     """
     ring = coord_ring(True)
     form = hyperdeterminant(Hypermatrix.symbolic(ring), ring)
@@ -380,12 +391,9 @@ def orbit_label_residual(P: Hypermatrix, label: OrbitLabel) -> str | None:
     if value != label.hyperdet:
         return f"D_H = {label.hyperdet}, but the Cayley form at the cube is {value}"
     for axis, r in zip((1, 2, 3), label.flattening_ranks):
-        top, bottom = flattening(P, axis)
-        minors_vanish = all(top[i] * bottom[j] == top[j] * bottom[i]
-                            for i in range(4) for j in range(i + 1, 4))
-        if (r <= 1) != minors_vanish:
-            return (f"flattening {axis} has rank {r}, but its 2x2 minors "
-                    f"{'all' if minors_vanish else 'do not all'} vanish")
+        exact = rank(flattening(P, axis))
+        if r != exact:
+            return f"flattening {axis} has rank {r}, but elimination gives rank {exact}"
     return None
 
 
@@ -489,24 +497,26 @@ def degenerate_fiber_system(ring: Ring) -> tuple[PolyMatrix, tuple[Poly, ...]]:
 
 
 @dataclass
-class FiberReport:
+class LocusReport:
+    """Outcome of a fiber or radical-locus check."""
+
     name: str
     ok: bool
     detail: dict
     failures: list[str] = field(default_factory=list)
 
 
-def fiber_certificate_p4() -> FiberReport:
+def fiber_certificate_p4() -> LocusReport:
     """Span equality of the generic fiber with the nine 2x2 minors."""
     eqs = fiber_equations(representative("p4"))
     minors = _matrix_minors(open_fiber_matrix(eqs.ring))
     result = span_compare(eqs.gens, minors)
     ok = result.equal
-    return FiberReport("p4", ok, {"relation": result.relation},
+    return LocusReport("p4", ok, {"relation": result.relation},
                        [] if ok else ["fiber does not match the minor system"])
 
 
-def fiber_certificate_p3() -> FiberReport:
+def fiber_certificate_p3() -> LocusReport:
     """Span equality of the degenerate fiber with the rank-one-plus-kernel
     system of the symmetric matrix."""
     eqs = fiber_equations(representative("p3"))
@@ -514,7 +524,7 @@ def fiber_certificate_p3() -> FiberReport:
     system = _matrix_minors(sym) + list(sym.apply(vec))
     result = span_compare(eqs.gens, system)
     ok = result.equal
-    return FiberReport("p3", ok, {"relation": result.relation},
+    return LocusReport("p3", ok, {"relation": result.relation},
                        [] if ok else ["fiber does not match the degenerate system"])
 
 
@@ -599,7 +609,7 @@ def _fiber_system(name: str) -> tuple[EquationSet, Batch]:
     return eqs, compile_batch(eqs.gens)
 
 
-def fiber_component_sampling(name: str, seed: int, samples: int = 20) -> FiberReport:
+def fiber_component_sampling(name: str, seed: int, samples: int = 20) -> LocusReport:
     """Every generator of the fiber system vanishes on sampled points of
     each listed component of a reducible fiber."""
     eqs, evaluate = _fiber_system(name)
@@ -625,7 +635,7 @@ def fiber_component_sampling(name: str, seed: int, samples: int = 20) -> FiberRe
     if name in displayed and span_compare(eqs.gens, displayed[name]).relation not in (
             "equal", "a_contains_b"):
         failures.append(f"{name}: displayed component equation not in the span")
-    return FiberReport(name, not failures, {"samples": counts}, failures)
+    return LocusReport(name, not failures, {"samples": counts}, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -847,15 +857,7 @@ def _on_radical_locus(name: str, point: Mapping[str, Fraction]) -> bool:
     raise KeyError(name)
 
 
-@dataclass
-class RadicalReport:
-    name: str
-    ok: bool
-    detail: dict
-    failures: list[str] = field(default_factory=list)
-
-
-def radical_locus_check(name: str, seed: int, samples: int = 20) -> RadicalReport:
+def radical_locus_check(name: str, seed: int, samples: int = 20) -> LocusReport:
     """Sampled membership on the stated radical locus, sampled failure off
     it, agreement of the two nondegeneracy tests, and exact match of the
     specialized cubic form with its stated display."""
@@ -897,9 +899,9 @@ def radical_locus_check(name: str, seed: int, samples: int = 20) -> RadicalRepor
         if not display_ok:
             failures.append(f"{name}: specialized cubic form differs from its display")
 
-    return RadicalReport(name, not failures,
-                         {"on_locus": on_count, "off_locus": off_count,
-                          "display_ok": display_ok}, failures)
+    return LocusReport(name, not failures,
+                       {"on_locus": on_count, "off_locus": off_count,
+                        "display_ok": display_ok}, failures)
 
 
 def nondegenerate_sweep(seed: int, cubes: int = 50, sigmas_per_cube: int = 2) -> dict:

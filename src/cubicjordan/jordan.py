@@ -23,13 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence
 
 from .exactcore import (Poly, Rational, Ring, directional_derivative, over_common_denominator,
                         substitute_all)
 
 Element = tuple[Poly, ...]
-Sigma = Union[Element, Sequence[Rational]]  # an element or its rational coordinates
 
 
 class _Tables(NamedTuple):
@@ -158,10 +157,10 @@ class JordanPresentation:
                 [Poly.collect(self.ring, g) for g in grad])
 
     @cached_property
-    def _rational_tables(self) -> _Tables | None:
+    def _rational_tables(self) -> _Tables:
         """The trace form and the sharp map as integer coefficient tables
-        over one denominator each, or None when the ring carries parameters
-        besides the coordinates.
+        over one denominator each; a ``ValueError`` when the ring carries
+        parameters besides the coordinates.
 
         ``gram[j]`` lists ``(i, c)`` with T(x, e_j) = sum of c x_i / gram_den;
         ``sharp[k]`` lists ``(i, j, c)`` with x#_k = sum of c x_i x_j / sharp_den;
@@ -170,7 +169,7 @@ class JordanPresentation:
         basis vector e_m, which has the coefficients of ``sharp``.
         """
         if self.ring.names != self.coords:
-            return None
+            raise ValueError("rational tables need a presentation without parameters")
         n = self.dim()
         hess, grad = self._gram
         origin = (0,) * n
@@ -344,11 +343,10 @@ def verify_sharp_conditions(p: JordanPresentation) -> SharpConditionReport:
 _Parts = tuple[list[int], list[int], list[int]]
 
 
-def _rational_parts(p: JordanPresentation, sigma: Sigma) -> _Parts | None:
+def _rational_parts(p: JordanPresentation, sigma: Sequence[Rational]) -> _Parts:
     """A positive multiple s of sigma with integer entries, and s# and the
     row T(s, e_j) as integers over ``sharp_den`` and ``gram_den``, read off
-    the rational tables; None when p has parameters or sigma is not
-    constant.
+    the rational tables.
 
     s is sigma times the lcm of its denominators.  Both callers' tests are
     homogeneous in sigma, so they give the same answer for s: "sigma# = 0
@@ -357,44 +355,28 @@ def _rational_parts(p: JordanPresentation, sigma: Sigma) -> _Parts | None:
     sides, so scaling sigma by c scales both sides by c^2.
     """
     tables = p._rational_tables
-    if tables is None:
-        return None
-    if any(isinstance(c, Poly) for c in sigma):
-        if any(any(m) for c in sigma for m in c.terms):
-            return None
-        sigma = [c.constant_value() for c in sigma]
     s, _ = over_common_denominator(sigma)
     sharp = [sum(c * s[i] * s[j] for i, j, c in q) for q in tables.sharp]
     trace = [sum(c * s[i] for i, c in col) for col in tables.gram]
     return s, sharp, trace
 
 
-def _symbolic(p: JordanPresentation, sigma: Sigma) -> Element:
-    """Sigma as an element, converting rational coordinates with ``p.element``."""
-    return sigma if any(isinstance(c, Poly) for c in sigma) else p.element(sigma)
-
-
-def radical_membership(p: JordanPresentation, sigma: Sigma) -> bool:
+def radical_membership(p: JordanPresentation, sigma: Sequence[Rational]) -> bool:
     """True iff U_sigma vanishes: sigma is an absolute zero divisor.
 
-    U_sigma y = T(sigma, y) sigma - sigma# # y is linear in y, so it
-    vanishes for a fully symbolic y exactly when every column
-    U_sigma e_j = T(sigma, e_j) sigma - sigma# # e_j does.  For a constant
-    sigma in a presentation without parameters the nine columns form a 9x9
-    rational matrix, compared in cross-multiplied integers from the tables
-    of ``_rational_tables`` for an integer multiple of sigma (see
-    ``_rational_parts``); otherwise each column is expanded symbolically.
+    The radical tests take sigma by its rational coordinates on a
+    presentation without parameters.  U_sigma y = T(sigma, y) sigma -
+    sigma# # y is linear in y, so it vanishes for a fully symbolic y
+    exactly when every column U_sigma e_j = T(sigma, e_j) sigma - sigma# # e_j
+    does.  The columns form a rational matrix, compared in cross-multiplied
+    integers from the tables of ``_rational_tables`` for an integer
+    multiple of sigma (see ``_rational_parts``).
     """
-    return _u_vanishes(p, sigma, _rational_parts(p, sigma))
+    return _u_vanishes(p, _rational_parts(p, sigma))
 
 
-def _u_vanishes(p: JordanPresentation, sigma: Sigma, parts: _Parts | None) -> bool:
+def _u_vanishes(p: JordanPresentation, parts: _Parts) -> bool:
     """The U-test of ``radical_membership`` on ``_rational_parts(p, sigma)``."""
-    if parts is None:
-        sigma = _symbolic(p, sigma)
-        ring = _target_ring(p, sigma)
-        return all(c.is_zero() for j in range(p.dim())
-                   for c in u_operator(p, sigma, p.basis_element(j, ring)))
     s, sharp, trace = parts
     tables = p._rational_tables
     # T(s, e_m) s_k = (s# # e_m)_k, both sides times gram_den sharp_den^2
@@ -403,7 +385,8 @@ def _u_vanishes(p: JordanPresentation, sigma: Sigma, parts: _Parts | None) -> bo
                for m, row in enumerate(tables.polar) for k, col in enumerate(row))
 
 
-def nondegeneracy_test_equiv(p: JordanPresentation, sigma: Sigma) -> dict[str, bool]:
+def nondegeneracy_test_equiv(p: JordanPresentation,
+                             sigma: Sequence[Rational]) -> dict[str, bool]:
     """Radical membership via the U-operator and via sharp/trace vanishing.
 
     The second route asks that sigma# = 0 and that sigma is orthogonal to
@@ -415,14 +398,5 @@ def nondegeneracy_test_equiv(p: JordanPresentation, sigma: Sigma) -> dict[str, b
     -sigma# # y does not vanish.
     """
     parts = _rational_parts(p, sigma)
-    via_u = _u_vanishes(p, sigma, parts)
-    if parts is None:
-        sigma = _symbolic(p, sigma)
-        ring = _target_ring(p, sigma)
-        sharp_zero = all(c.is_zero() for c in sharp_of(p, sigma))
-        ortho = all(trace_bilinear(p, sigma, p.basis_element(i, ring)).is_zero()
-                    for i in range(p.dim()))
-    else:
-        _, sharp, trace = parts
-        sharp_zero, ortho = not any(sharp), not any(trace)
-    return {"viaU": via_u, "viaTN": sharp_zero and ortho}
+    _, sharp, trace = parts
+    return {"viaU": _u_vanishes(p, parts), "viaTN": not any(sharp) and not any(trace)}

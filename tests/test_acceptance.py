@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from cubicjordan import cli, coord8, grading, hvariety, jordan, relatives
 from cubicjordan.exactcore import PolyMatrix
+from test_grading import vanishing_order_at_one
 
 SEED = 20240811
 
@@ -126,15 +127,6 @@ def test_09_specializations_and_embeddings():
         ok = ok and rep.ok and rep.samples >= 30
         ok = ok and all(rep.weight_relations.values())
     report(9, "dictionary span certificates and sampled embeddings", ok)
-
-
-def vanishing_order_at_one(num: dict) -> int:
-    """Multiplicity of t = 1 as a root of a one-variable polynomial."""
-    order = 0
-    while num and grading.poly1_eval(num, 1) == 0:
-        num = grading.divide_by_one_minus_t(num)
-        order += 1
-    return order
 
 
 def test_10_grading_and_hilbert_numbers():

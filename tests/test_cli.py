@@ -1,16 +1,21 @@
 """Command-line behavior: exit codes, determinism, report schema."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicjordan import cli, coord8, grading, hvariety
 from cubicjordan.errors import ContextError
@@ -58,11 +63,13 @@ def test_classify_input_fails_on_a_wrong_hyperdeterminant(tmp_path, monkeypatch,
 
 
 def test_classify_input_fails_on_a_wrong_flattening_rank(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(hvariety, "rank", lambda rows: 2)
-    code, got = _classify_report(tmp_path, "1 0 0 0 0 0 0 0")
-    assert code == 1 and got["status"] == "fail"
-    assert got["data"]["residual"] == ("flattening 1 has rank 2, but its 2x2 minors "
-                                       "all vanish")
+    # the exact rank is compared, so a wrong rank 1 for 0 is seen too
+    for cube, wrong, exact in (("1 0 0 0 0 0 0 0", 2, 1), ("0 0 0 0 0 0 0 0", 1, 0)):
+        monkeypatch.setattr(hvariety, "_flattening_rank", lambda rows: wrong)
+        code, got = _classify_report(tmp_path, cube)
+        assert code == 1 and got["status"] == "fail"
+        assert got["data"]["residual"] == \
+            f"flattening 1 has rank {wrong}, but elimination gives rank {exact}"
 
 
 def test_classify_input_passes_with_the_same_data(tmp_path, capsys):
@@ -81,6 +88,10 @@ def test_bad_hypermatrix_is_input_error(tmp_path, capsys):
     ("classify", "--hypermatrix", '{"p333": "1"}'),
     ("classify", "--hypermatrix", '{"p111": "1/0"}'),
     ("weights", "--weights", "[]"),
+    # a repeated key is not read as its last value
+    ("classify", "--hypermatrix", '{"p111": 1, "p222": 1, "p222": 0}'),
+    ("weights", "--weights", '{"x11": "1", "u1": "2", "x11": "3"}'),
+    ("hilbert", "--weights", '{"x11": ["1", "2"], "x11": "1"}'),
 ])
 def test_malformed_file_is_input_error(tmp_path, capsys, command, option, text):
     path = tmp_path / "input.json"
@@ -227,6 +238,93 @@ def test_weights_not_grading_the_equations_fail_hilbert_invariants(tmp_path, cap
     assert err.rstrip("\n").endswith(
         "first failing claim: hilbert/invariants: "
         "numerator lacks vanishing order 4 at t = 1; wrong weights")
+
+
+def test_repeated_key_names_the_key(tmp_path, capsys):
+    path = tmp_path / "cube.json"
+    path.write_text('{"p111": 1, "p222": 1, "p222": 0}')
+    assert run(["classify", "--hypermatrix", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: repeated key 'p222'\n"
+
+
+def _hilbert_at_u3(tmp_path, u3: int) -> tuple[int, Path]:
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({**STANDARD, "u3": str(u3)}))
+    out = tmp_path / "report.json"
+    return run(["hilbert", "--weights", str(w), "--json", str(out)]), out
+
+
+def test_hilbert_time_does_not_grow_with_the_largest_weight(tmp_path, capsys):
+    # the numerator has a term of degree about u3; the checks pass over its
+    # terms, not over every degree up to it
+    start = time.perf_counter()
+    code, out = _hilbert_at_u3(tmp_path, 10**9)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    claims = {c["claim_id"]: c for c in json.loads(out.read_text())["claims"]}
+    assert claims["hilbert/invariants"]["data"]["residual"] == \
+        "numerator lacks vanishing order 4 at t = 1; wrong weights"
+
+
+# sha256 of the --json report of ``hilbert`` at the standard weights with
+# u3 = 10000, taken before the degree loops were replaced by term loops
+HILBERT_U3_REPORT_SHA256 = "780b48bd7daf1b979ffa0f237c8be4687a166ab1c57fa4da92ee53bf98370c0d"
+
+
+def test_hilbert_report_at_a_large_weight_is_pinned(tmp_path, capsys):
+    code, out = _hilbert_at_u3(tmp_path, 10**4)
+    assert code == 1
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == HILBERT_U3_REPORT_SHA256
+
+
+# random input files: keys are real names or junk, values are unbounded
+# integers, rationals, junk text or JSON of the wrong type; objects start
+# from a valid file so that the suites behind the parsers run as well
+_junk = st.text(max_size=6)
+_value = st.one_of(
+    st.integers(), st.integers().map(str), st.integers(1, 3).map(str), st.fractions().map(str),
+    _junk, st.none(), st.booleans(), st.floats(), st.lists(st.integers(), max_size=3),
+    st.dictionaries(_junk, st.integers(), max_size=1))
+
+
+def _objects(base: dict) -> st.SearchStrategy[str]:
+    names = sorted(base)
+    return st.builds(
+        lambda dropped, changed: json.dumps(
+            {**{k: v for k, v in base.items() if k not in dropped}, **changed}),
+        st.one_of(st.just(set()), st.sets(st.sampled_from(names), max_size=3)),
+        st.dictionaries(st.one_of(st.sampled_from(names), _junk),
+                        st.one_of(st.integers(min_value=1), _value), max_size=3))
+
+
+_token = st.one_of(st.integers().map(str), st.fractions().map(str), _junk)
+_FUZZ_FILES = {
+    "--hypermatrix": st.one_of(
+        st.text(max_size=40), st.lists(_token, max_size=9).map(" ".join),
+        _objects({n: "1/2" for n in coord8.PARAM_VARS})),
+    "--weights": st.one_of(st.text(max_size=40), _objects(STANDARD)),
+}
+
+
+@pytest.mark.parametrize("command,option", [
+    ("classify", "--hypermatrix"), ("weights", "--weights"), ("hilbert", "--weights")])
+def test_file_parsers_never_fault(tmp_path_factory, command, option):
+    path = tmp_path_factory.mktemp("fuzz") / "input"
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=_FUZZ_FILES[option])
+    def check(text):
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run([command, option, str(path)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        assert "internal error" not in err.getvalue()
+
+    check()
 
 
 def test_fractional_symbolic_cubic_fails_its_claim(tmp_path, monkeypatch, capsys):

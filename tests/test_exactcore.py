@@ -437,7 +437,7 @@ def skew5_strategy():
 def pfaffian(m: PolyMatrix) -> Poly:
     """Pfaffian of an even skew matrix: the first signed sub-Pfaffian of
     the matrix bordered by a zero first row and column."""
-    bordered = [[0] * (m.cols + 1)] + [[0] + m.row(i) for i in range(m.rows)]
+    bordered = [[0] * (m.cols + 1)] + [[0] + m.entries[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
     return PolyMatrix.from_rows(m.ring, bordered).sub_pfaffians()[0]
 
 

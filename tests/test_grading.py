@@ -1,9 +1,12 @@
 """Weights, homogeneity solving, resolution shifts, Hilbert arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cubicjordan import grading, hvariety, relatives
 from cubicjordan.coord8 import ALL_VARS
@@ -142,11 +145,35 @@ def test_numerator_exact_form():
         "1 - 6*t^3 - t^4 + 12*t^5 - t^6 - 6*t^7 + t^10"
 
 
+def poly1_eval(a: dict, t) -> Fraction:
+    t = Fraction(t)
+    return sum((c * t ** e for e, c in a.items()), Fraction(0))
+
+
+def divide_by_one_minus_t(a: dict) -> dict:
+    """Exact quotient a / (1 - t) by synthetic division at the root t = 1;
+    raises when (1 - t) does not divide.  Reference for
+    ``grading._order_four_residue``; exponents must not be negative."""
+    if not a:
+        return {}
+    out = {}
+    carry = Fraction(0)
+    # dividing by (1 - t) negates the quotient of division by (t - 1)
+    for e in range(max(a), -1, -1):
+        carry += a.get(e, Fraction(0))
+        if e == 0:
+            if carry != 0:
+                raise NumeratorNotDivisible("numerator does not vanish at t = 1")
+        elif carry:
+            out[e - 1] = -carry
+    return out
+
+
 def vanishing_order_at_one(num: dict) -> int:
     """Multiplicity of t = 1 as a root of a one-variable polynomial."""
     order = 0
-    while num and grading.poly1_eval(num, 1) == 0:
-        num = grading.divide_by_one_minus_t(num)
+    while num and poly1_eval(num, 1) == 0:
+        num = divide_by_one_minus_t(num)
         order += 1
     return order
 
@@ -183,10 +210,51 @@ def test_ambient_series_control():
 
 def test_divide_by_one_minus_t_exact():
     # 1 - t^3 = (1 - t)(1 + t + t^2)
-    q = grading.divide_by_one_minus_t({0: Fraction(1), 3: Fraction(-1)})
+    q = divide_by_one_minus_t({0: Fraction(1), 3: Fraction(-1)})
     assert q == {0: 1, 1: 1, 2: 1}
     with pytest.raises(NumeratorNotDivisible):
-        grading.divide_by_one_minus_t({0: Fraction(1)})
+        divide_by_one_minus_t({0: Fraction(1)})
+
+
+_terms = st.dictionaries(st.integers(-6, 12), st.fractions(-5, 5, max_denominator=3)
+                         .filter(bool), max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor=_terms, extra=st.one_of(st.just({}), _terms), order=st.integers(2, 6))
+@example(factor={0: Fraction(1), 3: Fraction(-1)}, extra={}, order=4)
+@example(factor={-3: Fraction(2), 1: Fraction(1, 2)}, extra={}, order=5)
+@example(factor={-2: Fraction(1)}, extra={}, order=4)
+def test_order_four_residue_is_four_divisions(factor, extra, order):
+    # num = (1 - t)^order * factor + extra, a Laurent polynomial; shifting it
+    # by t^m changes neither its order at t = 1 nor q(1), so the reference
+    # divides the shifted polynomial
+    num = dict(extra)
+    for e, c in factor.items():
+        for k in range(order + 1):
+            term = c * (-1) ** k * math.comb(order, k)
+            num[e + k] = num.get(e + k, 0) + term
+    num = {e: c for e, c in num.items() if c}
+    shift = -min(num, default=0)
+    quotient = {e + shift: c for e, c in num.items()}
+    try:
+        for _ in range(4):
+            quotient = divide_by_one_minus_t(quotient)
+    except NumeratorNotDivisible:
+        with pytest.raises(NumeratorNotDivisible, match="^numerator lacks vanishing "
+                           "order 4 at t = 1; wrong weights$"):
+            grading._order_four_residue(num)
+    else:
+        assert grading._order_four_residue(num) == poly1_eval(quotient, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(num=st.dictionaries(st.integers(-3, 12), st.integers(-2, 2), max_size=8),
+       delta=st.integers(-2, 12))
+def test_palindromy_compares_degrees_zero_to_delta(num, delta):
+    # zero coefficients are kept: 0 and a missing term differ, as before
+    want = all(num.get(e) == num.get(delta - e) for e in range(delta + 1))
+    assert grading.numerator_is_palindromic(num, delta) == want
 
 
 def test_weight_file_parsing():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from cubicjordan import hvariety
 from cubicjordan.coord8 import ALL_VARS, COORD_VARS, PARAM_VARS, Hypermatrix, coord_ring
 from cubicjordan.errors import ShapeError, SingularGroupElement
-from cubicjordan.exactcore import PolyMatrix, evaluate_all, span_compare
+from cubicjordan.exactcore import PolyMatrix, evaluate_all, rank, span_compare
 from cubicjordan.hvariety import GroupElement, representative
 
 
@@ -200,6 +200,20 @@ def test_orbit_census_script_runs():
     counts = [int(line.split()[1]) for line in done.stdout.split("\n\n")[0].splitlines()]
     assert sum(counts) == 200
     assert hashlib.sha256(done.stdout.encode()).hexdigest() == CENSUS_SHA256
+
+
+_entry = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(top=st.lists(_entry, min_size=4, max_size=4),
+       scale=st.one_of(st.none(), st.fractions(-3, 3, max_denominator=3)),
+       bottom=st.lists(_entry, min_size=4, max_size=4))
+def test_flattening_rank_is_the_elimination_rank(top, scale, bottom):
+    # a multiple of the top row makes rank one likely
+    if scale is not None:
+        bottom = [scale * t for t in top]
+    assert hvariety._flattening_rank([top, bottom]) == rank([top, bottom])
 
 
 def test_p3_diagnostics():

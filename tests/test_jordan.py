@@ -141,28 +141,29 @@ def test_spur_identity_with_product_first(symbolic_presentation):
     assert lhs == rhs
 
 
+def _values(named: dict) -> list:
+    """Rational coordinates of a coord8 element given by its nonzero entries."""
+    return [named.get(n, 0) for n in coord8.COORD_VARS]
+
+
 def test_radical_membership_zero_and_scaling(origin_presentation):
     p = origin_presentation
-    zero = p.element([0] * 9)
-    assert jordan.radical_membership(p, zero)
-    sigma = p.element({"x11": 1, "x22": Fraction(2, 3)})
-    assert jordan.radical_membership(p, sigma)
-    scaled = p.element({"x11": 5, "x22": Fraction(10, 3)})
-    assert jordan.radical_membership(p, scaled)
+    assert jordan.radical_membership(p, [0] * 9)
+    assert jordan.radical_membership(p, _values({"x11": 1, "x22": Fraction(2, 3)}))
+    assert jordan.radical_membership(p, _values({"x11": 5, "x22": Fraction(10, 3)}))
 
 
 def test_diagonal_radical_trivial():
     p = diagonal_presentation()
-    assert not jordan.radical_membership(p, p.element([1, 0, 0]))
-    tests = jordan.nondegeneracy_test_equiv(p, p.element([1, 2, 3]))
+    assert not jordan.radical_membership(p, [1, 0, 0])
+    tests = jordan.nondegeneracy_test_equiv(p, [1, 2, 3])
     assert tests == {"viaU": False, "viaTN": False}
 
 
 def test_idempotent_not_in_radical_generic_cube():
     P = coord8.Hypermatrix({(1, 1, 1): 1, (2, 2, 2): 1})
     p = coord8.presentation(P)
-    v1 = p.basis_element(6)
-    tests = jordan.nondegeneracy_test_equiv(p, v1)
+    tests = jordan.nondegeneracy_test_equiv(p, _values({"u1": 1}))
     assert tests == {"viaU": False, "viaTN": False}
 
 
@@ -171,8 +172,18 @@ def test_single_pair_coordinate_in_degenerate_radical():
     # lies on the stated radical locus
     P = coord8.Hypermatrix({(1, 1, 1): 1, (1, 2, 2): 1, (2, 1, 2): 1})
     p = coord8.presentation(P)
-    sigma = p.element({"x11": 1})
-    assert jordan.radical_membership(p, sigma)
+    assert jordan.radical_membership(p, _values({"x11": 1}))
+
+
+def test_radical_tests_need_a_presentation_without_parameters(symbolic_presentation):
+    # the integer tables exist only when every ring variable is a coordinate
+    p = symbolic_presentation
+    with pytest.raises(ValueError, match="without parameters"):
+        p._rational_tables
+    with pytest.raises(ValueError, match="without parameters"):
+        jordan.radical_membership(p, [0] * 9)
+    with pytest.raises(ValueError, match="without parameters"):
+        jordan.nondegeneracy_test_equiv(p, [1] + [0] * 8)
 
 
 def test_u_zero_off_locus_point_is_not_radical():
@@ -180,8 +191,9 @@ def test_u_zero_off_locus_point_is_not_radical():
     # and T(sigma, -) vanish, sigma# is nonzero but trace-orthogonal to the
     # algebra, and U_sigma y = -sigma# # y is not zero
     p = coord8.presentation(hvariety.representative("p1"))
-    sigma = p.element({"x11": 1, "x21": 3, "x12": 8, "x22": Fraction(-9, 4),
-                       "x13": 2, "x23": Fraction(-2, 3)})
+    values = _values({"x11": 1, "x21": 3, "x12": 8, "x22": Fraction(-9, 4),
+                      "x13": 2, "x23": Fraction(-2, 3)})
+    sigma = p.element(values)
     sharp = jordan.sharp_of(p, sigma)
     assert jordan.cubic_of(p, sigma).is_zero()
     assert not all(c.is_zero() for c in sharp)
@@ -189,36 +201,28 @@ def test_u_zero_off_locus_point_is_not_radical():
         e = p.basis_element(i)
         assert jordan.trace_bilinear(p, sigma, e).is_zero()
         assert jordan.trace_bilinear(p, sharp, e).is_zero()
-    assert jordan.nondegeneracy_test_equiv(p, sigma) == {"viaU": False,
-                                                         "viaTN": False}
+    assert jordan.nondegeneracy_test_equiv(p, values) == {"viaU": False,
+                                                          "viaTN": False}
 
 
 @cache
-def _both_routes(cube: str | tuple):
-    """A parameter-free presentation, read by the rational tables, and the
-    same algebra over a ring with one unused parameter, which takes the
-    symbolic route."""
+def _presentation(cube: str | tuple) -> JordanPresentation:
+    """The parameter-free presentation at a representative or a cube."""
     P = hvariety.representative(cube) if isinstance(cube, str) else \
         coord8.Hypermatrix(dict(zip(coord8.INDEX_TRIPLES, cube)))
-    p = coord8.presentation(P)
-    twin = _twin(p)
-    assert p._rational_tables is not None and twin._rational_tables is None
-    return p, twin
+    return coord8.presentation(P)
 
 
-def _twin(p: JordanPresentation) -> JordanPresentation:
-    """p over its ring with one unused parameter t."""
-    ring = p.ring.extend(("t",))
-    return JordanPresentation(ring, p.coords, p.unit, p.cubic.convert(ring),
-                              tuple(c.convert(ring) for c in p.sharp))
-
-
-def _separate_calls(p: JordanPresentation, sigma) -> dict[str, bool]:
-    """What ``nondegeneracy_test_equiv`` returns, from one call per test."""
+def _reference(p: JordanPresentation, values) -> dict[str, bool]:
+    """What ``nondegeneracy_test_equiv`` answers, from the symbolic
+    U-operator, sharp map and trace form at ``p.element(values)`` against
+    every basis vector."""
+    sigma = p.element(values)
+    basis = [p.basis_element(j) for j in range(p.dim())]
+    via_u = all(c.is_zero() for e in basis for c in jordan.u_operator(p, sigma, e))
     sharp_zero = all(c.is_zero() for c in jordan.sharp_of(p, sigma))
-    ortho = all(jordan.trace_bilinear(p, sigma, p.basis_element(i)).is_zero()
-                for i in range(p.dim()))
-    return {"viaU": jordan.radical_membership(p, sigma), "viaTN": sharp_zero and ortho}
+    ortho = all(jordan.trace_bilinear(p, sigma, e).is_zero() for e in basis)
+    return {"viaU": via_u, "viaTN": sharp_zero and ortho}
 
 
 _small = st.fractions(min_value=-9, max_value=9, max_denominator=4)
@@ -230,7 +234,7 @@ _REPS = ("origin", "p1", "p2", "p3", "p4")
        kind=st.sampled_from(("zero", "random", "u-zero", "locus")),
        values=st.tuples(*[_small] * 9), seed=st.integers(0, 10**6))
 def test_rational_tables_agree_with_symbolic_route(cube, kind, values, seed):
-    p, twin = _both_routes(cube)
+    p = _presentation(cube)
     if kind == "zero":
         values = (0,) * 9
     elif kind == "u-zero":
@@ -238,30 +242,22 @@ def test_rational_tables_agree_with_symbolic_route(cube, kind, values, seed):
     elif kind == "locus" and isinstance(cube, str) and cube != "p4":
         point = hvariety.radical_point(cube, random.Random(seed))
         values = tuple(point[n] for n in coord8.COORD_VARS)
-    fast = jordan.nondegeneracy_test_equiv(p, p.element(values))
-    slow = jordan.nondegeneracy_test_equiv(twin, twin.element(values))
-    assert fast == slow
+    fast = jordan.nondegeneracy_test_equiv(p, values)
+    assert fast == _reference(p, values)
     assert fast["viaU"] or not fast["viaTN"]
-    assert fast == _separate_calls(p, p.element(values))
-    assert slow == _separate_calls(twin, twin.element(values))
-    # sigma given by its rational coordinates takes the same two routes
-    assert jordan.nondegeneracy_test_equiv(p, values) == fast
-    assert jordan.nondegeneracy_test_equiv(twin, values) == slow
-    assert jordan.radical_membership(p, values) == jordan.radical_membership(twin, values) \
-        == fast["viaU"]
+    assert jordan.radical_membership(p, values) == fast["viaU"]
 
 
 def assert_parts_are_the_symbolic_values(p, values):
     # s# and T(s, e_j) over the tables' denominators are the sharp and the
-    # trace form of the integer multiple s of sigma, as the symbolic twin
-    # computes them
-    twin = _twin(p)
+    # trace form of the integer multiple s of sigma, as the symbolic
+    # functions compute them
     tables = p._rational_tables
     s, sharp, trace = jordan._rational_parts(p, values)
     assert [Fraction(c, tables.sharp_den) for c in sharp] == \
-        [c.constant_value() for c in jordan.sharp_of(twin, twin.element(s))]
+        [c.constant_value() for c in jordan.sharp_of(p, p.element(s))]
     assert [Fraction(c, tables.gram_den) for c in trace] == \
-        [jordan.trace_bilinear(twin, twin.element(s), twin.basis_element(j)).constant_value()
+        [jordan.trace_bilinear(p, p.element(s), p.basis_element(j)).constant_value()
          for j in range(p.dim())]
 
 
@@ -269,7 +265,7 @@ def assert_parts_are_the_symbolic_values(p, values):
 @given(cube=st.tuples(*[_small] * 8), values=st.tuples(*[_small] * 9))
 @example(cube=(Fraction(2, 3),) + (0,) * 7, values=(Fraction(1, 2),) * 9)
 def test_integer_parts_are_the_symbolic_values(cube, values):
-    assert_parts_are_the_symbolic_values(_both_routes(cube)[0], values)
+    assert_parts_are_the_symbolic_values(_presentation(cube), values)
 
 
 def test_integer_parts_at_a_unit_off_zero_and_one():
@@ -290,14 +286,14 @@ def test_integer_u_test_finds_a_radical_at_a_non_integral_cube(name, radical):
     # denominators, which the integer U-test cross-multiplies
     cube = tuple(Fraction(2, 3) * hvariety.representative(name).entries[t]
                  for t in coord8.INDEX_TRIPLES)
-    p, twin = _both_routes(cube)
+    p = _presentation(cube)
     assert p._rational_tables.sharp_den > 1
     off = {**radical, "x21": Fraction(1, 2)}
-    for values, want in ((radical, True), (off, False)):
-        assert jordan.radical_membership(p, p.element(values)) is want
-        assert jordan.radical_membership(twin, twin.element(values)) is want
-        assert jordan.nondegeneracy_test_equiv(p, p.element(values)) == \
-            jordan.nondegeneracy_test_equiv(twin, twin.element(values))
+    for named, want in ((radical, True), (off, False)):
+        values = _values(named)
+        assert jordan.radical_membership(p, values) is want
+        assert _reference(p, values)["viaU"] is want
+        assert jordan.nondegeneracy_test_equiv(p, values) == _reference(p, values)
 
 
 @settings(max_examples=30, deadline=None)
@@ -308,16 +304,15 @@ def test_integer_u_test_finds_a_radical_at_a_non_integral_cube(name, radical):
 def test_radical_tests_are_homogeneous_in_sigma(cube, locus, values, seed):
     # the rational route scales sigma to an integer vector, which is exact
     # only because both tests are homogeneous in sigma
-    p, twin = _both_routes(cube)
+    p = _presentation(cube)
     if locus and isinstance(cube, str) and cube != "p4":
         point = hvariety.radical_point(cube, random.Random(seed))
         values = tuple(point[n] for n in coord8.COORD_VARS)
-    sigma = p.element(values)
-    scaled = p.element([Fraction(3, 7) * v for v in values])
-    tests = jordan.nondegeneracy_test_equiv(p, sigma)
+    scaled = [Fraction(3, 7) * v for v in values]
+    tests = jordan.nondegeneracy_test_equiv(p, values)
     assert jordan.nondegeneracy_test_equiv(p, scaled) == tests
-    assert jordan.nondegeneracy_test_equiv(twin, twin.element(values)) == tests
-    assert jordan.radical_membership(p, scaled) == jordan.radical_membership(p, sigma) \
+    assert _reference(p, values) == tests
+    assert jordan.radical_membership(p, scaled) == jordan.radical_membership(p, values) \
         == tests["viaU"]
 
 
@@ -380,5 +375,5 @@ def test_gram_matches_derivatives_at_a_unit_off_zero_and_one():
 @settings(max_examples=10, deadline=None)
 @given(cube=st.one_of(st.sampled_from(_REPS), st.tuples(*[_small] * 8)))
 def test_gram_matches_derivatives_rational(cube):
-    p, _ = _both_routes(cube)
+    p = _presentation(cube)
     assert p._gram == gram_by_derivatives(p)
