@@ -15,10 +15,11 @@ inputs), and 3 on any other error inside a suite, which is a fault of the
 program: it prints one ``internal error:`` line instead of a traceback.
 
 The ``--defect`` flag exercises the detection machinery end to end.
-``DEFECTS`` maps each defect to the command whose suite it tampers with
-(under ``all`` too): that suite hands a tampered copy of one input object
-(a sharp component, the chart substitution, a c2 dictionary entry) to the
-unchanged library certificate, which must then fail.
+A row of ``DEFECTS`` names a command, a library certificate by module and
+attribute, and a tamper of the certificate's input.  ``run`` wraps the
+certificate while the suites run, so that its input goes through the
+tamper, and restores it afterwards.  Only the row's command (and ``all``)
+reaches the certificate, so only it fails; no suite knows of defects.
 """
 
 from __future__ import annotations
@@ -40,10 +41,19 @@ SCHEMA_VERSION = 1
 # The paper's degree and genus of the threefold cut by the standard sections.
 STANDARD_FANO = (Fraction(11, 2), 3)
 
+# defect: (command, module, certificate, tamper of the certificate's input)
 DEFECTS = {
-    "tampered-sharp": "verify-axioms",
-    "skip-chart-substitution": "chart",
-    "perturbed-dictionary": "specialize",
+    "tampered-sharp": (
+        "verify-axioms", "jordan", "verify_sharp_conditions",
+        lambda p: dataclasses.replace(
+            p, sharp=(p.sharp[0] + p.ring.var("x11") ** 2, *p.sharp[1:]))),
+    "skip-chart-substitution": (
+        "chart", "hvariety", "chart_reduce_u1",
+        lambda sub: {k: v for k, v in sub.items() if k != "u3"}),
+    "perturbed-dictionary": (
+        "specialize", "relatives", "verify_specialization",
+        lambda d: d if isinstance(d, str) or d.name != "c2" else dataclasses.replace(
+            d, mapping={**d.mapping, "x22": d.target.var("th1") + d.target.var("A12")})),
 }
 
 
@@ -65,7 +75,6 @@ class Options:
 
     seed: int
     samples: int
-    defect: str | None = None
     cube: Hypermatrix | None = None
     weights: grading.WeightSystem | tuple[grading.WeightSystem, ...] | None = None
     sections: int = 9
@@ -94,25 +103,10 @@ def _jsonable(value):
 # ---------------------------------------------------------------------------
 
 
-def _tampered_sharp(pres: jordan.JordanPresentation) -> jordan.JordanPresentation:
-    """The presentation with x11^2 added to its first sharp component."""
-    x11 = pres.ring.var("x11")
-    return dataclasses.replace(pres, sharp=(pres.sharp[0] + x11 * x11,) + pres.sharp[1:])
-
-
-def _perturbed_dictionary(d: relatives.Dictionary) -> relatives.Dictionary:
-    """The dictionary with th1 + A12 as the image of x22."""
-    ring = d.target
-    return dataclasses.replace(
-        d, mapping={**d.mapping, "x22": ring.var("th1") + ring.var("A12")})
-
-
 def suite_axioms(opts: Options) -> list[Claim]:
     claims: list[Claim] = []
     pres = coord8.presentation(None)
-    checked = _tampered_sharp(pres) if opts.defect == "tampered-sharp" else pres
-
-    rep = jordan.verify_sharp_conditions(checked)
+    rep = jordan.verify_sharp_conditions(pres)
     for tag, key, ok in (("sharp1", "s1", rep.s1), ("sharp2", "s2", rep.s2),
                          ("sharp3", "s3", rep.s3)):
         residual = next((r.to_str() for r in rep.residuals.get(key, [])), None)
@@ -237,10 +231,7 @@ def suite_fiber(opts: Options) -> list[Claim]:
 
 def suite_chart(opts: Options) -> list[Claim]:
     claims = []
-    sub = hvariety.chart_substitution()
-    if opts.defect == "skip-chart-substitution":
-        del sub["u3"]
-    rep = hvariety.chart_reduce_u1(sub)
+    rep = hvariety.chart_reduce_u1(hvariety.chart_substitution())
     nonzero = [lbl for lbl, r in zip(hvariety.GEN_LABELS, rep.residuals)
                if not r.is_zero()]
     first_bad = next((r.to_str() for r in rep.residuals if not r.is_zero()), None)
@@ -279,10 +270,7 @@ def suite_radicals(opts: Options) -> list[Claim]:
 def suite_specialize(opts: Options) -> list[Claim]:
     claims = []
     for name in ("c2", "m8", "s6"):
-        d = relatives.dictionary(name)
-        if opts.defect == "perturbed-dictionary" and name == "c2":
-            d = _perturbed_dictionary(d)
-        rep = relatives.verify_specialization(d)
+        rep = relatives.verify_specialization(relatives.dictionary(name))
         data = {"relation": rep.relation}
         if not rep.ok:
             data["residual"] = next(
@@ -496,11 +484,15 @@ def run(argv: list[str] | None = None) -> int:
 
     if args.command == "all":
         suites = [name for row in COMMANDS.values() for name in row]
-        opts = Options(args.seed, args.samples, args.defect)
+        opts = Options(args.seed, args.samples)
     else:
         suites = COMMANDS[args.command]
-        opts = Options(args.seed, args.samples, args.defect, cube, weights,
-                       args.sections)
+        opts = Options(args.seed, args.samples, cube, weights, args.sections)
+    if args.defect:
+        _, module, attr, tamper = DEFECTS[args.defect]
+        owner = globals()[module]
+        certificate = getattr(owner, attr)
+        setattr(owner, attr, lambda arg: certificate(tamper(arg)))
     claims: list[Claim] = []
     try:
         for name in suites:
@@ -511,6 +503,9 @@ def run(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a fault of the program, not of the input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if args.defect:
+            setattr(owner, attr, certificate)
 
     claims.sort(key=lambda c: c.claim_id)
     for c in claims:

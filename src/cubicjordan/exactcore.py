@@ -904,7 +904,13 @@ def parse_json(text: str) -> object:
 
 
 def parse_rational(text: str) -> Fraction:
+    """An integer, a decimal or ``a/b``.  Exponent notation is refused:
+    ``Fraction`` would build ten to the exponent in full."""
+    text = text.strip()
+    if "e" in text.lower():
+        raise ValueError(f"{text!r} is not an integer, decimal or a/b "
+                         "(exponent notation is refused)")
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+        raise ValueError(f"zero denominator in {text!r}") from None

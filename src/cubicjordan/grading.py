@@ -447,22 +447,22 @@ def _row(v: Rational, u1: Rational, x2: Rational, x3: Rational, p: Rational,
 
 
 def toric_weight_matrix(kind: str = "base") -> tuple[WeightSystem, WeightSystem]:
-    """The three two-row weight matrices of the birational bookkeeping.
+    """The three two-row weight matrices of the birational bookkeeping,
+    written out entry by entry.
 
-    ``base`` is the original pair; ``shifted`` subtracts twice the second
-    row from the first; ``swapped`` subtracts the second row once and then
-    swaps the rows.
+    ``base`` is the original pair; ``shifted`` is stated to subtract twice
+    the second row from the first, and ``swapped`` to subtract the second
+    row once and then swap the rows: ``toric_matrices_row_equivalent``
+    checks both against ``base``.
     """
     row1 = _row(0, 2, 1, 1, 1, 2, 2, 1)
     row2 = _row(-1, -1, 0, 0, 0, 1, 1, 1)
     if kind == "base":
         return row1, row2
     if kind == "shifted":
-        top = {k: row1[k] - 2 * row2[k] for k in row1}
-        return top, dict(row2)
+        return _row(2, 4, 1, 1, 1, 0, 0, -1), row2
     if kind == "swapped":
-        top = {k: row1[k] - row2[k] for k in row1}
-        return dict(row2), top
+        return row2, _row(1, 3, 1, 1, 1, 1, 1, 0)
     raise KeyError(f"unknown weight matrix {kind!r}")
 
 

@@ -160,7 +160,7 @@ def test_11_bigraded_weight_matrices():
 
 def test_12_negative_controls(tmp_path):
     ok = True
-    for defect, command in cli.DEFECTS.items():
+    for defect, (command, *_) in cli.DEFECTS.items():
         out = tmp_path / f"{defect}.json"
         code = cli.run([command, "--defect", defect, "--samples", "5",
                         "--json", str(out)])

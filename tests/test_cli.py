@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubicjordan import cli, coord8, grading, hvariety
-from cubicjordan.errors import ContextError
+from cubicjordan.errors import ContextError, InputError
 
 
 def run(args):
@@ -283,10 +283,13 @@ def test_hilbert_report_at_a_large_weight_is_pinned(tmp_path, capsys):
 # integers, rationals, junk text or JSON of the wrong type; objects start
 # from a valid file so that the suites behind the parsers run as well
 _junk = st.text(max_size=6)
+# exponent notation, up to exponents that would take hours to expand
+_exponent = st.builds(lambda m, e, x: f"{m}{e}{x}", st.integers(-9, 9),
+                      st.sampled_from("eE"), st.integers(-10**9, 10**9))
 _value = st.one_of(
     st.integers(), st.integers().map(str), st.integers(1, 3).map(str), st.fractions().map(str),
-    _junk, st.none(), st.booleans(), st.floats(), st.lists(st.integers(), max_size=3),
-    st.dictionaries(_junk, st.integers(), max_size=1))
+    _exponent, _junk, st.none(), st.booleans(), st.floats(),
+    st.lists(st.integers(), max_size=3), st.dictionaries(_junk, st.integers(), max_size=1))
 
 
 def _objects(base: dict) -> st.SearchStrategy[str]:
@@ -299,7 +302,7 @@ def _objects(base: dict) -> st.SearchStrategy[str]:
                         st.one_of(st.integers(min_value=1), _value), max_size=3))
 
 
-_token = st.one_of(st.integers().map(str), st.fractions().map(str), _junk)
+_token = st.one_of(st.integers().map(str), st.fractions().map(str), _exponent, _junk)
 _FUZZ_FILES = {
     "--hypermatrix": st.one_of(
         st.text(max_size=40), st.lists(_token, max_size=9).map(" ".join),
@@ -325,6 +328,23 @@ def test_file_parsers_never_fault(tmp_path_factory, command, option):
         assert "internal error" not in err.getvalue()
 
     check()
+
+
+@pytest.mark.parametrize("command,option", [
+    ("classify", "--hypermatrix"), ("weights", "--weights"), ("hilbert", "--weights")])
+def test_exponent_notation_is_input_error_at_once(tmp_path, capsys, command, option):
+    # Fraction would expand 10**exponent in full: hours at 1e1000000000,
+    # and at 1e2200 a hyperdeterminant too long to print
+    path = tmp_path / "input"
+    for x in ("1e2200", "1e1000000000", "-2.5E-7"):
+        path.write_text(f"{x} 0 0 0 0 0 0 1" if option == "--hypermatrix"
+                        else json.dumps({**STANDARD, "x11": x}))
+        start = time.perf_counter()
+        assert run([command, option, str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:") and x in captured.err
 
 
 def test_fractional_symbolic_cubic_fails_its_claim(tmp_path, monkeypatch, capsys):
@@ -374,7 +394,7 @@ def test_weights_solver_mode(capsys):
 
 
 @pytest.mark.parametrize("command,defect", [
-    (command, defect) for defect, command in cli.DEFECTS.items()])
+    (command, defect) for defect, (command, *_) in cli.DEFECTS.items()])
 def test_defect_fixtures_fail_with_residual(tmp_path, capsys, command, defect):
     out = tmp_path / "report.json"
     code = run([command, "--defect", defect, "--samples", "5",
@@ -388,6 +408,55 @@ def test_defect_fixtures_fail_with_residual(tmp_path, capsys, command, defect):
     assert first.get("residual") or first.get("failures") or first.get("nonzero")
     err = capsys.readouterr().err
     assert "first failing claim" in err
+
+
+# sha256 of the --json report of each defect at --seed 0 --samples 5, with
+# its own command and with ``all``; a change that means to alter a defect
+# report updates its digest and says why
+DEFECT_REPORT_SHA256 = {
+    "tampered-sharp": (
+        "915e65ac3529c0a2d8681eeb62fa3b5eaf07ffdca6b877bf8b679f1186abce42",
+        "2eed3661193383c6883f0ecba8d5ee10b287e0eb160bd6a3c29647ab0feff59c"),
+    "skip-chart-substitution": (
+        "936f9c69ca3cadb4b13b307c00f7335fda222e76b5bfafc48c223dbcfa28cf68",
+        "9c72e3bd55e552be46ec7cdac0b3ad7d51b2d454fe76765d9677e3d6626c6d0e"),
+    "perturbed-dictionary": (
+        "7080ba6edc04074206bfe75015d35344e639c3b89772175ae64c6a1b86d21a56",
+        "b08bdbfea3e34e12e348327e2fa7a3fcef83f4b312a1a0ca81358b0f32e1e4f7"),
+}
+
+
+def _certificate(defect):
+    _, module, attr, _ = cli.DEFECTS[defect]
+    return getattr(getattr(cli, module), attr)
+
+
+@pytest.mark.parametrize("defect", DEFECT_REPORT_SHA256)
+def test_defect_reports_are_pinned_and_the_certificate_restored(tmp_path, capsys, defect):
+    original = _certificate(defect)
+    out = tmp_path / "report.json"
+    for command, digest in zip((cli.DEFECTS[defect][0], "all"),
+                               DEFECT_REPORT_SHA256[defect]):
+        assert run([command, "--defect", defect, "--seed", "0", "--samples", "5",
+                    "--json", str(out)]) == 1
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, command
+        assert _certificate(defect) is original
+
+
+@pytest.mark.parametrize("error,code", [(RuntimeError, 3), (InputError, 2)])
+def test_defect_certificate_is_restored_when_a_suite_raises(monkeypatch, capsys,
+                                                            error, code):
+    original = _certificate("tampered-sharp")
+    wrapped = []
+
+    def broken(opts):
+        wrapped.append(_certificate("tampered-sharp") is not original)
+        raise error("raised inside the suite")
+
+    monkeypatch.setattr(cli, "suite_axioms", broken)
+    assert run(["verify-axioms", "--defect", "tampered-sharp"]) == code
+    assert wrapped == [True]
+    assert _certificate("tampered-sharp") is original
 
 
 def test_radicals_pass_where_u_vanishes_off_locus():

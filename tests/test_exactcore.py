@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from cubicjordan.errors import ContextError, ShapeError, SkewError
 from cubicjordan.exactcore import (EquationSet, Poly, PolyMatrix, Ring,
                                    compile_batch, directional_derivative, evaluate_all,
-                                   nullspace, rank, rref, solve_linear, span_compare,
-                                   substitute_all)
+                                   nullspace, parse_rational, rank, rref, solve_linear,
+                                   span_compare, substitute_all)
 
 R = Ring(("x", "y", "z"))
 X, Y, Z = R.gens()
@@ -647,3 +647,17 @@ def test_equation_set_validation():
     other = Ring(("a",))
     with pytest.raises(ContextError):
         EquationSet(R, (other.var("a"),))
+
+
+def test_parse_rational_reads_integers_decimals_and_quotients():
+    assert parse_rational(" -12 ") == -12
+    assert parse_rational("1.25") == Fraction(5, 4)
+    assert parse_rational("-3/6") == Fraction(-1, 2)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")
+
+
+@pytest.mark.parametrize("text", ["1e3", "2.5E-7", "-1e1000000000", "inf", "1/2e3"])
+def test_parse_rational_refuses_exponents_and_infinities(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)

@@ -49,6 +49,22 @@ def test_row_operation_equivalence():
     assert grading.toric_matrices_row_equivalent()
 
 
+@pytest.mark.parametrize("kind,row", [("shifted", 0), ("shifted", 1),
+                                      ("swapped", 0), ("swapped", 1)])
+@pytest.mark.parametrize("name", ["v", "u3", "x11", "p111"])
+def test_row_operation_claim_fails_on_one_changed_entry(monkeypatch, kind, row, name):
+    written = grading.toric_weight_matrix
+
+    def changed(k="base"):
+        rows = list(written(k))
+        if k == kind:
+            rows[row] = {**rows[row], name: rows[row][name] + 1}
+        return tuple(rows)
+
+    monkeypatch.setattr(grading, "toric_weight_matrix", changed)
+    assert not grading.toric_matrices_row_equivalent()
+
+
 def test_published_example_weights():
     h12 = relatives.verify_specialization("h12").specialized
     rep = grading.check_homogeneous(h12, grading.example_5052_weights())

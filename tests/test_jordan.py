@@ -205,6 +205,24 @@ def test_u_zero_off_locus_point_is_not_radical():
                                                           "viaTN": False}
 
 
+def test_u_test_pins_the_column_order():
+    # sigma# # e_m has the direction of sigma for every m, and T(sigma, e_m)
+    # is (-6, 4, 2): U_sigma e_m = 0 holds column by column, while the
+    # U-test with m and k swapped compares T(sigma, e_k) sigma_m instead
+    ring = Ring(("a", "b", "c"))
+    a, b, c = ring.gens()
+    sigma = (-2, -2, -1)
+    square = (-6 * a + 4 * b + 2 * c) ** 2
+    p = JordanPresentation(ring, ("a", "b", "c"), (Fraction(1), Fraction(0), Fraction(0)),
+                           a ** 3 + a * b * b + a * c * c + b * b * c,
+                           tuple(Fraction(s, 4) * square for s in sigma))
+    element = p.element(sigma)
+    assert [jordan.trace_bilinear(p, element, p.basis_element(m)) for m in range(3)] \
+        == [-6, 4, 2]
+    assert _reference(p, sigma)["viaU"]
+    assert jordan.radical_membership(p, sigma)
+
+
 @cache
 def _presentation(cube: str | tuple) -> JordanPresentation:
     """The parameter-free presentation at a representative or a cube."""
