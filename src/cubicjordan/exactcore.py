@@ -904,9 +904,18 @@ def parse_json(text: str) -> object:
 
 
 def parse_rational(text: str) -> Fraction:
-    """An integer, a decimal or ``a/b``.  Exponent notation is refused:
-    ``Fraction`` would build ten to the exponent in full."""
+    """An integer, a decimal or ``a/b`` of at most 100 characters.
+
+    Exponent notation is refused: ``Fraction`` would build ten to the
+    exponent in full.  The length bound keeps every derived integer
+    printable: over the lcm q of a cube's eight denominators each integer
+    entry has fewer than 8 x 100 digits and q^4 fewer than 32 x 100, so the
+    hyperdeterminant, a degree-4 form in the entries, stays under about
+    3,300 digits (``str`` refuses integers over 4,300).
+    """
     text = text.strip()
+    if len(text) > 100:
+        raise ValueError(f"numeral of {len(text)} characters; at most 100 are read")
     if "e" in text.lower():
         raise ValueError(f"{text!r} is not an integer, decimal or a/b "
                          "(exponent notation is refused)")

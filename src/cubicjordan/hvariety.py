@@ -43,12 +43,12 @@ GEN_LABELS = ("g1a", "g1b", "g2a", "g2b", "g3a", "g3b", "g4", "g5", "g6")
 
 
 def equations(ring: Ring | None = None) -> EquationSet:
-    """The nine defining generators over the 17-variable ring."""
+    """The nine defining generators over the 17-variable ring, or over a
+    ring extending it: the symbolic sharp components, expanded once."""
+    gens = coord8._symbolic_forms()[1]
     if ring is None:
-        ring = coord_ring(True)
-    sigma = tuple(ring.var(n) for n in COORD_VARS)
-    gens = coord8.sharp_map(Hypermatrix.symbolic(ring).in_ring(ring), sigma)
-    return EquationSet(ring, tuple(gens), GEN_LABELS)
+        ring = gens[0].ring
+    return EquationSet(ring, tuple(g.convert(ring) for g in gens), GEN_LABELS)
 
 
 # ---------------------------------------------------------------------------
@@ -679,22 +679,17 @@ def chart_reduce_u1(sub: Mapping[str, Poly]) -> ChartReport:
     twelve free coordinates."""
     eqs = equations()
     residuals = substitute_all(eqs.gens, sub, eqs.ring)
-    free = tuple(n for n in ("x12", "x22", "x13", "x23") + PARAM_VARS)
-    return ChartReport(residuals, free, len(free) + 1)
+    return ChartReport(residuals, CHART_FREE_VARS, len(CHART_FREE_VARS) + 1)
 
 
 def chart_det_identity() -> bool:
     """On the chart, the first difference determinant factors as minus the
     product of the other two."""
+    sub = chart_substitution()
     ring = coord_ring(True)
     p = Hypermatrix.symbolic(ring).in_ring(ring)
     x = tuple(ring.var(n) for n in X_VARS)
-    d3 = d_matrix(p, x, 3)
-    e11, e21 = d3.apply((ring.var("x12"), ring.var("x22")))
-    xs = (e11, e21) + x[2:]
-    d1_sub = d_matrix(p, xs, 1)
-    d2 = d_matrix(p, x, 2)
-    return d1_sub.det() == -(d2.det() * d3.det())
+    return d_matrix(p, (sub["x11"], sub["x21"]) + x[2:], 1).det() == -(sub["u2"] * sub["u3"])
 
 
 def skew_chart_matrix(ring: Ring) -> PolyMatrix:

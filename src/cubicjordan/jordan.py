@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
 from .exactcore import (Poly, Rational, Ring, directional_derivative, over_common_denominator,
@@ -109,52 +109,48 @@ class JordanPresentation:
     # -- derived data, computed once per presentation ---------------------
 
     @cached_property
-    def _gram(self) -> tuple[list[list[Poly]], list[Poly]]:
-        """Second and first partials of the cubic at the unit.
+    def _trace_form(self) -> tuple[list[Poly], dict[tuple[int, int], Poly]]:
+        """The trace T(e_i) of each basis vector, and the nonzero T(e_i, e_j)
+        keyed by (i, j) in row-major order.
 
-        Entries are polynomials in the parameter variables (constants when
-        the presentation carries none).  They are read off the terms: a term
-        c x^a (rest) contributes c a_i unit^(a - e_i) (rest) to the i-th
-        partial and c a_i (a_j - [i = j]) unit^(a - e_i - e_j) (rest) to the
-        (i, j) one, where unit^b is the product of the unit's coordinates
-        raised to b.  That product vanishes unless b is zero on every
-        coordinate where the unit is, so a term whose exponent there sums to
-        more than two is skipped, and so is every index pair that leaves
-        some of that sum behind.
+        At the unit u, T(x) = dN(u)[x] and T(x, y) = T(x) T(y) - d2N(u)[x, y]
+        (McCrimmon, A Taste of Jordan Algebras, 2004).  Entries are
+        polynomials in the parameter variables (constants when the
+        presentation carries none).  Both partials are read off the terms:
+        write a term as c x_k1 x_k2 x_k3 (rest); each cyclic ordering
+        (a, b, r) of its three factors adds c u_kb u_kr to the first partial
+        at k_a, and c u_kr to the second partials at (k_a, k_b) and
+        (k_b, k_a); one with u_kr = 0 adds nothing.  ``trace_bilinear``,
+        ``trace_linear`` and ``_rational_tables`` all read this table.
         """
         n = self.dim()
         pos = [self.ring.index(name) for name in self.coords]
-        coords = set(pos)
-        # integral unit coordinates as ints, so that multipliers stay ints
+        keep = [int(k not in pos) for k in range(self.ring.nvars)]  # 0 on the coordinates
+        # integral unit coordinates as ints, so that integer terms stay ints
         unit = [int(u) if u.denominator == 1 else u for u in self.unit]
-        at_zero = [not u for u in unit]
-        zeros = [k for k in range(n) if at_zero[k]]
-        powered = [k for k in range(n) if unit[k] not in (0, 1)]  # the rest give 1
         grad: list[dict] = [{} for _ in range(n)]
-        hess: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
-
-        def add(acc: dict, rest: tuple, c: Rational, mult: int, b: list[int]) -> None:
-            acc[rest] = acc.get(rest, 0) + c * (mult * prod(unit[k] ** b[k] for k in powered))
-
+        form: dict[tuple[int, int], dict] = {}  # minus the second partials, then T
         for m, c in self.cubic.terms.items():
-            a = [m[k] for k in pos]
-            left = sum(a[k] for k in zeros)  # exponent on the unit's zeros
-            if left > 2:
-                continue
-            rest = tuple(0 if k in coords else e for k, e in enumerate(m))
-            for i in (i for i in range(n) if a[i]):
-                li = left - at_zero[i]
-                ai = a.copy()
-                ai[i] -= 1
-                if not li:
-                    add(grad[i], rest, c, a[i], ai)
-                for j in (j for j in range(n) if ai[j] and li == at_zero[j]):
-                    aij = ai.copy()
-                    aij[j] -= 1
-                    add(hess[i][j], rest, c, a[i] * ai[j], aij)
-
-        return ([[Poly.collect(self.ring, h) for h in row] for row in hess],
-                [Poly.collect(self.ring, g) for g in grad])
+            rest = tuple(map(mul, m, keep))
+            k1, k2, k3 = [k for k, v in enumerate(pos) if m[v] for _ in range(m[v])]
+            for a, b, r in ((k1, k2, k3), (k2, k3, k1), (k3, k1, k2)):
+                if unit[r]:
+                    cr = c * unit[r]
+                    if unit[b]:
+                        grad[a][rest] = grad[a].get(rest, 0) + cr * unit[b]
+                    for key in ((a, b), (b, a)):
+                        acc = form.setdefault(key, {})
+                        acc[rest] = acc.get(rest, 0) - cr
+        trace = [Poly.collect(self.ring, g) for g in grad]
+        live = [i for i in range(n) if trace[i].terms]
+        for i in live:
+            for j in live:
+                acc = form.setdefault((i, j), {})
+                for m, c in (trace[i] * trace[j]).terms.items():
+                    acc[m] = acc.get(m, 0) + c
+        table = {key: t for key in sorted(form)
+                 if (t := Poly.collect(self.ring, form[key])).terms}
+        return trace, table
 
     @cached_property
     def _rational_tables(self) -> _Tables:
@@ -171,13 +167,12 @@ class JordanPresentation:
         if self.ring.names != self.coords:
             raise ValueError("rational tables need a presentation without parameters")
         n = self.dim()
-        hess, grad = self._gram
+        table = self._trace_form[1]
         origin = (0,) * n
-        g, q = over_common_denominator([c.terms.get(origin, 0) for c in grad])
-        h, r = over_common_denominator([c.terms.get(origin, 0) for row in hess for c in row])
-        # T(e_i, e_j) = g_i g_j / q^2 - h_ij / r
-        gram = [[(i, c) for i in range(n) if (c := g[i] * g[j] * r - h[n * i + j] * q * q)]
-                for j in range(n)]
+        values, gram_den = over_common_denominator([t.terms[origin] for t in table.values()])
+        gram = [[] for _ in range(n)]
+        for (i, j), c in zip(table, values):
+            gram[j].append((i, c))
         coeffs, sharp_den = over_common_denominator(
             [c for q in self.sharp for c in q.terms.values()])
         sharp = [[] for _ in range(n)]
@@ -188,7 +183,7 @@ class JordanPresentation:
             sharp[k].append((i, j, c))
             polar[i][k].append((j, c))
             polar[j][k].append((i, c))
-        return _Tables(gram, q * q * r, sharp, polar, sharp_den)
+        return _Tables(gram, gram_den, sharp, polar, sharp_den)
 
 
 def _target_ring(p: JordanPresentation, *elements: Element) -> Ring:
@@ -218,38 +213,22 @@ def cubic_of(p: JordanPresentation, x: Element) -> Poly:
 
 
 def trace_bilinear(p: JordanPresentation, x: Element, y: Element) -> Poly:
-    """Bilinear trace form T(x, y) derived from the cubic form."""
+    """Bilinear trace form T(x, y) = sum of T(e_i, e_j) x_i y_j."""
     ring = _target_ring(p, x, y)
-    hess, grad = p._gram
-    n = p.dim()
-    mixed = ring.zero()
-    for i in range(n):
-        if x[i].is_zero():
-            continue
-        for j in range(n):
-            h = hess[i][j]
-            if h.is_zero() or y[j].is_zero():
-                continue
-            mixed = mixed + h.convert(ring) * x[i] * y[j]
-    lin_x = ring.zero()
-    lin_y = ring.zero()
-    for i in range(n):
-        g = grad[i]
-        if g.is_zero():
-            continue
-        lin_x = lin_x + g.convert(ring) * x[i]
-        lin_y = lin_y + g.convert(ring) * y[i]
-    return -mixed + lin_x * lin_y
+    acc = ring.zero()
+    for (i, j), t in p._trace_form[1].items():
+        if not (x[i].is_zero() or y[j].is_zero()):
+            acc = acc + t.convert(ring) * x[i] * y[j]
+    return acc
 
 
 def trace_linear(p: JordanPresentation, x: Element) -> Poly:
     """Linear trace form T(x) = T(x, unit)."""
     ring = _target_ring(p, x)
-    _, grad = p._gram
     acc = ring.zero()
-    for g, comp in zip(grad, x):
-        if not g.is_zero():
-            acc = acc + g.convert(ring) * comp
+    for t, comp in zip(p._trace_form[0], x):
+        if not t.is_zero():
+            acc = acc + t.convert(ring) * comp
     return acc
 
 

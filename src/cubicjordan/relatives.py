@@ -11,8 +11,8 @@ For each one a coordinate dictionary maps the 17 ambient variables into
 the target ring; substituting it into the nine ambient generators must
 reproduce the target's span exactly.  The partial specializations ``h12``
 and ``h11`` just freeze one or two parameter entries and are emitted
-without an external target.  Dictionary names (m8, s6, c2, h12, h11,
-c2-to-m8, c2-to-s7) are the stable interface used by the command line.
+without an external target.  Dictionary names (m8, s6, c2, h12, h11)
+are the stable interface used by the command line.
 """
 
 from __future__ import annotations

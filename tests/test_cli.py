@@ -286,9 +286,11 @@ _junk = st.text(max_size=6)
 # exponent notation, up to exponents that would take hours to expand
 _exponent = st.builds(lambda m, e, x: f"{m}{e}{x}", st.integers(-9, 9),
                       st.sampled_from("eE"), st.integers(-10**9, 10**9))
+# numerals on both sides of the 100-character bound of ``parse_rational``
+_long = st.integers(90, 300).flatmap(lambda d: st.integers(10 ** (d - 1), 10 ** d - 1))
 _value = st.one_of(
     st.integers(), st.integers().map(str), st.integers(1, 3).map(str), st.fractions().map(str),
-    _exponent, _junk, st.none(), st.booleans(), st.floats(),
+    _long, _long.map(str), _exponent, _junk, st.none(), st.booleans(), st.floats(),
     st.lists(st.integers(), max_size=3), st.dictionaries(_junk, st.integers(), max_size=1))
 
 
@@ -302,7 +304,8 @@ def _objects(base: dict) -> st.SearchStrategy[str]:
                         st.one_of(st.integers(min_value=1), _value), max_size=3))
 
 
-_token = st.one_of(st.integers().map(str), st.fractions().map(str), _exponent, _junk)
+_token = st.one_of(st.integers().map(str), st.fractions().map(str), _long.map(str), _exponent,
+                   _junk)
 _FUZZ_FILES = {
     "--hypermatrix": st.one_of(
         st.text(max_size=40), st.lists(_token, max_size=9).map(" ".join),
@@ -345,6 +348,32 @@ def test_exponent_notation_is_input_error_at_once(tmp_path, capsys, command, opt
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("input error:") and x in captured.err
+
+
+def test_long_numerals_are_input_error_at_once(tmp_path, capsys):
+    # both cubes would give a D_H of over 4,300 digits, which str refuses
+    path = tmp_path / "input"
+    files = [("classify", "--hypermatrix", "1" + "0" * 2200 + " 0 0 0 0 0 0 1"),
+             ("classify", "--hypermatrix", " ".join(f"1/{10**299 + k}" for k in range(1, 9)))]
+    files += [(command, "--weights", json.dumps({**STANDARD, "x11": 10**100}))
+              for command in ("weights", "hilbert")]
+    for command, option, text in files:
+        path.write_text(text)
+        start = time.perf_counter()
+        assert run([command, option, str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error:")
+
+
+def test_hundred_character_numerals_are_read(tmp_path, capsys):
+    numerals = [f"{10**48 + 7 * k + 3}/{10**49 + 2 * k + 1}" for k in range(8)]
+    assert {len(t) for t in numerals} == {100}
+    path = tmp_path / "cube.txt"
+    path.write_text(" ".join(numerals))
+    assert run(["classify", "--hypermatrix", str(path)]) == 0
+    assert "D_H = " in capsys.readouterr().out
 
 
 def test_fractional_symbolic_cubic_fails_its_claim(tmp_path, monkeypatch, capsys):

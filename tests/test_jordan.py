@@ -363,8 +363,8 @@ def test_peirce_operator_projects_to_pair_space(symbolic_presentation):
 
 
 def gram_by_derivatives(p: JordanPresentation):
-    """Reference for ``_gram``: differentiate the cubic, then substitute
-    the unit."""
+    """Reference for ``_trace_form``: differentiate the cubic, then
+    substitute the unit."""
     at_unit = {n: p.ring.const(v) for n, v in p.unit_values().items()}
     firsts = [p.cubic.derivative(n) for n in p.coords]
     grad = [d.substitute(at_unit) for d in firsts]
@@ -372,8 +372,20 @@ def gram_by_derivatives(p: JordanPresentation):
     return hess, grad
 
 
+def assert_trace_form_matches_derivatives(p: JordanPresentation):
+    """``trace`` is the gradient at the unit, and the table holds
+    g_i g_j - h_ij for every nonzero pair and no other key."""
+    hess, grad = gram_by_derivatives(p)
+    trace, table = p._trace_form
+    assert trace == grad
+    n = p.dim()
+    expected = {(i, j): t for i in range(n) for j in range(n)
+                if not (t := grad[i] * grad[j] - hess[i][j]).is_zero()}
+    assert table == expected
+
+
 def test_gram_matches_derivatives_symbolic(symbolic_presentation):
-    assert symbolic_presentation._gram == gram_by_derivatives(symbolic_presentation)
+    assert_trace_form_matches_derivatives(symbolic_presentation)
 
 
 def test_gram_matches_derivatives_at_a_unit_off_zero_and_one():
@@ -385,13 +397,11 @@ def test_gram_matches_derivatives_at_a_unit_off_zero_and_one():
         unit=(Fraction(2), Fraction(1, 2), Fraction(1)),
         cubic=a * b * c + (2 * b - c) * a * a * t + 3 * c ** 3 - 6 * c * c * b,
         sharp=(b * c, c * a, a * b))
-    assert p._gram == gram_by_derivatives(p)
-    diagonal = diagonal_presentation()
-    assert diagonal._gram == gram_by_derivatives(diagonal)
+    assert_trace_form_matches_derivatives(p)
+    assert_trace_form_matches_derivatives(diagonal_presentation())
 
 
 @settings(max_examples=10, deadline=None)
 @given(cube=st.one_of(st.sampled_from(_REPS), st.tuples(*[_small] * 8)))
 def test_gram_matches_derivatives_rational(cube):
-    p = _presentation(cube)
-    assert p._gram == gram_by_derivatives(p)
+    assert_trace_form_matches_derivatives(_presentation(cube))
