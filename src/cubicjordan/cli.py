@@ -5,7 +5,9 @@ is the function ``suite_x``, looked up when it runs, so a suite wrapped in
 place after import (as by the tracer of ``perfbench/``) is the one run.
 ``all`` runs every row in table order and ignores ``--hypermatrix``,
 ``--weights`` and ``--sections``.  Every suite takes one ``Options`` and
-returns claims, and ``run`` prints a pass/fail line per claim.
+returns claims; a certificate behind one claim returns an
+``exactcore.Report``, whose ``ok`` and ``data`` go to ``claim`` unchanged.
+``run`` prints a pass/fail line per claim.
 
 Reports are deterministic: identical inputs and seed produce
 byte-identical JSON.  Exit status is 0 when every claim passes, 1 when
@@ -149,11 +151,10 @@ def suite_axioms(opts: Options) -> list[Claim]:
                         all(c.denominator == 1 for c in pres.cubic.coefficients()),
                         {"terms": len(pres.cubic.terms)}))
 
-    unit_ok = coord8.verify_unit_identities(pres)
     claims.append(claim("axioms/unit-and-idempotents",
                         "unit decomposition, unit operator, idempotent facts, "
                         "square and spur identities all hold symbolically",
-                        all(unit_ok), {"checks": len(unit_ok)}))
+                        *coord8.verify_unit_identities(pres)))
     return claims
 
 
@@ -180,26 +181,22 @@ def suite_classify(opts: Options) -> list[Claim]:
                             {"label": got.label, "hyperdet": got.hyperdet,
                              "ranks": list(got.flattening_ranks)}))
 
-    inv = hvariety.translate_invariance(opts.seed)
     claims.append(claim("classify/translate-invariance",
                         "classification is constant on sampled group translates",
-                        inv["unstable"] == 0, {"translates": inv["translates"]}))
+                        *hvariety.translate_invariance(opts.seed)))
 
     for r in (1, 2, 3):
-        rep = hvariety.factor_equivariance_certificate(r)
         claims.append(claim(f"classify/equivariance-factor{r}",
                             "stated generator transformation law holds with a "
-                            "symbolic 2x2 factor", rep.ok,
-                            {"failures": rep.failures}))
+                            "symbolic 2x2 factor",
+                            *hvariety.factor_equivariance_certificate(r)))
     for perm in ((2, 3, 1), (2, 1, 3)):
-        rep = hvariety.permutation_certificate(perm)
         claims.append(claim(f"classify/equivariance-perm-{''.join(map(str, perm))}",
                             "index permutation maps the generator set to itself "
-                            "up to signs", rep.ok, {"failures": rep.failures}))
-    rep = hvariety.swap_all_factors_certificate()
+                            "up to signs", *hvariety.permutation_certificate(perm)))
     claims.append(claim("classify/equivariance-swap",
                         "triple antidiagonal swap exchanges pair rows and keeps "
-                        "the span", rep.ok, {"failures": rep.failures}))
+                        "the span", *hvariety.swap_all_factors_certificate()))
 
     exponents = {r: hvariety.hyperdet_covariance_exponent(r) for r in (1, 2, 3)}
     claims.append(claim("classify/hyperdet-covariance",
@@ -211,59 +208,48 @@ def suite_classify(opts: Options) -> list[Claim]:
 
 
 def suite_fiber(opts: Options) -> list[Claim]:
-    claims = []
-    rep = hvariety.fiber_certificate_p4()
-    claims.append(claim("fiber/p4-minors",
-                        "generic fiber system span-equals the nine 2x2 minors "
-                        "of the coordinate 3x3 matrix", rep.ok, rep.detail))
-    rep = hvariety.fiber_certificate_p3()
-    claims.append(claim("fiber/p3-degenerate",
-                        "degenerate fiber system span-equals the symmetric "
-                        "rank-one-plus-kernel system", rep.ok, rep.detail))
+    claims = [claim("fiber/p4-minors",
+                    "generic fiber system span-equals the nine 2x2 minors "
+                    "of the coordinate 3x3 matrix", *hvariety.fiber_certificate_p4()),
+              claim("fiber/p3-degenerate",
+                    "degenerate fiber system span-equals the symmetric "
+                    "rank-one-plus-kernel system", *hvariety.fiber_certificate_p3())]
     for name in ("origin", "p1", "p2"):
-        rep = hvariety.fiber_component_sampling(name, opts.seed, opts.samples)
         claims.append(claim(f"fiber/{name}-components",
                             "every generator vanishes on sampled points of each "
-                            "listed fiber component", rep.ok,
-                            {**rep.detail, "failures": rep.failures}))
+                            "listed fiber component",
+                            *hvariety.fiber_component_sampling(name, opts.seed,
+                                                               opts.samples)))
     return claims
 
 
 def suite_chart(opts: Options) -> list[Claim]:
-    claims = []
-    rep = hvariety.chart_reduce_u1(hvariety.chart_substitution())
-    nonzero = [lbl for lbl, r in zip(hvariety.GEN_LABELS, rep.residuals)
-               if not r.is_zero()]
-    first_bad = next((r.to_str() for r in rep.residuals if not r.is_zero()), None)
-    claims.append(claim("chart/reduction",
-                        "chart elimination zeroes all nine generators "
-                        "symbolically in the twelve free coordinates",
-                        rep.ok, {"nonzero": nonzero, "residual": first_bad,
-                                 "dimension": rep.chart_dimension}))
-    claims.append(claim("chart/det-identity",
-                        "on the chart the first difference determinant is minus "
-                        "the product of the other two",
-                        hvariety.chart_det_identity(), {}))
-    pf = hvariety.pfaffian_vanishing_on_samples(opts.seed, opts.samples)
-    claims.append(claim("chart/pfaffians",
-                        "all five signed 4x4 Pfaffians of the skew chart matrix "
-                        "vanish on rescaled sample points", pf["ok"], pf))
-    return claims
+    return [claim("chart/reduction",
+                  "chart elimination zeroes all nine generators "
+                  "symbolically in the twelve free coordinates",
+                  *hvariety.chart_reduce_u1(hvariety.chart_substitution())),
+            claim("chart/det-identity",
+                  "on the chart the first difference determinant is minus "
+                  "the product of the other two",
+                  hvariety.chart_det_identity(), {}),
+            claim("chart/pfaffians",
+                  "all five signed 4x4 Pfaffians of the skew chart matrix "
+                  "vanish on rescaled sample points",
+                  *hvariety.pfaffian_vanishing_on_samples(opts.seed, opts.samples))]
 
 
 def suite_radicals(opts: Options) -> list[Claim]:
-    claims = []
-    for name in ("origin", "p1", "p2", "p3", "p4"):
-        rep = hvariety.radical_locus_check(name, opts.seed, opts.samples)
-        claims.append(claim(f"radicals/{name}",
-                            "sampled membership matches the stated locus, the "
-                            "two membership tests agree, and the specialized "
-                            "cubic form matches its display",
-                            rep.ok, {**rep.detail, "failures": rep.failures}))
-    sweep = hvariety.nondegenerate_sweep(opts.seed, cubes=50, sigmas_per_cube=2)
+    claims = [claim(f"radicals/{name}",
+                    "sampled membership matches the stated locus, the "
+                    "two membership tests agree, and the specialized "
+                    "cubic form matches its display",
+                    *hvariety.radical_locus_check(name, opts.seed, opts.samples))
+              for name in ("origin", "p1", "p2", "p3", "p4")]
     claims.append(claim("radicals/generic-nondegenerate",
                         "at cubes with nonvanishing hyperdeterminant no nonzero "
-                        "element is an absolute zero divisor", sweep["ok"], sweep))
+                        "element is an absolute zero divisor",
+                        *hvariety.nondegenerate_sweep(opts.seed, cubes=50,
+                                                      sigmas_per_cube=2)))
     return claims
 
 
@@ -271,11 +257,10 @@ def suite_specialize(opts: Options) -> list[Claim]:
     claims = []
     for name in ("c2", "m8", "s6"):
         rep = relatives.verify_specialization(relatives.dictionary(name))
-        data = {"relation": rep.relation}
+        data = {"relation": rep.span.relation}
         if not rep.ok:
             data["residual"] = next(
-                (str(g) for g, w in zip(rep.specialized.gens,
-                                        rep.witness["specialized_in_target"])
+                (str(g) for g, w in zip(rep.specialized.gens, rep.span.a_in_b)
                  if w is None), None)
         claims.append(claim(f"specialize/{name}",
                             "dictionary specialization span-equals the target "
@@ -289,16 +274,14 @@ def suite_specialize(opts: Options) -> list[Claim]:
                         "freezing the remaining cluster parameters inside the "
                         "first partial specialization reproduces the cluster span",
                         relatives.composed_specialization_check(), {}))
-    failures = relatives.m8_action_certificate()
     claims.append(claim("specialize/m8-action",
                         "two-factor action maps the ten generators into their "
-                        "own span with symbolic factors", not failures,
-                        {"failures": failures}))
-    failures = relatives.s6_action_certificate()
+                        "own span with symbolic factors",
+                        *relatives.m8_action_certificate()))
     claims.append(claim("specialize/s6-action",
                         "3x3 frame action maps the nine generators into their "
-                        "own span with a symbolic frame", not failures,
-                        {"failures": failures}))
+                        "own span with a symbolic frame",
+                        *relatives.s6_action_certificate()))
     claims.append(claim("specialize/m8-trace",
                         "sandwich block is trace-free, matching its trace-free "
                         "target shape", relatives.m8_trace_consistency(), {}))
@@ -306,17 +289,12 @@ def suite_specialize(opts: Options) -> list[Claim]:
 
 
 def suite_embeddings(opts: Options) -> list[Claim]:
-    claims = []
-    for part, cid in (("I", "prop76/part-i"), ("II", "prop76/part-ii")):
-        rep = relatives.verify_cluster_embedding(part, opts.seed, opts.samples)
-        claims.append(claim(cid,
-                            "sampled cluster-slice points satisfy every target "
-                            "generator exactly and the transported weight "
-                            "relations hold on the solved lattice",
-                            rep.ok, {"samples": rep.samples,
-                                     "weight_relations": rep.weight_relations,
-                                     "failures": rep.failures}))
-    return claims
+    return [claim(cid,
+                  "sampled cluster-slice points satisfy every target "
+                  "generator exactly and the transported weight "
+                  "relations hold on the solved lattice",
+                  *relatives.verify_cluster_embedding(part, opts.seed, opts.samples))
+            for part, cid in (("I", "prop76/part-i"), ("II", "prop76/part-ii"))]
 
 
 def suite_weights(opts: Options) -> list[Claim]:

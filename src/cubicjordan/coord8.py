@@ -25,8 +25,8 @@ from typing import Mapping, Sequence
 
 from . import jordan
 from .errors import ShapeError
-from .exactcore import (Batch, Poly, PolyMatrix, Rational, Ring, _frac, compile_batch,
-                        parse_json, parse_rational)
+from .exactcore import (Batch, Poly, PolyMatrix, Rational, Report, Ring, _frac,
+                        compile_batch, json_rational, parse_json, parse_rational)
 from .jordan import Element, JordanPresentation
 
 X_VARS = ("x11", "x21", "x12", "x22", "x13", "x23")
@@ -77,14 +77,14 @@ class Hypermatrix:
     def parse(cls, text: str) -> Hypermatrix:
         """Accepts either eight whitespace-separated rationals in the order
         p111 p211 p121 p221 p112 p212 p122 p222, or a JSON object keyed by
-        the parameter names with "a/b" string values."""
+        the parameter names with number or "a/b" string values."""
         text = text.strip()
         if text.startswith("{"):
             data = parse_json(text)
             unknown = sorted(set(data) - set(PARAM_VARS))
             if unknown:
                 raise ValueError(f"unknown cube entries: {unknown}")
-            return cls.from_named({k: parse_rational(str(v)) for k, v in data.items()})
+            return cls.from_named({k: json_rational(v) for k, v in data.items()})
         parts = text.split()
         if len(parts) != 8:
             raise ShapeError(f"expected 8 rationals, got {len(parts)}")
@@ -502,8 +502,9 @@ def verify_peirce_identities(pres: JordanPresentation) -> PeirceIdentityReport:
                                 prod_ok, det_ok, failures)
 
 
-def verify_unit_identities(pres: JordanPresentation) -> list[bool]:
-    """Certify symbolically the facts around the unit, one entry per check.
+def verify_unit_identities(pres: JordanPresentation) -> Report:
+    """Certify symbolically the facts around the unit; the report counts
+    the checks.
 
     The unit is the sum of the three idempotents and has cubic value one;
     its U-operator is the identity; each idempotent is bullet-idempotent
@@ -528,7 +529,7 @@ def verify_unit_identities(pres: JordanPresentation) -> list[bool]:
     checks.append(jordan.spur_bilinear(pres, x, y)
                   == jordan.trace_linear(pres, x) * jordan.trace_linear(pres, y)
                   - jordan.trace_bilinear(pres, x, y))
-    return checks
+    return Report(all(checks), {"checks": len(checks)})
 
 
 def _basis_combination(pres: JordanPresentation, ring: Ring, pair_complement: int,

@@ -41,8 +41,9 @@ Canonical display order is graded lexicographic in the registered variable
 order.  It affects only printing, never results.
 
 The module also provides polynomial matrices (determinant, adjugate,
-Pfaffians of skew matrices) and rational linear algebra used to compare
-the Q-linear spans of equation sets.
+Pfaffians of skew matrices), rational linear algebra used to compare
+the Q-linear spans of equation sets, and ``Report``, the outcome of each
+certificate behind one claim.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Callable, Collection, Iterable, Mapping, Sequence, Union
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import ContextError, ShapeError, SkewError
 
@@ -855,6 +856,14 @@ class SpanResult:
         return self.relation == EQUAL
 
 
+class Report(NamedTuple):
+    """Outcome of a certificate behind one claim: whether the claim holds,
+    and exactly the data the claim reports."""
+
+    ok: bool
+    data: dict
+
+
 def span_compare(a: Sequence[Poly], b: Sequence[Poly]) -> SpanResult:
     """Compare the Q-linear spans of two polynomial lists exactly.
 
@@ -891,8 +900,9 @@ def span_compare(a: Sequence[Poly], b: Sequence[Poly]) -> SpanResult:
 
 
 def parse_json(text: str) -> object:
-    """``json.loads`` that rejects an object repeating a key, which it
-    would otherwise read as the last value given."""
+    """``json.loads`` that reads each number from its literal text with
+    ``parse_rational``, never through a binary float, and rejects an object
+    repeating a key, which it would otherwise read as the last value given."""
     def no_repeats(pairs: list[tuple[str, object]]) -> dict:
         out = {}
         for k, v in pairs:
@@ -900,7 +910,20 @@ def parse_json(text: str) -> object:
                 raise ValueError(f"repeated key {k!r}")
             out[k] = v
         return out
-    return json.loads(text, object_pairs_hook=no_repeats)
+    return json.loads(text, object_pairs_hook=no_repeats,
+                      parse_int=parse_rational, parse_float=parse_rational)
+
+
+def json_rational(value: object) -> Fraction:
+    """A value of ``parse_json`` as a rational: a number, or a string read
+    by ``parse_rational``; true, false, null, lists and objects are refused."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, str):
+        return parse_rational(value)
+    kind = ("a list" if isinstance(value, list) else "an object" if isinstance(value, dict)
+            else json.dumps(value))
+    raise ValueError(f"{kind} is not a rational")
 
 
 def parse_rational(text: str) -> Fraction:

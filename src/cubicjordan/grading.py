@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 from .coord8 import ALL_VARS, PARAM_VARS, U_VARS, X_VARS
 from .errors import InfeasibleWeights, InputError, NumeratorNotDivisible
-from .exactcore import (EquationSet, Rational, _frac, parse_json, parse_rational,
+from .exactcore import (EquationSet, Rational, _frac, json_rational, parse_json,
                         rref, rref_kernel, rref_solution, solve_linear)
 
 WeightSystem = dict[str, Fraction]
@@ -53,17 +53,17 @@ def parse_weight_file(text: str) -> "WeightSystem | tuple[WeightSystem, WeightSy
         raise ValueError("weight file must hold a JSON object")
     bigraded = any(isinstance(v, list) for v in data.values())
     if not bigraded:
-        return weight_system({k: parse_rational(str(v)) for k, v in data.items()})
+        return weight_system({k: json_rational(v) for k, v in data.items()})
     w1: WeightSystem = {}
     w2: WeightSystem = {}
     for k, v in data.items():
         if isinstance(v, list):
             if len(v) != 2:
                 raise ValueError(f"bigraded entry for {k} must have two weights")
-            w1[k] = parse_rational(str(v[0]))
-            w2[k] = parse_rational(str(v[1]))
+            w1[k] = json_rational(v[0])
+            w2[k] = json_rational(v[1])
         else:
-            w1[k] = w2[k] = parse_rational(str(v))
+            w1[k] = w2[k] = json_rational(v)
     return w1, w2
 
 

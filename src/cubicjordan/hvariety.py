@@ -26,7 +26,7 @@ no hidden global randomness.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from typing import Mapping
@@ -35,9 +35,9 @@ from . import coord8, jordan
 from .coord8 import (ALL_VARS, COORD_VARS, INDEX_TRIPLES, PARAM_VARS, X_VARS, U_VARS,
                      Hypermatrix, coord_ring, d_entry, d_matrix, p_name, x_name)
 from .errors import InternalError, ShapeError, SingularGroupElement
-from .exactcore import (Batch, EquationSet, Poly, PolyMatrix, Rational, Ring, _frac,
-                        compile_batch, over_common_denominator, rank, span_compare,
-                        substitute_all)
+from .exactcore import (Batch, EquationSet, Poly, PolyMatrix, Rational, Report, Ring,
+                        _frac, compile_batch, over_common_denominator, rank,
+                        span_compare, substitute_all)
 
 GEN_LABELS = ("g1a", "g1b", "g2a", "g2b", "g3a", "g3b", "g4", "g5", "g6")
 
@@ -208,14 +208,7 @@ def apply_group_to_equations(g: GroupElement, eqs: EquationSet) -> EquationSet:
     return eqs.substitute(sub, eqs.ring)
 
 
-@dataclass
-class EquivarianceReport:
-    rule: str
-    ok: bool
-    failures: list[str]
-
-
-def factor_equivariance_certificate(r: int) -> EquivarianceReport:
+def factor_equivariance_certificate(r: int) -> Report:
     """Exact transformation law of the nine generators under one symbolic
     2x2 factor: the r-th pair transforms by the matrix itself, the r-th
     idempotent generator picks up the squared determinant, and every other
@@ -244,10 +237,10 @@ def factor_equivariance_certificate(r: int) -> EquivarianceReport:
     for lbl, got, want in zip(GEN_LABELS, transformed.gens, expect):
         if got != want:
             failures.append(f"factor {r}: generator {lbl} transforms incorrectly")
-    return EquivarianceReport(f"factor{r}", not failures, failures)
+    return Report(not failures, {"failures": failures})
 
 
-def permutation_certificate(perm: tuple[int, int, int]) -> EquivarianceReport:
+def permutation_certificate(perm: tuple[int, int, int]) -> Report:
     """The permuted generator set equals the original up to signs and
     relabeling, and spans the same space."""
     base = equations()
@@ -261,10 +254,10 @@ def permutation_certificate(perm: tuple[int, int, int]) -> EquivarianceReport:
     result = span_compare(base.gens, transformed.gens)
     if not result.equal:
         failures.append(f"perm {perm}: span changed ({result.relation})")
-    return EquivarianceReport(f"perm{perm}", not failures, failures)
+    return Report(not failures, {"failures": failures})
 
 
-def swap_all_factors_certificate() -> EquivarianceReport:
+def swap_all_factors_certificate() -> Report:
     """The antidiagonal swap in all three factors exchanges the two rows of
     every coordinate pair and preserves the span of the generators."""
     ring = coord_ring(True)
@@ -280,7 +273,7 @@ def swap_all_factors_certificate() -> EquivarianceReport:
     for i in (1, 2, 3):
         if sub[x_name(1, i)] != base.ring.var(x_name(2, i)):
             failures.append(f"triple swap: pair {i} rows not exchanged")
-    return EquivarianceReport("swap-all", not failures, failures)
+    return Report(not failures, {"failures": failures})
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +405,12 @@ def _random_invertible(rng: random.Random, ring: Ring) -> PolyMatrix:
             return PolyMatrix.from_rows(ring, m)
 
 
-def translate_invariance(seed: int) -> dict:
+def translate_invariance(seed: int) -> Report:
     """Classify 20 random group translates of each nonzero representative.
 
     A translate is unstable when its orbit label differs from the label of
-    the representative itself.  Draws come from the ``"{seed}:classify"``
-    stream.
+    the representative itself; the report holds when none is, and counts
+    the translates.  Draws come from the ``"{seed}:classify"`` stream.
     """
     rng = random.Random(f"{seed}:classify")
     ring = coord_ring(True)
@@ -431,7 +424,7 @@ def translate_invariance(seed: int) -> dict:
             translates += 1
             if classify_orbit(apply_group_to_cube(g, P)).label != want:
                 unstable += 1
-    return {"translates": translates, "unstable": unstable}
+    return Report(unstable == 0, {"translates": translates})
 
 
 def hyperdet_covariance_exponent(r: int) -> int | None:
@@ -496,36 +489,22 @@ def degenerate_fiber_system(ring: Ring) -> tuple[PolyMatrix, tuple[Poly, ...]]:
     return sym, vec
 
 
-@dataclass
-class LocusReport:
-    """Outcome of a fiber or radical-locus check."""
-
-    name: str
-    ok: bool
-    detail: dict
-    failures: list[str] = field(default_factory=list)
-
-
-def fiber_certificate_p4() -> LocusReport:
+def fiber_certificate_p4() -> Report:
     """Span equality of the generic fiber with the nine 2x2 minors."""
     eqs = fiber_equations(representative("p4"))
     minors = _matrix_minors(open_fiber_matrix(eqs.ring))
     result = span_compare(eqs.gens, minors)
-    ok = result.equal
-    return LocusReport("p4", ok, {"relation": result.relation},
-                       [] if ok else ["fiber does not match the minor system"])
+    return Report(result.equal, {"relation": result.relation})
 
 
-def fiber_certificate_p3() -> LocusReport:
+def fiber_certificate_p3() -> Report:
     """Span equality of the degenerate fiber with the rank-one-plus-kernel
     system of the symmetric matrix."""
     eqs = fiber_equations(representative("p3"))
     sym, vec = degenerate_fiber_system(eqs.ring)
     system = _matrix_minors(sym) + list(sym.apply(vec))
     result = span_compare(eqs.gens, system)
-    ok = result.equal
-    return LocusReport("p3", ok, {"relation": result.relation},
-                       [] if ok else ["fiber does not match the degenerate system"])
+    return Report(result.equal, {"relation": result.relation})
 
 
 # Component parametrizations of the reducible fibers.  Each component maps
@@ -609,7 +588,7 @@ def _fiber_system(name: str) -> tuple[EquationSet, Batch]:
     return eqs, compile_batch(eqs.gens)
 
 
-def fiber_component_sampling(name: str, seed: int, samples: int = 20) -> LocusReport:
+def fiber_component_sampling(name: str, seed: int, samples: int = 20) -> Report:
     """Every generator of the fiber system vanishes on sampled points of
     each listed component of a reducible fiber."""
     eqs, evaluate = _fiber_system(name)
@@ -635,23 +614,12 @@ def fiber_component_sampling(name: str, seed: int, samples: int = 20) -> LocusRe
     if name in displayed and span_compare(eqs.gens, displayed[name]).relation not in (
             "equal", "a_contains_b"):
         failures.append(f"{name}: displayed component equation not in the span")
-    return LocusReport(name, not failures, {"samples": counts}, failures)
+    return Report(not failures, {"samples": counts, "failures": failures})
 
 
 # ---------------------------------------------------------------------------
 # Charts
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ChartReport:
-    residuals: list[Poly]
-    free_variables: tuple[str, ...]
-    chart_dimension: int
-
-    @property
-    def ok(self) -> bool:
-        return all(r.is_zero() for r in self.residuals)
 
 
 def chart_substitution() -> dict[str, Poly]:
@@ -673,13 +641,17 @@ def chart_substitution() -> dict[str, Poly]:
             "u2": -d3.det(), "u3": -d2.det()}
 
 
-def chart_reduce_u1(sub: Mapping[str, Poly]) -> ChartReport:
+def chart_reduce_u1(sub: Mapping[str, Poly]) -> Report:
     """Substitute a chart elimination, normally ``chart_substitution()``,
     into all nine generators; every residual must vanish identically in the
-    twelve free coordinates."""
+    twelve free coordinates.  The report names the generators left nonzero,
+    the first such residual and the chart dimension."""
     eqs = equations()
     residuals = substitute_all(eqs.gens, sub, eqs.ring)
-    return ChartReport(residuals, CHART_FREE_VARS, len(CHART_FREE_VARS) + 1)
+    bad = [(lbl, r) for lbl, r in zip(GEN_LABELS, residuals) if not r.is_zero()]
+    return Report(not bad, {"nonzero": [lbl for lbl, _ in bad],
+                            "residual": bad[0][1].to_str() if bad else None,
+                            "dimension": len(CHART_FREE_VARS) + 1})
 
 
 def chart_det_identity() -> bool:
@@ -721,7 +693,7 @@ def _chart_pfaffians() -> Batch:
     return compile_batch(skew_chart_matrix(coord_ring(True)).sub_pfaffians())
 
 
-def pfaffian_vanishing_on_samples(seed: int, samples: int = 30) -> dict:
+def pfaffian_vanishing_on_samples(seed: int, samples: int = 30) -> Report:
     """All five signed Pfaffians of the skew chart matrix vanish on sampled
     variety points rescaled so the leading pair coordinate is one."""
     pfaffians = _chart_pfaffians()
@@ -736,7 +708,8 @@ def pfaffian_vanishing_on_samples(seed: int, samples: int = 30) -> dict:
         checked += 1
         if any(v != 0 for v in pfaffians(rescaled)):
             failures += 1
-    return {"checked": checked, "failures": failures, "ok": failures == 0}
+    return Report(failures == 0, {"checked": checked, "failures": failures,
+                                  "ok": failures == 0})
 
 
 # ---------------------------------------------------------------------------
@@ -852,7 +825,7 @@ def _on_radical_locus(name: str, point: Mapping[str, Fraction]) -> bool:
     raise KeyError(name)
 
 
-def radical_locus_check(name: str, seed: int, samples: int = 20) -> LocusReport:
+def radical_locus_check(name: str, seed: int, samples: int = 20) -> Report:
     """Sampled membership on the stated radical locus, sampled failure off
     it, agreement of the two nondegeneracy tests, and exact match of the
     specialized cubic form with its stated display."""
@@ -894,12 +867,11 @@ def radical_locus_check(name: str, seed: int, samples: int = 20) -> LocusReport:
         if not display_ok:
             failures.append(f"{name}: specialized cubic form differs from its display")
 
-    return LocusReport(name, not failures,
-                       {"on_locus": on_count, "off_locus": off_count,
-                        "display_ok": display_ok}, failures)
+    return Report(not failures, {"on_locus": on_count, "off_locus": off_count,
+                                 "display_ok": display_ok, "failures": failures})
 
 
-def nondegenerate_sweep(seed: int, cubes: int = 50, sigmas_per_cube: int = 2) -> dict:
+def nondegenerate_sweep(seed: int, cubes: int = 50, sigmas_per_cube: int = 2) -> Report:
     """At random cubes with nonvanishing hyperdeterminant, random nonzero
     elements never lie in the radical."""
     rng = random.Random(f"{seed}:nondegenerate")
@@ -918,5 +890,5 @@ def nondegenerate_sweep(seed: int, cubes: int = 50, sigmas_per_cube: int = 2) ->
                     break
             if jordan.radical_membership(pres, vals):
                 failures += 1
-    return {"cubes": tried, "sigmas": tried * sigmas_per_cube,
-            "failures": failures, "ok": failures == 0}
+    return Report(failures == 0, {"cubes": tried, "sigmas": tried * sigmas_per_cube,
+                                  "failures": failures, "ok": failures == 0})

@@ -179,7 +179,8 @@ class JordanPresentation:
         polar = [[[] for _ in range(n)] for _ in range(n)]
         for (k, m), c in zip([(k, m) for k, q in enumerate(self.sharp) for m in q.terms],
                              coeffs):
-            i, j = [v for v, e in enumerate(m) for _ in range(e)]
+            i = m.index(2) if 2 in m else m.index(1)
+            j = i if m[i] == 2 else m.index(1, i + 1)
             sharp[k].append((i, j, c))
             polar[i][k].append((j, c))
             polar[j][k].append((i, c))

@@ -18,15 +18,15 @@ are the stable interface used by the command line.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Mapping, Sequence
 
 from . import grading, hvariety
 from .errors import UnknownDictionary
-from .exactcore import (Batch, EquationSet, Poly, PolyMatrix, Rational, Ring,
-                        compile_batch, span_compare)
+from .exactcore import (Batch, EquationSet, Poly, PolyMatrix, Rational, Report, Ring,
+                        SpanResult, compile_batch, span_compare)
 
 M8_VARS = ("x1", "x2", "x3", "x4", "x5", "x6", "x7", "w1", "w2", "w3", "y", "z")
 S6_VARS = ("s11", "s12", "s13", "s22", "s23", "s33",
@@ -237,15 +237,15 @@ TARGET_EQUATIONS: dict[str, Callable[[], EquationSet]] = {
 
 @dataclass
 class SpecializationReport:
-    name: str
-    relation: str | None
+    """The specialized generators and, for a name with a target system,
+    their span comparison with it (``span``; None for ``h12`` and ``h11``)."""
+
     specialized: EquationSet
-    witness: dict | None
-    failures: list[str] = field(default_factory=list)
+    span: SpanResult | None
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return self.span is None or self.span.equal
 
 
 def verify_specialization(d: Dictionary | str) -> SpecializationReport:
@@ -254,23 +254,11 @@ def verify_specialization(d: Dictionary | str) -> SpecializationReport:
     name (names with no target emit the specialized set only)."""
     if isinstance(d, str):
         d = dictionary(d)
-    name = d.name
     specialized = d.specialize()
-    if name not in TARGET_EQUATIONS:
-        return SpecializationReport(name, None, specialized, None)
-    target = TARGET_EQUATIONS[name]()
-    result = span_compare(specialized.gens, target.gens)
-    failures = []
-    if not result.equal:
-        failures.append(f"{name}: spans differ ({result.relation})")
-    witness = {
-        "relation": result.relation,
-        "target_in_specialized": [
-            None if w is None else [str(c) for c in w] for w in result.b_in_a],
-        "specialized_in_target": [
-            None if w is None else [str(c) for c in w] for w in result.a_in_b],
-    }
-    return SpecializationReport(name, result.relation, specialized, witness, failures)
+    if d.name not in TARGET_EQUATIONS:
+        return SpecializationReport(specialized, None)
+    target = TARGET_EQUATIONS[d.name]()
+    return SpecializationReport(specialized, span_compare(specialized.gens, target.gens))
 
 
 def composed_specialization_check() -> bool:
@@ -355,18 +343,6 @@ def _c2_inverse() -> tuple[tuple[str, str, Rational], ...]:
     return tuple(out)
 
 
-@dataclass
-class EmbeddingReport:
-    part: str
-    samples: int
-    failures: list[str] = field(default_factory=list)
-    weight_relations: dict[str, bool] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures and all(self.weight_relations.values())
-
-
 @cache
 def _embedding_batches(part: str) -> tuple[tuple[str, ...], Batch, tuple[str, ...], Batch]:
     """The target coordinates of one embedding, their compiled images in
@@ -380,7 +356,7 @@ def _embedding_batches(part: str) -> tuple[tuple[str, ...], Batch, tuple[str, ..
             compile_batch(target.gens))
 
 
-def verify_cluster_embedding(part: str, seed: int, samples: int = 30) -> EmbeddingReport:
+def verify_cluster_embedding(part: str, seed: int, samples: int = 30) -> Report:
     """Certify one of the two cluster-slice embeddings.
 
     Sampled cluster points pushed through the embedding dictionary must
@@ -391,16 +367,15 @@ def verify_cluster_embedding(part: str, seed: int, samples: int = 30) -> Embeddi
     if part not in ("I", "II"):
         raise ValueError("part must be 'I' or 'II'")
     rng = random.Random(f"{seed}:embedding:{part}")
-    report = EmbeddingReport(part, samples)
+    failures: list[str] = []
     names, images, labels, target = _embedding_batches(part)
 
     for k in range(samples):
         cpt = cluster_point(rng, part)
         for v, lbl in zip(target(dict(zip(names, images(cpt)))), labels):
             if v != 0:
-                report.failures.append(
-                    f"part {part}: generator {lbl} fails on sample {k}")
-        if report.failures:
+                failures.append(f"part {part}: generator {lbl} fails on sample {k}")
+        if failures:
             break
 
     # the cone coordinate never appears in the target equations
@@ -409,7 +384,7 @@ def verify_cluster_embedding(part: str, seed: int, samples: int = 30) -> Embeddi
         for g in s6_equations(s6_ring(("sigma0",))).gens:
             used |= g.variables()
         if "sigma0" in used:
-            report.failures.append("cone coordinate appears in the equations")
+            failures.append("cone coordinate appears in the equations")
 
     fixed = {"A3": Fraction(0)} if part == "I" else {"A3": Fraction(0), "A1": Fraction(0)}
     lattice = grading.solve_weight_constraints(c2_equations(), fixed)
@@ -422,9 +397,9 @@ def verify_cluster_embedding(part: str, seed: int, samples: int = 30) -> Embeddi
             "w(A2)=2w(lam)": {"A2": 1, "lam": -2},
         },
     }[part]
-    for label, rel in relations.items():
-        report.weight_relations[label] = lattice.relation_holds(rel)
-    return report
+    holds = {label: lattice.relation_holds(rel) for label, rel in relations.items()}
+    return Report(not failures and all(holds.values()),
+                  {"samples": samples, "weight_relations": holds, "failures": failures})
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +407,7 @@ def verify_cluster_embedding(part: str, seed: int, samples: int = 30) -> Embeddi
 # ---------------------------------------------------------------------------
 
 
-def m8_action_certificate() -> list[str]:
+def m8_action_certificate() -> Report:
     """Exact transformation law of the ten generators under the symbolic
     two-factor action.
 
@@ -483,10 +458,10 @@ def m8_action_certificate() -> list[str]:
     want = det1 * det1 * det2 * det2 * (W.det() - z * z * X1.det())
     if got != want:
         failures.append("second determinant generator transforms incorrectly")
-    return failures
+    return Report(not failures, {"failures": failures})
 
 
-def s6_action_certificate() -> list[str]:
+def s6_action_certificate() -> Report:
     """Exact transformation law of the nine generators under a symbolic
     3x3 change of frame."""
     names = tuple(f"g{i}{j}" for i in range(1, 4) for j in range(1, 4))
@@ -515,7 +490,7 @@ def s6_action_certificate() -> list[str]:
         if a != b:
             failures.append("adjugate generator transforms incorrectly")
             break
-    return failures
+    return Report(not failures, {"failures": failures})
 
 
 def _outer(u: Sequence[Poly], v: Sequence[Poly], ring: Ring) -> PolyMatrix:

@@ -94,15 +94,15 @@ def test_06_fiber_certificates():
     for name in ("origin", "p1", "p2"):
         rep = hvariety.fiber_component_sampling(name, SEED, samples=20)
         ok = ok and rep.ok
-        ok = ok and all(v == 20 for v in rep.detail["samples"].values())
+        ok = ok and all(v == 20 for v in rep.data["samples"].values())
     report(6, "fiber span certificates and component sampling", ok)
 
 
 def test_07_chart_reduction_and_pfaffians():
     rep = hvariety.chart_reduce_u1(hvariety.chart_substitution())
-    ok = rep.ok and rep.chart_dimension == 13
+    ok = rep.ok and rep.data["dimension"] == 13
     pf = hvariety.pfaffian_vanishing_on_samples(SEED, samples=30)
-    ok = ok and pf["ok"] and pf["checked"] >= 30
+    ok = ok and pf.ok and pf.data["checked"] >= 30
     report(7, "chart elimination residuals and Pfaffian vanishing", ok)
 
 
@@ -112,20 +112,20 @@ def test_08_radical_loci():
         rep = hvariety.radical_locus_check(name, SEED, samples=20)
         ok = ok and rep.ok
         if name != "p4":
-            ok = ok and rep.detail["on_locus"] >= 20
-        ok = ok and rep.detail["off_locus"] >= 20
+            ok = ok and rep.data["on_locus"] >= 20
+        ok = ok and rep.data["off_locus"] >= 20
     sweep = hvariety.nondegenerate_sweep(SEED, cubes=50, sigmas_per_cube=2)
-    ok = ok and sweep["ok"] and sweep["sigmas"] >= 100
+    ok = ok and sweep.ok and sweep.data["sigmas"] >= 100
     report(8, "radical loci membership and generic nondegeneracy", ok)
 
 
 def test_09_specializations_and_embeddings():
-    ok = all(relatives.verify_specialization(n).relation == "equal"
+    ok = all(relatives.verify_specialization(n).span.relation == "equal"
              for n in ("c2", "m8", "s6"))
     for part in ("I", "II"):
         rep = relatives.verify_cluster_embedding(part, SEED, samples=30)
-        ok = ok and rep.ok and rep.samples >= 30
-        ok = ok and all(rep.weight_relations.values())
+        ok = ok and rep.ok and rep.data["samples"] >= 30
+        ok = ok and all(rep.data["weight_relations"].values())
     report(9, "dictionary span certificates and sampled embeddings", ok)
 
 

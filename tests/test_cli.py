@@ -185,16 +185,22 @@ def test_json_report_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-# sha256 of the --json report of ``all --seed 0 --samples 30``, so that a
-# change meant only to be faster is seen to leave every report byte alone.
-# A change that means to alter the report updates this digest and says why.
-ALL_REPORT_SHA256 = "fb17840460bb7db36bd0afc646fb29d6e37b5a85198c4cee0f603803b491a997"
+# (seed, sha256) of the --json report of ``all --seed <seed> --samples 30``,
+# at seed 0 and at the seed 7 that perfbench runs, so that a change meant
+# only to be faster is seen to leave every report byte alone.  A change
+# that means to alter the report updates these digests and says why.
+ALL_REPORT_SHA256 = (
+    (0, "fb17840460bb7db36bd0afc646fb29d6e37b5a85198c4cee0f603803b491a997"),
+    (7, "b433c71e5e536768a9d8ac2c132a00c81183c98568c86473f5cf3442ee8f4aab"),
+)
 
 
 def test_all_report_bytes_are_pinned(tmp_path, capsys):
     report = tmp_path / "all.json"
-    assert run(["all", "--seed", "0", "--samples", "30", "--json", str(report)]) == 0
-    assert hashlib.sha256(report.read_bytes()).hexdigest() == ALL_REPORT_SHA256
+    for seed, digest in ALL_REPORT_SHA256:
+        assert run(["all", "--seed", str(seed), "--samples", "30",
+                    "--json", str(report)]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest, seed
 
 
 # The same for ``all --seed 0 --samples 300``, the path whose draws and
@@ -247,6 +253,43 @@ def test_repeated_key_names_the_key(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "input error: repeated key 'p222'\n"
+
+
+# one entry of each input file that a binary float would round: the cube
+# entry to 2381496680193568284655539971041/156250000000000000000000000000000
+# in D_H, the weight to 1, which passes every claim of ``hilbert``
+_UNROUNDED = {
+    "classify": ("--hypermatrix", {"p111": "0.12345678901234567890", "p222": "1"}, "p111"),
+    "weights": ("--weights", {**STANDARD, "x11": "1.0000000000000001"}, "x11"),
+    "hilbert": ("--weights", {**STANDARD, "x11": "1.0000000000000001"}, "x11"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_UNROUNDED))
+def test_json_number_reads_as_its_string(tmp_path, capsys, command):
+    option, entries, key = _UNROUNDED[command]
+    path = tmp_path / "input.json"
+    text = json.dumps(entries)
+    outcomes = []
+    for form in (text, text.replace(f'"{entries[key]}"', entries[key])):
+        path.write_text(form)
+        code = run([command, option, str(path)])
+        outcomes.append((capsys.readouterr().out, code))
+    assert outcomes[0] == outcomes[1]
+    if command == "classify":
+        assert "D_H = 1524157875323883675019051998750190521/1" + "0" * 38 in outcomes[0][0]
+    else:
+        assert outcomes[0][1] != 0
+
+
+@pytest.mark.parametrize("value,kind", [
+    ("true", "true"), ("false", "false"), ("null", "null"),
+    ("[1, 2, 3]", "a list"), ('{"a": 1}', "an object")])
+def test_json_non_numbers_are_not_rationals(tmp_path, capsys, value, kind):
+    path = tmp_path / "cube.json"
+    path.write_text(f'{{"p111": {value}, "p222": 1}}')
+    assert run(["classify", "--hypermatrix", str(path)]) == 2
+    assert capsys.readouterr().err == f"input error: {kind} is not a rational\n"
 
 
 def _hilbert_at_u3(tmp_path, u3: int) -> tuple[int, Path]:

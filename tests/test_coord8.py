@@ -218,7 +218,7 @@ def test_peirce_identity_suite_passes(symbolic_presentation):
 
 
 def test_unit_identities_hold(symbolic_presentation):
-    assert coord8.verify_unit_identities(symbolic_presentation) == [True] * 11
+    assert coord8.verify_unit_identities(symbolic_presentation) == (True, {"checks": 11})
 
 
 def test_representation_matrix_displays():

@@ -49,13 +49,13 @@ def test_last_generator_display():
 def test_factor_certificates_all_rules():
     for r in (1, 2, 3):
         rep = hvariety.factor_equivariance_certificate(r)
-        assert rep.ok, rep.failures
+        assert rep.ok, rep.data["failures"]
 
 
 def test_permutation_certificates():
     for perm in ((2, 3, 1), (3, 1, 2), (2, 1, 3), (1, 3, 2), (3, 2, 1)):
         rep = hvariety.permutation_certificate(perm)
-        assert rep.ok, rep.failures
+        assert rep.ok, rep.data["failures"]
 
 
 def test_swap_certificate():
@@ -182,7 +182,7 @@ def test_classification_of_representatives():
 
 
 def test_translates_keep_their_orbit_label():
-    assert hvariety.translate_invariance(7) == {"translates": 80, "unstable": 0}
+    assert hvariety.translate_invariance(7) == (True, {"translates": 80})
 
 
 # sha256 of the standard output of ``orbit_census.py --cubes 200 --seed 0``
@@ -267,7 +267,7 @@ def test_fiber_span_certificates():
 def test_fiber_component_sampling():
     for name in ("origin", "p1", "p2"):
         rep = hvariety.fiber_component_sampling(name, seed=5, samples=8)
-        assert rep.ok, rep.failures
+        assert rep.ok, rep.data["failures"]
 
 
 def test_p2_quadric_is_a_generator():
@@ -285,17 +285,15 @@ def test_p2_quadric_is_a_generator():
 def test_chart_reduction_residuals_vanish():
     rep = hvariety.chart_reduce_u1(hvariety.chart_substitution())
     assert rep.ok
-    assert rep.chart_dimension == 13
-    assert len(rep.free_variables) == 12
+    assert rep.data["dimension"] == 13
+    assert len(hvariety.CHART_FREE_VARS) == 12
 
 
 def test_chart_negative_control_hits_g5():
     sub = hvariety.chart_substitution()
     del sub["u3"]
     rep = hvariety.chart_reduce_u1(sub)
-    bad = {lbl for lbl, r in zip(hvariety.GEN_LABELS, rep.residuals)
-           if not r.is_zero()}
-    assert "g5" in bad
+    assert "g5" in rep.data["nonzero"]
 
 
 def test_chart_determinant_identity():
@@ -309,7 +307,7 @@ def test_skew_chart_matrix_is_skew():
 
 def test_pfaffians_vanish_on_samples():
     out = hvariety.pfaffian_vanishing_on_samples(seed=2, samples=6)
-    assert out["ok"]
+    assert out.ok
 
 
 # -- sampling ------------------------------------------------------------------------
@@ -345,18 +343,18 @@ def test_sampling_is_seed_deterministic():
 def test_radical_locus_checks():
     for name in ("origin", "p1", "p2", "p3"):
         rep = hvariety.radical_locus_check(name, seed=1, samples=6)
-        assert rep.ok, rep.failures
+        assert rep.ok, rep.data["failures"]
 
 
 def test_open_orbit_radical_trivial():
     rep = hvariety.radical_locus_check("p4", seed=1, samples=6)
     assert rep.ok
-    assert rep.detail["off_locus"] == 100
+    assert rep.data["off_locus"] == 100
 
 
 def test_nondegenerate_sweep_small():
     out = hvariety.nondegenerate_sweep(seed=3, cubes=5, sigmas_per_cube=1)
-    assert out["ok"]
+    assert out.ok
 
 
 def test_rand_reads_the_fraction_of_its_two_draws():
