@@ -456,6 +456,8 @@ def run(argv: list[str] | None = None) -> int:
             cube = Hypermatrix.parse(args.hypermatrix.read_text())
         if args.weights is not None:
             weights = grading.parse_weight_file(args.weights.read_text())
+        if args.json is not None and (args.json.is_dir() or not args.json.parent.is_dir()):
+            raise ValueError(f"--json {args.json} is not a file in an existing directory")
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -508,7 +510,11 @@ def run(argv: list[str] | None = None) -> int:
             } for c in claims],
             "summary": summary,
         }
-        args.json.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        try:
+            args.json.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            print(f"input error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
 
     if failed:
         def witness(c: Claim):

@@ -26,7 +26,8 @@ from typing import Mapping, Sequence
 from . import jordan
 from .errors import ShapeError
 from .exactcore import (Batch, Poly, PolyMatrix, Rational, Report, Ring, _frac,
-                        compile_batch, json_rational, parse_json, parse_rational)
+                        compile_batch, json_rational, over_common_denominator, parse_json,
+                        parse_rational)
 from .jordan import Element, JordanPresentation
 
 X_VARS = ("x11", "x21", "x12", "x22", "x13", "x23")
@@ -204,15 +205,17 @@ def _cube_batch() -> tuple[Ring, tuple[tuple[int, tuple], ...], Batch]:
     Every term of the cubic (form 0) and of the nine sharps (forms 1-9)
     splits as (polynomial in the eight parameters) x (coordinate monomial).
     The keys list (form, coordinate monomial) in the order the terms first
-    meet them, and the batch returns each key's coefficient polynomial.
+    meet them, and the batch returns each key's coefficient polynomial,
+    over the ring of the eight parameters.
     """
     cubic, sharp = _symbolic_forms()
     n = len(COORD_VARS)
     coeffs: dict[tuple[int, tuple], dict] = {}
     for f, form in enumerate((cubic, *sharp)):
         for m, c in form.terms.items():
-            coeffs.setdefault((f, m[:n]), {})[(0,) * n + m[n:]] = c
-    batch = compile_batch([Poly(cubic.ring, t) for t in coeffs.values()])
+            coeffs.setdefault((f, m[:n]), {})[m[n:]] = c
+    params = Ring(PARAM_VARS)
+    batch = compile_batch([Poly(params, t) for t in coeffs.values()])
     return coord_ring(False), tuple(coeffs), batch
 
 
@@ -225,8 +228,11 @@ def _at_cube(P: Hypermatrix | None) -> list[Poly]:
         return [cubic, *sharp]
     ring, keys, batch = _cube_batch()
     terms: list[dict] = [{} for _ in range(1 + len(COORD_VARS))]
-    for (f, m), c in zip(keys, batch({p_name(*t): v for t, v in P.as_fractions().items()})):
-        if c:
+    # the entries in INDEX_TRIPLES order, which is the order of PARAM_VARS
+    values, den = batch(*over_common_denominator(P.as_fractions().values()))
+    for (f, m), v in zip(keys, values):
+        if v:
+            c = Fraction(v, den)
             terms[f][m] = c.numerator if c.denominator == 1 else c
     return [Poly(ring, t) for t in terms]
 

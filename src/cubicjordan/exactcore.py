@@ -21,11 +21,14 @@ and ``rref`` return ``Fraction``.
 
 Work at a rational point runs in integers over one common denominator,
 as FLINT's ``fmpq_poly`` keeps an integer polynomial with one denominator
-(Hart, ICMS 2010); ``over_common_denominator`` gives rationals that form.
-``compile_batch`` turns a fixed batch of polynomials
-into one generated straight-line function with integer coefficients,
-which callers build once and call at every point; ``evaluate_all`` and
-``Poly.evaluate`` compile for one use.  ``rref`` eliminates fraction-free
+(Hart, ICMS 2010).  A ``Point`` is that form: integer numerators in ring
+order over one positive denominator, as ``over_common_denominator`` gives.
+``compile_batch`` turns a fixed batch of polynomials into one generated
+straight-line function with integer coefficients from a point to the
+point of their values, which callers build once and call at every point.
+``evaluate_all`` and ``Poly.evaluate`` compile for one use; they are where
+a mapping of rationals becomes a point and values become ``Fraction``s.
+``rref`` eliminates fraction-free
 in integer rows, as in Bareiss's method (Math. Comp. 22, 1968), but keeps
 each row small by dividing out its content instead of the previous pivot;
 it divides the pivot rows by their pivots only at the end.
@@ -340,69 +343,71 @@ class Poly:
         return f"Poly({self.to_str()})"
 
 
-Batch = Callable[[Mapping[str, Rational]], list[Fraction]]
+Point = tuple[list[int], int]
+Batch = Callable[[Sequence[int], int], Point]
 
 
 def compile_batch(polys: Sequence[Poly]) -> Batch:
-    """One function returning the exact values of polynomials over one ring
-    at a rational point, generated once from their terms as straight-line
-    code (Kaltofen, JACM 35(1), 1988).
+    """One function from a point to the values of polynomials over one ring,
+    generated once from their terms as straight-line code (Kaltofen, JACM
+    35(1), 1988).
 
-    The point must cover every used variable.  The function writes value i
-    as n_i / Q over the common denominator Q of the point and forms the
-    powers of each n_i and of Q in locals.  A term c x^a of total degree d,
-    in a polynomial of degree D whose coefficient denominators have lcm L,
-    then adds the integer c L n^a Q^(D - d) to a sum over L Q^D; a zero sum
-    is one shared Fraction(0).  The source holds only integers, indices and
-    fixed local names: no name of a ring becomes code.
+    The function takes the integer numerators n_i of a point, one per ring
+    variable, and their denominator Q > 0, and forms the powers of each
+    used n_i and of Q in locals.  With D the top degree and L the lcm of
+    the coefficient denominators of the whole batch, a term c x^a of total
+    degree d adds the integer c L n^a Q^(D - d) to its polynomial's sum, and
+    the function returns the sums over L Q^D: the values as a point.  A
+    value is zero exactly when its sum is.  The source holds only integers,
+    indices and fixed local names: no name of a ring becomes code.
     """
-    ring = polys[0].ring if polys else None
+    ring = polys[0].ring if polys else Ring(())
     if any(p.ring != ring for p in polys):
         raise ContextError("mixed ring contexts")
     tops = [max(col) for col in zip(*(m for p in polys for m in p.terms))]
     used = [i for i, top in enumerate(tops) if top]
-    ks = range(len(used))
-    lines = ["def batch(values):", "    Q_0 = 1"]
-    if used:
-        lines += ["    " + "".join(f"k{k}, " for k in ks) + "= KEYS", "    try:",
-                  *(f"        a{k} = values[k{k}]" for k in ks),
-                  "    except KeyError as missing:",
-                  "        raise ContextError("
-                  "f'no value supplied for {missing.args[0]!r}') from None",
-                  *(f"    if a{k}.__class__ not in EXACT: a{k} = frac(a{k})" for k in ks),
-                  f"    Q_1 = lcm({', '.join(f'a{k}.denominator' for k in ks)})"]
-    for k, i in enumerate(used):
-        lines.append(f"    n{k}_1 = a{k}.numerator * (Q_1 // a{k}.denominator)")
-        lines += [f"    n{k}_{e} = n{k}_{e - 1} * n{k}_1" for e in range(2, tops[i] + 1)]
-    degrees = [max(map(sum, p.terms), default=0) for p in polys]
-    lines += [f"    Q_{e} = Q_{e - 1} * Q_1" for e in range(2, max(degrees, default=0) + 1)]
-    slot = dict(zip(used, ks))
-    results = []
-    for j, (p, top) in enumerate(zip(polys, degrees)):
-        scale = lcm(*(c.denominator for c in p.terms.values()))
+    lines = ["def batch(nums, den):",
+             f"    if len(nums) != {ring.nvars} or den.__class__ is not int or den < 1:",
+             f"        raise ValueError(f'a point needs {ring.nvars} numerators over a positive "
+             "int, not {len(nums)} over {den!r}')",
+             "    Q_0, Q_1 = 1, den"]
+    for i in used:
+        lines.append(f"    n{i}_1 = nums[{i}]")
+        lines += [f"    n{i}_{e} = n{i}_{e - 1} * n{i}_1" for e in range(2, tops[i] + 1)]
+    top = max((sum(m) for p in polys for m in p.terms), default=0)
+    lines += [f"    Q_{e} = Q_{e - 1} * Q_1" for e in range(2, top + 1)]
+    scale = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    for j, p in enumerate(polys):
         terms = []
         for m, c in p.terms.items():
             c = c.numerator * (scale // c.denominator)
-            factors = [str(abs(c))] + [f"n{slot[i]}_{e}" for i, e in enumerate(m) if e]
+            factors = [str(abs(c))] + [f"n{i}_{e}" for i, e in enumerate(m) if e]
             factors += [f"Q_{top - sum(m)}"] if sum(m) < top else []
             terms.append(("- " if c < 0 else "+ ") + "*".join(factors).removeprefix("1*"))
         for start in range(0, len(terms) or 1, 64):  # 64 terms per statement
             chunk = " ".join(terms[start:start + 64]).removeprefix("+ ") or "0"
             lines.append(f"    s{j} {'+=' if start else '='} {chunk}")
-        results.append(f"F(s{j}, {scale} * Q_{top}) if s{j} else ZERO")
-    lines.append(f"    return [{', '.join(results)}]")
-    namespace = {"F": Fraction, "ZERO": Fraction(0), "lcm": lcm, "frac": _frac,
-                 "EXACT": {int, Fraction}, "ContextError": ContextError,
-                 "KEYS": tuple(ring.names[i] for i in used)}
+    lines.append(f"    return [{', '.join(f's{j}' for j in range(len(polys)))}], "
+                 f"{scale} * Q_{top}")
+    namespace: dict = {}
     exec("\n".join(lines), namespace)
     return namespace["batch"]
 
 
 def evaluate_all(polys: Sequence[Poly], values: Mapping[str, Rational]) -> list[Fraction]:
     """Exact values of polynomials over one ring at one rational point, by
-    the function ``compile_batch`` generates for them.  A caller that
-    evaluates one batch at many points compiles it once."""
-    return compile_batch(polys)(values)
+    the function ``compile_batch`` generates for them.  The point must
+    cover every used variable.  A caller that evaluates one batch at many
+    points compiles it once and passes it points."""
+    batch = compile_batch(polys)
+    names = polys[0].ring.names if polys else ()
+    used = {i for p in polys for m in p.terms for i, e in enumerate(m) if e}
+    try:
+        vals = [_frac(values[n]) if i in used else 0 for i, n in enumerate(names)]
+    except KeyError as missing:
+        raise ContextError(f"no value supplied for {missing.args[0]!r}") from None
+    out, den = batch(*over_common_denominator(vals))
+    return [Fraction(v, den) for v in out]
 
 
 def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, "Poly | Rational"],

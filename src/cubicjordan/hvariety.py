@@ -20,7 +20,8 @@ taken, in integers over one common denominator, which is divided out once
 at the end.
 
 Sampling uses explicitly seeded generators passed by the caller; there is
-no hidden global randomness.
+no hidden global randomness.  A sampled point stays an integer ``Point``
+from the draw to the check; ``sample_point`` makes ``Fraction``s to return.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ import random
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from typing import Mapping
+from math import lcm
+from typing import Mapping, Sequence
 
 from . import coord8, jordan
-from .coord8 import (ALL_VARS, COORD_VARS, INDEX_TRIPLES, PARAM_VARS, X_VARS, U_VARS,
+from .coord8 import (ALL_VARS, COORD_VARS, INDEX_TRIPLES, PARAM_VARS, X_VARS,
                      Hypermatrix, coord_ring, d_entry, d_matrix, p_name, x_name)
 from .errors import InternalError, ShapeError, SingularGroupElement
-from .exactcore import (Batch, EquationSet, Poly, PolyMatrix, Rational, Report, Ring,
+from .exactcore import (Batch, EquationSet, Point, Poly, PolyMatrix, Rational, Report, Ring,
                         _frac, compile_batch, over_common_denominator, rank,
                         span_compare, substitute_all)
 
@@ -393,14 +395,27 @@ def orbit_label_residual(P: Hypermatrix, label: OrbitLabel) -> str | None:
 _PERMUTATIONS = ((1, 2, 3), (2, 3, 1), (3, 1, 2), (2, 1, 3), (1, 3, 2), (3, 2, 1))
 
 
-# every value a/b of a factor entry, in rows a = -5..5 of columns b = 1..3
-_FACTOR_VALUES = tuple(tuple(Fraction(a, b) for b in range(1, 4)) for a in range(-5, 6))
+def _draw(rng: random.Random, top: int = 9, cols: int = 4) -> tuple[int, int]:
+    """a and b of a/b: the draws of ``randint(-top, top)``, then of
+    ``randint(1, cols)``, each by the ``getrandbits`` rejection loop that
+    ``Random._randbelow`` runs inside ``choice`` and ``randint``."""
+    bits = rng.getrandbits
+    n = 2 * top + 1
+    k = n.bit_length()
+    a = bits(k)
+    while a >= n:
+        a = bits(k)
+    k = cols.bit_length()
+    b = bits(k)
+    while b >= cols:
+        b = bits(k)
+    return a - top, b + 1
 
 
 def _random_invertible(rng: random.Random, ring: Ring) -> PolyMatrix:
     """Random invertible 2x2 factor over ``ring`` with small rational entries."""
     while True:
-        m = [[rng.choice(rng.choice(_FACTOR_VALUES)) for _ in range(2)] for _ in range(2)]
+        m = [[Fraction(*_draw(rng, 5, 3)) for _ in range(2)] for _ in range(2)]
         if m[0][0] * m[1][1] != m[0][1] * m[1][0]:
             return PolyMatrix.from_rows(ring, m)
 
@@ -508,70 +523,75 @@ def fiber_certificate_p3() -> Report:
 
 
 # Component parametrizations of the reducible fibers.  Each component maps
-# an RNG to a 9-coordinate point lying on a dense open part.
+# an RNG to a point over the nine coordinates lying on a dense open part,
+# built from pairs (a, b) of a/b, b nonzero, that ``_point`` puts over one
+# denominator.  ``_AT`` gives positions in a point over ALL_VARS, which are
+# those over COORD_VARS for the coordinates; ``_SLOTS`` those of x1i, x2i, ui.
+_AT = {n: k for k, n in enumerate(ALL_VARS)}
+_SLOTS = tuple((_AT[x_name(1, i)], _AT[x_name(2, i)], _AT[f"u{i}"]) for i in (1, 2, 3))
 
-_ZERO = Fraction(0)  # the unset coordinates of every sampled point
-
-# every value a/b of ``_rand``, in rows a = -9..9 of columns b = 1..4
+# every value a/b of ``_draw``, in rows a = -9..9 of columns b = 1..4
 _RAND_VALUES = tuple(tuple(Fraction(a, b) for b in range(1, 5)) for a in range(-9, 10))
 
 
 def _rand(rng: random.Random) -> Fraction:
-    """a/b with a uniform in -9..9, then b uniform in 1..4: one
-    ``Random._randbelow`` call each, as ``randint`` would make."""
-    return rng.choice(rng.choice(_RAND_VALUES))
+    """The rational a/b of one ``_draw``."""
+    a, b = _draw(rng)
+    return _RAND_VALUES[a + 9][b - 1]
 
 
-def _rand_nonzero(rng: random.Random) -> Fraction:
+def _draw_nonzero(rng: random.Random) -> tuple[int, int]:
     while True:
-        v = _rand(rng)
-        if v != 0:
-            return v
+        a, b = _draw(rng)
+        if a:
+            return a, b
 
 
-def _component_points(name: str, rng: random.Random) -> dict[str, Fraction]:
-    point = dict.fromkeys(COORD_VARS, _ZERO)
+def _point(pairs: Sequence[tuple[int, int]]) -> Point:
+    """The rationals a/b as integer numerators over the lcm of the b."""
+    den = lcm(*[b for _, b in pairs])
+    return [a * (den // b) for a, b in pairs], den
+
+
+def _component_points(name: str, rng: random.Random) -> Point:
+    pt = [(0, 1)] * len(COORD_VARS)
     if name == "origin/all-x":
-        for n in X_VARS:
-            point[n] = _rand(rng)
-    elif name.startswith("origin/pair"):
-        # one coordinate pair zero together with two idempotent coords
-        i = int(name[-1])
-        others = [m for m in (1, 2, 3) if m != i]
-        point[f"u{i}"] = _rand(rng)
-        for m in others:
-            point[x_name(1, m)] = _rand(rng)
-            point[x_name(2, m)] = _rand(rng)
-    elif name.startswith("p1/quadric"):
-        # component i: the other idempotent coords and the second row of
-        # pair i vanish; u_i is solved from the displayed quadric
-        i = int(name[-1])
-        others = [m for m in (1, 2, 3) if m != i]
-        for m in others:
-            point[x_name(1, m)] = _rand(rng)
-            point[x_name(2, m)] = _rand(rng)
-        point[x_name(1, i)] = _rand_nonzero(rng)
-        point[f"u{i}"] = (point[x_name(2, others[0])]
-                          * point[x_name(2, others[1])]) / point[x_name(1, i)]
+        pt[:len(X_VARS)] = [_draw(rng) for _ in X_VARS]  # COORD_VARS starts with X_VARS
+    elif name[:-1] in ("origin/pair", "p1/quadric"):
+        # origin: one coordinate pair zero together with two idempotent
+        # coords; p1 component i: the other idempotent coords and the second
+        # row of pair i vanish, and u_i is solved from the displayed quadric
+        i = int(name[-1]) - 1
+        lo, _, u = _SLOTS[i]
+        others = _SLOTS[:i] + _SLOTS[i + 1:]
+        if name.startswith("origin"):
+            pt[u] = _draw(rng)
+        for x1, x2, _ in others:
+            pt[x1] = _draw(rng)
+            pt[x2] = _draw(rng)
+        if name.startswith("p1"):
+            a, b = pt[lo] = _draw_nonzero(rng)
+            (c, d), (e, f) = (pt[x2] for _, x2, _ in others)
+            pt[u] = (c * e * b, d * f * a)
     elif name == "p2/quadric":
-        for n in ("x11", "x21", "x12", "x22"):
-            point[n] = _rand(rng)
-        point["x13"] = _rand_nonzero(rng)
-        point["u3"] = (point["x11"] * point["x12"]
-                       + point["x21"] * point["x22"]) / point["x13"]
+        # x11, x21, x12, x22 (the first four coordinates), x13, then
+        # u3 = (x11 x12 + x21 x22) / x13
+        (a11, b11), (a21, b21), (a12, b12), (a22, b22) = pt[:4] = [_draw(rng) for _ in range(4)]
+        a, b = pt[_AT["x13"]] = _draw_nonzero(rng)
+        pt[_AT["u3"]] = ((a11 * a12 * b21 * b22 + a21 * a22 * b11 * b12) * b,
+                         b11 * b12 * b21 * b22 * a)
     elif name == "p2/cone":
-        lam = _rand_nonzero(rng)
-        point["x23"] = _rand(rng)
-        point["x11"] = _rand(rng)
-        point["x21"] = _rand(rng)
-        point["x13"] = _rand(rng)
-        point["u1"] = lam * point["x23"]
-        point["u2"] = -point["x23"] / lam
-        point["x22"] = lam * point["x11"]
-        point["x12"] = -lam * point["x21"]
+        lam, mu = _draw_nonzero(rng)  # lambda = lam / mu
+        a, b = pt[_AT["x23"]] = _draw(rng)
+        c, d = pt[_AT["x11"]] = _draw(rng)
+        e, f = pt[_AT["x21"]] = _draw(rng)
+        pt[_AT["x13"]] = _draw(rng)
+        # u1, u2 = lambda x23, -x23 / lambda and x22, x12 = lambda x11, -lambda x21
+        pt[_AT["u1"]], pt[_AT["u2"]] = (lam * a, mu * b), (-a * mu, b * lam)
+        pt[_AT["x22"]], pt[_AT["x12"]] = (lam * c, mu * d), (-lam * e, mu * f)
     else:
         raise KeyError(f"unknown fiber component {name!r}")
-    return point
+    return _point(pt)
 
 
 FIBER_COMPONENTS = {
@@ -598,8 +618,7 @@ def fiber_component_sampling(name: str, seed: int, samples: int = 20) -> Report:
         rng = random.Random(f"{seed}:{comp}")
         good = 0
         for _ in range(samples):
-            point = _component_points(comp, rng)
-            if all(v == 0 for v in evaluate(point)):
+            if not any(evaluate(*_component_points(comp, rng))[0]):
                 good += 1
             else:
                 failures.append(f"component {comp}: generator fails to vanish")
@@ -698,15 +717,17 @@ def pfaffian_vanishing_on_samples(seed: int, samples: int = 30) -> Report:
     variety points rescaled so the leading pair coordinate is one."""
     pfaffians = _chart_pfaffians()
     rng = random.Random(f"{seed}:pfaffians")
-    checked = 0
-    failures = 0
+    n = len(COORD_VARS)
+    checked = failures = 0
     while checked < samples:
-        point = sample_point(rng)
-        if point["x11"] == 0:
+        nums, den = _sample(rng, {})
+        x11 = nums[_AT["x11"]]
+        if x11 == 0:
             continue
-        rescaled = {**point, **{n: point[n] / point["x11"] for n in COORD_VARS}}
+        # the coordinates over x11 and the cube over den, both over den |x11|
+        c, h = (den if x11 > 0 else -den), abs(x11)
         checked += 1
-        if any(v != 0 for v in pfaffians(rescaled)):
+        if any(pfaffians([v * c for v in nums[:n]] + [v * h for v in nums[n:]], den * h)[0]):
             failures += 1
     return Report(failures == 0, {"checked": checked, "failures": failures,
                                   "ok": failures == 0})
@@ -717,15 +738,15 @@ def pfaffian_vanishing_on_samples(seed: int, samples: int = 30) -> Report:
 # ---------------------------------------------------------------------------
 
 CHART_FREE_VARS = ("x12", "x22", "x13", "x23") + PARAM_VARS
+_SOLVED = ("x11", "x21", "u2", "u3")
 
 
 @cache
-def _sampling_tables() -> tuple[tuple[str, ...], Batch, Batch]:
-    """The solved coordinates, their chart images (in the free chart
-    coordinates alone) and the nine generators, the last two compiled."""
-    sub = chart_substitution()
-    solved = ("x11", "x21", "u2", "u3")
-    return solved, compile_batch([sub[n] for n in solved]), compile_batch(equations().gens)
+def _sampling_tables() -> tuple[Batch, Batch]:
+    """The chart images of the solved coordinates, over the free chart
+    coordinates alone, and the nine generators, compiled."""
+    sub, free = chart_substitution(), Ring(CHART_FREE_VARS)
+    return compile_batch([sub[n].convert(free) for n in _SOLVED]), compile_batch(equations().gens)
 
 
 def sample_point(rng: random.Random | int,
@@ -744,18 +765,25 @@ def sample_point(rng: random.Random | int,
     unknown = set(constraints) - set(CHART_FREE_VARS)
     if unknown:
         raise ValueError(f"constraints outside the free chart coordinates: {sorted(unknown)}")
-    solved, images, gens = _sampling_tables()
-    values: dict[str, Fraction] = {}
-    for n in CHART_FREE_VARS:
-        values[n] = _frac(constraints[n]) if n in constraints else _rand(rng)
-    values.update(zip(solved, images(values)))
-    values["u1"] = Fraction(1)
-    t = _rand_nonzero(rng)
-    for n in COORD_VARS:
-        values[n] = values[n] * t
-    if any(v != 0 for v in gens(values)):
+    nums, den = _sample(rng, {n: _frac(v).as_integer_ratio() for n, v in constraints.items()})
+    return {n: Fraction(nums[_AT[n]], den) for n in CHART_FREE_VARS + _SOLVED + ("u1",)}
+
+
+def _sample(rng: random.Random, pinned: Mapping[str, tuple[int, int]]) -> Point:
+    """The point of ``sample_point`` over ``ALL_VARS``; constraints are pairs (a, b) of a/b."""
+    images, gens = _sampling_tables()
+    free, q = _point([pinned.get(n) or _draw(rng) for n in CHART_FREE_VARS])
+    (x11, x21, u2, u3), den = images(free, q)
+    # over den b in the order of ALL_VARS (x11, x21, the four free coordinates,
+    # u1 = 1, u2, u3, the cube), with the algebra part times t = a/b
+    a, b = _draw_nonzero(rng)
+    scale = den // q
+    nums = [v * a for v in (x11, x21, *(v * scale for v in free[:4]), den, u2, u3)]
+    nums += [v * scale * b for v in free[4:]]
+    den *= b
+    if any(gens(nums, den)[0]):
         raise InternalError("constructed point violates the equations")
-    return values
+    return nums, den
 
 
 # ---------------------------------------------------------------------------
@@ -770,58 +798,53 @@ _NP_DISPLAYS = {
 }
 
 
-def radical_point(name: str, rng: random.Random) -> dict[str, Fraction]:
-    """A sampled point of the stated radical locus for one representative."""
-    point = dict.fromkeys(COORD_VARS, _ZERO)
+def radical_point(name: str, rng: random.Random) -> Point:
+    """A sampled point over ``COORD_VARS`` of the stated radical locus of a representative."""
+    pt = [(0, 1)] * len(COORD_VARS)
     if name == "origin":
-        for n in X_VARS:
-            point[n] = _rand(rng)
+        pt[:len(X_VARS)] = [_draw(rng) for _ in X_VARS]  # COORD_VARS starts with X_VARS
     elif name == "p1":
         for n in ("x11", "x12", "x13"):
-            point[n] = _rand(rng)
+            pt[_AT[n]] = _draw(rng)
         survivor = rng.choice(("x21", "x22", "x23"))
-        point[survivor] = _rand(rng)
+        pt[_AT[survivor]] = _draw(rng)
     elif name == "p2":
-        point["x13"] = _rand(rng)
-        point["x11"] = _rand_nonzero(rng)
-        point["x21"] = _rand(rng)
-        point["x22"] = _rand(rng)
-        point["x12"] = -point["x21"] * point["x22"] / point["x11"]
+        pt[_AT["x13"]] = _draw(rng)
+        a, b = pt[_AT["x11"]] = _draw_nonzero(rng)
+        c, d = pt[_AT["x21"]] = _draw(rng)
+        e, f = pt[_AT["x22"]] = _draw(rng)
+        pt[_AT["x12"]] = (-c * e * b, d * f * a)  # -x21 x22 / x11
     elif name == "p3":
         for n in ("x11", "x12", "x23"):
-            point[n] = _rand(rng)
-    elif name == "p4":
-        pass  # the radical is trivial
-    else:
+            pt[_AT[n]] = _draw(rng)
+    elif name != "p4":  # the radical of p4 is trivial
         raise KeyError(f"unknown representative {name!r}")
-    return point
+    return _point(pt)
 
 
-def off_radical_point(name: str, rng: random.Random) -> dict[str, Fraction]:
-    """A random nonzero point verified to lie off the radical locus."""
+def off_radical_point(name: str, rng: random.Random) -> Point:
+    """A random nonzero point over ``COORD_VARS`` verified to lie off the radical locus."""
     while True:
-        point = {n: _rand(rng) for n in COORD_VARS}
-        if all(v == 0 for v in point.values()):
-            continue
-        if not _on_radical_locus(name, point):
-            return point
+        nums, den = _point([_draw(rng) for _ in COORD_VARS])
+        if any(nums) and not _on_radical_locus(name, nums):
+            return nums, den
 
 
-def _on_radical_locus(name: str, point: Mapping[str, Fraction]) -> bool:
-    u_zero = all(point[n] == 0 for n in U_VARS)
+def _on_radical_locus(name: str, nums: Sequence[int]) -> bool:
+    """Whether a point over ``COORD_VARS`` lies on the stated radical locus,
+    read off its numerators: every condition is homogeneous."""
+    x11, x21, x12, x22, x13, x23, u1, u2, u3 = nums
+    u_zero = not (u1 or u2 or u3)
     if name == "origin":
         return u_zero
     if name == "p1":
-        pairs = (point["x22"] * point["x23"], point["x21"] * point["x23"],
-                 point["x21"] * point["x22"])
-        return u_zero and all(v == 0 for v in pairs)
+        return u_zero and not (x22 * x23 or x21 * x23 or x21 * x22)
     if name == "p2":
-        return (u_zero and point["x23"] == 0
-                and point["x11"] * point["x12"] + point["x21"] * point["x22"] == 0)
+        return u_zero and x23 == 0 and x11 * x12 + x21 * x22 == 0
     if name == "p3":
-        return u_zero and all(point[n] == 0 for n in ("x21", "x22", "x13"))
+        return u_zero and not (x21 or x22 or x13)
     if name == "p4":
-        return all(v == 0 for v in point.values())
+        return not any(nums)
     raise KeyError(name)
 
 
@@ -838,8 +861,7 @@ def radical_locus_check(name: str, seed: int, samples: int = 20) -> Report:
     on_count = 0
     if name != "p4":
         for _ in range(samples):
-            point = radical_point(name, rng_on)
-            tests = jordan.nondegeneracy_test_equiv(pres, [point[n] for n in COORD_VARS])
+            tests = jordan.nondegeneracy_test_equiv(pres, radical_point(name, rng_on)[0])
             if not tests["viaU"]:
                 failures.append(f"{name}: locus point rejected by the U-operator test")
                 break
@@ -851,8 +873,7 @@ def radical_locus_check(name: str, seed: int, samples: int = 20) -> Report:
     off_count = 0
     n_off = 100 if name == "p4" else samples
     for _ in range(n_off):
-        point = off_radical_point(name, rng_off)
-        tests = jordan.nondegeneracy_test_equiv(pres, [point[n] for n in COORD_VARS])
+        tests = jordan.nondegeneracy_test_equiv(pres, off_radical_point(name, rng_off)[0])
         if tests["viaU"]:
             failures.append(f"{name}: off-locus point accepted by the U-operator test")
             break

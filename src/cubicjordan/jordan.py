@@ -328,16 +328,26 @@ def _rational_parts(p: JordanPresentation, sigma: Sequence[Rational]) -> _Parts:
     row T(s, e_j) as integers over ``sharp_den`` and ``gram_den``, read off
     the rational tables.
 
-    s is sigma times the lcm of its denominators.  Both callers' tests are
-    homogeneous in sigma, so they give the same answer for s: "sigma# = 0
-    and T(sigma, J) = 0" only asks for zeros, and the radical test
-    T(sigma, e_m) sigma_k = (sigma# # e_m)_k has degree 2 in sigma on both
-    sides, so scaling sigma by c scales both sides by c^2.
+    s is sigma times the lcm of its denominators; integers are their own s.
+    Both callers' tests are homogeneous in sigma, so they give the same
+    answer for s: "sigma# = 0 and T(sigma, J) = 0" only asks for zeros, and
+    the radical test T(sigma, e_m) sigma_k = (sigma# # e_m)_k has degree 2
+    in sigma on both sides, so scaling sigma by c scales both sides by c^2.
     """
     tables = p._rational_tables
     s, _ = over_common_denominator(sigma)
-    sharp = [sum(c * s[i] * s[j] for i, j, c in q) for q in tables.sharp]
-    trace = [sum(c * s[i] for i, c in col) for col in tables.gram]
+    sharp = []
+    for q in tables.sharp:
+        acc = 0
+        for i, j, c in q:
+            acc += c * s[i] * s[j]
+        sharp.append(acc)
+    trace = []
+    for col in tables.gram:
+        acc = 0
+        for i, c in col:
+            acc += c * s[i]
+        trace.append(acc)
     return s, sharp, trace
 
 
@@ -361,8 +371,15 @@ def _u_vanishes(p: JordanPresentation, parts: _Parts) -> bool:
     tables = p._rational_tables
     # T(s, e_m) s_k = (s# # e_m)_k, both sides times gram_den sharp_den^2
     lhs, rhs = tables.sharp_den ** 2, tables.gram_den
-    return all(lhs * trace[m] * s[k] == rhs * sum(c * sharp[i] for i, c in col)
-               for m, row in enumerate(tables.polar) for k, col in enumerate(row))
+    for m, row in enumerate(tables.polar):
+        t = lhs * trace[m]
+        for k, col in enumerate(row):
+            acc = 0
+            for i, c in col:
+                acc += c * sharp[i]
+            if t * s[k] != rhs * acc:
+                return False
+    return True
 
 
 def nondegeneracy_test_equiv(p: JordanPresentation,

@@ -25,7 +25,8 @@ from typing import Callable, Mapping, Sequence
 
 from . import grading, hvariety
 from .errors import UnknownDictionary
-from .exactcore import (Batch, EquationSet, Poly, PolyMatrix, Rational, Report, Ring,
+from .coord8 import ALL_VARS
+from .exactcore import (Batch, EquationSet, Point, Poly, PolyMatrix, Rational, Report, Ring,
                         SpanResult, compile_batch, span_compare)
 
 M8_VARS = ("x1", "x2", "x3", "x4", "x5", "x6", "x7", "w1", "w2", "w3", "y", "z")
@@ -205,7 +206,6 @@ def _c2_dictionary() -> Dictionary:
 
 
 def _partial_dictionary(name: str, frozen: Mapping[str, Rational]) -> Dictionary:
-    from .coord8 import ALL_VARS
     keep = tuple(n for n in ALL_VARS if n not in frozen)
     ring = Ring(keep)
     mapping: dict[str, Poly] = {n: ring.var(n) for n in keep}
@@ -321,38 +321,49 @@ EMBEDDING_SLICES = {
 
 def cluster_point(rng: random.Random, part: str) -> dict[str, Fraction]:
     """Sampled variety point on the cluster slice, in cluster coordinates."""
-    constraints = {"p121": Fraction(0), "p112": Fraction(0),
-                   "p211": Fraction(0), "p111": Fraction(1)}
-    constraints.update(EMBEDDING_SLICES[part])
-    point = hvariety.sample_point(rng, constraints)
-    return {name: point[amb] / coeff for amb, name, coeff in _c2_inverse()}
+    nums, den = _cluster_point(rng, part)
+    return {name: Fraction(nums[k], den) for name, k, _, _ in _c2_inverse()}
+
+
+def _cluster_point(rng: random.Random, part: str) -> Point:
+    """The point of ``cluster_point`` over ``C2_VARS``."""
+    pinned = {"p121": (0, 1), "p112": (0, 1), "p211": (0, 1), "p111": (1, 1)}
+    pinned.update((n, v.as_integer_ratio()) for n, v in EMBEDDING_SLICES[part].items())
+    nums, den = hvariety._sample(rng, pinned)
+    out = [0] * len(C2_VARS)
+    for _, k, amb, sign in _c2_inverse():
+        out[k] = sign * nums[amb]
+    return out, den
 
 
 @cache
-def _c2_inverse() -> tuple[tuple[str, str, Rational], ...]:
-    """The linear entries of the c2 dictionary, as (ambient coordinate,
-    cluster coordinate, coefficient): dividing the ambient value by the
-    coefficient inverts the (linear, triangular) dictionary on the slice."""
+def _c2_inverse() -> tuple[tuple[str, int, int, int], ...]:
+    """The linear entries of the c2 dictionary, as (cluster coordinate, its
+    position in ``C2_VARS``, the position in ``ALL_VARS`` of the ambient
+    coordinate, coefficient): each coefficient is 1 or -1, and multiplying
+    by it inverts the (linear, triangular) dictionary on the slice."""
     c2 = dictionary("c2")
     out = []
     for amb, img in c2.mapping.items():
         if len(img.terms) == 1:
             (mono, coeff), = img.terms.items()
             if sum(mono) == 1:
-                out.append((amb, c2.target.names[mono.index(1)], coeff))
+                assert coeff in (1, -1), f"c2 coefficient {coeff} of {amb}"
+                k = mono.index(1)
+                out.append((c2.target.names[k], k, ALL_VARS.index(amb), coeff))
     return tuple(out)
 
 
 @cache
-def _embedding_batches(part: str) -> tuple[tuple[str, ...], Batch, tuple[str, ...], Batch]:
-    """The target coordinates of one embedding, their compiled images in
-    the cluster coordinates, and the labels and compiled generators of the
-    target system."""
+def _embedding_batches(part: str) -> tuple[Batch, tuple[str, ...], Batch]:
+    """The compiled images of the target coordinates in the cluster
+    coordinates, in the target ring's order, and the labels and compiled
+    generators of the target system."""
     if part == "I":
         target, images = m8_equations(), _c2_to_m8_images(c2_ring())
     else:
         target, images = s6_equations(), _c2_to_s7_images(c2_ring())
-    return (tuple(images), compile_batch(tuple(images.values())), target.labels,
+    return (compile_batch([images[n] for n in target.ring.names]), target.labels,
             compile_batch(target.gens))
 
 
@@ -368,11 +379,10 @@ def verify_cluster_embedding(part: str, seed: int, samples: int = 30) -> Report:
         raise ValueError("part must be 'I' or 'II'")
     rng = random.Random(f"{seed}:embedding:{part}")
     failures: list[str] = []
-    names, images, labels, target = _embedding_batches(part)
+    images, labels, target = _embedding_batches(part)
 
     for k in range(samples):
-        cpt = cluster_point(rng, part)
-        for v, lbl in zip(target(dict(zip(names, images(cpt)))), labels):
+        for v, lbl in zip(target(*images(*_cluster_point(rng, part)))[0], labels):
             if v != 0:
                 failures.append(f"part {part}: generator {lbl} fails on sample {k}")
         if failures:

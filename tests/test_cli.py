@@ -177,6 +177,22 @@ def test_json_report_schema(tmp_path):
     assert data["genus"] == "3"
 
 
+def test_unwritable_json_path_is_input_error(tmp_path, capsys, monkeypatch):
+    # refused before any suite runs: a missing directory, or a directory
+    for path in (tmp_path / "missing" / "r.json", tmp_path):
+        assert run(["hilbert", "--json", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error: ") and err.count("\n") == 1
+    # a path that passes that check and still cannot be written
+    def refuse(*args, **kwargs):
+        raise PermissionError("permission denied")
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    assert run(["hilbert", "--json", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: cannot write the report: permission denied\n"
+
+
 def test_json_report_is_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

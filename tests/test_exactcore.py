@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from cubicjordan.errors import ContextError, ShapeError, SkewError
 from cubicjordan.exactcore import (EquationSet, Poly, PolyMatrix, Ring,
                                    compile_batch, directional_derivative, evaluate_all,
-                                   nullspace, parse_rational, rank, rref, solve_linear,
-                                   span_compare, substitute_all)
+                                   nullspace, over_common_denominator, parse_rational, rank,
+                                   rref, solve_linear, span_compare, substitute_all)
 
 R = Ring(("x", "y", "z"))
 X, Y, Z = R.gens()
@@ -314,9 +314,10 @@ def test_evaluate_needs_every_used_variable():
         evaluate_all([X, Ring(("x",)).var("x")], {"x": 1})
 
 
-@given(st.lists(ref_polys, max_size=4), st.tuples(*[point_values] * 3))
+@given(st.lists(ref_polys, max_size=4), st.tuples(*[point_values] * 3),
+       st.integers(1, 12))
 @settings(max_examples=60, deadline=None)
-def test_evaluate_all_matches_fraction_reference(refs, values):
+def test_evaluate_all_matches_fraction_reference(refs, values, extra):
     # one table for the whole batch, the zero polynomial among the rest
     refs = refs + [{}]
     polys = [Poly.collect(R, t) for t in refs]
@@ -326,6 +327,12 @@ def test_evaluate_all_matches_fraction_reference(refs, values):
     assert got == want
     assert all(type(v) is Fraction for v in got)
     assert [p.evaluate(point) for p in polys] == want
+    # the integer point, over the lcm of the denominators and over a multiple
+    nums, den = over_common_denominator(values)
+    for scale in (1, extra):
+        out, q = compile_batch(polys)([n * scale for n in nums], den * scale)
+        assert all(type(v) is int for v in out) and type(q) is int and q > 0
+        assert [Fraction(v, q) for v in out] == want
     assert evaluate_all(polys[:0], point) == []
     for name in R.names:
         partial = {n: v for n, v in point.items() if n != name}
@@ -339,23 +346,40 @@ def test_evaluate_all_matches_fraction_reference(refs, values):
 def test_compiled_batch_edge_cases():
     # Fraction coefficients, scaled to integers by the lcm of their denominators
     poly = X * Fraction(1, 2) - Y * Fraction(1, 3) + 1
-    batch = compile_batch([R.zero(), R.const(Fraction(-3, 4)), poly])
-    got = batch({"x": 1, "y": Fraction(3, 2)})
+    polys = [R.zero(), R.const(Fraction(-3, 4)), poly]
+    batch = compile_batch(polys)
+    got = evaluate_all(polys, {"x": 1, "y": Fraction(3, 2)})
     assert got == [0, Fraction(-3, 4), Fraction(1)]
     assert all(type(v) is Fraction for v in got)
-    # z is unused, so a point without it is enough, and batches are reusable
-    assert batch({"x": Fraction(-2, 3), "y": 0}) == [0, Fraction(-3, 4), Fraction(2, 3)]
-    assert compile_batch([])({}) == []
+    # the same point in integers, x = 2/2 and y = 3/2: the values are
+    # numerators over one denominator, and a zero value has a zero numerator
+    out, den = batch([2, 3, 0], 2)
+    assert out[0] == 0 and [Fraction(v, den) for v in out] == got
+    # z is unused, so a point without it is enough, its numerator is never
+    # read, and batches are reusable
+    assert evaluate_all(polys, {"x": Fraction(-2, 3), "y": 0}) == \
+        [0, Fraction(-3, 4), Fraction(2, 3)]
+    out, den = batch([-2, 0, 7 ** 40], 3)
+    assert [Fraction(v, den) for v in out] == [0, Fraction(-3, 4), Fraction(2, 3)]
+    assert compile_batch([])([], 1) == ([], 1)
     # a sum longer than one generated statement, against substitution
     long = (X + Y * Fraction(2, 3) + Z + 1) ** 6
     point = {"x": Fraction(-1, 2), "y": 5, "z": Fraction(7, 3)}
     assert len(long.terms) > 64
-    assert compile_batch([long])(point) == [long.substitute(point).constant_value()]
-    assert compile_batch([R.const(5), R.zero()])({}) == [5, 0]
+    out, den = compile_batch([long])([-3, 30, 14], 6)
+    assert [Fraction(v, den) for v in out] == [long.substitute(point).constant_value()]
+    assert evaluate_all([long], point) == [long.substitute(point).constant_value()]
+    assert compile_batch([R.const(5), R.zero()])([0, 0, 0], 1) == ([5, 0], 1)
+    assert evaluate_all([R.const(5), R.zero()], {}) == [5, 0]
     with pytest.raises(ContextError, match="'y'"):
-        batch({"x": 1, "z": 2})
+        evaluate_all(polys, {"x": 1, "z": 2})
     with pytest.raises(TypeError):
-        batch({"x": 1.5, "y": 2})
+        evaluate_all(polys, {"x": 1.5, "y": 2})
+    # a point has one numerator per ring variable over a positive int
+    for nums, den in [([2, 3, 0], d) for d in (0, -2, Fraction(2), 2.0, True)] + \
+            [([2, 3], 2), ([2, 3, 0, 0], 2)]:
+        with pytest.raises(ValueError, match="a point needs 3 numerators over a positive int"):
+            batch(nums, den)
     with pytest.raises(ContextError):
         compile_batch([X, Ring(("x",)).var("x")])
 
@@ -364,11 +388,13 @@ def test_compiled_batch_keeps_names_out_of_the_source():
     # names that are not identifiers, or that look like code, are only keys
     ring = Ring(("x'1", "a b", "k0", "values[0]"))
     p, q, k, v = ring.gens()
-    batch = compile_batch([p * q - 2 * k ** 2 + v, q ** 3])
+    polys = [p * q - 2 * k ** 2 + v, q ** 3]
     point = {"x'1": Fraction(1, 3), "a b": 3, "k0": Fraction(-1, 2), "values[0]": 7}
-    assert batch(point) == [Fraction(15, 2), 27]
+    assert evaluate_all(polys, point) == [Fraction(15, 2), 27]
+    out, den = compile_batch(polys)([2, 18, -3, 42], 6)
+    assert [Fraction(v, den) for v in out] == [Fraction(15, 2), 27]
     with pytest.raises(ContextError, match="'a b'"):
-        batch({"x'1": 1})
+        evaluate_all(polys, {"x'1": 1})
 
 
 @given(ref_polys, st.tuples(*[st.sampled_from(("rational", "constant", "poly",

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from cubicjordan import hvariety
+from cubicjordan import hvariety, jordan, relatives
 from cubicjordan.coord8 import ALL_VARS, COORD_VARS, PARAM_VARS, Hypermatrix, coord_ring
 from cubicjordan.errors import ShapeError, SingularGroupElement
 from cubicjordan.exactcore import PolyMatrix, evaluate_all, rank, span_compare
@@ -382,3 +382,118 @@ def test_random_invertible_replays_the_randint_draws():
             got = hvariety._random_invertible(rng, ring)
             assert got.entries == PolyMatrix.from_rows(ring, m).entries
         assert rng.getstate() == ref.getstate()
+
+
+# sha256 of the points each sampler draws at seeds 0 and 7, taken from the
+# Fraction samplers before they moved to integer points; the reports hold
+# only counts, so they would not show a sampler drawing other points
+POINT_DIGESTS = {
+    "0/sample": "37406c54707871c812ec248d82ddc639769bc9db20601832ff6b1c3ef3a116fb",
+    "0/sample-constrained": "9388c6080355f5d581650306b87c8c0d2a86fa3467be89cc8953e4bf87fefb08",
+    "0/cluster-I": "9babdae0980f6c6d5594b678133ebd33cc43f56d1bd668a90777d2f100e2d66e",
+    "0/cluster-II": "0e0a42cc0f5c979a7e3ca7a21160d4a60247a9d594c3936bbc1eb18b717152e2",
+    "0/origin/all-x": "ccaf692a8c9a2333a348c681fcde3a46c5952c3a995200bed5ac42a992b99e83",
+    "0/origin/pair1": "dcfcd4b3ccd17e6a33afef66894db5e2ae86163d2bb04c40e5e8d7465018a2dc",
+    "0/origin/pair2": "21b3933d305e49f94daf3c66174ef9bc18c3177826a281c57b192639373f26ae",
+    "0/origin/pair3": "af9c5554835ed922346f6497c57ebc115b0520bf49611f6eb6df0db91bb37daa",
+    "0/p1/quadric1": "c7a75794d4a9e23bb9209d02908a806fd1ef803f3ae30ca9443af850bf8a611d",
+    "0/p1/quadric2": "ade0c70e0c223d5b17789ca10c7209a87a51914961cc28badac24a2ad12b60fe",
+    "0/p1/quadric3": "26919e566b36255aba3f1649fa775d6c84a34eea19c50be4a59fc6ddea639496",
+    "0/p2/quadric": "58cffe720e0ba9c4f794d829beb6346f5bba42c28eadf7aa71b38fc3b9fda0a2",
+    "0/p2/cone": "fee7c8d5b5343a2540f3e606c291e8d37e58cc6fa1ccdb7c55ff146193ff02f6",
+    "0/radical-origin": "6a8e1d6683442c97807ac2a4c1c9ed6d650da64af470f4cbeb02974ea3c4147b",
+    "0/off-radical-origin": "7e70ba63fbfed2a043a81db1463243ac8462691cf35390631eccb390f853c988",
+    "0/radical-p1": "87c24e4668e3f7a87082950ab1edec5d0cbc07e42d644a223012a0fa25f19289",
+    "0/off-radical-p1": "9b78f46013e9f829086f05b03e971953feee7eae921f39a67372c212de0a8d73",
+    "0/radical-p2": "b3c4da56f751dd325324935f293f8928cf0baa8c150904e633c68097113c055f",
+    "0/off-radical-p2": "3279c4a667efbe595665deebb1b95e9cfa25dd7fe0561308fbbbab2176607d7e",
+    "0/radical-p3": "87e55c90d2eee67501972ee84077e03e07179ff202209bff5b2821a00cb5393f",
+    "0/off-radical-p3": "acb6b904616749d8de3781dd7bbcbc133ad2a0c026cbe9192775881ef669cfac",
+    "0/radical-p4": "c41b6eeac5a4c49d1d01ddbf267409a6bad34e311189c4c62b4c4e36ef21bba0",
+    "0/off-radical-p4": "e24034ac616cfe3de0cbce29bd090d03f26f02954f1a9d03d4d2c230cb19c019",
+    "0/sweep": "aee337ba653dab4609e341739363ec0d43fd938022b3d2d3d150659311abe31e",
+    "0/translates": "ac4b8d95d109c9df327298255e9c704b1f0c98fb2370682119d6c0ea17596a79",
+    "7/sample": "5e314ff6f825e5720076e59e5eb0e4506916c1e0d9af2a9af0489c3d55bbf45f",
+    "7/sample-constrained": "8d24dc180d0c538c4322362dec3093b96fbf5efce509991b123b3e43ce28650b",
+    "7/cluster-I": "aedfaabcddc95f029e1d68e8c3768b1fb7ac39f0f7468830448c11b4e8958143",
+    "7/cluster-II": "f97abb43b5ea0cb56a71e232028d8e3cb76be6964edde554db1dc842dd0b477a",
+    "7/origin/all-x": "eea8da13657549ed97a5e70dd7e048588a95f3571b3c1e736daea97e01c0e8dc",
+    "7/origin/pair1": "1adebca598ea51a8f273dccd45df0b596f7a36b9b8341467f52f658c8da71d7a",
+    "7/origin/pair2": "ba9338bc068dd27a9563d05b6d2c0755dc6a0a206c2596e3de16127b2d0ef7de",
+    "7/origin/pair3": "27331f7ca53a8b6aa855a46af41ab3c7bfc45e01579015114354f8ff18f60d9f",
+    "7/p1/quadric1": "a00627977251b975fd1e0bea3452686f1146354bb7cff7efe7db63533829a4cb",
+    "7/p1/quadric2": "99d7dc9cc7e1b1c0e3483ca0bc60b7b7a2082283c97704bf1896f1f43c0973ea",
+    "7/p1/quadric3": "2c4573c5f1326fd8207b20d9e883af68e574173f32fd9fd37d998d4c108eb2c8",
+    "7/p2/quadric": "9af11edad8d60a7d90e20862393bcd09e01b8122afae1cff9a7d3e72db08fa0a",
+    "7/p2/cone": "415a0b4f49908d79779234ea25e1c4eb1aea59241d729413b64c2d54bd823ae1",
+    "7/radical-origin": "79bdaa29944d52a5e6e6b24df5fd0809a0795e170b5c246c49a045a19b991d80",
+    "7/off-radical-origin": "f3e604192dad7881c740e3e2c8ecbc35882600a5ecf3aff825f981d37a300061",
+    "7/radical-p1": "6011a1950cb73feed870e9c95cfd2598ce3f57bf41178559c738f03ba7a1fa16",
+    "7/off-radical-p1": "821f0d2c964b9f96c0ac3bf46c0ab4c66f2214d0c002452228c17a1d3d8b4641",
+    "7/radical-p2": "f9ca9e36c297ea4646346880ea93f9aa7a240772a4280774648d3cf62c4c4068",
+    "7/off-radical-p2": "5d77fb7306067ab2ac593e7ad6bb551e3c87b5722ca3f5e1d5219b138bfea7a8",
+    "7/radical-p3": "0bc3c93d8cd7fc83368008e9a04edd3117fa13af427861f5dec89b4c643768be",
+    "7/off-radical-p3": "a6280d04bc352acb25f84cd2b82fccefb4ae67d85c2207aefe5ff866785a6c6e",
+    "7/radical-p4": "c41b6eeac5a4c49d1d01ddbf267409a6bad34e311189c4c62b4c4e36ef21bba0",
+    "7/off-radical-p4": "da30815a14dc9249f81373413def86ae1fccc977e6389063f1a9a0476056aeb9",
+    "7/sweep": "3dd11f8c367980a9dadcf39cd629d3f42d05756f8e6c4c4d0d8d072449e8d972",
+    "7/translates": "e24f1297fa0ce8ee4cf2bc42fff54eef4fe407b9c81d25b9d3a83c25b5c961ee",
+}
+
+
+def _line(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+def _named(point: dict) -> str:
+    return _line(point) + "|" + _line(point.values())
+
+
+def _coords(point: tuple[list[int], int]) -> str:
+    nums, den = point
+    assert len(nums) == len(COORD_VARS) and den > 0
+    return _line(Fraction(n, den) for n in nums)
+
+
+def test_sampled_points_are_pinned(monkeypatch):
+    def digest(lines):
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+    def drawn(seed, key, sampler, show, count=20):
+        rng = random.Random(f"{seed}:digest:{key}")
+        got[f"{seed}/{key}"] = digest([show(sampler(rng)) for _ in range(count)])
+
+    constraints = {"x12": 0, "p111": 1, "p222": Fraction(-2, 3)}
+    got = {}
+    for seed in (0, 7):
+        drawn(seed, "sample", hvariety.sample_point, _named)
+        drawn(seed, "sample-constrained",
+              lambda rng: hvariety.sample_point(rng, constraints), _named)
+        for part in ("I", "II"):
+            drawn(seed, f"cluster-{part}",
+                  lambda rng: relatives.cluster_point(rng, part), _named)
+        for comp in [c for comps in hvariety.FIBER_COMPONENTS.values() for c in comps]:
+            drawn(seed, comp, lambda rng: hvariety._component_points(comp, rng), _coords)
+        for name in ("origin", "p1", "p2", "p3", "p4"):
+            drawn(seed, f"radical-{name}",
+                  lambda rng: hvariety.radical_point(name, rng), _coords)
+            drawn(seed, f"off-radical-{name}",
+                  lambda rng: hvariety.off_radical_point(name, rng), _coords)
+        # every cube the sweep draws, and every element it tests
+        seen = []
+        hyperdet, member = hvariety.hyperdeterminant, jordan.radical_membership
+        with monkeypatch.context() as m:
+            m.setattr(hvariety, "hyperdeterminant",
+                      lambda P: seen.append("cube " + P.to_text()) or hyperdet(P))
+            m.setattr(jordan, "radical_membership",
+                      lambda p, s: seen.append("sigma " + _line(s)) or member(p, s))
+            assert hvariety.nondegenerate_sweep(seed).data["sigmas"] == 100
+        got[f"{seed}/sweep"] = digest(seen)
+        seen = []
+        move = hvariety.apply_group_to_cube
+        with monkeypatch.context() as m:
+            m.setattr(hvariety, "apply_group_to_cube",
+                      lambda g, P: seen.append(move(g, P).to_text()) or move(g, P))
+            hvariety.translate_invariance(seed)
+        got[f"{seed}/translates"] = digest(seen)
+    assert got == POINT_DIGESTS
