@@ -5,9 +5,11 @@ is the function ``suite_x``, looked up when it runs, so a suite wrapped in
 place after import (as by the tracer of ``perfbench/``) is the one run.
 ``all`` runs every row in table order and ignores ``--hypermatrix``,
 ``--weights`` and ``--sections``.  Every suite takes one ``Options`` and
-returns claims; a certificate behind one claim returns an
-``exactcore.Report``, whose ``ok`` and ``data`` go to ``claim`` unchanged.
-``run`` prints a pass/fail line per claim.
+returns claims.  A certificate behind one claim returns an
+``exactcore.Report``, whose ``ok`` and ``data`` go to ``claim`` unchanged;
+one behind several claims (the sharp conditions, the Peirce identities)
+returns a dict from claim name to ``Report``, in claim order.  ``run``
+prints a pass/fail line per claim.
 
 Reports are deterministic: identical inputs and seed produce
 byte-identical JSON.  Exit status is 0 when every claim passes, 1 when
@@ -54,7 +56,7 @@ DEFECTS = {
         lambda sub: {k: v for k, v in sub.items() if k != "u3"}),
     "perturbed-dictionary": (
         "specialize", "relatives", "verify_specialization",
-        lambda d: d if isinstance(d, str) or d.name != "c2" else dataclasses.replace(
+        lambda d: d if d.name != "c2" else dataclasses.replace(
             d, mapping={**d.mapping, "x22": d.target.var("th1") + d.target.var("A12")})),
 }
 
@@ -105,39 +107,26 @@ def _jsonable(value):
 # ---------------------------------------------------------------------------
 
 
-def suite_axioms(opts: Options) -> list[Claim]:
-    claims: list[Claim] = []
-    pres = coord8.presentation(None)
-    rep = jordan.verify_sharp_conditions(pres)
-    for tag, key, ok in (("sharp1", "s1", rep.s1), ("sharp2", "s2", rep.s2),
-                         ("sharp3", "s3", rep.s3)):
-        residual = next((r.to_str() for r in rep.residuals.get(key, [])), None)
-        claims.append(claim(
-            f"axioms/{tag}",
-            "defining condition of the sharp map holds as an exact identity "
-            "with symbolic coordinates and parameters",
-            ok, {"residual": residual}))
+# description of each claim of ``coord8.verify_peirce_identities``
+PEIRCE_CLAIMS = {
+    "table-vs-map": "product-table quadratic map equals the closed-form sharp map",
+    "idempotent-traces": "each idempotent has trace one",
+    "triple-product": "iterated product against an adjacent off-diagonal element "
+                      "reduces to the negated quadratic spur",
+    "rep-matrices": "displayed 2x2 representation matrices are reproduced",
+    "rep-product": "opposite representation matrices multiply to the negated spur",
+    "rep-det": "determinant normalization of the representation matrices",
+}
 
-    table_rep = coord8.verify_peirce_identities(pres)
-    claims.append(claim("axioms/table-vs-map",
-                        "product-table quadratic map equals the closed-form sharp map",
-                        table_rep.table_matches_sharp_map, {}))
-    claims.append(claim("axioms/idempotent-traces",
-                        "each idempotent has trace one",
-                        table_rep.idempotent_traces_ok, {}))
-    claims.append(claim("axioms/triple-product",
-                        "iterated product against an adjacent off-diagonal element "
-                        "reduces to the negated quadratic spur",
-                        table_rep.triple_product_ok, {}))
-    claims.append(claim("axioms/rep-matrices",
-                        "displayed 2x2 representation matrices are reproduced",
-                        table_rep.rep_matrix_displays_ok, {}))
-    claims.append(claim("axioms/rep-product",
-                        "opposite representation matrices multiply to the negated spur",
-                        table_rep.rep_product_ok, {}))
-    claims.append(claim("axioms/rep-det",
-                        "determinant normalization of the representation matrices",
-                        table_rep.rep_det_ok, {}))
+
+def suite_axioms(opts: Options) -> list[Claim]:
+    pres = coord8.presentation(None)
+    claims = [claim(f"axioms/{key}",
+                    "defining condition of the sharp map holds as an exact identity "
+                    "with symbolic coordinates and parameters", *rep)
+              for key, rep in jordan.verify_sharp_conditions(pres).items()]
+    claims += [claim(f"axioms/{key}", PEIRCE_CLAIMS[key], *rep)
+               for key, rep in coord8.verify_peirce_identities(pres).items()]
 
     for name in ("origin", "p1", "p2", "p3"):
         P = hvariety.representative(name)
@@ -254,22 +243,12 @@ def suite_radicals(opts: Options) -> list[Claim]:
 
 
 def suite_specialize(opts: Options) -> list[Claim]:
-    claims = []
-    for name in ("c2", "m8", "s6"):
-        rep = relatives.verify_specialization(relatives.dictionary(name))
-        data = {"relation": rep.span.relation}
-        if not rep.ok:
-            data["residual"] = next(
-                (str(g) for g, w in zip(rep.specialized.gens, rep.span.a_in_b)
-                 if w is None), None)
-        claims.append(claim(f"specialize/{name}",
-                            "dictionary specialization span-equals the target "
-                            "equation system", rep.ok, data))
-    for name in ("h12", "h11"):
-        rep = relatives.verify_specialization(name)
-        claims.append(claim(f"specialize/{name}",
-                            "partial specialization emits its generator set",
-                            rep.ok, {"generators": len(rep.specialized)}))
+    claims = [claim(f"specialize/{name}",
+                    "dictionary specialization span-equals the target equation system"
+                    if name in relatives.TARGET_EQUATIONS else
+                    "partial specialization emits its generator set",
+                    *relatives.verify_specialization(relatives.dictionary(name)))
+              for name in ("c2", "m8", "s6", "h12", "h11")]
     claims.append(claim("specialize/composed",
                         "freezing the remaining cluster parameters inside the "
                         "first partial specialization reproduces the cluster span",
@@ -298,36 +277,22 @@ def suite_embeddings(opts: Options) -> list[Claim]:
 
 
 def suite_weights(opts: Options) -> list[Claim]:
-    claims = []
     weights_arg = opts.weights
     eqs = hvariety.equations()
     if weights_arg is None:
         lattice = grading.solve_weight_constraints(eqs)
-        std = grading.standard_weights()
-        claims.append(claim("weights/lattice",
-                            "homogeneity constraints solve to an affine lattice "
-                            "containing the standard positive grading",
-                            lattice.contains(std),
-                            {"dimension": lattice.dimension}))
-        return claims
+        return [claim("weights/lattice",
+                      "homogeneity constraints solve to an affine lattice "
+                      "containing the standard positive grading",
+                      lattice.contains(grading.standard_weights()),
+                      {"dimension": lattice.dimension})]
     if isinstance(weights_arg, tuple):
-        rep1, rep2 = grading.check_bigraded(eqs, *weights_arg)
-        data = {"row1": [str(x.weight) for x in rep1.per_generator],
-                "row2": [str(x.weight) for x in rep2.per_generator]}
-        if not (rep1.ok and rep2.ok):
-            data["failures"] = [f"row{n} {f}" for n, r in ((1, rep1), (2, rep2))
-                                for f in r.failures()]
-        claims.append(claim("weights/bigraded",
-                            "equations are homogeneous under both grading rows",
-                            rep1.ok and rep2.ok, data))
-        return claims
+        return [claim("weights/bigraded",
+                      "equations are homogeneous under both grading rows",
+                      *grading.check_bigraded(eqs, *weights_arg))]
     rep = grading.check_homogeneous(eqs, weights_arg)
-    data = {"weights": [str(x.weight) for x in rep.per_generator]}
-    if not rep.ok:
-        data["failures"] = rep.failures()
-    claims.append(claim("weights/homogeneous",
-                        "equations are homogeneous under the given weights",
-                        rep.ok, data))
+    claims = [claim("weights/homogeneous",
+                    "equations are homogeneous under the given weights", *rep)]
     if rep.ok and all(n in weights_arg for n in coord8.ALL_VARS) \
             and all(Fraction(weights_arg[n]) > 0 for n in coord8.ALL_VARS):
         can = grading.canonical_arithmetic(weights_arg)
@@ -390,19 +355,20 @@ def suite_toric_matrices(opts: Options) -> list[Claim]:
     eqs = hvariety.equations()
     for kind in ("base", "shifted", "swapped"):
         r1, r2 = grading.toric_weight_matrix(kind)
-        h1, h2 = grading.check_bigraded(eqs, r1, r2)
         claims.append(claim(f"weights/bigraded-{kind}",
                             "equations are homogeneous under both rows of the "
-                            "two-row weight matrix", h1.ok and h2.ok, {}))
+                            "two-row weight matrix",
+                            grading.check_bigraded(eqs, r1, r2).ok, {}))
     claims.append(claim("weights/row-operations",
                         "derived weight matrices are the stated row operations "
                         "of the base matrix",
                         grading.toric_matrices_row_equivalent(), {}))
-    h12 = relatives.verify_specialization("h12").specialized
-    rep = grading.check_homogeneous(h12, grading.example_5052_weights())
+    h12 = relatives.dictionary("h12").specialize()
     claims.append(claim("weights/published-example",
                         "published weight system keeps the partial "
-                        "specialization homogeneous", rep.ok, {}))
+                        "specialization homogeneous",
+                        grading.check_homogeneous(h12, grading.example_5052_weights()).ok,
+                        {}))
     return claims
 
 

@@ -18,7 +18,6 @@ symbolic input is one of the package's core certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Mapping, Sequence
@@ -414,45 +413,22 @@ def representation_matrix(table: Mapping[tuple[str, str], Element],
                                        [cols[0][1], cols[1][1]]])
 
 
-@dataclass
-class PeirceIdentityReport:
-    """Outcome of the symbolic identity suite over the product table."""
-
-    table_matches_sharp_map: bool
-    idempotent_traces_ok: bool
-    triple_product_ok: bool
-    rep_matrix_displays_ok: bool
-    rep_product_ok: bool
-    rep_det_ok: bool
-    failures: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def verify_peirce_identities(pres: JordanPresentation) -> PeirceIdentityReport:
+def verify_peirce_identities(pres: JordanPresentation) -> dict[str, Report]:
     """Certify, with symbolic cube entries, the identity suite linking the
     product table, the closed-form sharp map of ``pres`` (normally
     ``presentation(None)``), and the 2x2 representation matrices of
-    off-diagonal multiplication."""
+    off-diagonal multiplication: one report, with no data, per identity
+    (``table-vs-map``, ``idempotent-traces``, ``triple-product``,
+    ``rep-matrices``, ``rep-product``, ``rep-det``)."""
     ring = pres.ring
     table = build_peirce_table()
-    failures: list[str] = []
 
     sigma = pres.generic_element()
     via_table = sharp_from_table(table, sigma)
-    via_map = pres.sharp
-    table_ok = all((a - b).is_zero() for a, b in zip(via_table, via_map))
-    if not table_ok:
-        failures.append("table-induced quadratic map differs from the sharp map")
+    table_ok = all((a - b).is_zero() for a, b in zip(via_table, pres.sharp))
 
-    traces_ok = True
-    for i in range(3):
-        e = pres.basis_element(6 + i)
-        if jordan.trace_linear(pres, e) != ring.one():
-            traces_ok = False
-            failures.append(f"idempotent {i + 1} has trace different from 1")
+    traces_ok = all(jordan.trace_linear(pres, pres.basis_element(6 + i)) == ring.one()
+                    for i in range(3))
 
     # x # (x # y) = -S(x) y for x, y in adjacent off-diagonal spaces
     ext = ring.extend(("sa1", "sa2", "sb1", "sb2"))
@@ -465,28 +441,21 @@ def verify_peirce_identities(pres: JordanPresentation) -> PeirceIdentityReport:
         inner = jordan.sharp_product(pres, sa, sb)
         lhs = jordan.sharp_product(pres, sa, inner)
         s = jordan.spur_quadratic(pres, sa)
-        if any(not (l + s * c).is_zero() for l, c in zip(lhs, sb)):
-            triple_ok = False
-            failures.append(f"triple-product identity fails for spaces ({i},{j},{k})")
+        triple_ok &= all((l + s * c).is_zero() for l, c in zip(lhs, sb))
 
     # displayed representation matrices of the two basis vectors of the
     # (2, 3) space, as maps from the (3, 1) to the (2, 1) space
     p = Hypermatrix.symbolic(ring).in_ring(ring)
-    disp_ok = True
     m1 = representation_matrix(table, 3, 2, (ring.one(), ring.zero()), ring)
     expect1 = PolyMatrix.from_rows(ring, [[p[(2, 2, 1)], -p[(2, 1, 1)]],
                                           [p[(2, 2, 2)], -p[(2, 1, 2)]]])
     m2 = representation_matrix(table, 3, 2, (ring.zero(), ring.one()), ring)
     expect2 = PolyMatrix.from_rows(ring, [[-p[(1, 2, 1)], p[(1, 1, 1)]],
                                           [-p[(1, 2, 2)], p[(1, 1, 2)]]])
-    for got, want, tag in ((m1, expect1, "first"), (m2, expect2, "second")):
-        if any((a - b) != 0 for a, b in zip(got.entries, want.entries)):
-            disp_ok = False
-            failures.append(f"{tag} displayed representation matrix differs")
+    disp_ok = m1.entries == expect1.entries and m2.entries == expect2.entries
 
     # P_ij P_ji = -S E and det normalizations, symbolically in each space
-    prod_ok = True
-    det_ok = True
+    prod_ok = det_ok = True
     for i, j in ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)):
         pair = _pair_index(i, j)
         coeffs = (ext.var("sa1"), ext.var("sa2"))
@@ -496,16 +465,14 @@ def verify_peirce_identities(pres: JordanPresentation) -> PeirceIdentityReport:
         s = jordan.spur_quadratic(pres, sigma_el)
         prod = pij * pji
         expected = PolyMatrix.identity(ext, 2).scale(-s)
-        if any((a - b) != 0 for a, b in zip(prod.entries, expected.entries)):
-            prod_ok = False
-            failures.append(f"rep-matrix product identity fails for ({i},{j})")
+        prod_ok &= prod.entries == expected.entries
         if (i, j) in ((1, 3), (2, 3)):
-            if pij.det() != s:
-                det_ok = False
-                failures.append(f"det normalization fails for ({i},{j})")
+            det_ok &= pij.det() == s
 
-    return PeirceIdentityReport(table_ok, traces_ok, triple_ok, disp_ok,
-                                prod_ok, det_ok, failures)
+    return {key: Report(ok, {}) for key, ok in (
+        ("table-vs-map", table_ok), ("idempotent-traces", traces_ok),
+        ("triple-product", triple_ok), ("rep-matrices", disp_ok),
+        ("rep-product", prod_ok), ("rep-det", det_ok))}
 
 
 def verify_unit_identities(pres: JordanPresentation) -> Report:

@@ -20,14 +20,14 @@ linear section.  All of it is rational arithmetic, never floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Mapping, Sequence
 
 from .coord8 import ALL_VARS, PARAM_VARS, U_VARS, X_VARS
 from .errors import InfeasibleWeights, InputError, NumeratorNotDivisible
-from .exactcore import (EquationSet, Rational, _frac, json_rational, parse_json,
+from .exactcore import (EquationSet, Rational, Report, _frac, json_rational, parse_json,
                         rref, rref_kernel, rref_solution, solve_linear)
 
 WeightSystem = dict[str, Fraction]
@@ -72,29 +72,6 @@ def parse_weight_file(text: str) -> "WeightSystem | tuple[WeightSystem, WeightSy
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GeneratorHomogeneity:
-    label: str
-    homogeneous: bool
-    weight: Fraction | None
-    clashes: list[Fraction] = field(default_factory=list)
-
-
-@dataclass
-class HomogeneityReport:
-    per_generator: list[GeneratorHomogeneity]
-
-    @property
-    def ok(self) -> bool:
-        return all(g.homogeneous for g in self.per_generator)
-
-    def failures(self) -> list[str]:
-        """Label and clashing monomial weights of each generator that is
-        not homogeneous."""
-        return [f"{g.label}: monomial weights {', '.join(map(str, g.clashes))}"
-                for g in self.per_generator if not g.homogeneous]
-
-
 def _monomial_weight(ring_names: Sequence[str], mono: tuple, w: WeightSystem) -> Fraction:
     total = Fraction(0)
     for i, e in enumerate(mono):
@@ -106,26 +83,37 @@ def _monomial_weight(ring_names: Sequence[str], mono: tuple, w: WeightSystem) ->
     return total
 
 
-def check_homogeneous(eqs: EquationSet, w: Mapping[str, Rational]) -> HomogeneityReport:
-    """Per-generator uniform weight, or the list of clashing monomial
-    weights."""
+def check_homogeneous(eqs: EquationSet, w: Mapping[str, Rational]) -> Report:
+    """Whether every generator is homogeneous under ``w``.  The data lists
+    each generator's weight as a string ("None" when it has no single
+    weight) and, when some generator is not homogeneous, its label with
+    the clashing monomial weights under ``failures``."""
     ws = weight_system(w)
-    out = []
     names = eqs.ring.names
+    weights, failures = [], []
     for i, g in enumerate(eqs.gens):
-        label = eqs.labels[i] if eqs.labels else str(i)
         seen = sorted({_monomial_weight(names, m, ws) for m in g.terms})
-        if len(seen) <= 1:
-            out.append(GeneratorHomogeneity(label, True, seen[0] if seen else None))
-        else:
-            out.append(GeneratorHomogeneity(label, False, None, seen))
-    return HomogeneityReport(out)
+        weights.append(str(seen[0]) if len(seen) == 1 else "None")
+        if len(seen) > 1:
+            label = eqs.labels[i] if eqs.labels else str(i)
+            failures.append(f"{label}: monomial weights {', '.join(map(str, seen))}")
+    data = {"weights": weights}
+    if failures:
+        data["failures"] = failures
+    return Report(not failures, data)
 
 
 def check_bigraded(eqs: EquationSet, w1: Mapping[str, Rational],
-                   w2: Mapping[str, Rational]) -> tuple[HomogeneityReport, HomogeneityReport]:
-    """Bigraded homogeneity is homogeneity under each row separately."""
-    return check_homogeneous(eqs, w1), check_homogeneous(eqs, w2)
+                   w2: Mapping[str, Rational]) -> Report:
+    """Bigraded homogeneity is homogeneity under each row separately: the
+    generator weights per row, and the failures of both rows, each marked
+    with its row."""
+    rows = check_homogeneous(eqs, w1), check_homogeneous(eqs, w2)
+    data = {"row1": rows[0].data["weights"], "row2": rows[1].data["weights"]}
+    failures = [f"row{n} {f}" for n, r in enumerate(rows, 1) for f in r.data.get("failures", [])]
+    if failures:
+        data["failures"] = failures
+    return Report(not failures, data)
 
 
 @dataclass

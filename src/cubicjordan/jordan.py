@@ -25,8 +25,8 @@ from functools import cached_property
 from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
-from .exactcore import (Poly, Rational, Ring, directional_derivative, over_common_denominator,
-                        substitute_all)
+from .exactcore import (Poly, Rational, Report, Ring, directional_derivative,
+                        over_common_denominator, substitute_all)
 
 Element = tuple[Poly, ...]
 
@@ -272,51 +272,33 @@ def square_via_sharp(p: JordanPresentation, x: Element) -> Element:
     return tuple(sx[i] + tx * x[i] - s * unit[i] for i in range(p.dim()))
 
 
-@dataclass
-class SharpConditionReport:
-    s1: bool
-    s2: bool
-    s3: bool
-    residuals: dict[str, list[Poly]]
+def verify_sharp_conditions(p: JordanPresentation) -> dict[str, Report]:
+    """Certify the three sharp conditions with fully symbolic arguments:
+    one report per condition, ``sharp1`` to ``sharp3``.
 
-    @property
-    def ok(self) -> bool:
-        return self.s1 and self.s2 and self.s3
-
-
-def verify_sharp_conditions(p: JordanPresentation) -> SharpConditionReport:
-    """Certify the three sharp conditions with fully symbolic arguments.
-
-    Failure is data: the report carries the nonzero residual polynomials.
+    Failure is data: each report carries the first nonzero residual
+    polynomial (None when the condition holds).
     """
-    residuals: dict[str, list[Poly]] = {}
-
     # (1) T(x#, y) = dN/dy at x, with x the generic element and fresh y.
     ext, y = p.fresh_symbols()
     x = p.generic_element(ext)
-    lhs = trace_bilinear(p, sharp_of(p, x), y)
-    r1 = lhs - directional_derivative(p.cubic, dict(zip(p.coords, y)))
-    if not r1.is_zero():
-        residuals["s1"] = [r1]
+    r1 = [trace_bilinear(p, sharp_of(p, x), y)
+          - directional_derivative(p.cubic, dict(zip(p.coords, y)))]
 
     # (2) x## = N(x) x on the generic element.
     xg = p.generic_element()
-    double = sharp_of(p, sharp_of(p, xg))
-    nx = p.cubic
-    r2 = [d - nx * c for d, c in zip(double, xg)]
-    if any(not r.is_zero() for r in r2):
-        residuals["s2"] = [r for r in r2 if not r.is_zero()]
+    r2 = [d - p.cubic * c for d, c in zip(sharp_of(p, sharp_of(p, xg)), xg)]
 
     # (3) unit # y = T(y) unit - y on the generic element.
     unit = p.unit_element()
-    sp = sharp_product(p, unit, xg)
     ty = trace_linear(p, xg)
-    r3 = [sp[i] - (ty * unit[i] - xg[i]) for i in range(p.dim())]
-    if any(not r.is_zero() for r in r3):
-        residuals["s3"] = [r for r in r3 if not r.is_zero()]
+    r3 = [s - (ty * e - c) for s, e, c in zip(sharp_product(p, unit, xg), unit, xg)]
 
-    return SharpConditionReport("s1" not in residuals, "s2" not in residuals,
-                                "s3" not in residuals, residuals)
+    reports = {}
+    for key, residuals in (("sharp1", r1), ("sharp2", r2), ("sharp3", r3)):
+        residual = next((r for r in residuals if not r.is_zero()), None)
+        reports[key] = Report(residual is None, {"residual": residual})
+    return reports
 
 
 # s, and s# and the row T(s, e_j) over the denominators of ``_rational_tables``

@@ -27,7 +27,7 @@ from . import grading, hvariety
 from .errors import UnknownDictionary
 from .coord8 import ALL_VARS
 from .exactcore import (Batch, EquationSet, Point, Poly, PolyMatrix, Rational, Report, Ring,
-                        SpanResult, compile_batch, span_compare)
+                        compile_batch, span_compare)
 
 M8_VARS = ("x1", "x2", "x3", "x4", "x5", "x6", "x7", "w1", "w2", "w3", "y", "z")
 S6_VARS = ("s11", "s12", "s13", "s22", "s23", "s33",
@@ -235,36 +235,30 @@ TARGET_EQUATIONS: dict[str, Callable[[], EquationSet]] = {
 }
 
 
-@dataclass
-class SpecializationReport:
-    """The specialized generators and, for a name with a target system,
-    their span comparison with it (``span``; None for ``h12`` and ``h11``)."""
-
-    specialized: EquationSet
-    span: SpanResult | None
-
-    @property
-    def ok(self) -> bool:
-        return self.span is None or self.span.equal
-
-
-def verify_specialization(d: Dictionary | str) -> SpecializationReport:
+def verify_specialization(d: Dictionary | str) -> Report:
     """Substitute a dictionary, or the one of that name, into the nine
     ambient generators and compare spans with the target equations of its
-    name (names with no target emit the specialized set only)."""
+    name: the data is the relation, and, when the spans differ, the first
+    specialized generator outside the target span (None if there is none).
+    A name with no target only emits the specialized set; its data counts
+    the generators."""
     if isinstance(d, str):
         d = dictionary(d)
     specialized = d.specialize()
     if d.name not in TARGET_EQUATIONS:
-        return SpecializationReport(specialized, None)
-    target = TARGET_EQUATIONS[d.name]()
-    return SpecializationReport(specialized, span_compare(specialized.gens, target.gens))
+        return Report(True, {"generators": len(specialized)})
+    span = span_compare(specialized.gens, TARGET_EQUATIONS[d.name]().gens)
+    data = {"relation": span.relation}
+    if not span.equal:
+        data["residual"] = next(
+            (g for g, w in zip(specialized.gens, span.a_in_b) if w is None), None)
+    return Report(span.equal, data)
 
 
 def composed_specialization_check() -> bool:
     """Freezing the remaining three cluster parameters inside the first
     partial specialization reproduces the cluster system's span."""
-    h12 = verify_specialization("h12").specialized
+    h12 = dictionary("h12").specialize()
     ring = h12.ring
     step = {n: ring.var(n) for n in ring.names}
     step["p121"] = ring.const(0)

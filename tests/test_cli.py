@@ -476,6 +476,32 @@ def test_failing_homogeneity_carries_clashing_weights(tmp_path, capsys, bigraded
     assert f"first failing claim: {claim_id}: {failures}" in err
 
 
+# (exit, sha256) of the --json report of ``weights --weights F --seed 0``,
+# for F the standard weights, the standard weights with u1 = 5, and the
+# bigradings with those as the second row; ``all`` never reads a file.
+WEIGHTS_REPORT_SHA256 = {
+    "standard": (0, "207fa3529054a378ee8cb9311be5c088e3766e8dc8e69071353e1952dff022ea"),
+    "u1=5": (1, "0d890f26846a57b2706951a1db46fe268a5f049429345086970033bc29d62a74"),
+    "standard,standard": (
+        0, "cf6b39f63ff6c9afe70aeec01450025c7790ee3709e3bc805e45b41f6740e5de"),
+    "standard,u1=5": (
+        1, "f6dc0fea1c17430c9b49021d837ce7a72152f2a20c5ffd5475e6208494cb9090"),
+}
+
+
+@pytest.mark.parametrize("rows", WEIGHTS_REPORT_SHA256)
+def test_weights_file_report_bytes_are_pinned(tmp_path, capsys, rows):
+    named = {"standard": STANDARD, "u1=5": {**STANDARD, "u1": "5"}}
+    grading_rows = [named[r] for r in rows.split(",")]
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps(grading_rows[0] if len(grading_rows) == 1 else
+                            {n: [r[n] for r in grading_rows] for n in STANDARD}))
+    out = tmp_path / "report.json"
+    code, digest = WEIGHTS_REPORT_SHA256[rows]
+    assert run(["weights", "--weights", str(w), "--seed", "0", "--json", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_weights_solver_mode(capsys):
     assert run(["weights"]) == 0
     assert "[PASS] weights/lattice" in capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Product table, difference matrices, sharp map and cubic form of the
 coordinatized algebra."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -213,8 +214,59 @@ def test_directional_derivative_of_cubic_at_unit(symbolic_presentation):
 
 
 def test_peirce_identity_suite_passes(symbolic_presentation):
-    report = coord8.verify_peirce_identities(symbolic_presentation)
-    assert report.ok, report.failures
+    reports = coord8.verify_peirce_identities(symbolic_presentation)
+    assert list(reports) == ["table-vs-map", "idempotent-traces", "triple-product",
+                             "rep-matrices", "rep-product", "rep-det"]
+    assert all(rep == (True, {}) for rep in reports.values())
+
+
+def _add_to_cubic(p):
+    u1, u2 = p.ring.var("u1"), p.ring.var("u2")
+    return dataclasses.replace(p, cubic=p.cubic + u1 * u1 * u2 - u1 * u2 * u2)
+
+
+def _add_to_sharp(index, a, b):
+    def tamper(p):
+        sharp = list(p.sharp)
+        sharp[index] = sharp[index] + p.ring.var(a) * p.ring.var(b)
+        return dataclasses.replace(p, sharp=tuple(sharp))
+    return tamper
+
+
+# (tamper of presentation(None), (table cell, factor) or None, failing claims)
+AXIOM_TAMPERS = {
+    "cubic+u1^2u2-u1u2^2": (_add_to_cubic, None, {
+        "sharp1", "sharp2", "sharp3", "idempotent-traces", "triple-product",
+        "rep-product", "rep-det"}),
+    "sharp[8]+x11x12": (_add_to_sharp(8, "x11", "x12"), None, {
+        "sharp1", "sharp2", "table-vs-map", "triple-product"}),
+    "cell(x11,x12)*-1": (lambda p: p, (("x11", "x12"), -1), {
+        "table-vs-map", "rep-matrices", "rep-product"}),
+    "cell(x11,x13)*2": (lambda p: p, (("x11", "x13"), 2), {
+        "table-vs-map", "rep-product", "rep-det"}),
+    "sharp[0]+u1x11": (_add_to_sharp(0, "u1", "x11"), None, {
+        "sharp1", "sharp2", "sharp3", "table-vs-map"}),
+}
+
+
+@pytest.mark.parametrize("name", AXIOM_TAMPERS)
+def test_axiom_claims_fail_exactly_under_each_tamper(monkeypatch, symbolic_presentation,
+                                                     name):
+    tamper, cell, failing = AXIOM_TAMPERS[name]
+    if cell is not None:
+        key, factor = cell
+        table = dict(build_peirce_table())
+        table[key] = tuple(factor * c for c in table[key])
+        monkeypatch.setattr(coord8, "build_peirce_table", lambda: table)
+    pres = tamper(symbolic_presentation)
+    reports = {**jordan.verify_sharp_conditions(pres),
+               **coord8.verify_peirce_identities(pres)}
+    assert {key for key, rep in reports.items() if not rep.ok} == failing
+    # a failing sharp condition carries its nonzero residual, a passing one None
+    assert all((rep.data["residual"] is None) == rep.ok
+               for key, rep in reports.items() if key.startswith("sharp"))
+    # every claim of verify-axioms fails under some tamper
+    assert set().union(*(f for *_, f in AXIOM_TAMPERS.values())) == set(reports)
 
 
 def test_unit_identities_hold(symbolic_presentation):

@@ -17,8 +17,7 @@ from cubicjordan.exactcore import EquationSet, Ring
 def test_standard_weights_homogeneous():
     eqs = hvariety.equations()
     rep = grading.check_homogeneous(eqs, grading.standard_weights())
-    assert rep.ok
-    assert [int(g.weight) for g in rep.per_generator] == [3] * 6 + [4] * 3
+    assert rep == (True, {"weights": ["3"] * 6 + ["4"] * 3})
 
 
 def test_clash_reporting():
@@ -26,23 +25,22 @@ def test_clash_reporting():
     a, b = ring.gens()
     eqs = EquationSet(ring, (a * a + b,), ("g",))
     rep = grading.check_homogeneous(eqs, {"a": 1, "b": 1})
-    assert not rep.ok
-    assert rep.per_generator[0].clashes == [Fraction(1), Fraction(2)]
+    assert rep == (False, {"weights": ["None"], "failures": ["g: monomial weights 1, 2"]})
 
 
 def test_bigraded_rows_checked_separately():
     eqs = hvariety.equations()
     r1, r2 = grading.toric_weight_matrix("base")
-    h1, h2 = grading.check_bigraded(eqs, r1, r2)
-    assert h1.ok and h2.ok
+    assert grading.check_bigraded(eqs, r1, r2) == (
+        True, {"row1": grading.check_homogeneous(eqs, r1).data["weights"],
+               "row2": grading.check_homogeneous(eqs, r2).data["weights"]})
 
 
 def test_all_three_weight_matrices_bigrade_the_equations():
     eqs = hvariety.equations()
     for kind in ("base", "shifted", "swapped"):
         r1, r2 = grading.toric_weight_matrix(kind)
-        h1, h2 = grading.check_bigraded(eqs, r1, r2)
-        assert h1.ok and h2.ok, kind
+        assert grading.check_bigraded(eqs, r1, r2).ok, kind
 
 
 def test_row_operation_equivalence():
@@ -66,7 +64,7 @@ def test_row_operation_claim_fails_on_one_changed_entry(monkeypatch, kind, row, 
 
 
 def test_published_example_weights():
-    h12 = relatives.verify_specialization("h12").specialized
+    h12 = relatives.dictionary("h12").specialize()
     rep = grading.check_homogeneous(h12, grading.example_5052_weights())
     assert rep.ok
 
@@ -95,23 +93,28 @@ def test_infeasible_fixing():
 
 
 def test_random_lattice_points_satisfy_weight_sum_identity():
-    # on positive lattice points the seventeen weights sum to 4d - c
-    lattice = grading.solve_weight_constraints(hvariety.equations())
+    # on positive lattice points the seventeen weights sum to 4d - c.  A
+    # candidate is particular + sum (a/b) basis with b in {1, 2}, built in
+    # integers over 2L, where L clears every denominator of the lattice.
+    eqs = hvariety.equations()
+    lattice = grading.solve_weight_constraints(eqs)
+    L = math.lcm(*(x.denominator for vec in (lattice.particular, *lattice.basis)
+                   for x in vec))
+    particular = [int(2 * L * x) for x in lattice.particular]
+    basis = [[int(L * x) for x in vec] for vec in lattice.basis]
+    at = {name: i for i, name in enumerate(lattice.variables)}
     rng = random.Random("lattice-points")
     found = 0
     while found < 20:
-        coeffs = [Fraction(rng.randint(0, 3), rng.randint(1, 2))
-                  for _ in lattice.basis]
-        w = {}
-        for i, name in enumerate(lattice.variables):
-            w[name] = lattice.particular[i] + sum(
-                c * vec[i] for c, vec in zip(coeffs, lattice.basis))
-        full = {n: w.get(n, Fraction(0)) for n in ALL_VARS}
-        if any(full[n] <= 0 for n in ALL_VARS):
+        doubled = [rng.randint(0, 3) * 2 // rng.randint(1, 2) for _ in basis]
+        nums = [p + sum(c * vec[i] for c, vec in zip(doubled, basis))
+                for i, p in enumerate(particular)]
+        full = {n: nums[at[n]] if n in at else 0 for n in ALL_VARS}
+        if any(v <= 0 for v in full.values()):
             continue
         found += 1
-        rep = grading.check_homogeneous(hvariety.equations(), full)
-        assert rep.ok
+        full = {n: Fraction(v, 2 * L) for n, v in full.items()}
+        assert grading.check_homogeneous(eqs, full).ok
         can = grading.canonical_arithmetic(full)
         assert can.consistent
         assert grading.shift_pairing_holds(full)

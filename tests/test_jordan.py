@@ -26,8 +26,9 @@ def diagonal_presentation() -> JordanPresentation:
 
 
 def test_diagonal_sharp_conditions():
-    rep = jordan.verify_sharp_conditions(diagonal_presentation())
-    assert rep.ok
+    reps = jordan.verify_sharp_conditions(diagonal_presentation())
+    assert reps == {key: (True, {"residual": None}) for key in ("sharp1", "sharp2", "sharp3")}
+    assert list(reps) == ["sharp1", "sharp2", "sharp3"]
 
 
 def test_diagonal_trace_is_standard():

@@ -1,5 +1,7 @@
 """Subvariety equation systems, dictionaries, embeddings, group actions."""
 
+import dataclasses
+
 import pytest
 
 from cubicjordan import grading, relatives
@@ -38,23 +40,22 @@ def test_m8_sandwich_traceless():
 
 def test_specialization_span_equalities():
     for name in ("c2", "m8", "s6"):
-        rep = relatives.verify_specialization(name)
-        assert rep.ok, rep.span.relation
-        assert rep.span.relation == "equal"
+        assert relatives.verify_specialization(name) == (True, {"relation": "equal"}), name
 
 
 def test_m8_witness_covers_redundant_generator():
-    rep = relatives.verify_specialization("m8")
+    specialized = relatives.dictionary("m8").specialize()
+    span = span_compare(specialized.gens, relatives.m8_equations().gens)
     # ten target generators all expressible in the nine specialized ones
-    assert all(w is not None for w in rep.span.b_in_a)
+    assert len(span.b_in_a) == 10
+    assert all(w is not None for w in span.b_in_a)
 
 
 def test_partial_specializations_emit():
-    h12 = relatives.verify_specialization("h12")
-    assert h12.ok and len(h12.specialized) == 9
-    assert "p111" not in h12.specialized.ring.names
-    h11 = relatives.verify_specialization("h11")
-    assert h11.ok and "p121" not in h11.specialized.ring.names
+    assert relatives.verify_specialization("h12") == (True, {"generators": 9})
+    assert relatives.verify_specialization("h11") == (True, {"generators": 9})
+    assert "p111" not in relatives.dictionary("h12").specialize().ring.names
+    assert "p121" not in relatives.dictionary("h11").specialize().ring.names
 
 
 def test_unknown_dictionary():
@@ -110,3 +111,7 @@ def test_perturbed_dictionary_detected():
     specialized = hvariety.equations().substitute(bad, ring)
     result = span_compare(specialized.gens, relatives.c2_equations().gens)
     assert result.relation != "equal"
+    # the certificate reports the relation and the first generator outside
+    rep = relatives.verify_specialization(dataclasses.replace(d, mapping=bad))
+    outside = [g for g, w in zip(specialized.gens, result.a_in_b) if w is None]
+    assert rep == (False, {"relation": result.relation, "residual": outside[0]})
