@@ -505,6 +505,14 @@ def verify_unit_identities(pres: JordanPresentation) -> Report:
     return Report(all(checks), {"checks": len(checks)})
 
 
+def integer_cubic_certificate(pres: JordanPresentation) -> Report:
+    """The cubic form of ``pres`` has integer coefficients; the report
+    counts its terms."""
+    cubic = pres.cubic
+    return Report(all(c.denominator == 1 for c in cubic.coefficients()),
+                  {"terms": len(cubic.terms)})
+
+
 def _basis_combination(pres: JordanPresentation, ring: Ring, pair_complement: int,
                        coeff_names: tuple[str, str]) -> Element:
     """c1 * x_{1,m} + c2 * x_{2,m} as an element over ``ring``."""

@@ -863,10 +863,14 @@ class SpanResult:
 
 class Report(NamedTuple):
     """Outcome of a certificate behind one claim: whether the claim holds,
-    and exactly the data the claim reports."""
+    and exactly the data the claim reports.  A report has no truth value,
+    so that ``assert report`` cannot pass by the tuple being nonempty."""
 
     ok: bool
     data: dict
+
+    def __bool__(self):
+        raise TypeError("a Report has no truth value; read its ok")
 
 
 def span_compare(a: Sequence[Poly], b: Sequence[Poly]) -> SpanResult:

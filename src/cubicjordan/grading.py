@@ -32,6 +32,10 @@ from .exactcore import (EquationSet, Rational, Report, _frac, json_rational, par
 
 WeightSystem = dict[str, Fraction]
 
+# The paper's degree and genus of the threefold cut from the standard
+# grading by nine weight-one sections.
+STANDARD_FANO = (Fraction(11, 2), 3)
+
 
 def weight_system(values: Mapping[str, Rational]) -> WeightSystem:
     return {name: _frac(v) for name, v in values.items()}
@@ -193,6 +197,13 @@ def solve_weight_constraints(eqs: EquationSet,
     return WeightLattice(variables, particular, basis)
 
 
+def lattice_certificate(eqs: EquationSet) -> Report:
+    """The homogeneity constraints of ``eqs`` solve to an affine lattice
+    that contains the standard grading; the report gives its dimension."""
+    lattice = solve_weight_constraints(eqs)
+    return Report(lattice.contains(standard_weights()), {"dimension": lattice.dimension})
+
+
 # ---------------------------------------------------------------------------
 # Canonical-class arithmetic and resolution shifts
 # ---------------------------------------------------------------------------
@@ -230,6 +241,19 @@ def canonical_arithmetic(w: Mapping[str, Rational]) -> CanonicalReport:
         ambient_dualizing_twist=c - 4 * d,
         variety_dualizing_twist=2 * c - 3 * d,
     )
+
+
+def weight_certificates(eqs: EquationSet, w: Mapping[str, Rational]) -> dict[str, Report]:
+    """``homogeneous``, the report of ``check_homogeneous``, and, when it
+    holds and all seventeen weights are positive, ``canonical``: the
+    dualizing consistency identity of ``canonical_arithmetic``."""
+    reports = {"homogeneous": check_homogeneous(eqs, w)}
+    if reports["homogeneous"].ok and all(n in w and Fraction(w[n]) > 0 for n in ALL_VARS):
+        can = canonical_arithmetic(w)
+        reports["canonical"] = Report(can.consistent, {
+            "c": can.c, "d": can.d, "delta": can.delta, "sum": can.weight_sum,
+            "variety_twist": can.variety_dualizing_twist})
+    return reports
 
 
 def resolution_shifts(w: Mapping[str, Rational]) -> list[list[Fraction]]:
@@ -415,6 +439,45 @@ def fano_invariants(w: Mapping[str, Rational], sections: int = 9) -> FanoReport:
                       dimension=expected_dim, numerator=num)
 
 
+def hilbert_certificates(w: Mapping[str, Rational] | None = None,
+                         sections: int = 9) -> dict[str, Report]:
+    """The graded-ring claims of one grading (the standard one when ``w``
+    is None), in claim order: ``canonical``, ``numerator``, ``palindromy``,
+    ``pairing`` and ``invariants``, the degree and genus of the section by
+    ``sections`` weight-one forms.  The standard grading with nine sections
+    must give ``STANDARD_FANO``; other weights or section counts only
+    report theirs.  A bigrading is an ``InputError``."""
+    if isinstance(w, tuple):
+        raise InputError("hilbert needs a single grading")
+    w = standard_weights() if w is None else w
+    can = canonical_arithmetic(w)
+    num = hilbert_numerator(w)
+    delta = int(can.delta)
+    reports = {
+        "canonical": Report(can.consistent, {
+            "c": can.c, "d": can.d, "delta": can.delta, "sum": can.weight_sum,
+            "ambient_twist": can.ambient_dualizing_twist,
+            "variety_twist": can.variety_dualizing_twist}),
+        "numerator": Report(bool(num), {"numerator": poly1_str(num)}),
+        "palindromy": Report(numerator_is_palindromic(num, delta), {"delta": delta}),
+        "pairing": Report(shift_pairing_holds(w), {}),
+    }
+    try:
+        fano = fano_invariants(w, sections=sections)
+    except NumeratorNotDivisible as exc:
+        reports["invariants"] = Report(False, {"residual": str(exc)})
+        return reports
+    data = {"degree": fano.degree, "h0": fano.h0, "genus": fano.genus,
+            "dimension": fano.dimension}
+    ok = (fano.degree, fano.genus) == STANDARD_FANO \
+        or w != standard_weights() or sections != 9
+    if not ok:
+        data["residual"] = (f"degree {fano.degree}, genus {fano.genus}; expected "
+                            "degree {}, genus {}".format(*STANDARD_FANO))
+    reports["invariants"] = Report(ok, data)
+    return reports
+
+
 # ---------------------------------------------------------------------------
 # Two-row weight matrices of the toric construction
 # ---------------------------------------------------------------------------
@@ -454,15 +517,15 @@ def toric_weight_matrix(kind: str = "base") -> tuple[WeightSystem, WeightSystem]
     raise KeyError(f"unknown weight matrix {kind!r}")
 
 
-def toric_matrices_row_equivalent() -> bool:
+def toric_matrices_row_equivalent() -> Report:
     """The shifted and swapped matrices are the stated row operations of
-    the base matrix."""
+    the base matrix; the claim reports no data."""
     base1, base2 = toric_weight_matrix("base")
     s1, s2 = toric_weight_matrix("shifted")
     ok = all(s1[k] == base1[k] - 2 * base2[k] for k in base1) and s2 == base2
     w1, w2 = toric_weight_matrix("swapped")
     ok = ok and all(w2[k] == base1[k] - base2[k] for k in base1) and w1 == base2
-    return ok
+    return Report(ok, {})
 
 
 def example_5052_weights() -> WeightSystem:

@@ -372,24 +372,32 @@ def classify_orbit(P: Hypermatrix) -> OrbitLabel:
     return OrbitLabel("O3", det, ranks)
 
 
-def orbit_label_residual(P: Hypermatrix, label: OrbitLabel) -> str | None:
-    """The first invariant of ``label`` that an independent route at the
-    rational cube contradicts, or None.
+def orbit_certificate(P: Hypermatrix, want: str | None = None) -> Report:
+    """The orbit label, hyperdeterminant and flattening ranks of a rational
+    cube, as ``classify_orbit`` gives them.
 
-    The hyperdeterminant is checked against the symbolic Cayley form
-    evaluated at the cube, and each flattening rank against the rank that
-    exact elimination gives.
+    With ``want``, the claim is that the label is ``want``.  Without, it is
+    that no independent route at the cube contradicts the label's
+    invariants: the hyperdeterminant is checked against the symbolic
+    Cayley form evaluated at the cube, and each flattening rank against
+    the rank that exact elimination gives; the first contradiction is the
+    ``residual``.
     """
+    label = classify_orbit(P)
+    data = {"label": label.label, "hyperdet": label.hyperdet,
+            "ranks": list(label.flattening_ranks)}
+    if want is not None:
+        return Report(label.label == want, data)
     ring = coord_ring(True)
     form = hyperdeterminant(Hypermatrix.symbolic(ring), ring)
     value = form.evaluate(dict(zip(PARAM_VARS, P.as_fractions().values())))
     if value != label.hyperdet:
-        return f"D_H = {label.hyperdet}, but the Cayley form at the cube is {value}"
+        data["residual"] = f"D_H = {label.hyperdet}, but the Cayley form at the cube is {value}"
     for axis, r in zip((1, 2, 3), label.flattening_ranks):
-        exact = rank(flattening(P, axis))
-        if r != exact:
-            return f"flattening {axis} has rank {r}, but elimination gives rank {exact}"
-    return None
+        if "residual" not in data and r != (exact := rank(flattening(P, axis))):
+            data["residual"] = (f"flattening {axis} has rank {r}, "
+                                f"but elimination gives rank {exact}")
+    return Report("residual" not in data, data)
 
 
 _PERMUTATIONS = ((1, 2, 3), (2, 3, 1), (3, 1, 2), (2, 1, 3), (1, 3, 2), (3, 2, 1))
@@ -459,6 +467,14 @@ def hyperdet_covariance_exponent(r: int) -> int | None:
             return e
         power = power * det
     return None
+
+
+def hyperdet_covariance_certificate() -> Report:
+    """The hyperdeterminant transforms by the squared determinant of a
+    symbolic factor in each of the three slots; the data holds the three
+    exponents that ``hyperdet_covariance_exponent`` computes."""
+    exponents = {r: hyperdet_covariance_exponent(r) for r in (1, 2, 3)}
+    return Report(all(e == 2 for e in exponents.values()), {"exponents": exponents})
 
 
 # ---------------------------------------------------------------------------
@@ -673,14 +689,15 @@ def chart_reduce_u1(sub: Mapping[str, Poly]) -> Report:
                             "dimension": len(CHART_FREE_VARS) + 1})
 
 
-def chart_det_identity() -> bool:
+def chart_det_identity() -> Report:
     """On the chart, the first difference determinant factors as minus the
-    product of the other two."""
+    product of the other two; the claim reports no data."""
     sub = chart_substitution()
     ring = coord_ring(True)
     p = Hypermatrix.symbolic(ring).in_ring(ring)
     x = tuple(ring.var(n) for n in X_VARS)
-    return d_matrix(p, (sub["x11"], sub["x21"]) + x[2:], 1).det() == -(sub["u2"] * sub["u3"])
+    det = d_matrix(p, (sub["x11"], sub["x21"]) + x[2:], 1).det()
+    return Report(det == -(sub["u2"] * sub["u3"]), {})
 
 
 def skew_chart_matrix(ring: Ring) -> PolyMatrix:
@@ -798,6 +815,14 @@ _NP_DISPLAYS = {
 }
 
 
+def cubic_display_certificate(name: str) -> Report:
+    """The cubic form specialized at a degenerate representative prints as
+    its closed display in ``_NP_DISPLAYS``; the data holds both strings."""
+    got = coord8.cubic_form(representative(name)).to_str()
+    want = _NP_DISPLAYS[name]
+    return Report(got == want, {"computed": got, "expected": want})
+
+
 def radical_point(name: str, rng: random.Random) -> Point:
     """A sampled point over ``COORD_VARS`` of the stated radical locus of a representative."""
     pt = [(0, 1)] * len(COORD_VARS)
@@ -882,11 +907,9 @@ def radical_locus_check(name: str, seed: int, samples: int = 20) -> Report:
             break
         off_count += 1
 
-    display_ok = True
-    if name in _NP_DISPLAYS:
-        display_ok = coord8.cubic_form(P).to_str() == _NP_DISPLAYS[name]
-        if not display_ok:
-            failures.append(f"{name}: specialized cubic form differs from its display")
+    display_ok = name not in _NP_DISPLAYS or cubic_display_certificate(name).ok
+    if not display_ok:
+        failures.append(f"{name}: specialized cubic form differs from its display")
 
     return Report(not failures, {"on_locus": on_count, "off_locus": off_count,
                                  "display_ok": display_ok, "failures": failures})

@@ -255,9 +255,10 @@ def verify_specialization(d: Dictionary | str) -> Report:
     return Report(span.equal, data)
 
 
-def composed_specialization_check() -> bool:
+def composed_specialization_check() -> Report:
     """Freezing the remaining three cluster parameters inside the first
-    partial specialization reproduces the cluster system's span."""
+    partial specialization reproduces the cluster system's span; the claim
+    reports no data."""
     h12 = dictionary("h12").specialize()
     ring = h12.ring
     step = {n: ring.var(n) for n in ring.names}
@@ -268,7 +269,7 @@ def composed_specialization_check() -> bool:
     c2 = dictionary("c2")
     relabel = {n: c2.mapping[n] for n in ring.names}
     via_h12 = narrowed.substitute(relabel, c2.target)
-    return span_compare(via_h12.gens, c2_equations().gens).relation == "equal"
+    return Report(span_compare(via_h12.gens, c2_equations().gens).equal, {})
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +502,9 @@ def _outer(u: Sequence[Poly], v: Sequence[Poly], ring: Ring) -> PolyMatrix:
     return PolyMatrix.from_rows(ring, [[a * b for b in v] for a in u])
 
 
-def m8_trace_consistency() -> bool:
+def m8_trace_consistency() -> Report:
     """The trace of the sandwich block vanishes identically, matching the
-    trace-free shape of the left-hand block."""
+    trace-free shape of the left-hand block; the claim reports no data."""
     ring = m8_ring()
     X1, X2, _, _, _ = _m8_blocks(ring)
-    return (X2.adjugate() * X1 * X2).trace().is_zero()
+    return Report((X2.adjugate() * X1 * X2).trace().is_zero(), {})

@@ -151,7 +151,7 @@ def test_11_bigraded_weight_matrices():
     for kind in ("base", "shifted", "swapped"):
         r1, r2 = grading.toric_weight_matrix(kind)
         ok = ok and grading.check_bigraded(eqs, r1, r2).ok
-    ok = ok and grading.toric_matrices_row_equivalent()
+    ok = ok and grading.toric_matrices_row_equivalent().ok
     h12 = relatives.dictionary("h12").specialize()
     ok = ok and grading.check_homogeneous(
         h12, grading.example_5052_weights()).ok

@@ -338,6 +338,54 @@ def test_hilbert_report_at_a_large_weight_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == HILBERT_U3_REPORT_SHA256
 
 
+def test_failing_claim_without_a_witness_is_named_alone(tmp_path, capsys):
+    # u1 to u3 of 99 nines break only the dualizing identity of
+    # hilbert/canonical, which has neither a residual nor failures to show
+    nines = "9" * 99
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({**STANDARD, "u1": nines, "u2": nines, "u3": nines}))
+    assert run(["hilbert", "--weights", str(w)]) == 1
+    assert capsys.readouterr().err == "first failing claim: hilbert/canonical\n"
+
+
+# (argv, sha256 of the --json report, first line of stdout) of runs whose
+# claims depend on --sections or --hypermatrix, which ``all`` ignores
+OPTION_REPORT_SHA256 = [
+    (["hilbert", "--sections", "8"],
+     "d32f3803a93ac64ff07bd4b1a646e8b122a06a102e7012613053bcc756aac023",
+     "[PASS] hilbert/canonical"),
+    (["hilbert", "--sections", "0"],
+     "c3928375e10ea363ab9b69f0e2bb4e70aaf229b65b584f66cc924175ce0c937c",
+     "[PASS] hilbert/canonical"),
+    (["classify", "--hypermatrix", "1/2 -3/4 2/3 5 -1/7 0 3/2 -2"],
+     "b662ef855ffc669a1435a4cc85f467082aa63d217cd0a05d464d413c9b2ff578",
+     "O4, D_H = -9663/3136, flattening ranks (2, 2, 2)"),
+]
+
+
+@pytest.mark.parametrize("argv,digest,first_line", OPTION_REPORT_SHA256,
+                         ids=["sections-8", "sections-0", "hypermatrix"])
+def test_option_guarded_reports_are_pinned(tmp_path, capsys, argv, digest, first_line):
+    if argv[1] == "--hypermatrix":
+        cube = tmp_path / "cube.txt"
+        cube.write_text(argv[2])
+        argv = [*argv[:2], str(cube)]
+    out = tmp_path / "report.json"
+    assert run([*argv, "--json", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert capsys.readouterr().out.splitlines()[0] == first_line
+
+
+def test_claim_rows_call_their_certificate_when_they_run(monkeypatch, capsys):
+    # a row that kept the function object would still run the original
+    def broken():
+        raise RuntimeError("patched certificate")
+
+    monkeypatch.setattr(hvariety, "chart_det_identity", broken)
+    assert run(["chart", "--samples", "1"]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: patched certificate\n"
+
+
 # random input files: keys are real names or junk, values are unbounded
 # integers, rationals, junk text or JSON of the wrong type; objects start
 # from a valid file so that the suites behind the parsers run as well

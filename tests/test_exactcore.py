@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubicjordan.errors import ContextError, ShapeError, SkewError
-from cubicjordan.exactcore import (EquationSet, Poly, PolyMatrix, Ring,
+from cubicjordan.exactcore import (EquationSet, Poly, PolyMatrix, Report, Ring,
                                    compile_batch, directional_derivative, evaluate_all,
                                    nullspace, over_common_denominator, parse_rational, rank,
                                    rref, solve_linear, span_compare, substitute_all)
@@ -687,3 +687,10 @@ def test_parse_rational_reads_integers_decimals_and_quotients():
 def test_parse_rational_refuses_exponents_and_infinities(text):
     with pytest.raises(ValueError):
         parse_rational(text)
+
+
+def test_report_has_no_truth_value():
+    # a failing report is a nonempty tuple: only its ok decides
+    for rep in (Report(False, {}), Report(True, {})):
+        with pytest.raises(TypeError, match="read its ok"):
+            assert rep
