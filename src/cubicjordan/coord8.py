@@ -36,6 +36,7 @@ PARAM_VARS = ("p111", "p211", "p121", "p221", "p112", "p212", "p122", "p222")
 ALL_VARS = COORD_VARS + PARAM_VARS
 
 INDEX_TRIPLES = tuple((i, j, k) for k in (1, 2) for j in (1, 2) for i in (1, 2))
+_UNIT = tuple(Fraction(int(n in U_VARS)) for n in COORD_VARS)  # the sum of the idempotents
 
 
 def coord_ring(with_params: bool = True, extra: Sequence[str] = ()) -> Ring:
@@ -197,15 +198,20 @@ def _symbolic_forms() -> tuple[Poly, tuple[Poly, ...]]:
 
 
 @cache
-def _cube_batch() -> tuple[Ring, tuple[tuple[int, tuple], ...], Batch]:
-    """The coefficients of the symbolic forms, compiled once to specialize
-    them at any rational cube.
+def _cube_batch() -> tuple[Ring, tuple[tuple[int, tuple], ...], tuple[tuple[int, int], ...],
+                           Batch]:
+    """The coefficients of the symbolic forms, and the trace table, compiled
+    once to specialize them at any rational cube.
 
     Every term of the cubic (form 0) and of the nine sharps (forms 1-9)
     splits as (polynomial in the eight parameters) x (coordinate monomial).
     The keys list (form, coordinate monomial) in the order the terms first
-    meet them, and the batch returns each key's coefficient polynomial,
-    over the ring of the eight parameters.
+    meet them, the trace keys the (i, j) of the nonzero T(e_i, e_j) of
+    ``presentation(None)``, and the batch returns each key's coefficient
+    polynomial, then each trace entry, over the ring of the eight
+    parameters.  The checks of ``presentation(None)`` cover every cube: its
+    forms are homogeneous, and its cubic is 1 at the unit, identically in
+    the parameters.
     """
     cubic, sharp = _symbolic_forms()
     n = len(COORD_VARS)
@@ -213,19 +219,19 @@ def _cube_batch() -> tuple[Ring, tuple[tuple[int, tuple], ...], Batch]:
     for f, form in enumerate((cubic, *sharp)):
         for m, c in form.terms.items():
             coeffs.setdefault((f, m[:n]), {})[m[n:]] = c
+    trace = presentation(None)._trace_form[1]
     params = Ring(PARAM_VARS)
-    batch = compile_batch([Poly(params, t) for t in coeffs.values()])
-    return coord_ring(False), tuple(coeffs), batch
+    batch = compile_batch([Poly(params, t) for t in coeffs.values()]
+                          + [Poly(params, {m[n:]: c for m, c in t.terms.items()})
+                             for t in trace.values()])
+    return coord_ring(False), tuple(coeffs), tuple(trace), batch
 
 
-def _at_cube(P: Hypermatrix | None) -> list[Poly]:
+def _at_cube(P: Hypermatrix) -> list[Poly]:
     """The cubic and the nine sharps with the cube entries set to those of
     P, over the nine coordinates: one call of ``_cube_batch``'s compiled
-    coefficients.  ``P=None`` keeps them symbolic."""
-    if P is None:
-        cubic, sharp = _symbolic_forms()
-        return [cubic, *sharp]
-    ring, keys, batch = _cube_batch()
+    coefficients."""
+    ring, keys, _, batch = _cube_batch()
     terms: list[dict] = [{} for _ in range(1 + len(COORD_VARS))]
     # the entries in INDEX_TRIPLES order, which is the order of PARAM_VARS
     values, den = batch(*over_common_denominator(P.as_fractions().values()))
@@ -236,30 +242,41 @@ def _at_cube(P: Hypermatrix | None) -> list[Poly]:
     return [Poly(ring, t) for t in terms]
 
 
+def rational_tables(P: Hypermatrix) -> jordan._Tables:
+    """The tables of ``presentation(P)._rational_tables`` from one call of
+    ``_cube_batch``, with no presentation built (``_cube_batch`` says why)."""
+    _, keys, trace, batch = _cube_batch()
+    values, den = batch(*over_common_denominator(P.as_fractions().values()))
+    gram = [(key, v) for key, v in zip(trace, values[len(keys):]) if v]
+    sharp = [((f - 1, m), v) for (f, m), v in zip(keys, values) if f and v]
+    return jordan._Tables.assemble(len(COORD_VARS), gram, den, sharp, den)
+
+
 def cubic_form(P: Hypermatrix | None = None) -> Poly:
     """The cubic form attached to the cube, fully expanded.
 
     ``P=None`` keeps the eight parameters symbolic; a rational cube
     specializes the symbolic expansion, over the nine coordinates alone.
     """
-    return _at_cube(P)[0]
+    return _symbolic_forms()[0] if P is None else _at_cube(P)[0]
 
 
 def presentation(P: Hypermatrix | None = None) -> JordanPresentation:
     """Jordan presentation of the coordinatized algebra.
 
-    ``P=None`` keeps the eight parameters symbolic; a rational cube yields
-    a presentation over the nine coordinates alone.
+    ``P=None`` keeps the eight parameters symbolic (one shared presentation,
+    read only); a rational cube yields one over the nine coordinates alone.
     """
-    unit = tuple(Fraction(1) if n in U_VARS else Fraction(0) for n in COORD_VARS)
+    if P is None:
+        return _symbolic_presentation()
     cubic, *sharp = _at_cube(P)
-    return JordanPresentation(
-        ring=cubic.ring,
-        coords=COORD_VARS,
-        unit=unit,
-        cubic=cubic,
-        sharp=tuple(sharp),
-    )
+    return JordanPresentation(cubic.ring, COORD_VARS, _UNIT, cubic, tuple(sharp))
+
+
+@cache
+def _symbolic_presentation() -> JordanPresentation:
+    cubic, sharp = _symbolic_forms()
+    return JordanPresentation(cubic.ring, COORD_VARS, _UNIT, cubic, sharp)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ Generator order (labels used everywhere):
     g3a, g3b   third pair
     g4, g5, g6 idempotent components
 
-Rational cubes are moved under the group, and their hyperdeterminant is
-taken, in integers over one common denominator, which is divided out once
-at the end.
+Rational cubes are moved under the group, classified, and their
+hyperdeterminant taken, in integers over one common denominator, which is
+divided out once at the end.  The radical tests at a rational cube read the
+integer tables that ``coord8.rational_tables`` compiles once for all cubes.
 
 Sampling uses explicitly seeded generators passed by the caller; there is
 no hidden global randomness.  A sampled point stays an integer ``Point``
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import coord8, jordan
 from .coord8 import (ALL_VARS, COORD_VARS, INDEX_TRIPLES, PARAM_VARS, X_VARS,
@@ -319,20 +320,15 @@ def hyperdeterminant(P: Hypermatrix, ring: Ring | None = None) -> "Poly | Fracti
 
 def flattening(P: Hypermatrix, axis: int) -> list[list[Fraction]]:
     """2x4 matrix reshaping the cube along one index slot."""
-    vals = P.as_fractions()
-    rows = []
-    for m in (1, 2):
-        row = []
-        for (i, j, k) in coord8.INDEX_TRIPLES:
-            word = (i, j, k)
-            if word[axis - 1] != m:
-                continue
-            row.append(vals[word])
-        rows.append(row)
-    return rows
+    return _reshape(P.as_fractions().values(), axis)
 
 
-def _flattening_rank(rows: list[list[Fraction]]) -> int:
+def _reshape(vals: Iterable[Rational], axis: int) -> list[list]:
+    """The 2x4 flattening of cube entries given in ``INDEX_TRIPLES`` order."""
+    return [[v for t, v in zip(INDEX_TRIPLES, vals) if t[axis - 1] == m] for m in (1, 2)]
+
+
+def _flattening_rank(rows: list[list[Rational]]) -> int:
     """Rank of a 2x4 flattening: 0 if every entry is zero, 1 if its six
     2x2 minors vanish, 2 otherwise."""
     top, bottom = rows
@@ -358,10 +354,11 @@ def classify_orbit(P: Hypermatrix) -> OrbitLabel:
     over the triple Segre product (all ranks one), the three rank-one
     cones (some rank one), and the generic degenerate orbit.
     """
-    vals = P.as_fractions()
-    ranks = tuple(_flattening_rank(flattening(P, axis)) for axis in (1, 2, 3))
+    # the zero test and the ranks read numerators: scaling keeps both
+    nums, _ = over_common_denominator(P.as_fractions().values())
+    ranks = tuple(_flattening_rank(_reshape(nums, axis)) for axis in (1, 2, 3))
     det = hyperdeterminant(P)
-    if all(v == 0 for v in vals.values()):
+    if not any(nums):
         return OrbitLabel("origin", det, ranks)
     if det != 0:
         return OrbitLabel("O4", det, ranks)
@@ -877,8 +874,7 @@ def radical_locus_check(name: str, seed: int, samples: int = 20) -> Report:
     """Sampled membership on the stated radical locus, sampled failure off
     it, agreement of the two nondegeneracy tests, and exact match of the
     specialized cubic form with its stated display."""
-    P = representative(name)
-    pres = coord8.presentation(P)
+    tables = coord8.rational_tables(representative(name))
     failures: list[str] = []
     rng_on = random.Random(f"{seed}:{name}:on")
     rng_off = random.Random(f"{seed}:{name}:off")
@@ -886,7 +882,7 @@ def radical_locus_check(name: str, seed: int, samples: int = 20) -> Report:
     on_count = 0
     if name != "p4":
         for _ in range(samples):
-            tests = jordan.nondegeneracy_test_equiv(pres, radical_point(name, rng_on)[0])
+            tests = jordan.nondegeneracy_test_equiv(tables, radical_point(name, rng_on)[0])
             if not tests["viaU"]:
                 failures.append(f"{name}: locus point rejected by the U-operator test")
                 break
@@ -898,7 +894,7 @@ def radical_locus_check(name: str, seed: int, samples: int = 20) -> Report:
     off_count = 0
     n_off = 100 if name == "p4" else samples
     for _ in range(n_off):
-        tests = jordan.nondegeneracy_test_equiv(pres, off_radical_point(name, rng_off)[0])
+        tests = jordan.nondegeneracy_test_equiv(tables, off_radical_point(name, rng_off)[0])
         if tests["viaU"]:
             failures.append(f"{name}: off-locus point accepted by the U-operator test")
             break
@@ -926,13 +922,13 @@ def nondegenerate_sweep(seed: int, cubes: int = 50, sigmas_per_cube: int = 2) ->
         if hyperdeterminant(P) == 0:
             continue
         tried += 1
-        pres = coord8.presentation(P)
+        tables = coord8.rational_tables(P)
         for _ in range(sigmas_per_cube):
             while True:
                 vals = [_rand(rng) for _ in COORD_VARS]
                 if any(v != 0 for v in vals):
                     break
-            if jordan.radical_membership(pres, vals):
+            if jordan.radical_membership(tables, vals):
                 failures += 1
     return Report(failures == 0, {"cubes": tried, "sigmas": tried * sigmas_per_cube,
                                   "failures": failures, "ok": failures == 0})

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exactcore import (Poly, Rational, Report, Ring, directional_derivative,
                         over_common_denominator, substitute_all)
@@ -39,6 +39,24 @@ class _Tables(NamedTuple):
     sharp: list[list[tuple[int, int, int]]]
     polar: list[list[list[tuple[int, int]]]]
     sharp_den: int
+
+    @classmethod
+    def assemble(cls, n: int, gram: Iterable, gram_den: int, sharp: Iterable,
+                 sharp_den: int) -> _Tables:
+        """The tables of n coordinates from nonzero integers: ((i, j), c) in
+        ``gram`` for T(e_i, e_j) = c / gram_den, and ((k, m), c) in ``sharp``
+        for c / sharp_den times the coordinate monomial m in x#_k."""
+        rows, quads = [[] for _ in range(n)], [[] for _ in range(n)]
+        polar = [[[] for _ in range(n)] for _ in range(n)]
+        for (i, j), c in gram:
+            rows[j].append((i, c))
+        for (k, m), c in sharp:
+            i = m.index(2) if 2 in m else m.index(1)
+            j = i if m[i] == 2 else m.index(1, i + 1)
+            quads[k].append((i, j, c))
+            polar[i][k].append((j, c))
+            polar[j][k].append((i, c))
+        return cls(rows, gram_den, quads, polar, sharp_den)
 
 
 @dataclass(frozen=True)
@@ -162,29 +180,18 @@ class JordanPresentation:
         ``sharp[k]`` lists ``(i, j, c)`` with x#_k = sum of c x_i x_j / sharp_den;
         and ``polar[m][k]`` lists ``(i, c)`` with (a # e_m)_k = sum of
         c a_i / sharp_den, the k-th sharp quadric polarized against the
-        basis vector e_m, which has the coefficients of ``sharp``.
+        basis vector e_m, which has the coefficients of ``sharp``.  At a
+        rational cube ``coord8.rational_tables`` builds the same tables
+        from a compiled batch; this route serves any presentation.
         """
         if self.ring.names != self.coords:
             raise ValueError("rational tables need a presentation without parameters")
-        n = self.dim()
         table = self._trace_form[1]
-        origin = (0,) * n
-        values, gram_den = over_common_denominator([t.terms[origin] for t in table.values()])
-        gram = [[] for _ in range(n)]
-        for (i, j), c in zip(table, values):
-            gram[j].append((i, c))
-        coeffs, sharp_den = over_common_denominator(
-            [c for q in self.sharp for c in q.terms.values()])
-        sharp = [[] for _ in range(n)]
-        polar = [[[] for _ in range(n)] for _ in range(n)]
-        for (k, m), c in zip([(k, m) for k, q in enumerate(self.sharp) for m in q.terms],
-                             coeffs):
-            i = m.index(2) if 2 in m else m.index(1)
-            j = i if m[i] == 2 else m.index(1, i + 1)
-            sharp[k].append((i, j, c))
-            polar[i][k].append((j, c))
-            polar[j][k].append((i, c))
-        return _Tables(gram, gram_den, sharp, polar, sharp_den)
+        gram, gram_den = over_common_denominator([t.constant_value() for t in table.values()])
+        sharp = {(k, m): c for k, q in enumerate(self.sharp) for m, c in q.terms.items()}
+        nums, sharp_den = over_common_denominator(sharp.values())
+        return _Tables.assemble(self.dim(), zip(table, gram), gram_den,
+                                zip(sharp, nums), sharp_den)
 
 
 def _target_ring(p: JordanPresentation, *elements: Element) -> Ring:
@@ -305,10 +312,10 @@ def verify_sharp_conditions(p: JordanPresentation) -> dict[str, Report]:
 _Parts = tuple[list[int], list[int], list[int]]
 
 
-def _rational_parts(p: JordanPresentation, sigma: Sequence[Rational]) -> _Parts:
+def _rational_parts(tables: _Tables, sigma: Sequence[Rational]) -> _Parts:
     """A positive multiple s of sigma with integer entries, and s# and the
     row T(s, e_j) as integers over ``sharp_den`` and ``gram_den``, read off
-    the rational tables.
+    ``tables``.
 
     s is sigma times the lcm of its denominators; integers are their own s.
     Both callers' tests are homogeneous in sigma, so they give the same
@@ -316,7 +323,6 @@ def _rational_parts(p: JordanPresentation, sigma: Sequence[Rational]) -> _Parts:
     the radical test T(sigma, e_m) sigma_k = (sigma# # e_m)_k has degree 2
     in sigma on both sides, so scaling sigma by c scales both sides by c^2.
     """
-    tables = p._rational_tables
     s, _ = over_common_denominator(sigma)
     sharp = []
     for q in tables.sharp:
@@ -333,24 +339,25 @@ def _rational_parts(p: JordanPresentation, sigma: Sequence[Rational]) -> _Parts:
     return s, sharp, trace
 
 
-def radical_membership(p: JordanPresentation, sigma: Sequence[Rational]) -> bool:
+def radical_membership(p: JordanPresentation | _Tables, sigma: Sequence[Rational]) -> bool:
     """True iff U_sigma vanishes: sigma is an absolute zero divisor.
 
-    The radical tests take sigma by its rational coordinates on a
-    presentation without parameters.  U_sigma y = T(sigma, y) sigma -
+    The radical tests take sigma by its rational coordinates, and the
+    algebra as a presentation without parameters or as its ``_Tables``
+    (``coord8.rational_tables``).  U_sigma y = T(sigma, y) sigma -
     sigma# # y is linear in y, so it vanishes for a fully symbolic y
     exactly when every column U_sigma e_j = T(sigma, e_j) sigma - sigma# # e_j
     does.  The columns form a rational matrix, compared in cross-multiplied
-    integers from the tables of ``_rational_tables`` for an integer
-    multiple of sigma (see ``_rational_parts``).
+    integers from the integer tables for an integer multiple of sigma
+    (see ``_rational_parts``).
     """
-    return _u_vanishes(p, _rational_parts(p, sigma))
+    tables = p if isinstance(p, _Tables) else p._rational_tables
+    return _u_vanishes(tables, _rational_parts(tables, sigma))
 
 
-def _u_vanishes(p: JordanPresentation, parts: _Parts) -> bool:
-    """The U-test of ``radical_membership`` on ``_rational_parts(p, sigma)``."""
+def _u_vanishes(tables: _Tables, parts: _Parts) -> bool:
+    """The U-test of ``radical_membership`` on ``_rational_parts(tables, sigma)``."""
     s, sharp, trace = parts
-    tables = p._rational_tables
     # T(s, e_m) s_k = (s# # e_m)_k, both sides times gram_den sharp_den^2
     lhs, rhs = tables.sharp_den ** 2, tables.gram_den
     for m, row in enumerate(tables.polar):
@@ -364,7 +371,7 @@ def _u_vanishes(p: JordanPresentation, parts: _Parts) -> bool:
     return True
 
 
-def nondegeneracy_test_equiv(p: JordanPresentation,
+def nondegeneracy_test_equiv(p: JordanPresentation | _Tables,
                              sigma: Sequence[Rational]) -> dict[str, bool]:
     """Radical membership via the U-operator and via sharp/trace vanishing.
 
@@ -376,6 +383,6 @@ def nondegeneracy_test_equiv(p: JordanPresentation,
     T(sigma, -) = 0 and sigma# != 0 in its kernel, where U_sigma y =
     -sigma# # y does not vanish.
     """
-    parts = _rational_parts(p, sigma)
-    _, sharp, trace = parts
-    return {"viaU": _u_vanishes(p, parts), "viaTN": not any(sharp) and not any(trace)}
+    tables = p if isinstance(p, _Tables) else p._rational_tables
+    _, sharp, trace = parts = _rational_parts(tables, sigma)
+    return {"viaU": _u_vanishes(tables, parts), "viaTN": not any(sharp) and not any(trace)}

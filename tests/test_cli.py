@@ -490,8 +490,10 @@ def test_fractional_symbolic_cubic_fails_its_claim(tmp_path, monkeypatch, capsys
     x11, x12, x13 = (cubic.ring.var(n) for n in ("x11", "x12", "x13"))
     half = Fraction(1, 2) * x11 * x12 * x13
     monkeypatch.setattr(coord8, "_symbolic_forms", lambda: (cubic + half, sharp))
-    # a fresh cache, so the cubes of this test specialize the patched forms
-    # and no later test does
+    # fresh caches, so the symbolic presentation and the cubes of this test
+    # read the patched forms and no later test does
+    monkeypatch.setattr(coord8, "_symbolic_presentation",
+                        cache(coord8._symbolic_presentation.__wrapped__))
     monkeypatch.setattr(coord8, "_cube_batch", cache(coord8._cube_batch.__wrapped__))
     out = tmp_path / "report.json"
     assert run(["verify-axioms", "--json", str(out)]) == 1
@@ -624,6 +626,31 @@ def test_defect_certificate_is_restored_when_a_suite_raises(monkeypatch, capsys,
 def test_radicals_pass_where_u_vanishes_off_locus():
     # seed 13 draws an off-locus point of the p1 algebra with u1 = u2 = u3 = 0
     assert run(["radicals", "--seed", "13"]) == 0
+
+
+def test_a_tampered_compiled_trace_entry_fails_the_radical_claims(tmp_path, monkeypatch,
+                                                                  capsys):
+    # add one to T(e_x11, e_x11) in the compiled tables: the radical tests
+    # read it, so points of the stated loci fail the U-test, while the
+    # specialized cubic forms, read from the same batch, keep their displays
+    ring, keys, trace, batch = coord8._cube_batch()
+    at = len(keys) + trace.index((0, 0))
+
+    def tampered(nums, den):
+        values, scale = batch(nums, den)
+        values[at] += scale
+        return values, scale
+
+    monkeypatch.setattr(coord8, "_cube_batch", lambda: (ring, keys, trace, tampered))
+    out = tmp_path / "report.json"
+    assert run(["radicals", "--json", str(out)]) == 1
+    claims = {c["claim_id"]: c for c in json.loads(out.read_text())["claims"]}
+    origin = claims["radicals/origin"]
+    assert origin["status"] == "fail"
+    assert origin["data"]["failures"] == ["origin: locus point rejected by the U-operator test"]
+    assert origin["data"]["display_ok"] is True
+    err = capsys.readouterr().err
+    assert "first failing claim: radicals/origin" in err and "Traceback" not in err
 
 
 def test_prop76_command():

@@ -224,12 +224,16 @@ def test_u_test_pins_the_column_order():
     assert jordan.radical_membership(p, sigma)
 
 
+def _hypermatrix(cube: str | tuple) -> coord8.Hypermatrix:
+    """A representative by name, or a cube by its entries in ``INDEX_TRIPLES`` order."""
+    return hvariety.representative(cube) if isinstance(cube, str) else \
+        coord8.Hypermatrix(dict(zip(coord8.INDEX_TRIPLES, cube)))
+
+
 @cache
 def _presentation(cube: str | tuple) -> JordanPresentation:
     """The parameter-free presentation at a representative or a cube."""
-    P = hvariety.representative(cube) if isinstance(cube, str) else \
-        coord8.Hypermatrix(dict(zip(coord8.INDEX_TRIPLES, cube)))
-    return coord8.presentation(P)
+    return coord8.presentation(_hypermatrix(cube))
 
 
 def _reference(p: JordanPresentation, values) -> dict[str, bool]:
@@ -267,12 +271,46 @@ def test_rational_tables_agree_with_symbolic_route(cube, kind, values, seed):
     assert jordan.radical_membership(p, values) == fast["viaU"]
 
 
+def _table_entries(tables) -> tuple[list, list, list]:
+    """Every entry of integer tables as a ``Fraction`` over its denominator,
+    each list of entries sorted."""
+    gram = [sorted((i, Fraction(c, tables.gram_den)) for i, c in col) for col in tables.gram]
+    sharp = [sorted((i, j, Fraction(c, tables.sharp_den)) for i, j, c in q)
+             for q in tables.sharp]
+    polar = [[sorted((i, Fraction(c, tables.sharp_den)) for i, c in col) for col in row]
+             for row in tables.polar]
+    return gram, sharp, polar
+
+
+_entry = st.one_of(st.just(0), st.integers(-9, 9), _small)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cube=st.one_of(st.sampled_from(_REPS), st.tuples(*[_entry] * 8)),
+       locus=st.booleans(), values=st.tuples(*[_small] * 9), seed=st.integers(0, 10**6))
+@example(cube=(0,) * 8, locus=False, values=(1,) + (0,) * 8, seed=0)
+@example(cube=(Fraction(1, 2), 0, 0, Fraction(-2, 3), 0, 0, 0, Fraction(7, 4)), locus=False,
+         values=(Fraction(1, 2),) * 9, seed=0)
+@example(cube="p3", locus=True, values=(0,) * 9, seed=5)
+def test_compiled_tables_are_the_presentation_tables(cube, locus, values, seed):
+    # the tables read off the compiled batch at a cube hold, entry by entry,
+    # the rationals of the presentation's own tables, and give the radical
+    # tests the answers of the symbolic route
+    p, tables = _presentation(cube), coord8.rational_tables(_hypermatrix(cube))
+    assert _table_entries(tables) == _table_entries(p._rational_tables)
+    if locus and isinstance(cube, str) and cube != "p4":
+        nums, den = hvariety.radical_point(cube, random.Random(seed))
+        values = tuple(Fraction(n, den) for n in nums)
+    assert jordan.nondegeneracy_test_equiv(tables, values) == _reference(p, values)
+    assert jordan.radical_membership(tables, values) == _reference(p, values)["viaU"]
+
+
 def assert_parts_are_the_symbolic_values(p, values):
     # s# and T(s, e_j) over the tables' denominators are the sharp and the
     # trace form of the integer multiple s of sigma, as the symbolic
     # functions compute them
     tables = p._rational_tables
-    s, sharp, trace = jordan._rational_parts(p, values)
+    s, sharp, trace = jordan._rational_parts(tables, values)
     assert [Fraction(c, tables.sharp_den) for c in sharp] == \
         [c.constant_value() for c in jordan.sharp_of(p, p.element(s))]
     assert [Fraction(c, tables.gram_den) for c in trace] == \
