@@ -26,7 +26,7 @@ from . import jordan
 from .errors import ShapeError
 from .exactcore import (Batch, Poly, PolyMatrix, Rational, Report, Ring, _frac,
                         compile_batch, json_rational, over_common_denominator, parse_json,
-                        parse_rational)
+                        parse_rational, substitute_all)
 from .jordan import Element, JordanPresentation
 
 X_VARS = ("x11", "x21", "x12", "x22", "x13", "x23")
@@ -69,10 +69,7 @@ class Hypermatrix:
 
     @classmethod
     def from_named(cls, values: Mapping[str, Rational]) -> Hypermatrix:
-        entries = {}
-        for t in INDEX_TRIPLES:
-            entries[t] = _frac(values.get(p_name(*t), 0))
-        return cls(entries)
+        return cls({t: values.get(p_name(*t), 0) for t in INDEX_TRIPLES})
 
     @classmethod
     def parse(cls, text: str) -> Hypermatrix:
@@ -93,9 +90,7 @@ class Hypermatrix:
         return cls.from_named(values)
 
     def to_text(self) -> str:
-        return " ".join(str(self.entries[t]) for t in
-                        ((1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1),
-                         (1, 1, 2), (2, 1, 2), (1, 2, 2), (2, 2, 2)))
+        return " ".join(map(str, self.entries.values()))
 
     def get(self, i: int, j: int, k: int) -> "Poly | Fraction":
         return self.entries[(i, j, k)]
@@ -198,78 +193,71 @@ def _symbolic_forms() -> tuple[Poly, tuple[Poly, ...]]:
 
 
 @cache
-def _cube_batch() -> tuple[Ring, tuple[tuple[int, tuple], ...], tuple[tuple[int, int], ...],
-                           Batch]:
-    """The coefficients of the symbolic forms, and the trace table, compiled
-    once to specialize them at any rational cube.
+def _cube_batch() -> tuple[tuple[tuple[int, tuple], ...], tuple[tuple[int, int], ...], Batch]:
+    """The coefficients of the nine symbolic sharps, and the trace table,
+    compiled once for ``rational_tables``.
 
-    Every term of the cubic (form 0) and of the nine sharps (forms 1-9)
-    splits as (polynomial in the eight parameters) x (coordinate monomial).
-    The keys list (form, coordinate monomial) in the order the terms first
-    meet them, the trace keys the (i, j) of the nonzero T(e_i, e_j) of
-    ``presentation(None)``, and the batch returns each key's coefficient
-    polynomial, then each trace entry, over the ring of the eight
-    parameters.  The checks of ``presentation(None)`` cover every cube: its
-    forms are homogeneous, and its cubic is 1 at the unit, identically in
-    the parameters.
+    Each term of the k-th sharp splits as (polynomial in the eight
+    parameters) x (coordinate monomial).  The keys list (k, coordinate
+    monomial) in the order the terms first meet them, the trace keys the
+    (i, j) of the nonzero T(e_i, e_j) of ``presentation(None)``; the batch
+    returns, over the ring of the eight parameters, each key's coefficient,
+    then each trace entry.
     """
-    cubic, sharp = _symbolic_forms()
+    _, sharp = _symbolic_forms()
     n = len(COORD_VARS)
     coeffs: dict[tuple[int, tuple], dict] = {}
-    for f, form in enumerate((cubic, *sharp)):
+    for k, form in enumerate(sharp):
         for m, c in form.terms.items():
-            coeffs.setdefault((f, m[:n]), {})[m[n:]] = c
+            coeffs.setdefault((k, m[:n]), {})[m[n:]] = c
     trace = presentation(None)._trace_form[1]
     params = Ring(PARAM_VARS)
     batch = compile_batch([Poly(params, t) for t in coeffs.values()]
                           + [Poly(params, {m[n:]: c for m, c in t.terms.items()})
                              for t in trace.values()])
-    return coord_ring(False), tuple(coeffs), tuple(trace), batch
-
-
-def _at_cube(P: Hypermatrix) -> list[Poly]:
-    """The cubic and the nine sharps with the cube entries set to those of
-    P, over the nine coordinates: one call of ``_cube_batch``'s compiled
-    coefficients."""
-    ring, keys, _, batch = _cube_batch()
-    terms: list[dict] = [{} for _ in range(1 + len(COORD_VARS))]
-    # the entries in INDEX_TRIPLES order, which is the order of PARAM_VARS
-    values, den = batch(*over_common_denominator(P.as_fractions().values()))
-    for (f, m), v in zip(keys, values):
-        if v:
-            c = Fraction(v, den)
-            terms[f][m] = c.numerator if c.denominator == 1 else c
-    return [Poly(ring, t) for t in terms]
+    return tuple(coeffs), tuple(trace), batch
 
 
 def rational_tables(P: Hypermatrix) -> jordan._Tables:
     """The tables of ``presentation(P)._rational_tables`` from one call of
-    ``_cube_batch``, with no presentation built (``_cube_batch`` says why)."""
-    _, keys, trace, batch = _cube_batch()
+    ``_cube_batch``, with no presentation built: the checks of
+    ``presentation(None)`` (homogeneous forms, cubic 1 at the unit,
+    identically in the parameters) hold at every cube."""
+    keys, trace, batch = _cube_batch()
     values, den = batch(*over_common_denominator(P.as_fractions().values()))
     gram = [(key, v) for key, v in zip(trace, values[len(keys):]) if v]
-    sharp = [((f - 1, m), v) for (f, m), v in zip(keys, values) if f and v]
+    sharp = [(key, v) for key, v in zip(keys, values) if v]
     return jordan._Tables.assemble(len(COORD_VARS), gram, den, sharp, den)
+
+
+def _specialize(P: Hypermatrix, forms: Sequence[Poly]) -> list[Poly]:
+    """``forms`` with the cube entries set to those of P, over the nine coordinates."""
+    return substitute_all(forms, dict(zip(PARAM_VARS, P.as_fractions().values())),
+                          coord_ring(False))
 
 
 def cubic_form(P: Hypermatrix | None = None) -> Poly:
     """The cubic form attached to the cube, fully expanded.
 
     ``P=None`` keeps the eight parameters symbolic; a rational cube
-    specializes the symbolic expansion, over the nine coordinates alone.
+    substitutes its entries into the symbolic cubic alone, over the nine
+    coordinates.
     """
-    return _symbolic_forms()[0] if P is None else _at_cube(P)[0]
+    cubic = _symbolic_forms()[0]
+    return cubic if P is None else _specialize(P, [cubic])[0]
 
 
 def presentation(P: Hypermatrix | None = None) -> JordanPresentation:
     """Jordan presentation of the coordinatized algebra.
 
     ``P=None`` keeps the eight parameters symbolic (one shared presentation,
-    read only); a rational cube yields one over the nine coordinates alone.
+    read only); a rational cube substitutes its entries into the symbolic
+    cubic and the nine sharps, over the nine coordinates alone.
     """
     if P is None:
         return _symbolic_presentation()
-    cubic, *sharp = _at_cube(P)
+    cubic, sharp = _symbolic_forms()
+    cubic, *sharp = _specialize(P, (cubic, *sharp))
     return JordanPresentation(cubic.ring, COORD_VARS, _UNIT, cubic, tuple(sharp))
 
 

@@ -632,8 +632,9 @@ def test_a_tampered_compiled_trace_entry_fails_the_radical_claims(tmp_path, monk
                                                                   capsys):
     # add one to T(e_x11, e_x11) in the compiled tables: the radical tests
     # read it, so points of the stated loci fail the U-test, while the
-    # specialized cubic forms, read from the same batch, keep their displays
-    ring, keys, trace, batch = coord8._cube_batch()
+    # specialized cubic forms keep their displays, which shows that they are
+    # substituted into the symbolic cubic and never read the batch
+    keys, trace, batch = coord8._cube_batch()
     at = len(keys) + trace.index((0, 0))
 
     def tampered(nums, den):
@@ -641,7 +642,7 @@ def test_a_tampered_compiled_trace_entry_fails_the_radical_claims(tmp_path, monk
         values[at] += scale
         return values, scale
 
-    monkeypatch.setattr(coord8, "_cube_batch", lambda: (ring, keys, trace, tampered))
+    monkeypatch.setattr(coord8, "_cube_batch", lambda: (keys, trace, tampered))
     out = tmp_path / "report.json"
     assert run(["radicals", "--json", str(out)]) == 1
     claims = {c["claim_id"]: c for c in json.loads(out.read_text())["claims"]}
@@ -651,6 +652,22 @@ def test_a_tampered_compiled_trace_entry_fails_the_radical_claims(tmp_path, monk
     assert origin["data"]["display_ok"] is True
     err = capsys.readouterr().err
     assert "first failing claim: radicals/origin" in err and "Traceback" not in err
+
+
+def test_the_polynomial_route_never_reads_the_compiled_tables(monkeypatch, capsys):
+    # the specialized cubic and presentations substitute into the symbolic
+    # forms; only the radical tests read the compiled batch
+    def unavailable():
+        raise RuntimeError("compiled tables read")
+
+    monkeypatch.setattr(coord8, "_cube_batch", unavailable)
+    assert run(["verify-axioms"]) == 0
+    assert run(["fiber"]) == 0
+    p3 = hvariety.representative("p3")
+    assert coord8.cubic_form(p3).to_str() == hvariety._NP_DISPLAYS["p3"]
+    capsys.readouterr()
+    assert run(["radicals"]) == 3
+    assert capsys.readouterr().err.startswith("internal error:")
 
 
 def test_prop76_command():

@@ -166,8 +166,8 @@ def test_specialization_matches_direct_expansion_at_random_cubes(entries):
 
 
 def specialize_symbolically(P):
-    """Reference for ``_at_cube``: the symbolic forms with the cube entries
-    substituted by ``substitute_all``."""
+    """The symbolic forms with the cube entries substituted by one
+    ``substitute_all`` call over the ten forms together."""
     cubic, sharp = coord8._symbolic_forms()
     values = {coord8.p_name(*t): v for t, v in P.as_fractions().items()}
     return substitute_all((cubic, *sharp), values, coord_ring(False))
