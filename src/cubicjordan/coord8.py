@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from typing import Mapping, Sequence
 
 from . import jordan
@@ -193,29 +194,20 @@ def _symbolic_forms() -> tuple[Poly, tuple[Poly, ...]]:
 
 
 @cache
-def _cube_batch() -> tuple[tuple[tuple[int, tuple], ...], tuple[tuple[int, int], ...], Batch]:
-    """The coefficients of the nine symbolic sharps, and the trace table,
-    compiled once for ``rational_tables``.
+def _cube_batch() -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, int], ...], Batch]:
+    """The polar table of the nine symbolic sharps and the trace table of
+    ``presentation(None)``, compiled once for ``rational_tables``.
 
-    Each term of the k-th sharp splits as (polynomial in the eight
-    parameters) x (coordinate monomial).  The keys list (k, coordinate
-    monomial) in the order the terms first meet them, the trace keys the
-    (i, j) of the nonzero T(e_i, e_j) of ``presentation(None)``; the batch
-    returns, over the ring of the eight parameters, each key's coefficient,
-    then each trace entry.
+    The keys list the (k, i, j) of ``_polar``, the trace keys the (i, j) of
+    the nonzero T(e_i, e_j); the batch returns, over the ring of the eight
+    parameters, each key's coefficient, then each trace entry.
     """
-    _, sharp = _symbolic_forms()
-    n = len(COORD_VARS)
-    coeffs: dict[tuple[int, tuple], dict] = {}
-    for k, form in enumerate(sharp):
-        for m, c in form.terms.items():
-            coeffs.setdefault((k, m[:n]), {})[m[n:]] = c
-    trace = presentation(None)._trace_form[1]
-    params = Ring(PARAM_VARS)
-    batch = compile_batch([Poly(params, t) for t in coeffs.values()]
-                          + [Poly(params, {m[n:]: c for m, c in t.terms.items()})
-                             for t in trace.values()])
-    return tuple(coeffs), tuple(trace), batch
+    pres = presentation(None)
+    sharp, trace = pres._polar[pres.ring], pres._trace_form[1]
+    n, params = len(COORD_VARS), Ring(PARAM_VARS)
+    batch = compile_batch([Poly(params, {m[n:]: c for m, c in t.terms.items()})
+                           for t in (*sharp.values(), *trace.values())])
+    return tuple(sharp), tuple(trace), batch
 
 
 def rational_tables(P: Hypermatrix) -> jordan._Tables:
@@ -372,26 +364,18 @@ def build_peirce_table() -> dict[tuple[str, str], Element]:
 
 def sharp_from_table(table: Mapping[tuple[str, str], Element],
                      sigma: Element) -> Element:
-    """Quadratic map induced by the symmetric table: half of sigma # sigma."""
+    """Quadratic map induced by the symmetric table: half of sigma # sigma,
+    the sum over ordered pairs (a, b) of sigma_a sigma_b times the cell
+    (a, b), accumulated into one term dict per component."""
     ring = sigma[0].ring
-    coords = dict(zip(COORD_VARS, sigma))
-    out = [ring.zero() for _ in COORD_VARS]
-    half = Fraction(1, 2)
-    names = list(COORD_VARS)
-    for ia, a in enumerate(names):
-        for b in names[ia:]:
-            weight = 1 if a == b else 2
-            prod = coords[a] * coords[b]
-            if prod.is_zero():
-                continue
-            cell = table[(a, b)]
-            for t in range(9):
-                comp = cell[t]
-                if isinstance(comp, Poly) and comp.is_zero():
-                    continue
-                conv = comp.convert(ring) if isinstance(comp, Poly) else ring.const(comp)
-                out[t] = out[t] + half * weight * prod * conv
-    return tuple(out)
+    acc: list[dict] = [{} for _ in COORD_VARS]
+    for (a, sa), (b, sb) in product(zip(COORD_VARS, sigma), repeat=2):
+        if sa.terms and sb.terms:
+            for t, comp in enumerate(table[(a, b)]):
+                if comp.terms:
+                    jordan._add_product(acc[t], comp.convert(ring), sa, sb)
+    return tuple(Poly.collect(ring, {m: Fraction(c, 2) for m, c in terms.items()})
+                 for terms in acc)
 
 
 def representation_matrix(table: Mapping[tuple[str, str], Element],

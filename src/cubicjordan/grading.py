@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from .coord8 import ALL_VARS, PARAM_VARS, U_VARS, X_VARS
@@ -76,31 +77,29 @@ def parse_weight_file(text: str) -> "WeightSystem | tuple[WeightSystem, WeightSy
 # ---------------------------------------------------------------------------
 
 
-def _monomial_weight(ring_names: Sequence[str], mono: tuple, w: WeightSystem) -> Fraction:
-    total = Fraction(0)
-    for i, e in enumerate(mono):
-        if e:
-            name = ring_names[i]
-            if name not in w:
-                raise InputError(f"no weight assigned to {name!r}")
-            total += e * w[name]
-    return total
-
-
 def check_homogeneous(eqs: EquationSet, w: Mapping[str, Rational]) -> Report:
     """Whether every generator is homogeneous under ``w``.  The data lists
     each generator's weight as a string ("None" when it has no single
     weight) and, when some generator is not homogeneous, its label with
-    the clashing monomial weights under ``failures``."""
+    the clashing monomial weights under ``failures``.  A monomial weighs
+    in integers, with the weights of the used variables over their lcm
+    denominator q; only the strings divide by q."""
     ws = weight_system(w)
     names = eqs.ring.names
+    monos = [m for g in eqs.gens for m in g.terms]
+    used = [i for i, top in enumerate(map(max, zip(*monos))) if top]
+    if any(names[i] not in ws for i in used):
+        name = next(names[i] for m in monos for i, e in enumerate(m) if e and names[i] not in ws)
+        raise InputError(f"no weight assigned to {name!r}")
+    q = lcm(*(ws[names[i]].denominator for i in used))
+    vec = [int(ws[n] * q) if i in used else 0 for i, n in enumerate(names)]
     weights, failures = [], []
     for i, g in enumerate(eqs.gens):
-        seen = sorted({_monomial_weight(names, m, ws) for m in g.terms})
-        weights.append(str(seen[0]) if len(seen) == 1 else "None")
+        seen = [str(Fraction(v, q)) for v in sorted({sum(map(mul, m, vec)) for m in g.terms})]
+        weights.append(seen[0] if len(seen) == 1 else "None")
         if len(seen) > 1:
             label = eqs.labels[i] if eqs.labels else str(i)
-            failures.append(f"{label}: monomial weights {', '.join(map(str, seen))}")
+            failures.append(f"{label}: monomial weights {', '.join(seen)}")
     data = {"weights": weights}
     if failures:
         data["failures"] = failures

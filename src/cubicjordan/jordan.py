@@ -15,6 +15,11 @@ arguments.  Universal statements are always checked by expansion with one
 fresh symbol per coordinate, never by sampling; a statement linear in an
 argument, such as U_x y = 0 for all y, is checked exactly on the basis
 vectors.
+
+The sharp product x # y = (x+y)# - x# - y# (McCrimmon, A Taste of Jordan
+Algebras, 2004) is read off the polar table of the sharp's quadrics in one
+pass, and the trace forms off the trace table, each into one term dict
+per result; the identities themselves are still expanded on every call.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exactcore import (Poly, Rational, Report, Ring, directional_derivative,
@@ -44,19 +49,28 @@ class _Tables(NamedTuple):
     def assemble(cls, n: int, gram: Iterable, gram_den: int, sharp: Iterable,
                  sharp_den: int) -> _Tables:
         """The tables of n coordinates from nonzero integers: ((i, j), c) in
-        ``gram`` for T(e_i, e_j) = c / gram_den, and ((k, m), c) in ``sharp``
-        for c / sharp_den times the coordinate monomial m in x#_k."""
+        ``gram`` for T(e_i, e_j) = c / gram_den, and ((k, i, j), c) in
+        ``sharp`` for the term c / sharp_den x_i x_j of x#_k, keyed as in
+        ``JordanPresentation._polar``."""
         rows, quads = [[] for _ in range(n)], [[] for _ in range(n)]
         polar = [[[] for _ in range(n)] for _ in range(n)]
         for (i, j), c in gram:
             rows[j].append((i, c))
-        for (k, m), c in sharp:
-            i = m.index(2) if 2 in m else m.index(1)
-            j = i if m[i] == 2 else m.index(1, i + 1)
+        for (k, i, j), c in sharp:
             quads[k].append((i, j, c))
             polar[i][k].append((j, c))
             polar[j][k].append((i, c))
         return cls(rows, gram_den, quads, polar, sharp_den)
+
+
+def _add_product(acc: dict, c: Poly, a: Poly, b: Poly) -> None:
+    """Add the terms of the product c a b into the term dict ``acc``."""
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            mab, cab = tuple(map(add, ma, mb)), ca * cb
+            for mc, cc in c.terms.items():
+                m = tuple(map(add, mab, mc))
+                acc[m] = acc.get(m, 0) + cab * cc
 
 
 @dataclass(frozen=True)
@@ -163,12 +177,27 @@ class JordanPresentation:
         live = [i for i in range(n) if trace[i].terms]
         for i in live:
             for j in live:
-                acc = form.setdefault((i, j), {})
-                for m, c in (trace[i] * trace[j]).terms.items():
-                    acc[m] = acc.get(m, 0) + c
+                _add_product(form.setdefault((i, j), {}), trace[i], trace[j], self.ring.one())
         table = {key: t for key in sorted(form)
                  if (t := Poly.collect(self.ring, form[key])).terms}
         return trace, table
+
+    @cached_property
+    def _polar(self) -> dict[Ring, dict[tuple[int, int, int], Poly]]:
+        """The polar table of the sharp: the coefficient c of x_i x_j in x#_k,
+        i <= j, keyed (k, i, j), a polynomial in the parameters (a constant
+        when there are none).  Keyed by the ring of the c, as
+        ``sharp_product`` converts them into each ring it meets."""
+        pos = [self.ring.index(name) for name in self.coords]
+        keep = [int(k not in pos) for k in range(self.ring.nvars)]  # 0 on the coordinates
+        table: dict[tuple[int, int, int], dict] = {}
+        for k, q in enumerate(self.sharp):
+            for m, c in q.terms.items():
+                e = [m[v] for v in pos]
+                i = e.index(2) if 2 in e else e.index(1)
+                j = i if e[i] == 2 else e.index(1, i + 1)
+                table.setdefault((k, i, j), {})[tuple(map(mul, m, keep))] = c
+        return {self.ring: {key: Poly(self.ring, t) for key, t in table.items()}}
 
     @cached_property
     def _rational_tables(self) -> _Tables:
@@ -188,8 +217,8 @@ class JordanPresentation:
             raise ValueError("rational tables need a presentation without parameters")
         table = self._trace_form[1]
         gram, gram_den = over_common_denominator([t.constant_value() for t in table.values()])
-        sharp = {(k, m): c for k, q in enumerate(self.sharp) for m, c in q.terms.items()}
-        nums, sharp_den = over_common_denominator(sharp.values())
+        sharp = self._polar[self.ring]
+        nums, sharp_den = over_common_denominator([c.constant_value() for c in sharp.values()])
         return _Tables.assemble(self.dim(), zip(table, gram), gram_den,
                                 zip(sharp, nums), sharp_den)
 
@@ -209,10 +238,18 @@ def sharp_of(p: JordanPresentation, x: Element) -> Element:
 
 
 def sharp_product(p: JordanPresentation, x: Element, y: Element) -> Element:
-    """Symmetric bilinearization (x+y)# - x# - y#."""
-    xy = tuple(a + b for a, b in zip(x, y))
-    sx, sy, sxy = sharp_of(p, x), sharp_of(p, y), sharp_of(p, xy)
-    return tuple(c - a - b for a, b, c in zip(sx, sy, sxy))
+    """Symmetric bilinearization (x+y)# - x# - y#, read off the polar table
+    in one pass: each term c x_i x_j of x#_k adds c (x_i y_j + x_j y_i),
+    which is 2c x_i y_i for a square."""
+    ring = _target_ring(p, x, y)
+    tables = p._polar
+    if ring not in tables:
+        tables[ring] = {key: c.convert(ring) for key, c in tables[p.ring].items()}
+    acc: list[dict] = [{} for _ in x]
+    for (k, i, j), c in tables[ring].items():
+        _add_product(acc[k], c, x[i], y[j])
+        _add_product(acc[k], c, x[j], y[i])
+    return tuple(Poly.collect(ring, terms) for terms in acc)
 
 
 def cubic_of(p: JordanPresentation, x: Element) -> Poly:
@@ -223,21 +260,21 @@ def cubic_of(p: JordanPresentation, x: Element) -> Poly:
 def trace_bilinear(p: JordanPresentation, x: Element, y: Element) -> Poly:
     """Bilinear trace form T(x, y) = sum of T(e_i, e_j) x_i y_j."""
     ring = _target_ring(p, x, y)
-    acc = ring.zero()
+    acc: dict = {}
     for (i, j), t in p._trace_form[1].items():
-        if not (x[i].is_zero() or y[j].is_zero()):
-            acc = acc + t.convert(ring) * x[i] * y[j]
-    return acc
+        if x[i].terms and y[j].terms:
+            _add_product(acc, t.convert(ring), x[i], y[j])
+    return Poly.collect(ring, acc)
 
 
 def trace_linear(p: JordanPresentation, x: Element) -> Poly:
     """Linear trace form T(x) = T(x, unit)."""
     ring = _target_ring(p, x)
-    acc = ring.zero()
+    acc: dict = {}
     for t, comp in zip(p._trace_form[0], x):
-        if not t.is_zero():
-            acc = acc + t.convert(ring) * comp
-    return acc
+        if t.terms:
+            _add_product(acc, t.convert(ring), comp, ring.one())
+    return Poly.collect(ring, acc)
 
 
 def spur_quadratic(p: JordanPresentation, x: Element) -> Poly:

@@ -13,7 +13,6 @@ from cubicjordan.coord8 import (COORD_VARS, Hypermatrix, build_peirce_table,
                                 coord_ring, cubic_form, d_matrix, sharp_from_table,
                                 sharp_map)
 from cubicjordan.errors import ShapeError
-from cubicjordan.exactcore import substitute_all
 
 
 def symbolic_setup():
@@ -165,14 +164,6 @@ def test_specialization_matches_direct_expansion_at_random_cubes(entries):
         Hypermatrix(dict(zip(coord8.INDEX_TRIPLES, entries))))
 
 
-def specialize_symbolically(P):
-    """The symbolic forms with the cube entries substituted by one
-    ``substitute_all`` call over the ten forms together."""
-    cubic, sharp = coord8._symbolic_forms()
-    values = {coord8.p_name(*t): v for t, v in P.as_fractions().items()}
-    return substitute_all((cubic, *sharp), values, coord_ring(False))
-
-
 def typed_terms(poly):
     return {m: (type(c), c) for m, c in poly.terms.items()}
 
@@ -185,9 +176,12 @@ _entry = st.one_of(st.integers(-9, 9), st.fractions(min_value=-9, max_value=9,
 @given(st.tuples(*[_entry] * 8))
 @example((0,) * 8)
 @example((Fraction(1, 2), 0, 0, Fraction(-2, 3), 0, 0, 0, 0))
-def test_compiled_specialization_is_the_substitution(entries):
+def test_specialization_is_the_direct_expansion_with_int_or_fraction_coefficients(entries):
+    # ``cubic_form(P)`` and ``presentation(P)`` substitute into the symbolic
+    # forms; the reference expands at the cube itself, and both keep an
+    # integral coefficient an int and any other a Fraction
     P = Hypermatrix(dict(zip(coord8.INDEX_TRIPLES, entries)))
-    cubic, *sharp = specialize_symbolically(P)
+    cubic, sharp = expand_directly(P)
     pres = coord8.presentation(P)
     assert pres.ring == cubic_form(P).ring == cubic.ring == coord_ring(False)
     assert typed_terms(cubic_form(P)) == typed_terms(pres.cubic) == typed_terms(cubic)

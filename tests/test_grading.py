@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from cubicjordan import grading, hvariety, relatives
 from cubicjordan.coord8 import ALL_VARS
-from cubicjordan.errors import InfeasibleWeights, NumeratorNotDivisible
-from cubicjordan.exactcore import EquationSet, Ring
+from cubicjordan.errors import InfeasibleWeights, InputError, NumeratorNotDivisible
+from cubicjordan.exactcore import EquationSet, Poly, Report, Ring
 
 
 def test_standard_weights_homogeneous():
@@ -26,6 +26,83 @@ def test_clash_reporting():
     eqs = EquationSet(ring, (a * a + b,), ("g",))
     rep = grading.check_homogeneous(eqs, {"a": 1, "b": 1})
     assert rep == (False, {"weights": ["None"], "failures": ["g: monomial weights 1, 2"]})
+
+
+def monomial_weight(names, mono, w) -> Fraction:
+    """Reference weight of a monomial: a ``Fraction`` sum, one variable at a
+    time; the first variable without a weight is an ``InputError``."""
+    total = Fraction(0)
+    for i, e in enumerate(mono):
+        if e:
+            if names[i] not in w:
+                raise InputError(f"no weight assigned to {names[i]!r}")
+            total += e * w[names[i]]
+    return total
+
+
+def homogeneity_reference(eqs, w) -> Report:
+    """Reference for ``check_homogeneous``, each monomial weighed by
+    ``monomial_weight`` in generator and term order."""
+    ws = grading.weight_system(w)
+    weights, failures = [], []
+    for i, g in enumerate(eqs.gens):
+        seen = sorted({monomial_weight(eqs.ring.names, m, ws) for m in g.terms})
+        weights.append(str(seen[0]) if len(seen) == 1 else "None")
+        if len(seen) > 1:
+            label = eqs.labels[i] if eqs.labels else str(i)
+            failures.append(f"{label}: monomial weights {', '.join(map(str, seen))}")
+    data = {"weights": weights}
+    if failures:
+        data["failures"] = failures
+    return Report(not failures, data)
+
+
+_weight = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def _weighted_equations(draw):
+    """An equation set and weights for every variable: the nine generators of
+    the variety under random, scaled standard (homogeneous) or scaled and
+    perturbed standard weights, or random polynomials in three variables."""
+    scale = draw(_weight.filter(bool))
+    if draw(st.booleans()):
+        eqs = hvariety.equations()
+        kind = draw(st.sampled_from(("random", "standard", "perturbed")))
+        if kind == "random":
+            return eqs, {n: draw(_weight) for n in eqs.ring.names}
+        w = {n: scale * v for n, v in grading.standard_weights().items()}
+        if kind == "perturbed":
+            name = draw(st.sampled_from(eqs.ring.names))
+            w[name] += draw(_weight.filter(bool))
+        return eqs, w
+    ring = Ring(("a", "b", "c"))
+    monos = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), st.integers(-5, 5).filter(bool),
+                            min_size=1, max_size=4)
+    gens = tuple(Poly(ring, t) for t in draw(st.lists(monos, min_size=1, max_size=4)))
+    labels = draw(st.sampled_from(((), tuple(f"g{i}" for i in range(len(gens))))))
+    return EquationSet(ring, gens, labels), {n: draw(_weight) for n in ring.names}
+
+
+@settings(max_examples=40, deadline=None)
+@given(_weighted_equations())
+def test_integer_weights_are_the_fraction_sums(case):
+    eqs, w = case
+    assert grading.check_homogeneous(eqs, w) == homogeneity_reference(eqs, w)
+
+
+def test_a_missing_weight_names_the_first_variable_met():
+    # a and d have no weight; the first one met, in generator and term
+    # order, is named, not the first in ring order
+    ring = Ring(("a", "b", "c", "d"))
+    a, b, c, d = ring.gens()
+    w = {"b": 1, "c": Fraction(1, 2)}
+    for gens, first in (((b * b + d, a * c), "d"), ((a * c, b * b + d), "a"),
+                        ((b * b, d + a * b), "d"), ((b * b, a * b + d), "a")):
+        eqs = EquationSet(ring, gens)
+        for check in (grading.check_homogeneous, homogeneity_reference):
+            with pytest.raises(InputError, match=f"^no weight assigned to '{first}'$"):
+                check(eqs, w)
 
 
 def test_bigraded_rows_checked_separately():

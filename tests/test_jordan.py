@@ -444,3 +444,61 @@ def test_gram_matches_derivatives_at_a_unit_off_zero_and_one():
 @given(cube=st.one_of(st.sampled_from(_REPS), st.tuples(*[_small] * 8)))
 def test_gram_matches_derivatives_rational(cube):
     assert_trace_form_matches_derivatives(_presentation(cube))
+
+
+# -- the sharp product against its definition ----------------------------------
+
+
+def polarization(p: JordanPresentation, x, y):
+    """Reference for ``sharp_product``: (x+y)# - x# - y#, each by ``sharp_of``."""
+    xy = tuple(a + b for a, b in zip(x, y))
+    return tuple(c - a - b for a, b, c in zip(jordan.sharp_of(p, x), jordan.sharp_of(p, y),
+                                               jordan.sharp_of(p, xy)))
+
+
+def _combination(ring: Ring, names, coords, scale) -> tuple:
+    """names[0] e_i + scale names[1] e_j over ``ring``, for (i, j) = ``coords``;
+    i = j is allowed, as in ``coord8._basis_combination`` with any two
+    coordinates."""
+    out = [ring.zero()] * 9
+    for name, i, c in zip(names, coords, (1, scale)):
+        out[i] = out[i] + c * ring.var(name)
+    return tuple(out)
+
+
+_coord = st.integers(0, 8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(xs=st.tuples(_coord, _coord), ys=st.tuples(_coord, _coord),
+       scale=st.sampled_from((1, -2, Fraction(1, 3))))
+@example(xs=(0, 1), ys=(0, 1), scale=1)     # a cross term against itself
+@example(xs=(6, 6), ys=(6, 0), scale=-2)    # a square
+def test_sharp_product_is_the_polarization_on_basis_combinations(symbolic_presentation,
+                                                                 xs, ys, scale):
+    p = symbolic_presentation
+    ext = p.ring.extend(("sa1", "sa2", "sb1", "sb2"))
+    x = _combination(ext, ("sa1", "sa2"), xs, scale)
+    y = _combination(ext, ("sb1", "sb2"), ys, 1)
+    assert jordan.sharp_product(p, x, y) == polarization(p, x, y)
+
+
+@settings(max_examples=15, deadline=None)
+@given(cube=st.one_of(st.sampled_from(_REPS), st.tuples(*[_small] * 8)))
+@example(cube=(Fraction(1, 2), 0, 0, Fraction(-2, 3), 0, 0, 0, Fraction(7, 4)))
+def test_sharp_product_is_the_polarization_at_rational_cubes(cube):
+    p = _presentation(cube)
+    ext, y = p.fresh_symbols()
+    x = p.generic_element(ext)
+    assert jordan.sharp_product(p, x, y) == polarization(p, x, y)
+    unit = p.unit_element(ext)
+    assert jordan.sharp_product(p, unit, y) == polarization(p, unit, y)
+
+
+def test_sharp_product_is_the_polarization_with_fraction_coefficients():
+    p = _presentation((Fraction(1, 2), 0, 0, Fraction(-2, 3), 0, 0, 0, Fraction(7, 4)))
+    assert any(type(c) is Fraction for s in p.sharp for c in s.terms.values())
+    ext, y = p.fresh_symbols()
+    x = tuple(Fraction(i + 1, 3) * c for i, c in enumerate(p.generic_element(ext)))
+    assert jordan.sharp_product(p, x, y) == polarization(p, x, y)
+    assert jordan.sharp_product(p, x, x) == tuple(2 * c for c in jordan.sharp_of(p, x))
