@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 from . import jordan
 from .errors import ShapeError
-from .exactcore import (Batch, Poly, PolyMatrix, Rational, Report, Ring, _frac,
+from .exactcore import (Batch, Poly, PolyMatrix, Rational, Report, Ring, _frac, add_product,
                         compile_batch, json_rational, over_common_denominator, parse_json,
                         parse_rational, substitute_all)
 from .jordan import Element, JordanPresentation
@@ -204,9 +204,8 @@ def _cube_batch() -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, in
     """
     pres = presentation(None)
     sharp, trace = pres._polar[pres.ring], pres._trace_form[1]
-    n, params = len(COORD_VARS), Ring(PARAM_VARS)
-    batch = compile_batch([Poly(params, {m[n:]: c for m, c in t.terms.items()})
-                           for t in (*sharp.values(), *trace.values())])
+    params = Ring(PARAM_VARS)
+    batch = compile_batch([t.convert(params) for t in (*sharp.values(), *trace.values())])
     return tuple(sharp), tuple(trace), batch
 
 
@@ -373,7 +372,7 @@ def sharp_from_table(table: Mapping[tuple[str, str], Element],
         if sa.terms and sb.terms:
             for t, comp in enumerate(table[(a, b)]):
                 if comp.terms:
-                    jordan._add_product(acc[t], comp.convert(ring), sa, sb)
+                    add_product(acc[t], comp.convert(ring), sa, sb)
     return tuple(Poly.collect(ring, {m: Fraction(c, 2) for m, c in terms.items()})
                  for terms in acc)
 
@@ -386,20 +385,11 @@ def representation_matrix(table: Mapping[tuple[str, str], Element],
     k = _pair_index(i, j)
     src = _pair_index(i, k)   # basis pair spanning the (i, k) space
     dst = _pair_index(j, k)
-    pos = {n: t for t, n in enumerate(COORD_VARS)}
-    span = _pair_index(i, j)
-    cols = []
-    for b in (1, 2):
-        acc = [ring.zero(), ring.zero()]
-        for a, coeff in zip((1, 2), sigma_pair):
-            cell = table[(x_name(a, span), x_name(b, src))]
-            for c in (1, 2):
-                comp = cell[pos[x_name(c, dst)]]
-                conv = comp.convert(ring) if isinstance(comp, Poly) else ring.const(comp)
-                acc[c - 1] = acc[c - 1] + coeff * conv
-        cols.append(acc)
-    return PolyMatrix.from_rows(ring, [[cols[0][0], cols[1][0]],
-                                       [cols[0][1], cols[1][1]]])
+    acc: list[dict] = [{} for _ in range(4)]  # row c, column b
+    for (a, coeff), b, c in product(zip((1, 2), sigma_pair), (1, 2), (1, 2)):
+        comp = table[(x_name(a, k), x_name(b, src))][COORD_VARS.index(x_name(c, dst))]
+        add_product(acc[2 * c + b - 3], ring.one(), coeff, comp.convert(ring))
+    return PolyMatrix(ring, 2, 2, [Poly.collect(ring, t) for t in acc])
 
 
 def verify_peirce_identities(pres: JordanPresentation) -> dict[str, Report]:
@@ -444,19 +434,19 @@ def verify_peirce_identities(pres: JordanPresentation) -> dict[str, Report]:
     disp_ok = m1.entries == expect1.entries and m2.entries == expect2.entries
 
     # P_ij P_ji = -S E and det normalizations, symbolically in each space
+    # each matrix once, so that each table cell it reads is converted into ext once
     prod_ok = det_ok = True
-    for i, j in ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)):
-        pair = _pair_index(i, j)
-        coeffs = (ext.var("sa1"), ext.var("sa2"))
-        sigma_el = _basis_combination(pres, ext, pair, ("sa1", "sa2"))
-        pij = representation_matrix(table, i, j, coeffs, ext)
-        pji = representation_matrix(table, j, i, coeffs, ext)
+    pairs = ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
+    coeffs = (ext.var("sa1"), ext.var("sa2"))
+    reps = {(i, j): representation_matrix(table, i, j, coeffs, ext) for i, j in pairs}
+    for i, j in pairs:
+        sigma_el = _basis_combination(pres, ext, _pair_index(i, j), ("sa1", "sa2"))
         s = jordan.spur_quadratic(pres, sigma_el)
-        prod = pij * pji
+        prod = reps[(i, j)] * reps[(j, i)]
         expected = PolyMatrix.identity(ext, 2).scale(-s)
         prod_ok &= prod.entries == expected.entries
         if (i, j) in ((1, 3), (2, 3)):
-            det_ok &= pij.det() == s
+            det_ok &= reps[(i, j)].det() == s
 
     return {key: Report(ok, {}) for key, ok in (
         ("table-vs-map", table_ok), ("idempotent-traces", traces_ok),

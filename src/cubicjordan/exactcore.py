@@ -7,10 +7,16 @@ bedrock: no floats anywhere.
 Representation
 --------------
 A ``Ring`` is an ordered tuple of variable names.  A ``Poly`` over a ring
-stores a dict mapping dense exponent tuples (one entry per ring variable)
-to nonzero coefficients; the zero polynomial is the empty dict.  Rings are
-small (at most a few dozen variables), which keeps the dense exponent
-tuples cheap.
+stores a dict mapping packed exponent keys to nonzero coefficients; the
+zero polynomial is the empty dict.  ``Ring.pack`` packs an exponent vector
+into one ``int``, one byte per variable with the first registered variable
+most significant (Monagan & Pearce, CASC 2007; Bachmann & Schoenemann,
+ISSAC 1998), and ``Ring.unpack`` gives the vector back.  A product adds
+keys and a derivative subtracts a unit, and integer order on keys is
+lexicographic order on exponent vectors.  No key ever carries between
+fields: every exponent stays below 64, so a sum of up to four keys is
+exact, and ``Poly.collect`` raises ``OverflowError`` on a result with an
+exponent of 64 or more instead of letting a later sum wrap.
 
 Storage is integer-first: a coefficient is an ``int`` when it is integral
 and a ``Fraction`` only otherwise, and every operation that builds terms
@@ -54,13 +60,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import add
+from operator import or_
 from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import ContextError, ShapeError, SkewError
 
 Rational = Union[int, Fraction]
+_ZERO = Fraction(0)  # shared: a Fraction is immutable
 
 
 def _frac(value: Rational) -> Fraction:
@@ -85,7 +93,7 @@ class Ring:
     the same order; polynomials may only be combined within one context.
     """
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "_index", "_guard")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -93,6 +101,7 @@ class Ring:
             raise ContextError(f"duplicate variable names in {names}")
         self.names = names
         self._index = {n: i for i, n in enumerate(names)}
+        self._guard = int.from_bytes(b"\xc0" * len(names), "big")  # set by an exponent >= 64
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Ring) and self.names == other.names
@@ -116,6 +125,21 @@ class Ring:
     def __contains__(self, name: str) -> bool:
         return name in self._index
 
+    def pack(self, exps: Sequence[int]) -> int:
+        """The key of an exponent vector, each exponent below 64."""
+        key = int.from_bytes(bytes(exps), "big")
+        if len(exps) != len(self.names) or key & self._guard:
+            raise OverflowError(f"exponents {list(exps)} do not fit one key of {self!r}")
+        return key
+
+    def unpack(self, key: int) -> bytes:
+        """The exponent vector of a key, as bytes: one int per variable."""
+        return key.to_bytes(len(self.names), "big")
+
+    def mask(self, names: Collection[str]) -> int:
+        """The bits of a key that hold the exponents of the named variables."""
+        return self.pack([63 * (n in names) for n in self.names])
+
     def zero(self) -> Poly:
         return Poly(self, {})
 
@@ -126,12 +150,10 @@ class Ring:
         c = _frac(value)
         if c == 0:
             return Poly(self, {})
-        return Poly(self, {(0,) * self.nvars: c.numerator if c.denominator == 1 else c})
+        return Poly(self, {0: c.numerator if c.denominator == 1 else c})
 
     def var(self, name: str) -> Poly:
-        exp = [0] * self.nvars
-        exp[self.index(name)] = 1
-        return Poly(self, {tuple(exp): 1})
+        return Poly(self, {1 << 8 * (self.nvars - 1 - self.index(name)): 1})
 
     def gens(self) -> tuple[Poly, ...]:
         return tuple(self.var(n) for n in self.names)
@@ -151,8 +173,8 @@ class Ring:
 
 
 class Poly:
-    """Sparse polynomial: dict from exponent tuple to nonzero coefficient,
-    an int when integral and a Fraction otherwise."""
+    """Sparse polynomial: dict from packed exponent key to nonzero
+    coefficient, an int when integral and a Fraction otherwise."""
 
     __slots__ = ("ring", "terms")
 
@@ -164,7 +186,9 @@ class Poly:
     def collect(cls, ring: Ring, acc: dict) -> Poly:
         """The polynomial of the nonzero entries of an accumulated term dict,
         integral coefficients as ints (Fraction arithmetic keeps an integral
-        result a Fraction)."""
+        result a Fraction), refusing an exponent of 64 or more."""
+        if reduce(or_, acc, 0) & ring._guard:
+            raise OverflowError(f"an exponent of 64 or more in {ring!r}")
         return cls(ring, {m: c if c.__class__ is int or c.denominator != 1
                           else c.numerator for m, c in acc.items() if c})
 
@@ -175,7 +199,7 @@ class Poly:
 
     def is_homogeneous_in(self, names: Iterable[str], degree: int | None = None) -> bool:
         idx = [self.ring.index(n) for n in names]
-        degs = {sum(m[i] for i in idx) for m in self.terms}
+        degs = {sum(m[i] for i in idx) for m in map(self.ring.unpack, self.terms)}
         if not degs:
             return True
         if degree is not None:
@@ -183,12 +207,8 @@ class Poly:
         return len(degs) == 1
 
     def variables(self) -> set[str]:
-        used: set[str] = set()
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(self.ring.names[i])
-        return used
+        used = self.ring.unpack(reduce(or_, self.terms, 0))
+        return {n for n, e in zip(self.ring.names, used) if e}
 
     def constant_value(self) -> Fraction:
         """The rational value of a constant polynomial."""
@@ -196,7 +216,7 @@ class Poly:
             return Fraction(0)
         if len(self.terms) == 1:
             (m, c), = self.terms.items()
-            if not any(m):
+            if not m:
                 return _frac(c)
         raise ValueError(f"not a constant polynomial: {self}")
 
@@ -207,7 +227,7 @@ class Poly:
 
     def _coerce(self, other) -> Poly:
         if isinstance(other, Poly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ContextError("mixed ring contexts")
             return other
         return self.ring.const(other)
@@ -237,7 +257,7 @@ class Poly:
         out: dict = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                m = tuple(map(add, ma, mb))
+                m = ma + mb
                 out[m] = out.get(m, 0) + ca * cb
         return Poly.collect(self.ring, out)
 
@@ -272,13 +292,13 @@ class Poly:
     # -- calculus and substitution ----------------------------------------
 
     def derivative(self, name: str) -> Poly:
-        i = self.ring.index(name)
+        shift = 8 * (self.ring.nvars - 1 - self.ring.index(name))
         out: dict = {}
         for m, c in self.terms.items():
-            e = m[i]
+            e = m >> shift & 0xFF
             if e == 0:
                 continue
-            mm = m[:i] + (e - 1,) + m[i + 1:]
+            mm = m - (1 << shift)
             out[mm] = out.get(mm, 0) + c * e
         return Poly.collect(self.ring, out)
 
@@ -290,13 +310,13 @@ class Poly:
         out: dict = {}
         for m, c in self.terms.items():
             exp = [0] * ring.nvars
-            for i, e in enumerate(m):
+            for i, e in enumerate(self.ring.unpack(m)):
                 if e:
                     if pos[i] < 0:
                         raise ContextError(
                             f"variable {self.ring.names[i]!r} absent from target ring")
                     exp[pos[i]] = e
-            mm = tuple(exp)
+            mm = ring.pack(exp)
             out[mm] = out.get(mm, 0) + c
         return Poly.collect(ring, out)
 
@@ -312,9 +332,9 @@ class Poly:
 
     # -- display ----------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple, Rational]]:
+    def sorted_terms(self) -> list[tuple[int, Rational]]:
         """Terms in descending graded lexicographic order."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]),
+        return sorted(self.terms.items(), key=lambda kv: (sum(self.ring.unpack(kv[0])), kv[0]),
                       reverse=True)
 
     def to_str(self) -> str:
@@ -324,7 +344,7 @@ class Poly:
         for m, c in self.sorted_terms():
             factors = [
                 f"{self.ring.names[i]}^{e}" if e > 1 else self.ring.names[i]
-                for i, e in enumerate(m) if e
+                for i, e in enumerate(self.ring.unpack(m)) if e
             ]
             mag = abs(c)
             if factors and mag == 1:
@@ -364,7 +384,8 @@ def compile_batch(polys: Sequence[Poly]) -> Batch:
     ring = polys[0].ring if polys else Ring(())
     if any(p.ring != ring for p in polys):
         raise ContextError("mixed ring contexts")
-    tops = [max(col) for col in zip(*(m for p in polys for m in p.terms))]
+    exps = [[ring.unpack(m) for m in p.terms] for p in polys]
+    tops = [max(col) for col in zip(*(m for p in exps for m in p))]
     used = [i for i, top in enumerate(tops) if top]
     lines = ["def batch(nums, den):",
              f"    if len(nums) != {ring.nvars} or den.__class__ is not int or den < 1:",
@@ -374,12 +395,12 @@ def compile_batch(polys: Sequence[Poly]) -> Batch:
     for i in used:
         lines.append(f"    n{i}_1 = nums[{i}]")
         lines += [f"    n{i}_{e} = n{i}_{e - 1} * n{i}_1" for e in range(2, tops[i] + 1)]
-    top = max((sum(m) for p in polys for m in p.terms), default=0)
+    top = max((sum(m) for p in exps for m in p), default=0)
     lines += [f"    Q_{e} = Q_{e - 1} * Q_1" for e in range(2, top + 1)]
     scale = lcm(*(c.denominator for p in polys for c in p.terms.values()))
     for j, p in enumerate(polys):
         terms = []
-        for m, c in p.terms.items():
+        for m, c in zip(exps[j], p.terms.values()):
             c = c.numerator * (scale // c.denominator)
             factors = [str(abs(c))] + [f"n{i}_{e}" for i, e in enumerate(m) if e]
             factors += [f"Q_{top - sum(m)}"] if sum(m) < top else []
@@ -400,10 +421,10 @@ def evaluate_all(polys: Sequence[Poly], values: Mapping[str, Rational]) -> list[
     cover every used variable.  A caller that evaluates one batch at many
     points compiles it once and passes it points."""
     batch = compile_batch(polys)
-    names = polys[0].ring.names if polys else ()
-    used = {i for p in polys for m in p.terms for i, e in enumerate(m) if e}
+    ring = polys[0].ring if polys else Ring(())
+    used = ring.unpack(reduce(or_, (m for p in polys for m in p.terms), 0))
     try:
-        vals = [_frac(values[n]) if i in used else 0 for i, n in enumerate(names)]
+        vals = [_frac(values[n]) if e else 0 for n, e in zip(ring.names, used)]
     except KeyError as missing:
         raise ContextError(f"no value supplied for {missing.args[0]!r}") from None
     out, den = batch(*over_common_denominator(vals))
@@ -440,18 +461,19 @@ def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, "Poly | Rational
 
     tables: list[tuple[int, list[int]]] = []      # constant images
     powers: dict[int, list[Poly]] = {}           # non-constant images
-    passthrough: list[tuple[int, int]] = []      # (source, target) index
+    passthrough: list[tuple[int, int]] = []      # (source index, target shift)
     den = 1
-    for i, top in enumerate(map(max, zip(*(m for p in polys for m in p.terms)))):
+    exps = [[source.unpack(m) for m in p.terms] for p in polys]
+    for i, top in enumerate(map(max, zip(*(m for p in exps for m in p)))):
         name = source.names[i]
         if not top:
             continue
         if name not in mapping:
-            passthrough.append((i, target.index(name)))
+            passthrough.append((i, 8 * (target.nvars - 1 - target.index(name))))
             continue
         v = mapping[name]
         if isinstance(v, Poly):
-            if any(any(m) for m in v.terms):
+            if any(v.terms):
                 powers[i] = [v]  # v^e at index e - 1
                 for _ in range(top - 1):
                     powers[i].append(v * powers[i][-1])
@@ -462,12 +484,12 @@ def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, "Poly | Rational
                            for e in range(top + 1)]))
         den *= v.denominator ** top
 
-    images = tuple(powers)
-    products: dict[tuple[int, ...], Poly | None] = {}  # image exponents -> product
+    images = source.mask([source.names[i] for i in powers])
+    products: dict[int, Poly | None] = {}  # image exponents, as a key -> product
     results = []
-    for p in polys:
+    for p, p_exps in zip(polys, exps):
         out: dict = {}
-        for m, c in p.terms.items():
+        for (key, c), m in zip(p.terms.items(), p_exps):
             if tables:
                 f = 1
                 for i, table in tables:
@@ -475,24 +497,24 @@ def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, "Poly | Rational
                 if not f:
                     continue
                 c *= f
-            exp = [0] * target.nvars
-            for i, t in passthrough:
-                exp[t] = m[i]
+            exp = 0
+            for i, shift in passthrough:
+                exp |= m[i] << shift
             factor = None
             if images:
-                key = tuple(m[i] for i in images)
+                key &= images
                 if key not in products:
-                    for i, e in zip(images, key):
-                        if e:
-                            factor = powers[i][e - 1] if factor is None else factor * powers[i][e - 1]
+                    for i in powers:
+                        if m[i]:
+                            power = powers[i][m[i] - 1]
+                            factor = power if factor is None else factor * power
                     products[key] = factor
                 factor = products[key]
             if factor is None:
-                exp = tuple(exp)
                 out[exp] = out.get(exp, 0) + c
                 continue
             for fm, fc in factor.terms.items():
-                mm = tuple(map(add, exp, fm))
+                mm = exp + fm
                 out[mm] = out.get(mm, 0) + c * fc
         if den != 1:
             out = {m: Fraction(c, den) for m, c in out.items()}
@@ -506,19 +528,25 @@ def directional_derivative(f: Poly, direction: Mapping[str, "Poly | Rational"]) 
     Direction components may be rationals or polynomials over f's ring (or
     a common extension); missing components count as zero.
     """
-    target = f.ring
-    for v in direction.values():
-        if isinstance(v, Poly):
-            target = v.ring
-            break
-    out = target.zero()
+    target = next((v.ring for v in direction.values() if isinstance(v, Poly)), f.ring)
+    f, acc, one = f.convert(target), {}, target.one()
     for name in f.variables():
         comp = direction.get(name, 0)
         comp = comp if isinstance(comp, Poly) else target.const(comp)
-        if comp.is_zero():
-            continue
-        out = out + f.derivative(name).convert(target) * comp
-    return out
+        if comp.terms:
+            add_product(acc, one, f.derivative(name), comp)
+    return Poly.collect(target, acc)
+
+
+def add_product(acc: dict, c: Poly, a: Poly, b: Poly) -> None:
+    """Add the terms of the product c a b, three polynomials over one ring,
+    into the term dict ``acc`` of a polynomial over that ring."""
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            mab, cab = ma + mb, ca * cb
+            for mc, cc in c.terms.items():
+                m = mab + mc
+                acc[m] = acc.get(m, 0) + cab * cc
 
 
 # ---------------------------------------------------------------------------
@@ -591,25 +619,23 @@ class PolyMatrix:
             return self.scale(other)
         if self.cols != other.rows:
             raise ShapeError("inner dimensions differ")
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = self.ring.zero()
-                for k in range(self.cols):
-                    acc = acc + self.get(i, k) * other.get(k, j)
-                out.append(acc)
-        return PolyMatrix(self.ring, self.rows, other.cols, out)
+        columns = [[other.get(k, j) for k in range(other.rows)] for j in range(other.cols)]
+        return PolyMatrix(self.ring, self.rows, other.cols,
+                          [self._row_times(i, col) for i in range(self.rows) for col in columns])
 
     def apply(self, vec: Sequence[Poly]) -> tuple[Poly, ...]:
         if len(vec) != self.cols:
             raise ShapeError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = self.ring.zero()
-            for k in range(self.cols):
-                acc = acc + self.get(i, k) * vec[k]
-            out.append(acc)
-        return tuple(out)
+        return tuple(self._row_times(i, vec) for i in range(self.rows))
+
+    def _row_times(self, i: int, vec: Sequence[Poly]) -> Poly:
+        """Row i times a column over the matrix's ring, into one term dict."""
+        ring, acc, row = self.ring, {}, self.entries[i * self.cols:(i + 1) * self.cols]
+        if any(p.ring != ring for p in (*row, *vec)):
+            raise ContextError("mixed ring contexts")
+        for a, b in zip(row, vec):
+            add_product(acc, ring.one(), a, b)
+        return Poly.collect(ring, acc)
 
     def trace(self) -> Poly:
         if self.rows != self.cols:
@@ -755,7 +781,7 @@ def rref(rows: Sequence[Sequence[Rational]], ncols: int
         pivots.append(c)
     for r, c in enumerate(pivots):
         pv = work[r][c]
-        work[r] = [Fraction(v, pv) for v in work[r]]
+        work[r] = [Fraction(v, pv) if v else _ZERO for v in work[r]]
     return work, pivots
 
 

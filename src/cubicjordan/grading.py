@@ -85,8 +85,8 @@ def check_homogeneous(eqs: EquationSet, w: Mapping[str, Rational]) -> Report:
     in integers, with the weights of the used variables over their lcm
     denominator q; only the strings divide by q."""
     ws = weight_system(w)
-    names = eqs.ring.names
-    monos = [m for g in eqs.gens for m in g.terms]
+    names, unpack = eqs.ring.names, eqs.ring.unpack
+    monos = [unpack(m) for g in eqs.gens for m in g.terms]
     used = [i for i, top in enumerate(map(max, zip(*monos))) if top]
     if any(names[i] not in ws for i in used):
         name = next(names[i] for m in monos for i, e in enumerate(m) if e and names[i] not in ws)
@@ -95,7 +95,8 @@ def check_homogeneous(eqs: EquationSet, w: Mapping[str, Rational]) -> Report:
     vec = [int(ws[n] * q) if i in used else 0 for i, n in enumerate(names)]
     weights, failures = [], []
     for i, g in enumerate(eqs.gens):
-        seen = [str(Fraction(v, q)) for v in sorted({sum(map(mul, m, vec)) for m in g.terms})]
+        seen = sorted({sum(map(mul, unpack(m), vec)) for m in g.terms})
+        seen = [str(Fraction(v, q)) for v in seen]
         weights.append(seen[0] if len(seen) == 1 else "None")
         if len(seen) > 1:
             label = eqs.labels[i] if eqs.labels else str(i)
@@ -169,7 +170,7 @@ def solve_weight_constraints(eqs: EquationSet,
     n = len(variables)
     rows: list[list[Fraction]] = []
     for g in eqs.gens:
-        monos = list(g.terms)
+        monos = list(map(eqs.ring.unpack, g.terms))
         if len(monos) < 2:
             continue
         base = monos[0]

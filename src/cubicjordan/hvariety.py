@@ -184,26 +184,34 @@ def _integer_factor(factor: PolyMatrix) -> tuple[list[int], int]:
 
 
 def apply_group_to_cube(g: GroupElement, P: Hypermatrix) -> Hypermatrix:
-    """Image of a rational cube under a group element with rational factors.
-
-    The value of ``substitution_of(g)`` at the cube, moving only the eight
-    cube entries: the cube is permuted first, then factors 3, 2 and 1 act.
-    They act by g1 (x) g2 (x) g3, so one denominator carries through: the
-    entries are integers over the cube's common denominator q, each factor
-    mixes them by its integer entries over its own denominator s, and the
-    images are divided by q times the product of the s once at the end.
-    """
+    """Image of a rational cube under a group element with rational factors:
+    ``_move_cube`` on the cube's entries over their common denominator."""
     factors = [(r, _integer_factor(factor))
                for r, factor in enumerate(g.factors(), start=1) if factor is not None]
-    nums, den = over_common_denominator(P.as_fractions().values())
-    vals = dict.fromkeys(ALL_VARS, 0)
-    vals.update(zip(PARAM_VARS, nums))
-    if g.perm != (1, 2, 3):
-        vals.update(_perm_images(g.perm, vals.__getitem__))
-    for r, (entries, s) in reversed(factors):
-        vals.update(_factor_images(r, entries, vals.__getitem__))
+    nums, den = _move_cube(factors, g.perm, over_common_denominator(P.as_fractions().values()))
+    return Hypermatrix({t: Fraction(v, den) for t, v in zip(INDEX_TRIPLES, nums)})
+
+
+def _move_cube(factors: Sequence[tuple[int, tuple[list[int], int]]],
+               perm: tuple[int, int, int], cube: Point) -> Point:
+    """The value of ``substitution_of`` at a cube, on the eight cube entries
+    alone, in integers: the entries n over q in ``INDEX_TRIPLES`` order, and
+    each factor r as its entries a, b, c, d over s.  The cube is permuted
+    first, then factors 3, 2 and 1 act by g1 (x) g2 (x) g3: factor r mixes
+    each pair of entries that differ in slot r only (index 1, then 2) by
+    its integer entries, so one denominator carries through, q times the
+    product of the s."""
+    nums, den = cube
+    inv = {perm[i]: i + 1 for i in range(3)}
+    nums = [nums[INDEX_TRIPLES.index(tuple(w[inv[m] - 1] for m in (1, 2, 3)))]
+            for w in INDEX_TRIPLES]
+    for r, ((a, b, c, d), s) in reversed(factors):
+        bit = 1 << (r - 1)  # the entries with index 2 in slot r
+        for lo in (k for k in range(8) if not k & bit):
+            x, y = nums[lo], nums[lo | bit]
+            nums[lo], nums[lo | bit] = a * x + b * y, c * x + d * y
         den *= s
-    return Hypermatrix({t: Fraction(vals[n], den) for t, n in zip(INDEX_TRIPLES, PARAM_VARS)})
+    return nums, den
 
 
 def apply_group_to_equations(g: GroupElement, eqs: EquationSet) -> EquationSet:
@@ -291,31 +299,22 @@ def hyperdeterminant(P: Hypermatrix, ring: Ring | None = None) -> "Poly | Fracti
     of its entries over their common denominator q, and the value is
     divided by q^4 once; otherwise the form is expanded over the ring.
     """
-    scale = None
     if ring is None and P.is_rational():
         nums, q = over_common_denominator(P.entries.values())
-        p = dict(zip(INDEX_TRIPLES, nums))
-        scale = q ** 4
-    else:
-        if ring is None:
-            ring = coord_ring(True)
-        p = P.in_ring(ring)
+        return Fraction(_cayley(nums), q ** 4)
+    return _cayley(list(P.in_ring(ring if ring is not None else coord_ring(True)).values()))
 
-    def sq(t):
-        return p[t] * p[t]
 
-    squares = (sq((1, 1, 1)) * sq((2, 2, 2)) + sq((1, 1, 2)) * sq((2, 2, 1))
-               + sq((1, 2, 1)) * sq((2, 1, 2)) + sq((1, 2, 2)) * sq((2, 1, 1)))
-    cross = (p[(1, 1, 1)] * p[(1, 2, 2)] * p[(2, 1, 1)] * p[(2, 2, 2)]
-             + p[(1, 1, 1)] * p[(1, 2, 1)] * p[(2, 1, 2)] * p[(2, 2, 2)]
-             + p[(1, 1, 1)] * p[(1, 1, 2)] * p[(2, 2, 1)] * p[(2, 2, 2)]
-             + p[(1, 2, 1)] * p[(1, 2, 2)] * p[(2, 1, 1)] * p[(2, 1, 2)]
-             + p[(1, 1, 2)] * p[(1, 2, 2)] * p[(2, 1, 1)] * p[(2, 2, 1)]
-             + p[(1, 1, 2)] * p[(1, 2, 1)] * p[(2, 1, 2)] * p[(2, 2, 1)])
-    diag = (p[(1, 1, 1)] * p[(1, 2, 2)] * p[(2, 1, 2)] * p[(2, 2, 1)]
-            + p[(1, 1, 2)] * p[(1, 2, 1)] * p[(2, 1, 1)] * p[(2, 2, 2)])
-    value = squares - 2 * cross + 4 * diag
-    return value if scale is None else Fraction(value, scale)
+def _cayley(p: Sequence) -> "Poly | int":
+    """Cayley's form of the entries p111, p211, ..., p222 (``INDEX_TRIPLES`` order)."""
+    p111, p211, p121, p221, p112, p212, p122, p222 = p
+    squares = (p111 * p111 * p222 * p222 + p112 * p112 * p221 * p221
+               + p121 * p121 * p212 * p212 + p122 * p122 * p211 * p211)
+    cross = (p111 * p122 * p211 * p222 + p111 * p121 * p212 * p222
+             + p111 * p112 * p221 * p222 + p121 * p122 * p211 * p212
+             + p112 * p122 * p211 * p221 + p112 * p121 * p212 * p221)
+    diag = p111 * p122 * p212 * p221 + p112 * p121 * p211 * p222
+    return squares - 2 * cross + 4 * diag
 
 
 def flattening(P: Hypermatrix, axis: int) -> list[list[Fraction]]:
@@ -356,17 +355,17 @@ def classify_orbit(P: Hypermatrix) -> OrbitLabel:
     """
     # the zero test and the ranks read numerators: scaling keeps both
     nums, _ = over_common_denominator(P.as_fractions().values())
+    return OrbitLabel(*_orbit_type(nums, hyperdeterminant(P)))
+
+
+def _orbit_type(nums: Sequence[int], det: Rational) -> tuple[str, Rational, tuple[int, int, int]]:
+    """The label, ``det`` and the flattening ranks of a cube with integer
+    entries ``nums`` and hyperdeterminant ``det``, each up to a nonzero
+    factor, which changes neither the label nor the ranks."""
     ranks = tuple(_flattening_rank(_reshape(nums, axis)) for axis in (1, 2, 3))
-    det = hyperdeterminant(P)
-    if not any(nums):
-        return OrbitLabel("origin", det, ranks)
-    if det != 0:
-        return OrbitLabel("O4", det, ranks)
-    if all(r <= 1 for r in ranks):
-        return OrbitLabel("O1", det, ranks)
-    if any(r <= 1 for r in ranks):
-        return OrbitLabel("O2", det, ranks)
-    return OrbitLabel("O3", det, ranks)
+    label = ("origin" if not any(nums) else "O4" if det else "O1" if max(ranks) <= 1
+             else "O2" if min(ranks) <= 1 else "O3")
+    return label, det, ranks
 
 
 def orbit_certificate(P: Hypermatrix, want: str | None = None) -> Report:
@@ -417,12 +416,15 @@ def _draw(rng: random.Random, top: int = 9, cols: int = 4) -> tuple[int, int]:
     return a - top, b + 1
 
 
-def _random_invertible(rng: random.Random, ring: Ring) -> PolyMatrix:
-    """Random invertible 2x2 factor over ``ring`` with small rational entries."""
+def _random_invertible(rng: random.Random) -> tuple[list[int], int]:
+    """Random invertible 2x2 factor with small rational entries, drawn in
+    row order, as its entries a, b, c, d over their common denominator."""
     while True:
-        m = [[Fraction(*_draw(rng, 5, 3)) for _ in range(2)] for _ in range(2)]
-        if m[0][0] * m[1][1] != m[0][1] * m[1][0]:
-            return PolyMatrix.from_rows(ring, m)
+        pairs = [_draw(rng, 5, 3) for _ in range(4)]
+        s = lcm(*(q for _, q in pairs))
+        (a, b, c, d) = entries = [p * (s // q) for p, q in pairs]
+        if a * d != b * c:
+            return entries, s
 
 
 def translate_invariance(seed: int) -> Report:
@@ -433,17 +435,15 @@ def translate_invariance(seed: int) -> Report:
     the translates.  Draws come from the ``"{seed}:classify"`` stream.
     """
     rng = random.Random(f"{seed}:classify")
-    ring = coord_ring(True)
     translates = unstable = 0
     for name in ("p1", "p2", "p3", "p4"):
-        P = representative(name)
-        want = classify_orbit(P).label
+        nums = [_REPRESENTATIVES[name].get(t, 0) for t in INDEX_TRIPLES]
+        want = _orbit_type(nums, _cayley(nums))[0]
         for _ in range(20):
-            g = GroupElement(_random_invertible(rng, ring), _random_invertible(rng, ring),
-                             _random_invertible(rng, ring), rng.choice(_PERMUTATIONS))
+            factors = [(r, _random_invertible(rng)) for r in (1, 2, 3)]
+            moved, _ = _move_cube(factors, rng.choice(_PERMUTATIONS), (nums, 1))
             translates += 1
-            if classify_orbit(apply_group_to_cube(g, P)).label != want:
-                unstable += 1
+            unstable += _orbit_type(moved, _cayley(moved))[0] != want
     return Report(unstable == 0, {"translates": translates})
 
 

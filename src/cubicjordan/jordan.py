@@ -27,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .exactcore import (Poly, Rational, Report, Ring, directional_derivative,
+from .exactcore import (Poly, Rational, Report, Ring, add_product, directional_derivative,
                         over_common_denominator, substitute_all)
 
 Element = tuple[Poly, ...]
@@ -61,16 +60,6 @@ class _Tables(NamedTuple):
             polar[i][k].append((j, c))
             polar[j][k].append((i, c))
         return cls(rows, gram_den, quads, polar, sharp_den)
-
-
-def _add_product(acc: dict, c: Poly, a: Poly, b: Poly) -> None:
-    """Add the terms of the product c a b into the term dict ``acc``."""
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            mab, cab = tuple(map(add, ma, mb)), ca * cb
-            for mc, cc in c.terms.items():
-                m = tuple(map(add, mab, mc))
-                acc[m] = acc.get(m, 0) + cab * cc
 
 
 @dataclass(frozen=True)
@@ -157,14 +146,14 @@ class JordanPresentation:
         """
         n = self.dim()
         pos = [self.ring.index(name) for name in self.coords]
-        keep = [int(k not in pos) for k in range(self.ring.nvars)]  # 0 on the coordinates
+        keep = self.ring.mask(set(self.ring.names) - set(self.coords))
         # integral unit coordinates as ints, so that integer terms stay ints
         unit = [int(u) if u.denominator == 1 else u for u in self.unit]
         grad: list[dict] = [{} for _ in range(n)]
         form: dict[tuple[int, int], dict] = {}  # minus the second partials, then T
         for m, c in self.cubic.terms.items():
-            rest = tuple(map(mul, m, keep))
-            k1, k2, k3 = [k for k, v in enumerate(pos) if m[v] for _ in range(m[v])]
+            rest, e = m & keep, self.ring.unpack(m)
+            k1, k2, k3 = [k for k, v in enumerate(pos) if e[v] for _ in range(e[v])]
             for a, b, r in ((k1, k2, k3), (k2, k3, k1), (k3, k1, k2)):
                 if unit[r]:
                     cr = c * unit[r]
@@ -177,7 +166,7 @@ class JordanPresentation:
         live = [i for i in range(n) if trace[i].terms]
         for i in live:
             for j in live:
-                _add_product(form.setdefault((i, j), {}), trace[i], trace[j], self.ring.one())
+                add_product(form.setdefault((i, j), {}), trace[i], trace[j], self.ring.one())
         table = {key: t for key in sorted(form)
                  if (t := Poly.collect(self.ring, form[key])).terms}
         return trace, table
@@ -189,14 +178,14 @@ class JordanPresentation:
         when there are none).  Keyed by the ring of the c, as
         ``sharp_product`` converts them into each ring it meets."""
         pos = [self.ring.index(name) for name in self.coords]
-        keep = [int(k not in pos) for k in range(self.ring.nvars)]  # 0 on the coordinates
+        keep = self.ring.mask(set(self.ring.names) - set(self.coords))
         table: dict[tuple[int, int, int], dict] = {}
         for k, q in enumerate(self.sharp):
             for m, c in q.terms.items():
-                e = [m[v] for v in pos]
+                e = [*map(self.ring.unpack(m).__getitem__, pos)]
                 i = e.index(2) if 2 in e else e.index(1)
                 j = i if e[i] == 2 else e.index(1, i + 1)
-                table.setdefault((k, i, j), {})[tuple(map(mul, m, keep))] = c
+                table.setdefault((k, i, j), {})[m & keep] = c
         return {self.ring: {key: Poly(self.ring, t) for key, t in table.items()}}
 
     @cached_property
@@ -247,8 +236,8 @@ def sharp_product(p: JordanPresentation, x: Element, y: Element) -> Element:
         tables[ring] = {key: c.convert(ring) for key, c in tables[p.ring].items()}
     acc: list[dict] = [{} for _ in x]
     for (k, i, j), c in tables[ring].items():
-        _add_product(acc[k], c, x[i], y[j])
-        _add_product(acc[k], c, x[j], y[i])
+        add_product(acc[k], c, x[i], y[j])
+        add_product(acc[k], c, x[j], y[i])
     return tuple(Poly.collect(ring, terms) for terms in acc)
 
 
@@ -263,7 +252,7 @@ def trace_bilinear(p: JordanPresentation, x: Element, y: Element) -> Poly:
     acc: dict = {}
     for (i, j), t in p._trace_form[1].items():
         if x[i].terms and y[j].terms:
-            _add_product(acc, t.convert(ring), x[i], y[j])
+            add_product(acc, t.convert(ring), x[i], y[j])
     return Poly.collect(ring, acc)
 
 
@@ -273,7 +262,7 @@ def trace_linear(p: JordanPresentation, x: Element) -> Poly:
     acc: dict = {}
     for t, comp in zip(p._trace_form[0], x):
         if t.terms:
-            _add_product(acc, t.convert(ring), comp, ring.one())
+            add_product(acc, t.convert(ring), comp, ring.one())
     return Poly.collect(ring, acc)
 
 
@@ -360,7 +349,7 @@ def _rational_parts(tables: _Tables, sigma: Sequence[Rational]) -> _Parts:
     the radical test T(sigma, e_m) sigma_k = (sigma# # e_m)_k has degree 2
     in sigma on both sides, so scaling sigma by c scales both sides by c^2.
     """
-    s, _ = over_common_denominator(sigma)
+    s = sigma if all(v.__class__ is int for v in sigma) else over_common_denominator(sigma)[0]
     sharp = []
     for q in tables.sharp:
         acc = 0

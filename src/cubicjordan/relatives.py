@@ -341,7 +341,8 @@ def _c2_inverse() -> tuple[tuple[str, int, int, int], ...]:
     out = []
     for amb, img in c2.mapping.items():
         if len(img.terms) == 1:
-            (mono, coeff), = img.terms.items()
+            (key, coeff), = img.terms.items()
+            mono = c2.target.unpack(key)
             if sum(mono) == 1:
                 assert coeff in (1, -1), f"c2 coefficient {coeff} of {amb}"
                 k = mono.index(1)

@@ -22,7 +22,7 @@ def poly_strategy(max_terms=4, max_degree=3):
     exponent = st.tuples(*([st.integers(0, max_degree)] * 3))
     term = st.tuples(exponent, rationals)
     return st.lists(term, max_size=max_terms).map(
-        lambda terms: sum((Poly(R, {e: Fraction(1)}) * c for e, c in terms),
+        lambda terms: sum((Poly(R, {R.pack(e): Fraction(1)}) * c for e, c in terms),
                           R.zero()))
 
 
@@ -66,7 +66,7 @@ def test_convert_between_rings():
 
 def degree_in(p: Poly, names) -> int:
     idx = [p.ring.index(n) for n in names]
-    return max((sum(m[i] for i in idx) for m in p.terms), default=0)
+    return max((sum(m[i] for i in idx) for m in map(p.ring.unpack, p.terms)), default=0)
 
 
 def test_homogeneity_queries():
@@ -113,7 +113,7 @@ def substitute_term_by_term(f, mapping, ring):
     result = ring.zero()
     for m, c in f.terms.items():
         term = ring.const(c)
-        for name, e in zip(f.ring.names, m):
+        for name, e in zip(f.ring.names, f.ring.unpack(m)):
             image = mapping.get(name, ring.var(name))
             term = term * (image if isinstance(image, Poly) else ring.const(image)) ** e
         result = result + term
@@ -208,6 +208,11 @@ def test_power_rejects_bad_exponents():
 # Fraction, integral or not.
 
 
+def packed(terms):
+    """A reference term dict keyed by ``R.pack``, as ``Poly.terms`` is."""
+    return {R.pack(m): c for m, c in terms.items()}
+
+
 def ref_clean(acc):
     return {m: Fraction(c) for m, c in acc.items() if c}
 
@@ -266,7 +271,7 @@ def stored_integer_first(p):
 @given(ref_polys, ref_polys, ref_polys, st.tuples(*[point_values] * 3))
 @settings(max_examples=60, deadline=None)
 def test_kernel_matches_fraction_reference(a, b, c, values):
-    pa, pb, pc = (Poly.collect(R, t) for t in (a, b, c))
+    pa, pb, pc = (Poly.collect(R, packed(t)) for t in (a, b, c))
     const = values[1]
     images = {0: b, 1: {(0, 0, 0): const} if const else {}, 2: c}
     products = {
@@ -282,7 +287,7 @@ def test_kernel_matches_fraction_reference(a, b, c, values):
                                   for m, v in a.items() if m[0]})),
     }
     for name, (got, want) in products.items():
-        assert got.terms == want, name
+        assert got.terms == packed(want), name
         assert stored_integer_first(got), name
     point = dict(zip(R.names, values))
     for p, ref in ((pa, a), (pa * pb, ref_mul(a, b))):
@@ -294,7 +299,7 @@ def test_kernel_matches_fraction_reference(a, b, c, values):
 @given(ref_polys, ref_coefficients)
 @settings(max_examples=40, deadline=None)
 def test_boundary_returns_fractions_and_display_is_unchanged(a, c):
-    p = Poly.collect(R, a)
+    p = Poly.collect(R, packed(a))
     assert stored_integer_first(p) and stored_integer_first(R.const(c))
     assert all(type(v) is Fraction for v in p.coefficients())
     assert sorted(p.coefficients()) == sorted(a.values())
@@ -303,7 +308,7 @@ def test_boundary_returns_fractions_and_display_is_unchanged(a, c):
     assert type(R.zero().constant_value()) is Fraction
     assert type(p.evaluate({"x": 1, "y": 2, "z": 3})) is Fraction
     # the same terms with every coefficient a Fraction print the same
-    assert p.to_str() == Poly(R, a).to_str()
+    assert p.to_str() == Poly(R, packed(a)).to_str()
 
 
 def test_evaluate_needs_every_used_variable():
@@ -320,7 +325,7 @@ def test_evaluate_needs_every_used_variable():
 def test_evaluate_all_matches_fraction_reference(refs, values, extra):
     # one table for the whole batch, the zero polynomial among the rest
     refs = refs + [{}]
-    polys = [Poly.collect(R, t) for t in refs]
+    polys = [Poly.collect(R, packed(t)) for t in refs]
     point = dict(zip(R.names, values))
     want = [ref_evaluate(t, values) for t in refs]
     got = evaluate_all(polys, point)
@@ -409,13 +414,95 @@ def test_substitute_folds_constant_images(a, kinds, polys, consts):
         if kind == "pass":
             images[i] = {tuple(int(k == i) for k in range(3)): Fraction(1)}
         elif kind == "poly":
-            mapping[name], images[i] = Poly.collect(R, poly), poly
+            mapping[name], images[i] = Poly.collect(R, packed(poly)), poly
         else:
             mapping[name] = c if kind == "rational" else R.const(c)
             images[i] = {(0, 0, 0): c} if c else {}
-    got = Poly.collect(R, a).substitute(mapping)
-    assert got.terms == ref_substitute(a, images)
+    got = Poly.collect(R, packed(a)).substitute(mapping)
+    assert got.terms == packed(ref_substitute(a, images))
     assert stored_integer_first(got)
+
+
+# -- packed exponent keys against a tuple-key reference -------------------------
+#
+# Keys of a four-variable ring, converted into a ring that registers the
+# same names in another order with one more: every byte of a key moves.
+
+W = Ring(("a", "b", "c", "d"))
+W_MOVED = Ring(("e", "d", "b", "a", "c"))
+wide_polys = st.dictionaries(st.tuples(*[st.integers(0, 15)] * 4), ref_coefficients,
+                             max_size=4).map(ref_clean)
+wide_images = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4), ref_coefficients,
+                              max_size=2).map(ref_clean)
+
+
+def on(ring, terms):
+    return Poly.collect(ring, {ring.pack(m): c for m, c in terms.items()})
+
+
+def as_tuples(p):
+    return {tuple(p.ring.unpack(m)): c for m, c in p.terms.items()}
+
+
+def ref_str(names, terms):
+    """``Poly.to_str`` of a tuple-keyed reference: descending total degree,
+    then descending lexicographic order of the exponent tuples."""
+    parts = []
+    for m in sorted(terms, key=lambda m: (sum(m), m), reverse=True):
+        c = terms[m]
+        factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e]
+        body = "*".join(([] if factors and abs(c) == 1 else [str(abs(c))]) + factors)
+        parts.append(("- " if c < 0 else "+ ") + body)
+    text = " ".join(parts) or "+ 0"
+    return text[2:] if text.startswith("+") else "-" + text[2:]
+
+
+@given(wide_polys, wide_polys, wide_images, st.tuples(*[point_values] * 4), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_packed_keys_match_a_tuple_key_reference(a, b, image, values, k):
+    pa, pb = on(W, a), on(W, b)
+    assert as_tuples(pa * pb) == ref_mul(a, b)
+    assert as_tuples(pa + pb) == ref_add(a, b)
+    assert as_tuples(pa - pb) == ref_add(a, {m: -v for m, v in b.items()})
+    assert as_tuples(pa.derivative(W.names[k])) == ref_clean(
+        {m[:k] + (m[k] - 1,) + m[k + 1:]: m[k] * v for m, v in a.items() if m[k]})
+    moved = pa.convert(W_MOVED)
+    assert as_tuples(moved) == {tuple(m[W.index(n)] if n in W else 0 for n in W_MOVED.names): v
+                                for m, v in a.items()}
+    assert moved.convert(W) == pa
+    # a goes to a polynomial, b to a rational, c and d pass through
+    images = {0: image, 1: {(0,) * 4: values[1]} if values[1] else {},
+              2: {(0, 0, 1, 0): 1}, 3: {(0, 0, 0, 1): 1}}
+    got = substitute_all([pa, pb], {"a": on(W, image), "b": values[1]})
+    assert [as_tuples(p) for p in got] == [ref_substitute(t, images) for t in (a, b)]
+    point = dict(zip(W.names, values))
+    assert evaluate_all([pa, pa * pb], point) == [ref_evaluate(a, values),
+                                                 ref_evaluate(ref_mul(a, b), values)]
+    for p, ref in ((pa, a), (pa * pb, ref_mul(a, b)), (moved, as_tuples(moved))):
+        assert p.to_str() == ref_str(p.ring.names, ref)
+    # integer order on keys is lexicographic order on exponent tuples
+    assert [tuple(W.unpack(m)) for m in sorted(pa.terms)] == sorted(a)
+
+
+def test_a_product_past_the_field_bound_raises():
+    # exponents stay below 64, two guard bits under each byte's top, so no
+    # sum of keys carries into the next variable; a result that reaches 64
+    # raises, and every result below it is exact
+    assert as_tuples(X ** 63 * Y ** 63 * Z ** 63) == {(63, 63, 63): 1}
+    assert as_tuples(X ** 32 * Y * X ** 31) == {(63, 1, 0): 1}
+    assert as_tuples(directional_derivative(X ** 63 * Z, {"z": Y})) == {(63, 1, 0): 1}
+    square = PolyMatrix.from_rows(R, [[X ** 40, Y], [Z, 1]])
+    past = [lambda: X ** 63 * X, lambda: X ** 64, lambda: (X + Y) ** 40 * (X + Y) ** 40,
+            lambda: (X ** 63 * Y).substitute({"y": X}),
+            lambda: (Y ** 2).substitute({"y": X ** 32}),
+            lambda: directional_derivative(X ** 63 * Z, {"z": X}),
+            lambda: square * square, lambda: square.apply([X ** 24, Y]),
+            lambda: R.pack((64, 0, 0)), lambda: R.pack((1, 2))]
+    for make in past:
+        with pytest.raises(OverflowError):
+            make()
+    with pytest.raises(ValueError):
+        R.pack((256, 0, 0))
 
 
 # -- matrices -----------------------------------------------------------------

@@ -46,7 +46,7 @@ def homogeneity_reference(eqs, w) -> Report:
     ws = grading.weight_system(w)
     weights, failures = [], []
     for i, g in enumerate(eqs.gens):
-        seen = sorted({monomial_weight(eqs.ring.names, m, ws) for m in g.terms})
+        seen = sorted({monomial_weight(eqs.ring.names, eqs.ring.unpack(m), ws) for m in g.terms})
         weights.append(str(seen[0]) if len(seen) == 1 else "None")
         if len(seen) > 1:
             label = eqs.labels[i] if eqs.labels else str(i)
@@ -79,7 +79,8 @@ def _weighted_equations(draw):
     ring = Ring(("a", "b", "c"))
     monos = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), st.integers(-5, 5).filter(bool),
                             min_size=1, max_size=4)
-    gens = tuple(Poly(ring, t) for t in draw(st.lists(monos, min_size=1, max_size=4)))
+    gens = tuple(Poly(ring, {ring.pack(m): c for m, c in t.items()})
+                 for t in draw(st.lists(monos, min_size=1, max_size=4)))
     labels = draw(st.sampled_from(((), tuple(f"g{i}" for i in range(len(gens))))))
     return EquationSet(ring, gens, labels), {n: draw(_weight) for n in ring.names}
 

@@ -117,6 +117,32 @@ def test_rational_action_is_the_symbolic_substitution_evaluated(perm, factors, p
     assert all(type(v) is Fraction for v in moved.entries.values())
 
 
+_int_factor = st.one_of(st.none(), st.tuples(st.lists(st.integers(-5, 5), min_size=4,
+                                                      max_size=4), st.integers(1, 6)))
+
+
+# each example expands ``substitution_of(g)`` symbolically; no shrinking, as above
+@pytest.mark.parametrize("perm", hvariety._PERMUTATIONS)
+@settings(max_examples=4, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(factors=st.tuples(_int_factor, _int_factor, _int_factor),
+       nums=st.lists(st.integers(-9, 9), min_size=8, max_size=8), den=st.integers(1, 5))
+def test_integer_move_is_the_symbolic_substitution_evaluated(perm, factors, nums, den):
+    # the integer move of the translates, given integer entries over
+    # denominators directly, is the substitution's value at the cube
+    ring = coord_ring(True)
+    moves = [(r, f) for r, f in enumerate(factors, start=1)
+             if f is not None and f[0][0] * f[0][3] != f[0][1] * f[0][2]]
+    mats = [None] * 3
+    for r, factor in moves:
+        mats[r - 1] = _factor_matrix(ring, factor)
+    g = GroupElement(*mats, perm=perm)
+    values = {n: Fraction(v, den) for n, v in zip(PARAM_VARS, nums)}
+    got, q = hvariety._move_cube(moves, perm, (list(nums), den))
+    assert all(type(v) is int for v in got) and type(q) is int and q > 0
+    assert dict(zip(PARAM_VARS, (Fraction(v, q) for v in got))) == \
+        _moved_point(g, values, PARAM_VARS)
+
+
 def test_rational_action_rejects_a_singular_factor():
     ring = coord_ring(True)
     g = GroupElement(g2=PolyMatrix.from_rows(ring, [[1, 2], [2, 4]]), perm=(2, 1, 3))
@@ -140,15 +166,22 @@ def test_rational_action_rejects_a_factor_that_is_not_2x2():
 TRANSLATES_SEED7_SHA256 = "e24f1297fa0ce8ee4cf2bc42fff54eef4fe407b9c81d25b9d3a83c25b5c961ee"
 
 
+def _factor_matrix(ring, factor):
+    """The factor matrix of entries a, b, c, d over s."""
+    entries, s = factor
+    return PolyMatrix.from_rows(ring, [[Fraction(e, s) for e in entries[:2]],
+                                       [Fraction(e, s) for e in entries[2:]]])
+
+
 def test_translated_cubes_at_seed_7_are_pinned():
     rng = random.Random("7:classify")
     ring = coord_ring(True)
     texts = []
     for name in ("p1", "p2", "p3", "p4"):
         for _ in range(20):
-            g = GroupElement(g1=hvariety._random_invertible(rng, ring),
-                             g2=hvariety._random_invertible(rng, ring),
-                             g3=hvariety._random_invertible(rng, ring),
+            g = GroupElement(g1=_factor_matrix(ring, hvariety._random_invertible(rng)),
+                             g2=_factor_matrix(ring, hvariety._random_invertible(rng)),
+                             g3=_factor_matrix(ring, hvariety._random_invertible(rng)),
                              perm=rng.choice(hvariety._PERMUTATIONS))
             texts.append(hvariety.apply_group_to_cube(g, representative(name)).to_text())
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == TRANSLATES_SEED7_SHA256
@@ -370,7 +403,6 @@ def test_rand_reads_the_fraction_of_its_two_draws():
 
 
 def test_random_invertible_replays_the_randint_draws():
-    ring = coord_ring(True)
     for seed in (0, 7, "7:classify", "0:classify"):
         rng, ref = random.Random(seed), random.Random(seed)
         for _ in range(100):
@@ -379,8 +411,9 @@ def test_random_invertible_replays_the_randint_draws():
                      for _ in range(2)]
                 if m[0][0] * m[1][1] != m[0][1] * m[1][0]:
                     break
-            got = hvariety._random_invertible(rng, ring)
-            assert got.entries == PolyMatrix.from_rows(ring, m).entries
+            entries, s = hvariety._random_invertible(rng)
+            assert [Fraction(e, s) for e in entries] == m[0] + m[1]
+            assert all(type(e) is int for e in entries) and type(s) is int and s > 0
         assert rng.getstate() == ref.getstate()
 
 
@@ -490,10 +523,15 @@ def test_sampled_points_are_pinned(monkeypatch):
             assert hvariety.nondegenerate_sweep(seed).data["sigmas"] == 100
         got[f"{seed}/sweep"] = digest(seen)
         seen = []
-        move = hvariety.apply_group_to_cube
+        move = hvariety._move_cube
+
+        def shown(*args):  # each translate's cube text, as ``Hypermatrix.to_text`` gives it
+            nums, den = moved = move(*args)
+            seen.append(" ".join(str(Fraction(v, den)) for v in nums))
+            return moved
+
         with monkeypatch.context() as m:
-            m.setattr(hvariety, "apply_group_to_cube",
-                      lambda g, P: seen.append(move(g, P).to_text()) or move(g, P))
+            m.setattr(hvariety, "_move_cube", shown)
             hvariety.translate_invariance(seed)
         got[f"{seed}/translates"] = digest(seen)
     assert got == POINT_DIGESTS
