@@ -25,9 +25,9 @@ from typing import Mapping, Sequence
 
 from . import jordan
 from .errors import ShapeError
-from .exactcore import (Batch, Poly, PolyMatrix, Rational, Report, Ring, _frac, add_product,
-                        compile_batch, json_rational, over_common_denominator, parse_json,
-                        parse_rational, substitute_all)
+from .exactcore import (Poly, PolyMatrix, Rational, Report, Ring, _frac, add_product,
+                        json_rational, over_common_denominator, parse_json, parse_rational,
+                        substitute_all)
 from .jordan import Element, JordanPresentation
 
 X_VARS = ("x11", "x21", "x12", "x22", "x13", "x23")
@@ -193,32 +193,13 @@ def _symbolic_forms() -> tuple[Poly, tuple[Poly, ...]]:
     return Fraction(1, 3) * total, sharp
 
 
-@cache
-def _cube_batch() -> tuple[tuple[tuple[int, int, int], ...], tuple[tuple[int, int], ...], Batch]:
-    """The polar table of the nine symbolic sharps and the trace table of
-    ``presentation(None)``, compiled once for ``rational_tables``.
-
-    The keys list the (k, i, j) of ``_polar``, the trace keys the (i, j) of
-    the nonzero T(e_i, e_j); the batch returns, over the ring of the eight
-    parameters, each key's coefficient, then each trace entry.
-    """
-    pres = presentation(None)
-    sharp, trace = pres._polar[pres.ring], pres._trace_form[1]
-    params = Ring(PARAM_VARS)
-    batch = compile_batch([t.convert(params) for t in (*sharp.values(), *trace.values())])
-    return tuple(sharp), tuple(trace), batch
-
-
 def rational_tables(P: Hypermatrix) -> jordan._Tables:
-    """The tables of ``presentation(P)._rational_tables`` from one call of
-    ``_cube_batch``, with no presentation built: the checks of
+    """The tables of ``presentation(P)`` read off the symbolic presentation's
+    compiled batch at P, with no presentation built: the checks of
     ``presentation(None)`` (homogeneous forms, cubic 1 at the unit,
     identically in the parameters) hold at every cube."""
-    keys, trace, batch = _cube_batch()
-    values, den = batch(*over_common_denominator(P.as_fractions().values()))
-    gram = [(key, v) for key, v in zip(trace, values[len(keys):]) if v]
-    sharp = [(key, v) for key, v in zip(keys, values) if v]
-    return jordan._Tables.assemble(len(COORD_VARS), gram, den, sharp, den)
+    point = over_common_denominator(P.as_fractions().values())
+    return jordan.rational_tables(_symbolic_presentation(), point)
 
 
 def _specialize(P: Hypermatrix, forms: Sequence[Poly]) -> list[Poly]:

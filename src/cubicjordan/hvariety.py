@@ -17,8 +17,9 @@ Generator order (labels used everywhere):
 
 Rational cubes are moved under the group, classified, and their
 hyperdeterminant taken, in integers over one common denominator, which is
-divided out once at the end.  The radical tests at a rational cube read the
-integer tables that ``coord8.rational_tables`` compiles once for all cubes.
+divided out once at the end.  The radical tests at a rational cube read
+integer tables over one denominator off one call of the symbolic
+presentation's compiled batch (``coord8.rational_tables``).
 
 Sampling uses explicitly seeded generators passed by the caller; there is
 no hidden global randomness.  A sampled point stays an integer ``Point``
@@ -106,9 +107,8 @@ class GroupElement:
                 raise SingularGroupElement("rational factor with zero determinant")
 
 
-def _perm_images(perm: tuple[int, int, int], value) -> dict:
-    """Variable images under the index permutation, with ``value(name)``
-    the image carrier of a variable (a Poly, a rational or an integer).
+def _perm_images(perm: tuple[int, int, int], ring: Ring) -> dict[str, Poly]:
+    """Variable images under the index permutation, as variables of ``ring``.
 
     Indices permute by ``perm`` on the idempotent and pair blocks, and the
     cube entry with index word A maps to the entry with word A composed
@@ -117,38 +117,35 @@ def _perm_images(perm: tuple[int, int, int], value) -> dict:
     inv = {perm[i]: i + 1 for i in range(3)}
     images = {}
     for i in (1, 2, 3):
-        images[f"u{i}"] = value(f"u{perm[i - 1]}")
+        images[f"u{i}"] = ring.var(f"u{perm[i - 1]}")
         for a in (1, 2):
-            images[x_name(a, i)] = value(x_name(a, perm[i - 1]))
+            images[x_name(a, i)] = ring.var(x_name(a, perm[i - 1]))
     for word in coord8.INDEX_TRIPLES:
         image = tuple(word[inv[m] - 1] for m in (1, 2, 3))
-        images[p_name(*word)] = value(p_name(*image))
+        images[p_name(*word)] = ring.var(p_name(*image))
     return images
 
 
-def _factor_images(r: int, entries, value) -> dict:
-    """Images of the variables moved by one 2x2 factor acting on slot r.
-
-    ``entries`` are the factor's a, b, c, d in row order and ``value(name)``
-    is the image carrier of a variable; they may be Polys, rationals or
-    integers.
-    """
-    a, b, c, d = entries
+def _factor_images(r: int, factor: PolyMatrix, ring: Ring) -> dict[str, Poly]:
+    """Images of the variables moved by one 2x2 factor acting on slot r,
+    over ``ring``, with the factor's a, b, c, d in row order."""
+    a, b, c, d = (e.convert(ring) for e in factor.entries)
+    var = ring.var
     det = a * d - b * c
     lo_x, hi_x = x_name(1, r), x_name(2, r)
-    images = {lo_x: a * value(lo_x) + b * value(hi_x),
-              hi_x: c * value(lo_x) + d * value(hi_x)}
+    images = {lo_x: a * var(lo_x) + b * var(hi_x),
+              hi_x: c * var(lo_x) + d * var(hi_x)}
     for i in (1, 2, 3):
         if i != r:
-            images[f"u{i}"] = det * value(f"u{i}")
+            images[f"u{i}"] = det * var(f"u{i}")
     for word in coord8.INDEX_TRIPLES:
         if word[r - 1] != 1:
             continue
         hi = list(word)
         hi[r - 1] = 2
         lo_p, hi_p = p_name(*word), p_name(*hi)
-        images[lo_p] = a * value(lo_p) + b * value(hi_p)
-        images[hi_p] = c * value(lo_p) + d * value(hi_p)
+        images[lo_p] = a * var(lo_p) + b * var(hi_p)
+        images[hi_p] = c * var(lo_p) + d * var(hi_p)
     return images
 
 
@@ -162,31 +159,21 @@ def substitution_of(g: GroupElement, ring: Ring) -> dict[str, Poly]:
     """
     g.validate()
     sub: dict[str, Poly] = {n: ring.var(n) for n in ALL_VARS}
-    steps = [_factor_images(r, [e.convert(ring) for e in factor.entries], ring.var)
+    steps = [_factor_images(r, factor, ring)
              for r, factor in enumerate(g.factors(), start=1) if factor is not None]
     if g.perm != (1, 2, 3):
-        steps.append(_perm_images(g.perm, ring.var))
+        steps.append(_perm_images(g.perm, ring))
     for step in steps:
         sub = dict(zip(sub, substitute_all(tuple(sub.values()), step, ring)))
     return sub
 
 
-def _integer_factor(factor: PolyMatrix) -> tuple[list[int], int]:
-    """The entries a, b, c, d of a rational 2x2 factor as integers over
-    their common denominator s, with the guards of ``GroupElement.validate``:
-    a factor that is not 2x2 or has zero determinant is rejected."""
-    if (factor.rows, factor.cols) != (2, 2):
-        raise ShapeError("group factors must be 2x2")
-    (a, b, c, d), s = over_common_denominator([e.constant_value() for e in factor.entries])
-    if a * d == b * c:
-        raise SingularGroupElement("rational factor with zero determinant")
-    return [a, b, c, d], s
-
-
 def apply_group_to_cube(g: GroupElement, P: Hypermatrix) -> Hypermatrix:
     """Image of a rational cube under a group element with rational factors:
-    ``_move_cube`` on the cube's entries over their common denominator."""
-    factors = [(r, _integer_factor(factor))
+    ``_move_cube`` on the cube's entries over their common denominator, and
+    on each factor's entries over theirs, once ``g.validate()`` holds."""
+    g.validate()
+    factors = [(r, over_common_denominator([e.constant_value() for e in factor.entries]))
                for r, factor in enumerate(g.factors(), start=1) if factor is not None]
     nums, den = _move_cube(factors, g.perm, over_common_denominator(P.as_fractions().values()))
     return Hypermatrix({t: Fraction(v, den) for t, v in zip(INDEX_TRIPLES, nums)})

@@ -27,39 +27,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .exactcore import (Poly, Rational, Report, Ring, add_product, directional_derivative,
-                        over_common_denominator, substitute_all)
+from .exactcore import (Batch, Point, Poly, Rational, Report, Ring, add_product, compile_batch,
+                        directional_derivative, over_common_denominator, substitute_all)
 
 Element = tuple[Poly, ...]
 
 
 class _Tables(NamedTuple):
-    """Integer tables of ``JordanPresentation._rational_tables``."""
+    """Integer tables of ``rational_tables``."""
 
     gram: list[list[tuple[int, int]]]
-    gram_den: int
     sharp: list[list[tuple[int, int, int]]]
     polar: list[list[list[tuple[int, int]]]]
-    sharp_den: int
-
-    @classmethod
-    def assemble(cls, n: int, gram: Iterable, gram_den: int, sharp: Iterable,
-                 sharp_den: int) -> _Tables:
-        """The tables of n coordinates from nonzero integers: ((i, j), c) in
-        ``gram`` for T(e_i, e_j) = c / gram_den, and ((k, i, j), c) in
-        ``sharp`` for the term c / sharp_den x_i x_j of x#_k, keyed as in
-        ``JordanPresentation._polar``."""
-        rows, quads = [[] for _ in range(n)], [[] for _ in range(n)]
-        polar = [[[] for _ in range(n)] for _ in range(n)]
-        for (i, j), c in gram:
-            rows[j].append((i, c))
-        for (k, i, j), c in sharp:
-            quads[k].append((i, j, c))
-            polar[i][k].append((j, c))
-            polar[j][k].append((i, c))
-        return cls(rows, gram_den, quads, polar, sharp_den)
+    den: int
 
 
 @dataclass(frozen=True)
@@ -142,7 +124,7 @@ class JordanPresentation:
         (a, b, r) of its three factors adds c u_kb u_kr to the first partial
         at k_a, and c u_kr to the second partials at (k_a, k_b) and
         (k_b, k_a); one with u_kr = 0 adds nothing.  ``trace_bilinear``,
-        ``trace_linear`` and ``_rational_tables`` all read this table.
+        ``trace_linear`` and ``_table_batch`` all read this table.
         """
         n = self.dim()
         pos = [self.ring.index(name) for name in self.coords]
@@ -189,27 +171,46 @@ class JordanPresentation:
         return {self.ring: {key: Poly(self.ring, t) for key, t in table.items()}}
 
     @cached_property
-    def _rational_tables(self) -> _Tables:
-        """The trace form and the sharp map as integer coefficient tables
-        over one denominator each; a ``ValueError`` when the ring carries
-        parameters besides the coordinates.
+    def _table_batch(self) -> tuple[tuple, tuple, Batch]:
+        """The keys (k, i, j) of ``_polar``, the keys (i, j) of the trace
+        table, and one batch of the polar coefficients, then the trace
+        entries, compiled over the parameter ring: the ring's names that
+        are not coordinates, none for a plain algebra."""
+        params = Ring(n for n in self.ring.names if n not in self.coords)
+        sharp, trace = self._polar[self.ring], self._trace_form[1]
+        batch = compile_batch([t.convert(params) for t in (*sharp.values(), *trace.values())])
+        return tuple(sharp), tuple(trace), batch
 
-        ``gram[j]`` lists ``(i, c)`` with T(x, e_j) = sum of c x_i / gram_den;
-        ``sharp[k]`` lists ``(i, j, c)`` with x#_k = sum of c x_i x_j / sharp_den;
-        and ``polar[m][k]`` lists ``(i, c)`` with (a # e_m)_k = sum of
-        c a_i / sharp_den, the k-th sharp quadric polarized against the
-        basis vector e_m, which has the coefficients of ``sharp``.  At a
-        rational cube ``coord8.rational_tables`` builds the same tables
-        from a compiled batch; this route serves any presentation.
-        """
-        if self.ring.names != self.coords:
-            raise ValueError("rational tables need a presentation without parameters")
-        table = self._trace_form[1]
-        gram, gram_den = over_common_denominator([t.constant_value() for t in table.values()])
-        sharp = self._polar[self.ring]
-        nums, sharp_den = over_common_denominator([c.constant_value() for c in sharp.values()])
-        return _Tables.assemble(self.dim(), zip(table, gram), gram_den,
-                                zip(sharp, nums), sharp_den)
+
+def rational_tables(p: JordanPresentation, point: Point = ((), 1)) -> _Tables:
+    """The trace form and the sharp map of ``p`` at a point of its
+    parameters, as integer tables over one denominator ``den``, read off
+    one call of ``p._table_batch``; a presentation with parameters needs
+    their point, as numerators in ring order over one positive integer.
+
+    ``gram[j]`` lists ``(i, c)`` with T(x, e_j) = sum of c x_i / den;
+    ``sharp[k]`` lists ``(i, j, c)`` with x#_k = sum of c x_i x_j / den;
+    and ``polar[m][k]`` lists ``(i, c)`` with (a # e_m)_k = sum of
+    c a_i / den, the k-th sharp quadric polarized against the basis
+    vector e_m, which has the coefficients of ``sharp``.
+    """
+    n = p.dim()
+    if len(point[0]) != len(p.ring.names) - n:
+        raise ValueError("rational tables need a point of the parameters "
+                         "or a presentation without parameters")
+    keys, trace, batch = p._table_batch
+    values, den = batch(*point)
+    gram, quads = [[] for _ in range(n)], [[] for _ in range(n)]
+    polar = [[[] for _ in range(n)] for _ in range(n)]
+    for (i, j), c in zip(trace, values[len(keys):]):
+        if c:
+            gram[j].append((i, c))
+    for (k, i, j), c in zip(keys, values):
+        if c:
+            quads[k].append((i, j, c))
+            polar[i][k].append((j, c))
+            polar[j][k].append((i, c))
+    return _Tables(gram, quads, polar, den)
 
 
 def _target_ring(p: JordanPresentation, *elements: Element) -> Ring:
@@ -334,14 +335,13 @@ def verify_sharp_conditions(p: JordanPresentation) -> dict[str, Report]:
     return reports
 
 
-# s, and s# and the row T(s, e_j) over the denominators of ``_rational_tables``
+# s, and s# and the row T(s, e_j) over the denominator of ``rational_tables``
 _Parts = tuple[list[int], list[int], list[int]]
 
 
 def _rational_parts(tables: _Tables, sigma: Sequence[Rational]) -> _Parts:
     """A positive multiple s of sigma with integer entries, and s# and the
-    row T(s, e_j) as integers over ``sharp_den`` and ``gram_den``, read off
-    ``tables``.
+    row T(s, e_j) as integers over ``tables.den``, read off ``tables``.
 
     s is sigma times the lcm of its denominators; integers are their own s.
     Both callers' tests are homogeneous in sigma, so they give the same
@@ -370,29 +370,28 @@ def radical_membership(p: JordanPresentation | _Tables, sigma: Sequence[Rational
 
     The radical tests take sigma by its rational coordinates, and the
     algebra as a presentation without parameters or as its ``_Tables``
-    (``coord8.rational_tables``).  U_sigma y = T(sigma, y) sigma -
+    (``rational_tables``).  U_sigma y = T(sigma, y) sigma -
     sigma# # y is linear in y, so it vanishes for a fully symbolic y
     exactly when every column U_sigma e_j = T(sigma, e_j) sigma - sigma# # e_j
     does.  The columns form a rational matrix, compared in cross-multiplied
     integers from the integer tables for an integer multiple of sigma
     (see ``_rational_parts``).
     """
-    tables = p if isinstance(p, _Tables) else p._rational_tables
+    tables = p if isinstance(p, _Tables) else rational_tables(p)
     return _u_vanishes(tables, _rational_parts(tables, sigma))
 
 
 def _u_vanishes(tables: _Tables, parts: _Parts) -> bool:
     """The U-test of ``radical_membership`` on ``_rational_parts(tables, sigma)``."""
     s, sharp, trace = parts
-    # T(s, e_m) s_k = (s# # e_m)_k, both sides times gram_den sharp_den^2
-    lhs, rhs = tables.sharp_den ** 2, tables.gram_den
+    # T(s, e_m) s_k = (s# # e_m)_k, both sides times den^2
     for m, row in enumerate(tables.polar):
-        t = lhs * trace[m]
+        t = tables.den * trace[m]
         for k, col in enumerate(row):
             acc = 0
             for i, c in col:
                 acc += c * sharp[i]
-            if t * s[k] != rhs * acc:
+            if t * s[k] != acc:
                 return False
     return True
 
@@ -409,6 +408,6 @@ def nondegeneracy_test_equiv(p: JordanPresentation | _Tables,
     T(sigma, -) = 0 and sigma# != 0 in its kernel, where U_sigma y =
     -sigma# # y does not vanish.
     """
-    tables = p if isinstance(p, _Tables) else p._rational_tables
+    tables = p if isinstance(p, _Tables) else rational_tables(p)
     _, sharp, trace = parts = _rational_parts(tables, sigma)
     return {"viaU": _u_vanishes(tables, parts), "viaTN": not any(sharp) and not any(trace)}

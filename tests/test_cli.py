@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from cubicjordan import cli, coord8, grading, hvariety
 from cubicjordan.errors import ContextError, InputError
+from cubicjordan.jordan import JordanPresentation
 
 
 def run(args):
@@ -490,11 +491,11 @@ def test_fractional_symbolic_cubic_fails_its_claim(tmp_path, monkeypatch, capsys
     x11, x12, x13 = (cubic.ring.var(n) for n in ("x11", "x12", "x13"))
     half = Fraction(1, 2) * x11 * x12 * x13
     monkeypatch.setattr(coord8, "_symbolic_forms", lambda: (cubic + half, sharp))
-    # fresh caches, so the symbolic presentation and the cubes of this test
-    # read the patched forms and no later test does
+    # a fresh cache, so the symbolic presentation, and the compiled tables
+    # it holds for the cubes of this test, read the patched forms and no
+    # later test does
     monkeypatch.setattr(coord8, "_symbolic_presentation",
                         cache(coord8._symbolic_presentation.__wrapped__))
-    monkeypatch.setattr(coord8, "_cube_batch", cache(coord8._cube_batch.__wrapped__))
     out = tmp_path / "report.json"
     assert run(["verify-axioms", "--json", str(out)]) == 1
     claims = {c["claim_id"]: c for c in json.loads(out.read_text())["claims"]}
@@ -634,7 +635,8 @@ def test_a_tampered_compiled_trace_entry_fails_the_radical_claims(tmp_path, monk
     # read it, so points of the stated loci fail the U-test, while the
     # specialized cubic forms keep their displays, which shows that they are
     # substituted into the symbolic cubic and never read the batch
-    keys, trace, batch = coord8._cube_batch()
+    pres = coord8.presentation(None)
+    keys, trace, batch = pres._table_batch
     at = len(keys) + trace.index((0, 0))
 
     def tampered(nums, den):
@@ -642,7 +644,7 @@ def test_a_tampered_compiled_trace_entry_fails_the_radical_claims(tmp_path, monk
         values[at] += scale
         return values, scale
 
-    monkeypatch.setattr(coord8, "_cube_batch", lambda: (keys, trace, tampered))
+    monkeypatch.setitem(pres.__dict__, "_table_batch", (keys, trace, tampered))
     out = tmp_path / "report.json"
     assert run(["radicals", "--json", str(out)]) == 1
     claims = {c["claim_id"]: c for c in json.loads(out.read_text())["claims"]}
@@ -657,10 +659,10 @@ def test_a_tampered_compiled_trace_entry_fails_the_radical_claims(tmp_path, monk
 def test_the_polynomial_route_never_reads_the_compiled_tables(monkeypatch, capsys):
     # the specialized cubic and presentations substitute into the symbolic
     # forms; only the radical tests read the compiled batch
-    def unavailable():
+    def unavailable(pres):
         raise RuntimeError("compiled tables read")
 
-    monkeypatch.setattr(coord8, "_cube_batch", unavailable)
+    monkeypatch.setattr(JordanPresentation, "_table_batch", property(unavailable))
     assert run(["verify-axioms"]) == 0
     assert run(["fiber"]) == 0
     p3 = hvariety.representative("p3")

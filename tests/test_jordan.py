@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubicjordan import coord8, hvariety, jordan
-from cubicjordan.exactcore import Ring
+from cubicjordan.exactcore import Ring, over_common_denominator, substitute_all
 from cubicjordan.jordan import JordanPresentation
 
 
@@ -180,7 +180,7 @@ def test_radical_tests_need_a_presentation_without_parameters(symbolic_presentat
     # the integer tables exist only when every ring variable is a coordinate
     p = symbolic_presentation
     with pytest.raises(ValueError, match="without parameters"):
-        p._rational_tables
+        jordan.rational_tables(p)
     with pytest.raises(ValueError, match="without parameters"):
         jordan.radical_membership(p, [0] * 9)
     with pytest.raises(ValueError, match="without parameters"):
@@ -274,10 +274,9 @@ def test_rational_tables_agree_with_symbolic_route(cube, kind, values, seed):
 def _table_entries(tables) -> tuple[list, list, list]:
     """Every entry of integer tables as a ``Fraction`` over its denominator,
     each list of entries sorted."""
-    gram = [sorted((i, Fraction(c, tables.gram_den)) for i, c in col) for col in tables.gram]
-    sharp = [sorted((i, j, Fraction(c, tables.sharp_den)) for i, j, c in q)
-             for q in tables.sharp]
-    polar = [[sorted((i, Fraction(c, tables.sharp_den)) for i, c in col) for col in row]
+    gram = [sorted((i, Fraction(c, tables.den)) for i, c in col) for col in tables.gram]
+    sharp = [sorted((i, j, Fraction(c, tables.den)) for i, j, c in q) for q in tables.sharp]
+    polar = [[sorted((i, Fraction(c, tables.den)) for i, c in col) for col in row]
              for row in tables.polar]
     return gram, sharp, polar
 
@@ -297,7 +296,7 @@ def test_compiled_tables_are_the_presentation_tables(cube, locus, values, seed):
     # the rationals of the presentation's own tables, and give the radical
     # tests the answers of the symbolic route
     p, tables = _presentation(cube), coord8.rational_tables(_hypermatrix(cube))
-    assert _table_entries(tables) == _table_entries(p._rational_tables)
+    assert _table_entries(tables) == _table_entries(jordan.rational_tables(p))
     if locus and isinstance(cube, str) and cube != "p4":
         nums, den = hvariety.radical_point(cube, random.Random(seed))
         values = tuple(Fraction(n, den) for n in nums)
@@ -305,15 +304,55 @@ def test_compiled_tables_are_the_presentation_tables(cube, locus, values, seed):
     assert jordan.radical_membership(tables, values) == _reference(p, values)["viaU"]
 
 
+def _family() -> JordanPresentation:
+    """Three coordinates and two parameters s, t, interleaved in the ring:
+    at s = t = 0 the algebra of ``test_u_test_pins_the_column_order``, whose
+    sigma (-2, -2, -1) is radical."""
+    ring = Ring(("s", "a", "b", "t", "c"))
+    s, a, b, t, c = ring.gens()
+    square = (-6 * a + 4 * b + 2 * c) ** 2
+    quads = (b * c, s * c * a, Fraction(1, 3) * t * a * b)
+    return JordanPresentation(ring, ("a", "b", "c"), (Fraction(1), Fraction(0), Fraction(0)),
+                              a ** 3 + a * b * b + a * c * c + b * b * c + s * a * a * b,
+                              tuple(Fraction(v, 4) * square + t * q
+                                    for v, q in zip((-2, -2, -1), quads)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(point=st.tuples(_small, _small), values=st.tuples(*[_small] * 3))
+@example(point=(0, 0), values=(-2, -2, -1))
+@example(point=(Fraction(1, 2), Fraction(-2, 3)), values=(1, 0, 0))
+def test_tables_of_a_family_are_the_tables_at_its_point(point, values):
+    # a presentation with parameters, not coord8's: its tables at a point are,
+    # entry by entry, the tables of the family specialized there, and give
+    # the radical tests the answers of the symbolic route
+    p, ring = _family(), Ring(("a", "b", "c"))
+    cubic, *sharp = substitute_all((p.cubic, *p.sharp), dict(zip("st", point)), ring)
+    at = JordanPresentation(ring, p.coords, p.unit, cubic, tuple(sharp))
+    nums, den = over_common_denominator(point)
+    tables = jordan.rational_tables(p, (nums, den))
+    assert _table_entries(tables) == _table_entries(jordan.rational_tables(at))
+    assert jordan.nondegeneracy_test_equiv(tables, values) == _reference(at, values)
+    assert jordan.radical_membership(tables, values) == _reference(at, values)["viaU"]
+    if point == (0, 0) and values == (-2, -2, -1):
+        assert _reference(at, values)["viaU"]
+
+
+def test_a_family_needs_a_point_of_its_parameters():
+    for point in ((), [1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="without parameters"):
+            jordan.rational_tables(_family(), (point, 1))
+
+
 def assert_parts_are_the_symbolic_values(p, values):
     # s# and T(s, e_j) over the tables' denominators are the sharp and the
     # trace form of the integer multiple s of sigma, as the symbolic
     # functions compute them
-    tables = p._rational_tables
+    tables = jordan.rational_tables(p)
     s, sharp, trace = jordan._rational_parts(tables, values)
-    assert [Fraction(c, tables.sharp_den) for c in sharp] == \
+    assert [Fraction(c, tables.den) for c in sharp] == \
         [c.constant_value() for c in jordan.sharp_of(p, p.element(s))]
-    assert [Fraction(c, tables.gram_den) for c in trace] == \
+    assert [Fraction(c, tables.den) for c in trace] == \
         [jordan.trace_bilinear(p, p.element(s), p.basis_element(j)).constant_value()
          for j in range(p.dim())]
 
@@ -344,7 +383,7 @@ def test_integer_u_test_finds_a_radical_at_a_non_integral_cube(name, radical):
     cube = tuple(Fraction(2, 3) * hvariety.representative(name).entries[t]
                  for t in coord8.INDEX_TRIPLES)
     p = _presentation(cube)
-    assert p._rational_tables.sharp_den > 1
+    assert jordan.rational_tables(p).den > 1
     off = {**radical, "x21": Fraction(1, 2)}
     for named, want in ((radical, True), (off, False)):
         values = _values(named)
