@@ -192,7 +192,7 @@ CLAIMS = (
      lambda o: {n: hvariety.radical_locus_check(n, o.seed, o.samples) for n in _ORBIT_OF}),
     ("radicals", None, "radicals/generic-nondegenerate", "at cubes with nonvanishing "
      "hyperdeterminant no nonzero element is an absolute zero divisor",
-     lambda o: hvariety.nondegenerate_sweep(o.seed, cubes=50, sigmas_per_cube=2)),
+     lambda o: hvariety.nondegenerate_sweep(o.seed)),
 
     ("specialize", None, "specialize/{}", {
         n: "dictionary specialization span-equals the target equation system"

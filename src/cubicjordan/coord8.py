@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 from . import jordan
 from .errors import ShapeError
-from .exactcore import (Poly, PolyMatrix, Rational, Report, Ring, _frac, add_product,
+from .exactcore import (Point, Poly, PolyMatrix, Rational, Report, Ring, _frac, add_product,
                         json_rational, over_common_denominator, parse_json, parse_rational,
                         substitute_all)
 from .jordan import Element, JordanPresentation
@@ -54,19 +54,12 @@ def p_name(i: int, j: int, k: int) -> str:
 
 
 class Hypermatrix:
-    """The eight cube entries p_ijk, rational or symbolic."""
+    """The eight rational cube entries p_ijk; ``symbolic_cube`` gives symbolic ones."""
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: Mapping[tuple[int, int, int], "Poly | Rational"]):
-        self.entries = {}
-        for (i, j, k) in INDEX_TRIPLES:
-            v = entries.get((i, j, k), 0)
-            self.entries[(i, j, k)] = v if isinstance(v, Poly) else _frac(v)
-
-    @classmethod
-    def symbolic(cls, ring: Ring) -> Hypermatrix:
-        return cls({t: ring.var(p_name(*t)) for t in INDEX_TRIPLES})
+    def __init__(self, entries: Mapping[tuple[int, int, int], Rational]):
+        self.entries = {t: _frac(entries.get(t, 0)) for t in INDEX_TRIPLES}
 
     @classmethod
     def from_named(cls, values: Mapping[str, Rational]) -> Hypermatrix:
@@ -93,28 +86,23 @@ class Hypermatrix:
     def to_text(self) -> str:
         return " ".join(map(str, self.entries.values()))
 
-    def get(self, i: int, j: int, k: int) -> "Poly | Fraction":
+    def get(self, i: int, j: int, k: int) -> Fraction:
         return self.entries[(i, j, k)]
 
-    def is_rational(self) -> bool:
-        return all(not isinstance(v, Poly) for v in self.entries.values())
-
-    def as_fractions(self) -> dict[tuple[int, int, int], Fraction]:
-        if not self.is_rational():
-            raise ValueError("hypermatrix carries symbolic entries")
-        return dict(self.entries)
-
-    def in_ring(self, ring: Ring) -> dict[tuple[int, int, int], Poly]:
-        out = {}
-        for t, v in self.entries.items():
-            out[t] = v.convert(ring) if isinstance(v, Poly) else ring.const(v)
-        return out
+    def point(self) -> Point:
+        """The entries as integer numerators over their lcm, in ``INDEX_TRIPLES`` order."""
+        return over_common_denominator(self.entries.values())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Hypermatrix) and self.entries == other.entries
 
     def __repr__(self) -> str:
         return f"Hypermatrix({self.to_text()})"
+
+
+def symbolic_cube(ring: Ring) -> dict[tuple[int, int, int], Poly]:
+    """The cube entries p_ijk as variables of ``ring``."""
+    return {t: ring.var(p_name(*t)) for t in INDEX_TRIPLES}
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +169,7 @@ def _symbolic_forms() -> tuple[Poly, tuple[Poly, ...]]:
     which cancels exactly, so the expansion has integer coefficients.
     """
     ring = coord_ring(True)
-    p = Hypermatrix.symbolic(ring).in_ring(ring)
+    p = symbolic_cube(ring)
     sigma = tuple(ring.var(n) for n in COORD_VARS)
     sharp = sharp_map(p, sigma)
     total = ring.zero()
@@ -193,18 +181,18 @@ def _symbolic_forms() -> tuple[Poly, tuple[Poly, ...]]:
     return Fraction(1, 3) * total, sharp
 
 
-def rational_tables(P: Hypermatrix) -> jordan._Tables:
-    """The tables of ``presentation(P)`` read off the symbolic presentation's
-    compiled batch at P, with no presentation built: the checks of
-    ``presentation(None)`` (homogeneous forms, cubic 1 at the unit,
-    identically in the parameters) hold at every cube."""
-    point = over_common_denominator(P.as_fractions().values())
+def rational_tables(point: Point) -> jordan._Tables:
+    """The tables of ``presentation(P)`` at the cube ``point = P.point()``,
+    read off the symbolic presentation's compiled batch, with no
+    presentation built: the checks of ``presentation(None)`` (homogeneous
+    forms, cubic 1 at the unit, identically in the parameters) hold at
+    every cube."""
     return jordan.rational_tables(_symbolic_presentation(), point)
 
 
 def _specialize(P: Hypermatrix, forms: Sequence[Poly]) -> list[Poly]:
     """``forms`` with the cube entries set to those of P, over the nine coordinates."""
-    return substitute_all(forms, dict(zip(PARAM_VARS, P.as_fractions().values())),
+    return substitute_all(forms, dict(zip(PARAM_VARS, P.entries.values())),
                           coord_ring(False))
 
 
@@ -266,7 +254,7 @@ def build_peirce_table() -> dict[tuple[str, str], Element]:
     vectors with entries polynomial in the symbolic cube parameters.
     """
     ring = coord_ring(True)
-    p = Hypermatrix.symbolic(ring).in_ring(ring)
+    p = symbolic_cube(ring)
 
     zero = tuple(ring.zero() for _ in COORD_VARS)
     pos = {n: i for i, n in enumerate(COORD_VARS)}
@@ -405,7 +393,7 @@ def verify_peirce_identities(pres: JordanPresentation) -> dict[str, Report]:
 
     # displayed representation matrices of the two basis vectors of the
     # (2, 3) space, as maps from the (3, 1) to the (2, 1) space
-    p = Hypermatrix.symbolic(ring).in_ring(ring)
+    p = symbolic_cube(ring)
     m1 = representation_matrix(table, 3, 2, (ring.one(), ring.zero()), ring)
     expect1 = PolyMatrix.from_rows(ring, [[p[(2, 2, 1)], -p[(2, 1, 1)]],
                                           [p[(2, 2, 2)], -p[(2, 1, 2)]]])

@@ -15,15 +15,17 @@ Generator order (labels used everywhere):
     g3a, g3b   third pair
     g4, g5, g6 idempotent components
 
-Rational cubes are moved under the group, classified, and their
-hyperdeterminant taken, in integers over one common denominator, which is
-divided out once at the end.  The radical tests at a rational cube read
-integer tables over one denominator off one call of the symbolic
+A rational cube is read as its integer point ``P.point()``: it is moved
+under the group, classified, and its hyperdeterminant taken on the
+numerators, and the one common denominator is divided out at the end.  The
+symbolic cube is ``coord8.symbolic_cube(ring)``.  The radical tests at a
+cube read integer tables over one denominator off one call of the symbolic
 presentation's compiled batch (``coord8.rational_tables``).
 
 Sampling uses explicitly seeded generators passed by the caller; there is
-no hidden global randomness.  A sampled point stays an integer ``Point``
-from the draw to the check; ``sample_point`` makes ``Fraction``s to return.
+no hidden global randomness.  A sampled point, and each cube and element of
+the nondegenerate sweep, stays an integer ``Point`` from the draw to the
+check; ``sample_point`` makes ``Fraction``s to return.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import coord8, jordan
-from .coord8 import (ALL_VARS, COORD_VARS, INDEX_TRIPLES, PARAM_VARS, X_VARS,
-                     Hypermatrix, coord_ring, d_entry, d_matrix, p_name, x_name)
+from .coord8 import (ALL_VARS, COORD_VARS, INDEX_TRIPLES, PARAM_VARS, X_VARS, Hypermatrix,
+                     coord_ring, d_entry, d_matrix, p_name, symbolic_cube, x_name)
 from .errors import InternalError, ShapeError, SingularGroupElement
 from .exactcore import (Batch, EquationSet, Point, Poly, PolyMatrix, Rational, Report, Ring,
                         _frac, compile_batch, over_common_denominator, rank,
@@ -175,7 +177,7 @@ def apply_group_to_cube(g: GroupElement, P: Hypermatrix) -> Hypermatrix:
     g.validate()
     factors = [(r, over_common_denominator([e.constant_value() for e in factor.entries]))
                for r, factor in enumerate(g.factors(), start=1) if factor is not None]
-    nums, den = _move_cube(factors, g.perm, over_common_denominator(P.as_fractions().values()))
+    nums, den = _move_cube(factors, g.perm, P.point())
     return Hypermatrix({t: Fraction(v, den) for t, v in zip(INDEX_TRIPLES, nums)})
 
 
@@ -279,17 +281,13 @@ def swap_all_factors_certificate() -> Report:
 # ---------------------------------------------------------------------------
 
 
-def hyperdeterminant(P: Hypermatrix, ring: Ring | None = None) -> "Poly | Fraction":
-    """Degree-four invariant of the 2x2x2 cube (Cayley's form).
-
-    A rational cube without a ring is evaluated on the integer numerators
-    of its entries over their common denominator q, and the value is
-    divided by q^4 once; otherwise the form is expanded over the ring.
-    """
-    if ring is None and P.is_rational():
-        nums, q = over_common_denominator(P.entries.values())
-        return Fraction(_cayley(nums), q ** 4)
-    return _cayley(list(P.in_ring(ring if ring is not None else coord_ring(True)).values()))
+def hyperdeterminant(P: Hypermatrix) -> Fraction:
+    """Degree-four invariant of the 2x2x2 cube (Cayley's form), evaluated on
+    the integer numerators of ``P.point()`` and divided by q^4 once for
+    their denominator q; the symbolic form is ``_cayley`` of
+    ``symbolic_cube(ring).values()``."""
+    nums, q = P.point()
+    return Fraction(_cayley(nums), q ** 4)
 
 
 def _cayley(p: Sequence) -> "Poly | int":
@@ -306,7 +304,7 @@ def _cayley(p: Sequence) -> "Poly | int":
 
 def flattening(P: Hypermatrix, axis: int) -> list[list[Fraction]]:
     """2x4 matrix reshaping the cube along one index slot."""
-    return _reshape(P.as_fractions().values(), axis)
+    return _reshape(P.entries.values(), axis)
 
 
 def _reshape(vals: Iterable[Rational], axis: int) -> list[list]:
@@ -341,8 +339,7 @@ def classify_orbit(P: Hypermatrix) -> OrbitLabel:
     cones (some rank one), and the generic degenerate orbit.
     """
     # the zero test and the ranks read numerators: scaling keeps both
-    nums, _ = over_common_denominator(P.as_fractions().values())
-    return OrbitLabel(*_orbit_type(nums, hyperdeterminant(P)))
+    return OrbitLabel(*_orbit_type(P.point()[0], hyperdeterminant(P)))
 
 
 def _orbit_type(nums: Sequence[int], det: Rational) -> tuple[str, Rational, tuple[int, int, int]]:
@@ -371,9 +368,8 @@ def orbit_certificate(P: Hypermatrix, want: str | None = None) -> Report:
             "ranks": list(label.flattening_ranks)}
     if want is not None:
         return Report(label.label == want, data)
-    ring = coord_ring(True)
-    form = hyperdeterminant(Hypermatrix.symbolic(ring), ring)
-    value = form.evaluate(dict(zip(PARAM_VARS, P.as_fractions().values())))
+    form = _cayley(list(symbolic_cube(coord_ring(True)).values()))
+    value = form.evaluate(dict(zip(PARAM_VARS, P.entries.values())))
     if value != label.hyperdet:
         data["residual"] = f"D_H = {label.hyperdet}, but the Cayley form at the cube is {value}"
     for axis, r in zip((1, 2, 3), label.flattening_ranks):
@@ -403,15 +399,13 @@ def _draw(rng: random.Random, top: int = 9, cols: int = 4) -> tuple[int, int]:
     return a - top, b + 1
 
 
-def _random_invertible(rng: random.Random) -> tuple[list[int], int]:
+def _random_invertible(rng: random.Random) -> Point:
     """Random invertible 2x2 factor with small rational entries, drawn in
     row order, as its entries a, b, c, d over their common denominator."""
     while True:
-        pairs = [_draw(rng, 5, 3) for _ in range(4)]
-        s = lcm(*(q for _, q in pairs))
-        (a, b, c, d) = entries = [p * (s // q) for p, q in pairs]
+        (a, b, c, d), s = factor = _point([_draw(rng, 5, 3) for _ in range(4)])
         if a * d != b * c:
-            return entries, s
+            return factor
 
 
 def translate_invariance(seed: int) -> Report:
@@ -442,8 +436,7 @@ def hyperdet_covariance_exponent(r: int) -> int | None:
                                     [ring.var("gc"), ring.var("gd")]])
     det = g.det()
     sub = substitution_of(GroupElement(**{f"g{r}": g}), ring)
-    sym = Hypermatrix.symbolic(ring)
-    base = hyperdeterminant(sym, ring)
+    base = _cayley(list(symbolic_cube(ring).values()))
     transformed = base.substitute(sub, ring)
     power = ring.one()
     for e in range(5):
@@ -471,17 +464,6 @@ def fiber_equations(P: Hypermatrix) -> EquationSet:
     return EquationSet(coord_ring(False), coord8.presentation(P).sharp, GEN_LABELS)
 
 
-def _matrix_minors(m: PolyMatrix) -> list[Poly]:
-    out = []
-    for r1 in range(3):
-        for r2 in range(r1 + 1, 3):
-            for c1 in range(3):
-                for c2 in range(c1 + 1, 3):
-                    out.append(m.get(r1, c1) * m.get(r2, c2)
-                               - m.get(r1, c2) * m.get(r2, c1))
-    return out
-
-
 def open_fiber_matrix(ring: Ring) -> PolyMatrix:
     """3x3 coordinate matrix whose rank-one locus is the generic fiber."""
     v = ring.var
@@ -505,9 +487,9 @@ def degenerate_fiber_system(ring: Ring) -> tuple[PolyMatrix, tuple[Poly, ...]]:
 
 
 def fiber_certificate_p4() -> Report:
-    """Span equality of the generic fiber with the nine 2x2 minors."""
+    """Span equality of the generic fiber with the nine 2x2 minors (adjugate entries)."""
     eqs = fiber_equations(representative("p4"))
-    minors = _matrix_minors(open_fiber_matrix(eqs.ring))
+    minors = open_fiber_matrix(eqs.ring).adjugate().entries
     result = span_compare(eqs.gens, minors)
     return Report(result.equal, {"relation": result.relation})
 
@@ -517,7 +499,7 @@ def fiber_certificate_p3() -> Report:
     system of the symmetric matrix."""
     eqs = fiber_equations(representative("p3"))
     sym, vec = degenerate_fiber_system(eqs.ring)
-    system = _matrix_minors(sym) + list(sym.apply(vec))
+    system = sym.adjugate().entries + list(sym.apply(vec))
     result = span_compare(eqs.gens, system)
     return Report(result.equal, {"relation": result.relation})
 
@@ -529,15 +511,6 @@ def fiber_certificate_p3() -> Report:
 # those over COORD_VARS for the coordinates; ``_SLOTS`` those of x1i, x2i, ui.
 _AT = {n: k for k, n in enumerate(ALL_VARS)}
 _SLOTS = tuple((_AT[x_name(1, i)], _AT[x_name(2, i)], _AT[f"u{i}"]) for i in (1, 2, 3))
-
-# every value a/b of ``_draw``, in rows a = -9..9 of columns b = 1..4
-_RAND_VALUES = tuple(tuple(Fraction(a, b) for b in range(1, 5)) for a in range(-9, 10))
-
-
-def _rand(rng: random.Random) -> Fraction:
-    """The rational a/b of one ``_draw``."""
-    a, b = _draw(rng)
-    return _RAND_VALUES[a + 9][b - 1]
 
 
 def _draw_nonzero(rng: random.Random) -> tuple[int, int]:
@@ -651,7 +624,7 @@ def chart_substitution() -> dict[str, Poly]:
     first pair column).
     """
     ring = coord_ring(True)
-    p = Hypermatrix.symbolic(ring).in_ring(ring)
+    p = symbolic_cube(ring)
     x = tuple(ring.var(n) for n in X_VARS)
     d3 = d_matrix(p, x, 3)
     e11, e21 = d3.apply((ring.var("x12"), ring.var("x22")))
@@ -678,7 +651,7 @@ def chart_det_identity() -> Report:
     product of the other two; the claim reports no data."""
     sub = chart_substitution()
     ring = coord_ring(True)
-    p = Hypermatrix.symbolic(ring).in_ring(ring)
+    p = symbolic_cube(ring)
     x = tuple(ring.var(n) for n in X_VARS)
     det = d_matrix(p, (sub["x11"], sub["x21"]) + x[2:], 1).det()
     return Report(det == -(sub["u2"] * sub["u3"]), {})
@@ -687,7 +660,7 @@ def chart_det_identity() -> Report:
 def skew_chart_matrix(ring: Ring) -> PolyMatrix:
     """5x5 skew matrix whose 4x4 Pfaffians cut out the chart where the
     first pair's leading coordinate is normalized to one."""
-    p = Hypermatrix.symbolic(ring).in_ring(ring)
+    p = symbolic_cube(ring)
     one = ring.one()
     x = (one, ring.var("x21"), ring.var("x12"), ring.var("x22"),
          ring.var("x13"), ring.var("x23"))
@@ -861,7 +834,7 @@ def radical_locus_check(name: str, seed: int, samples: int = 20) -> Report:
     """Sampled membership on the stated radical locus, sampled failure off
     it, agreement of the two nondegeneracy tests, and exact match of the
     specialized cubic form with its stated display."""
-    tables = coord8.rational_tables(representative(name))
+    tables = coord8.rational_tables(representative(name).point())
     failures: list[str] = []
     rng_on = random.Random(f"{seed}:{name}:on")
     rng_off = random.Random(f"{seed}:{name}:off")
@@ -898,24 +871,22 @@ def radical_locus_check(name: str, seed: int, samples: int = 20) -> Report:
                                  "display_ok": display_ok, "failures": failures})
 
 
-def nondegenerate_sweep(seed: int, cubes: int = 50, sigmas_per_cube: int = 2) -> Report:
-    """At random cubes with nonvanishing hyperdeterminant, random nonzero
-    elements never lie in the radical."""
+def nondegenerate_sweep(seed: int) -> Report:
+    """At 50 random cubes with nonvanishing hyperdeterminant, two random
+    nonzero elements each never lie in the radical; cubes and elements are
+    integer points from the draw to the check."""
     rng = random.Random(f"{seed}:nondegenerate")
-    tried = 0
-    failures = 0
-    while tried < cubes:
-        P = Hypermatrix({t: _rand(rng) for t in coord8.INDEX_TRIPLES})
-        if hyperdeterminant(P) == 0:
+    tried = failures = 0
+    while tried < 50:
+        cube = _point([_draw(rng) for _ in INDEX_TRIPLES])
+        if _cayley(cube[0]) == 0:
             continue
         tried += 1
-        tables = coord8.rational_tables(P)
-        for _ in range(sigmas_per_cube):
-            while True:
-                vals = [_rand(rng) for _ in COORD_VARS]
-                if any(v != 0 for v in vals):
-                    break
-            if jordan.radical_membership(tables, vals):
-                failures += 1
-    return Report(failures == 0, {"cubes": tried, "sigmas": tried * sigmas_per_cube,
+        tables = coord8.rational_tables(cube)
+        for _ in range(2):
+            sigma = [0]
+            while not any(sigma):
+                sigma = _point([_draw(rng) for _ in COORD_VARS])[0]
+            failures += jordan.radical_membership(tables, sigma)
+    return Report(failures == 0, {"cubes": tried, "sigmas": 2 * tried,
                                   "failures": failures, "ok": failures == 0})

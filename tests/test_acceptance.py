@@ -115,7 +115,7 @@ def test_08_radical_loci():
         if name != "p4":
             ok = ok and rep.data["on_locus"] >= 20
         ok = ok and rep.data["off_locus"] >= 20
-    sweep = hvariety.nondegenerate_sweep(SEED, cubes=50, sigmas_per_cube=2)
+    sweep = hvariety.nondegenerate_sweep(SEED)
     ok = ok and sweep.ok and sweep.data["sigmas"] >= 100
     report(8, "radical loci membership and generic nondegeneracy", ok)
 

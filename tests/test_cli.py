@@ -50,12 +50,7 @@ def _classify_report(tmp_path, text):
 
 def test_classify_input_fails_on_a_wrong_hyperdeterminant(tmp_path, monkeypatch, capsys):
     real = hvariety.hyperdeterminant
-
-    def off_by_one(P, ring=None):
-        value = real(P, ring)
-        return value + 1 if ring is None else value
-
-    monkeypatch.setattr(hvariety, "hyperdeterminant", off_by_one)
+    monkeypatch.setattr(hvariety, "hyperdeterminant", lambda P: real(P) + 1)
     code, got = _classify_report(tmp_path, "1/2 -3/4 2/3 5 -1/7 0 3/2 -2")
     assert code == 1 and got["status"] == "fail"
     assert got["data"]["residual"] == ("D_H = -6527/3136, but the Cayley form at "

@@ -11,14 +11,18 @@ from hypothesis import strategies as st
 from cubicjordan import coord8, hvariety, jordan
 from cubicjordan.coord8 import (COORD_VARS, Hypermatrix, build_peirce_table,
                                 coord_ring, cubic_form, d_matrix, sharp_from_table,
-                                sharp_map)
+                                sharp_map, symbolic_cube)
 from cubicjordan.errors import ShapeError
 
 
 def symbolic_setup():
     ring = coord_ring(True)
-    p = Hypermatrix.symbolic(ring).in_ring(ring)
-    return ring, p
+    return ring, symbolic_cube(ring)
+
+
+def constants(P, ring):
+    """The entries of a rational cube as constants of ``ring``."""
+    return {t: ring.const(v) for t, v in P.entries.items()}
 
 
 # -- product table cells against the closed displays ---------------------------
@@ -65,7 +69,7 @@ def test_table_agrees_with_sharp_map_symbolically(symbolic_presentation):
 def test_d_matrix_open_representative():
     ring = coord_ring(False)
     P = hvariety.representative("p4")
-    p = P.in_ring(ring)
+    p = constants(P, ring)
     x = tuple(ring.var(n) for n in COORD_VARS[:6])
     m = d_matrix(p, x, 3)
     v = ring.var
@@ -75,7 +79,7 @@ def test_d_matrix_open_representative():
 
 def test_d_matrix_vanishes_at_zero_cube():
     ring = coord_ring(False)
-    p = Hypermatrix({}).in_ring(ring)
+    p = constants(Hypermatrix({}), ring)
     x = tuple(ring.var(n) for n in COORD_VARS[:6])
     for k in (1, 2, 3):
         assert all(e.is_zero() for e in d_matrix(p, x, k).entries)
@@ -131,7 +135,7 @@ def expand_directly(P):
     """Reference for the specialized cubic and sharp map: the expansion at
     the cube itself, with the closed-form difference matrices."""
     ring = coord_ring(P is None)
-    p = (Hypermatrix.symbolic(ring) if P is None else P).in_ring(ring)
+    p = symbolic_cube(ring) if P is None else constants(P, ring)
     sigma = tuple(ring.var(n) for n in COORD_VARS)
     sharp = sharp_map(p, sigma)
     total = ring.zero()

@@ -1,6 +1,7 @@
 """Defining equations, group action, orbits, fibers, charts and sampling."""
 
 import hashlib
+import math
 import os
 import random
 import subprocess
@@ -13,7 +14,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from cubicjordan import hvariety, jordan, relatives
-from cubicjordan.coord8 import ALL_VARS, COORD_VARS, PARAM_VARS, Hypermatrix, coord_ring
+from cubicjordan.coord8 import (ALL_VARS, COORD_VARS, PARAM_VARS, Hypermatrix, coord_ring,
+                                symbolic_cube)
 from cubicjordan.errors import ShapeError, SingularGroupElement
 from cubicjordan.exactcore import PolyMatrix, evaluate_all, rank, span_compare
 from cubicjordan.hvariety import GroupElement, representative
@@ -200,8 +202,7 @@ def test_hyperdeterminant_values():
 @settings(max_examples=40, deadline=None)
 @given(entries=st.tuples(*[_small] * 8))
 def test_integer_hyperdeterminant_is_the_cayley_form_evaluated(entries):
-    ring = coord_ring(True)
-    form = hvariety.hyperdeterminant(Hypermatrix.symbolic(ring), ring)
+    form = hvariety._cayley(list(symbolic_cube(coord_ring(True)).values()))
     got = hvariety.hyperdeterminant(Hypermatrix.from_named(dict(zip(PARAM_VARS, entries))))
     assert type(got) is Fraction
     assert got == form.evaluate(dict(zip(PARAM_VARS, entries)))
@@ -255,6 +256,23 @@ def test_p3_diagnostics():
     assert label.flattening_ranks == (2, 2, 2)
 
 
+def test_a_cube_with_negative_hyperdeterminant_is_in_the_open_orbit():
+    # over the reals D_H < 0 is the orbit without a rank-two decomposition
+    # (de Silva and Lim 2008); over Q it is still the open orbit O4
+    P = Hypermatrix.parse("0 1 1 0 1 0 0 -1")
+    assert hvariety.classify_orbit(P) == hvariety.OrbitLabel("O4", Fraction(-4), (2, 2, 2))
+    assert hvariety.orbit_certificate(P).ok
+    with pytest.raises(TypeError, match="not an exact rational"):
+        Hypermatrix({(1, 1, 1): coord_ring(True).var("p111")})
+    # numerators over the lcm of the denominators share no factor with it
+    Q = Hypermatrix({(1, 1, 1): Fraction(1, 2), (2, 1, 1): Fraction(2, 3), (1, 2, 1): 6,
+                     (2, 2, 2): Fraction(-5, 4)})
+    nums, den = Q.point()
+    assert (nums, den) == ([6, 8, 72, 0, 0, 0, 0, -15], 12)
+    assert math.gcd(*nums, den) == 1
+    assert [Fraction(n, den) for n in nums] == list(Q.entries.values())
+
+
 def test_hyperdet_vanishing_is_invariant():
     rng = random.Random("hyperdet-invariance")
     ring = coord_ring(True)
@@ -282,8 +300,7 @@ def test_hyperdet_covariance_exponents_are_two():
 
 def test_permutation_preserves_hyperdeterminant():
     ring = coord_ring(True)
-    sym = Hypermatrix.symbolic(ring)
-    base = hvariety.hyperdeterminant(sym, ring)
+    base = hvariety._cayley(list(symbolic_cube(ring).values()))
     for perm in ((2, 3, 1), (2, 1, 3)):
         sub = hvariety.substitution_of(GroupElement(perm=perm), ring)
         assert base.substitute(sub, ring) == base
@@ -386,19 +403,19 @@ def test_open_orbit_radical_trivial():
 
 
 def test_nondegenerate_sweep_small():
-    out = hvariety.nondegenerate_sweep(seed=3, cubes=5, sigmas_per_cube=1)
+    out = hvariety.nondegenerate_sweep(seed=3)
     assert out.ok
 
 
 def test_rand_reads_the_fraction_of_its_two_draws():
-    # the two ``choice`` draws make the same ``_randbelow`` calls, in the
-    # same order, as the two ``randint`` draws of the fraction
+    # the two ``getrandbits`` loops of ``_draw`` make the same ``_randbelow``
+    # calls, in the same order, as the two ``randint`` draws of the fraction
     for seed in (0, 7, 11, "3:nondegenerate", "0:radicals"):
         rng, ref = random.Random(seed), random.Random(seed)
         for _ in range(500):
-            got = hvariety._rand(rng)
-            assert got == Fraction(ref.randint(-9, 9), ref.randint(1, 4))
-            assert type(got) is Fraction
+            a, b = hvariety._draw(rng)
+            assert Fraction(a, b) == Fraction(ref.randint(-9, 9), ref.randint(1, 4))
+            assert type(a) is int and type(b) is int
         assert rng.getstate() == ref.getstate()
 
 
@@ -514,12 +531,19 @@ def test_sampled_points_are_pinned(monkeypatch):
                   lambda rng: hvariety.off_radical_point(name, rng), _coords)
         # every cube the sweep draws, and every element it tests
         seen = []
-        hyperdet, member = hvariety.hyperdeterminant, jordan.radical_membership
+        point = hvariety._point
+
+        def cube_or_sigma(pairs):  # as ``Hypermatrix.to_text`` and ``_line`` show them
+            nums, den = drawn_point = point(pairs)
+            values = [Fraction(v, den) for v in nums]
+            if len(nums) == 8:
+                seen.append("cube " + " ".join(map(str, values)))
+            elif any(nums):
+                seen.append("sigma " + _line(values))
+            return drawn_point
+
         with monkeypatch.context() as m:
-            m.setattr(hvariety, "hyperdeterminant",
-                      lambda P: seen.append("cube " + P.to_text()) or hyperdet(P))
-            m.setattr(jordan, "radical_membership",
-                      lambda p, s: seen.append("sigma " + _line(s)) or member(p, s))
+            m.setattr(hvariety, "_point", cube_or_sigma)
             assert hvariety.nondegenerate_sweep(seed).data["sigmas"] == 100
         got[f"{seed}/sweep"] = digest(seen)
         seen = []

@@ -295,7 +295,7 @@ def test_compiled_tables_are_the_presentation_tables(cube, locus, values, seed):
     # the tables read off the compiled batch at a cube hold, entry by entry,
     # the rationals of the presentation's own tables, and give the radical
     # tests the answers of the symbolic route
-    p, tables = _presentation(cube), coord8.rational_tables(_hypermatrix(cube))
+    p, tables = _presentation(cube), coord8.rational_tables(_hypermatrix(cube).point())
     assert _table_entries(tables) == _table_entries(jordan.rational_tables(p))
     if locus and isinstance(cube, str) and cube != "p4":
         nums, den = hvariety.radical_point(cube, random.Random(seed))
