@@ -86,9 +86,6 @@ class Hypermatrix:
     def to_text(self) -> str:
         return " ".join(map(str, self.entries.values()))
 
-    def get(self, i: int, j: int, k: int) -> Fraction:
-        return self.entries[(i, j, k)]
-
     def point(self) -> Point:
         """The entries as integer numerators over their lcm, in ``INDEX_TRIPLES`` order."""
         return over_common_denominator(self.entries.values())

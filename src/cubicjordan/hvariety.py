@@ -339,7 +339,8 @@ def classify_orbit(P: Hypermatrix) -> OrbitLabel:
     cones (some rank one), and the generic degenerate orbit.
     """
     # the zero test and the ranks read numerators: scaling keeps both
-    return OrbitLabel(*_orbit_type(P.point()[0], hyperdeterminant(P)))
+    nums, _ = P.point()
+    return OrbitLabel(*_orbit_type(nums, hyperdeterminant(P)))
 
 
 def _orbit_type(nums: Sequence[int], det: Rational) -> tuple[str, Rational, tuple[int, int, int]]:
@@ -876,7 +877,8 @@ def nondegenerate_sweep(seed: int) -> Report:
     nonzero elements each never lie in the radical; cubes and elements are
     integer points from the draw to the check."""
     rng = random.Random(f"{seed}:nondegenerate")
-    tried = failures = 0
+    tried = 0
+    failures = 0
     while tried < 50:
         cube = _point([_draw(rng) for _ in INDEX_TRIPLES])
         if _cayley(cube[0]) == 0:

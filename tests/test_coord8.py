@@ -290,9 +290,9 @@ def test_hypermatrix_text_roundtrip():
 
 def test_hypermatrix_json_form():
     P = Hypermatrix.parse('{"p111": "1", "p221": "2/3"}')
-    assert P.get(1, 1, 1) == 1
-    assert P.get(2, 2, 1) == Fraction(2, 3)
-    assert P.get(2, 2, 2) == 0
+    assert P.entries[(1, 1, 1)] == 1
+    assert P.entries[(2, 2, 1)] == Fraction(2, 3)
+    assert P.entries[(2, 2, 2)] == 0
 
 
 def test_hypermatrix_bad_text():

@@ -529,21 +529,28 @@ def test_sampled_points_are_pinned(monkeypatch):
                   lambda rng: hvariety.radical_point(name, rng), _coords)
             drawn(seed, f"off-radical-{name}",
                   lambda rng: hvariety.off_radical_point(name, rng), _coords)
-        # every cube the sweep draws, and every element it tests
+        # every cube the sweep checks, and every element it tests, as
+        # ``Hypermatrix.to_text`` and ``_line`` show the drawn Fractions
         seen = []
-        point = hvariety._point
+        drawn_last = {}
+        point, cayley, member = hvariety._point, hvariety._cayley, jordan.radical_membership
 
-        def cube_or_sigma(pairs):  # as ``Hypermatrix.to_text`` and ``_line`` show them
+        def draw(pairs):
             nums, den = drawn_point = point(pairs)
-            values = [Fraction(v, den) for v in nums]
-            if len(nums) == 8:
-                seen.append("cube " + " ".join(map(str, values)))
-            elif any(nums):
-                seen.append("sigma " + _line(values))
+            drawn_last[len(nums)] = (list(nums), [Fraction(v, den) for v in nums])
             return drawn_point
 
+        def checked(kind, size, nums):
+            drawn_nums, values = drawn_last.pop(size)
+            assert list(nums) == drawn_nums
+            seen.append(kind + (" ".join(map(str, values)) if size == 8 else _line(values)))
+
         with monkeypatch.context() as m:
-            m.setattr(hvariety, "_point", cube_or_sigma)
+            m.setattr(hvariety, "_point", draw)
+            m.setattr(hvariety, "_cayley",
+                      lambda nums: checked("cube ", 8, nums) or cayley(nums))
+            m.setattr(jordan, "radical_membership",
+                      lambda p, s: checked("sigma ", 9, s) or member(p, s))
             assert hvariety.nondegenerate_sweep(seed).data["sigmas"] == 100
         got[f"{seed}/sweep"] = digest(seen)
         seen = []
