@@ -41,14 +41,13 @@ import argparse
 import dataclasses
 import json
 import sys
-from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
 from . import coord8, grading, hvariety, jordan, relatives
 from .coord8 import Hypermatrix
 from .errors import InputError
-from .exactcore import Poly, Report
+from .exactcore import Report
 
 SCHEMA_VERSION = 1
 
@@ -85,20 +84,6 @@ class Options:
     cube: Hypermatrix | None = None
     weights: grading.WeightSystem | tuple[grading.WeightSystem, ...] | None = None
     sections: int = 9
-
-
-def _jsonable(value):
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, Poly):
-        return value.to_str()
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +351,11 @@ def run(argv: list[str] | None = None) -> int:
             "command": args.command,
             "seed": args.seed,
             "samples": args.samples,
-            "claims": [{**vars(c), "data": _jsonable(c.data)} for c in claims],
+            "claims": [vars(c) for c in claims],
             "summary": summary,
         }
         try:
-            args.json.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+            args.json.write_text(json.dumps(report, indent=2, sort_keys=True, default=str) + "\n")
         except OSError as exc:
             print(f"input error: cannot write the report: {exc}", file=sys.stderr)
             return 2

@@ -31,9 +31,9 @@ as FLINT's ``fmpq_poly`` keeps an integer polynomial with one denominator
 order over one positive denominator, as ``over_common_denominator`` gives.
 ``compile_batch`` turns a fixed batch of polynomials into one generated
 straight-line function with integer coefficients from a point to the
-point of their values, which callers build once and call at every point.
-``evaluate_all`` and ``Poly.evaluate`` compile for one use; they are where
-a mapping of rationals becomes a point and values become ``Fraction``s.
+point of their values: the route for a batch evaluated at many points,
+built once and called at each.  ``evaluate_all`` and ``Poly.evaluate``
+substitute their one point instead and give the values as ``Fraction``s.
 ``rref`` eliminates fraction-free
 in integer rows, as in Bareiss's method (Math. Comp. 22, 1968), but keeps
 each row small by dividing out its content instead of the previous pivot;
@@ -264,20 +264,14 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Poly:
-        """Binary powering from the base itself, with no squaring after the
-        last bit (Knuth, TAOCP vol. 2, 4.6.3)."""
+        """Repeated multiplication from the base: every power taken in the
+        package is a square, which this makes with one product."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        if not n:
-            return self.ring.one()
-        base, result = self, None
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        result = self if n else self.ring.one()
+        for _ in range(n - 1):
+            result = result * self
+        return result
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
@@ -416,19 +410,10 @@ def compile_batch(polys: Sequence[Poly]) -> Batch:
 
 
 def evaluate_all(polys: Sequence[Poly], values: Mapping[str, Rational]) -> list[Fraction]:
-    """Exact values of polynomials over one ring at one rational point, by
-    the function ``compile_batch`` generates for them.  The point must
-    cover every used variable.  A caller that evaluates one batch at many
-    points compiles it once and passes it points."""
-    batch = compile_batch(polys)
-    ring = polys[0].ring if polys else Ring(())
-    used = ring.unpack(reduce(or_, (m for p in polys for m in p.terms), 0))
-    try:
-        vals = [_frac(values[n]) if e else 0 for n, e in zip(ring.names, used)]
-    except KeyError as missing:
-        raise ContextError(f"no value supplied for {missing.args[0]!r}") from None
-    out, den = batch(*over_common_denominator(vals))
-    return [Fraction(v, den) for v in out]
+    """Exact values of polynomials over one ring at one rational point that
+    covers every used variable, by ``substitute_all`` into the ring of no
+    variables; ``compile_batch`` is the route for many points."""
+    return [p.constant_value() for p in substitute_all(polys, values, Ring(()))]
 
 
 def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, "Poly | Rational"],
@@ -592,19 +577,10 @@ class PolyMatrix:
                           [self.get(i, j) for j in range(self.cols)
                            for i in range(self.rows)])
 
-    def __add__(self, other: PolyMatrix) -> PolyMatrix:
-        self._same_shape(other)
-        return PolyMatrix(self.ring, self.rows, self.cols,
-                          [a + b for a, b in zip(self.entries, other.entries)])
-
     def __sub__(self, other: PolyMatrix) -> PolyMatrix:
         self._same_shape(other)
         return PolyMatrix(self.ring, self.rows, self.cols,
                           [a - b for a, b in zip(self.entries, other.entries)])
-
-    def __neg__(self) -> PolyMatrix:
-        return PolyMatrix(self.ring, self.rows, self.cols,
-                          [-a for a in self.entries])
 
     def _same_shape(self, other: PolyMatrix) -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -615,8 +591,6 @@ class PolyMatrix:
                           [e * c for e in self.entries])
 
     def __mul__(self, other: PolyMatrix) -> PolyMatrix:
-        if not isinstance(other, PolyMatrix):
-            return self.scale(other)
         if self.cols != other.rows:
             raise ShapeError("inner dimensions differ")
         columns = [[other.get(k, j) for k in range(other.rows)] for j in range(other.cols)]
@@ -726,12 +700,6 @@ class PolyMatrix:
             pf = self._pf(tuple(k for k in full if k != i))
             out.append(pf if i % 2 == 0 else -pf)
         return out
-
-    def substitute(self, mapping: Mapping[str, "Poly | Rational"],
-                   ring: Ring | None = None) -> PolyMatrix:
-        entries = substitute_all(self.entries, mapping, ring)
-        return PolyMatrix(entries[0].ring if entries else self.ring,
-                          self.rows, self.cols, entries)
 
     def __repr__(self) -> str:
         rows = ["[" + ", ".join(str(self.get(i, j)) for j in range(self.cols)) + "]"

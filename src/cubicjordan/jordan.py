@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .exactcore import (Batch, Point, Poly, Rational, Report, Ring, add_product, compile_batch,
                         directional_derivative, over_common_denominator, substitute_all)
@@ -84,16 +84,11 @@ class JordanPresentation:
         r = ring if ring is not None else self.ring
         return tuple(r.var(n) for n in self.coords)
 
-    def element(self, values: Sequence[Rational] | Mapping[str, Rational],
-                ring: Ring | None = None) -> Element:
+    def element(self, values: Sequence[Rational], ring: Ring | None = None) -> Element:
         r = ring if ring is not None else self.ring
-        if isinstance(values, Mapping):
-            vals = [values.get(n, 0) for n in self.coords]
-        else:
-            vals = list(values)
-        if len(vals) != self.dim():
+        if len(values) != self.dim():
             raise ValueError("wrong number of coordinates")
-        return tuple(r.const(v) for v in vals)
+        return tuple(r.const(v) for v in values)
 
     def unit_element(self, ring: Ring | None = None) -> Element:
         return self.element(self.unit, ring)
@@ -114,43 +109,18 @@ class JordanPresentation:
     @cached_property
     def _trace_form(self) -> tuple[list[Poly], dict[tuple[int, int], Poly]]:
         """The trace T(e_i) of each basis vector, and the nonzero T(e_i, e_j)
-        keyed by (i, j) in row-major order.
-
-        At the unit u, T(x) = dN(u)[x] and T(x, y) = T(x) T(y) - d2N(u)[x, y]
-        (McCrimmon, A Taste of Jordan Algebras, 2004).  Entries are
-        polynomials in the parameter variables (constants when the
-        presentation carries none).  Both partials are read off the terms:
-        write a term as c x_k1 x_k2 x_k3 (rest); each cyclic ordering
-        (a, b, r) of its three factors adds c u_kb u_kr to the first partial
-        at k_a, and c u_kr to the second partials at (k_a, k_b) and
-        (k_b, k_a); one with u_kr = 0 adds nothing.  ``trace_bilinear``,
-        ``trace_linear`` and ``_table_batch`` all read this table.
+        keyed by (i, j) in row-major order, by their definition at the unit
+        u: T(x) = dN(u)[x] and T(x, y) = T(x) T(y) - d2N(u)[x, y] (McCrimmon,
+        A Taste of Jordan Algebras, 2004), polynomials in the parameters.
+        ``trace_bilinear``, ``trace_linear`` and ``_table_batch`` read it.
         """
         n = self.dim()
-        pos = [self.ring.index(name) for name in self.coords]
-        keep = self.ring.mask(set(self.ring.names) - set(self.coords))
-        # integral unit coordinates as ints, so that integer terms stay ints
-        unit = [int(u) if u.denominator == 1 else u for u in self.unit]
-        grad: list[dict] = [{} for _ in range(n)]
-        form: dict[tuple[int, int], dict] = {}  # minus the second partials, then T
-        for m, c in self.cubic.terms.items():
-            rest, e = m & keep, self.ring.unpack(m)
-            k1, k2, k3 = [k for k, v in enumerate(pos) if e[v] for _ in range(e[v])]
-            for a, b, r in ((k1, k2, k3), (k2, k3, k1), (k3, k1, k2)):
-                if unit[r]:
-                    cr = c * unit[r]
-                    if unit[b]:
-                        grad[a][rest] = grad[a].get(rest, 0) + cr * unit[b]
-                    for key in ((a, b), (b, a)):
-                        acc = form.setdefault(key, {})
-                        acc[rest] = acc.get(rest, 0) - cr
-        trace = [Poly.collect(self.ring, g) for g in grad]
-        live = [i for i in range(n) if trace[i].terms]
-        for i in live:
-            for j in live:
-                add_product(form.setdefault((i, j), {}), trace[i], trace[j], self.ring.one())
-        table = {key: t for key in sorted(form)
-                 if (t := Poly.collect(self.ring, form[key])).terms}
+        unit = self.unit_values()
+        firsts = [self.cubic.derivative(name) for name in self.coords]
+        trace = substitute_all(firsts, unit)
+        hess = substitute_all([d.derivative(name) for d in firsts for name in self.coords], unit)
+        table = {(i, j): t for i in range(n) for j in range(n)
+                 if (t := trace[i] * trace[j] - hess[n * i + j]).terms}
         return trace, table
 
     @cached_property

@@ -651,6 +651,38 @@ def test_a_tampered_compiled_trace_entry_fails_the_radical_claims(tmp_path, monk
     assert "first failing claim: radicals/origin" in err and "Traceback" not in err
 
 
+def test_a_tampered_trace_table_fails_the_axioms(tmp_path, monkeypatch):
+    # add one to T(e_x11, e_x11) in the trace table that the symbolic route
+    # reads: the sharp conditions and the unit checks, expanded from the
+    # cubic and the sharp map, certify the table whatever route builds it
+    pres = coord8.presentation(None)
+    trace, table = pres._trace_form
+    monkeypatch.setitem(pres.__dict__, "_trace_form",
+                        (trace, {**table, (0, 0): table[(0, 0)] + 1}))
+    out = tmp_path / "report.json"
+    assert run(["verify-axioms", "--json", str(out)]) == 1
+    failed = {c["claim_id"] for c in json.loads(out.read_text())["claims"]
+              if c["status"] == "fail"}
+    assert failed == {"axioms/sharp1", "axioms/unit-and-idempotents"}
+
+
+def test_the_trace_form_is_built_once_per_process(monkeypatch):
+    # every run reads the table of the one symbolic presentation, so it is
+    # built at most once, by whichever run of this process comes first
+    form = JordanPresentation.__dict__["_trace_form"]
+    build = form.func
+    builds = []
+
+    def counted(pres):
+        builds.append(pres)
+        return build(pres)
+
+    monkeypatch.setattr(form, "func", counted)
+    for command in ("verify-axioms", "radicals", "verify-axioms"):
+        assert run([command]) == 0
+    assert len(builds) <= 1
+
+
 def test_the_polynomial_route_never_reads_the_compiled_tables(monkeypatch, capsys):
     # the specialized cubic and presentations substitute into the symbolic
     # forms; only the radical tests read the compiled batch

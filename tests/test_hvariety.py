@@ -1,5 +1,6 @@
 """Defining equations, group action, orbits, fibers, charts and sampling."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -62,6 +63,34 @@ def test_permutation_certificates():
 
 def test_swap_certificate():
     assert hvariety.swap_all_factors_certificate().ok
+
+
+def test_equivariance_certificates_fail_on_a_perturbed_generator(monkeypatch):
+    # g4 + x11 x12 transforms by no rule of the action, and each certificate
+    # says where it breaks
+    real = hvariety.equations
+    g4 = hvariety.GEN_LABELS.index("g4")
+
+    def perturbed(ring=None):
+        eqs = real(ring)
+        gens = list(eqs.gens)
+        gens[g4] += eqs.ring.var("x11") * eqs.ring.var("x12")
+        return dataclasses.replace(eqs, gens=tuple(gens))
+
+    monkeypatch.setattr(hvariety, "equations", perturbed)
+    for r in (1, 2, 3):
+        rep = hvariety.factor_equivariance_certificate(r)
+        assert not rep.ok
+        assert rep.data["failures"] == [f"factor {r}: generator g4 transforms incorrectly"]
+    for perm, moved in (((2, 3, 1), "g6"), ((2, 1, 3), "g5")):
+        rep = hvariety.permutation_certificate(perm)
+        assert not rep.ok
+        assert rep.data["failures"] == [f"perm {perm}: image of {lbl} is not a signed generator"
+                                        for lbl in ("g4", moved)] + \
+            [f"perm {perm}: span changed (incomparable)"]
+    rep = hvariety.swap_all_factors_certificate()
+    assert not rep.ok
+    assert rep.data["failures"] == ["triple swap: span changed (incomparable)"]
 
 
 def test_singular_factor_rejected():
