@@ -8,8 +8,8 @@ returns an ``exactcore.Report``, whose ``ok`` and ``data`` become the
 claim's status and data unchanged, or a dict of them, in claim order: then
 ``{}`` in the claim id takes each key in turn, and a description may be a
 dict by the same keys.  Guards select the ``--hypermatrix`` and
-``--weights`` variants; ``all`` passes only ``--seed`` and ``--samples``,
-so it ignores ``--hypermatrix``, ``--weights`` and ``--sections``.
+``--weights`` variants.  ``READERS`` names the commands that read each
+input option; any other command, ``all`` included, refuses the option.
 
 A call reaches its certificate as ``module.attr`` in its body, read when
 the row runs, never as a function object stored in the table: so a
@@ -22,10 +22,10 @@ it runs.  ``run`` prints a pass/fail line per claim, sorted by id.
 Reports are deterministic: identical inputs and seed produce
 byte-identical JSON.  Exit status is 0 when every claim passes, 1 when
 any claim fails, 2 on malformed input (a file that does not parse, a
-``--samples`` count below one, or an ``InputError`` a certificate raises
-on its inputs), and 3 on any other error inside a suite, which is a fault
-of the program: it prints one ``internal error:`` line instead of a
-traceback.
+``--samples`` count below one, an input option the command does not read,
+or an ``InputError`` a certificate raises on its inputs), and 3 on any
+other error inside a suite, which is a fault of the program: it prints
+one ``internal error:`` line instead of a traceback.
 
 The ``--defect`` flag exercises the detection machinery end to end.
 A row of ``DEFECTS`` names a command, a library certificate by module and
@@ -271,6 +271,10 @@ COMMANDS = {
     "hilbert": ("hilbert",),
 }
 
+# input option: the commands that read it; every other command refuses it
+READERS = {"hypermatrix": ("classify",), "weights": ("weights", "hilbert"),
+           "sections": ("hilbert",)}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -284,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON weight file, scalar or two-element entries")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--samples", type=int, default=30)
-    parser.add_argument("--sections", type=int, default=Options.sections)
+    parser.add_argument("--sections", type=int, default=None)
     parser.add_argument("--json", type=Path, default=None,
                         help="write the machine-readable report here")
     parser.add_argument("--defect", choices=DEFECTS, default=None,
@@ -301,6 +305,9 @@ def run(argv: list[str] | None = None) -> int:
     try:
         if args.samples < 1:
             raise ValueError("--samples must be at least 1")
+        for option, readers in READERS.items():
+            if getattr(args, option) is not None and args.command not in readers:
+                raise ValueError(f"--{option} is not read by {args.command}")
         if args.hypermatrix is not None:
             cube = Hypermatrix.parse(args.hypermatrix.read_text())
         if args.weights is not None:
@@ -311,12 +318,10 @@ def run(argv: list[str] | None = None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "all":
-        suites = [name for row in COMMANDS.values() for name in row]
-        opts = Options(args.seed, args.samples)
-    else:
-        suites = COMMANDS[args.command]
-        opts = Options(args.seed, args.samples, cube, weights, args.sections)
+    suites = ([name for row in COMMANDS.values() for name in row] if args.command == "all"
+              else COMMANDS[args.command])
+    opts = Options(args.seed, args.samples, cube, weights,
+                   Options.sections if args.sections is None else args.sections)
     if args.defect:
         _, module, attr, tamper = DEFECTS[args.defect]
         owner = globals()[module]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import combinations, permutations, product
 from typing import Mapping, Sequence
 
 from . import jordan
@@ -232,118 +232,78 @@ def _symbolic_presentation() -> JordanPresentation:
 # corresponds to the a-th basis vector of the off-diagonal space
 # complementary to index i, and u_i to the i-th idempotent.
 
-_COMPLEMENT = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
-
 
 def _pair_index(i: int, j: int) -> int:
     """Complementary index of an unordered distinct pair."""
     return ({1, 2, 3} - {i, j}).pop()
 
 
-def _slot_fill(positions: dict[int, int]) -> tuple[int, int, int]:
-    return (positions[1], positions[2], positions[3])
+def build_peirce_table() -> dict[tuple[str, str], dict[str, Poly]]:
+    """Symmetric table of the nonzero pairwise sharp products of the nine
+    basis vectors.
 
-
-def build_peirce_table() -> dict[tuple[str, str], Element]:
-    """Symmetric table of pairwise sharp products of the nine basis vectors.
-
-    Keys are ordered pairs of coordinate names; values are coordinate
-    vectors with entries polynomial in the symbolic cube parameters.
+    Keys are ordered pairs of coordinate names, each product stored under
+    both orders of its pair; a value maps the name of each nonzero
+    coordinate of the product to its entry, a polynomial in the symbolic
+    cube parameters.  A pair that is not a key multiplies to zero.
     """
     ring = coord_ring(True)
     p = symbolic_cube(ring)
+    table: dict[tuple[str, str], dict[str, Poly]] = {}
 
-    zero = tuple(ring.zero() for _ in COORD_VARS)
-    pos = {n: i for i, n in enumerate(COORD_VARS)}
+    def put(a: str, b: str, cell: dict[str, Poly]) -> None:
+        table[(a, b)] = table[(b, a)] = cell
 
-    def vec(**coeffs) -> Element:
-        out = list(zero)
-        for name, c in coeffs.items():
-            out[pos[name]] = c if isinstance(c, Poly) else ring.const(c)
-        return tuple(out)
+    def entry(slots: Mapping[int, int]) -> Poly:
+        """The cube entry with slot n at ``slots[n]``."""
+        return p[(slots[1], slots[2], slots[3])]
 
-    def m_slab(i: int, m: int) -> PolyMatrix:
+    def slab(i: int, m: int) -> list[list[Poly]]:
         """2x2 slab of the cube with slot i frozen at m."""
-        def entry(a: int, b: int) -> Poly:
-            positions = {i: m}
-            j, k = _COMPLEMENT[i]
-            positions[j], positions[k] = a, b
-            return p[_slot_fill(positions)]
-        return PolyMatrix.from_rows(ring, [[entry(1, 1), entry(1, 2)],
-                                           [entry(2, 1), entry(2, 2)]])
-
-    def mixed_det(m: PolyMatrix, n: PolyMatrix) -> Poly:
-        """Bilinear polarization of det on 2x2 matrices."""
-        return (m.get(0, 0) * n.get(1, 1) + n.get(0, 0) * m.get(1, 1)
-                - m.get(0, 1) * n.get(1, 0) - n.get(0, 1) * m.get(1, 0))
-
-    table: dict[tuple[str, str], Element] = {}
-
-    def put(a: str, b: str, value: Element) -> None:
-        table[(a, b)] = value
-        table[(b, a)] = value
+        j, k = (n for n in (1, 2, 3) if n != i)
+        return [[entry({i: m, j: r, k: s}) for s in (1, 2)] for r in (1, 2)]
 
     # idempotent against idempotent
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            if i == j:
-                put(f"u{i}", f"u{j}", zero)
-            else:
-                put(f"u{i}", f"u{j}", vec(**{f"u{_pair_index(i, j)}": 1}))
+    for i, j in combinations((1, 2, 3), 2):
+        put(f"u{i}", f"u{j}", {f"u{_pair_index(i, j)}": ring.one()})
 
-    # idempotent against off-diagonal basis vector
-    for n in (1, 2, 3):
-        for m in (1, 2, 3):
-            for a in (1, 2):
-                if n == m:
-                    put(f"u{n}", x_name(a, m), vec(**{x_name(a, m): -1}))
-                else:
-                    put(f"u{n}", x_name(a, m), zero)
+    # u_i against the off-diagonal space complementary to i
+    for i, a in product((1, 2, 3), (1, 2)):
+        put(f"u{i}", x_name(a, i), {x_name(a, i): ring.const(-1)})
 
     # off-diagonal pairs from distinct spaces
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            if i == j:
-                continue
-            k = _pair_index(i, j)
-            for a in (1, 2):
-                for b in (1, 2):
-                    sign = 1 if (a + b) % 2 == 0 else -1
-                    comps = {}
-                    for c in (1, 2):
-                        positions = {i: 3 - a, j: 3 - b, k: c}
-                        comps[x_name(c, k)] = sign * p[_slot_fill(positions)]
-                    put(x_name(a, i), x_name(b, j), vec(**comps))
+    for (i, j), a, b in product(permutations((1, 2, 3), 2), (1, 2), (1, 2)):
+        k = _pair_index(i, j)
+        put(x_name(a, i), x_name(b, j),
+            {x_name(c, k): (-1) ** (a + b) * entry({i: 3 - a, j: 3 - b, k: c}) for c in (1, 2)})
 
-    # off-diagonal pairs within one space
-    for i in (1, 2, 3):
-        slabs = {m: m_slab(i, m) for m in (1, 2)}
-        for a in (1, 2):
-            for b in (1, 2):
-                sign = 1 if (a + b) % 2 == 0 else -1
-                coeff = sign * mixed_det(slabs[3 - a], slabs[3 - b])
-                put(x_name(a, i), x_name(b, i), vec(**{f"u{i}": coeff}))
+    # off-diagonal pairs within one space: the polarized determinant of two slabs
+    for i, a, b in product((1, 2, 3), (1, 2), (1, 2)):
+        (m11, m12), (m21, m22) = slab(i, 3 - a)
+        (n11, n12), (n21, n22) = slab(i, 3 - b)
+        put(x_name(a, i), x_name(b, i),
+            {f"u{i}": (-1) ** (a + b) * (m11 * n22 + n11 * m22 - m12 * n21 - n12 * m21)})
 
     return table
 
 
-def sharp_from_table(table: Mapping[tuple[str, str], Element],
+def sharp_from_table(table: Mapping[tuple[str, str], Mapping[str, Poly]],
                      sigma: Element) -> Element:
     """Quadratic map induced by the symmetric table: half of sigma # sigma,
-    the sum over ordered pairs (a, b) of sigma_a sigma_b times the cell
+    the sum over the table's pairs (a, b) of sigma_a sigma_b times the cell
     (a, b), accumulated into one term dict per component."""
     ring = sigma[0].ring
-    acc: list[dict] = [{} for _ in COORD_VARS]
-    for (a, sa), (b, sb) in product(zip(COORD_VARS, sigma), repeat=2):
-        if sa.terms and sb.terms:
-            for t, comp in enumerate(table[(a, b)]):
-                if comp.terms:
-                    add_product(acc[t], comp.convert(ring), sa, sb)
+    values = dict(zip(COORD_VARS, sigma))
+    acc: dict[str, dict] = {n: {} for n in COORD_VARS}
+    for (a, b), cell in table.items():
+        if values[a].terms and values[b].terms:
+            for name, comp in cell.items():
+                add_product(acc[name], comp.convert(ring), values[a], values[b])
     return tuple(Poly.collect(ring, {m: Fraction(c, 2) for m, c in terms.items()})
-                 for terms in acc)
+                 for terms in acc.values())
 
 
-def representation_matrix(table: Mapping[tuple[str, str], Element],
+def representation_matrix(table: Mapping[tuple[str, str], Mapping[str, Poly]],
                           i: int, j: int, sigma_pair: tuple[Poly, Poly],
                           ring: Ring) -> PolyMatrix:
     """Matrix of multiplication by an element of the (i, j) off-diagonal
@@ -353,7 +313,7 @@ def representation_matrix(table: Mapping[tuple[str, str], Element],
     dst = _pair_index(j, k)
     acc: list[dict] = [{} for _ in range(4)]  # row c, column b
     for (a, coeff), b, c in product(zip((1, 2), sigma_pair), (1, 2), (1, 2)):
-        comp = table[(x_name(a, k), x_name(b, src))][COORD_VARS.index(x_name(c, dst))]
+        comp = table.get((x_name(a, k), x_name(b, src)), {}).get(x_name(c, dst), ring.zero())
         add_product(acc[2 * c + b - 3], ring.one(), coeff, comp.convert(ring))
     return PolyMatrix(ring, 2, 2, [Poly.collect(ring, t) for t in acc])
 
@@ -378,11 +338,9 @@ def verify_peirce_identities(pres: JordanPresentation) -> dict[str, Report]:
     # x # (x # y) = -S(x) y for x, y in adjacent off-diagonal spaces
     ext = ring.extend(("sa1", "sa2", "sb1", "sb2"))
     triple_ok = True
-    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2), (2, 1, 3), (3, 2, 1), (1, 3, 2)):
-        a_pair = _pair_index(i, j)
-        b_pair = _pair_index(j, k)
-        sa = _basis_combination(pres, ext, a_pair, ("sa1", "sa2"))
-        sb = _basis_combination(pres, ext, b_pair, ("sb1", "sb2"))
+    for m, n in permutations((1, 2, 3), 2):
+        sa = _basis_combination(ext, m, ("sa1", "sa2"))
+        sb = _basis_combination(ext, n, ("sb1", "sb2"))
         inner = jordan.sharp_product(pres, sa, sb)
         lhs = jordan.sharp_product(pres, sa, inner)
         s = jordan.spur_quadratic(pres, sa)
@@ -402,11 +360,11 @@ def verify_peirce_identities(pres: JordanPresentation) -> dict[str, Report]:
     # P_ij P_ji = -S E and det normalizations, symbolically in each space
     # each matrix once, so that each table cell it reads is converted into ext once
     prod_ok = det_ok = True
-    pairs = ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
     coeffs = (ext.var("sa1"), ext.var("sa2"))
-    reps = {(i, j): representation_matrix(table, i, j, coeffs, ext) for i, j in pairs}
-    for i, j in pairs:
-        sigma_el = _basis_combination(pres, ext, _pair_index(i, j), ("sa1", "sa2"))
+    reps = {(i, j): representation_matrix(table, i, j, coeffs, ext)
+            for i, j in permutations((1, 2, 3), 2)}
+    for i, j in reps:
+        sigma_el = _basis_combination(ext, _pair_index(i, j), ("sa1", "sa2"))
         s = jordan.spur_quadratic(pres, sigma_el)
         prod = reps[(i, j)] * reps[(j, i)]
         expected = PolyMatrix.identity(ext, 2).scale(-s)
@@ -458,11 +416,8 @@ def integer_cubic_certificate(pres: JordanPresentation) -> Report:
                   {"terms": len(cubic.terms)})
 
 
-def _basis_combination(pres: JordanPresentation, ring: Ring, pair_complement: int,
+def _basis_combination(ring: Ring, pair_complement: int,
                        coeff_names: tuple[str, str]) -> Element:
     """c1 * x_{1,m} + c2 * x_{2,m} as an element over ``ring``."""
-    out = [ring.zero() for _ in COORD_VARS]
-    pos = {n: i for i, n in enumerate(COORD_VARS)}
-    out[pos[x_name(1, pair_complement)]] = ring.var(coeff_names[0])
-    out[pos[x_name(2, pair_complement)]] = ring.var(coeff_names[1])
-    return tuple(out)
+    coeffs = {x_name(a, pair_complement): c for a, c in zip((1, 2), coeff_names)}
+    return tuple(ring.var(coeffs[n]) if n in coeffs else ring.zero() for n in COORD_VARS)

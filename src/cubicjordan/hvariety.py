@@ -582,7 +582,7 @@ def _fiber_system(name: str) -> tuple[EquationSet, Batch]:
     return eqs, compile_batch(eqs.gens)
 
 
-def fiber_component_sampling(name: str, seed: int, samples: int = 20) -> Report:
+def fiber_component_sampling(name: str, seed: int, samples: int) -> Report:
     """Every generator of the fiber system vanishes on sampled points of
     each listed component of a reducible fiber."""
     eqs, evaluate = _fiber_system(name)
@@ -687,7 +687,7 @@ def _chart_pfaffians() -> Batch:
     return compile_batch(skew_chart_matrix(coord_ring(True)).sub_pfaffians())
 
 
-def pfaffian_vanishing_on_samples(seed: int, samples: int = 30) -> Report:
+def pfaffian_vanishing_on_samples(seed: int, samples: int) -> Report:
     """All five signed Pfaffians of the skew chart matrix vanish on sampled
     variety points rescaled so the leading pair coordinate is one."""
     pfaffians = _chart_pfaffians()
@@ -831,7 +831,7 @@ def _on_radical_locus(name: str, nums: Sequence[int]) -> bool:
     raise KeyError(name)
 
 
-def radical_locus_check(name: str, seed: int, samples: int = 20) -> Report:
+def radical_locus_check(name: str, seed: int, samples: int) -> Report:
     """Sampled membership on the stated radical locus, sampled failure off
     it, agreement of the two nondegeneracy tests, and exact match of the
     specialized cubic form with its stated display."""

@@ -108,31 +108,21 @@ def c2_equations() -> EquationSet:
     """The nine exchange relations over the three cyclic index triples."""
     ring = c2_ring()
     v = ring.var
-
-    def th(i: int, j: int) -> Poly:
-        pair = {frozenset((1, 2)): "th12", frozenset((2, 3)): "th23",
-                frozenset((3, 1)): "th31"}[frozenset((i, j))]
-        return v(pair)
-
-    def A(i: int, j: int | None = None) -> Poly:
-        if j is None:
-            return v(f"A{i}")
-        pair = {frozenset((1, 2)): "A12", frozenset((2, 3)): "A23",
-                frozenset((3, 1)): "A31"}[frozenset((i, j))]
-        return v(pair)
-
     lam = v("lam")
     gens: list[Poly] = []
     labels: list[str] = []
+    # in a cyclic triple the pairs (i, j), (j, k), (k, i) are 12, 23, 31 in some order
     for (i, j, k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        gens.append(v(f"th{i}") * v(f"th{j}") - A(i, j) * th(i, j)
-                    - A(j, k) * A(k) * A(k, i))
+        gens.append(v(f"th{i}") * v(f"th{j}") - v(f"A{i}{j}") * v(f"th{i}{j}")
+                    - v(f"A{j}{k}") * v(f"A{k}") * v(f"A{k}{i}"))
         labels.append(f"ex1-{i}{j}{k}")
-        gens.append(th(k, i) * th(i, j) - A(i) * v(f"th{i}") ** 2
-                    - lam * A(j, k) * v(f"th{i}") - A(j) * A(j, k) ** 2 * A(k))
+        gens.append(v(f"th{k}{i}") * v(f"th{i}{j}") - v(f"A{i}") * v(f"th{i}") ** 2
+                    - lam * v(f"A{j}{k}") * v(f"th{i}")
+                    - v(f"A{j}") * v(f"A{j}{k}") ** 2 * v(f"A{k}"))
         labels.append(f"ex2-{i}{j}{k}")
-        gens.append(v(f"th{i}") * th(j, k) - A(i, j) * A(j) * v(f"th{j}")
-                    - lam * A(k, i) * A(i, j) - A(k) * A(k, i) * v(f"th{k}"))
+        gens.append(v(f"th{i}") * v(f"th{j}{k}") - v(f"A{i}{j}") * v(f"A{j}") * v(f"th{j}")
+                    - lam * v(f"A{k}{i}") * v(f"A{i}{j}")
+                    - v(f"A{k}") * v(f"A{k}{i}") * v(f"th{k}"))
         labels.append(f"ex3-{i}{j}{k}")
     return EquationSet(ring, tuple(gens), tuple(labels))
 
@@ -363,7 +353,7 @@ def _embedding_batches(part: str) -> tuple[Batch, tuple[str, ...], Batch]:
             compile_batch(target.gens))
 
 
-def verify_cluster_embedding(part: str, seed: int, samples: int = 30) -> Report:
+def verify_cluster_embedding(part: str, seed: int, samples: int) -> Report:
     """Certify one of the two cluster-slice embeddings.
 
     Sampled cluster points pushed through the embedding dictionary must

@@ -111,6 +111,26 @@ def test_out_of_range_count_is_input_error(capsys, args):
     assert captured.err.count("\n") == 1
 
 
+# the (command, input option) pairs whose claims read the option
+_READ = {("classify", "--hypermatrix"), ("weights", "--weights"), ("hilbert", "--weights"),
+         ("hilbert", "--sections")}
+_REFUSED = [(command, option) for command in [*cli.COMMANDS, "all"]
+            for option in ("--hypermatrix", "--weights", "--sections")
+            if (command, option) not in _READ]
+
+
+@pytest.mark.parametrize("command,option", _REFUSED)
+def test_an_option_the_command_does_not_read_is_refused(tmp_path, capsys, command, option):
+    # the file does not exist, so the refusal comes before any file is read
+    value = "8" if option == "--sections" else str(tmp_path / "absent.txt")
+    report = tmp_path / "report.json"
+    assert run([command, option, value, "--json", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {option} is not read by {command}\n"
+    assert not report.exists()
+
+
 def test_sampled_claims_draw_exactly_samples(tmp_path):
     out = tmp_path / "report.json"
     assert run(["chart", "--samples", "3", "--json", str(out)]) == 0
@@ -345,7 +365,7 @@ def test_failing_claim_without_a_witness_is_named_alone(tmp_path, capsys):
 
 
 # (argv, sha256 of the --json report, first line of stdout) of runs whose
-# claims depend on --sections or --hypermatrix, which ``all`` ignores
+# claims depend on --sections or --hypermatrix, which ``all`` refuses
 OPTION_REPORT_SHA256 = [
     (["hilbert", "--sections", "8"],
      "d32f3803a93ac64ff07bd4b1a646e8b122a06a102e7012613053bcc756aac023",

@@ -31,28 +31,31 @@ def constants(P, ring):
 def test_table_cross_cell():
     ring, p = symbolic_setup()
     table = build_peirce_table()
-    cell = dict(zip(COORD_VARS, table[("x21", "x22")]))
-    assert cell["x13"] == p[(1, 1, 1)]
-    assert cell["x23"] == p[(1, 1, 2)]
-    assert all(cell[n].is_zero() for n in COORD_VARS if n not in ("x13", "x23"))
+    assert table[("x21", "x22")] == {"x13": p[(1, 1, 1)], "x23": p[(1, 1, 2)]}
 
 
 def test_table_square_cell():
     ring, p = symbolic_setup()
     table = build_peirce_table()
-    cell = dict(zip(COORD_VARS, table[("x13", "x13")]))
     expected = 2 * (-p[(1, 2, 2)] * p[(2, 1, 2)] + p[(1, 1, 2)] * p[(2, 2, 2)])
-    assert cell["u3"] == expected
+    assert table[("x13", "x13")] == {"u3": expected}
 
 
 def test_table_idempotent_action():
+    ring = coord_ring(True)
     table = build_peirce_table()
-    cell = dict(zip(COORD_VARS, table[("u1", "x11")]))
-    assert cell["x11"] == -1
-    cell = dict(zip(COORD_VARS, table[("u2", "x11")]))
-    assert all(c.is_zero() for c in cell.values())
-    cell = dict(zip(COORD_VARS, table[("u1", "u2")]))
-    assert cell["u3"] == 1
+    assert table[("u1", "x11")] == {"x11": ring.const(-1)}
+    assert ("u2", "x11") not in table and ("u1", "u1") not in table
+    assert table[("u1", "u2")] == {"u3": ring.one()}
+
+
+def test_table_holds_each_nonzero_product_under_both_orders():
+    table = build_peirce_table()
+    assert len(table) == 54
+    assert sum(len(cell) for cell in table.values()) == 78
+    assert all(table[(b, a)] == cell for (a, b), cell in table.items())
+    assert all(cell and all(not c.is_zero() for c in cell.values())
+               for cell in table.values())
 
 
 def test_table_agrees_with_sharp_map_symbolically(symbolic_presentation):
@@ -231,7 +234,8 @@ def _add_to_sharp(index, a, b):
     return tamper
 
 
-# (tamper of presentation(None), (table cell, factor) or None, failing claims)
+# (tamper of presentation(None), (table cell, factor) or None, failing claims);
+# a factor of 0 deletes the product, under both orders of its pair
 AXIOM_TAMPERS = {
     "cubic+u1^2u2-u1u2^2": (_add_to_cubic, None, {
         "sharp1", "sharp2", "sharp3", "idempotent-traces", "triple-product",
@@ -244,6 +248,8 @@ AXIOM_TAMPERS = {
         "table-vs-map", "rep-product", "rep-det"}),
     "sharp[0]+u1x11": (_add_to_sharp(0, "u1", "x11"), None, {
         "sharp1", "sharp2", "sharp3", "table-vs-map"}),
+    "cell(x11,x12)*0": (lambda p: p, (("x11", "x12"), 0), {
+        "table-vs-map", "rep-matrices", "rep-product"}),
 }
 
 
@@ -254,7 +260,10 @@ def test_axiom_claims_fail_exactly_under_each_tamper(monkeypatch, symbolic_prese
     if cell is not None:
         key, factor = cell
         table = dict(build_peirce_table())
-        table[key] = tuple(factor * c for c in table[key])
+        if factor:
+            table[key] = {n: factor * c for n, c in table[key].items()}
+        else:
+            del table[key], table[key[::-1]]
         monkeypatch.setattr(coord8, "build_peirce_table", lambda: table)
     pres = tamper(symbolic_presentation)
     reports = {**jordan.verify_sharp_conditions(pres),
