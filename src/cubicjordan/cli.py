@@ -23,9 +23,10 @@ Reports are deterministic: identical inputs and seed produce
 byte-identical JSON.  Exit status is 0 when every claim passes, 1 when
 any claim fails, 2 on malformed input (a file that does not parse, a
 ``--samples`` count below one, an input option the command does not read,
-or an ``InputError`` a certificate raises on its inputs), and 3 on any
-other error inside a suite, which is a fault of the program: it prints
-one ``internal error:`` line instead of a traceback.
+a ``--defect`` that does not reach the command, or an ``InputError`` a
+certificate raises on its inputs), and 3 on any other error inside a
+suite, which is a fault of the program: it prints one ``internal error:``
+line instead of a traceback.
 
 The ``--defect`` flag exercises the detection machinery end to end.
 A row of ``DEFECTS`` names a command, a library certificate by module and
@@ -33,6 +34,7 @@ attribute, and a tamper of the certificate's input.  ``run`` wraps the
 certificate while the suites run, so that its input goes through the
 tamper, and restores it afterwards.  Only the row's command (and ``all``)
 reaches the certificate, so only it fails; no suite knows of defects.
+Any other command refuses the defect as malformed input, with exit 2.
 """
 
 from __future__ import annotations
@@ -276,29 +278,25 @@ READERS = {"hypermatrix": ("classify",), "weights": ("weights", "hilbert"),
            "sections": ("hilbert",)}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cubicjordan",
-        description="exact verification suites for the sharp-map variety "
-                    "and its relatives")
-    parser.add_argument("command", choices=[*COMMANDS, "all"])
-    parser.add_argument("--hypermatrix", type=Path, default=None,
-                        help="cube file: 8 rationals or a JSON object")
-    parser.add_argument("--weights", type=Path, default=None,
-                        help="JSON weight file, scalar or two-element entries")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--samples", type=int, default=30)
-    parser.add_argument("--sections", type=int, default=None)
-    parser.add_argument("--json", type=Path, default=None,
-                        help="write the machine-readable report here")
-    parser.add_argument("--defect", choices=DEFECTS, default=None,
-                        help="inject a deliberate fault (self-test)")
-    return parser
+PARSER = argparse.ArgumentParser(
+    prog="cubicjordan",
+    description="exact verification suites for the sharp-map variety and its relatives")
+PARSER.add_argument("command", choices=[*COMMANDS, "all"])
+PARSER.add_argument("--hypermatrix", type=Path, default=None,
+                    help="cube file: 8 rationals or a JSON object")
+PARSER.add_argument("--weights", type=Path, default=None,
+                    help="JSON weight file, scalar or two-element entries")
+PARSER.add_argument("--seed", type=int, default=0)
+PARSER.add_argument("--samples", type=int, default=30)
+PARSER.add_argument("--sections", type=int, default=None)
+PARSER.add_argument("--json", type=Path, default=None,
+                    help="write the machine-readable report here")
+PARSER.add_argument("--defect", choices=DEFECTS, default=None,
+                    help="inject a deliberate fault (self-test)")
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
 
     cube = None
     weights = None
@@ -308,6 +306,8 @@ def run(argv: list[str] | None = None) -> int:
         for option, readers in READERS.items():
             if getattr(args, option) is not None and args.command not in readers:
                 raise ValueError(f"--{option} is not read by {args.command}")
+        if args.defect and args.command not in (DEFECTS[args.defect][0], "all"):
+            raise ValueError(f"--defect {args.defect} does not reach {args.command}")
         if args.hypermatrix is not None:
             cube = Hypermatrix.parse(args.hypermatrix.read_text())
         if args.weights is not None:

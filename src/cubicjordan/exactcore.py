@@ -35,9 +35,12 @@ point of their values: the route for a batch evaluated at many points,
 built once and called at each.  ``evaluate_all`` and ``Poly.evaluate``
 substitute their one point instead and give the values as ``Fraction``s.
 ``rref`` eliminates fraction-free
-in integer rows, as in Bareiss's method (Math. Comp. 22, 1968), but keeps
-each row small by dividing out its content instead of the previous pivot;
-it divides the pivot rows by their pivots only at the end.
+in sparse integer rows, ``{column: value}`` with no zero stored, as in
+Bareiss's method (Math. Comp. 22, 1968), but keeps each row small by
+dividing out its content instead of the previous pivot; it divides the
+pivot rows by their pivots only at the end.  Callers build the rows
+straight from their data: ``span_compare`` one row per monomial from
+``Poly.terms``.
 
 Symbolic substitution is batched: ``substitute_all`` applies one ring map
 to a batch of polynomials, and ``Poly.substitute`` is its batch of one.
@@ -712,14 +715,16 @@ class PolyMatrix:
 # ---------------------------------------------------------------------------
 
 
-def rref(rows: Sequence[Sequence[Rational]], ncols: int
-         ) -> tuple[list[list[Fraction]], list[int]]:
+def rref(rows: Iterable[Mapping[int, Rational]], ncols: int
+         ) -> tuple[list[dict[int, Fraction]], list[int]]:
     """Reduced row echelon form, pivoting only in the first ``ncols`` columns.
 
-    Later columns are carried along as right-hand sides.  Returns the
-    reduced rows and the pivot columns: row ``i`` has its pivot in
-    ``pivots[i]``, and the rows below the last pivot row are zero in the
-    first ``ncols`` columns.  This is the package's one elimination loop.
+    A row is sparse, ``{column: value}``; an entry it lacks is zero.
+    Columns from ``ncols`` on are carried along as right-hand sides.
+    Returns the reduced rows, which store no zero, and the pivot columns:
+    row ``i`` has its pivot in ``pivots[i]``, and the rows below the last
+    pivot row are zero in the first ``ncols`` columns.  This is the
+    package's one elimination loop.
 
     Elimination runs in integers: each row is scaled by the lcm of its
     denominators, a row is cleared by cross-multiplying it with the pivot
@@ -728,53 +733,55 @@ def rref(rows: Sequence[Sequence[Rational]], ncols: int
     them stay integer multiples of the rational ones, which is all that
     callers need: they test those rows only for zero.
     """
-    work = [over_common_denominator(r)[0] for r in rows]
+    work = [{c: v for c, v in zip(r, over_common_denominator(r.values())[0]) if v}
+            for r in rows]
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
         if r == len(work):
             break
-        found = next((i for i in range(r, len(work)) if work[i][c]), None)
+        found = next((i for i in range(r, len(work)) if c in work[i]), None)
         if found is None:
             continue
         work[r], work[found] = work[found], work[r]
         pivot_row = work[r]
         pv = pivot_row[c]
         for i, row in enumerate(work):
-            f = row[c]
+            f = row.get(c)
             if i != r and f:
-                row = [pv * v - f * w for v, w in zip(row, pivot_row)]
-                g = gcd(*row)
-                work[i] = [v // g for v in row] if g > 1 else row
+                row = {k: v for k in row.keys() | pivot_row.keys()
+                       if (v := pv * row.get(k, 0) - f * pivot_row.get(k, 0))}
+                g = gcd(*row.values())
+                work[i] = {k: v // g for k, v in row.items()} if g > 1 else row
         pivots.append(c)
     for r, c in enumerate(pivots):
         pv = work[r][c]
-        work[r] = [Fraction(v, pv) if v else _ZERO for v in work[r]]
+        work[r] = {k: Fraction(v, pv) for k, v in work[r].items()}
     return work, pivots
 
 
-def rref_solution(reduced: list[list[Fraction]], pivots: list[int], ncols: int,
+def rref_solution(reduced: list[dict[int, Fraction]], pivots: list[int], ncols: int,
                   col: int) -> list[Fraction] | None:
     """The solution with free variables zero for carried column ``col`` of
     an ``rref`` result, or None if that column is inconsistent."""
-    if any(row[col] != 0 for row in reduced[len(pivots):]):
+    if any(col in row for row in reduced[len(pivots):]):
         return None
-    x = [Fraction(0)] * ncols
+    x = [_ZERO] * ncols
     for row, c in zip(reduced, pivots):
-        x[c] = row[col]
+        x[c] = row.get(col, _ZERO)
     return x
 
 
-def rref_kernel(reduced: list[list[Fraction]], pivots: list[int],
+def rref_kernel(reduced: list[dict[int, Fraction]], pivots: list[int],
                 ncols: int) -> list[list[Fraction]]:
     """Kernel basis of the first ``ncols`` columns of an ``rref`` result,
     one vector per free column."""
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(0)] * ncols
+        vec = [_ZERO] * ncols
         vec[fc] = Fraction(1)
         for row, pc in zip(reduced, pivots):
-            vec[pc] = -row[fc]
+            vec[pc] = -row.get(fc, _ZERO)
         basis.append(vec)
     return basis
 
@@ -786,17 +793,17 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction],
     Free variables are set to zero.  ``rows`` is A by rows, m x n; n is
     passed, not read off the rows, so that m may be zero.
     """
-    reduced, pivots = rref([[*r, b] for r, b in zip(rows, rhs)], n)
+    reduced, pivots = rref([dict(enumerate([*r, b])) for r, b in zip(rows, rhs)], n)
     return rref_solution(reduced, pivots, n, n)
 
 
 def rank(rows: list[list[Fraction]]) -> int:
-    return len(rref(rows, len(rows[0]) if rows else 0)[1])
+    return len(rref([dict(enumerate(r)) for r in rows], len(rows[0]) if rows else 0)[1])
 
 
 def nullspace(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
     """Basis of the solution space of A x = 0 (A given by rows, n columns)."""
-    reduced, pivots = rref(rows, n)
+    reduced, pivots = rref([dict(enumerate(r)) for r in rows], n)
     return rref_kernel(reduced, pivots, n)
 
 
@@ -870,24 +877,27 @@ class Report(NamedTuple):
 def span_compare(a: Sequence[Poly], b: Sequence[Poly]) -> SpanResult:
     """Compare the Q-linear spans of two polynomial lists exactly.
 
-    Column j of the stacked matrix holds the coefficients of the j-th
-    polynomial of ``a`` then ``b``, so writing b's generators in a's
-    generators solves A^T x = B^T: one elimination per direction.
+    Each monomial gives one sparse row of generator coefficients, with a's
+    columns first to write b's generators in a's (solving A^T x = B^T), and
+    with b's columns first for the other direction: one elimination each.
     """
-    polys = list(a) + list(b)
+    polys = [*a, *b]
     if polys:
         ring = polys[0].ring
         for p in polys:
             if p.ring != ring:
                 raise ContextError("span comparison across ring contexts")
-    k = len(a)
-    stacked = [[p.terms.get(m, 0) for p in polys]
-               for m in sorted({m for p in polys for m in p.terms})]
+    k, n = len(a), len(polys)
+    a_first: dict[int, dict[int, Rational]] = {}
+    b_first: dict[int, dict[int, Rational]] = {}
+    for j, p in enumerate(polys):
+        for m, c in p.terms.items():
+            a_first.setdefault(m, {})[j] = c
+            b_first.setdefault(m, {})[(j - k) % n] = c
     witnesses = []
-    for rows, width in ((stacked, k), ([r[k:] + r[:k] for r in stacked], len(b))):
-        reduced, pivots = rref(rows, width)
-        witnesses.append([rref_solution(reduced, pivots, width, c)
-                          for c in range(width, len(polys))])
+    for rows, width in ((a_first, k), (b_first, n - k)):
+        reduced, pivots = rref([rows[m] for m in sorted(rows)], width)
+        witnesses.append([rref_solution(reduced, pivots, width, c) for c in range(width, n)])
     b_in_a, a_in_b = witnesses
     a_holds = all(w is not None for w in b_in_a)
     b_holds = all(w is not None for w in a_in_b)

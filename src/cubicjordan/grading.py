@@ -166,28 +166,15 @@ def solve_weight_constraints(eqs: EquationSet,
     variables = tuple(n for n in names if n in used or n in fixed)
     index = {n: i for i, n in enumerate(variables)}
 
-    # one row per constraint, its right-hand side in the last column
+    # one sparse row per constraint, its right-hand side in column n; a
+    # generator of fewer than two terms constrains nothing
     n = len(variables)
-    rows: list[list[Fraction]] = []
+    rows: list[dict[int, Rational]] = []
     for g in eqs.gens:
-        monos = list(map(eqs.ring.unpack, g.terms))
-        if len(monos) < 2:
-            continue
-        base = monos[0]
-        for m in monos[1:]:
-            row = [Fraction(0)] * (n + 1)
-            for i, e in enumerate(m):
-                if e:
-                    row[index[names[i]]] += e
-            for i, e in enumerate(base):
-                if e:
-                    row[index[names[i]]] -= e
-            rows.append(row)
-    for name, value in fixed.items():
-        row = [Fraction(0)] * (n + 1)
-        row[index[name]] = Fraction(1)
-        row[n] = _frac(value)
-        rows.append(row)
+        base, *others = map(eqs.ring.unpack, g.terms or (0,))
+        rows += ({index[names[i]]: e - b for i, (e, b) in enumerate(zip(m, base)) if e != b}
+                 for m in others)
+    rows += ({index[name]: 1, n: _frac(value)} for name, value in fixed.items())
 
     reduced, pivots = rref(rows, n)
     particular = rref_solution(reduced, pivots, n, n)

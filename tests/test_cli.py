@@ -590,6 +590,20 @@ def test_defect_fixtures_fail_with_residual(tmp_path, capsys, command, defect):
     assert "first failing claim" in err
 
 
+_UNREACHED = [(command, defect) for defect, (own, *_) in cli.DEFECTS.items()
+              for command in cli.COMMANDS if command != own]
+
+
+@pytest.mark.parametrize("command,defect", _UNREACHED)
+def test_a_defect_the_command_does_not_reach_is_refused(tmp_path, capsys, command, defect):
+    report = tmp_path / "report.json"
+    assert run([command, "--defect", defect, "--json", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: --defect {defect} does not reach {command}\n"
+    assert not report.exists()
+
+
 # sha256 of the --json report of each defect at --seed 0 --samples 5, with
 # its own command and with ``all``; a change that means to alter a defect
 # report updates its digest and says why

@@ -664,19 +664,29 @@ def rref_inputs(draw):
     return rows, ncols
 
 
+def dense(row, width):
+    return [row.get(j, 0) for j in range(width)]
+
+
 @given(rref_inputs())
 @settings(max_examples=80, deadline=None)
 def test_rref_matches_fraction_reference(system):
     rows, ncols = system
-    reduced, pivots = rref(rows, ncols)
+    width = len(rows[0]) if rows else ncols
+    sparse = [{j: v for j, v in enumerate(r) if v} for r in rows]
+    reduced, pivots = rref(sparse, ncols)
+    # rows that keep their zero entries reduce to the same rows
+    assert rref([dict(enumerate(r)) for r in rows], ncols) == (reduced, pivots)
+    assert all(v != 0 for r in reduced for v in r.values())
     want, want_pivots = ref_rref(rows, ncols)
     assert pivots == want_pivots
     assert len(reduced) == len(want)
     # pivot rows are exactly the reference rows, as Fractions
-    assert reduced[:len(pivots)] == want[:len(pivots)]
-    assert all(type(v) is Fraction for r in reduced[:len(pivots)] for v in r)
+    assert [dense(r, width) for r in reduced[:len(pivots)]] == want[:len(pivots)]
+    assert all(type(v) is Fraction for r in reduced[:len(pivots)] for v in r.values())
     # a row below the pivots is a nonzero multiple of the reference row
     for row, ref in zip(reduced[len(pivots):], want[len(pivots):]):
+        row = dense(row, width)
         assert not any(row[:ncols])
         k = next((j for j, v in enumerate(ref) if v != 0), None)
         if k is None:

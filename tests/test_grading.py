@@ -162,6 +162,26 @@ def test_lattice_rejects_non_solution():
     assert not lattice.contains(bad)
 
 
+def lattice_text(lattice):
+    """The particular solution, then each basis vector, as one line each."""
+    assert all(type(x) is Fraction for v in (lattice.particular, *lattice.basis) for x in v)
+    return [" ".join(map(str, v)) for v in (lattice.particular, *lattice.basis)]
+
+
+def test_the_equations_lattice_is_pinned():
+    lattice = grading.solve_weight_constraints(hvariety.equations())
+    assert lattice.variables == ALL_VARS
+    assert lattice_text(lattice) == [
+        "0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0",
+        "0 0 1/2 1/2 1/2 1/2 1 0 0 0 0 0 0 0 0 0 0",
+        "1/2 1/2 0 0 1/2 1/2 0 1 0 0 0 0 0 0 0 0 0",
+        "1/2 1/2 1/2 1/2 0 0 0 0 1 0 0 0 0 0 0 0 0",
+        "-1/2 -1/2 -1/2 -1/2 0 -1 0 0 0 1 1 1 1 0 0 0 0",
+        "-1/2 -1/2 0 -1 -1/2 -1/2 0 0 0 1 1 0 0 1 1 0 0",
+        "0 -1 -1/2 -1/2 -1/2 -1/2 0 0 0 1 0 1 0 1 0 1 0",
+        "0 1 0 1 0 1 0 0 0 -2 -1 -1 0 -1 0 0 1"]
+
+
 def test_infeasible_fixing():
     ring = Ring(("a", "b"))
     a, b = ring.gens()

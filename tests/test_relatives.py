@@ -1,6 +1,7 @@
 """Subvariety equation systems, dictionaries, embeddings, group actions."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -100,6 +101,26 @@ def test_weight_relation_with_fixed_scalar():
     lattice = grading.solve_weight_constraints(
         relatives.c2_equations(), {"A3": 0})
     assert lattice.relation_holds({"th3": 1, "lam": -1, "A12": -1})
+
+
+_C2_BASIS = [
+    "-1 1 1 0 0 1 1 0 0 0 0 0 0",
+    "1 -1 1 1 0 0 0 1 0 0 0 0 0",
+    "1 1 -1 0 1 0 0 0 1 0 0 0 0"]
+
+
+@pytest.mark.parametrize("fixed,last_rows", [
+    ({"A3": Fraction(0)}, ["0 -1 1 1 -1 0 0 0 0 -1 1 0 0", "0 2 0 -1 1 1 0 0 0 2 0 0 1"]),
+    ({"A3": Fraction(0), "A1": Fraction(0)}, ["0 0 2 1 -1 1 0 0 0 0 2 0 1"])],
+    ids=["part-I", "part-II"])
+def test_the_fixed_cluster_lattices_are_pinned(fixed, last_rows):
+    lattice = grading.solve_weight_constraints(relatives.c2_equations(), fixed)
+    assert lattice.variables == ("th12", "th23", "th31", "th1", "th2", "th3",
+                                 "A12", "A23", "A31", "A1", "A2", "A3", "lam")
+    vectors = (lattice.particular, *lattice.basis)
+    assert all(type(x) is Fraction for v in vectors for x in v)
+    assert [" ".join(map(str, v)) for v in vectors] == [
+        "0 0 0 0 0 0 0 0 0 0 0 0 0", *_C2_BASIS, *last_rows]
 
 
 def test_perturbed_dictionary_detected():
