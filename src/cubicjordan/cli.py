@@ -106,7 +106,6 @@ def _announce(rep: Report) -> Report:
 
 
 _ORBIT_OF = {"origin": "origin", "p1": "O1", "p2": "O2", "p3": "O3", "p4": "O4"}
-_DICTIONARIES = ("c2", "m8", "s6", "h12", "h11")
 
 # (suite, guard, claim id, description, call); see the module docstring
 CLAIMS = (
@@ -184,9 +183,9 @@ CLAIMS = (
     ("specialize", None, "specialize/{}", {
         n: "dictionary specialization span-equals the target equation system"
         if n in relatives.TARGET_EQUATIONS else "partial specialization emits its generator set"
-        for n in _DICTIONARIES},
+        for n in relatives.DICTIONARIES},
      lambda o: {n: relatives.verify_specialization(relatives.dictionary(n))
-                for n in _DICTIONARIES}),
+                for n in relatives.DICTIONARIES}),
     ("specialize", None, "specialize/composed", "freezing the remaining cluster parameters "
      "inside the first partial specialization reproduces the cluster span",
      lambda o: relatives.composed_specialization_check()),

@@ -11,7 +11,13 @@ For each one a coordinate dictionary maps the 17 ambient variables into
 the target ring; substituting it into the nine ambient generators must
 reproduce the target's span exactly.  The partial specializations ``h12``
 and ``h11`` just freeze one or two parameter entries and are emitted
-without an external target.  Dictionary names (m8, s6, c2, h12, h11)
+without an external target.
+
+Each dictionary is one entry of the table ``DICTIONARIES``: its target
+coordinates and the image of every ambient variable, which is a target
+coordinate, its negative, or an integer.  ``dictionary`` builds the ring
+map from the entry; the cluster slice pins the integer entries of ``c2``
+and inverts its signed ones.  Dictionary names (m8, s6, c2, h12, h11)
 are the stable interface used by the command line.
 """
 
@@ -21,12 +27,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from . import grading, hvariety
 from .errors import UnknownDictionary
 from .coord8 import ALL_VARS
-from .exactcore import (Batch, EquationSet, Point, Poly, PolyMatrix, Rational, Report, Ring,
+from .exactcore import (Batch, EquationSet, Point, Poly, PolyMatrix, Report, Ring,
                         compile_batch, span_compare)
 
 M8_VARS = ("x1", "x2", "x3", "x4", "x5", "x6", "x7", "w1", "w2", "w3", "y", "z")
@@ -34,18 +40,6 @@ S6_VARS = ("s11", "s12", "s13", "s22", "s23", "s33",
            "sigma1", "sigma2", "sigma3", "t")
 C2_VARS = ("th12", "th23", "th31", "th1", "th2", "th3",
            "A12", "A23", "A31", "A1", "A2", "A3", "lam")
-
-
-def m8_ring(extra: Sequence[str] = ()) -> Ring:
-    return Ring(M8_VARS + tuple(extra))
-
-
-def s6_ring(extra: Sequence[str] = ()) -> Ring:
-    return Ring(S6_VARS + tuple(extra))
-
-
-def c2_ring() -> Ring:
-    return Ring(C2_VARS)
 
 
 def _m8_blocks(ring: Ring) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix, Poly, Poly]:
@@ -59,7 +53,7 @@ def _m8_blocks(ring: Ring) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix, Poly, Po
 def m8_equations() -> EquationSet:
     """Ten generators: one scalar determinant relation, two 2x2 matrix
     relations, and one more scalar determinant relation."""
-    ring = m8_ring()
+    ring = Ring(M8_VARS)
     X1, X2, W, y, z = _m8_blocks(ring)
     gens: list[Poly] = [y * z - X2.det()]
     labels = ["det-yz"]
@@ -88,11 +82,10 @@ def _s6_blocks(ring: Ring) -> tuple[PolyMatrix, tuple[Poly, Poly, Poly], Poly]:
     return S, (v("sigma1"), v("sigma2"), v("sigma3")), v("t")
 
 
-def s6_equations(ring: Ring | None = None) -> EquationSet:
+def s6_equations() -> EquationSet:
     """Nine generators: the kernel condition on the vector and the six
     distinct entries of the adjugate identity."""
-    if ring is None:
-        ring = s6_ring()
+    ring = Ring(S6_VARS)
     S, sigma, t = _s6_blocks(ring)
     gens = list(S.apply(sigma))
     labels = ["ker1", "ker2", "ker3"]
@@ -106,7 +99,7 @@ def s6_equations(ring: Ring | None = None) -> EquationSet:
 
 def c2_equations() -> EquationSet:
     """The nine exchange relations over the three cyclic index triples."""
-    ring = c2_ring()
+    ring = Ring(C2_VARS)
     v = ring.var
     lam = v("lam")
     gens: list[Poly] = []
@@ -149,73 +142,53 @@ class Dictionary:
         return eqs.substitute(self.mapping, self.target)
 
 
-def _m8_dictionary() -> Dictionary:
-    ring = m8_ring()
-    v = ring.var
-    c = ring.const
-    mapping = {
-        "x11": v("w1"), "x21": v("z"),
-        "x12": v("x5"), "x22": v("x7"),
-        "x13": v("x4"), "x23": v("x6"),
-        "u1": -v("y"), "u2": -v("w3"), "u3": -v("w2"),
-        "p111": -v("x2"), "p211": c(0), "p121": v("x1"), "p221": c(-1),
-        "p112": v("x1"), "p212": c(1), "p122": v("x3"), "p222": c(0),
-    }
-    return Dictionary("m8", ring, mapping)
+def _freezing(frozen: dict[str, int]) -> tuple[tuple[str, ...], dict[str, str | int]]:
+    """The entry of a partial specialization: it keeps every ambient
+    variable it does not freeze, under its own name."""
+    return tuple(n for n in ALL_VARS if n not in frozen), {n: frozen.get(n, n) for n in ALL_VARS}
 
 
-def _s6_dictionary() -> Dictionary:
-    ring = s6_ring()
-    v = ring.var
-    c = ring.const
-    mapping = {
-        "u1": v("s11"), "x13": v("s12"), "x12": v("s13"),
-        "u2": v("s22"), "x11": v("s23"), "u3": v("s33"),
-        "x21": v("sigma1"), "x22": v("sigma2"), "x23": v("sigma3"),
-        "p111": -v("t"),
-        "p221": c(1), "p212": c(1), "p122": c(1),
-        "p222": c(0), "p211": c(0), "p121": c(0), "p112": c(0),
-    }
-    return Dictionary("s6", ring, mapping)
+# name: (target coordinates, image of each ambient variable), where an image
+# is a target coordinate, "-" and a coordinate for its negative, or an integer
+DICTIONARIES: dict[str, tuple[tuple[str, ...], dict[str, str | int]]] = {
+    "c2": (C2_VARS, {
+        "u1": "th12", "u2": "th23", "u3": "th31",
+        "x11": "A12", "x21": "th3", "x12": "A23", "x22": "th1", "x13": "A31", "x23": "th2",
+        "p212": "-A1", "p221": "-A2", "p122": "-A3", "p222": "lam",
+        "p121": 0, "p112": 0, "p211": 0, "p111": 1}),
+    "m8": (M8_VARS, {
+        "x11": "w1", "x21": "z", "x12": "x5", "x22": "x7", "x13": "x4", "x23": "x6",
+        "u1": "-y", "u2": "-w3", "u3": "-w2",
+        "p111": "-x2", "p211": 0, "p121": "x1", "p221": -1,
+        "p112": "x1", "p212": 1, "p122": "x3", "p222": 0}),
+    "s6": (S6_VARS, {
+        "u1": "s11", "x13": "s12", "x12": "s13", "u2": "s22", "x11": "s23", "u3": "s33",
+        "x21": "sigma1", "x22": "sigma2", "x23": "sigma3", "p111": "-t",
+        "p221": 1, "p212": 1, "p122": 1, "p222": 0, "p211": 0, "p121": 0, "p112": 0}),
+    "h12": _freezing({"p111": 1}),
+    "h11": _freezing({"p111": 1, "p121": 1}),
+}
 
 
-def _c2_dictionary() -> Dictionary:
-    ring = c2_ring()
-    v = ring.var
-    c = ring.const
-    mapping = {
-        "u1": v("th12"), "u2": v("th23"), "u3": v("th31"),
-        "x11": v("A12"), "x21": v("th3"),
-        "x12": v("A23"), "x22": v("th1"),
-        "x13": v("A31"), "x23": v("th2"),
-        "p212": -v("A1"), "p221": -v("A2"), "p122": -v("A3"),
-        "p222": v("lam"),
-        "p121": c(0), "p112": c(0), "p211": c(0), "p111": c(1),
-    }
-    return Dictionary("c2", ring, mapping)
-
-
-def _partial_dictionary(name: str, frozen: Mapping[str, Rational]) -> Dictionary:
-    keep = tuple(n for n in ALL_VARS if n not in frozen)
-    ring = Ring(keep)
-    mapping: dict[str, Poly] = {n: ring.var(n) for n in keep}
-    for n, val in frozen.items():
-        mapping[n] = ring.const(val)
-    return Dictionary(name, ring, mapping)
+# the frozen entries of the c2 dictionary, and (position in ``C2_VARS``,
+# position in ``ALL_VARS``, sign) of each signed coordinate it maps to: on
+# the cluster slice the dictionary is linear, and the signs invert it
+_C2_FROZEN = {n: v for n, v in DICTIONARIES["c2"][1].items() if isinstance(v, int)}
+_C2_SIGNED = tuple(
+    (C2_VARS.index(img.lstrip("-")), ALL_VARS.index(amb), -1 if img[0] == "-" else 1)
+    for amb, img in DICTIONARIES["c2"][1].items() if isinstance(img, str))
 
 
 def dictionary(name: str) -> Dictionary:
-    builders: dict[str, Callable[[], Dictionary]] = {
-        "m8": _m8_dictionary,
-        "s6": _s6_dictionary,
-        "c2": _c2_dictionary,
-        "h12": lambda: _partial_dictionary("h12", {"p111": 1}),
-        "h11": lambda: _partial_dictionary("h11", {"p111": 1, "p121": 1}),
-    }
     try:
-        return builders[name]()
+        coords, images = DICTIONARIES[name]
     except KeyError:
         raise UnknownDictionary(name) from None
+    ring = Ring(coords)
+    return Dictionary(name, ring, {
+        amb: ring.const(img) if isinstance(img, int)
+        else -ring.var(img[1:]) if img[0] == "-" else ring.var(img)
+        for amb, img in images.items()})
 
 
 TARGET_EQUATIONS: dict[str, Callable[[], EquationSet]] = {
@@ -225,15 +198,12 @@ TARGET_EQUATIONS: dict[str, Callable[[], EquationSet]] = {
 }
 
 
-def verify_specialization(d: Dictionary | str) -> Report:
-    """Substitute a dictionary, or the one of that name, into the nine
-    ambient generators and compare spans with the target equations of its
-    name: the data is the relation, and, when the spans differ, the first
-    specialized generator outside the target span (None if there is none).
-    A name with no target only emits the specialized set; its data counts
-    the generators."""
-    if isinstance(d, str):
-        d = dictionary(d)
+def verify_specialization(d: Dictionary) -> Report:
+    """Substitute a dictionary into the nine ambient generators and compare
+    spans with the target equations of its name: the data is the relation,
+    and, when the spans differ, the first specialized generator outside the
+    target span (None if there is none).  A name with no target only emits
+    the specialized set; its data counts the generators."""
     specialized = d.specialize()
     if d.name not in TARGET_EQUATIONS:
         return Report(True, {"generators": len(specialized)})
@@ -251,11 +221,7 @@ def composed_specialization_check() -> Report:
     reports no data."""
     h12 = dictionary("h12").specialize()
     ring = h12.ring
-    step = {n: ring.var(n) for n in ring.names}
-    step["p121"] = ring.const(0)
-    step["p112"] = ring.const(0)
-    step["p211"] = ring.const(0)
-    narrowed = h12.substitute(step, ring)
+    narrowed = h12.substitute({n: v for n, v in _C2_FROZEN.items() if n in ring}, ring)
     c2 = dictionary("c2")
     relabel = {n: c2.mapping[n] for n in ring.names}
     via_h12 = narrowed.substitute(relabel, c2.target)
@@ -304,40 +270,15 @@ EMBEDDING_SLICES = {
 }
 
 
-def cluster_point(rng: random.Random, part: str) -> dict[str, Fraction]:
-    """Sampled variety point on the cluster slice, in cluster coordinates."""
-    nums, den = _cluster_point(rng, part)
-    return {name: Fraction(nums[k], den) for name, k, _, _ in _c2_inverse()}
-
-
 def _cluster_point(rng: random.Random, part: str) -> Point:
-    """The point of ``cluster_point`` over ``C2_VARS``."""
-    pinned = {"p121": (0, 1), "p112": (0, 1), "p211": (0, 1), "p111": (1, 1)}
+    """A sampled variety point on the cluster slice, over ``C2_VARS``."""
+    pinned = {n: (v, 1) for n, v in _C2_FROZEN.items()}
     pinned.update((n, v.as_integer_ratio()) for n, v in EMBEDDING_SLICES[part].items())
     nums, den = hvariety._sample(rng, pinned)
     out = [0] * len(C2_VARS)
-    for _, k, amb, sign in _c2_inverse():
+    for k, amb, sign in _C2_SIGNED:
         out[k] = sign * nums[amb]
     return out, den
-
-
-@cache
-def _c2_inverse() -> tuple[tuple[str, int, int, int], ...]:
-    """The linear entries of the c2 dictionary, as (cluster coordinate, its
-    position in ``C2_VARS``, the position in ``ALL_VARS`` of the ambient
-    coordinate, coefficient): each coefficient is 1 or -1, and multiplying
-    by it inverts the (linear, triangular) dictionary on the slice."""
-    c2 = dictionary("c2")
-    out = []
-    for amb, img in c2.mapping.items():
-        if len(img.terms) == 1:
-            (key, coeff), = img.terms.items()
-            mono = c2.target.unpack(key)
-            if sum(mono) == 1:
-                assert coeff in (1, -1), f"c2 coefficient {coeff} of {amb}"
-                k = mono.index(1)
-                out.append((c2.target.names[k], k, ALL_VARS.index(amb), coeff))
-    return tuple(out)
 
 
 @cache
@@ -346,9 +287,9 @@ def _embedding_batches(part: str) -> tuple[Batch, tuple[str, ...], Batch]:
     coordinates, in the target ring's order, and the labels and compiled
     generators of the target system."""
     if part == "I":
-        target, images = m8_equations(), _c2_to_m8_images(c2_ring())
+        target, images = m8_equations(), _c2_to_m8_images(Ring(C2_VARS))
     else:
-        target, images = s6_equations(), _c2_to_s7_images(c2_ring())
+        target, images = s6_equations(), _c2_to_s7_images(Ring(C2_VARS))
     return (compile_batch([images[n] for n in target.ring.names]), target.labels,
             compile_batch(target.gens))
 
@@ -373,14 +314,6 @@ def verify_cluster_embedding(part: str, seed: int, samples: int) -> Report:
                 failures.append(f"part {part}: generator {lbl} fails on sample {k}")
         if failures:
             break
-
-    # the cone coordinate never appears in the target equations
-    if part == "II":
-        used = set()
-        for g in s6_equations(s6_ring(("sigma0",))).gens:
-            used |= g.variables()
-        if "sigma0" in used:
-            failures.append("cone coordinate appears in the equations")
 
     fixed = {"A3": Fraction(0)} if part == "I" else {"A3": Fraction(0), "A1": Fraction(0)}
     lattice = grading.solve_weight_constraints(c2_equations(), fixed)
@@ -410,7 +343,7 @@ def m8_action_certificate() -> Report:
     The scalar used for the last coordinate carries an inverse determinant;
     clearing it, each transformed block equals a stated matrix combination
     of the original blocks, so the span is preserved."""
-    ring = m8_ring(("a1", "b1", "c1", "d1", "a2", "b2", "c2", "d2"))
+    ring = Ring(M8_VARS + ("a1", "b1", "c1", "d1", "a2", "b2", "c2", "d2"))
     v = ring.var
     g1 = PolyMatrix.from_rows(ring, [[v("a1"), v("b1")], [v("c1"), v("d1")]])
     g2 = PolyMatrix.from_rows(ring, [[v("a2"), v("b2")], [v("c2"), v("d2")]])
@@ -461,7 +394,7 @@ def s6_action_certificate() -> Report:
     """Exact transformation law of the nine generators under a symbolic
     3x3 change of frame."""
     names = tuple(f"g{i}{j}" for i in range(1, 4) for j in range(1, 4))
-    ring = s6_ring(names)
+    ring = Ring(S6_VARS + names)
     g = PolyMatrix.from_rows(ring, [[ring.var(f"g{i}{j}") for j in range(1, 4)]
                                     for i in range(1, 4)])
     S, sigma, t = _s6_blocks(ring)
@@ -496,6 +429,6 @@ def _outer(u: Sequence[Poly], v: Sequence[Poly], ring: Ring) -> PolyMatrix:
 def m8_trace_consistency() -> Report:
     """The trace of the sandwich block vanishes identically, matching the
     trace-free shape of the left-hand block; the claim reports no data."""
-    ring = m8_ring()
+    ring = Ring(M8_VARS)
     X1, X2, _, _, _ = _m8_blocks(ring)
     return Report((X2.adjugate() * X1 * X2).trace().is_zero(), {})

@@ -121,8 +121,8 @@ def test_08_radical_loci():
 
 
 def test_09_specializations_and_embeddings():
-    ok = all(relatives.verify_specialization(n).data["relation"] == "equal"
-             for n in ("c2", "m8", "s6"))
+    ok = all(relatives.verify_specialization(relatives.dictionary(n)).data["relation"]
+             == "equal" for n in ("c2", "m8", "s6"))
     for part in ("I", "II"):
         rep = relatives.verify_cluster_embedding(part, SEED, samples=30)
         ok = ok and rep.ok and rep.data["samples"] >= 30

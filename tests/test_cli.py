@@ -758,6 +758,5 @@ def test_import_fills_no_cache():
     sizes = json.loads(done.stdout)
     assert {"cubicjordan.hvariety._sampling_tables", "cubicjordan.hvariety._fiber_system",
             "cubicjordan.hvariety._chart_pfaffians",
-            "cubicjordan.relatives._embedding_batches",
-            "cubicjordan.relatives._c2_inverse"} <= set(sizes)
+            "cubicjordan.relatives._embedding_batches"} <= set(sizes)
     assert set(sizes.values()) == {0}

@@ -528,6 +528,17 @@ def _named(point: dict) -> str:
     return _line(point) + "|" + _line(point.values())
 
 
+# the cluster coordinates in the order of the ambient variables they invert
+_CLUSTER_ORDER = ("th12", "th23", "th31", "A12", "th3", "A23", "th1", "A31", "th2",
+                  "A1", "A2", "A3", "lam")
+
+
+def _cluster(point: tuple[list[int], int]) -> dict:
+    nums, den = point
+    assert len(nums) == len(relatives.C2_VARS) and den > 0
+    return {n: Fraction(nums[relatives.C2_VARS.index(n)], den) for n in _CLUSTER_ORDER}
+
+
 def _coords(point: tuple[list[int], int]) -> str:
     nums, den = point
     assert len(nums) == len(COORD_VARS) and den > 0
@@ -550,7 +561,7 @@ def test_sampled_points_are_pinned(monkeypatch):
               lambda rng: hvariety.sample_point(rng, constraints), _named)
         for part in ("I", "II"):
             drawn(seed, f"cluster-{part}",
-                  lambda rng: relatives.cluster_point(rng, part), _named)
+                  lambda rng: _cluster(relatives._cluster_point(rng, part)), _named)
         for comp in [c for comps in hvariety.FIBER_COMPONENTS.values() for c in comps]:
             drawn(seed, comp, lambda rng: hvariety._component_points(comp, rng), _coords)
         for name in ("origin", "p1", "p2", "p3", "p4"):

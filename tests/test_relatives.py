@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cubicjordan import grading, relatives
+from cubicjordan.coord8 import ALL_VARS
 from cubicjordan.errors import UnknownDictionary
 from cubicjordan.exactcore import span_compare
 
@@ -41,7 +42,8 @@ def test_m8_sandwich_traceless():
 
 def test_specialization_span_equalities():
     for name in ("c2", "m8", "s6"):
-        assert relatives.verify_specialization(name) == (True, {"relation": "equal"}), name
+        rep = relatives.verify_specialization(relatives.dictionary(name))
+        assert rep == (True, {"relation": "equal"}), name
 
 
 def test_m8_witness_covers_redundant_generator():
@@ -53,10 +55,35 @@ def test_m8_witness_covers_redundant_generator():
 
 
 def test_partial_specializations_emit():
-    assert relatives.verify_specialization("h12") == (True, {"generators": 9})
-    assert relatives.verify_specialization("h11") == (True, {"generators": 9})
+    for name in ("h12", "h11"):
+        rep = relatives.verify_specialization(relatives.dictionary(name))
+        assert rep == (True, {"generators": 9}), name
     assert "p111" not in relatives.dictionary("h12").specialize().ring.names
     assert "p121" not in relatives.dictionary("h11").specialize().ring.names
+
+
+# each dictionary's target coordinates and its images of the ambient
+# variables, in the order of ``ALL_VARS``
+_DICTIONARY_IMAGES = {
+    "c2": ("th12 th23 th31 th1 th2 th3 A12 A23 A31 A1 A2 A3 lam",
+           "A12 th3 A23 th1 A31 th2 th12 th23 th31 1 0 0 -A2 0 -A1 -A3 lam"),
+    "m8": ("x1 x2 x3 x4 x5 x6 x7 w1 w2 w3 y z",
+           "w1 z x5 x7 x4 x6 -y -w3 -w2 -x2 0 x1 -1 x1 1 x3 0"),
+    "s6": ("s11 s12 s13 s22 s23 s33 sigma1 sigma2 sigma3 t",
+           "s23 sigma1 s13 sigma2 s12 sigma3 s11 s22 s33 -t 0 0 1 0 1 1 0"),
+    "h12": ("x11 x21 x12 x22 x13 x23 u1 u2 u3 p211 p121 p221 p112 p212 p122 p222",
+            "x11 x21 x12 x22 x13 x23 u1 u2 u3 1 p211 p121 p221 p112 p212 p122 p222"),
+    "h11": ("x11 x21 x12 x22 x13 x23 u1 u2 u3 p211 p221 p112 p212 p122 p222",
+            "x11 x21 x12 x22 x13 x23 u1 u2 u3 1 p211 1 p221 p112 p212 p122 p222"),
+}
+
+
+@pytest.mark.parametrize("name", _DICTIONARY_IMAGES)
+def test_dictionary_images_are_pinned(name):
+    d = relatives.dictionary(name)
+    assert set(d.mapping) == set(ALL_VARS)
+    assert (" ".join(d.target.names), " ".join(d.mapping[n].to_str() for n in ALL_VARS)) \
+        == _DICTIONARY_IMAGES[name]
 
 
 def test_unknown_dictionary():
@@ -77,13 +104,13 @@ def test_cluster_embeddings():
 def test_cluster_point_lies_on_slice():
     import random
     rng = random.Random("slice")
-    cpt = relatives.cluster_point(rng, "I")
-    assert set(cpt) == set(relatives.C2_VARS)
     eqs = relatives.c2_equations()
-    assert all(g.evaluate(cpt) == 0 for g in eqs.gens)
-    assert cpt["A3"] == 1
-    cpt2 = relatives.cluster_point(rng, "II")
-    assert cpt2["A3"] == 1 and cpt2["A1"] == -1
+    for part in ("I", "II"):
+        nums, den = relatives._cluster_point(rng, part)
+        cpt = {n: Fraction(v, den) for n, v in zip(relatives.C2_VARS, nums, strict=True)}
+        assert all(g.evaluate(cpt) == 0 for g in eqs.gens)
+        assert cpt["A3"] == 1
+        assert part == "I" or cpt["A1"] == -1
 
 
 def test_action_certificates():
