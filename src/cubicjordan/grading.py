@@ -12,17 +12,22 @@ weights, the total generator weights
 
     c = w(x11) + w(x21) + w(u1),   d = w(u1) + w(u2) + w(u3),
 
-and their sum.  Instantiating the shifts at a concrete weight system gives
-the Hilbert numerator, and exact division by powers of (1 - t) produces
-the anticanonical degree and genus of a three-dimensional weight-one
-linear section.  All of it is rational arithmetic, never floating point.
+and their sum.  Each number is computed by its definition at a concrete
+weight system: the Hilbert numerator counts the shifts of each degree with
+the sign of their term; the anticanonical degree of a three-dimensional
+weight-one linear section is the fourth Taylor coefficient of the
+numerator at t = 1 over the product of the remaining weights; and its
+genus is h0 - 2, with h0 the t coefficient of the numerator divided by
+one factor 1 - t^a per remaining weight a.  Every certificate returns a
+``Report`` whose data is what its claim reports.  All of it is rational
+arithmetic, never floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -51,11 +56,14 @@ def standard_weights() -> WeightSystem:
 
 
 def parse_weight_file(text: str) -> "WeightSystem | tuple[WeightSystem, WeightSystem]":
-    """JSON weight file: scalar entries give one grading, two-element list
-    entries give a bigrading."""
+    """JSON weight file keyed by ambient variables: scalar entries give one
+    grading, two-element list entries give a bigrading."""
     data = parse_json(text)
     if not isinstance(data, dict):
         raise ValueError("weight file must hold a JSON object")
+    unknown = sorted(set(data) - set(ALL_VARS))
+    if unknown:
+        raise ValueError(f"unknown variables: {unknown}")
     bigraded = any(isinstance(v, list) for v in data.values())
     if not bigraded:
         return weight_system({k: json_rational(v) for k, v in data.items()})
@@ -196,22 +204,11 @@ def lattice_certificate(eqs: EquationSet) -> Report:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CanonicalReport:
-    c: Fraction
-    d: Fraction
-    delta: Fraction
-    weight_sum: Fraction
-    consistent: bool
-    ambient_dualizing_twist: Fraction
-    variety_dualizing_twist: Fraction
-
-
-def canonical_arithmetic(w: Mapping[str, Rational]) -> CanonicalReport:
-    """Generator-weight arithmetic for a positive weight system.
-
-    The consistency identity equates the sum of all seventeen weights with
-    4d - c, which is the ambient dualizing twist condition."""
+def canonical_arithmetic(w: Mapping[str, Rational]) -> Report:
+    """Generator-weight arithmetic for a positive weight system: c, d, their
+    sum delta, the sum of all seventeen weights and the ambient and variety
+    dualizing twists.  It holds when that sum equals 4d - c, which is the
+    ambient dualizing twist condition."""
     ws = weight_system(w)
     for name in ALL_VARS:
         if name not in ws:
@@ -220,26 +217,21 @@ def canonical_arithmetic(w: Mapping[str, Rational]) -> CanonicalReport:
             raise InputError("canonical arithmetic expects positive weights")
     c = ws["x11"] + ws["x21"] + ws["u1"]
     d = ws["u1"] + ws["u2"] + ws["u3"]
-    delta = c + d
     total = sum(ws[name] for name in ALL_VARS)
-    return CanonicalReport(
-        c=c, d=d, delta=delta, weight_sum=total,
-        consistent=(total == 4 * d - c),
-        ambient_dualizing_twist=c - 4 * d,
-        variety_dualizing_twist=2 * c - 3 * d,
-    )
+    return Report(total == 4 * d - c, {
+        "c": c, "d": d, "delta": c + d, "sum": total,
+        "ambient_twist": c - 4 * d, "variety_twist": 2 * c - 3 * d})
 
 
 def weight_certificates(eqs: EquationSet, w: Mapping[str, Rational]) -> dict[str, Report]:
     """``homogeneous``, the report of ``check_homogeneous``, and, when it
-    holds and all seventeen weights are positive, ``canonical``: the
-    dualizing consistency identity of ``canonical_arithmetic``."""
+    holds and all seventeen weights are positive, ``canonical``: the report
+    of ``canonical_arithmetic`` without the ambient twist."""
     reports = {"homogeneous": check_homogeneous(eqs, w)}
     if reports["homogeneous"].ok and all(n in w and Fraction(w[n]) > 0 for n in ALL_VARS):
-        can = canonical_arithmetic(w)
-        reports["canonical"] = Report(can.consistent, {
-            "c": can.c, "d": can.d, "delta": can.delta, "sum": can.weight_sum,
-            "variety_twist": can.variety_dualizing_twist})
+        ok, data = canonical_arithmetic(w)
+        del data["ambient_twist"]
+        reports["canonical"] = Report(ok, data)
     return reports
 
 
@@ -271,19 +263,9 @@ def resolution_shifts(w: Mapping[str, Rational]) -> list[list[Fraction]]:
 def shift_pairing_holds(w: Mapping[str, Rational]) -> bool:
     """Every first-term shift pairs with a third-term shift summing to the
     top shift, and the middle term pairs with itself."""
-    shifts = resolution_shifts(w)
-    delta = shifts[4][0]
-
-    def pairs(a: list[Fraction], b: list[Fraction]) -> bool:
-        remaining = list(b)
-        for s in a:
-            t = delta - s
-            if t not in remaining:
-                return False
-            remaining.remove(t)
-        return not remaining
-
-    return pairs(shifts[1], shifts[3]) and pairs(shifts[2], shifts[2])
+    _, first, middle, third, (delta,) = resolution_shifts(w)
+    return all(sorted(delta - s for s in a) == sorted(b)
+               for a, b in ((first, third), (middle, middle)))
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +273,6 @@ def shift_pairing_holds(w: Mapping[str, Rational]) -> bool:
 # ---------------------------------------------------------------------------
 
 Poly1 = dict[int, Fraction]
-
-
-def poly1_add(a: Poly1, b: Poly1) -> Poly1:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, Fraction(0)) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
 
 
 def poly1_str(a: Poly1) -> str:
@@ -325,16 +296,13 @@ def poly1_str(a: Poly1) -> str:
 def hilbert_numerator(w: Mapping[str, Rational]) -> Poly1:
     """Alternating sum of shift monomials of the resolution, instantiated
     at a positive integer weight system."""
-    shifts = resolution_shifts(w)
-    out: Poly1 = {}
-    sign = 1
-    for term in shifts:
+    counts: dict[int, int] = {}
+    for i, term in enumerate(resolution_shifts(w)):
         for s in term:
             if s.denominator != 1:
                 raise InputError("numerator requires integer weights")
-            out = poly1_add(out, {int(s): Fraction(sign)})
-        sign = -sign
-    return out
+            counts[int(s)] = counts.get(int(s), 0) + (-1) ** i
+    return {e: Fraction(c) for e, c in counts.items() if c}
 
 
 def numerator_is_palindromic(num: Poly1, delta: int) -> bool:
@@ -363,35 +331,20 @@ def _order_four_residue(num: Poly1) -> Fraction:
     return taylor[4]
 
 
-@dataclass
-class FanoReport:
-    degree: Fraction
-    h0: Fraction
-    genus: Fraction
-    dimension: int
-    numerator: Poly1
-
-
 def series_coefficients(num: Poly1, denominator_weights: Sequence[int],
                         order: int) -> list[Fraction]:
-    """First coefficients of Num(t) / prod(1 - t^a)."""
+    """First coefficients of Num(t) / prod(1 - t^a): dividing a series f
+    by 1 - t^a gives g with g_e = f_e + g_(e-a), computed in place."""
     coeffs = [num.get(e, Fraction(0)) for e in range(order + 1)]
     for a in denominator_weights:
-        # multiply by the series 1 + t^a + t^{2a} + ...
-        out = [Fraction(0)] * (order + 1)
-        for e in range(order + 1):
-            total = Fraction(0)
-            k = e
-            while k >= 0:
-                total += coeffs[k]
-                k -= a
-            out[e] = total
-        coeffs = out
+        for e in range(a, order + 1):
+            coeffs[e] += coeffs[e - a]
     return coeffs
 
 
-def fano_invariants(w: Mapping[str, Rational], sections: int = 9) -> FanoReport:
-    """Degree and genus of the threefold cut by weight-one sections.
+def fano_invariants(w: Mapping[str, Rational], sections: int = 9) -> dict:
+    """Degree, h0, genus and dimension of the threefold cut by weight-one
+    sections.
 
     The Hilbert series is the numerator over one cyclotomic-type factor
     per remaining coordinate; the degree is the exact limit of the series
@@ -411,19 +364,11 @@ def fano_invariants(w: Mapping[str, Rational], sections: int = 9) -> FanoReport:
         weights.remove(1)
 
     num = hilbert_numerator(ws)
+    h0 = series_coefficients(num, weights, 1)[1]
     # pole order at t = 1 is (#factors - 4); the section is projective of
     # dimension one less
-    expected_dim = len(weights) - 4 - 1
-    residue = _order_four_residue(num)
-    denom_product = 1
-    for a in weights:
-        denom_product *= a
-    degree = residue / denom_product
-
-    h_series = series_coefficients(num, weights, 1)
-    h0 = h_series[1]
-    return FanoReport(degree=degree, h0=h0, genus=h0 - 2,
-                      dimension=expected_dim, numerator=num)
+    return {"degree": _order_four_residue(num) / prod(weights), "h0": h0,
+            "genus": h0 - 2, "dimension": len(weights) - 4 - 1}
 
 
 def hilbert_certificates(w: Mapping[str, Rational] | None = None,
@@ -437,30 +382,25 @@ def hilbert_certificates(w: Mapping[str, Rational] | None = None,
     if isinstance(w, tuple):
         raise InputError("hilbert needs a single grading")
     w = standard_weights() if w is None else w
-    can = canonical_arithmetic(w)
+    canonical = canonical_arithmetic(w)
     num = hilbert_numerator(w)
-    delta = int(can.delta)
+    delta = int(canonical.data["delta"])
     reports = {
-        "canonical": Report(can.consistent, {
-            "c": can.c, "d": can.d, "delta": can.delta, "sum": can.weight_sum,
-            "ambient_twist": can.ambient_dualizing_twist,
-            "variety_twist": can.variety_dualizing_twist}),
+        "canonical": canonical,
         "numerator": Report(bool(num), {"numerator": poly1_str(num)}),
         "palindromy": Report(numerator_is_palindromic(num, delta), {"delta": delta}),
         "pairing": Report(shift_pairing_holds(w), {}),
     }
     try:
-        fano = fano_invariants(w, sections=sections)
+        data = fano_invariants(w, sections=sections)
     except NumeratorNotDivisible as exc:
         reports["invariants"] = Report(False, {"residual": str(exc)})
         return reports
-    data = {"degree": fano.degree, "h0": fano.h0, "genus": fano.genus,
-            "dimension": fano.dimension}
-    ok = (fano.degree, fano.genus) == STANDARD_FANO \
-        or w != standard_weights() or sections != 9
+    found = data["degree"], data["genus"]
+    ok = found == STANDARD_FANO or w != standard_weights() or sections != 9
     if not ok:
-        data["residual"] = (f"degree {fano.degree}, genus {fano.genus}; expected "
-                            "degree {}, genus {}".format(*STANDARD_FANO))
+        data["residual"] = ("degree {}, genus {}; expected degree {}, genus {}"
+                            .format(*found, *STANDARD_FANO))
     reports["invariants"] = Report(ok, data)
     return reports
 

@@ -264,12 +264,11 @@ def swap_all_factors_certificate() -> Report:
     swap = PolyMatrix.from_rows(ring, [[0, 1], [1, 0]])
     element = GroupElement(g1=swap, g2=swap, g3=swap)
     base = equations()
-    transformed = apply_group_to_equations(element, base)
+    sub = substitution_of(element, base.ring)
     failures = []
-    result = span_compare(base.gens, transformed.gens)
+    result = span_compare(base.gens, base.substitute(sub, base.ring).gens)
     if not result.equal:
         failures.append(f"triple swap: span changed ({result.relation})")
-    sub = substitution_of(element, base.ring)
     for i in (1, 2, 3):
         if sub[x_name(1, i)] != base.ring.var(x_name(2, i)):
             failures.append(f"triple swap: pair {i} rows not exchanged")
@@ -837,38 +836,29 @@ def radical_locus_check(name: str, seed: int, samples: int) -> Report:
     specialized cubic form with its stated display."""
     tables = coord8.rational_tables(representative(name).point())
     failures: list[str] = []
-    rng_on = random.Random(f"{seed}:{name}:on")
-    rng_off = random.Random(f"{seed}:{name}:off")
-
-    on_count = 0
-    if name != "p4":
-        for _ in range(samples):
-            tests = jordan.nondegeneracy_test_equiv(tables, radical_point(name, rng_on)[0])
-            if not tests["viaU"]:
-                failures.append(f"{name}: locus point rejected by the U-operator test")
+    counts: dict[str, int] = {}
+    for side, draw, draws, on, wrong, disagree in (
+            ("on", radical_point, 0 if name == "p4" else samples, True,
+             "locus point rejected", "on a locus point"),
+            ("off", off_radical_point, 100 if name == "p4" else samples, False,
+             "off-locus point accepted", "off the locus")):
+        rng = random.Random(f"{seed}:{name}:{side}")
+        counts[side] = 0
+        for _ in range(draws):
+            tests = jordan.nondegeneracy_test_equiv(tables, draw(name, rng)[0])
+            if tests["viaU"] != on:
+                failures.append(f"{name}: {wrong} by the U-operator test")
                 break
             if tests["viaU"] != tests["viaTN"]:
-                failures.append(f"{name}: the two membership tests disagree on a locus point")
+                failures.append(f"{name}: the two membership tests disagree {disagree}")
                 break
-            on_count += 1
-
-    off_count = 0
-    n_off = 100 if name == "p4" else samples
-    for _ in range(n_off):
-        tests = jordan.nondegeneracy_test_equiv(tables, off_radical_point(name, rng_off)[0])
-        if tests["viaU"]:
-            failures.append(f"{name}: off-locus point accepted by the U-operator test")
-            break
-        if tests["viaU"] != tests["viaTN"]:
-            failures.append(f"{name}: the two membership tests disagree off the locus")
-            break
-        off_count += 1
+            counts[side] += 1
 
     display_ok = name not in _NP_DISPLAYS or cubic_display_certificate(name).ok
     if not display_ok:
         failures.append(f"{name}: specialized cubic form differs from its display")
 
-    return Report(not failures, {"on_locus": on_count, "off_locus": off_count,
+    return Report(not failures, {"on_locus": counts["on"], "off_locus": counts["off"],
                                  "display_ok": display_ok, "failures": failures})
 
 

@@ -315,7 +315,9 @@ def verify_cluster_embedding(part: str, seed: int, samples: int) -> Report:
         if failures:
             break
 
-    fixed = {"A3": Fraction(0)} if part == "I" else {"A3": Fraction(0), "A1": Fraction(0)}
+    # a cluster coordinate the slice pins to a nonzero constant has weight zero
+    fixed = {DICTIONARIES["c2"][1][n].lstrip("-"): Fraction(0)
+             for n in EMBEDDING_SLICES[part]}
     lattice = grading.solve_weight_constraints(c2_equations(), fixed)
     relations = {
         "I": {"w(th3)=w(lam)+w(A12)": {"th3": 1, "lam": -1, "A12": -1}},

@@ -132,16 +132,16 @@ def test_09_specializations_and_embeddings():
 
 def test_10_grading_and_hilbert_numbers():
     w = grading.standard_weights()
-    can = grading.canonical_arithmetic(w)
-    ok = (can.c, can.d, can.delta) == (4, 6, 10)
-    ok = ok and can.weight_sum == 20 == 4 * can.d - can.c
-    ok = ok and can.variety_dualizing_twist == -10
+    can = grading.canonical_arithmetic(w).data
+    ok = (can["c"], can["d"], can["delta"]) == (4, 6, 10)
+    ok = ok and can["sum"] == 20 == 4 * can["d"] - can["c"]
+    ok = ok and can["variety_twist"] == -10
     num = grading.hilbert_numerator(w)
     ok = ok and num == {0: 1, 3: -6, 4: -1, 5: 12, 6: -1, 7: -6, 10: 1}
     ok = ok and grading.numerator_is_palindromic(num, 10)
     ok = ok and vanishing_order_at_one(num) >= 4
     fano = grading.fano_invariants(w, sections=9)
-    ok = ok and fano.degree == Fraction(11, 2) and fano.genus == 3
+    ok = ok and fano["degree"] == Fraction(11, 2) and fano["genus"] == 3
     report(10, "canonical weights, numerator, degree 11/2 and genus 3", ok)
 
 

@@ -1,7 +1,6 @@
 """Command-line behavior: exit codes, determinism, report schema."""
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -165,7 +164,7 @@ def test_wrong_genus_fails_hilbert_invariants(tmp_path, monkeypatch, capsys):
 
     def genus_plus_one(*args, **kwargs):
         fano = fano_invariants(*args, **kwargs)
-        return dataclasses.replace(fano, genus=fano.genus + 1)
+        return {**fano, "genus": fano["genus"] + 1}
 
     monkeypatch.setattr(grading, "fano_invariants", genus_plus_one)
     out = tmp_path / "report.json"
@@ -276,6 +275,19 @@ def test_weights_not_grading_the_equations_fail_hilbert_invariants(tmp_path, cap
     assert err.rstrip("\n").endswith(
         "first failing claim: hilbert/invariants: "
         "numerator lacks vanishing order 4 at t = 1; wrong weights")
+
+
+@pytest.mark.parametrize("command", ["weights", "hilbert"])
+@pytest.mark.parametrize("name", ["zz", "u_1"])
+def test_weight_file_naming_an_unknown_variable_is_input_error(tmp_path, capsys,
+                                                               command, name):
+    # the name would otherwise be ignored, and the standard grading reported
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({**STANDARD, name: "5"}))
+    assert run([command, "--weights", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: unknown variables: [{name!r}]\n"
 
 
 def test_repeated_key_names_the_key(tmp_path, capsys):

@@ -214,7 +214,7 @@ def test_random_lattice_points_satisfy_weight_sum_identity():
         full = {n: Fraction(v, 2 * L) for n, v in full.items()}
         assert grading.check_homogeneous(eqs, full).ok
         can = grading.canonical_arithmetic(full)
-        assert can.consistent
+        assert can.ok
         assert grading.shift_pairing_holds(full)
 
 
@@ -222,18 +222,18 @@ def test_random_lattice_points_satisfy_weight_sum_identity():
 
 
 def test_standard_canonical_numbers():
-    can = grading.canonical_arithmetic(grading.standard_weights())
-    assert (can.c, can.d, can.delta) == (4, 6, 10)
-    assert can.weight_sum == 20 == 4 * can.d - can.c
-    assert can.variety_dualizing_twist == -10
-    assert can.ambient_dualizing_twist == -20
+    can = grading.canonical_arithmetic(grading.standard_weights()).data
+    assert (can["c"], can["d"], can["delta"]) == (4, 6, 10)
+    assert can["sum"] == 20 == 4 * can["d"] - can["c"]
+    assert can["variety_twist"] == -10
+    assert can["ambient_twist"] == -20
 
 
 def test_uniform_toy_weights():
     w = {name: Fraction(1) for name in ALL_VARS}
-    can = grading.canonical_arithmetic(w)
-    assert (can.c, can.d) == (3, 3)
-    assert can.variety_dualizing_twist == -3
+    can = grading.canonical_arithmetic(w).data
+    assert (can["c"], can["d"]) == (3, 3)
+    assert can["variety_twist"] == -3
 
 
 def test_positive_weights_required():
@@ -253,6 +253,30 @@ def test_shift_multiset_sizes():
 
 def test_shift_pairing():
     assert grading.shift_pairing_holds(grading.standard_weights())
+
+
+def _moved_third_shift(shifts):
+    shifts[3][0] += 1
+
+
+def _first_shift_repeated(shifts):
+    # the last first-term shift (4) becomes a second copy of the first (3):
+    # the same set of values, another multiset
+    assert shifts[1][0] != shifts[1][-1]
+    shifts[1][-1] = shifts[1][0]
+
+
+@pytest.mark.parametrize("tamper", [_moved_third_shift, _first_shift_repeated])
+def test_shift_pairing_fails_on_tampered_shifts(monkeypatch, tamper):
+    recorded = grading.resolution_shifts
+
+    def tampered(w):
+        shifts = recorded(w)
+        tamper(shifts)
+        return shifts
+
+    monkeypatch.setattr(grading, "resolution_shifts", tampered)
+    assert not grading.shift_pairing_holds(grading.standard_weights())
 
 
 def test_numerator_exact_form():
@@ -303,10 +327,10 @@ def test_numerator_palindromic_and_vanishing_order():
 
 def test_fano_invariants_standard():
     fano = grading.fano_invariants(grading.standard_weights(), sections=9)
-    assert fano.degree == Fraction(11, 2)
-    assert fano.h0 == 5
-    assert fano.genus == 3
-    assert fano.dimension == 3
+    assert fano["degree"] == Fraction(11, 2)
+    assert fano["h0"] == 5
+    assert fano["genus"] == 3
+    assert fano["dimension"] == 3
 
 
 def test_fano_requires_enough_sections():
@@ -323,6 +347,28 @@ def test_ambient_series_control():
     assert coeffs[0] == 1
     assert coeffs[1] == 14
     assert coeffs[2] == 14 * 15 // 2 + 3
+
+
+def naive_series(num: dict, weights, order: int) -> list:
+    """num times the geometric series 1 + t^a + t^2a + ... of each weight
+    a, all truncated after t^order, multiplied out term by term."""
+    coeffs = [num.get(e, Fraction(0)) for e in range(order + 1)]
+    for a in weights:
+        geometric = [int(e % a == 0) for e in range(order + 1)]
+        coeffs = [sum(coeffs[k] * geometric[e - k] for k in range(e + 1))
+                  for e in range(order + 1)]
+    return coeffs
+
+
+@pytest.mark.parametrize("sections", [0, 9])
+@pytest.mark.parametrize("extra", [(), (37,)])
+def test_series_coefficients_match_geometric_products(sections, extra):
+    # the standard numerator over its remaining weights, and over one more
+    # weight beyond the order, whose factor is 1 up to t^30
+    w = grading.standard_weights()
+    weights = sorted(map(int, w.values()))[sections:] + list(extra)
+    num = grading.hilbert_numerator(w)
+    assert grading.series_coefficients(num, weights, 30) == naive_series(num, weights, 30)
 
 
 def test_divide_by_one_minus_t_exact():
