@@ -40,11 +40,11 @@ Any other command refuses the defect as malformed input, with exit 2.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 from . import coord8, grading, hvariety, jordan, relatives
 from .coord8 import Hypermatrix
@@ -57,28 +57,26 @@ SCHEMA_VERSION = 1
 DEFECTS = {
     "tampered-sharp": (
         "verify-axioms", "jordan", "verify_sharp_conditions",
-        lambda p: dataclasses.replace(
-            p, sharp=(p.sharp[0] + p.ring.var("x11") ** 2, *p.sharp[1:]))),
+        lambda p: jordan.JordanPresentation(p.ring, p.coords, p.unit, p.cubic,
+                                            (p.sharp[0] + p.ring.var("x11") ** 2, *p.sharp[1:]))),
     "skip-chart-substitution": (
         "chart", "hvariety", "chart_reduce_u1",
         lambda sub: {k: v for k, v in sub.items() if k != "u3"}),
     "perturbed-dictionary": (
         "specialize", "relatives", "verify_specialization",
-        lambda d: d if d.name != "c2" else dataclasses.replace(
-            d, mapping={**d.mapping, "x22": d.target.var("th1") + d.target.var("A12")})),
+        lambda d: d if d.name != "c2" else d._replace(
+            mapping={**d.mapping, "x22": d.target.var("th1") + d.target.var("A12")})),
 }
 
 
-@dataclasses.dataclass
-class Claim:
+class Claim(NamedTuple):
     claim_id: str
     description: str
     status: str
     data: dict
 
 
-@dataclasses.dataclass(frozen=True)
-class Options:
+class Options(NamedTuple):
     """What a suite reads: the common flags and the parsed input files."""
 
     seed: int
@@ -320,7 +318,8 @@ def run(argv: list[str] | None = None) -> int:
     suites = ([name for row in COMMANDS.values() for name in row] if args.command == "all"
               else COMMANDS[args.command])
     opts = Options(args.seed, args.samples, cube, weights,
-                   Options.sections if args.sections is None else args.sections)
+                   Options._field_defaults["sections"] if args.sections is None
+                   else args.sections)
     if args.defect:
         _, module, attr, tamper = DEFECTS[args.defect]
         owner = globals()[module]
@@ -355,7 +354,7 @@ def run(argv: list[str] | None = None) -> int:
             "command": args.command,
             "seed": args.seed,
             "samples": args.samples,
-            "claims": [vars(c) for c in claims],
+            "claims": [c._asdict() for c in claims],
             "summary": summary,
         }
         try:

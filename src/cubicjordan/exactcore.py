@@ -61,7 +61,6 @@ certificate behind one claim.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -807,24 +806,23 @@ def nullspace(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
     return rref_kernel(reduced, pivots, n)
 
 
-@dataclass(frozen=True)
 class EquationSet:
     """A finite list of polynomial generators over one ring.
 
     Order matters only for reporting; all comparisons go through
-    ``span_compare``.  Generators are expected nonzero.
+    ``span_compare``.  Generators are expected nonzero.  ``len`` is the
+    number of generators, which a ``NamedTuple``'s ``_replace`` would misread.
     """
 
-    ring: Ring
-    gens: tuple[Poly, ...]
-    labels: tuple[str, ...] = ()
+    __slots__ = ("ring", "gens", "labels")
 
-    def __post_init__(self):
-        for g in self.gens:
-            if g.ring != self.ring:
+    def __init__(self, ring: Ring, gens: tuple[Poly, ...], labels: tuple[str, ...] = ()):
+        for g in gens:
+            if g.ring != ring:
                 raise ContextError("generator outside the declared ring")
-        if self.labels and len(self.labels) != len(self.gens):
+        if labels and len(labels) != len(gens):
             raise ValueError("one label per generator required")
+        self.ring, self.gens, self.labels = ring, gens, labels
 
     def __len__(self) -> int:
         return len(self.gens)
@@ -843,8 +841,7 @@ B_CONTAINS_A = "b_contains_a"
 INCOMPARABLE = "incomparable"
 
 
-@dataclass
-class SpanResult:
+class SpanResult(NamedTuple):
     """Outcome of the Q-linear span comparison of two generator lists.
 
     ``b_in_a[j]`` is the coefficient list expressing b's j-th generator in

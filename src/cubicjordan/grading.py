@@ -25,11 +25,10 @@ arithmetic, never floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, prod
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .coord8 import ALL_VARS, PARAM_VARS, U_VARS, X_VARS
 from .errors import InfeasibleWeights, InputError, NumeratorNotDivisible
@@ -128,8 +127,7 @@ def check_bigraded(eqs: EquationSet, w1: Mapping[str, Rational],
     return Report(not failures, data)
 
 
-@dataclass
-class WeightLattice:
+class WeightLattice(NamedTuple):
     """Affine solution set of the homogeneity constraints.
 
     ``particular + span(basis)`` over the listed variables.  A linear

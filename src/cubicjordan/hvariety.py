@@ -31,11 +31,10 @@ check; ``sample_point`` makes ``Fraction``s to return.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import coord8, jordan
 from .coord8 import (ALL_VARS, COORD_VARS, INDEX_TRIPLES, PARAM_VARS, X_VARS, Hypermatrix,
@@ -82,8 +81,7 @@ def representative(name: str) -> Hypermatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     """Three 2x2 factors and a permutation of the indices 1, 2, 3.
 
     ``perm[i-1]`` is the image of index i.  Factor entries may be rational
@@ -322,8 +320,7 @@ def _flattening_rank(rows: list[list[Rational]]) -> int:
     return 2
 
 
-@dataclass
-class OrbitLabel:
+class OrbitLabel(NamedTuple):
     label: str
     hyperdet: Fraction
     flattening_ranks: tuple[int, int, int]

@@ -24,7 +24,6 @@ per result; the identities themselves are still expanded on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -44,31 +43,27 @@ class _Tables(NamedTuple):
     den: int
 
 
-@dataclass(frozen=True)
 class JordanPresentation:
     """Coordinates, unit, cubic form and sharp map of one algebra.
 
     ``ring`` may carry extra parameter variables beyond ``coords``; the
     cubic and the sharp components are then polynomial families in those
-    parameters.
+    parameters.  The constructor checks the shapes, the degrees and the
+    unit; the cached properties below need the instance ``__dict__``.
     """
 
-    ring: Ring
-    coords: tuple[str, ...]
-    unit: tuple[Fraction, ...]
-    cubic: Poly
-    sharp: tuple[Poly, ...]
-
-    def __post_init__(self):
-        n = len(self.coords)
-        if len(self.unit) != n or len(self.sharp) != n:
+    def __init__(self, ring: Ring, coords: tuple[str, ...], unit: tuple[Fraction, ...],
+                 cubic: Poly, sharp: tuple[Poly, ...]):
+        self.ring, self.coords, self.unit, self.cubic, self.sharp = ring, coords, unit, cubic, sharp
+        n = len(coords)
+        if len(unit) != n or len(sharp) != n:
             raise ValueError("unit and sharp must have one entry per coordinate")
-        if not self.cubic.is_homogeneous_in(self.coords, 3):
+        if not cubic.is_homogeneous_in(coords, 3):
             raise ValueError("cubic form must be homogeneous of degree 3")
-        for s in self.sharp:
-            if not s.is_homogeneous_in(self.coords, 2):
+        for s in sharp:
+            if not s.is_homogeneous_in(coords, 2):
                 raise ValueError("sharp components must be homogeneous of degree 2")
-        if self.cubic.substitute(self.unit_values()) != 1:
+        if cubic.substitute(self.unit_values()) != 1:
             raise ValueError("cubic form must take value 1 at the unit")
 
     def unit_values(self) -> dict[str, Fraction]:

@@ -24,10 +24,9 @@ are the stable interface used by the command line.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import grading, hvariety
 from .errors import UnknownDictionary
@@ -125,8 +124,7 @@ def c2_equations() -> EquationSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Dictionary:
+class Dictionary(NamedTuple):
     """Images of the seventeen ambient variables inside a target ring.
 
     ``mapping`` sends every ambient variable to a polynomial in the target

@@ -208,6 +208,15 @@ def test_unwritable_json_path_is_input_error(tmp_path, capsys, monkeypatch):
     assert err == "input error: cannot write the report: permission denied\n"
 
 
+def test_sections_default_is_nine(tmp_path):
+    # the default of --sections is the nine weight-one sections of the theorem
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    assert run(["hilbert", "--json", str(a)]) == 0
+    assert run(["hilbert", "--sections", "9", "--json", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_json_report_is_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -464,6 +473,71 @@ def test_file_parsers_never_fault(tmp_path_factory, command, option):
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
         assert "internal error" not in err.getvalue()
+
+    check()
+
+
+def _object(pairs) -> str:
+    """A JSON object of (key, value literal) pairs, a repeated key kept."""
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in pairs) + "}"
+
+
+def _edited(base: dict, names: list[str]) -> st.SearchStrategy[str]:
+    """``base`` with up to three entries set, added, repeated or dropped."""
+    def apply(edits):
+        pairs = [(k, json.dumps(v)) for k, v in base.items()]
+        for name, value, repeat in edits:
+            if value is None or not repeat:
+                pairs = [(k, v) for k, v in pairs if k != name]
+            if value is not None:
+                pairs.append((name, value))
+        return _object(pairs)
+
+    value = st.one_of(st.none(), _literal, st.tuples(_literal, _literal).map(
+        lambda p: f"[{p[0]}, {p[1]}]"))
+    return st.lists(st.tuples(st.sampled_from(names), value, st.booleans()),
+                    max_size=3).map(apply)
+
+
+# zero, negative, fractional and huge rationals (10**100 is one digit past
+# the bound), as JSON strings or numbers, and values that are no rational;
+# drawn from short lists, as random text and numbers are the fuzz test's
+_rational = st.one_of(st.integers(-3, 3), st.sampled_from(
+    [Fraction(1, 2), Fraction(-2, 3), Fraction(7, 6), 10 ** 20, 10 ** 99, -10 ** 99, 10 ** 100]))
+_literal = st.one_of(
+    _rational.map(lambda r: json.dumps(str(r))), st.integers(-3, 3).map(str),
+    st.sampled_from(["0.5", "null", "true", "[]", "{}", "NaN", "1e3", '"1/0"', '"x"']))
+_UNKNOWN = ["zz", "u_1", "P111", ""]
+_CUBE = {n: "1/2" for n in coord8.PARAM_VARS}
+_INPUTS = st.one_of(
+    st.tuples(st.just(["classify", "--hypermatrix"]), st.one_of(
+        st.lists(st.one_of(_rational.map(str), st.sampled_from(["x", "1/0", "1e3", "0.5"])),
+                 max_size=9).map(" ".join),
+        _edited(_CUBE, [*_CUBE, *_UNKNOWN]))),
+    st.tuples(st.sampled_from([["weights", "--weights"], ["hilbert", "--weights"]]),
+              _edited(STANDARD, [*STANDARD, *_UNKNOWN])),
+    st.tuples(st.just(["hilbert", "--sections"]), st.integers(-3, 20)))
+
+
+def test_input_files_keep_the_exit_code_promise(tmp_path_factory):
+    # whatever the input, the run exits 0, 1 or 2; exit 2 says why in one line
+    path = tmp_path_factory.mktemp("inputs") / "input"
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=_INPUTS)
+    def check(case):
+        argv, value = case
+        if isinstance(value, str):
+            path.write_text(value)
+            value = path
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run([*argv, str(value)])
+        err = err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err and "internal error" not in err
+        if code == 2:
+            assert err.startswith("input error:") and err.count("\n") == 1
 
     check()
 
@@ -772,3 +846,14 @@ def test_import_fills_no_cache():
             "cubicjordan.hvariety._chart_pfaffians",
             "cubicjordan.relatives._embedding_batches"} <= set(sizes)
     assert set(sizes.values()) == {0}
+
+
+def test_import_loads_no_code_generation():
+    # the records are NamedTuples and plain classes: starting the program
+    # loads neither dataclasses nor the introspection modules it imports
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import cubicjordan.cli; print(*sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe, str(src)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert {"cubicjordan.cli", "argparse"} <= set(done.stdout.split())
+    assert not {"dataclasses", "inspect", "ast", "dis"} & set(done.stdout.split())

@@ -1,7 +1,6 @@
 """Product table, difference matrices, sharp map and cubic form of the
 coordinatized algebra."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -223,14 +222,15 @@ def test_peirce_identity_suite_passes(symbolic_presentation):
 
 def _add_to_cubic(p):
     u1, u2 = p.ring.var("u1"), p.ring.var("u2")
-    return dataclasses.replace(p, cubic=p.cubic + u1 * u1 * u2 - u1 * u2 * u2)
+    return jordan.JordanPresentation(p.ring, p.coords, p.unit,
+                                     p.cubic + u1 * u1 * u2 - u1 * u2 * u2, p.sharp)
 
 
 def _add_to_sharp(index, a, b):
     def tamper(p):
         sharp = list(p.sharp)
         sharp[index] = sharp[index] + p.ring.var(a) * p.ring.var(b)
-        return dataclasses.replace(p, sharp=tuple(sharp))
+        return jordan.JordanPresentation(p.ring, p.coords, p.unit, p.cubic, tuple(sharp))
     return tamper
 
 

@@ -1,6 +1,5 @@
 """Defining equations, group action, orbits, fibers, charts and sampling."""
 
-import dataclasses
 import hashlib
 import math
 import os
@@ -18,7 +17,7 @@ from cubicjordan import hvariety, jordan, relatives
 from cubicjordan.coord8 import (ALL_VARS, COORD_VARS, PARAM_VARS, Hypermatrix, coord_ring,
                                 symbolic_cube)
 from cubicjordan.errors import ShapeError, SingularGroupElement
-from cubicjordan.exactcore import PolyMatrix, evaluate_all, rank, span_compare
+from cubicjordan.exactcore import EquationSet, PolyMatrix, evaluate_all, rank, span_compare
 from cubicjordan.hvariety import GroupElement, representative
 
 
@@ -75,7 +74,7 @@ def test_equivariance_certificates_fail_on_a_perturbed_generator(monkeypatch):
         eqs = real(ring)
         gens = list(eqs.gens)
         gens[g4] += eqs.ring.var("x11") * eqs.ring.var("x12")
-        return dataclasses.replace(eqs, gens=tuple(gens))
+        return EquationSet(eqs.ring, tuple(gens), eqs.labels)
 
     monkeypatch.setattr(hvariety, "equations", perturbed)
     for r in (1, 2, 3):

@@ -1,6 +1,5 @@
 """Subvariety equation systems, dictionaries, embeddings, group actions."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -160,6 +159,6 @@ def test_perturbed_dictionary_detected():
     result = span_compare(specialized.gens, relatives.c2_equations().gens)
     assert result.relation != "equal"
     # the certificate reports the relation and the first generator outside
-    rep = relatives.verify_specialization(dataclasses.replace(d, mapping=bad))
+    rep = relatives.verify_specialization(d._replace(mapping=bad))
     outside = [g for g, w in zip(specialized.gens, result.a_in_b) if w is None]
     assert rep == (False, {"relation": result.relation, "residual": outside[0]})
