@@ -477,13 +477,19 @@ def test_file_parsers_never_fault(tmp_path_factory, command, option):
     check()
 
 
-def _object(pairs) -> str:
-    """A JSON object of (key, value literal) pairs, a repeated key kept."""
-    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in pairs) + "}"
+# zero, negative, fractional and huge rationals (10**100 is one digit past
+# the bound), as JSON strings or numbers, and values that are no rational;
+# short lists, as test_file_parsers_never_fault draws random text and numbers
+_rational = st.one_of(st.integers(-3, 3), st.sampled_from(
+    [Fraction(1, 2), Fraction(-2, 3), Fraction(7, 6), 10 ** 20, 10 ** 99, -10 ** 99, 10 ** 100]))
+_literal = st.one_of(
+    _rational.map(lambda r: json.dumps(str(r))), st.integers(-3, 3).map(str),
+    st.sampled_from(["0.5", "null", "true", "[]", "{}", "NaN", "1e3", '"1/0"', '"x"']))
 
 
 def _edited(base: dict, names: list[str]) -> st.SearchStrategy[str]:
-    """``base`` with up to three entries set, added, repeated or dropped."""
+    """JSON text of ``base`` with up to three entries set, added, repeated
+    (the text keeps a repeated key) or dropped."""
     def apply(edits):
         pairs = [(k, json.dumps(v)) for k, v in base.items()]
         for name, value, repeat in edits:
@@ -491,7 +497,7 @@ def _edited(base: dict, names: list[str]) -> st.SearchStrategy[str]:
                 pairs = [(k, v) for k, v in pairs if k != name]
             if value is not None:
                 pairs.append((name, value))
-        return _object(pairs)
+        return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in pairs) + "}"
 
     value = st.one_of(st.none(), _literal, st.tuples(_literal, _literal).map(
         lambda p: f"[{p[0]}, {p[1]}]"))
@@ -499,14 +505,6 @@ def _edited(base: dict, names: list[str]) -> st.SearchStrategy[str]:
                     max_size=3).map(apply)
 
 
-# zero, negative, fractional and huge rationals (10**100 is one digit past
-# the bound), as JSON strings or numbers, and values that are no rational;
-# drawn from short lists, as random text and numbers are the fuzz test's
-_rational = st.one_of(st.integers(-3, 3), st.sampled_from(
-    [Fraction(1, 2), Fraction(-2, 3), Fraction(7, 6), 10 ** 20, 10 ** 99, -10 ** 99, 10 ** 100]))
-_literal = st.one_of(
-    _rational.map(lambda r: json.dumps(str(r))), st.integers(-3, 3).map(str),
-    st.sampled_from(["0.5", "null", "true", "[]", "{}", "NaN", "1e3", '"1/0"', '"x"']))
 _UNKNOWN = ["zz", "u_1", "P111", ""]
 _CUBE = {n: "1/2" for n in coord8.PARAM_VARS}
 _INPUTS = st.one_of(
@@ -855,5 +853,6 @@ def test_import_loads_no_code_generation():
     probe = "import sys; sys.path.insert(0, sys.argv[1]); import cubicjordan.cli; print(*sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe, str(src)],
                           capture_output=True, text=True, timeout=120, check=True)
-    assert {"cubicjordan.cli", "argparse"} <= set(done.stdout.split())
-    assert not {"dataclasses", "inspect", "ast", "dis"} & set(done.stdout.split())
+    loaded = set(done.stdout.split())
+    assert {"cubicjordan.cli", "argparse"} <= loaded
+    assert not {"dataclasses", "inspect", "ast", "dis"} & loaded
