@@ -43,7 +43,8 @@ straight from their data: ``span_compare`` one row per monomial from
 ``Poly.terms``.
 
 Symbolic substitution is batched: ``substitute_all`` applies one ring map
-to a batch of polynomials, and ``Poly.substitute`` is its batch of one.
+to a batch of polynomials, ``Poly.substitute`` is its batch of one, and
+``Poly.convert``, a change of ring by name, is the empty-map batch of one.
 Constant images fold into the integer coefficients with one division at
 the end; each non-constant image is raised to its powers once, and each
 product of image powers is formed once per batch.  Most products here
@@ -299,22 +300,9 @@ class Poly:
         return Poly.collect(self.ring, out)
 
     def convert(self, ring: Ring) -> Poly:
-        """Re-express over another ring, matching variables by name."""
-        if ring == self.ring:
-            return self
-        pos = [ring.index(n) if n in ring else -1 for n in self.ring.names]
-        out: dict = {}
-        for m, c in self.terms.items():
-            exp = [0] * ring.nvars
-            for i, e in enumerate(self.ring.unpack(m)):
-                if e:
-                    if pos[i] < 0:
-                        raise ContextError(
-                            f"variable {self.ring.names[i]!r} absent from target ring")
-                    exp[pos[i]] = e
-            mm = ring.pack(exp)
-            out[mm] = out.get(mm, 0) + c
-        return Poly.collect(ring, out)
+        """Re-express over another ring, matching variables by name: the
+        empty-map ``substitute_all`` of the batch of one."""
+        return substitute_all((self,), {}, ring)[0]
 
     def substitute(self, mapping: Mapping[str, "Poly | Rational"],
                    ring: Ring | None = None) -> Poly:
@@ -422,9 +410,10 @@ def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, "Poly | Rational
                    ring: Ring | None = None) -> list[Poly]:
     """Apply one ring map to a batch of polynomials over one ring.
 
-    Unmapped variables pass through by name and must exist in the target
-    ring, as must every Poly image.  The target defaults to the ring of the
-    first Poly value in the mapping, else to the ring of the batch.
+    Unmapped variables that the batch uses pass through by name and must
+    exist in the target ring, as must every Poly image.  The target
+    defaults to the ring of the first Poly value in the mapping, else to
+    the ring of the batch; the empty map into that ring returns the batch.
 
     A constant image p/q (a rational or a constant Poly) of a variable with
     top power E in the batch folds into the coefficients: a term with x^e
@@ -442,6 +431,8 @@ def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, "Poly | Rational
         raise ContextError("mixed ring contexts")
     target = ring if ring is not None else next(
         (v.ring for v in mapping.values() if isinstance(v, Poly)), source)
+    if not mapping and target == source:
+        return list(polys)
     if any(isinstance(v, Poly) and v.ring != target
            for v in map(mapping.get, source.names)):
         raise ContextError("mixed ring contexts")

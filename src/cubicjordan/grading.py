@@ -258,10 +258,10 @@ def resolution_shifts(w: Mapping[str, Rational]) -> list[list[Fraction]]:
     return [[Fraction(0)], p1, p2, p3, [delta]]
 
 
-def shift_pairing_holds(w: Mapping[str, Rational]) -> bool:
+def shift_pairing_holds(shifts: Sequence[Sequence[Fraction]]) -> bool:
     """Every first-term shift pairs with a third-term shift summing to the
     top shift, and the middle term pairs with itself."""
-    _, first, middle, third, (delta,) = resolution_shifts(w)
+    _, first, middle, third, (delta,) = shifts
     return all(sorted(delta - s for s in a) == sorted(b)
                for a, b in ((first, third), (middle, middle)))
 
@@ -291,11 +291,11 @@ def poly1_str(a: Poly1) -> str:
     return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
-def hilbert_numerator(w: Mapping[str, Rational]) -> Poly1:
-    """Alternating sum of shift monomials of the resolution, instantiated
-    at a positive integer weight system."""
+def hilbert_numerator(shifts: Sequence[Sequence[Fraction]]) -> Poly1:
+    """Alternating sum of shift monomials of the resolution, from
+    ``resolution_shifts`` at a positive integer weight system."""
     counts: dict[int, int] = {}
-    for i, term in enumerate(resolution_shifts(w)):
+    for i, term in enumerate(shifts):
         for s in term:
             if s.denominator != 1:
                 raise InputError("numerator requires integer weights")
@@ -340,9 +340,9 @@ def series_coefficients(num: Poly1, denominator_weights: Sequence[int],
     return coeffs
 
 
-def fano_invariants(w: Mapping[str, Rational], sections: int = 9) -> dict:
-    """Degree, h0, genus and dimension of the threefold cut by weight-one
-    sections.
+def fano_invariants(w: Mapping[str, Rational], num: Poly1, sections: int = 9) -> dict:
+    """Degree, h0, genus and dimension of the section of the 13-dimensional
+    cone by at most 12 weight-one forms, with Hilbert numerator ``num``.
 
     The Hilbert series is the numerator over one cyclotomic-type factor
     per remaining coordinate; the degree is the exact limit of the series
@@ -360,8 +360,8 @@ def fano_invariants(w: Mapping[str, Rational], sections: int = 9) -> dict:
         if 1 not in weights:
             raise InputError("not enough coordinates of the section weight")
         weights.remove(1)
-
-    num = hilbert_numerator(ws)
+    if sections > 12:
+        raise InputError("the number of sections must be at most 12")
     h0 = series_coefficients(num, weights, 1)[1]
     # pole order at t = 1 is (#factors - 4); the section is projective of
     # dimension one less
@@ -381,16 +381,17 @@ def hilbert_certificates(w: Mapping[str, Rational] | None = None,
         raise InputError("hilbert needs a single grading")
     w = standard_weights() if w is None else w
     canonical = canonical_arithmetic(w)
-    num = hilbert_numerator(w)
+    shifts = resolution_shifts(w)
+    num = hilbert_numerator(shifts)
     delta = int(canonical.data["delta"])
     reports = {
         "canonical": canonical,
         "numerator": Report(bool(num), {"numerator": poly1_str(num)}),
         "palindromy": Report(numerator_is_palindromic(num, delta), {"delta": delta}),
-        "pairing": Report(shift_pairing_holds(w), {}),
+        "pairing": Report(shift_pairing_holds(shifts), {}),
     }
     try:
-        data = fano_invariants(w, sections=sections)
+        data = fano_invariants(w, num, sections)
     except NumeratorNotDivisible as exc:
         reports["invariants"] = Report(False, {"residual": str(exc)})
         return reports

@@ -51,9 +51,7 @@ def equations(ring: Ring | None = None) -> EquationSet:
     """The nine defining generators over the 17-variable ring, or over a
     ring extending it: the symbolic sharp components, expanded once."""
     gens = coord8._symbolic_forms()[1]
-    if ring is None:
-        ring = gens[0].ring
-    return EquationSet(ring, tuple(g.convert(ring) for g in gens), GEN_LABELS)
+    return EquationSet(gens[0].ring, gens, GEN_LABELS).substitute({}, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +127,7 @@ def _perm_images(perm: tuple[int, int, int], ring: Ring) -> dict[str, Poly]:
 def _factor_images(r: int, factor: PolyMatrix, ring: Ring) -> dict[str, Poly]:
     """Images of the variables moved by one 2x2 factor acting on slot r,
     over ``ring``, with the factor's a, b, c, d in row order."""
-    a, b, c, d = (e.convert(ring) for e in factor.entries)
+    a, b, c, d = substitute_all(factor.entries, {}, ring)
     var = ring.var
     det = a * d - b * c
     lo_x, hi_x = x_name(1, r), x_name(2, r)
@@ -201,9 +199,12 @@ def _move_cube(factors: Sequence[tuple[int, tuple[list[int], int]]],
     return nums, den
 
 
-def apply_group_to_equations(g: GroupElement, eqs: EquationSet) -> EquationSet:
-    sub = substitution_of(g, eqs.ring)
-    return eqs.substitute(sub, eqs.ring)
+def _symbolic_factor() -> tuple[Ring, PolyMatrix, Poly]:
+    """The 2x2 factor [[ga, gb], [gc, gd]] of four symbols, over the
+    17-variable ring extended by them, and its determinant."""
+    ring = coord_ring(True, ("ga", "gb", "gc", "gd"))
+    g = PolyMatrix(ring, 2, 2, [ring.var(n) for n in ring.names[-4:]])
+    return ring, g, g.det()
 
 
 def factor_equivariance_certificate(r: int) -> Report:
@@ -211,13 +212,9 @@ def factor_equivariance_certificate(r: int) -> Report:
     2x2 factor: the r-th pair transforms by the matrix itself, the r-th
     idempotent generator picks up the squared determinant, and every other
     generator is scaled by the determinant."""
-    ring = coord_ring(True, ("ga", "gb", "gc", "gd"))
-    g = PolyMatrix.from_rows(ring, [[ring.var("ga"), ring.var("gb")],
-                                    [ring.var("gc"), ring.var("gd")]])
-    det = g.det()
-    element = GroupElement(**{f"g{r}": g})
+    ring, g, det = _symbolic_factor()
     base = equations(ring)
-    transformed = apply_group_to_equations(element, base)
+    transformed = base.substitute(substitution_of(GroupElement(**{f"g{r}": g}), ring), ring)
 
     failures: list[str] = []
     pair = base.gens[2 * (r - 1):2 * r]
@@ -242,8 +239,7 @@ def permutation_certificate(perm: tuple[int, int, int]) -> Report:
     """The permuted generator set equals the original up to signs and
     relabeling, and spans the same space."""
     base = equations()
-    element = GroupElement(perm=perm)
-    transformed = apply_group_to_equations(element, base)
+    transformed = base.substitute(substitution_of(GroupElement(perm=perm), base.ring), base.ring)
     failures: list[str] = []
     originals = list(base.gens)
     for lbl, got in zip(GEN_LABELS, transformed.gens):
@@ -428,10 +424,7 @@ def translate_invariance(seed: int) -> Report:
 def hyperdet_covariance_exponent(r: int) -> int | None:
     """Exponent e <= 4 with hyperdet(g . P) = (det g)^e hyperdet(P) for a
     symbolic factor in slot r; computed, not assumed."""
-    ring = coord_ring(True, ("ga", "gb", "gc", "gd"))
-    g = PolyMatrix.from_rows(ring, [[ring.var("ga"), ring.var("gb")],
-                                    [ring.var("gc"), ring.var("gd")]])
-    det = g.det()
+    ring, g, det = _symbolic_factor()
     sub = substitution_of(GroupElement(**{f"g{r}": g}), ring)
     base = _cayley(list(symbolic_cube(ring).values()))
     transformed = base.substitute(sub, ring)

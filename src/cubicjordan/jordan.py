@@ -143,7 +143,7 @@ class JordanPresentation:
         are not coordinates, none for a plain algebra."""
         params = Ring(n for n in self.ring.names if n not in self.coords)
         sharp, trace = self._polar[self.ring], self._trace_form[1]
-        batch = compile_batch([t.convert(params) for t in (*sharp.values(), *trace.values())])
+        batch = compile_batch(substitute_all([*sharp.values(), *trace.values()], {}, params))
         return tuple(sharp), tuple(trace), batch
 
 
@@ -215,10 +215,11 @@ def cubic_of(p: JordanPresentation, x: Element) -> Poly:
 def trace_bilinear(p: JordanPresentation, x: Element, y: Element) -> Poly:
     """Bilinear trace form T(x, y) = sum of T(e_i, e_j) x_i y_j."""
     ring = _target_ring(p, x, y)
+    table = p._trace_form[1]
     acc: dict = {}
-    for (i, j), t in p._trace_form[1].items():
+    for (i, j), t in zip(table, substitute_all([*table.values()], {}, ring)):
         if x[i].terms and y[j].terms:
-            add_product(acc, t.convert(ring), x[i], y[j])
+            add_product(acc, t, x[i], y[j])
     return Poly.collect(ring, acc)
 
 
@@ -226,9 +227,9 @@ def trace_linear(p: JordanPresentation, x: Element) -> Poly:
     """Linear trace form T(x) = T(x, unit)."""
     ring = _target_ring(p, x)
     acc: dict = {}
-    for t, comp in zip(p._trace_form[0], x):
+    for t, comp in zip(substitute_all(p._trace_form[0], {}, ring), x):
         if t.terms:
-            add_product(acc, t.convert(ring), comp, ring.one())
+            add_product(acc, t, comp, ring.one())
     return Poly.collect(ring, acc)
 
 

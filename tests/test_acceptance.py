@@ -136,11 +136,11 @@ def test_10_grading_and_hilbert_numbers():
     ok = (can["c"], can["d"], can["delta"]) == (4, 6, 10)
     ok = ok and can["sum"] == 20 == 4 * can["d"] - can["c"]
     ok = ok and can["variety_twist"] == -10
-    num = grading.hilbert_numerator(w)
+    num = grading.hilbert_numerator(grading.resolution_shifts(w))
     ok = ok and num == {0: 1, 3: -6, 4: -1, 5: 12, 6: -1, 7: -6, 10: 1}
     ok = ok and grading.numerator_is_palindromic(num, 10)
     ok = ok and vanishing_order_at_one(num) >= 4
-    fano = grading.fano_invariants(w, sections=9)
+    fano = grading.fano_invariants(w, num, sections=9)
     ok = ok and fano["degree"] == Fraction(11, 2) and fano["genus"] == 3
     report(10, "canonical weights, numerator, degree 11/2 and genus 3", ok)
 

@@ -13,7 +13,7 @@ from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubicjordan import cli, coord8, grading, hvariety
@@ -99,6 +99,8 @@ def test_malformed_file_is_input_error(tmp_path, capsys, command, option, text):
 
 @pytest.mark.parametrize("args", [
     ["hilbert", "--sections", "-1"],
+    ["hilbert", "--sections", "13"],
+    ["hilbert", "--sections", "14"],
     ["all", "--samples", "0"],
     ["fiber", "--samples", "-5"],
 ])
@@ -215,6 +217,18 @@ def test_sections_default_is_nine(tmp_path):
     assert run(["hilbert", "--json", str(a)]) == 0
     assert run(["hilbert", "--sections", "9", "--json", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_hilbert_builds_one_resolution(monkeypatch, capsys):
+    # the numerator, the pairing and the invariants share one set of shifts
+    calls = {}
+    for name in ("resolution_shifts", "hilbert_numerator"):
+        def counted(*args, _recorded=getattr(grading, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _recorded(*args)
+        monkeypatch.setattr(grading, name, counted)
+    assert run(["hilbert"]) == 0
+    assert calls == {"resolution_shifts": 1, "hilbert_numerator": 1}
 
 
 def test_json_report_is_deterministic(tmp_path):
@@ -523,6 +537,7 @@ def test_input_files_keep_the_exit_code_promise(tmp_path_factory):
 
     @settings(max_examples=120, deadline=None)
     @given(case=_INPUTS)
+    @example(case=(["hilbert", "--sections"], 13))
     def check(case):
         argv, value = case
         if isinstance(value, str):
@@ -536,6 +551,9 @@ def test_input_files_keep_the_exit_code_promise(tmp_path_factory):
         assert "Traceback" not in err and "internal error" not in err
         if code == 2:
             assert err.startswith("input error:") and err.count("\n") == 1
+        if argv == ["hilbert", "--sections"]:
+            # the 13-dimensional cone has sections by 0 to 12 weight-one forms
+            assert (code == 2) == (not 0 <= value <= 12)
 
     check()
 

@@ -59,7 +59,11 @@ def test_substitute_and_evaluate():
 def test_convert_between_rings():
     big = R.extend(("w",))
     assert (X + Y).convert(big) == big.var("x") + big.var("y")
+    assert X.convert(R) is X
     small = Ring(("x",))
+    # the target needs only the variables the polynomial uses
+    assert X.convert(small) == small.var("x")
+    assert R.zero().convert(small) == small.zero()
     with pytest.raises(ContextError):
         (X + Y).convert(small)
 

@@ -215,7 +215,7 @@ def test_random_lattice_points_satisfy_weight_sum_identity():
         assert grading.check_homogeneous(eqs, full).ok
         can = grading.canonical_arithmetic(full)
         assert can.ok
-        assert grading.shift_pairing_holds(full)
+        assert grading.shift_pairing_holds(grading.resolution_shifts(full))
 
 
 # -- canonical arithmetic ----------------------------------------------------------
@@ -252,7 +252,7 @@ def test_shift_multiset_sizes():
 
 
 def test_shift_pairing():
-    assert grading.shift_pairing_holds(grading.standard_weights())
+    assert grading.shift_pairing_holds(grading.resolution_shifts(grading.standard_weights()))
 
 
 def _moved_third_shift(shifts):
@@ -267,20 +267,18 @@ def _first_shift_repeated(shifts):
 
 
 @pytest.mark.parametrize("tamper", [_moved_third_shift, _first_shift_repeated])
-def test_shift_pairing_fails_on_tampered_shifts(monkeypatch, tamper):
-    recorded = grading.resolution_shifts
+def test_shift_pairing_fails_on_tampered_shifts(tamper):
+    shifts = grading.resolution_shifts(grading.standard_weights())
+    tamper(shifts)
+    assert not grading.shift_pairing_holds(shifts)
 
-    def tampered(w):
-        shifts = recorded(w)
-        tamper(shifts)
-        return shifts
 
-    monkeypatch.setattr(grading, "resolution_shifts", tampered)
-    assert not grading.shift_pairing_holds(grading.standard_weights())
+def standard_numerator() -> dict:
+    return grading.hilbert_numerator(grading.resolution_shifts(grading.standard_weights()))
 
 
 def test_numerator_exact_form():
-    num = grading.hilbert_numerator(grading.standard_weights())
+    num = standard_numerator()
     assert num == {0: 1, 3: -6, 4: -1, 5: 12, 6: -1, 7: -6, 10: 1}
     assert grading.poly1_str(num) == \
         "1 - 6*t^3 - t^4 + 12*t^5 - t^6 - 6*t^7 + t^10"
@@ -320,13 +318,13 @@ def vanishing_order_at_one(num: dict) -> int:
 
 
 def test_numerator_palindromic_and_vanishing_order():
-    num = grading.hilbert_numerator(grading.standard_weights())
+    num = standard_numerator()
     assert grading.numerator_is_palindromic(num, 10)
     assert vanishing_order_at_one(num) == 4
 
 
 def test_fano_invariants_standard():
-    fano = grading.fano_invariants(grading.standard_weights(), sections=9)
+    fano = grading.fano_invariants(grading.standard_weights(), standard_numerator(), sections=9)
     assert fano["degree"] == Fraction(11, 2)
     assert fano["h0"] == 5
     assert fano["genus"] == 3
@@ -336,7 +334,7 @@ def test_fano_invariants_standard():
 def test_fano_requires_enough_sections():
     w = grading.standard_weights()
     with pytest.raises(ValueError):
-        grading.fano_invariants(w, sections=15)
+        grading.fano_invariants(w, standard_numerator(), sections=15)
 
 
 def test_ambient_series_control():
@@ -367,7 +365,7 @@ def test_series_coefficients_match_geometric_products(sections, extra):
     # weight beyond the order, whose factor is 1 up to t^30
     w = grading.standard_weights()
     weights = sorted(map(int, w.values()))[sections:] + list(extra)
-    num = grading.hilbert_numerator(w)
+    num = standard_numerator()
     assert grading.series_coefficients(num, weights, 30) == naive_series(num, weights, 30)
 
 
