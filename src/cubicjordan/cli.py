@@ -311,7 +311,7 @@ def run(argv: list[str] | None = None) -> int:
             weights = grading.parse_weight_file(args.weights.read_text())
         if args.json is not None and (args.json.is_dir() or not args.json.parent.is_dir()):
             raise ValueError(f"--json {args.json} is not a file in an existing directory")
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

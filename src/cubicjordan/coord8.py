@@ -24,7 +24,7 @@ from itertools import combinations, permutations, product
 from typing import Mapping, Sequence
 
 from . import jordan
-from .errors import ShapeError
+from .errors import ContextError, ShapeError
 from .exactcore import (Point, Poly, PolyMatrix, Rational, Report, Ring, _frac, add_product,
                         json_rational, over_common_denominator, parse_json, parse_rational,
                         substitute_all)
@@ -193,15 +193,10 @@ def _specialize(P: Hypermatrix, forms: Sequence[Poly]) -> list[Poly]:
                           coord_ring(False))
 
 
-def cubic_form(P: Hypermatrix | None = None) -> Poly:
-    """The cubic form attached to the cube, fully expanded.
-
-    ``P=None`` keeps the eight parameters symbolic; a rational cube
-    substitutes its entries into the symbolic cubic alone, over the nine
-    coordinates.
-    """
-    cubic = _symbolic_forms()[0]
-    return cubic if P is None else _specialize(P, [cubic])[0]
+def cubic_form(P: Hypermatrix) -> Poly:
+    """The cubic form of a rational cube, its entries substituted into the
+    symbolic cubic ``presentation(None).cubic`` alone, over the nine coordinates."""
+    return _specialize(P, [_symbolic_forms()[0]])[0]
 
 
 def presentation(P: Hypermatrix | None = None) -> JordanPresentation:
@@ -298,16 +293,18 @@ def sharp_from_table(table: Mapping[tuple[str, str], Mapping[str, Poly]],
     for (a, b), cell in table.items():
         if values[a].terms and values[b].terms:
             for name, comp in cell.items():
-                add_product(acc[name], comp.convert(ring), values[a], values[b])
+                if comp.ring != ring:
+                    raise ContextError("table cell outside the ring of sigma")
+                add_product(acc[name], comp, values[a], values[b])
     return tuple(Poly.collect(ring, {m: Fraction(c, 2) for m, c in terms.items()})
                  for terms in acc.values())
 
 
 def representation_matrix(table: Mapping[tuple[str, str], Mapping[str, Poly]],
-                          i: int, j: int, sigma_pair: tuple[Poly, Poly],
-                          ring: Ring) -> PolyMatrix:
+                          i: int, j: int, sigma_pair: tuple[Poly, Poly]) -> PolyMatrix:
     """Matrix of multiplication by an element of the (i, j) off-diagonal
     space, as a map from the (i, k) space to the (j, k) space."""
+    ring = sigma_pair[0].ring
     k = _pair_index(i, j)
     src = _pair_index(i, k)   # basis pair spanning the (i, k) space
     dst = _pair_index(j, k)
@@ -349,10 +346,10 @@ def verify_peirce_identities(pres: JordanPresentation) -> dict[str, Report]:
     # displayed representation matrices of the two basis vectors of the
     # (2, 3) space, as maps from the (3, 1) to the (2, 1) space
     p = symbolic_cube(ring)
-    m1 = representation_matrix(table, 3, 2, (ring.one(), ring.zero()), ring)
+    m1 = representation_matrix(table, 3, 2, (ring.one(), ring.zero()))
     expect1 = PolyMatrix.from_rows(ring, [[p[(2, 2, 1)], -p[(2, 1, 1)]],
                                           [p[(2, 2, 2)], -p[(2, 1, 2)]]])
-    m2 = representation_matrix(table, 3, 2, (ring.zero(), ring.one()), ring)
+    m2 = representation_matrix(table, 3, 2, (ring.zero(), ring.one()))
     expect2 = PolyMatrix.from_rows(ring, [[-p[(1, 2, 1)], p[(1, 1, 1)]],
                                           [-p[(1, 2, 2)], p[(1, 1, 2)]]])
     disp_ok = m1.entries == expect1.entries and m2.entries == expect2.entries
@@ -361,7 +358,7 @@ def verify_peirce_identities(pres: JordanPresentation) -> dict[str, Report]:
     # each matrix once, so that each table cell it reads is converted into ext once
     prod_ok = det_ok = True
     coeffs = (ext.var("sa1"), ext.var("sa2"))
-    reps = {(i, j): representation_matrix(table, i, j, coeffs, ext)
+    reps = {(i, j): representation_matrix(table, i, j, coeffs)
             for i, j in permutations((1, 2, 3), 2)}
     for i, j in reps:
         sigma_el = _basis_combination(ext, _pair_index(i, j), ("sa1", "sa2"))

@@ -42,9 +42,9 @@ pivot rows by their pivots only at the end.  Callers build the rows
 straight from their data: ``span_compare`` one row per monomial from
 ``Poly.terms``.
 
-Symbolic substitution is batched: ``substitute_all`` applies one ring map
-to a batch of polynomials, ``Poly.substitute`` is its batch of one, and
-``Poly.convert``, a change of ring by name, is the empty-map batch of one.
+Symbolic substitution is batched: ``substitute_all`` maps a batch into a
+given ring or else the batch's own, ``Poly.substitute`` is its batch of one,
+and ``Poly.convert``, a change of ring by name, is the empty-map batch of one.
 Constant images fold into the integer coefficients with one division at
 the end; each non-constant image is raised to its powers once, and each
 product of image powers is formed once per batch.  Most products here
@@ -200,14 +200,10 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_homogeneous_in(self, names: Iterable[str], degree: int | None = None) -> bool:
+    def is_homogeneous_in(self, names: Iterable[str], degree: int) -> bool:
         idx = [self.ring.index(n) for n in names]
         degs = {sum(m[i] for i in idx) for m in map(self.ring.unpack, self.terms)}
-        if not degs:
-            return True
-        if degree is not None:
-            return degs == {degree}
-        return len(degs) == 1
+        return degs <= {degree}
 
     def variables(self) -> set[str]:
         used = self.ring.unpack(reduce(or_, self.terms, 0))
@@ -411,9 +407,9 @@ def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, "Poly | Rational
     """Apply one ring map to a batch of polynomials over one ring.
 
     Unmapped variables that the batch uses pass through by name and must
-    exist in the target ring, as must every Poly image.  The target
-    defaults to the ring of the first Poly value in the mapping, else to
-    the ring of the batch; the empty map into that ring returns the batch.
+    exist in the target ring, as must every Poly image.  The target is
+    ``ring``, or the ring of the batch when it is None; the empty map into
+    the batch's own ring returns the batch.
 
     A constant image p/q (a rational or a constant Poly) of a variable with
     top power E in the batch folds into the coefficients: a term with x^e
@@ -429,8 +425,7 @@ def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, "Poly | Rational
     source = polys[0].ring
     if any(p.ring != source for p in polys):
         raise ContextError("mixed ring contexts")
-    target = ring if ring is not None else next(
-        (v.ring for v in mapping.values() if isinstance(v, Poly)), source)
+    target = ring if ring is not None else source
     if not mapping and target == source:
         return list(polys)
     if any(isinstance(v, Poly) and v.ring != target
@@ -807,11 +802,11 @@ class EquationSet:
 
     __slots__ = ("ring", "gens", "labels")
 
-    def __init__(self, ring: Ring, gens: tuple[Poly, ...], labels: tuple[str, ...] = ()):
+    def __init__(self, ring: Ring, gens: tuple[Poly, ...], labels: tuple[str, ...]):
         for g in gens:
             if g.ring != ring:
                 raise ContextError("generator outside the declared ring")
-        if labels and len(labels) != len(gens):
+        if len(labels) != len(gens):
             raise ValueError("one label per generator required")
         self.ring, self.gens, self.labels = ring, gens, labels
 
@@ -821,9 +816,8 @@ class EquationSet:
     def substitute(self, mapping: Mapping[str, "Poly | Rational"],
                    ring: Ring | None = None) -> EquationSet:
         gens = tuple(substitute_all(self.gens, mapping, ring))
-        labels = self.labels or tuple(str(i) for i in range(len(gens)))
-        target = gens[0].ring if gens else (ring if ring is not None else self.ring)
-        return EquationSet(target, gens, labels)
+        target = ring if ring is not None else self.ring
+        return EquationSet(target, gens, self.labels)
 
 
 EQUAL = "equal"
@@ -928,9 +922,10 @@ def json_rational(value: object) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """An integer, a decimal or ``a/b`` of at most 100 characters.
+    """An integer, a decimal or ``a/b`` of at most 100 ASCII characters.
 
-    Exponent notation is refused: ``Fraction`` would build ten to the
+    Exponent notation, ``_`` digit separators and non-ASCII digits, which
+    ``Fraction`` also reads, are refused: the first would build ten to the
     exponent in full.  The length bound keeps every derived integer
     printable: over the lcm q of a cube's eight denominators each integer
     entry has fewer than 8 x 100 digits and q^4 fewer than 32 x 100, so the
@@ -943,6 +938,9 @@ def parse_rational(text: str) -> Fraction:
     if "e" in text.lower():
         raise ValueError(f"{text!r} is not an integer, decimal or a/b "
                          "(exponent notation is refused)")
+    if "_" in text or not text.isascii():
+        raise ValueError(f"{text!a} is not an integer, decimal or a/b "
+                         "(digit separators and non-ASCII text are refused)")
     try:
         return Fraction(text)
     except ZeroDivisionError:

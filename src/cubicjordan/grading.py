@@ -106,8 +106,7 @@ def check_homogeneous(eqs: EquationSet, w: Mapping[str, Rational]) -> Report:
         seen = [str(Fraction(v, q)) for v in seen]
         weights.append(seen[0] if len(seen) == 1 else "None")
         if len(seen) > 1:
-            label = eqs.labels[i] if eqs.labels else str(i)
-            failures.append(f"{label}: monomial weights {', '.join(seen)}")
+            failures.append(f"{eqs.labels[i]}: monomial weights {', '.join(seen)}")
     data = {"weights": weights}
     if failures:
         data["failures"] = failures
@@ -340,7 +339,7 @@ def series_coefficients(num: Poly1, denominator_weights: Sequence[int],
     return coeffs
 
 
-def fano_invariants(w: Mapping[str, Rational], num: Poly1, sections: int = 9) -> dict:
+def fano_invariants(w: Mapping[str, Rational], num: Poly1, sections: int) -> dict:
     """Degree, h0, genus and dimension of the section of the 13-dimensional
     cone by at most 12 weight-one forms, with Hilbert numerator ``num``.
 
@@ -369,8 +368,7 @@ def fano_invariants(w: Mapping[str, Rational], num: Poly1, sections: int = 9) ->
             "genus": h0 - 2, "dimension": len(weights) - 4 - 1}
 
 
-def hilbert_certificates(w: Mapping[str, Rational] | None = None,
-                         sections: int = 9) -> dict[str, Report]:
+def hilbert_certificates(w: Mapping[str, Rational] | None, sections: int) -> dict[str, Report]:
     """The graded-ring claims of one grading (the standard one when ``w``
     is None), in claim order: ``canonical``, ``numerator``, ``palindromy``,
     ``pairing`` and ``invariants``, the degree and genus of the section by
@@ -423,7 +421,7 @@ def _row(v: Rational, u1: Rational, x2: Rational, x3: Rational, p: Rational,
     return w
 
 
-def toric_weight_matrix(kind: str = "base") -> tuple[WeightSystem, WeightSystem]:
+def toric_weight_matrix(kind: str) -> tuple[WeightSystem, WeightSystem]:
     """The three two-row weight matrices of the birational bookkeeping,
     written out entry by entry.
 

@@ -88,10 +88,10 @@ class JordanPresentation:
     def unit_element(self, ring: Ring | None = None) -> Element:
         return self.element(self.unit, ring)
 
-    def basis_element(self, i: int, ring: Ring | None = None) -> Element:
+    def basis_element(self, i: int) -> Element:
         vals = [0] * self.dim()
         vals[i] = 1
-        return self.element(vals, ring)
+        return self.element(vals)
 
     def fresh_symbols(self) -> tuple[Ring, Element]:
         """Extension ring with one fresh symbol ``y1, y2, ...`` per coordinate."""
@@ -147,11 +147,11 @@ class JordanPresentation:
         return tuple(sharp), tuple(trace), batch
 
 
-def rational_tables(p: JordanPresentation, point: Point = ((), 1)) -> _Tables:
+def rational_tables(p: JordanPresentation, point: Point) -> _Tables:
     """The trace form and the sharp map of ``p`` at a point of its
     parameters, as integer tables over one denominator ``den``, read off
-    one call of ``p._table_batch``; a presentation with parameters needs
-    their point, as numerators in ring order over one positive integer.
+    one call of ``p._table_batch``; ``point`` holds the parameters as numerators
+    in ring order over one positive integer, ``((), 1)`` when there are none.
 
     ``gram[j]`` lists ``(i, c)`` with T(x, e_j) = sum of c x_i / den;
     ``sharp[k]`` lists ``(i, j, c)`` with x#_k = sum of c x_i x_j / den;
@@ -331,19 +331,18 @@ def _rational_parts(tables: _Tables, sigma: Sequence[Rational]) -> _Parts:
     return s, sharp, trace
 
 
-def radical_membership(p: JordanPresentation | _Tables, sigma: Sequence[Rational]) -> bool:
+def radical_membership(tables: _Tables, sigma: Sequence[Rational]) -> bool:
     """True iff U_sigma vanishes: sigma is an absolute zero divisor.
 
     The radical tests take sigma by its rational coordinates, and the
-    algebra as a presentation without parameters or as its ``_Tables``
-    (``rational_tables``).  U_sigma y = T(sigma, y) sigma -
+    algebra as its integer tables (``rational_tables``, or
+    ``coord8.rational_tables`` at a cube).  U_sigma y = T(sigma, y) sigma -
     sigma# # y is linear in y, so it vanishes for a fully symbolic y
     exactly when every column U_sigma e_j = T(sigma, e_j) sigma - sigma# # e_j
     does.  The columns form a rational matrix, compared in cross-multiplied
     integers from the integer tables for an integer multiple of sigma
     (see ``_rational_parts``).
     """
-    tables = p if isinstance(p, _Tables) else rational_tables(p)
     return _u_vanishes(tables, _rational_parts(tables, sigma))
 
 
@@ -362,8 +361,7 @@ def _u_vanishes(tables: _Tables, parts: _Parts) -> bool:
     return True
 
 
-def nondegeneracy_test_equiv(p: JordanPresentation | _Tables,
-                             sigma: Sequence[Rational]) -> dict[str, bool]:
+def nondegeneracy_test_equiv(tables: _Tables, sigma: Sequence[Rational]) -> dict[str, bool]:
     """Radical membership via the U-operator and via sharp/trace vanishing.
 
     The second route asks that sigma# = 0 and that sigma is orthogonal to
@@ -374,6 +372,5 @@ def nondegeneracy_test_equiv(p: JordanPresentation | _Tables,
     T(sigma, -) = 0 and sigma# != 0 in its kernel, where U_sigma y =
     -sigma# # y does not vanish.
     """
-    tables = p if isinstance(p, _Tables) else rational_tables(p)
     _, sharp, trace = parts = _rational_parts(tables, sigma)
     return {"viaU": _u_vanishes(tables, parts), "viaTN": not any(sharp) and not any(trace)}

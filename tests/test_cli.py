@@ -496,9 +496,13 @@ def test_file_parsers_never_fault(tmp_path_factory, command, option):
 # short lists, as test_file_parsers_never_fault draws random text and numbers
 _rational = st.one_of(st.integers(-3, 3), st.sampled_from(
     [Fraction(1, 2), Fraction(-2, 3), Fraction(7, 6), 10 ** 20, 10 ** 99, -10 ** 99, 10 ** 100]))
+# numerals that Fraction reads but the grammar refuses: a digit separator, an
+# Arabic-Indic and a full-width one
+_FOREIGN = ["1_000", "2_0", "\u0661", "\uff11"]
 _literal = st.one_of(
     _rational.map(lambda r: json.dumps(str(r))), st.integers(-3, 3).map(str),
-    st.sampled_from(["0.5", "null", "true", "[]", "{}", "NaN", "1e3", '"1/0"', '"x"']))
+    st.sampled_from(["0.5", "null", "true", "[]", "{}", "NaN", "1e3", '"1/0"', '"x"']),
+    st.sampled_from(_FOREIGN).map(lambda x: f'"{x}"'))
 
 
 def _edited(base: dict, names: list[str]) -> st.SearchStrategy[str]:
@@ -523,7 +527,8 @@ _UNKNOWN = ["zz", "u_1", "P111", ""]
 _CUBE = {n: "1/2" for n in coord8.PARAM_VARS}
 _INPUTS = st.one_of(
     st.tuples(st.just(["classify", "--hypermatrix"]), st.one_of(
-        st.lists(st.one_of(_rational.map(str), st.sampled_from(["x", "1/0", "1e3", "0.5"])),
+        st.lists(st.one_of(_rational.map(str),
+                           st.sampled_from(["x", "1/0", "1e3", "0.5", *_FOREIGN])),
                  max_size=9).map(" ".join),
         _edited(_CUBE, [*_CUBE, *_UNKNOWN]))),
     st.tuples(st.sampled_from([["weights", "--weights"], ["hilbert", "--weights"]]),
@@ -538,6 +543,10 @@ def test_input_files_keep_the_exit_code_promise(tmp_path_factory):
     @settings(max_examples=120, deadline=None)
     @given(case=_INPUTS)
     @example(case=(["hilbert", "--sections"], 13))
+    @example(case=(["classify", "--hypermatrix"], "1_000 0 0 0 0 0 0 0"))
+    @example(case=(["classify", "--hypermatrix"], "\u0661 0 0 0 0 0 0 0"))
+    @example(case=(["classify", "--hypermatrix"], "\uff11 0 0 0 0 0 0 1"))
+    @example(case=(["hilbert", "--weights"], json.dumps({**STANDARD, "u1": "2_0"})))
     def check(case):
         argv, value = case
         if isinstance(value, str):
@@ -554,6 +563,9 @@ def test_input_files_keep_the_exit_code_promise(tmp_path_factory):
         if argv == ["hilbert", "--sections"]:
             # the 13-dimensional cone has sections by 0 to 12 weight-one forms
             assert (code == 2) == (not 0 <= value <= 12)
+        elif "_" in case[1] or not case[1].isascii():
+            # a separator or a non-ASCII character is in no numeral or name
+            assert code == 2
 
     check()
 
@@ -590,6 +602,26 @@ def test_long_numerals_are_input_error_at_once(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("input error:")
+
+
+@pytest.mark.parametrize("command,option,text", [
+    ("classify", "--hypermatrix", "1_000 0 0 0 0 0 0 0"),
+    ("classify", "--hypermatrix", "\u0661 0 0 0 0 0 0 0"),
+    ("classify", "--hypermatrix", "\uff11 0 0 0 0 0 0 1"),
+    ("weights", "--weights", json.dumps({**STANDARD, "u1": "2_0"})),
+    ("hilbert", "--weights", json.dumps({**STANDARD, "u1": "2_0"})),
+    ("hilbert", "--weights", json.dumps({**STANDARD, "u1": "\uff12"}, ensure_ascii=False)),
+], ids=["cube-separator", "cube-arabic-indic", "cube-full-width", "weights-separator",
+        "hilbert-separator", "hilbert-full-width"])
+def test_numerals_outside_the_grammar_are_input_error(tmp_path, capsys, command, option, text):
+    # Fraction reads digit separators and non-ASCII digits: the cubes would
+    # read as 1000 or as 1, and the weight u1 as 20 or as 2
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert run([command, option, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
 
 
 def test_hundred_character_numerals_are_read(tmp_path, capsys):

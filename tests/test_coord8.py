@@ -11,7 +11,7 @@ from cubicjordan import coord8, hvariety, jordan
 from cubicjordan.coord8 import (COORD_VARS, Hypermatrix, build_peirce_table,
                                 coord_ring, cubic_form, d_matrix, sharp_from_table,
                                 sharp_map, symbolic_cube)
-from cubicjordan.errors import ShapeError
+from cubicjordan.errors import ContextError, ShapeError
 
 
 def symbolic_setup():
@@ -63,6 +63,13 @@ def test_table_agrees_with_sharp_map_symbolically(symbolic_presentation):
     sigma = p.generic_element()
     via_table = sharp_from_table(table, sigma)
     assert all(a == b for a, b in zip(via_table, p.sharp))
+
+
+def test_table_over_another_ring_than_sigma_is_refused():
+    # the cells are read in place, never converted into the ring of sigma
+    ring = coord_ring(True, ("y",))
+    with pytest.raises(ContextError):
+        sharp_from_table(build_peirce_table(), tuple(ring.var(n) for n in COORD_VARS))
 
 
 # -- difference matrices -------------------------------------------------------
@@ -151,8 +158,10 @@ def expand_directly(P):
 def assert_specializes_like_direct_expansion(P):
     cubic, sharp = expand_directly(P)
     pres = coord8.presentation(P)
-    assert cubic_form(P) == pres.cubic == cubic
-    assert cubic_form(P).to_str() == cubic.to_str()
+    if P is not None:
+        assert cubic_form(P) == pres.cubic
+    assert pres.cubic == cubic
+    assert pres.cubic.to_str() == cubic.to_str()
     assert pres.sharp == sharp
     assert [s.to_str() for s in pres.sharp] == [s.to_str() for s in sharp]
 
@@ -195,7 +204,7 @@ def test_specialization_is_the_direct_expansion_with_int_or_fraction_coefficient
 
 
 def test_symbolic_cubic_has_integer_coefficients():
-    cubic = cubic_form(None)
+    cubic = coord8.presentation(None).cubic
     assert all(c.denominator == 1 for c in cubic.coefficients())
 
 
@@ -283,7 +292,7 @@ def test_unit_identities_hold(symbolic_presentation):
 def test_representation_matrix_displays():
     ring, p = symbolic_setup()
     table = build_peirce_table()
-    m = coord8.representation_matrix(table, 3, 2, (ring.one(), ring.zero()), ring)
+    m = coord8.representation_matrix(table, 3, 2, (ring.one(), ring.zero()))
     assert m.entries == [p[(2, 2, 1)], -p[(2, 1, 1)], p[(2, 2, 2)], -p[(2, 1, 2)]]
 
 

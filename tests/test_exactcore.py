@@ -76,7 +76,8 @@ def degree_in(p: Poly, names) -> int:
 def test_homogeneity_queries():
     p = X * Y + Z ** 2
     assert p.is_homogeneous_in(("x", "y", "z"), 2)
-    assert not (p + X).is_homogeneous_in(("x", "y", "z"))
+    for degree in (1, 2):
+        assert not (p + X).is_homogeneous_in(("x", "y", "z"), degree)
     assert degree_in(p, ("x",)) == 1
 
 
@@ -177,9 +178,11 @@ def test_substitute_all_edge_cases():
     # the top power of y is taken over the whole batch
     assert substitute_all([Y ** 3, X + Y], {"y": Fraction(2, 3)}) == \
         [R.const(Fraction(8, 27)), X + Fraction(2, 3)]
-    # the target ring defaults to that of a Poly image, else to the batch's
+    # the target ring is the one named, else the batch's: never that of an image
     wide = R.extend(("w",))
-    assert substitute_all([X * Y], {"x": wide.var("w")})[0].ring == wide
+    assert substitute_all([X * Y], {"x": wide.var("w")}, wide)[0].ring == wide
+    with pytest.raises(ContextError):
+        substitute_all([X * Y], {"x": wide.var("w")})
     assert substitute_all([X * Y], {"x": 2})[0] == 2 * Y
     other = Ring(("a",))
     with pytest.raises(ContextError):
@@ -771,9 +774,13 @@ def test_span_witness_expresses_generators():
 def test_equation_set_validation():
     with pytest.raises(ValueError):
         EquationSet(R, (X,), ("a", "b"))
+    with pytest.raises(ValueError):
+        EquationSet(R, (X,), ())
+    with pytest.raises(TypeError):
+        EquationSet(R, (X,))
     other = Ring(("a",))
     with pytest.raises(ContextError):
-        EquationSet(R, (other.var("a"),))
+        EquationSet(R, (other.var("a"),), ("a",))
 
 
 def test_parse_rational_reads_integers_decimals_and_quotients():
@@ -784,7 +791,8 @@ def test_parse_rational_reads_integers_decimals_and_quotients():
         parse_rational("1/0")
 
 
-@pytest.mark.parametrize("text", ["1e3", "2.5E-7", "-1e1000000000", "inf", "1/2e3"])
+@pytest.mark.parametrize("text", ["1e3", "2.5E-7", "-1e1000000000", "inf", "1/2e3", "1_000",
+                                  "1/2_0", "\u0661", "\uff11/2", "0.\u0665"])
 def test_parse_rational_refuses_exponents_and_infinities(text):
     with pytest.raises(ValueError):
         parse_rational(text)

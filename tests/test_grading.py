@@ -49,8 +49,7 @@ def homogeneity_reference(eqs, w) -> Report:
         seen = sorted({monomial_weight(eqs.ring.names, eqs.ring.unpack(m), ws) for m in g.terms})
         weights.append(str(seen[0]) if len(seen) == 1 else "None")
         if len(seen) > 1:
-            label = eqs.labels[i] if eqs.labels else str(i)
-            failures.append(f"{label}: monomial weights {', '.join(map(str, seen))}")
+            failures.append(f"{eqs.labels[i]}: monomial weights {', '.join(map(str, seen))}")
     data = {"weights": weights}
     if failures:
         data["failures"] = failures
@@ -81,7 +80,7 @@ def _weighted_equations(draw):
                             min_size=1, max_size=4)
     gens = tuple(Poly(ring, {ring.pack(m): c for m, c in t.items()})
                  for t in draw(st.lists(monos, min_size=1, max_size=4)))
-    labels = draw(st.sampled_from(((), tuple(f"g{i}" for i in range(len(gens))))))
+    labels = tuple(f"g{i}" for i in range(len(gens)))
     return EquationSet(ring, gens, labels), {n: draw(_weight) for n in ring.names}
 
 
@@ -100,7 +99,7 @@ def test_a_missing_weight_names_the_first_variable_met():
     w = {"b": 1, "c": Fraction(1, 2)}
     for gens, first in (((b * b + d, a * c), "d"), ((a * c, b * b + d), "a"),
                         ((b * b, d + a * b), "d"), ((b * b, a * b + d), "a")):
-        eqs = EquationSet(ring, gens)
+        eqs = EquationSet(ring, gens, ("g1", "g2"))
         for check in (grading.check_homogeneous, homogeneity_reference):
             with pytest.raises(InputError, match=f"^no weight assigned to '{first}'$"):
                 check(eqs, w)
@@ -185,7 +184,7 @@ def test_the_equations_lattice_is_pinned():
 def test_infeasible_fixing():
     ring = Ring(("a", "b"))
     a, b = ring.gens()
-    eqs = EquationSet(ring, (a * a + b * b,))
+    eqs = EquationSet(ring, (a * a + b * b,), ("g",))
     with pytest.raises(InfeasibleWeights):
         grading.solve_weight_constraints(eqs, {"a": 1, "b": 2})
 

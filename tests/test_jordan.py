@@ -147,24 +147,29 @@ def _values(named: dict) -> list:
     return [named.get(n, 0) for n in coord8.COORD_VARS]
 
 
+def _tables(p: JordanPresentation):
+    """The integer tables of a presentation without parameters."""
+    return jordan.rational_tables(p, ((), 1))
+
+
 def test_radical_membership_zero_and_scaling(origin_presentation):
-    p = origin_presentation
-    assert jordan.radical_membership(p, [0] * 9)
-    assert jordan.radical_membership(p, _values({"x11": 1, "x22": Fraction(2, 3)}))
-    assert jordan.radical_membership(p, _values({"x11": 5, "x22": Fraction(10, 3)}))
+    tables = _tables(origin_presentation)
+    assert jordan.radical_membership(tables, [0] * 9)
+    assert jordan.radical_membership(tables, _values({"x11": 1, "x22": Fraction(2, 3)}))
+    assert jordan.radical_membership(tables, _values({"x11": 5, "x22": Fraction(10, 3)}))
 
 
 def test_diagonal_radical_trivial():
-    p = diagonal_presentation()
-    assert not jordan.radical_membership(p, [1, 0, 0])
-    tests = jordan.nondegeneracy_test_equiv(p, [1, 2, 3])
+    tables = _tables(diagonal_presentation())
+    assert not jordan.radical_membership(tables, [1, 0, 0])
+    tests = jordan.nondegeneracy_test_equiv(tables, [1, 2, 3])
     assert tests == {"viaU": False, "viaTN": False}
 
 
 def test_idempotent_not_in_radical_generic_cube():
     P = coord8.Hypermatrix({(1, 1, 1): 1, (2, 2, 2): 1})
-    p = coord8.presentation(P)
-    tests = jordan.nondegeneracy_test_equiv(p, _values({"u1": 1}))
+    tests = jordan.nondegeneracy_test_equiv(coord8.rational_tables(P.point()),
+                                            _values({"u1": 1}))
     assert tests == {"viaU": False, "viaTN": False}
 
 
@@ -172,19 +177,14 @@ def test_single_pair_coordinate_in_degenerate_radical():
     # at the rank-deficient cube the point with one leading pair coordinate
     # lies on the stated radical locus
     P = coord8.Hypermatrix({(1, 1, 1): 1, (1, 2, 2): 1, (2, 1, 2): 1})
-    p = coord8.presentation(P)
-    assert jordan.radical_membership(p, _values({"x11": 1}))
+    assert jordan.radical_membership(coord8.rational_tables(P.point()), _values({"x11": 1}))
 
 
 def test_radical_tests_need_a_presentation_without_parameters(symbolic_presentation):
-    # the integer tables exist only when every ring variable is a coordinate
-    p = symbolic_presentation
+    # the integer tables, which the radical tests take, exist at the empty
+    # point only when every ring variable is a coordinate
     with pytest.raises(ValueError, match="without parameters"):
-        jordan.rational_tables(p)
-    with pytest.raises(ValueError, match="without parameters"):
-        jordan.radical_membership(p, [0] * 9)
-    with pytest.raises(ValueError, match="without parameters"):
-        jordan.nondegeneracy_test_equiv(p, [1] + [0] * 8)
+        _tables(symbolic_presentation)
 
 
 def test_u_zero_off_locus_point_is_not_radical():
@@ -202,8 +202,8 @@ def test_u_zero_off_locus_point_is_not_radical():
         e = p.basis_element(i)
         assert jordan.trace_bilinear(p, sigma, e).is_zero()
         assert jordan.trace_bilinear(p, sharp, e).is_zero()
-    assert jordan.nondegeneracy_test_equiv(p, values) == {"viaU": False,
-                                                          "viaTN": False}
+    assert jordan.nondegeneracy_test_equiv(_tables(p), values) == {"viaU": False,
+                                                                   "viaTN": False}
 
 
 def test_u_test_pins_the_column_order():
@@ -221,7 +221,7 @@ def test_u_test_pins_the_column_order():
     assert [jordan.trace_bilinear(p, element, p.basis_element(m)) for m in range(3)] \
         == [-6, 4, 2]
     assert _reference(p, sigma)["viaU"]
-    assert jordan.radical_membership(p, sigma)
+    assert jordan.radical_membership(_tables(p), sigma)
 
 
 def _hypermatrix(cube: str | tuple) -> coord8.Hypermatrix:
@@ -265,10 +265,11 @@ def test_rational_tables_agree_with_symbolic_route(cube, kind, values, seed):
     elif kind == "locus" and isinstance(cube, str) and cube != "p4":
         nums, den = hvariety.radical_point(cube, random.Random(seed))
         values = tuple(Fraction(n, den) for n in nums)
-    fast = jordan.nondegeneracy_test_equiv(p, values)
+    tables = _tables(p)
+    fast = jordan.nondegeneracy_test_equiv(tables, values)
     assert fast == _reference(p, values)
     assert fast["viaU"] or not fast["viaTN"]
-    assert jordan.radical_membership(p, values) == fast["viaU"]
+    assert jordan.radical_membership(tables, values) == fast["viaU"]
 
 
 def _table_entries(tables) -> tuple[list, list, list]:
@@ -296,7 +297,7 @@ def test_compiled_tables_are_the_presentation_tables(cube, locus, values, seed):
     # the rationals of the presentation's own tables, and give the radical
     # tests the answers of the symbolic route
     p, tables = _presentation(cube), coord8.rational_tables(_hypermatrix(cube).point())
-    assert _table_entries(tables) == _table_entries(jordan.rational_tables(p))
+    assert _table_entries(tables) == _table_entries(_tables(p))
     if locus and isinstance(cube, str) and cube != "p4":
         nums, den = hvariety.radical_point(cube, random.Random(seed))
         values = tuple(Fraction(n, den) for n in nums)
@@ -331,7 +332,7 @@ def test_tables_of_a_family_are_the_tables_at_its_point(point, values):
     at = JordanPresentation(ring, p.coords, p.unit, cubic, tuple(sharp))
     nums, den = over_common_denominator(point)
     tables = jordan.rational_tables(p, (nums, den))
-    assert _table_entries(tables) == _table_entries(jordan.rational_tables(at))
+    assert _table_entries(tables) == _table_entries(_tables(at))
     assert jordan.nondegeneracy_test_equiv(tables, values) == _reference(at, values)
     assert jordan.radical_membership(tables, values) == _reference(at, values)["viaU"]
     if point == (0, 0) and values == (-2, -2, -1):
@@ -348,7 +349,7 @@ def assert_parts_are_the_symbolic_values(p, values):
     # s# and T(s, e_j) over the tables' denominators are the sharp and the
     # trace form of the integer multiple s of sigma, as the symbolic
     # functions compute them
-    tables = jordan.rational_tables(p)
+    tables = _tables(p)
     s, sharp, trace = jordan._rational_parts(tables, values)
     assert [Fraction(c, tables.den) for c in sharp] == \
         [c.constant_value() for c in jordan.sharp_of(p, p.element(s))]
@@ -383,13 +384,14 @@ def test_integer_u_test_finds_a_radical_at_a_non_integral_cube(name, radical):
     cube = tuple(Fraction(2, 3) * hvariety.representative(name).entries[t]
                  for t in coord8.INDEX_TRIPLES)
     p = _presentation(cube)
-    assert jordan.rational_tables(p).den > 1
+    tables = _tables(p)
+    assert tables.den > 1
     off = {**radical, "x21": Fraction(1, 2)}
     for named, want in ((radical, True), (off, False)):
         values = _values(named)
-        assert jordan.radical_membership(p, values) is want
+        assert jordan.radical_membership(tables, values) is want
         assert _reference(p, values)["viaU"] is want
-        assert jordan.nondegeneracy_test_equiv(p, values) == _reference(p, values)
+        assert jordan.nondegeneracy_test_equiv(tables, values) == _reference(p, values)
 
 
 @settings(max_examples=30, deadline=None)
@@ -405,11 +407,12 @@ def test_radical_tests_are_homogeneous_in_sigma(cube, locus, values, seed):
         nums, den = hvariety.radical_point(cube, random.Random(seed))
         values = tuple(Fraction(n, den) for n in nums)
     scaled = [Fraction(3, 7) * v for v in values]
-    tests = jordan.nondegeneracy_test_equiv(p, values)
-    assert jordan.nondegeneracy_test_equiv(p, scaled) == tests
+    tables = _tables(p)
+    tests = jordan.nondegeneracy_test_equiv(tables, values)
+    assert jordan.nondegeneracy_test_equiv(tables, scaled) == tests
     assert _reference(p, values) == tests
-    assert jordan.radical_membership(p, scaled) == jordan.radical_membership(p, values) \
-        == tests["viaU"]
+    assert jordan.radical_membership(tables, scaled) \
+        == jordan.radical_membership(tables, values) == tests["viaU"]
 
 
 def peirce_operator(p: JordanPresentation, x1, x2, y):
