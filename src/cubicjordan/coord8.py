@@ -303,7 +303,8 @@ def sharp_from_table(table: Mapping[tuple[str, str], Mapping[str, Poly]],
 def representation_matrix(table: Mapping[tuple[str, str], Mapping[str, Poly]],
                           i: int, j: int, sigma_pair: tuple[Poly, Poly]) -> PolyMatrix:
     """Matrix of multiplication by an element of the (i, j) off-diagonal
-    space, as a map from the (i, k) space to the (j, k) space."""
+    space, as a map from the (i, k) space to the (j, k) space; the table's
+    cells are read in place and must be over the ring of ``sigma_pair``."""
     ring = sigma_pair[0].ring
     k = _pair_index(i, j)
     src = _pair_index(i, k)   # basis pair spanning the (i, k) space
@@ -311,7 +312,9 @@ def representation_matrix(table: Mapping[tuple[str, str], Mapping[str, Poly]],
     acc: list[dict] = [{} for _ in range(4)]  # row c, column b
     for (a, coeff), b, c in product(zip((1, 2), sigma_pair), (1, 2), (1, 2)):
         comp = table.get((x_name(a, k), x_name(b, src)), {}).get(x_name(c, dst), ring.zero())
-        add_product(acc[2 * c + b - 3], ring.one(), coeff, comp.convert(ring))
+        if comp.ring != ring:
+            raise ContextError("table cell outside the ring of the coefficients")
+        add_product(acc[2 * c + b - 3], ring.one(), coeff, comp)
     return PolyMatrix(ring, 2, 2, [Poly.collect(ring, t) for t in acc])
 
 
@@ -355,10 +358,14 @@ def verify_peirce_identities(pres: JordanPresentation) -> dict[str, Report]:
     disp_ok = m1.entries == expect1.entries and m2.entries == expect2.entries
 
     # P_ij P_ji = -S E and det normalizations, symbolically in each space
-    # each matrix once, so that each table cell it reads is converted into ext once
+    # each matrix once, read off the table moved into ext in one batch
     prod_ok = det_ok = True
+    cells = [(pair, name, comp) for pair, cell in table.items() for name, comp in cell.items()]
+    ext_table: dict[tuple[str, str], dict[str, Poly]] = {}
+    for (pair, name, _), comp in zip(cells, substitute_all([c for *_, c in cells], {}, ext)):
+        ext_table.setdefault(pair, {})[name] = comp
     coeffs = (ext.var("sa1"), ext.var("sa2"))
-    reps = {(i, j): representation_matrix(table, i, j, coeffs)
+    reps = {(i, j): representation_matrix(ext_table, i, j, coeffs)
             for i, j in permutations((1, 2, 3), 2)}
     for i, j in reps:
         sigma_el = _basis_combination(ext, _pair_index(i, j), ("sa1", "sa2"))

@@ -46,9 +46,7 @@ Symbolic substitution is batched: ``substitute_all`` maps a batch into a
 given ring or else the batch's own, ``Poly.substitute`` is its batch of one,
 and ``Poly.convert``, a change of ring by name, is the empty-map batch of one.
 Constant images fold into the integer coefficients with one division at
-the end; each non-constant image is raised to its powers once, and each
-product of image powers is formed once per batch.  Most products here
-have a single term pair, so their cost is their number, not their width.
+the end; each non-constant image is raised to its powers once.
 
 Canonical display order is graded lexicographic in the registered variable
 order.  It affects only printing, never results.
@@ -279,9 +277,6 @@ class Poly:
             return self == self.ring.const(other)
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
-
     # -- calculus and substitution ----------------------------------------
 
     def derivative(self, name: str) -> Poly:
@@ -416,9 +411,7 @@ def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, "Poly | Rational
     is multiplied by the integer p^e q^(E - e), the integers of all constant
     images first and the coefficient once, and the collected terms are
     divided once by the product of the q^E.  Each non-constant image has
-    its powers built once, one multiplication per step, and the product of
-    image powers of each term is formed once per batch and reused by every
-    term that has the same exponents of the non-constant images.
+    its powers built once, one multiplication per step.
     """
     if not polys:
         return []
@@ -457,12 +450,10 @@ def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, "Poly | Rational
                            for e in range(top + 1)]))
         den *= v.denominator ** top
 
-    images = source.mask([source.names[i] for i in powers])
-    products: dict[int, Poly | None] = {}  # image exponents, as a key -> product
     results = []
     for p, p_exps in zip(polys, exps):
         out: dict = {}
-        for (key, c), m in zip(p.terms.items(), p_exps):
+        for c, m in zip(p.terms.values(), p_exps):
             if tables:
                 f = 1
                 for i, table in tables:
@@ -474,15 +465,10 @@ def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, "Poly | Rational
             for i, shift in passthrough:
                 exp |= m[i] << shift
             factor = None
-            if images:
-                key &= images
-                if key not in products:
-                    for i in powers:
-                        if m[i]:
-                            power = powers[i][m[i] - 1]
-                            factor = power if factor is None else factor * power
-                    products[key] = factor
-                factor = products[key]
+            for i in powers:
+                if m[i]:
+                    power = powers[i][m[i] - 1]
+                    factor = power if factor is None else factor * power
             if factor is None:
                 out[exp] = out.get(exp, 0) + c
                 continue
@@ -897,7 +883,8 @@ def span_compare(a: Sequence[Poly], b: Sequence[Poly]) -> SpanResult:
 def parse_json(text: str) -> object:
     """``json.loads`` that reads each number from its literal text with
     ``parse_rational``, never through a binary float, and rejects an object
-    repeating a key, which it would otherwise read as the last value given."""
+    repeating a key, which it would otherwise read as the last value given,
+    or nesting deeper than the interpreter's recursion limit."""
     def no_repeats(pairs: list[tuple[str, object]]) -> dict:
         out = {}
         for k, v in pairs:
@@ -905,8 +892,11 @@ def parse_json(text: str) -> object:
                 raise ValueError(f"repeated key {k!r}")
             out[k] = v
         return out
-    return json.loads(text, object_pairs_hook=no_repeats,
-                      parse_int=parse_rational, parse_float=parse_rational)
+    try:
+        return json.loads(text, object_pairs_hook=no_repeats,
+                          parse_int=parse_rational, parse_float=parse_rational)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def json_rational(value: object) -> Fraction:

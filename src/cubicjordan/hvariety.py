@@ -40,9 +40,9 @@ from . import coord8, jordan
 from .coord8 import (ALL_VARS, COORD_VARS, INDEX_TRIPLES, PARAM_VARS, X_VARS, Hypermatrix,
                      coord_ring, d_entry, d_matrix, p_name, symbolic_cube, x_name)
 from .errors import InternalError, ShapeError, SingularGroupElement
-from .exactcore import (Batch, EquationSet, Point, Poly, PolyMatrix, Rational, Report, Ring,
-                        _frac, compile_batch, over_common_denominator, rank,
-                        span_compare, substitute_all)
+from .exactcore import (A_CONTAINS_B, EQUAL, Batch, EquationSet, Point, Poly, PolyMatrix,
+                        Rational, Report, Ring, _frac, compile_batch, over_common_denominator,
+                        rank, span_compare, substitute_all)
 
 GEN_LABELS = ("g1a", "g1b", "g2a", "g2b", "g3a", "g3b", "g4", "g5", "g6")
 
@@ -594,7 +594,7 @@ def fiber_component_sampling(name: str, seed: int, samples: int) -> Report:
                         v("u1") * v("x11") - v("x22") * v("x23")],
                  "p2": [v("u3") * v("x13") - v("x11") * v("x12") - v("x21") * v("x22")]}
     if name in displayed and span_compare(eqs.gens, displayed[name]).relation not in (
-            "equal", "a_contains_b"):
+            EQUAL, A_CONTAINS_B):
         failures.append(f"{name}: displayed component equation not in the span")
     return Report(not failures, {"samples": counts, "failures": failures})
 

@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .exactcore import (Batch, Point, Poly, Rational, Report, Ring, add_product, compile_batch,
-                        directional_derivative, over_common_denominator, substitute_all)
+                        directional_derivative, substitute_all)
 
 Element = tuple[Poly, ...]
 
@@ -123,7 +123,7 @@ class JordanPresentation:
         """The polar table of the sharp: the coefficient c of x_i x_j in x#_k,
         i <= j, keyed (k, i, j), a polynomial in the parameters (a constant
         when there are none).  Keyed by the ring of the c, as
-        ``sharp_product`` converts them into each ring it meets."""
+        ``sharp_product`` moves them into each ring it meets in one batch."""
         pos = [self.ring.index(name) for name in self.coords]
         keep = self.ring.mask(set(self.ring.names) - set(self.coords))
         table: dict[tuple[int, int, int], dict] = {}
@@ -178,16 +178,9 @@ def rational_tables(p: JordanPresentation, point: Point) -> _Tables:
     return _Tables(gram, quads, polar, den)
 
 
-def _target_ring(p: JordanPresentation, *elements: Element) -> Ring:
-    for x in elements:
-        for comp in x:
-            return comp.ring
-    return p.ring
-
-
 def sharp_of(p: JordanPresentation, x: Element) -> Element:
     """The sharp image of x, by substitution into the sharp components."""
-    ring = _target_ring(p, x)
+    ring = x[0].ring
     mapping = dict(zip(p.coords, x))
     return tuple(substitute_all(p.sharp, mapping, ring))
 
@@ -196,10 +189,11 @@ def sharp_product(p: JordanPresentation, x: Element, y: Element) -> Element:
     """Symmetric bilinearization (x+y)# - x# - y#, read off the polar table
     in one pass: each term c x_i x_j of x#_k adds c (x_i y_j + x_j y_i),
     which is 2c x_i y_i for a square."""
-    ring = _target_ring(p, x, y)
+    ring = x[0].ring
     tables = p._polar
     if ring not in tables:
-        tables[ring] = {key: c.convert(ring) for key, c in tables[p.ring].items()}
+        base = tables[p.ring]
+        tables[ring] = dict(zip(base, substitute_all([*base.values()], {}, ring)))
     acc: list[dict] = [{} for _ in x]
     for (k, i, j), c in tables[ring].items():
         add_product(acc[k], c, x[i], y[j])
@@ -208,13 +202,13 @@ def sharp_product(p: JordanPresentation, x: Element, y: Element) -> Element:
 
 
 def cubic_of(p: JordanPresentation, x: Element) -> Poly:
-    ring = _target_ring(p, x)
+    ring = x[0].ring
     return p.cubic.substitute(dict(zip(p.coords, x)), ring)
 
 
 def trace_bilinear(p: JordanPresentation, x: Element, y: Element) -> Poly:
     """Bilinear trace form T(x, y) = sum of T(e_i, e_j) x_i y_j."""
-    ring = _target_ring(p, x, y)
+    ring = x[0].ring
     table = p._trace_form[1]
     acc: dict = {}
     for (i, j), t in zip(table, substitute_all([*table.values()], {}, ring)):
@@ -225,7 +219,7 @@ def trace_bilinear(p: JordanPresentation, x: Element, y: Element) -> Poly:
 
 def trace_linear(p: JordanPresentation, x: Element) -> Poly:
     """Linear trace form T(x) = T(x, unit)."""
-    ring = _target_ring(p, x)
+    ring = x[0].ring
     acc: dict = {}
     for t, comp in zip(substitute_all(p._trace_form[0], {}, ring), x):
         if t.terms:
@@ -252,7 +246,7 @@ def u_operator(p: JordanPresentation, x: Element, y: Element) -> Element:
 
 def bullet_product(p: JordanPresentation, x: Element, y: Element) -> Element:
     """The usual bilinear Jordan product (characteristic zero)."""
-    ring = _target_ring(p, x, y)
+    ring = x[0].ring
     half = Fraction(1, 2)
     sp = sharp_product(p, x, y)
     tx, ty = trace_linear(p, x), trace_linear(p, y)
@@ -264,7 +258,7 @@ def bullet_product(p: JordanPresentation, x: Element, y: Element) -> Element:
 
 def square_via_sharp(p: JordanPresentation, x: Element) -> Element:
     """x squared as x# + T(x) x - S(x) unit (valid in any characteristic)."""
-    ring = _target_ring(p, x)
+    ring = x[0].ring
     sx = sharp_of(p, x)
     tx = trace_linear(p, x)
     s = spur_quadratic(p, x)
@@ -302,20 +296,12 @@ def verify_sharp_conditions(p: JordanPresentation) -> dict[str, Report]:
 
 
 # s, and s# and the row T(s, e_j) over the denominator of ``rational_tables``
-_Parts = tuple[list[int], list[int], list[int]]
+_Parts = tuple[Sequence[Rational], list[Rational], list[Rational]]
 
 
-def _rational_parts(tables: _Tables, sigma: Sequence[Rational]) -> _Parts:
-    """A positive multiple s of sigma with integer entries, and s# and the
-    row T(s, e_j) as integers over ``tables.den``, read off ``tables``.
-
-    s is sigma times the lcm of its denominators; integers are their own s.
-    Both callers' tests are homogeneous in sigma, so they give the same
-    answer for s: "sigma# = 0 and T(sigma, J) = 0" only asks for zeros, and
-    the radical test T(sigma, e_m) sigma_k = (sigma# # e_m)_k has degree 2
-    in sigma on both sides, so scaling sigma by c scales both sides by c^2.
-    """
-    s = sigma if all(v.__class__ is int for v in sigma) else over_common_denominator(sigma)[0]
+def _rational_parts(tables: _Tables, s: Sequence[Rational]) -> _Parts:
+    """s = sigma as given, and s# and the row T(s, e_j) over ``tables.den``,
+    read off ``tables``: integers when s is, as both callers give it."""
     sharp = []
     for q in tables.sharp:
         acc = 0
@@ -340,8 +326,7 @@ def radical_membership(tables: _Tables, sigma: Sequence[Rational]) -> bool:
     sigma# # y is linear in y, so it vanishes for a fully symbolic y
     exactly when every column U_sigma e_j = T(sigma, e_j) sigma - sigma# # e_j
     does.  The columns form a rational matrix, compared in cross-multiplied
-    integers from the integer tables for an integer multiple of sigma
-    (see ``_rational_parts``).
+    form from the integer tables, with sigma read as given.
     """
     return _u_vanishes(tables, _rational_parts(tables, sigma))
 

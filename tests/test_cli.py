@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from cubicjordan import cli, coord8, grading, hvariety
 from cubicjordan.errors import ContextError, InputError
+from cubicjordan.exactcore import Poly
 from cubicjordan.jordan import JordanPresentation
 
 
@@ -229,6 +230,20 @@ def test_hilbert_builds_one_resolution(monkeypatch, capsys):
         monkeypatch.setattr(grading, name, counted)
     assert run(["hilbert"]) == 0
     assert calls == {"resolution_shifts": 1, "hilbert_numerator": 1}
+
+
+def test_warm_axioms_pass_changes_ring_once(monkeypatch, capsys):
+    # each table moves into a new ring in one batch, not by converting its
+    # cells one at a time; the one convert left is directional_derivative's
+    assert run(["verify-axioms"]) == 0
+    callers = []
+
+    def counted(self, ring, _real=Poly.convert):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return _real(self, ring)
+    monkeypatch.setattr(Poly, "convert", counted)
+    assert run(["verify-axioms"]) == 0
+    assert callers == ["directional_derivative"]
 
 
 def test_json_report_is_deterministic(tmp_path):
@@ -536,6 +551,10 @@ _INPUTS = st.one_of(
     st.tuples(st.just(["hilbert", "--sections"]), st.integers(-3, 20)))
 
 
+def _nested(depth):
+    return "[" * depth + "1" + "]" * depth
+
+
 def test_input_files_keep_the_exit_code_promise(tmp_path_factory):
     # whatever the input, the run exits 0, 1 or 2; exit 2 says why in one line
     path = tmp_path_factory.mktemp("inputs") / "input"
@@ -547,6 +566,7 @@ def test_input_files_keep_the_exit_code_promise(tmp_path_factory):
     @example(case=(["classify", "--hypermatrix"], "\u0661 0 0 0 0 0 0 0"))
     @example(case=(["classify", "--hypermatrix"], "\uff11 0 0 0 0 0 0 1"))
     @example(case=(["hilbert", "--weights"], json.dumps({**STANDARD, "u1": "2_0"})))
+    @example(case=(["classify", "--hypermatrix"], '{"p111": ' + _nested(100_000) + "}"))
     def check(case):
         argv, value = case
         if isinstance(value, str):
@@ -618,6 +638,21 @@ def test_numerals_outside_the_grammar_are_input_error(tmp_path, capsys, command,
     # read as 1000 or as 1, and the weight u1 as 20 or as 2
     path = tmp_path / "input"
     path.write_text(text)
+    assert run([command, option, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("depth", [500, 1000, 100_000])
+@pytest.mark.parametrize("command,option", [("classify", "--hypermatrix"),
+                                            ("weights", "--weights")])
+def test_deeply_nested_json_is_input_error(tmp_path, capsys, command, option, depth):
+    # json.loads raises RecursionError past the interpreter's recursion limit
+    path = tmp_path / "input"
+    path.write_text('{"p111": ' + _nested(depth) + "}" if option == "--hypermatrix"
+                    else json.dumps({**STANDARD, "u1": 0}).replace(
+                        '"u1": 0', '"u1": ' + _nested(depth)))
     assert run([command, option, str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

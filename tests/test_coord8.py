@@ -70,6 +70,8 @@ def test_table_over_another_ring_than_sigma_is_refused():
     ring = coord_ring(True, ("y",))
     with pytest.raises(ContextError):
         sharp_from_table(build_peirce_table(), tuple(ring.var(n) for n in COORD_VARS))
+    with pytest.raises(ContextError):
+        coord8.representation_matrix(build_peirce_table(), 3, 2, (ring.one(), ring.zero()))
 
 
 # -- difference matrices -------------------------------------------------------
