@@ -156,9 +156,9 @@ def sharp_map(p: Mapping, sigma: Element) -> Element:
 
 
 @cache
-def _symbolic_forms() -> tuple[Poly, tuple[Poly, ...]]:
-    """The cubic form and the nine sharp components with symbolic cube
-    entries, expanded once; callers only read them.
+def _symbolic_presentation() -> JordanPresentation:
+    """The presentation with symbolic cube entries, its cubic form and nine
+    sharp components expanded once: one shared instance, read only.
 
     For each factor k the cubic subtracts from u_k u_k# the two mixed
     determinants of D^(k): its right resp. left column taken at the sharp
@@ -175,7 +175,7 @@ def _symbolic_forms() -> tuple[Poly, tuple[Poly, ...]]:
         sa, sb, sc, sd = d_matrix(p, sharp[:6], k).entries
         mixed = (a * sd - sb * c) + (sa * d - b * sc)
         total = total + sigma[5 + k] * sharp[5 + k] - mixed
-    return Fraction(1, 3) * total, sharp
+    return JordanPresentation(ring, COORD_VARS, _UNIT, Fraction(1, 3) * total, sharp)
 
 
 def rational_tables(point: Point) -> jordan._Tables:
@@ -195,8 +195,8 @@ def _specialize(P: Hypermatrix, forms: Sequence[Poly]) -> list[Poly]:
 
 def cubic_form(P: Hypermatrix) -> Poly:
     """The cubic form of a rational cube, its entries substituted into the
-    symbolic cubic ``presentation(None).cubic`` alone, over the nine coordinates."""
-    return _specialize(P, [_symbolic_forms()[0]])[0]
+    cubic of ``_symbolic_presentation()`` alone, over the nine coordinates."""
+    return _specialize(P, [_symbolic_presentation().cubic])[0]
 
 
 def presentation(P: Hypermatrix | None = None) -> JordanPresentation:
@@ -206,17 +206,11 @@ def presentation(P: Hypermatrix | None = None) -> JordanPresentation:
     read only); a rational cube substitutes its entries into the symbolic
     cubic and the nine sharps, over the nine coordinates alone.
     """
+    symbolic = _symbolic_presentation()
     if P is None:
-        return _symbolic_presentation()
-    cubic, sharp = _symbolic_forms()
-    cubic, *sharp = _specialize(P, (cubic, *sharp))
+        return symbolic
+    cubic, *sharp = _specialize(P, (symbolic.cubic, *symbolic.sharp))
     return JordanPresentation(cubic.ring, COORD_VARS, _UNIT, cubic, tuple(sharp))
-
-
-@cache
-def _symbolic_presentation() -> JordanPresentation:
-    cubic, sharp = _symbolic_forms()
-    return JordanPresentation(cubic.ring, COORD_VARS, _UNIT, cubic, sharp)
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +354,13 @@ def verify_peirce_identities(pres: JordanPresentation) -> dict[str, Report]:
     # P_ij P_ji = -S E and det normalizations, symbolically in each space
     # each matrix once, read off the table moved into ext in one batch
     prod_ok = det_ok = True
-    cells = [(pair, name, comp) for pair, cell in table.items() for name, comp in cell.items()]
+    # each product once, stored under both orders of its pair as in the table
+    cells = [(pair, name, comp) for pair, cell in table.items() if pair <= pair[::-1]
+             for name, comp in cell.items()]
     ext_table: dict[tuple[str, str], dict[str, Poly]] = {}
     for (pair, name, _), comp in zip(cells, substitute_all([c for *_, c in cells], {}, ext)):
-        ext_table.setdefault(pair, {})[name] = comp
+        ext_table[pair[::-1]] = cell = ext_table.setdefault(pair, {})
+        cell[name] = comp
     coeffs = (ext.var("sa1"), ext.var("sa2"))
     reps = {(i, j): representation_matrix(ext_table, i, j, coeffs)
             for i, j in permutations((1, 2, 3), 2)}

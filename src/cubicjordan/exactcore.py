@@ -49,7 +49,8 @@ Constant images fold into the integer coefficients with one division at
 the end; each non-constant image is raised to its powers once.
 
 Canonical display order is graded lexicographic in the registered variable
-order.  It affects only printing, never results.
+order.  It affects only printing, never results.  ``signed_sum`` writes the
+text of every polynomial, the Hilbert numerator of ``grading`` included.
 
 The module also provides polynomial matrices (determinant, adjugate,
 Pfaffians of skew matrices), rational linear algebra used to compare
@@ -78,6 +79,17 @@ def _frac(value: Rational) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def signed_sum(terms: Iterable[tuple[Rational, list[str]]]) -> str:
+    """The text of a sum of terms in the given order, each a nonzero
+    coefficient and the factor strings of its monomial: the sign of each
+    term, then its magnitude unless that is 1 and there are factors."""
+    text = " ".join(("- " if c < 0 else "+ ") + "*".join(
+        factors if factors and abs(c) == 1 else [str(abs(c)), *factors]) for c, factors in terms)
+    if not text:
+        return "0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def over_common_denominator(values: Collection[Rational]) -> tuple[list[int], int]:
@@ -313,24 +325,9 @@ class Poly:
                       reverse=True)
 
     def to_str(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            factors = [
-                f"{self.ring.names[i]}^{e}" if e > 1 else self.ring.names[i]
-                for i, e in enumerate(self.ring.unpack(m)) if e
-            ]
-            mag = abs(c)
-            if factors and mag == 1:
-                body = "*".join(factors)
-            elif factors:
-                body = "*".join([str(mag)] + factors)
-            else:
-                body = str(mag)
-            parts.append(("- " if c < 0 else "+ ") + body)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+        return signed_sum((c, [f"{self.ring.names[i]}^{e}" if e > 1 else self.ring.names[i]
+                               for i, e in enumerate(self.ring.unpack(m)) if e])
+                          for m, c in self.sorted_terms())
 
     __str__ = to_str
 

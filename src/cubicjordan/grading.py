@@ -33,7 +33,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .coord8 import ALL_VARS, PARAM_VARS, U_VARS, X_VARS
 from .errors import InfeasibleWeights, InputError, NumeratorNotDivisible
 from .exactcore import (EquationSet, Rational, Report, _frac, json_rational, parse_json,
-                        rref, rref_kernel, rref_solution, solve_linear)
+                        rref, rref_kernel, rref_solution, signed_sum, solve_linear)
 
 WeightSystem = dict[str, Fraction]
 
@@ -273,21 +273,9 @@ Poly1 = dict[int, Fraction]
 
 
 def poly1_str(a: Poly1) -> str:
-    if not a:
-        return "0"
-    parts = []
-    for e in sorted(a):
-        c = a[e]
-        mono = "1" if e == 0 else ("t" if e == 1 else f"t^{e}")
-        if e == 0:
-            body = str(abs(c))
-        elif abs(c) == 1:
-            body = mono
-        else:
-            body = f"{abs(c)}*{mono}"
-        parts.append(("- " if c < 0 else "+ ") + body)
-    text = " ".join(parts)
-    return text[2:] if text.startswith("+ ") else "-" + text[2:]
+    """Ascending powers of t, written by ``signed_sum`` as every polynomial."""
+    return signed_sum((a[e], [] if e == 0 else ["t"] if e == 1 else [f"t^{e}"])
+                      for e in sorted(a))
 
 
 def hilbert_numerator(shifts: Sequence[Sequence[Fraction]]) -> Poly1:

@@ -48,9 +48,9 @@ GEN_LABELS = ("g1a", "g1b", "g2a", "g2b", "g3a", "g3b", "g4", "g5", "g6")
 
 
 def equations(ring: Ring | None = None) -> EquationSet:
-    """The nine defining generators over the 17-variable ring, or over a
-    ring extending it: the symbolic sharp components, expanded once."""
-    gens = coord8._symbolic_forms()[1]
+    """The nine defining generators over the 17-variable ring, or over a ring
+    extending it: the sharps of ``coord8._symbolic_presentation()``, untraced."""
+    gens = coord8._symbolic_presentation().sharp
     return EquationSet(gens[0].ring, gens, GEN_LABELS).substitute({}, ring)
 
 
@@ -126,8 +126,9 @@ def _perm_images(perm: tuple[int, int, int], ring: Ring) -> dict[str, Poly]:
 
 def _factor_images(r: int, factor: PolyMatrix, ring: Ring) -> dict[str, Poly]:
     """Images of the variables moved by one 2x2 factor acting on slot r,
-    over ``ring``, with the factor's a, b, c, d in row order."""
-    a, b, c, d = substitute_all(factor.entries, {}, ring)
+    over ``ring``, with the factor's a, b, c, d in row order read in place: a
+    factor over another ring raises ``ContextError``."""
+    a, b, c, d = factor.entries
     var = ring.var
     det = a * d - b * c
     lo_x, hi_x = x_name(1, r), x_name(2, r)

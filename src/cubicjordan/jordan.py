@@ -295,13 +295,10 @@ def verify_sharp_conditions(p: JordanPresentation) -> dict[str, Report]:
     return reports
 
 
-# s, and s# and the row T(s, e_j) over the denominator of ``rational_tables``
-_Parts = tuple[Sequence[Rational], list[Rational], list[Rational]]
-
-
-def _rational_parts(tables: _Tables, s: Sequence[Rational]) -> _Parts:
-    """s = sigma as given, and s# and the row T(s, e_j) over ``tables.den``,
-    read off ``tables``: integers when s is, as both callers give it."""
+def _rational_parts(tables: _Tables,
+                    s: Sequence[Rational]) -> tuple[list[Rational], list[Rational]]:
+    """s# and the row T(s, e_j) over ``tables.den``, read off ``tables`` at
+    s = sigma as given: integers when s is, as both callers give it."""
     sharp = []
     for q in tables.sharp:
         acc = 0
@@ -314,7 +311,7 @@ def _rational_parts(tables: _Tables, s: Sequence[Rational]) -> _Parts:
         for i, c in col:
             acc += c * s[i]
         trace.append(acc)
-    return s, sharp, trace
+    return sharp, trace
 
 
 def radical_membership(tables: _Tables, sigma: Sequence[Rational]) -> bool:
@@ -328,12 +325,12 @@ def radical_membership(tables: _Tables, sigma: Sequence[Rational]) -> bool:
     does.  The columns form a rational matrix, compared in cross-multiplied
     form from the integer tables, with sigma read as given.
     """
-    return _u_vanishes(tables, _rational_parts(tables, sigma))
+    return _u_vanishes(tables, sigma, *_rational_parts(tables, sigma))
 
 
-def _u_vanishes(tables: _Tables, parts: _Parts) -> bool:
-    """The U-test of ``radical_membership`` on ``_rational_parts(tables, sigma)``."""
-    s, sharp, trace = parts
+def _u_vanishes(tables: _Tables, s: Sequence[Rational], sharp: list[Rational],
+                trace: list[Rational]) -> bool:
+    """The U-test of ``radical_membership`` on s and ``_rational_parts(tables, s)``."""
     # T(s, e_m) s_k = (s# # e_m)_k, both sides times den^2
     for m, row in enumerate(tables.polar):
         t = tables.den * trace[m]
@@ -357,5 +354,5 @@ def nondegeneracy_test_equiv(tables: _Tables, sigma: Sequence[Rational]) -> dict
     T(sigma, -) = 0 and sigma# != 0 in its kernel, where U_sigma y =
     -sigma# # y does not vanish.
     """
-    _, sharp, trace = parts = _rational_parts(tables, sigma)
-    return {"viaU": _u_vanishes(tables, parts), "viaTN": not any(sharp) and not any(trace)}
+    sharp, trace = _rational_parts(tables, sigma)
+    return {"viaU": _u_vanishes(tables, sigma, sharp, trace), "viaTN": not any(sharp + trace)}

@@ -9,7 +9,6 @@ import sys
 import textwrap
 import time
 from fractions import Fraction
-from functools import cache
 from pathlib import Path
 
 import pytest
@@ -671,15 +670,13 @@ def test_hundred_character_numerals_are_read(tmp_path, capsys):
 def test_fractional_symbolic_cubic_fails_its_claim(tmp_path, monkeypatch, capsys):
     # add 1/2 x11*x12*x13 to the symbolic cubic: it stays a cubic with
     # value one at the unit, so only the claims see the change
-    cubic, sharp = coord8._symbolic_forms()
-    x11, x12, x13 = (cubic.ring.var(n) for n in ("x11", "x12", "x13"))
+    p = coord8._symbolic_presentation()
+    x11, x12, x13 = (p.ring.var(n) for n in ("x11", "x12", "x13"))
     half = Fraction(1, 2) * x11 * x12 * x13
-    monkeypatch.setattr(coord8, "_symbolic_forms", lambda: (cubic + half, sharp))
-    # a fresh cache, so the symbolic presentation, and the compiled tables
-    # it holds for the cubes of this test, read the patched forms and no
-    # later test does
-    monkeypatch.setattr(coord8, "_symbolic_presentation",
-                        cache(coord8._symbolic_presentation.__wrapped__))
+    # a new presentation, so the compiled tables it holds for the cubes of
+    # this test read the patched cubic and no later test does
+    patched = JordanPresentation(p.ring, p.coords, p.unit, p.cubic + half, p.sharp)
+    monkeypatch.setattr(coord8, "_symbolic_presentation", lambda: patched)
     out = tmp_path / "report.json"
     assert run(["verify-axioms", "--json", str(out)]) == 1
     claims = {c["claim_id"]: c for c in json.loads(out.read_text())["claims"]}

@@ -231,6 +231,20 @@ def test_peirce_identity_suite_passes(symbolic_presentation):
     assert all(rep == (True, {}) for rep in reports.values())
 
 
+def test_peirce_identities_move_each_product_once(symbolic_presentation, monkeypatch):
+    # the table holds 42 products under 78 keyed cells, each under both
+    # orders of its pair: only the 42 are moved into the extended ring
+    moved, substitute_all = [], coord8.substitute_all
+
+    def counting(polys, mapping, ring=None):
+        moved.append(len(polys))
+        return substitute_all(polys, mapping, ring)
+
+    monkeypatch.setattr(coord8, "substitute_all", counting)
+    coord8.verify_peirce_identities(symbolic_presentation)
+    assert moved == [42]
+
+
 def _add_to_cubic(p):
     u1, u2 = p.ring.var("u1"), p.ring.var("u2")
     return jordan.JordanPresentation(p.ring, p.coords, p.unit,

@@ -10,7 +10,8 @@ from cubicjordan.errors import ContextError, ShapeError, SkewError
 from cubicjordan.exactcore import (EquationSet, Poly, PolyMatrix, Report, Ring,
                                    compile_batch, directional_derivative, evaluate_all,
                                    nullspace, over_common_denominator, parse_rational, rank,
-                                   rref, solve_linear, span_compare, substitute_all)
+                                   rref, signed_sum, solve_linear, span_compare,
+                                   substitute_all)
 
 R = Ring(("x", "y", "z"))
 X, Y, Z = R.gens()
@@ -47,6 +48,17 @@ def test_mixed_context_rejected():
 def test_canonical_string_is_graded_lex():
     p = X * X - 1 + 3 * Y
     assert p.to_str() == "x^2 + 3*y - 1"
+
+
+@pytest.mark.parametrize("terms,text", [
+    ([], "0"),
+    ([(Fraction(-3, 2), [])], "-3/2"),
+    ([(-1, ["x"])], "-x"),
+    ([(Fraction(1, 2), ["x"])], "1/2*x"),
+    ([(-2, ["x^2", "y"]), (1, [])], "-2*x^2*y + 1"),
+])
+def test_signed_sum_writes_signs_and_magnitudes(terms, text):
+    assert signed_sum(terms) == text
 
 
 def test_substitute_and_evaluate():

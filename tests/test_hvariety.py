@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from cubicjordan import hvariety, jordan, relatives
 from cubicjordan.coord8 import (ALL_VARS, COORD_VARS, PARAM_VARS, Hypermatrix, coord_ring,
                                 symbolic_cube)
-from cubicjordan.errors import ShapeError, SingularGroupElement
+from cubicjordan.errors import ContextError, ShapeError, SingularGroupElement
 from cubicjordan.exactcore import EquationSet, PolyMatrix, evaluate_all, rank, span_compare
 from cubicjordan.hvariety import GroupElement, representative
 
@@ -97,6 +97,13 @@ def test_singular_factor_rejected():
     bad = PolyMatrix.from_rows(ring, [[1, 2], [2, 4]])
     with pytest.raises(SingularGroupElement):
         GroupElement(g1=bad).validate()
+
+
+def test_group_factor_over_another_ring_is_refused():
+    # a factor's entries are read in place, never moved into ``ring``
+    factor = PolyMatrix.from_rows(coord_ring(True), [[1, 1], [0, 1]])
+    with pytest.raises(ContextError):
+        hvariety.substitution_of(GroupElement(g1=factor), coord_ring(True, ("zz",)))
 
 
 def _moved_point(g, point, names=ALL_VARS):

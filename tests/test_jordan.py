@@ -346,15 +346,15 @@ def test_a_family_needs_a_point_of_its_parameters():
 
 
 def assert_parts_are_the_symbolic_values(p, values):
-    # s# and T(s, e_j) over the tables' denominators are the sharp and the
-    # trace form of the integer multiple s of sigma, as the symbolic
-    # functions compute them
+    # s# and T(s, e_j) over the tables' denominators, at s = sigma as given,
+    # are the sharp and the trace form of sigma, as the symbolic functions
+    # compute them
     tables = _tables(p)
-    s, sharp, trace = jordan._rational_parts(tables, values)
+    sharp, trace = jordan._rational_parts(tables, values)
     assert [Fraction(c, tables.den) for c in sharp] == \
-        [c.constant_value() for c in jordan.sharp_of(p, p.element(s))]
+        [c.constant_value() for c in jordan.sharp_of(p, p.element(values))]
     assert [Fraction(c, tables.den) for c in trace] == \
-        [jordan.trace_bilinear(p, p.element(s), p.basis_element(j)).constant_value()
+        [jordan.trace_bilinear(p, p.element(values), p.basis_element(j)).constant_value()
          for j in range(p.dim())]
 
 
