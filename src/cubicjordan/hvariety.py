@@ -22,10 +22,10 @@ symbolic cube is ``coord8.symbolic_cube(ring)``.  The radical tests at a
 cube read integer tables over one denominator off one call of the symbolic
 presentation's compiled batch (``coord8.rational_tables``).
 
-Sampling uses explicitly seeded generators passed by the caller; there is
-no hidden global randomness.  A sampled point, and each cube and element of
-the nondegenerate sweep, stays an integer ``Point`` from the draw to the
-check; ``sample_point`` makes ``Fraction``s to return.
+Every sampled claim draws through ``sampled`` on its stream ``"{seed}:<name>"``;
+there is no hidden global randomness.  A sampled point, and each cube and
+element of the nondegenerate sweep, stays an integer ``Point`` from the
+draw to the check; ``sample_point`` makes ``Fraction``s to return.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ from __future__ import annotations
 import random
 from functools import cache
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import coord8, jordan
 from .coord8 import (ALL_VARS, COORD_VARS, INDEX_TRIPLES, PARAM_VARS, X_VARS, Hypermatrix,
@@ -376,6 +377,18 @@ def orbit_certificate(P: Hypermatrix, want: str | None = None) -> Report:
 _PERMUTATIONS = ((1, 2, 3), (2, 3, 1), (3, 1, 2), (2, 1, 3), (1, 3, 2), (3, 2, 1))
 
 
+def sampled(stream: str, count: int, check: Callable[..., str | None]) -> tuple[int, str | None]:
+    """Run ``check(rng, k)`` for k < ``count`` on ``random.Random(stream)`` and stop
+    at the first failure text it returns: (draws passed, text or None).  Streams
+    are ``"{seed}:<name>"`` for ``classify``, each fiber component, ``pfaffians``,
+    ``<representative>:on`` and ``:off``, ``nondegenerate`` and ``embedding:<part>``."""
+    rng = random.Random(stream)
+    for k, failure in enumerate(map(check, repeat(rng), range(count))):
+        if failure is not None:
+            return k, failure
+    return count, None
+
+
 def _draw(rng: random.Random, top: int = 9, cols: int = 4) -> tuple[int, int]:
     """a and b of a/b: the draws of ``randint(-top, top)``, then of
     ``randint(1, cols)``, each by the ``getrandbits`` rejection loop that
@@ -403,23 +416,19 @@ def _random_invertible(rng: random.Random) -> Point:
 
 
 def translate_invariance(seed: int) -> Report:
-    """Classify 20 random group translates of each nonzero representative.
+    """Classify 20 random group translates of each nonzero representative
+    (draw k moves representative k // 20); the report holds when each keeps
+    its representative's orbit label, and counts the translates that passed."""
+    reps = [representative(name).point() for name in ("p1", "p2", "p3", "p4")]
+    wants = [_orbit_type(nums, _cayley(nums))[0] for nums, _ in reps]
+    def check(rng: random.Random, k: int) -> str | None:
+        factors = [(r, _random_invertible(rng)) for r in (1, 2, 3)]
+        moved, _ = _move_cube(factors, rng.choice(_PERMUTATIONS), reps[k // 20])
+        if _orbit_type(moved, _cayley(moved))[0] != wants[k // 20]:
+            return f"translate {k} leaves orbit {wants[k // 20]}"
 
-    A translate is unstable when its orbit label differs from the label of
-    the representative itself; the report holds when none is, and counts
-    the translates.  Draws come from the ``"{seed}:classify"`` stream.
-    """
-    rng = random.Random(f"{seed}:classify")
-    translates = unstable = 0
-    for name in ("p1", "p2", "p3", "p4"):
-        nums = [_REPRESENTATIVES[name].get(t, 0) for t in INDEX_TRIPLES]
-        want = _orbit_type(nums, _cayley(nums))[0]
-        for _ in range(20):
-            factors = [(r, _random_invertible(rng)) for r in (1, 2, 3)]
-            moved, _ = _move_cube(factors, rng.choice(_PERMUTATIONS), (nums, 1))
-            translates += 1
-            unstable += _orbit_type(moved, _cayley(moved))[0] != want
-    return Report(unstable == 0, {"translates": translates})
+    translates, failure = sampled(f"{seed}:classify", 80, check)
+    return Report(failure is None, {"translates": translates})
 
 
 def hyperdet_covariance_exponent(r: int) -> int | None:
@@ -579,15 +588,10 @@ def fiber_component_sampling(name: str, seed: int, samples: int) -> Report:
     failures: list[str] = []
     counts = {}
     for comp in FIBER_COMPONENTS[name]:
-        rng = random.Random(f"{seed}:{comp}")
-        good = 0
-        for _ in range(samples):
-            if not any(evaluate(*_component_points(comp, rng))[0]):
-                good += 1
-            else:
-                failures.append(f"component {comp}: generator fails to vanish")
-                break
-        counts[comp] = good
+        counts[comp], failure = sampled(f"{seed}:{comp}", samples, lambda rng, k: (
+            f"component {comp}: generator fails to vanish"
+            if any(evaluate(*_component_points(comp, rng))[0]) else None))
+        failures += [failure] if failure else []
     # component quadrics occur among the generators where displayed
     v = eqs.ring.var
     displayed = {"p1": [v("u3") * v("x13") - v("x21") * v("x22"),
@@ -681,21 +685,20 @@ def pfaffian_vanishing_on_samples(seed: int, samples: int) -> Report:
     """All five signed Pfaffians of the skew chart matrix vanish on sampled
     variety points rescaled so the leading pair coordinate is one."""
     pfaffians = _chart_pfaffians()
-    rng = random.Random(f"{seed}:pfaffians")
     n = len(COORD_VARS)
-    checked = failures = 0
-    while checked < samples:
-        nums, den = _sample(rng, {})
-        x11 = nums[_AT["x11"]]
-        if x11 == 0:
-            continue
+    def check(rng: random.Random, k: int) -> str | None:
+        x11 = 0
+        while x11 == 0:
+            nums, den = _sample(rng, {})
+            x11 = nums[_AT["x11"]]
         # the coordinates over x11 and the cube over den, both over den |x11|
         c, h = (den if x11 > 0 else -den), abs(x11)
-        checked += 1
         if any(pfaffians([v * c for v in nums[:n]] + [v * h for v in nums[n:]], den * h)[0]):
-            failures += 1
-    return Report(failures == 0, {"checked": checked, "failures": failures,
-                                  "ok": failures == 0})
+            return f"a Pfaffian fails to vanish on sample {k}"
+
+    checked, failure = sampled(f"{seed}:pfaffians", samples, check)
+    return Report(failure is None, {"checked": checked, "failures": int(failure is not None),
+                                    "ok": failure is None})
 
 
 # ---------------------------------------------------------------------------
@@ -833,17 +836,15 @@ def radical_locus_check(name: str, seed: int, samples: int) -> Report:
              "locus point rejected", "on a locus point"),
             ("off", off_radical_point, 100 if name == "p4" else samples, False,
              "off-locus point accepted", "off the locus")):
-        rng = random.Random(f"{seed}:{name}:{side}")
-        counts[side] = 0
-        for _ in range(draws):
+        def check(rng: random.Random, k: int) -> str | None:
             tests = jordan.nondegeneracy_test_equiv(tables, draw(name, rng)[0])
             if tests["viaU"] != on:
-                failures.append(f"{name}: {wrong} by the U-operator test")
-                break
+                return f"{name}: {wrong} by the U-operator test"
             if tests["viaU"] != tests["viaTN"]:
-                failures.append(f"{name}: the two membership tests disagree {disagree}")
-                break
-            counts[side] += 1
+                return f"{name}: the two membership tests disagree {disagree}"
+
+        counts[side], failure = sampled(f"{seed}:{name}:{side}", draws, check)
+        failures += [failure] if failure else []
 
     display_ok = name not in _NP_DISPLAYS or cubic_display_certificate(name).ok
     if not display_ok:
@@ -855,21 +856,20 @@ def radical_locus_check(name: str, seed: int, samples: int) -> Report:
 
 def nondegenerate_sweep(seed: int) -> Report:
     """At 50 random cubes with nonvanishing hyperdeterminant, two random
-    nonzero elements each never lie in the radical; cubes and elements are
-    integer points from the draw to the check."""
-    rng = random.Random(f"{seed}:nondegenerate")
-    tried = 0
-    failures = 0
-    while tried < 50:
-        cube = _point([_draw(rng) for _ in INDEX_TRIPLES])
-        if _cayley(cube[0]) == 0:
-            continue
-        tried += 1
+    nonzero elements each never lie in the radical."""
+    def check(rng: random.Random, k: int) -> str | None:
+        while True:
+            cube = _point([_draw(rng) for _ in INDEX_TRIPLES])
+            if _cayley(cube[0]):
+                break
         tables = coord8.rational_tables(cube)
         for _ in range(2):
             sigma = [0]
             while not any(sigma):
                 sigma = _point([_draw(rng) for _ in COORD_VARS])[0]
-            failures += jordan.radical_membership(tables, sigma)
-    return Report(failures == 0, {"cubes": tried, "sigmas": 2 * tried,
-                                  "failures": failures, "ok": failures == 0})
+            if jordan.radical_membership(tables, sigma):
+                return f"cube {k}: a nonzero element lies in the radical"
+
+    cubes, failure = sampled(f"{seed}:nondegenerate", 50, check)
+    return Report(failure is None, {"cubes": cubes, "sigmas": 2 * cubes,
+                                    "failures": int(failure is not None), "ok": failure is None})

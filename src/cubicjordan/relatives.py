@@ -293,25 +293,19 @@ def _embedding_batches(part: str) -> tuple[Batch, tuple[str, ...], Batch]:
 
 
 def verify_cluster_embedding(part: str, seed: int, samples: int) -> Report:
-    """Certify one of the two cluster-slice embeddings.
-
-    Sampled cluster points pushed through the embedding dictionary must
-    satisfy every target generator exactly, and the weight relations that
-    make the dictionary homogeneous must hold on the solved weight
-    lattice of the exchange relations.
-    """
+    """Certify one of the two cluster-slice embeddings: sampled cluster points
+    pushed through the embedding dictionary satisfy every target generator
+    exactly, and the weight relations that make the dictionary homogeneous
+    hold on the solved weight lattice of the exchange relations."""
     if part not in ("I", "II"):
         raise ValueError("part must be 'I' or 'II'")
-    rng = random.Random(f"{seed}:embedding:{part}")
-    failures: list[str] = []
     images, labels, target = _embedding_batches(part)
-
-    for k in range(samples):
+    def check(rng: random.Random, k: int) -> str | None:
         for v, lbl in zip(target(*images(*_cluster_point(rng, part)))[0], labels):
             if v != 0:
-                failures.append(f"part {part}: generator {lbl} fails on sample {k}")
-        if failures:
-            break
+                return f"part {part}: generator {lbl} fails on sample {k}"
+
+    passed, failure = hvariety.sampled(f"{seed}:embedding:{part}", samples, check)
 
     # a cluster coordinate the slice pins to a nonzero constant has weight zero
     fixed = {DICTIONARIES["c2"][1][n].lstrip("-"): Fraction(0)
@@ -327,8 +321,9 @@ def verify_cluster_embedding(part: str, seed: int, samples: int) -> Report:
         },
     }[part]
     holds = {label: lattice.relation_holds(rel) for label, rel in relations.items()}
+    failures = [failure] if failure else []
     return Report(not failures and all(holds.values()),
-                  {"samples": samples, "weight_relations": holds, "failures": failures})
+                  {"samples": passed, "weight_relations": holds, "failures": failures})
 
 
 # ---------------------------------------------------------------------------

@@ -422,6 +422,105 @@ def test_sampling_is_seed_deterministic():
     assert a == b
 
 
+# -- the one sampling loop --------------------------------------------------------------
+
+
+def test_sampled_makes_no_draw_after_the_first_failure():
+    seen = []
+
+    def check(rng, k):
+        seen.append(k)
+        return "draw 2 fails" if k == 2 else None
+
+    assert hvariety.sampled("0:test", 10, check) == (2, "draw 2 fails")
+    assert seen == [0, 1, 2]
+
+
+def test_sampled_without_a_failure_passes_every_draw_of_its_stream():
+    drawn = []
+    assert hvariety.sampled("3:test", 5, lambda rng, k: drawn.append(rng.random())) == (5, None)
+    ref = random.Random("3:test")
+    assert drawn == [ref.random() for _ in range(5)]
+
+
+def test_sampled_with_no_draws_never_checks():
+    # the on-locus side of p4 draws nothing
+    assert hvariety.sampled("0:p4:on", 0, lambda rng, k: pytest.fail("checked")) == (0, None)
+
+
+def _plus_one_in_last_coordinate(points):
+    def tampered(name, rng):
+        nums, den = points(name, rng)
+        return nums[:-1] + [nums[-1] + den], den
+    return tampered
+
+
+def _routes_disagree(test):
+    def tampered(tables, sigma):
+        tests = test(tables, sigma)
+        return {**tests, "viaTN": not tests["viaU"]}
+    return tampered
+
+
+def _shift_first_coordinate(point):
+    def tampered(rng, part):
+        nums, den = point(rng, part)
+        return [nums[0] + den] + nums[1:], den
+    return tampered
+
+
+# (module, attribute, tamper of the original, certificate run, its counts, failure texts)
+SAMPLED_TAMPERS = {
+    "translates": (
+        hvariety, "_move_cube", lambda move: lambda *args: ([0] * 8, 1),
+        lambda: hvariety.translate_invariance(0), {"translates": 0},
+        ["translate 0 leaves orbit O1"]),
+    "fiber-p2": (
+        hvariety, "_component_points", _plus_one_in_last_coordinate,
+        lambda: hvariety.fiber_component_sampling("p2", 0, 5),
+        {"samples": {"p2/quadric": 0, "p2/cone": 0}},
+        ["component p2/quadric: generator fails to vanish",
+         "component p2/cone: generator fails to vanish"]),
+    "pfaffians": (
+        hvariety, "_chart_pfaffians", lambda pfaffians: lambda: lambda nums, den: ([1] * 5, 1),
+        lambda: hvariety.pfaffian_vanishing_on_samples(0, 5), {"checked": 0, "failures": 1},
+        ["a Pfaffian fails to vanish on sample 0"]),
+    "radicals-p1": (
+        jordan, "nondegeneracy_test_equiv", _routes_disagree,
+        lambda: hvariety.radical_locus_check("p1", 0, 5), {"on_locus": 0, "off_locus": 0},
+        ["p1: the two membership tests disagree on a locus point",
+         "p1: the two membership tests disagree off the locus"]),
+    "sweep": (
+        jordan, "radical_membership", lambda member: lambda tables, sigma: True,
+        lambda: hvariety.nondegenerate_sweep(0), {"cubes": 0, "sigmas": 0, "failures": 1},
+        ["cube 0: a nonzero element lies in the radical"]),
+    "cluster-I": (
+        relatives, "_cluster_point", _shift_first_coordinate,
+        lambda: relatives.verify_cluster_embedding("I", 0, 5), {"samples": 0},
+        ["part I: generator det-yz fails on sample 0"]),
+}
+
+
+@pytest.mark.parametrize("case", SAMPLED_TAMPERS)
+def test_each_sampled_certificate_fails_at_its_first_tampered_draw(case, monkeypatch):
+    module, attr, tamper, run, counts, texts = SAMPLED_TAMPERS[case]
+    sampled, failures = hvariety.sampled, []
+
+    def recorded(stream, count, check):
+        passed, failure = sampled(stream, count, check)
+        failures.append(failure)
+        return passed, failure
+
+    monkeypatch.setattr(module, attr, tamper(getattr(module, attr)))
+    monkeypatch.setattr(hvariety, "sampled", recorded)
+    rep = run()
+    assert rep.ok is False
+    assert {key: rep.data[key] for key in counts} == counts
+    assert failures == texts
+    if isinstance(rep.data.get("failures"), list):
+        assert rep.data["failures"] == texts
+
+
 # -- radicals -------------------------------------------------------------------------
 
 
