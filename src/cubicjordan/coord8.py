@@ -93,9 +93,6 @@ class Hypermatrix:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Hypermatrix) and self.entries == other.entries
 
-    def __repr__(self) -> str:
-        return f"Hypermatrix({self.to_text()})"
-
 
 def symbolic_cube(ring: Ring) -> dict[tuple[int, int, int], Poly]:
     """The cube entries p_ijk as variables of ``ring``."""
@@ -119,8 +116,6 @@ def d_entry(p: Mapping, x: Sequence[Poly], k: int, i: int, j: int) -> Poly:
     elif k == 3:
         a, b = p[(i, j, 1)], p[(i, j, 2)]
         v, w = x[4], x[5]          # x13, x23
-    else:
-        raise ValueError("factor index must be 1, 2 or 3")
     return a * w - b * v
 
 

@@ -256,9 +256,6 @@ class Poly:
     def __sub__(self, other) -> Poly:
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> Poly:
-        return self._coerce(other) - self
-
     def __mul__(self, other) -> Poly:
         other = self._coerce(other)
         if not self.terms or not other.terms:
@@ -633,15 +630,10 @@ class PolyMatrix:
         return PolyMatrix(self.ring, n, n, out)
 
     def is_skew(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        for i in range(self.rows):
-            if not self.get(i, i).is_zero():
-                return False
-            for j in range(i + 1, self.cols):
-                if self.get(i, j) != -self.get(j, i):
-                    return False
-        return True
+        """Square with M[i][j] = -M[j][i] for i <= j: the diagonal is zero."""
+        return self.rows == self.cols and all(self.get(i, j) == -self.get(j, i)
+                                              for i in range(self.rows)
+                                              for j in range(i, self.cols))
 
     def _pf(self, idx: tuple[int, ...]) -> Poly:
         if not idx:
@@ -671,11 +663,6 @@ class PolyMatrix:
             pf = self._pf(tuple(k for k in full if k != i))
             out.append(pf if i % 2 == 0 else -pf)
         return out
-
-    def __repr__(self) -> str:
-        rows = ["[" + ", ".join(str(self.get(i, j)) for j in range(self.cols)) + "]"
-                for i in range(self.rows)]
-        return "PolyMatrix(" + "; ".join(rows) + ")"
 
 
 # ---------------------------------------------------------------------------

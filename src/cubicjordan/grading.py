@@ -153,10 +153,8 @@ class WeightLattice(NamedTuple):
         coeff = [Fraction(0)] * len(self.variables)
         for name, c in coefficients.items():
             coeff[self.variables.index(name)] = _frac(c)
-        at_particular = sum(c * p for c, p in zip(coeff, self.particular))
-        if at_particular != 0:
-            return False
-        return all(sum(c * b for c, b in zip(coeff, vec)) == 0 for vec in self.basis)
+        return all(sum(c * b for c, b in zip(coeff, vec)) == 0
+                   for vec in (self.particular, *self.basis))
 
 
 def solve_weight_constraints(eqs: EquationSet,
@@ -409,6 +407,14 @@ def _row(v: Rational, u1: Rational, x2: Rational, x3: Rational, p: Rational,
     return w
 
 
+# the arguments of ``_row`` for each row of each matrix
+_TORIC_ROWS = {
+    "base": ((0, 2, 1, 1, 1, 2, 2, 1), (-1, -1, 0, 0, 0, 1, 1, 1)),
+    "shifted": ((2, 4, 1, 1, 1, 0, 0, -1), (-1, -1, 0, 0, 0, 1, 1, 1)),
+    "swapped": ((-1, -1, 0, 0, 0, 1, 1, 1), (1, 3, 1, 1, 1, 1, 1, 0)),
+}
+
+
 def toric_weight_matrix(kind: str) -> tuple[WeightSystem, WeightSystem]:
     """The three two-row weight matrices of the birational bookkeeping,
     written out entry by entry.
@@ -418,15 +424,7 @@ def toric_weight_matrix(kind: str) -> tuple[WeightSystem, WeightSystem]:
     row once and then swap the rows: ``toric_matrices_row_equivalent``
     checks both against ``base``.
     """
-    row1 = _row(0, 2, 1, 1, 1, 2, 2, 1)
-    row2 = _row(-1, -1, 0, 0, 0, 1, 1, 1)
-    if kind == "base":
-        return row1, row2
-    if kind == "shifted":
-        return _row(2, 4, 1, 1, 1, 0, 0, -1), row2
-    if kind == "swapped":
-        return row2, _row(1, 3, 1, 1, 1, 1, 1, 0)
-    raise KeyError(f"unknown weight matrix {kind!r}")
+    return tuple(_row(*entries) for entries in _TORIC_ROWS[kind])
 
 
 def toric_matrices_row_equivalent() -> Report:

@@ -69,10 +69,7 @@ _REPRESENTATIVES = {
 
 
 def representative(name: str) -> Hypermatrix:
-    try:
-        return Hypermatrix(_REPRESENTATIVES[name])
-    except KeyError:
-        raise KeyError(f"unknown representative {name!r}") from None
+    return Hypermatrix(_REPRESENTATIVES[name])
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +262,8 @@ def swap_all_factors_certificate() -> Report:
     result = span_compare(base.gens, base.substitute(sub, base.ring).gens)
     if not result.equal:
         failures.append(f"triple swap: span changed ({result.relation})")
-    for i in (1, 2, 3):
-        if sub[x_name(1, i)] != base.ring.var(x_name(2, i)):
-            failures.append(f"triple swap: pair {i} rows not exchanged")
+    failures += [f"triple swap: pair {i} rows not exchanged" for i in (1, 2, 3)
+                 if sub[x_name(1, i)] != base.ring.var(x_name(2, i))]
     return Report(not failures, {"failures": failures})
 
 
@@ -389,6 +385,14 @@ def sampled(stream: str, count: int, check: Callable[..., str | None]) -> tuple[
     return count, None
 
 
+def _with_residual(data: dict, failure: str | None) -> Report:
+    """The report of a sampled claim: ``data``, and the failure text that
+    ``sampled`` returned as ``residual`` when there is one."""
+    if failure is not None:
+        data["residual"] = failure
+    return Report(failure is None, data)
+
+
 def _draw(rng: random.Random, top: int = 9, cols: int = 4) -> tuple[int, int]:
     """a and b of a/b: the draws of ``randint(-top, top)``, then of
     ``randint(1, cols)``, each by the ``getrandbits`` rejection loop that
@@ -428,7 +432,7 @@ def translate_invariance(seed: int) -> Report:
             return f"translate {k} leaves orbit {wants[k // 20]}"
 
     translates, failure = sampled(f"{seed}:classify", 80, check)
-    return Report(failure is None, {"translates": translates})
+    return _with_residual({"translates": translates}, failure)
 
 
 def hyperdet_covariance_exponent(r: int) -> int | None:
@@ -697,8 +701,8 @@ def pfaffian_vanishing_on_samples(seed: int, samples: int) -> Report:
             return f"a Pfaffian fails to vanish on sample {k}"
 
     checked, failure = sampled(f"{seed}:pfaffians", samples, check)
-    return Report(failure is None, {"checked": checked, "failures": int(failure is not None),
-                                    "ok": failure is None})
+    return _with_residual({"checked": checked, "failures": int(failure is not None),
+                           "ok": failure is None}, failure)
 
 
 # ---------------------------------------------------------------------------
@@ -871,5 +875,5 @@ def nondegenerate_sweep(seed: int) -> Report:
                 return f"cube {k}: a nonzero element lies in the radical"
 
     cubes, failure = sampled(f"{seed}:nondegenerate", 50, check)
-    return Report(failure is None, {"cubes": cubes, "sigmas": 2 * cubes,
-                                    "failures": int(failure is not None), "ok": failure is None})
+    return _with_residual({"cubes": cubes, "sigmas": 2 * cubes,
+                           "failures": int(failure is not None), "ok": failure is None}, failure)

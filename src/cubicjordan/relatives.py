@@ -284,10 +284,9 @@ def _embedding_batches(part: str) -> tuple[Batch, tuple[str, ...], Batch]:
     """The compiled images of the target coordinates in the cluster
     coordinates, in the target ring's order, and the labels and compiled
     generators of the target system."""
-    if part == "I":
-        target, images = m8_equations(), _c2_to_m8_images(Ring(C2_VARS))
-    else:
-        target, images = s6_equations(), _c2_to_s7_images(Ring(C2_VARS))
+    equations, embedding = {"I": (m8_equations, _c2_to_m8_images),
+                            "II": (s6_equations, _c2_to_s7_images)}[part]
+    target, images = equations(), embedding(Ring(C2_VARS))
     return (compile_batch([images[n] for n in target.ring.names]), target.labels,
             compile_batch(target.gens))
 
@@ -297,8 +296,6 @@ def verify_cluster_embedding(part: str, seed: int, samples: int) -> Report:
     pushed through the embedding dictionary satisfy every target generator
     exactly, and the weight relations that make the dictionary homogeneous
     hold on the solved weight lattice of the exchange relations."""
-    if part not in ("I", "II"):
-        raise ValueError("part must be 'I' or 'II'")
     images, labels, target = _embedding_batches(part)
     def check(rng: random.Random, k: int) -> str | None:
         for v, lbl in zip(target(*images(*_cluster_point(rng, part)))[0], labels):
@@ -353,35 +350,23 @@ def m8_action_certificate() -> Report:
     # power of det1 cleared from each generator
     zn = det2 * z
 
-    failures: list[str] = []
-
-    def entry_check(label: str, got: PolyMatrix, want: PolyMatrix) -> None:
-        for a, b in zip(got.entries, want.entries):
-            if a != b:
-                failures.append(f"{label}: transformed block mismatch")
-                return
-
-    # y z - det X2, cleared by det1
-    got = yn * zn - det1 * (X2n.det())
-    want = det1 * det1 * det2 * (y * z - X2.det())
-    if got != want:
-        failures.append("determinant generator transforms incorrectly")
-
-    # y W - adj(X2) X1 X2 needs no clearing
-    got_m = Wn.scale(yn) - X2n.adjugate() * X1n * X2n
-    want_m = (g2 * (W.scale(y) - X2.adjugate() * X1 * X2) * g2.adjugate()).scale(det1 * det1)
-    entry_check("left matrix generator", got_m, want_m)
-
-    # X2 W - z X1 X2, cleared by det1
-    got_m = (X2n * Wn).scale(det1) - (X1n * X2n).scale(zn)
-    want_m = (g1 * (X2 * W - (X1 * X2).scale(z)) * g2.adjugate()).scale(det1 * det2)
-    entry_check("right matrix generator", got_m, want_m)
-
-    # det W - z^2 det X1, cleared by det1^2
-    got = det1 * det1 * Wn.det() - zn * zn * X1n.det()
-    want = det1 * det1 * det2 * det2 * (W.det() - z * z * X1.det())
-    if got != want:
-        failures.append("second determinant generator transforms incorrectly")
+    # (failure text, transformed generator, its stated image), a matrix
+    # generator as its entry list; a law cleared by a power of det1 carries
+    # that power on both sides
+    laws = (
+        ("determinant generator transforms incorrectly",  # y z - det X2, by det1
+         yn * zn - det1 * X2n.det(), det1 * det1 * det2 * (y * z - X2.det())),
+        ("left matrix generator: transformed block mismatch",  # y W - adj(X2) X1 X2
+         (Wn.scale(yn) - X2n.adjugate() * X1n * X2n).entries,
+         (g2 * (W.scale(y) - X2.adjugate() * X1 * X2) * g2.adjugate()).scale(det1 * det1).entries),
+        ("right matrix generator: transformed block mismatch",  # X2 W - z X1 X2, by det1
+         ((X2n * Wn).scale(det1) - (X1n * X2n).scale(zn)).entries,
+         (g1 * (X2 * W - (X1 * X2).scale(z)) * g2.adjugate()).scale(det1 * det2).entries),
+        ("second determinant generator transforms incorrectly",  # det W - z^2 det X1, by det1^2
+         det1 * det1 * Wn.det() - zn * zn * X1n.det(),
+         det1 * det1 * det2 * det2 * (W.det() - z * z * X1.det())),
+    )
+    failures = [text for text, got, want in laws if got != want]
     return Report(not failures, {"failures": failures})
 
 
@@ -399,21 +384,15 @@ def s6_action_certificate() -> Report:
     sigman = adj_gt.apply(sigma)
     detg = g.det()
 
-    failures: list[str] = []
-    got_vec = Sn.apply(sigman)
-    want_vec = tuple(detg * comp for comp in (g.apply(S.apply(sigma))))
-    for a, b in zip(got_vec, want_vec):
-        if a != b:
-            failures.append("kernel generator transforms incorrectly")
-            break
-
-    diff = Sn.adjugate() - _outer(sigman, sigman, ring).scale(t)
-    base = S.adjugate() - _outer(sigma, sigma, ring).scale(t)
-    want_m = adj_gt * base * adj_gt.transpose()
-    for a, b in zip(diff.entries, want_m.entries):
-        if a != b:
-            failures.append("adjugate generator transforms incorrectly")
-            break
+    laws = (
+        ("kernel generator transforms incorrectly",
+         Sn.apply(sigman), tuple(detg * comp for comp in g.apply(S.apply(sigma)))),
+        ("adjugate generator transforms incorrectly",
+         (Sn.adjugate() - _outer(sigman, sigman, ring).scale(t)).entries,
+         (adj_gt * (S.adjugate() - _outer(sigma, sigma, ring).scale(t))
+          * adj_gt.transpose()).entries),
+    )
+    failures = [text for text, got, want in laws if got != want]
     return Report(not failures, {"failures": failures})
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cubicjordan import cli, coord8, grading, hvariety
+from cubicjordan import cli, coord8, grading, hvariety, jordan
 from cubicjordan.errors import ContextError, InputError
 from cubicjordan.exactcore import Poly
 from cubicjordan.jordan import JordanPresentation
@@ -147,6 +147,38 @@ def test_hilbert_rejects_bigraded_weights(tmp_path):
     w = tmp_path / "w.json"
     w.write_text('{"x11": ["1", "0"]}')
     assert run(["hilbert", "--weights", str(w)]) == 2
+
+
+def test_hilbert_rejects_a_fractional_weight(tmp_path, capsys):
+    # no resolution shift reads p111, so the section count is what refuses it
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps({**{n: str(v) for n, v in grading.standard_weights().items()},
+                             "p111": "1/2"}))
+    assert run(["hilbert", "--weights", str(w)]) == 2
+    assert capsys.readouterr().err == "input error: positive integer weights required\n"
+
+
+def test_main_exits_with_the_code_of_run(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["cubicjordan", "all", "--samples", "0"])
+    with pytest.raises(SystemExit) as exited:
+        cli.main()
+    assert exited.value.code == 2
+
+
+def test_a_sampled_point_off_the_variety_exits_3(monkeypatch, capsys):
+    images, _ = hvariety._sampling_tables()
+    monkeypatch.setattr(hvariety, "_sampling_tables",
+                        lambda: (images, lambda nums, den: ([1], 1)))
+    assert run(["chart"]) == 3
+    assert capsys.readouterr().err == ("internal error: InternalError: "
+                                       "constructed point violates the equations\n")
+
+
+def test_a_failing_sampled_claim_names_its_draw(monkeypatch, capsys):
+    monkeypatch.setattr(jordan, "radical_membership", lambda tables, sigma: True)
+    assert run(["radicals", "--seed", "7"]) == 1
+    assert capsys.readouterr().err == ("first failing claim: radicals/generic-nondegenerate: "
+                                       "cube 0: a nonzero element lies in the radical\n")
 
 
 def test_internal_error_exits_3_without_traceback(monkeypatch, capsys):

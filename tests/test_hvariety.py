@@ -13,7 +13,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from cubicjordan import hvariety, jordan, relatives
+from cubicjordan import coord8, hvariety, jordan, relatives
 from cubicjordan.coord8 import (ALL_VARS, COORD_VARS, PARAM_VARS, Hypermatrix, coord_ring,
                                 symbolic_cube)
 from cubicjordan.errors import ContextError, ShapeError, SingularGroupElement
@@ -519,6 +519,66 @@ def test_each_sampled_certificate_fails_at_its_first_tampered_draw(case, monkeyp
     assert failures == texts
     if isinstance(rep.data.get("failures"), list):
         assert rep.data["failures"] == texts
+    else:
+        # a claim that keeps no failure list names its failing draw
+        assert rep.data["residual"] == texts[0]
+
+
+def _wrong_determinant(factor):
+    def tampered():
+        ring, g, det = factor()
+        return ring, g, det + 1
+    return tampered
+
+
+# (owner, attribute, tamper of the original, certificate run, the data it reports)
+SYMBOLIC_TAMPERS = {
+    "swap": (
+        hvariety, "substitution_of",
+        lambda substitution: lambda g, ring: {n: ring.var(n) for n in ALL_VARS},
+        hvariety.swap_all_factors_certificate,
+        {"failures": [f"triple swap: pair {i} rows not exchanged" for i in (1, 2, 3)]}),
+    "hyperdet": (
+        hvariety, "_symbolic_factor", _wrong_determinant,
+        hvariety.hyperdet_covariance_certificate, {"exponents": {1: None, 2: None, 3: None}}),
+    "fiber-display": (
+        hvariety, "span_compare", lambda compare: lambda a, b: compare(a[:1], b),
+        lambda: hvariety.fiber_component_sampling("p2", 0, 2),
+        {"samples": {"p2/quadric": 2, "p2/cone": 2},
+         "failures": ["p2: displayed component equation not in the span"]}),
+    "radical-display": (
+        coord8, "cubic_form", lambda form: lambda P: form(P) + 1,
+        lambda: hvariety.radical_locus_check("p1", 0, 2),
+        {"on_locus": 2, "off_locus": 2, "display_ok": False,
+         "failures": ["p1: specialized cubic form differs from its display"]}),
+    "m8-adjugate": (
+        PolyMatrix, "adjugate", lambda adjugate: PolyMatrix.transpose,
+        relatives.m8_action_certificate,
+        {"failures": ["left matrix generator: transformed block mismatch",
+                      "right matrix generator: transformed block mismatch"]}),
+    "m8-det": (
+        PolyMatrix, "det", lambda det: lambda m: det(m) + 1, relatives.m8_action_certificate,
+        {"failures": ["determinant generator transforms incorrectly",
+                      "left matrix generator: transformed block mismatch",
+                      "right matrix generator: transformed block mismatch",
+                      "second determinant generator transforms incorrectly"]}),
+    "s6-adjugate": (
+        PolyMatrix, "adjugate", lambda adjugate: PolyMatrix.transpose,
+        relatives.s6_action_certificate,
+        {"failures": ["kernel generator transforms incorrectly"]}),
+    "s6-outer": (
+        relatives, "_outer",
+        lambda outer: lambda u, v, ring: outer(u, v, ring) - PolyMatrix.identity(ring, 3),
+        relatives.s6_action_certificate,
+        {"failures": ["adjugate generator transforms incorrectly"]}),
+}
+
+
+@pytest.mark.parametrize("case", SYMBOLIC_TAMPERS)
+def test_each_symbolic_law_fails_under_its_tamper(case, monkeypatch):
+    owner, attr, tamper, run, data = SYMBOLIC_TAMPERS[case]
+    monkeypatch.setattr(owner, attr, tamper(getattr(owner, attr)))
+    assert run() == (False, data)
 
 
 # -- radicals -------------------------------------------------------------------------
