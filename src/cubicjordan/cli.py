@@ -7,9 +7,12 @@ options (None admits any), and calls the rest with the options.  A call
 returns an ``exactcore.Report``, whose ``ok`` and ``data`` become the
 claim's status and data unchanged, or a dict of them, in claim order: then
 ``{}`` in the claim id takes each key in turn, and a description may be a
-dict by the same keys.  Guards select the ``--hypermatrix`` and
-``--weights`` variants.  ``READERS`` names the commands that read each
-input option; any other command, ``all`` included, refuses the option.
+dict by the same keys.  The keys of a named case are read off its table
+(``hvariety.REPRESENTATIVES``, ``relatives.DICTIONARIES`` and
+``EMBEDDINGS``, ``grading.TORIC_ROWS``); no row names one.  Guards select
+the ``--hypermatrix`` and ``--weights`` variants.  ``READERS`` names the
+commands that read each input option; any other command, ``all``
+included, refuses the option.
 
 A call reaches its certificate as ``module.attr`` in its body, read when
 the row runs, never as a function object stored in the table: so a
@@ -103,8 +106,6 @@ def _announce(rep: Report) -> Report:
     return rep
 
 
-_ORBIT_OF = {"origin": "origin", "p1": "O1", "p2": "O2", "p3": "O3", "p4": "O4"}
-
 # (suite, guard, claim id, description, call); see the module docstring
 CLAIMS = (
     ("axioms", None, "axioms/{}", "defining condition of the sharp map holds as an exact "
@@ -121,7 +122,8 @@ CLAIMS = (
      lambda o: coord8.verify_peirce_identities(coord8.presentation(None))),
     ("axioms", None, "axioms/cubic-display-{}",
      "specialized cubic form matches its closed display",
-     lambda o: {n: hvariety.cubic_display_certificate(n) for n in ("origin", "p1", "p2", "p3")}),
+     lambda o: {n: hvariety.cubic_display_certificate(n)
+                for n, row in hvariety.REPRESENTATIVES.items() if row.display}),
     ("axioms", None, "axioms/cubic-integer-coefficients", "fully symbolic cubic form has "
      "integer coefficients",
      lambda o: coord8.integer_cubic_certificate(coord8.presentation(None))),
@@ -134,8 +136,8 @@ CLAIMS = (
      lambda o: _announce(hvariety.orbit_certificate(o.cube))),
     ("classify", lambda o: o.cube is None, "classify/rep-{}",
      "representative cube lands in its orbit class",
-     lambda o: {n: hvariety.orbit_certificate(hvariety.representative(n), want)
-                for n, want in _ORBIT_OF.items()}),
+     lambda o: {n: hvariety.orbit_certificate(hvariety.representative(n), row.orbit)
+                for n, row in hvariety.REPRESENTATIVES.items()}),
     ("classify", lambda o: o.cube is None, "classify/translate-invariance",
      "classification is constant on sampled group translates",
      lambda o: hvariety.translate_invariance(o.seed)),
@@ -160,7 +162,7 @@ CLAIMS = (
     ("fiber", None, "fiber/{}-components", "every generator vanishes on sampled points of "
      "each listed fiber component",
      lambda o: {n: hvariety.fiber_component_sampling(n, o.seed, o.samples)
-                for n in ("origin", "p1", "p2")}),
+                for n, row in hvariety.REPRESENTATIVES.items() if row.components}),
 
     ("chart", None, "chart/reduction", "chart elimination zeroes all nine generators "
      "symbolically in the twelve free coordinates",
@@ -173,15 +175,16 @@ CLAIMS = (
 
     ("radicals", None, "radicals/{}", "sampled membership matches the stated locus, the two "
      "membership tests agree, and the specialized cubic form matches its display",
-     lambda o: {n: hvariety.radical_locus_check(n, o.seed, o.samples) for n in _ORBIT_OF}),
+     lambda o: {n: hvariety.radical_locus_check(n, o.seed, o.samples)
+                for n in hvariety.REPRESENTATIVES}),
     ("radicals", None, "radicals/generic-nondegenerate", "at cubes with nonvanishing "
      "hyperdeterminant no nonzero element is an absolute zero divisor",
      lambda o: hvariety.nondegenerate_sweep(o.seed)),
 
     ("specialize", None, "specialize/{}", {
         n: "dictionary specialization span-equals the target equation system"
-        if n in relatives.TARGET_EQUATIONS else "partial specialization emits its generator set"
-        for n in relatives.DICTIONARIES},
+        if target else "partial specialization emits its generator set"
+        for n, (_, _, target) in relatives.DICTIONARIES.items()},
      lambda o: {n: relatives.verify_specialization(relatives.dictionary(n))
                 for n in relatives.DICTIONARIES}),
     ("specialize", None, "specialize/composed", "freezing the remaining cluster parameters "
@@ -197,7 +200,7 @@ CLAIMS = (
     ("embeddings", None, "prop76/part-{}", "sampled cluster-slice points satisfy every target "
      "generator exactly and the transported weight relations hold on the solved lattice",
      lambda o: {part.lower(): relatives.verify_cluster_embedding(part, o.seed, o.samples)
-                for part in ("I", "II")}),
+                for part in relatives.EMBEDDINGS}),
 
     ("weights", lambda o: o.weights is None, "weights/lattice", "homogeneity constraints "
      "solve to an affine lattice containing the standard positive grading",
@@ -214,7 +217,7 @@ CLAIMS = (
      "rows of the two-row weight matrix",
      lambda o: {k: _no_data(grading.check_bigraded(hvariety.equations(),
                                                    *grading.toric_weight_matrix(k)))
-                for k in ("base", "shifted", "swapped")}),
+                for k in grading.TORIC_ROWS}),
     ("toric_matrices", None, "weights/row-operations", "derived weight matrices are the "
      "stated row operations of the base matrix",
      lambda o: grading.toric_matrices_row_equivalent()),

@@ -408,7 +408,7 @@ def _row(v: Rational, u1: Rational, x2: Rational, x3: Rational, p: Rational,
 
 
 # the arguments of ``_row`` for each row of each matrix
-_TORIC_ROWS = {
+TORIC_ROWS = {
     "base": ((0, 2, 1, 1, 1, 2, 2, 1), (-1, -1, 0, 0, 0, 1, 1, 1)),
     "shifted": ((2, 4, 1, 1, 1, 0, 0, -1), (-1, -1, 0, 0, 0, 1, 1, 1)),
     "swapped": ((-1, -1, 0, 0, 0, 1, 1, 1), (1, 3, 1, 1, 1, 1, 1, 0)),
@@ -424,7 +424,7 @@ def toric_weight_matrix(kind: str) -> tuple[WeightSystem, WeightSystem]:
     row once and then swap the rows: ``toric_matrices_row_equivalent``
     checks both against ``base``.
     """
-    return tuple(_row(*entries) for entries in _TORIC_ROWS[kind])
+    return tuple(_row(*entries) for entries in TORIC_ROWS[kind])
 
 
 def toric_matrices_row_equivalent() -> Report:

@@ -6,7 +6,8 @@ ideal.  This module fixes their canonical order, certifies the group
 action on them with symbolic group entries, classifies parameter cubes
 into the five orbit types, verifies the fiber descriptions over the orbit
 representatives, reduces the equations on the first idempotent chart, and
-samples exact rational points.
+samples exact rational points.  Each orbit representative is one row of
+``REPRESENTATIVES``, the one home of every fact stated about it.
 
 Generator order (labels used everywhere):
 
@@ -31,7 +32,7 @@ draw to the check; ``sample_point`` makes ``Fraction``s to return.
 from __future__ import annotations
 
 import random
-from functools import cache
+from functools import cache, partial
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
@@ -53,23 +54,6 @@ def equations(ring: Ring | None = None) -> EquationSet:
     extending it: the sharps of ``coord8._symbolic_presentation()``, untraced."""
     gens = coord8._symbolic_presentation().sharp
     return EquationSet(gens[0].ring, gens, GEN_LABELS).substitute({}, ring)
-
-
-# ---------------------------------------------------------------------------
-# Orbit representatives
-# ---------------------------------------------------------------------------
-
-_REPRESENTATIVES = {
-    "origin": {},
-    "p1": {(1, 1, 1): 1},
-    "p2": {(1, 1, 1): 1, (2, 2, 1): 1},
-    "p3": {(1, 1, 1): 1, (1, 2, 2): 1, (2, 1, 2): 1},
-    "p4": {(1, 1, 1): 1, (2, 2, 2): 1},
-}
-
-
-def representative(name: str) -> Hypermatrix:
-    return Hypermatrix(_REPRESENTATIVES[name])
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +405,9 @@ def _random_invertible(rng: random.Random) -> Point:
 
 def translate_invariance(seed: int) -> Report:
     """Classify 20 random group translates of each nonzero representative
-    (draw k moves representative k // 20); the report holds when each keeps
+    cube (draw k moves the (k // 20)-th); the report holds when each keeps
     its representative's orbit label, and counts the translates that passed."""
-    reps = [representative(name).point() for name in ("p1", "p2", "p3", "p4")]
+    reps = [Hypermatrix(row.cube).point() for row in REPRESENTATIVES.values() if row.cube]
     wants = [_orbit_type(nums, _cayley(nums))[0] for nums, _ in reps]
     def check(rng: random.Random, k: int) -> str | None:
         factors = [(r, _random_invertible(rng)) for r in (1, 2, 3)]
@@ -431,7 +415,7 @@ def translate_invariance(seed: int) -> Report:
         if _orbit_type(moved, _cayley(moved))[0] != wants[k // 20]:
             return f"translate {k} leaves orbit {wants[k // 20]}"
 
-    translates, failure = sampled(f"{seed}:classify", 80, check)
+    translates, failure = sampled(f"{seed}:classify", 20 * len(reps), check)
     return _with_residual({"translates": translates}, failure)
 
 
@@ -508,8 +492,8 @@ def fiber_certificate_p3() -> Report:
     return Report(result.equal, {"relation": result.relation})
 
 
-# Component parametrizations of the reducible fibers.  Each component maps
-# an RNG to a point over the nine coordinates lying on a dense open part,
+# The samplers of ``REPRESENTATIVES`` map an RNG to a point over the nine
+# coordinates on a dense open part of a fiber component or a radical locus,
 # built from pairs (a, b) of a/b, b nonzero, that ``_point`` puts over one
 # denominator.  ``_AT`` gives positions in a point over ALL_VARS, which are
 # those over COORD_VARS for the coordinates; ``_SLOTS`` those of x1i, x2i, ui.
@@ -530,52 +514,51 @@ def _point(pairs: Sequence[tuple[int, int]]) -> Point:
     return [a * (den // b) for a, b in pairs], den
 
 
-def _component_points(name: str, rng: random.Random) -> Point:
+def _drawn(names: Sequence[str], rng: random.Random) -> Point:
+    """The coordinates ``names`` drawn in turn, every other coordinate zero."""
     pt = [(0, 1)] * len(COORD_VARS)
-    if name == "origin/all-x":
-        pt[:len(X_VARS)] = [_draw(rng) for _ in X_VARS]  # COORD_VARS starts with X_VARS
-    elif name[:-1] in ("origin/pair", "p1/quadric"):
-        # origin: one coordinate pair zero together with two idempotent
-        # coords; p1 component i: the other idempotent coords and the second
-        # row of pair i vanish, and u_i is solved from the displayed quadric
-        i = int(name[-1]) - 1
-        lo, _, u = _SLOTS[i]
-        others = _SLOTS[:i] + _SLOTS[i + 1:]
-        if name.startswith("origin"):
-            pt[u] = _draw(rng)
-        for x1, x2, _ in others:
-            pt[x1] = _draw(rng)
-            pt[x2] = _draw(rng)
-        if name.startswith("p1"):
-            a, b = pt[lo] = _draw_nonzero(rng)
-            (c, d), (e, f) = (pt[x2] for _, x2, _ in others)
-            pt[u] = (c * e * b, d * f * a)
-    elif name == "p2/quadric":
-        # x11, x21, x12, x22 (the first four coordinates), x13, then
-        # u3 = (x11 x12 + x21 x22) / x13
-        (a11, b11), (a21, b21), (a12, b12), (a22, b22) = pt[:4] = [_draw(rng) for _ in range(4)]
-        a, b = pt[_AT["x13"]] = _draw_nonzero(rng)
-        pt[_AT["u3"]] = ((a11 * a12 * b21 * b22 + a21 * a22 * b11 * b12) * b,
-                         b11 * b12 * b21 * b22 * a)
-    elif name == "p2/cone":
-        lam, mu = _draw_nonzero(rng)  # lambda = lam / mu
-        a, b = pt[_AT["x23"]] = _draw(rng)
-        c, d = pt[_AT["x11"]] = _draw(rng)
-        e, f = pt[_AT["x21"]] = _draw(rng)
-        pt[_AT["x13"]] = _draw(rng)
-        # u1, u2 = lambda x23, -x23 / lambda and x22, x12 = lambda x11, -lambda x21
-        pt[_AT["u1"]], pt[_AT["u2"]] = (lam * a, mu * b), (-a * mu, b * lam)
-        pt[_AT["x22"]], pt[_AT["x12"]] = (lam * c, mu * d), (-lam * e, mu * f)
-    else:
-        raise KeyError(f"unknown fiber component {name!r}")
+    for n in names:
+        pt[_AT[n]] = _draw(rng)
     return _point(pt)
 
 
-FIBER_COMPONENTS = {
-    "origin": ("origin/all-x", "origin/pair1", "origin/pair2", "origin/pair3"),
-    "p1": ("p1/quadric1", "p1/quadric2", "p1/quadric3"),
-    "p2": ("p2/quadric", "p2/cone"),
-}
+def _p1_quadric(i: int, rng: random.Random) -> Point:
+    """Component k = i + 1 of the p1 fiber: x2k and the u other than uk
+    vanish, and uk is solved from the displayed quadric uk x1k = x2j x2l."""
+    pt = [(0, 1)] * len(COORD_VARS)
+    lo, _, u = _SLOTS[i]
+    others = _SLOTS[:i] + _SLOTS[i + 1:]
+    for x1, x2, _ in others:
+        pt[x1] = _draw(rng)
+        pt[x2] = _draw(rng)
+    a, b = pt[lo] = _draw_nonzero(rng)
+    (c, d), (e, f) = (pt[x2] for _, x2, _ in others)
+    pt[u] = (c * e * b, d * f * a)
+    return _point(pt)
+
+
+def _p2_quadric(rng: random.Random) -> Point:
+    """x11, x21, x12, x22 (the first four coordinates), x13, then
+    u3 = (x11 x12 + x21 x22) / x13."""
+    pt = [(0, 1)] * len(COORD_VARS)
+    (a11, b11), (a21, b21), (a12, b12), (a22, b22) = pt[:4] = [_draw(rng) for _ in range(4)]
+    a, b = pt[_AT["x13"]] = _draw_nonzero(rng)
+    pt[_AT["u3"]] = ((a11 * a12 * b21 * b22 + a21 * a22 * b11 * b12) * b,
+                     b11 * b12 * b21 * b22 * a)
+    return _point(pt)
+
+
+def _p2_cone(rng: random.Random) -> Point:
+    pt = [(0, 1)] * len(COORD_VARS)
+    lam, mu = _draw_nonzero(rng)  # lambda = lam / mu
+    a, b = pt[_AT["x23"]] = _draw(rng)
+    c, d = pt[_AT["x11"]] = _draw(rng)
+    e, f = pt[_AT["x21"]] = _draw(rng)
+    pt[_AT["x13"]] = _draw(rng)
+    # u1, u2 = lambda x23, -x23 / lambda and x22, x12 = lambda x11, -lambda x21
+    pt[_AT["u1"]], pt[_AT["u2"]] = (lam * a, mu * b), (-a * mu, b * lam)
+    pt[_AT["x22"]], pt[_AT["x12"]] = (lam * c, mu * d), (-lam * e, mu * f)
+    return _point(pt)
 
 
 @cache
@@ -587,22 +570,18 @@ def _fiber_system(name: str) -> tuple[EquationSet, Batch]:
 
 def fiber_component_sampling(name: str, seed: int, samples: int) -> Report:
     """Every generator of the fiber system vanishes on sampled points of
-    each listed component of a reducible fiber."""
+    each component of a reducible fiber, and its displayed component
+    equations lie in the span of the generators."""
     eqs, evaluate = _fiber_system(name)
+    row = REPRESENTATIVES[name]
     failures: list[str] = []
     counts = {}
-    for comp in FIBER_COMPONENTS[name]:
+    for comp, draw in row.components.items():
         counts[comp], failure = sampled(f"{seed}:{comp}", samples, lambda rng, k: (
             f"component {comp}: generator fails to vanish"
-            if any(evaluate(*_component_points(comp, rng))[0]) else None))
+            if any(evaluate(*draw(rng))[0]) else None))
         failures += [failure] if failure else []
-    # component quadrics occur among the generators where displayed
-    v = eqs.ring.var
-    displayed = {"p1": [v("u3") * v("x13") - v("x21") * v("x22"),
-                        v("u2") * v("x12") - v("x21") * v("x23"),
-                        v("u1") * v("x11") - v("x22") * v("x23")],
-                 "p2": [v("u3") * v("x13") - v("x11") * v("x12") - v("x21") * v("x22")]}
-    if name in displayed and span_compare(eqs.gens, displayed[name]).relation not in (
+    if row.displayed and span_compare(eqs.gens, row.displayed(eqs.ring.var)).relation not in (
             EQUAL, A_CONTAINS_B):
         failures.append(f"{name}: displayed component equation not in the span")
     return Report(not failures, {"samples": counts, "failures": failures})
@@ -762,43 +741,32 @@ def _sample(rng: random.Random, pinned: Mapping[str, tuple[int, int]]) -> Point:
 # Radical loci of the degenerate algebras
 # ---------------------------------------------------------------------------
 
-_NP_DISPLAYS = {
-    "origin": "u1*u2*u3",
-    "p1": "u1*u2*u3",
-    "p2": "x23^2*u3 + u1*u2*u3",
-    "p3": "x21^2*u1 + 2*x21*x22*x13 + x22^2*u2 - x13^2*u3 + u1*u2*u3",
-}
-
 
 def cubic_display_certificate(name: str) -> Report:
     """The cubic form specialized at a degenerate representative prints as
-    its closed display in ``_NP_DISPLAYS``; the data holds both strings."""
+    the closed display of its row; the data holds both strings."""
     got = coord8.cubic_form(representative(name)).to_str()
-    want = _NP_DISPLAYS[name]
+    want = REPRESENTATIVES[name].display
     return Report(got == want, {"computed": got, "expected": want})
 
 
-def radical_point(name: str, rng: random.Random) -> Point:
-    """A sampled point over ``COORD_VARS`` of the stated radical locus of a representative."""
+def _p1_radical(rng: random.Random) -> Point:
+    """x11, x12, x13, then one of x21, x22, x23, chosen before it is drawn."""
     pt = [(0, 1)] * len(COORD_VARS)
-    if name == "origin":
-        pt[:len(X_VARS)] = [_draw(rng) for _ in X_VARS]  # COORD_VARS starts with X_VARS
-    elif name == "p1":
-        for n in ("x11", "x12", "x13"):
-            pt[_AT[n]] = _draw(rng)
-        survivor = rng.choice(("x21", "x22", "x23"))
-        pt[_AT[survivor]] = _draw(rng)
-    elif name == "p2":
-        pt[_AT["x13"]] = _draw(rng)
-        a, b = pt[_AT["x11"]] = _draw_nonzero(rng)
-        c, d = pt[_AT["x21"]] = _draw(rng)
-        e, f = pt[_AT["x22"]] = _draw(rng)
-        pt[_AT["x12"]] = (-c * e * b, d * f * a)  # -x21 x22 / x11
-    elif name == "p3":
-        for n in ("x11", "x12", "x23"):
-            pt[_AT[n]] = _draw(rng)
-    elif name != "p4":  # the radical of p4 is trivial
-        raise KeyError(f"unknown representative {name!r}")
+    for n in ("x11", "x12", "x13"):
+        pt[_AT[n]] = _draw(rng)
+    survivor = rng.choice(("x21", "x22", "x23"))
+    pt[_AT[survivor]] = _draw(rng)
+    return _point(pt)
+
+
+def _p2_radical(rng: random.Random) -> Point:
+    pt = [(0, 1)] * len(COORD_VARS)
+    pt[_AT["x13"]] = _draw(rng)
+    a, b = pt[_AT["x11"]] = _draw_nonzero(rng)
+    c, d = pt[_AT["x21"]] = _draw(rng)
+    e, f = pt[_AT["x22"]] = _draw(rng)
+    pt[_AT["x12"]] = (-c * e * b, d * f * a)  # -x21 x22 / x11
     return _point(pt)
 
 
@@ -806,42 +774,25 @@ def off_radical_point(name: str, rng: random.Random) -> Point:
     """A random nonzero point over ``COORD_VARS`` verified to lie off the radical locus."""
     while True:
         nums, den = _point([_draw(rng) for _ in COORD_VARS])
-        if any(nums) and not _on_radical_locus(name, nums):
+        if any(nums) and not REPRESENTATIVES[name].on_locus(*nums):
             return nums, den
 
 
-def _on_radical_locus(name: str, nums: Sequence[int]) -> bool:
-    """Whether a point over ``COORD_VARS`` lies on the stated radical locus,
-    read off its numerators: every condition is homogeneous."""
-    x11, x21, x12, x22, x13, x23, u1, u2, u3 = nums
-    u_zero = not (u1 or u2 or u3)
-    if name == "origin":
-        return u_zero
-    if name == "p1":
-        return u_zero and not (x22 * x23 or x21 * x23 or x21 * x22)
-    if name == "p2":
-        return u_zero and x23 == 0 and x11 * x12 + x21 * x22 == 0
-    if name == "p3":
-        return u_zero and not (x21 or x22 or x13)
-    if name == "p4":
-        return not any(nums)
-    raise KeyError(name)
-
-
 def radical_locus_check(name: str, seed: int, samples: int) -> Report:
-    """Sampled membership on the stated radical locus, sampled failure off
-    it, agreement of the two nondegeneracy tests, and exact match of the
-    specialized cubic form with its stated display."""
-    tables = coord8.rational_tables(representative(name).point())
+    """Sampled membership on the stated radical locus (no draw where it is
+    zero), sampled failure off it (100 draws where it is zero), agreement of
+    the two nondegeneracy tests, and the stated cubic display where there is one."""
+    row = REPRESENTATIVES[name]
+    tables = coord8.rational_tables(Hypermatrix(row.cube).point())
     failures: list[str] = []
     counts: dict[str, int] = {}
     for side, draw, draws, on, wrong, disagree in (
-            ("on", radical_point, 0 if name == "p4" else samples, True,
+            ("on", row.radical, samples if row.radical else 0, True,
              "locus point rejected", "on a locus point"),
-            ("off", off_radical_point, 100 if name == "p4" else samples, False,
+            ("off", partial(off_radical_point, name), samples if row.radical else 100, False,
              "off-locus point accepted", "off the locus")):
         def check(rng: random.Random, k: int) -> str | None:
-            tests = jordan.nondegeneracy_test_equiv(tables, draw(name, rng)[0])
+            tests = jordan.nondegeneracy_test_equiv(tables, draw(rng)[0])
             if tests["viaU"] != on:
                 return f"{name}: {wrong} by the U-operator test"
             if tests["viaU"] != tests["viaTN"]:
@@ -850,7 +801,7 @@ def radical_locus_check(name: str, seed: int, samples: int) -> Report:
         counts[side], failure = sampled(f"{seed}:{name}:{side}", draws, check)
         failures += [failure] if failure else []
 
-    display_ok = name not in _NP_DISPLAYS or cubic_display_certificate(name).ok
+    display_ok = row.display is None or cubic_display_certificate(name).ok
     if not display_ok:
         failures.append(f"{name}: specialized cubic form differs from its display")
 
@@ -877,3 +828,55 @@ def nondegenerate_sweep(seed: int) -> Report:
     cubes, failure = sampled(f"{seed}:nondegenerate", 50, check)
     return _with_residual({"cubes": cubes, "sigmas": 2 * cubes,
                            "failures": int(failure is not None), "ok": failure is None}, failure)
+
+
+# ---------------------------------------------------------------------------
+# Orbit representatives
+# ---------------------------------------------------------------------------
+
+
+class Representative(NamedTuple):
+    """Every fact the suites state about one orbit representative."""
+
+    cube: dict[tuple[int, int, int], int]  # the nonzero entries by index triple
+    orbit: str  # the orbit label
+    display: str | None  # the closed display of the specialized cubic form
+    radical: Callable[[random.Random], Point] | None  # samples the radical locus; None: zero
+    on_locus: Callable[..., bool]  # a point's nine numerators lie on the radical locus
+    components: dict[str, Callable[[random.Random], Point]] = {}  # samples each fiber component
+    displayed: Callable[[Callable[[str], Poly]], list[Poly]] | None = None  # from ring.var
+
+
+REPRESENTATIVES = {
+    "origin": Representative(
+        {}, "origin", "u1*u2*u3", partial(_drawn, X_VARS),
+        lambda x11, x21, x12, x22, x13, x23, *u: not any(u),
+        {"origin/all-x": partial(_drawn, X_VARS),
+         # pair i and the other two u coordinates zero
+         "origin/pair1": partial(_drawn, ("u1", "x12", "x22", "x13", "x23")),
+         "origin/pair2": partial(_drawn, ("u2", "x11", "x21", "x13", "x23")),
+         "origin/pair3": partial(_drawn, ("u3", "x11", "x21", "x12", "x22"))}),
+    "p1": Representative(
+        {(1, 1, 1): 1}, "O1", "u1*u2*u3", _p1_radical,
+        lambda x11, x21, x12, x22, x13, x23, *u: not (
+            any(u) or x22 * x23 or x21 * x23 or x21 * x22),
+        {f"p1/quadric{i + 1}": partial(_p1_quadric, i) for i in range(3)},
+        lambda v: [v("u3") * v("x13") - v("x21") * v("x22"),
+                   v("u2") * v("x12") - v("x21") * v("x23"),
+                   v("u1") * v("x11") - v("x22") * v("x23")]),
+    "p2": Representative(
+        {(1, 1, 1): 1, (2, 2, 1): 1}, "O2", "x23^2*u3 + u1*u2*u3", _p2_radical,
+        lambda x11, x21, x12, x22, x13, x23, *u: not (any(u) or x23 or x11 * x12 + x21 * x22),
+        {"p2/quadric": _p2_quadric, "p2/cone": _p2_cone},
+        lambda v: [v("u3") * v("x13") - v("x11") * v("x12") - v("x21") * v("x22")]),
+    "p3": Representative(
+        {(1, 1, 1): 1, (1, 2, 2): 1, (2, 1, 2): 1}, "O3",
+        "x21^2*u1 + 2*x21*x22*x13 + x22^2*u2 - x13^2*u3 + u1*u2*u3",
+        partial(_drawn, ("x11", "x12", "x23")),
+        lambda x11, x21, x12, x22, x13, x23, *u: not (any(u) or x21 or x22 or x13)),
+    "p4": Representative({(1, 1, 1): 1, (2, 2, 2): 1}, "O4", None, None, lambda *c: not any(c)),
+}
+
+
+def representative(name: str) -> Hypermatrix:
+    return Hypermatrix(REPRESENTATIVES[name].cube)

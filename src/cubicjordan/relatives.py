@@ -13,12 +13,12 @@ reproduce the target's span exactly.  The partial specializations ``h12``
 and ``h11`` just freeze one or two parameter entries and are emitted
 without an external target.
 
-Each dictionary is one entry of the table ``DICTIONARIES``: its target
-coordinates and the image of every ambient variable, which is a target
-coordinate, its negative, or an integer.  ``dictionary`` builds the ring
-map from the entry; the cluster slice pins the integer entries of ``c2``
-and inverts its signed ones.  Dictionary names (m8, s6, c2, h12, h11)
-are the stable interface used by the command line.
+Each dictionary is one row of ``DICTIONARIES``: its target coordinates,
+the image of every ambient variable (a target coordinate, its negative,
+or an integer) and its target equations, or None.  Each Coughlan-Ducat
+cluster-slice embedding is one row of ``EMBEDDINGS``.  A row is the one
+home of its case, and the command line iterates the rows.  The cluster
+slice pins the integer entries of ``c2`` and inverts its signed ones.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import grading, hvariety
 from .errors import UnknownDictionary
@@ -140,29 +140,31 @@ class Dictionary(NamedTuple):
         return eqs.substitute(self.mapping, self.target)
 
 
-def _freezing(frozen: dict[str, int]) -> tuple[tuple[str, ...], dict[str, str | int]]:
-    """The entry of a partial specialization: it keeps every ambient
-    variable it does not freeze, under its own name."""
-    return tuple(n for n in ALL_VARS if n not in frozen), {n: frozen.get(n, n) for n in ALL_VARS}
+def _freezing(frozen: dict[str, int]) -> tuple[tuple[str, ...], dict[str, str | int], None]:
+    """The row of a partial specialization: it keeps every ambient variable
+    it does not freeze, under its own name, and has no target equations."""
+    return (tuple(n for n in ALL_VARS if n not in frozen),
+            {n: frozen.get(n, n) for n in ALL_VARS}, None)
 
 
-# name: (target coordinates, image of each ambient variable), where an image
-# is a target coordinate, "-" and a coordinate for its negative, or an integer
-DICTIONARIES: dict[str, tuple[tuple[str, ...], dict[str, str | int]]] = {
+# name: (target coordinates, image of each ambient variable, target equations
+# or None), where an image is a target coordinate, "-" and a coordinate for
+# its negative, or an integer
+DICTIONARIES = {
     "c2": (C2_VARS, {
         "u1": "th12", "u2": "th23", "u3": "th31",
         "x11": "A12", "x21": "th3", "x12": "A23", "x22": "th1", "x13": "A31", "x23": "th2",
         "p212": "-A1", "p221": "-A2", "p122": "-A3", "p222": "lam",
-        "p121": 0, "p112": 0, "p211": 0, "p111": 1}),
+        "p121": 0, "p112": 0, "p211": 0, "p111": 1}, c2_equations),
     "m8": (M8_VARS, {
         "x11": "w1", "x21": "z", "x12": "x5", "x22": "x7", "x13": "x4", "x23": "x6",
         "u1": "-y", "u2": "-w3", "u3": "-w2",
         "p111": "-x2", "p211": 0, "p121": "x1", "p221": -1,
-        "p112": "x1", "p212": 1, "p122": "x3", "p222": 0}),
+        "p112": "x1", "p212": 1, "p122": "x3", "p222": 0}, m8_equations),
     "s6": (S6_VARS, {
         "u1": "s11", "x13": "s12", "x12": "s13", "u2": "s22", "x11": "s23", "u3": "s33",
-        "x21": "sigma1", "x22": "sigma2", "x23": "sigma3", "p111": "-t",
-        "p221": 1, "p212": 1, "p122": 1, "p222": 0, "p211": 0, "p121": 0, "p112": 0}),
+        "x21": "sigma1", "x22": "sigma2", "x23": "sigma3", "p111": "-t", "p221": 1, "p212": 1,
+        "p122": 1, "p222": 0, "p211": 0, "p121": 0, "p112": 0}, s6_equations),
     "h12": _freezing({"p111": 1}),
     "h11": _freezing({"p111": 1, "p121": 1}),
 }
@@ -179,7 +181,7 @@ _C2_SIGNED = tuple(
 
 def dictionary(name: str) -> Dictionary:
     try:
-        coords, images = DICTIONARIES[name]
+        coords, images, _ = DICTIONARIES[name]
     except KeyError:
         raise UnknownDictionary(name) from None
     ring = Ring(coords)
@@ -189,23 +191,17 @@ def dictionary(name: str) -> Dictionary:
         for amb, img in images.items()})
 
 
-TARGET_EQUATIONS: dict[str, Callable[[], EquationSet]] = {
-    "m8": m8_equations,
-    "s6": s6_equations,
-    "c2": c2_equations,
-}
-
-
 def verify_specialization(d: Dictionary) -> Report:
     """Substitute a dictionary into the nine ambient generators and compare
-    spans with the target equations of its name: the data is the relation,
+    spans with the target equations of its row: the data is the relation,
     and, when the spans differ, the first specialized generator outside the
     target span (None if there is none).  A name with no target only emits
     the specialized set; its data counts the generators."""
     specialized = d.specialize()
-    if d.name not in TARGET_EQUATIONS:
+    target = DICTIONARIES[d.name][2]
+    if target is None:
         return Report(True, {"generators": len(specialized)})
-    span = span_compare(specialized.gens, TARGET_EQUATIONS[d.name]().gens)
+    span = span_compare(specialized.gens, target().gens)
     data = {"relation": span.relation}
     if not span.equal:
         data["residual"] = next(
@@ -229,9 +225,6 @@ def composed_specialization_check() -> Report:
 # ---------------------------------------------------------------------------
 # Cluster-variety images of the matrix subvarieties
 # ---------------------------------------------------------------------------
-
-# Dictionary names for the two embeddings; values map the target variables
-# to polynomials in the cluster coordinates on the stated slice.
 
 
 def _c2_to_m8_images(ring: Ring) -> dict[str, Poly]:
@@ -262,16 +255,26 @@ def _c2_to_s7_images(ring: Ring) -> dict[str, Poly]:
     }
 
 
-EMBEDDING_SLICES = {
-    "I": {"p122": Fraction(-1)},                      # unit third cluster scalar
-    "II": {"p122": Fraction(-1), "p212": Fraction(1)},  # and first scalar = -1
+# part: (target dictionary, images of its coordinates in the cluster
+# coordinates on the slice, the slice as pinned cube entries, and by label
+# the weight relations that make the images homogeneous)
+EMBEDDINGS = {
+    "I": ("m8", _c2_to_m8_images, {"p122": Fraction(-1)},  # unit third cluster scalar
+          {"w(th3)=w(lam)+w(A12)": {"th3": 1, "lam": -1, "A12": -1}}),
+    "II": ("s6", _c2_to_s7_images,
+           {"p122": Fraction(-1), "p212": Fraction(1)},  # and first scalar = -1
+           {"w(th1)=w(lam)+w(A23)": {"th1": 1, "lam": -1, "A23": -1},
+            "w(A31)=w(lam)+w(th2)": {"A31": 1, "lam": -1, "th2": -1},
+            "w(th3)=w(lam)+w(A12)": {"th3": 1, "lam": -1, "A12": -1},
+            "w(A2)=2w(lam)": {"A2": 1, "lam": -2}}),
 }
 
 
 def _cluster_point(rng: random.Random, part: str) -> Point:
     """A sampled variety point on the cluster slice, over ``C2_VARS``."""
+    _, _, pins, _ = EMBEDDINGS[part]
     pinned = {n: (v, 1) for n, v in _C2_FROZEN.items()}
-    pinned.update((n, v.as_integer_ratio()) for n, v in EMBEDDING_SLICES[part].items())
+    pinned.update((n, v.as_integer_ratio()) for n, v in pins.items())
     nums, den = hvariety._sample(rng, pinned)
     out = [0] * len(C2_VARS)
     for k, amb, sign in _C2_SIGNED:
@@ -284,9 +287,8 @@ def _embedding_batches(part: str) -> tuple[Batch, tuple[str, ...], Batch]:
     """The compiled images of the target coordinates in the cluster
     coordinates, in the target ring's order, and the labels and compiled
     generators of the target system."""
-    equations, embedding = {"I": (m8_equations, _c2_to_m8_images),
-                            "II": (s6_equations, _c2_to_s7_images)}[part]
-    target, images = equations(), embedding(Ring(C2_VARS))
+    name, embedding, _, _ = EMBEDDINGS[part]
+    target, images = DICTIONARIES[name][2](), embedding(Ring(C2_VARS))
     return (compile_batch([images[n] for n in target.ring.names]), target.labels,
             compile_batch(target.gens))
 
@@ -305,18 +307,9 @@ def verify_cluster_embedding(part: str, seed: int, samples: int) -> Report:
     passed, failure = hvariety.sampled(f"{seed}:embedding:{part}", samples, check)
 
     # a cluster coordinate the slice pins to a nonzero constant has weight zero
-    fixed = {DICTIONARIES["c2"][1][n].lstrip("-"): Fraction(0)
-             for n in EMBEDDING_SLICES[part]}
+    _, _, pins, relations = EMBEDDINGS[part]
+    fixed = {DICTIONARIES["c2"][1][n].lstrip("-"): Fraction(0) for n in pins}
     lattice = grading.solve_weight_constraints(c2_equations(), fixed)
-    relations = {
-        "I": {"w(th3)=w(lam)+w(A12)": {"th3": 1, "lam": -1, "A12": -1}},
-        "II": {
-            "w(th1)=w(lam)+w(A23)": {"th1": 1, "lam": -1, "A23": -1},
-            "w(A31)=w(lam)+w(th2)": {"A31": 1, "lam": -1, "th2": -1},
-            "w(th3)=w(lam)+w(A12)": {"th3": 1, "lam": -1, "A12": -1},
-            "w(A2)=2w(lam)": {"A2": 1, "lam": -2},
-        },
-    }[part]
     holds = {label: lattice.relation_holds(rel) for label, rel in relations.items()}
     failures = [failure] if failure else []
     return Report(not failures and all(holds.values()),

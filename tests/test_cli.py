@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cubicjordan import cli, coord8, grading, hvariety, jordan
+from cubicjordan import cli, coord8, grading, hvariety, jordan, relatives
+from cubicjordan.coord8 import Hypermatrix
 from cubicjordan.errors import ContextError, InputError
 from cubicjordan.exactcore import Poly
 from cubicjordan.jordan import JordanPresentation
@@ -312,6 +313,29 @@ def test_all_300_sample_report_bytes_are_pinned(tmp_path, capsys):
     report = tmp_path / "all.json"
     assert run(["all", "--seed", "0", "--samples", "300", "--json", str(report)]) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == ALL_300_REPORT_SHA256
+
+
+def test_the_claims_follow_the_tables(tmp_path, monkeypatch, capsys):
+    # a row left out of a table of named cases takes its claims with it:
+    # the command line names no representative and no embedding part
+    def claims(name):
+        report = tmp_path / name
+        assert run(["all", "--seed", "7", "--json", str(report)]) == 0
+        return {c["claim_id"]: c["data"] for c in json.loads(report.read_text())["claims"]}
+
+    full = claims("full.json")
+    reps = hvariety.REPRESENTATIVES
+    monkeypatch.setattr(hvariety, "REPRESENTATIVES", {n: r for n, r in reps.items() if n != "p3"})
+    # ``fiber/p3-degenerate`` names its representative: it still finds the cube
+    monkeypatch.setattr(hvariety, "representative", lambda name: Hypermatrix(reps[name].cube))
+    monkeypatch.setattr(relatives, "EMBEDDINGS",
+                        {p: e for p, e in relatives.EMBEDDINGS.items() if p != "II"})
+    cut = claims("cut.json")
+    assert set(full) - set(cut) == {"axioms/cubic-display-p3", "classify/rep-p3",
+                                    "radicals/p3", "prop76/part-ii"}
+    assert set(cut) < set(full)
+    assert full["classify/translate-invariance"] == {"translates": 80}
+    assert cut["classify/translate-invariance"] == {"translates": 60}
 
 
 def test_weights_file_checking(tmp_path):
@@ -925,7 +949,7 @@ def test_the_polynomial_route_never_reads_the_compiled_tables(monkeypatch, capsy
     assert run(["verify-axioms"]) == 0
     assert run(["fiber"]) == 0
     p3 = hvariety.representative("p3")
-    assert coord8.cubic_form(p3).to_str() == hvariety._NP_DISPLAYS["p3"]
+    assert coord8.cubic_form(p3).to_str() == hvariety.REPRESENTATIVES["p3"].display
     capsys.readouterr()
     assert run(["radicals"]) == 3
     assert capsys.readouterr().err.startswith("internal error:")

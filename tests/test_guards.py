@@ -1,10 +1,10 @@
 """Each guard of the package trips on what it guards.
 
 A guard stays where the call would otherwise give a wrong answer
-silently: ``zip`` truncating a shorter operand, an unknown name drawing
-the zero point (which satisfies every generator), a polynomial read in
-another ring's keys.  Where the lookup itself raises, the guard is gone
-and its row shows that the lookup's own error still reaches the caller.
+silently: ``zip`` truncating a shorter operand, a polynomial read in
+another ring's keys.  Where the lookup itself raises, as a name missing
+from a table of named cases does, the guard is gone and its row shows
+that the lookup's own error still reaches the caller.
 """
 
 import random
@@ -47,11 +47,6 @@ GUARDS = {
     "even-pfaffians": (lambda: PolyMatrix(R, 4, 4, [R.zero()] * 16).sub_pfaffians(),
                        ShapeError, "sub-Pfaffians need an odd"),
     "span-rings": (lambda: span_compare([X], [A]), ContextError, "span comparison across"),
-    "fiber-component": (lambda: hvariety._component_points("p3/cone", random.Random(0)),
-                        KeyError, "unknown fiber component"),
-    "radical-point": (lambda: hvariety.radical_point("p5", random.Random(0)),
-                      KeyError, "unknown representative"),
-    "radical-locus": (lambda: hvariety._on_radical_locus("p5", [0] * 9), KeyError, "'p5'"),
     "unit-length": (lambda: JordanPresentation(LINE, ("t",), ONE * 2, T ** 3, (T * T,)),
                     ValueError, "unit and sharp"),
     "sharp-degree": (lambda: JordanPresentation(LINE, ("t",), ONE, T ** 3, (T ** 3,)),
@@ -60,6 +55,11 @@ GUARDS = {
                        .element([1, 2]), ValueError, "wrong number"),
     # no guard of their own: the lookup raises
     "representative": (lambda: hvariety.representative("p5"), KeyError, "'p5'"),
+    "fiber-component": (lambda: hvariety.fiber_component_sampling("p5", 0, 1),
+                        KeyError, "'p5'"),
+    "radical-point": (lambda: hvariety.radical_locus_check("p5", 0, 1), KeyError, "'p5'"),
+    "radical-locus": (lambda: hvariety.off_radical_point("p5", random.Random(0)),
+                      KeyError, "'p5'"),
     "difference-factor": (lambda: coord8.d_entry(*_x_pairs(), 4, 1, 1),
                           UnboundLocalError, None),
     "weight-matrix": (lambda: grading.toric_weight_matrix("tilted"), KeyError, "'tilted'"),

@@ -449,10 +449,16 @@ def test_sampled_with_no_draws_never_checks():
 
 
 def _plus_one_in_last_coordinate(points):
-    def tampered(name, rng):
-        nums, den = points(name, rng)
+    def tampered(rng):
+        nums, den = points(rng)
         return nums[:-1] + [nums[-1] + den], den
     return tampered
+
+
+def _p2_components_tampered(reps):
+    p2 = reps["p2"]
+    return {**reps, "p2": p2._replace(components={
+        comp: _plus_one_in_last_coordinate(sample) for comp, sample in p2.components.items()})}
 
 
 def _routes_disagree(test):
@@ -476,7 +482,7 @@ SAMPLED_TAMPERS = {
         lambda: hvariety.translate_invariance(0), {"translates": 0},
         ["translate 0 leaves orbit O1"]),
     "fiber-p2": (
-        hvariety, "_component_points", _plus_one_in_last_coordinate,
+        hvariety, "REPRESENTATIVES", _p2_components_tampered,
         lambda: hvariety.fiber_component_sampling("p2", 0, 5),
         {"samples": {"p2/quadric": 0, "p2/cone": 0}},
         ["component p2/quadric: generator fails to vanish",
@@ -727,11 +733,11 @@ def test_sampled_points_are_pinned(monkeypatch):
         for part in ("I", "II"):
             drawn(seed, f"cluster-{part}",
                   lambda rng: _cluster(relatives._cluster_point(rng, part)), _named)
-        for comp in [c for comps in hvariety.FIBER_COMPONENTS.values() for c in comps]:
-            drawn(seed, comp, lambda rng: hvariety._component_points(comp, rng), _coords)
-        for name in ("origin", "p1", "p2", "p3", "p4"):
-            drawn(seed, f"radical-{name}",
-                  lambda rng: hvariety.radical_point(name, rng), _coords)
+        for name, row in hvariety.REPRESENTATIVES.items():
+            for comp, sample in row.components.items():
+                drawn(seed, comp, sample, _coords)
+            # a zero radical has the zero point alone
+            drawn(seed, f"radical-{name}", row.radical or (lambda rng: ([0] * 9, 1)), _coords)
             drawn(seed, f"off-radical-{name}",
                   lambda rng: hvariety.off_radical_point(name, rng), _coords)
         # every cube the sweep checks, and every element it tests, as

@@ -263,7 +263,7 @@ def test_rational_tables_agree_with_symbolic_route(cube, kind, values, seed):
     elif kind == "u-zero":
         values = values[:6] + (0, 0, 0)
     elif kind == "locus" and isinstance(cube, str) and cube != "p4":
-        nums, den = hvariety.radical_point(cube, random.Random(seed))
+        nums, den = hvariety.REPRESENTATIVES[cube].radical(random.Random(seed))
         values = tuple(Fraction(n, den) for n in nums)
     tables = _tables(p)
     fast = jordan.nondegeneracy_test_equiv(tables, values)
@@ -299,7 +299,7 @@ def test_compiled_tables_are_the_presentation_tables(cube, locus, values, seed):
     p, tables = _presentation(cube), coord8.rational_tables(_hypermatrix(cube).point())
     assert _table_entries(tables) == _table_entries(_tables(p))
     if locus and isinstance(cube, str) and cube != "p4":
-        nums, den = hvariety.radical_point(cube, random.Random(seed))
+        nums, den = hvariety.REPRESENTATIVES[cube].radical(random.Random(seed))
         values = tuple(Fraction(n, den) for n in nums)
     assert jordan.nondegeneracy_test_equiv(tables, values) == _reference(p, values)
     assert jordan.radical_membership(tables, values) == _reference(p, values)["viaU"]
@@ -404,7 +404,7 @@ def test_radical_tests_are_homogeneous_in_sigma(cube, locus, values, seed):
     # only because both tests are homogeneous in sigma
     p = _presentation(cube)
     if locus and isinstance(cube, str) and cube != "p4":
-        nums, den = hvariety.radical_point(cube, random.Random(seed))
+        nums, den = hvariety.REPRESENTATIVES[cube].radical(random.Random(seed))
         values = tuple(Fraction(n, den) for n in nums)
     scaled = [Fraction(3, 7) * v for v in values]
     tables = _tables(p)
