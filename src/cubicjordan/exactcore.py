@@ -15,8 +15,9 @@ ISSAC 1998), and ``Ring.unpack`` gives the vector back.  A product adds
 keys and a derivative subtracts a unit, and integer order on keys is
 lexicographic order on exponent vectors.  No key ever carries between
 fields: every exponent stays below 64, so a sum of up to four keys is
-exact, and ``Poly.collect`` raises ``OverflowError`` on a result with an
-exponent of 64 or more instead of letting a later sum wrap.
+exact, ``substitute_all`` folds multiples of keys only while each field's
+bound stays below 256, and ``Poly.collect`` raises ``OverflowError`` on a
+result with an exponent of 64 or more instead of letting a later sum wrap.
 
 Storage is integer-first: a coefficient is an ``int`` when it is integral
 and a ``Fraction`` only otherwise, and every operation that builds terms
@@ -45,8 +46,9 @@ straight from their data: ``span_compare`` one row per monomial from
 Symbolic substitution is batched: ``substitute_all`` maps a batch into a
 given ring or else the batch's own, ``Poly.substitute`` is its batch of one,
 and ``Poly.convert``, a change of ring by name, is the empty-map batch of one.
-Constant images fold into the integer coefficients with one division at
-the end; each non-constant image is raised to its powers once.
+An image of at most one term (a constant, a pass-through, a rename, c*x)
+folds into key and integer coefficient with one division at the end;
+only a longer image is raised to its powers once and multiplied out.
 
 Canonical display order is graded lexicographic in the registered variable
 order.  It affects only printing, never results.  ``signed_sum`` writes the
@@ -64,7 +66,7 @@ import json
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import or_
+from operator import mul, or_
 from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import ContextError, ShapeError, SkewError
@@ -400,12 +402,16 @@ def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, "Poly | Rational
     ``ring``, or the ring of the batch when it is None; the empty map into
     the batch's own ring returns the batch.
 
-    A constant image p/q (a rational or a constant Poly) of a variable with
-    top power E in the batch folds into the coefficients: a term with x^e
-    is multiplied by the integer p^e q^(E - e), the integers of all constant
-    images first and the coefficient once, and the collected terms are
-    divided once by the product of the q^E.  Each non-constant image has
-    its powers built once, one multiplication per step.
+    An image of at most one term c x^m (a rational, a constant Poly, a
+    pass-through, a rename, a negation, a scaled variable) of a variable
+    with top power E in the batch folds into each term: x^e adds e m to
+    the key, and if c = p/q is not 1 multiplies the coefficient by the
+    integer p^e q^(E - e), all such integers first and the coefficient
+    once; the collected terms are divided once by the product of the q^E.
+    Every other image has its powers built once, one product per step: one
+    of two or more terms, and a one-term image that would lift past 192 the
+    batch's bound, the sum of E m, in some field.  With the factor of those
+    images added, whose exponents stay below 64, no field passes 255.
     """
     if not polys:
         return []
@@ -419,30 +425,31 @@ def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, "Poly | Rational
            for v in map(mapping.get, source.names)):
         raise ContextError("mixed ring contexts")
 
-    tables: list[tuple[int, list[int]]] = []      # constant images
-    powers: dict[int, list[Poly]] = {}           # non-constant images
-    passthrough: list[tuple[int, int]] = []      # (source index, target shift)
+    keys, room = [0] * source.nvars, [192] * target.nvars  # folded keys; field room
+    tables: list[tuple[int, list[int]]] = []     # folded images with c != 1
+    powers: dict[int, list[Poly]] = {}           # the other images
     den = 1
     exps = [[source.unpack(m) for m in p.terms] for p in polys]
     for i, top in enumerate(map(max, zip(*(m for p in exps for m in p)))):
-        name = source.names[i]
         if not top:
             continue
-        if name not in mapping:
-            passthrough.append((i, 8 * (target.nvars - 1 - target.index(name))))
-            continue
-        v = mapping[name]
-        if isinstance(v, Poly):
-            if any(v.terms):
-                powers[i] = [v]  # v^e at index e - 1
-                for _ in range(top - 1):
-                    powers[i].append(v * powers[i][-1])
+        name = source.names[i]
+        v = mapping[name] if name in mapping else target.var(name)
+        terms = v.terms if isinstance(v, Poly) else {0: _frac(v)}
+        if len(terms) < 2:
+            (key, c), = terms.items() or [(0, 0)]
+            left = [r - top * e for r, e in zip(room, target.unpack(key))]
+            if min(left, default=0) >= 0:
+                room, keys[i] = left, key
+                if c != 1:
+                    c = _frac(c)
+                    tables.append((i, [c.numerator ** e * c.denominator ** (top - e)
+                                       for e in range(top + 1)]))
+                    den *= c.denominator ** top
                 continue
-            v = v.constant_value()
-        v = _frac(v)
-        tables.append((i, [v.numerator ** e * v.denominator ** (top - e)
-                           for e in range(top + 1)]))
-        den *= v.denominator ** top
+        powers[i] = [v]  # v^e at index e - 1
+        for _ in range(top - 1):
+            powers[i].append(v * powers[i][-1])
 
     results = []
     for p, p_exps in zip(polys, exps):
@@ -455,9 +462,7 @@ def substitute_all(polys: Sequence[Poly], mapping: Mapping[str, "Poly | Rational
                 if not f:
                     continue
                 c *= f
-            exp = 0
-            for i, shift in passthrough:
-                exp |= m[i] << shift
+            exp = sum(map(mul, m, keys))
             factor = None
             for i in powers:
                 if m[i]:

@@ -1,6 +1,8 @@
 """Arithmetic core: polynomials, matrices, spans."""
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -158,24 +160,27 @@ def test_substitute_rejects_image_from_another_ring():
         (X * Y).substitute({"x": X, "y": wide.var("w")})
 
 
-image_kinds = st.sampled_from(("rational", "constant", "poly", "pass"))
+image_kinds = st.sampled_from(("rational", "constant", "poly", "term", "pass"))
 
 
 @given(st.lists(poly_strategy(), max_size=4), st.tuples(*[image_kinds] * 3),
        st.tuples(*[poly_strategy(max_terms=3, max_degree=2)] * 3),
-       st.tuples(*[rationals] * 3))
+       st.tuples(*[rationals] * 3), st.tuples(*[st.sampled_from(R.names)] * 3))
 @settings(max_examples=60, deadline=None)
-def test_substitute_all_matches_term_by_term_sum(batch, kinds, images, consts):
-    # each variable goes to a rational, a constant Poly or a polynomial, or
-    # passes through by name; the extra members share monomials with the
-    # others, and a zero polynomial rides along
+def test_substitute_all_matches_term_by_term_sum(batch, kinds, images, consts, targets):
+    # each variable goes to a rational, a constant Poly, a polynomial or one
+    # term c*v (v a target variable, so renames, negations and halves, and
+    # two images may share v), or passes through by name; the extra members
+    # share monomials with the others, and a zero polynomial rides along
     batch = [*batch, *(f * X + Y for f in batch[:2]), R.zero()]
     wide = R.extend(("w",))
     for ring, w in ((R, R.one()), (wide, wide.var("w"))):
         mapping = {}
-        for name, kind, image, c in zip(R.names, kinds, images, consts):
+        for name, kind, image, c, v in zip(R.names, kinds, images, consts, targets):
             if kind == "poly":
                 mapping[name] = image.convert(ring) * w
+            elif kind == "term":
+                mapping[name] = c * ring.var(v) * w
             elif kind != "pass":
                 mapping[name] = c if kind == "rational" else ring.const(c)
         got = substitute_all(batch, mapping, ring)
@@ -421,19 +426,22 @@ def test_compiled_batch_keeps_names_out_of_the_source():
         evaluate_all(polys, {"x'1": 1})
 
 
-@given(ref_polys, st.tuples(*[st.sampled_from(("rational", "constant", "poly",
+@given(ref_polys, st.tuples(*[st.sampled_from(("rational", "constant", "poly", "term",
                                                  "pass"))] * 3),
        st.tuples(*[ref_polys] * 3), st.tuples(*[point_values] * 3))
 @settings(max_examples=60, deadline=None)
 def test_substitute_folds_constant_images(a, kinds, polys, consts):
-    # rational and constant-Poly images fold into the coefficients;
-    # non-constant images and pass-through variables do not
+    # images of at most one term (rationals, constant Polys, c*x and
+    # pass-through variables) fold into key and coefficient; images of two
+    # or more terms are multiplied out
     mapping, images = {}, {}
     for i, (name, kind, poly, c) in enumerate(zip(R.names, kinds, polys, consts)):
         if kind == "pass":
             images[i] = {tuple(int(k == i) for k in range(3)): Fraction(1)}
         elif kind == "poly":
             mapping[name], images[i] = Poly.collect(R, packed(poly)), poly
+        elif kind == "term":
+            mapping[name], images[i] = c * X, {(1, 0, 0): c} if c else {}
         else:
             mapping[name] = c if kind == "rational" else R.const(c)
             images[i] = {(0, 0, 0): c} if c else {}
@@ -508,12 +516,21 @@ def test_a_product_past_the_field_bound_raises():
     # sum of keys carries into the next variable; a result that reaches 64
     # raises, and every result below it is exact
     assert as_tuples(X ** 63 * Y ** 63 * Z ** 63) == {(63, 63, 63): 1}
+    # five images share x: folding them all could lift its field to 315, so
+    # those past the bound are multiplied out, and nothing carries
+    five = Ring(("a", "b", "c", "d", "e"))
+    got = substitute_all([v ** 63 for v in five.gens()], dict.fromkeys(five.names, X), R)
+    assert [as_tuples(p) for p in got] == [{(63, 0, 0): 1}] * 5
     assert as_tuples(X ** 32 * Y * X ** 31) == {(63, 1, 0): 1}
     assert as_tuples(directional_derivative(X ** 63 * Z, {"z": Y})) == {(63, 1, 0): 1}
     square = PolyMatrix.from_rows(R, [[X ** 40, Y], [Z, 1]])
     past = [lambda: X ** 63 * X, lambda: X ** 64, lambda: (X + Y) ** 40 * (X + Y) ** 40,
             lambda: (X ** 63 * Y).substitute({"y": X}),
             lambda: (Y ** 2).substitute({"y": X ** 32}),
+            lambda: substitute_all([five.var("a") ** 32 * five.var("b") ** 32],
+                                   {"a": X, "b": -X}, R),
+            lambda: substitute_all([reduce(mul, five.gens()) ** 63],
+                                   dict.fromkeys(five.names, Z), R),
             lambda: directional_derivative(X ** 63 * Z, {"z": X}),
             lambda: square * square, lambda: square.apply([X ** 24, Y]),
             lambda: R.pack((64, 0, 0)), lambda: R.pack((1, 2))]
