@@ -7,7 +7,11 @@ action on them with symbolic group entries, classifies parameter cubes
 into the five orbit types, verifies the fiber descriptions over the orbit
 representatives, reduces the equations on the first idempotent chart, and
 samples exact rational points.  Each orbit representative is one row of
-``REPRESENTATIVES``, the one home of every fact stated about it.
+``REPRESENTATIVES``, the one home of every fact stated about it.  Each
+sampled fiber component and radical locus is a ``Parametrization`` row there:
+its parameters in draw order, its denominator parameter, and the numerators
+of the coordinates, drawn by one sampler.  The p1 radical is the exception, a
+function: it chooses between draws which coordinate it draws last.
 
 Generator order (labels used everywhere):
 
@@ -36,7 +40,7 @@ from functools import cache, partial
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import coord8, jordan
 from .coord8 import (ALL_VARS, COORD_VARS, INDEX_TRIPLES, PARAM_VARS, X_VARS, Hypermatrix,
@@ -198,23 +202,12 @@ def factor_equivariance_certificate(r: int) -> Report:
     ring, g, det = _symbolic_factor()
     base = equations(ring)
     transformed = base.substitute(substitution_of(GroupElement(**{f"g{r}": g}), ring), ring)
-
-    failures: list[str] = []
-    pair = base.gens[2 * (r - 1):2 * r]
-    expect: list[Poly] = []
-    for idx, gen in enumerate(base.gens):
-        block = idx // 2 if idx < 6 else None
-        if block == r - 1:
-            row = idx % 2
-            m = (g.get(row, 0), g.get(row, 1))
-            expect.append(m[0] * pair[0] + m[1] * pair[1])
-        elif idx == 5 + r:
-            expect.append(det * det * gen)
-        else:
-            expect.append(det * gen)
-    for lbl, got, want in zip(GEN_LABELS, transformed.gens, expect):
-        if got != want:
-            failures.append(f"factor {r}: generator {lbl} transforms incorrectly")
+    lo, hi = base.gens[2 * r - 2:2 * r]
+    expect = [g.get(i % 2, 0) * lo + g.get(i % 2, 1) * hi if i // 2 == r - 1
+              else det * det * gen if i == 5 + r else det * gen
+              for i, gen in enumerate(base.gens)]
+    failures = [f"factor {r}: generator {lbl} transforms incorrectly"
+                for lbl, got, want in zip(GEN_LABELS, transformed.gens, expect) if got != want]
     return Report(not failures, {"failures": failures})
 
 
@@ -223,11 +216,9 @@ def permutation_certificate(perm: tuple[int, int, int]) -> Report:
     relabeling, and spans the same space."""
     base = equations()
     transformed = base.substitute(substitution_of(GroupElement(perm=perm), base.ring), base.ring)
-    failures: list[str] = []
-    originals = list(base.gens)
-    for lbl, got in zip(GEN_LABELS, transformed.gens):
-        if not any(got == h or got == -h for h in originals):
-            failures.append(f"perm {perm}: image of {lbl} is not a signed generator")
+    failures = [f"perm {perm}: image of {lbl} is not a signed generator"
+                for lbl, got in zip(GEN_LABELS, transformed.gens)
+                if not any(got == h or got == -h for h in base.gens)]
     result = span_compare(base.gens, transformed.gens)
     if not result.equal:
         failures.append(f"perm {perm}: span changed ({result.relation})")
@@ -242,10 +233,8 @@ def swap_all_factors_certificate() -> Report:
     element = GroupElement(g1=swap, g2=swap, g3=swap)
     base = equations()
     sub = substitution_of(element, base.ring)
-    failures = []
     result = span_compare(base.gens, base.substitute(sub, base.ring).gens)
-    if not result.equal:
-        failures.append(f"triple swap: span changed ({result.relation})")
+    failures = [] if result.equal else [f"triple swap: span changed ({result.relation})"]
     failures += [f"triple swap: pair {i} rows not exchanged" for i in (1, 2, 3)
                  if sub[x_name(1, i)] != base.ring.var(x_name(2, i))]
     return Report(not failures, {"failures": failures})
@@ -377,6 +366,20 @@ def _with_residual(data: dict, failure: str | None) -> Report:
     return Report(failure is None, data)
 
 
+_TRIES = 64
+
+
+def _tries(loop: str) -> Iterator[int]:
+    """The tries of a loop that redraws until a computed value comes out right;
+    past ``_TRIES``, ``InternalError`` naming the loop, so the run exits 3.  The
+    three loops reject points of proper subvarieties: at seeds 0-39 with
+    ``--samples 300``, 97 of 12,097 chart samples (x11 = 0), 4 of 52,004
+    points (on a radical locus) and 0 of 2,000 cubes (D_H = 0), never two in a
+    row, so 64 in a row are a fault of the program, not bad luck."""
+    yield from range(_TRIES)
+    raise InternalError(f"{loop}: no draw accepted in {_TRIES} tries")
+
+
 def _draw(rng: random.Random, top: int = 9, cols: int = 4) -> tuple[int, int]:
     """a and b of a/b: the draws of ``randint(-top, top)``, then of
     ``randint(1, cols)``, each by the ``getrandbits`` rejection loop that
@@ -493,12 +496,12 @@ def fiber_certificate_p3() -> Report:
 
 
 # The samplers of ``REPRESENTATIVES`` map an RNG to a point over the nine
-# coordinates on a dense open part of a fiber component or a radical locus,
-# built from pairs (a, b) of a/b, b nonzero, that ``_point`` puts over one
-# denominator.  ``_AT`` gives positions in a point over ALL_VARS, which are
-# those over COORD_VARS for the coordinates; ``_SLOTS`` those of x1i, x2i, ui.
+# coordinates on a dense open part of a fiber component or a radical locus.
+# Each is a ``Parametrization`` row but ``_p1_radical``, which chooses with
+# ``rng.choice``, between draws, the coordinate it draws last: a row draws
+# one fixed list.  ``_AT`` gives positions in a point over ALL_VARS, which
+# are those over COORD_VARS for the coordinates.
 _AT = {n: k for k, n in enumerate(ALL_VARS)}
-_SLOTS = tuple((_AT[x_name(1, i)], _AT[x_name(2, i)], _AT[f"u{i}"]) for i in (1, 2, 3))
 
 
 def _draw_nonzero(rng: random.Random) -> tuple[int, int]:
@@ -514,51 +517,43 @@ def _point(pairs: Sequence[tuple[int, int]]) -> Point:
     return [a * (den // b) for a, b in pairs], den
 
 
-def _drawn(names: Sequence[str], rng: random.Random) -> Point:
-    """The coordinates ``names`` drawn in turn, every other coordinate zero."""
-    pt = [(0, 1)] * len(COORD_VARS)
-    for n in names:
-        pt[_AT[n]] = _draw(rng)
-    return _point(pt)
+class Parametrization(NamedTuple):
+    """A rational parametrization of a fiber component or a radical locus.
+    Called on an RNG, the row draws each parameter a/b in turn, by
+    ``_draw_nonzero`` if it is marked and by ``_draw`` otherwise, and gives
+    the coordinates at the drawn parameters as one ``Point``."""
+
+    params: str  # the names in draw order; "!" after a name: drawn nonzero
+    den: str | None  # the parameter that divides every coordinate; None: none
+    images: Callable[[Callable[[str], Poly]], dict[str, Poly]]  # other numerators, ring.var
+
+    def numerators(self) -> list[Poly]:
+        """The nine coordinates' numerators over the ring of the parameters, in
+        ``COORD_VARS`` order: a parameter named after a coordinate is that coordinate
+        times the denominator parameter, ``images`` gives others, the rest are zero."""
+        ring = Ring(self.params.replace("!", "").split())
+        t = ring.var(self.den) if self.den else ring.one()
+        images = {n: ring.var(n) * t for n in ring.names if n in COORD_VARS} | self.images(ring.var)
+        return [images.get(n, ring.zero()) for n in COORD_VARS]
+
+    def __call__(self, rng: random.Random) -> Point:
+        draws, at, batch = _parametrization_batch(self)
+        nums, q = _point([draw(rng) for draw in draws])
+        values, den = batch(nums, q)
+        if at is None:
+            return values, den
+        d = nums[at]  # the values over d / q; den is a multiple of q
+        return values if d > 0 else [-v for v in values], den // q * abs(d)
 
 
-def _p1_quadric(i: int, rng: random.Random) -> Point:
-    """Component k = i + 1 of the p1 fiber: x2k and the u other than uk
-    vanish, and uk is solved from the displayed quadric uk x1k = x2j x2l."""
-    pt = [(0, 1)] * len(COORD_VARS)
-    lo, _, u = _SLOTS[i]
-    others = _SLOTS[:i] + _SLOTS[i + 1:]
-    for x1, x2, _ in others:
-        pt[x1] = _draw(rng)
-        pt[x2] = _draw(rng)
-    a, b = pt[lo] = _draw_nonzero(rng)
-    (c, d), (e, f) = (pt[x2] for _, x2, _ in others)
-    pt[u] = (c * e * b, d * f * a)
-    return _point(pt)
-
-
-def _p2_quadric(rng: random.Random) -> Point:
-    """x11, x21, x12, x22 (the first four coordinates), x13, then
-    u3 = (x11 x12 + x21 x22) / x13."""
-    pt = [(0, 1)] * len(COORD_VARS)
-    (a11, b11), (a21, b21), (a12, b12), (a22, b22) = pt[:4] = [_draw(rng) for _ in range(4)]
-    a, b = pt[_AT["x13"]] = _draw_nonzero(rng)
-    pt[_AT["u3"]] = ((a11 * a12 * b21 * b22 + a21 * a22 * b11 * b12) * b,
-                     b11 * b12 * b21 * b22 * a)
-    return _point(pt)
-
-
-def _p2_cone(rng: random.Random) -> Point:
-    pt = [(0, 1)] * len(COORD_VARS)
-    lam, mu = _draw_nonzero(rng)  # lambda = lam / mu
-    a, b = pt[_AT["x23"]] = _draw(rng)
-    c, d = pt[_AT["x11"]] = _draw(rng)
-    e, f = pt[_AT["x21"]] = _draw(rng)
-    pt[_AT["x13"]] = _draw(rng)
-    # u1, u2 = lambda x23, -x23 / lambda and x22, x12 = lambda x11, -lambda x21
-    pt[_AT["u1"]], pt[_AT["u2"]] = (lam * a, mu * b), (-a * mu, b * lam)
-    pt[_AT["x22"]], pt[_AT["x12"]] = (lam * c, mu * d), (-lam * e, mu * f)
-    return _point(pt)
+@cache
+def _parametrization_batch(row: Parametrization) -> tuple[list, int | None, Batch]:
+    """A row's draw of each parameter, the position of its denominator
+    parameter, and its numerators, compiled."""
+    names = row.params.split()
+    draws = [_draw_nonzero if n[-1] == "!" else _draw for n in names]
+    at = [n.rstrip("!") for n in names].index(row.den) if row.den else None
+    return draws, at, compile_batch(row.numerators())
 
 
 @cache
@@ -670,10 +665,10 @@ def pfaffian_vanishing_on_samples(seed: int, samples: int) -> Report:
     pfaffians = _chart_pfaffians()
     n = len(COORD_VARS)
     def check(rng: random.Random, k: int) -> str | None:
-        x11 = 0
-        while x11 == 0:
+        for _ in _tries("chart sample with x11 nonzero"):
             nums, den = _sample(rng, {})
-            x11 = nums[_AT["x11"]]
+            if x11 := nums[_AT["x11"]]:
+                break
         # the coordinates over x11 and the cube over den, both over den |x11|
         c, h = (den if x11 > 0 else -den), abs(x11)
         if any(pfaffians([v * c for v in nums[:n]] + [v * h for v in nums[n:]], den * h)[0]):
@@ -751,7 +746,8 @@ def cubic_display_certificate(name: str) -> Report:
 
 
 def _p1_radical(rng: random.Random) -> Point:
-    """x11, x12, x13, then one of x21, x22, x23, chosen before it is drawn."""
+    """x11, x12, x13, then one of x21, x22, x23, chosen before it is drawn;
+    a ``Parametrization`` draws one fixed list, so this sampler is not one."""
     pt = [(0, 1)] * len(COORD_VARS)
     for n in ("x11", "x12", "x13"):
         pt[_AT[n]] = _draw(rng)
@@ -760,19 +756,9 @@ def _p1_radical(rng: random.Random) -> Point:
     return _point(pt)
 
 
-def _p2_radical(rng: random.Random) -> Point:
-    pt = [(0, 1)] * len(COORD_VARS)
-    pt[_AT["x13"]] = _draw(rng)
-    a, b = pt[_AT["x11"]] = _draw_nonzero(rng)
-    c, d = pt[_AT["x21"]] = _draw(rng)
-    e, f = pt[_AT["x22"]] = _draw(rng)
-    pt[_AT["x12"]] = (-c * e * b, d * f * a)  # -x21 x22 / x11
-    return _point(pt)
-
-
 def off_radical_point(name: str, rng: random.Random) -> Point:
     """A random nonzero point over ``COORD_VARS`` verified to lie off the radical locus."""
-    while True:
+    for _ in _tries("point off the radical locus"):
         nums, den = _point([_draw(rng) for _ in COORD_VARS])
         if any(nums) and not REPRESENTATIVES[name].on_locus(*nums):
             return nums, den
@@ -813,7 +799,7 @@ def nondegenerate_sweep(seed: int) -> Report:
     """At 50 random cubes with nonvanishing hyperdeterminant, two random
     nonzero elements each never lie in the radical."""
     def check(rng: random.Random, k: int) -> str | None:
-        while True:
+        for _ in _tries("cube with nonzero hyperdeterminant"):
             cube = _point([_draw(rng) for _ in INDEX_TRIPLES])
             if _cayley(cube[0]):
                 break
@@ -849,30 +835,42 @@ class Representative(NamedTuple):
 
 REPRESENTATIVES = {
     "origin": Representative(
-        {}, "origin", "u1*u2*u3", partial(_drawn, X_VARS),
+        {}, "origin", "u1*u2*u3", Parametrization("x11 x21 x12 x22 x13 x23", None, lambda v: {}),
         lambda x11, x21, x12, x22, x13, x23, *u: not any(u),
-        {"origin/all-x": partial(_drawn, X_VARS),
+        {"origin/all-x": Parametrization("x11 x21 x12 x22 x13 x23", None, lambda v: {}),
          # pair i and the other two u coordinates zero
-         "origin/pair1": partial(_drawn, ("u1", "x12", "x22", "x13", "x23")),
-         "origin/pair2": partial(_drawn, ("u2", "x11", "x21", "x13", "x23")),
-         "origin/pair3": partial(_drawn, ("u3", "x11", "x21", "x12", "x22"))}),
+         "origin/pair1": Parametrization("u1 x12 x22 x13 x23", None, lambda v: {}),
+         "origin/pair2": Parametrization("u2 x11 x21 x13 x23", None, lambda v: {}),
+         "origin/pair3": Parametrization("u3 x11 x21 x12 x22", None, lambda v: {})}),
     "p1": Representative(
         {(1, 1, 1): 1}, "O1", "u1*u2*u3", _p1_radical,
         lambda x11, x21, x12, x22, x13, x23, *u: not (
             any(u) or x22 * x23 or x21 * x23 or x21 * x22),
-        {f"p1/quadric{i + 1}": partial(_p1_quadric, i) for i in range(3)},
+        # component k: x2k and the u other than uk vanish, uk x1k = x2j x2l
+        {"p1/quadric1": Parametrization("x12 x22 x13 x23 x11!", "x11",
+                                        lambda v: {"u1": v("x22") * v("x23")}),
+         "p1/quadric2": Parametrization("x11 x21 x13 x23 x12!", "x12",
+                                        lambda v: {"u2": v("x21") * v("x23")}),
+         "p1/quadric3": Parametrization("x11 x21 x12 x22 x13!", "x13",
+                                        lambda v: {"u3": v("x21") * v("x22")})},
         lambda v: [v("u3") * v("x13") - v("x21") * v("x22"),
                    v("u2") * v("x12") - v("x21") * v("x23"),
                    v("u1") * v("x11") - v("x22") * v("x23")]),
     "p2": Representative(
-        {(1, 1, 1): 1, (2, 2, 1): 1}, "O2", "x23^2*u3 + u1*u2*u3", _p2_radical,
+        {(1, 1, 1): 1, (2, 2, 1): 1}, "O2", "x23^2*u3 + u1*u2*u3",
+        Parametrization("x13 x11! x21 x22", "x11", lambda v: {"x12": -v("x21") * v("x22")}),
         lambda x11, x21, x12, x22, x13, x23, *u: not (any(u) or x23 or x11 * x12 + x21 * x22),
-        {"p2/quadric": _p2_quadric, "p2/cone": _p2_cone},
+        {"p2/quadric": Parametrization("x11 x21 x12 x22 x13!", "x13", lambda v: {
+            "u3": v("x11") * v("x12") + v("x21") * v("x22")}),
+         # u1, u2 = lam x23, -x23 / lam and x22, x12 = lam x11, -lam x21
+         "p2/cone": Parametrization("lam! x23 x11 x21 x13", "lam", lambda v: {
+             "u1": v("lam") ** 2 * v("x23"), "u2": -v("x23"),
+             "x22": v("lam") ** 2 * v("x11"), "x12": -v("lam") ** 2 * v("x21")})},
         lambda v: [v("u3") * v("x13") - v("x11") * v("x12") - v("x21") * v("x22")]),
     "p3": Representative(
         {(1, 1, 1): 1, (1, 2, 2): 1, (2, 1, 2): 1}, "O3",
         "x21^2*u1 + 2*x21*x22*x13 + x22^2*u2 - x13^2*u3 + u1*u2*u3",
-        partial(_drawn, ("x11", "x12", "x23")),
+        Parametrization("x11 x12 x23", None, lambda v: {}),
         lambda x11, x21, x12, x22, x13, x23, *u: not (any(u) or x21 or x22 or x13)),
     "p4": Representative({(1, 1, 1): 1, (2, 2, 2): 1}, "O4", None, None, lambda *c: not any(c)),
 }

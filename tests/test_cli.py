@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, determinism, report schema."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -173,6 +174,38 @@ def test_a_sampled_point_off_the_variety_exits_3(monkeypatch, capsys):
     assert run(["chart"]) == 3
     assert capsys.readouterr().err == ("internal error: InternalError: "
                                        "constructed point violates the equations\n")
+
+
+def _zero_batches(m):
+    # every batch compiled from here on evaluates to zero, the cached ones too
+    m.setattr(hvariety, "compile_batch", lambda polys: lambda nums, den: ([0] * len(polys), 1))
+    for name in ("_sampling_tables", "_chart_pfaffians"):
+        m.setattr(hvariety, name, functools.cache(getattr(hvariety, name).__wrapped__))
+
+
+def _p4_locus_everywhere(m):
+    p4 = hvariety.REPRESENTATIVES["p4"]
+    m.setitem(hvariety.REPRESENTATIVES, "p4", p4._replace(on_locus=lambda *nums: True))
+
+
+# command, tamper, the loop that would redraw forever without its bound
+RETRY_TAMPERS = {
+    "x11": ("chart", _zero_batches, "chart sample with x11 nonzero"),
+    "off-locus": ("radicals", _p4_locus_everywhere, "point off the radical locus"),
+    "cube": ("radicals", lambda m: m.setattr(hvariety, "_cayley", lambda nums: 0),
+             "cube with nonzero hyperdeterminant"),
+}
+
+
+@pytest.mark.parametrize("loop", RETRY_TAMPERS)
+def test_a_retry_loop_that_never_accepts_exits_3(loop, monkeypatch, capsys):
+    command, tamper, name = RETRY_TAMPERS[loop]
+    tamper(monkeypatch)
+    start = time.perf_counter()
+    assert run([command]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (f"internal error: InternalError: {name}: "
+                                       "no draw accepted in 64 tries\n")
 
 
 def test_a_failing_sampled_claim_names_its_draw(monkeypatch, capsys):
@@ -980,6 +1013,7 @@ def test_import_fills_no_cache():
     sizes = json.loads(done.stdout)
     assert {"cubicjordan.hvariety._sampling_tables", "cubicjordan.hvariety._fiber_system",
             "cubicjordan.hvariety._chart_pfaffians",
+            "cubicjordan.hvariety._parametrization_batch",
             "cubicjordan.relatives._embedding_batches"} <= set(sizes)
     assert set(sizes.values()) == {0}
 

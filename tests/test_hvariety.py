@@ -17,7 +17,8 @@ from cubicjordan import coord8, hvariety, jordan, relatives
 from cubicjordan.coord8 import (ALL_VARS, COORD_VARS, PARAM_VARS, Hypermatrix, coord_ring,
                                 symbolic_cube)
 from cubicjordan.errors import ContextError, ShapeError, SingularGroupElement
-from cubicjordan.exactcore import EquationSet, PolyMatrix, evaluate_all, rank, span_compare
+from cubicjordan.exactcore import (EquationSet, PolyMatrix, evaluate_all, rank, span_compare,
+                                   substitute_all)
 from cubicjordan.hvariety import GroupElement, representative
 
 
@@ -353,6 +354,25 @@ def test_fiber_component_sampling():
     for name in ("origin", "p1", "p2"):
         rep = hvariety.fiber_component_sampling(name, seed=5, samples=8)
         assert rep.ok, rep.data["failures"]
+
+
+def test_component_rows_lie_on_their_fibers():
+    # every fiber generator is a quadric in the nine coordinates, so each
+    # component lies on the fiber where the numerator images, cleared of the
+    # one denominator, make every generator vanish identically
+    def residuals(name, row):
+        images = row.numerators()
+        gens = hvariety.fiber_equations(representative(name)).gens
+        return substitute_all(gens, dict(zip(COORD_VARS, images)), images[0].ring)
+
+    rows = [(name, row) for name, rep in hvariety.REPRESENTATIVES.items()
+            for row in rep.components.values()]
+    assert len(rows) == 9
+    for name, row in rows:
+        assert all(r.is_zero() for r in residuals(name, row)), row
+    cone = hvariety.REPRESENTATIVES["p2"].components["p2/cone"]
+    flipped = cone._replace(images=lambda v: {**cone.images(v), "x12": v("lam") ** 2 * v("x21")})
+    assert sum(not r.is_zero() for r in residuals("p2", flipped)) == 3
 
 
 def test_p2_quadric_is_a_generator():
