@@ -222,16 +222,15 @@ def _pair_index(i: int, j: int) -> int:
     return ({1, 2, 3} - {i, j}).pop()
 
 
-def build_peirce_table() -> dict[tuple[str, str], dict[str, Poly]]:
+def build_peirce_table(ring: Ring) -> dict[tuple[str, str], dict[str, Poly]]:
     """Symmetric table of the nonzero pairwise sharp products of the nine
-    basis vectors.
+    basis vectors, over ``ring``, which holds the cube parameters.
 
     Keys are ordered pairs of coordinate names, each product stored under
     both orders of its pair; a value maps the name of each nonzero
     coordinate of the product to its entry, a polynomial in the symbolic
     cube parameters.  A pair that is not a key multiplies to zero.
     """
-    ring = coord_ring(True)
     p = symbolic_cube(ring)
     table: dict[tuple[str, str], dict[str, Poly]] = {}
 
@@ -315,7 +314,7 @@ def verify_peirce_identities(pres: JordanPresentation) -> dict[str, Report]:
     (``table-vs-map``, ``idempotent-traces``, ``triple-product``,
     ``rep-matrices``, ``rep-product``, ``rep-det``)."""
     ring = pres.ring
-    table = build_peirce_table()
+    table = build_peirce_table(ring)
 
     sigma = pres.generic_element()
     via_table = sharp_from_table(table, sigma)
@@ -346,16 +345,10 @@ def verify_peirce_identities(pres: JordanPresentation) -> dict[str, Report]:
                                           [-p[(1, 2, 2)], p[(1, 1, 2)]]])
     disp_ok = m1.entries == expect1.entries and m2.entries == expect2.entries
 
-    # P_ij P_ji = -S E and det normalizations, symbolically in each space
-    # each matrix once, read off the table moved into ext in one batch
+    # P_ij P_ji = -S E and det normalizations, symbolically in each space,
+    # each matrix once, read off the table built over ext
     prod_ok = det_ok = True
-    # each product once, stored under both orders of its pair as in the table
-    cells = [(pair, name, comp) for pair, cell in table.items() if pair <= pair[::-1]
-             for name, comp in cell.items()]
-    ext_table: dict[tuple[str, str], dict[str, Poly]] = {}
-    for (pair, name, _), comp in zip(cells, substitute_all([c for *_, c in cells], {}, ext)):
-        ext_table[pair[::-1]] = cell = ext_table.setdefault(pair, {})
-        cell[name] = comp
+    ext_table = build_peirce_table(ext)
     coeffs = (ext.var("sa1"), ext.var("sa2"))
     reps = {(i, j): representation_matrix(ext_table, i, j, coeffs)
             for i, j in permutations((1, 2, 3), 2)}

@@ -30,9 +30,5 @@ class NumeratorNotDivisible(ValueError):
     """Hilbert numerator lacks the vanishing order required at t = 1."""
 
 
-class UnknownDictionary(KeyError):
-    """No coordinate dictionary registered under the given name."""
-
-
 class InternalError(RuntimeError):
     """An internally constructed object failed its own verification."""

@@ -336,6 +336,8 @@ def fano_invariants(w: Mapping[str, Rational], num: Poly1, sections: int) -> dic
     """
     if sections < 0:
         raise InputError("the number of sections must not be negative")
+    if sections > 12:
+        raise InputError("the number of sections must be at most 12")
     ws = weight_system(w)
     for name in ALL_VARS:
         if name not in ws or ws[name] <= 0 or ws[name].denominator != 1:
@@ -345,8 +347,6 @@ def fano_invariants(w: Mapping[str, Rational], num: Poly1, sections: int) -> dic
         if 1 not in weights:
             raise InputError("not enough coordinates of the section weight")
         weights.remove(1)
-    if sections > 12:
-        raise InputError("the number of sections must be at most 12")
     h0 = series_coefficients(num, weights, 1)[1]
     # pole order at t = 1 is (#factors - 4); the section is projective of
     # dimension one less

@@ -7,11 +7,13 @@ action on them with symbolic group entries, classifies parameter cubes
 into the five orbit types, verifies the fiber descriptions over the orbit
 representatives, reduces the equations on the first idempotent chart, and
 samples exact rational points.  Each orbit representative is one row of
-``REPRESENTATIVES``, the one home of every fact stated about it.  Each
-sampled fiber component and radical locus is a ``Parametrization`` row there:
-its parameters in draw order, its denominator parameter, and the numerators
-of the coordinates, drawn by one sampler.  The p1 radical is the exception, a
-function: it chooses between draws which coordinate it draws last.
+``REPRESENTATIVES``, the one home of every fact stated about it; its radical
+locus is stated once, as locus equations, and a draw lies off it where one
+of them is nonzero.  Each sampled fiber component and radical locus is a
+``Parametrization`` row there: its parameters in draw order, its denominator
+parameter, and the numerators of the coordinates, drawn by one sampler.  The
+p1 radical is the exception, a function: it chooses between draws which
+coordinate it draws last.
 
 Generator order (labels used everywhere):
 
@@ -43,8 +45,8 @@ from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import coord8, jordan
-from .coord8 import (ALL_VARS, COORD_VARS, INDEX_TRIPLES, PARAM_VARS, X_VARS, Hypermatrix,
-                     coord_ring, d_entry, d_matrix, p_name, symbolic_cube, x_name)
+from .coord8 import (ALL_VARS, COORD_VARS, INDEX_TRIPLES, PARAM_VARS, U_VARS, X_VARS,
+                     Hypermatrix, coord_ring, d_entry, d_matrix, p_name, symbolic_cube, x_name)
 from .errors import InternalError, ShapeError, SingularGroupElement
 from .exactcore import (A_CONTAINS_B, EQUAL, Batch, EquationSet, Point, Poly, PolyMatrix,
                         Rational, Report, Ring, _frac, compile_batch, over_common_denominator,
@@ -496,8 +498,9 @@ def fiber_certificate_p3() -> Report:
 
 
 # The samplers of ``REPRESENTATIVES`` map an RNG to a point over the nine
-# coordinates on a dense open part of a fiber component or a radical locus.
-# Each is a ``Parametrization`` row but ``_p1_radical``, which chooses with
+# coordinates on a dense open part of a fiber component or a radical locus,
+# whose locus equations the row states next to its radical sampler.  Each
+# sampler is a ``Parametrization`` row but ``_p1_radical``, which chooses with
 # ``rng.choice``, between draws, the coordinate it draws last: a row draws
 # one fixed list.  ``_AT`` gives positions in a point over ALL_VARS, which
 # are those over COORD_VARS for the coordinates.
@@ -756,11 +759,19 @@ def _p1_radical(rng: random.Random) -> Point:
     return _point(pt)
 
 
+@cache
+def _locus_batch(locus: Callable[[Callable[[str], Poly]], list[Poly]]) -> Batch:
+    """A row's radical locus equations over the nine coordinates, compiled;
+    keyed by the ``locus`` callable, as a ``Representative`` is unhashable."""
+    return compile_batch(locus(coord_ring(False).var))
+
+
 def off_radical_point(name: str, rng: random.Random) -> Point:
-    """A random nonzero point over ``COORD_VARS`` verified to lie off the radical locus."""
+    """A random point over ``COORD_VARS`` at which some radical locus equation
+    is nonzero: a nonzero point, as no locus equation has a constant term."""
     for _ in _tries("point off the radical locus"):
         nums, den = _point([_draw(rng) for _ in COORD_VARS])
-        if any(nums) and not REPRESENTATIVES[name].on_locus(*nums):
+        if any(_locus_batch(REPRESENTATIVES[name].locus)(nums, den)[0]):
             return nums, den
 
 
@@ -828,7 +839,7 @@ class Representative(NamedTuple):
     orbit: str  # the orbit label
     display: str | None  # the closed display of the specialized cubic form
     radical: Callable[[random.Random], Point] | None  # samples the radical locus; None: zero
-    on_locus: Callable[..., bool]  # a point's nine numerators lie on the radical locus
+    locus: Callable[[Callable[[str], Poly]], list[Poly]]  # the radical locus equations, ring.var
     components: dict[str, Callable[[random.Random], Point]] = {}  # samples each fiber component
     displayed: Callable[[Callable[[str], Poly]], list[Poly]] | None = None  # from ring.var
 
@@ -836,7 +847,7 @@ class Representative(NamedTuple):
 REPRESENTATIVES = {
     "origin": Representative(
         {}, "origin", "u1*u2*u3", Parametrization("x11 x21 x12 x22 x13 x23", None, lambda v: {}),
-        lambda x11, x21, x12, x22, x13, x23, *u: not any(u),
+        lambda v: [*map(v, U_VARS)],
         {"origin/all-x": Parametrization("x11 x21 x12 x22 x13 x23", None, lambda v: {}),
          # pair i and the other two u coordinates zero
          "origin/pair1": Parametrization("u1 x12 x22 x13 x23", None, lambda v: {}),
@@ -844,8 +855,8 @@ REPRESENTATIVES = {
          "origin/pair3": Parametrization("u3 x11 x21 x12 x22", None, lambda v: {})}),
     "p1": Representative(
         {(1, 1, 1): 1}, "O1", "u1*u2*u3", _p1_radical,
-        lambda x11, x21, x12, x22, x13, x23, *u: not (
-            any(u) or x22 * x23 or x21 * x23 or x21 * x22),
+        lambda v: [*map(v, U_VARS), v("x22") * v("x23"), v("x21") * v("x23"),
+                   v("x21") * v("x22")],
         # component k: x2k and the u other than uk vanish, uk x1k = x2j x2l
         {"p1/quadric1": Parametrization("x12 x22 x13 x23 x11!", "x11",
                                         lambda v: {"u1": v("x22") * v("x23")}),
@@ -859,7 +870,7 @@ REPRESENTATIVES = {
     "p2": Representative(
         {(1, 1, 1): 1, (2, 2, 1): 1}, "O2", "x23^2*u3 + u1*u2*u3",
         Parametrization("x13 x11! x21 x22", "x11", lambda v: {"x12": -v("x21") * v("x22")}),
-        lambda x11, x21, x12, x22, x13, x23, *u: not (any(u) or x23 or x11 * x12 + x21 * x22),
+        lambda v: [*map(v, U_VARS), v("x23"), v("x11") * v("x12") + v("x21") * v("x22")],
         {"p2/quadric": Parametrization("x11 x21 x12 x22 x13!", "x13", lambda v: {
             "u3": v("x11") * v("x12") + v("x21") * v("x22")}),
          # u1, u2 = lam x23, -x23 / lam and x22, x12 = lam x11, -lam x21
@@ -871,8 +882,9 @@ REPRESENTATIVES = {
         {(1, 1, 1): 1, (1, 2, 2): 1, (2, 1, 2): 1}, "O3",
         "x21^2*u1 + 2*x21*x22*x13 + x22^2*u2 - x13^2*u3 + u1*u2*u3",
         Parametrization("x11 x12 x23", None, lambda v: {}),
-        lambda x11, x21, x12, x22, x13, x23, *u: not (any(u) or x21 or x22 or x13)),
-    "p4": Representative({(1, 1, 1): 1, (2, 2, 2): 1}, "O4", None, None, lambda *c: not any(c)),
+        lambda v: [*map(v, U_VARS), v("x21"), v("x22"), v("x13")]),
+    "p4": Representative({(1, 1, 1): 1, (2, 2, 2): 1}, "O4", None, None,
+                         lambda v: [*map(v, COORD_VARS)]),
 }
 
 

@@ -29,7 +29,6 @@ from functools import cache
 from typing import NamedTuple, Sequence
 
 from . import grading, hvariety
-from .errors import UnknownDictionary
 from .coord8 import ALL_VARS
 from .exactcore import (Batch, EquationSet, Point, Poly, PolyMatrix, Report, Ring,
                         compile_batch, span_compare)
@@ -180,10 +179,7 @@ _C2_SIGNED = tuple(
 
 
 def dictionary(name: str) -> Dictionary:
-    try:
-        coords, images, _ = DICTIONARIES[name]
-    except KeyError:
-        raise UnknownDictionary(name) from None
+    coords, images, _ = DICTIONARIES[name]
     ring = Ring(coords)
     return Dictionary(name, ring, {
         amb: ring.const(img) if isinstance(img, int)

@@ -185,7 +185,8 @@ def _zero_batches(m):
 
 def _p4_locus_everywhere(m):
     p4 = hvariety.REPRESENTATIVES["p4"]
-    m.setitem(hvariety.REPRESENTATIVES, "p4", p4._replace(on_locus=lambda *nums: True))
+    # a locus with no nonzero equation: every draw lies on it
+    m.setitem(hvariety.REPRESENTATIVES, "p4", p4._replace(locus=lambda v: [v("u1") - v("u1")]))
 
 
 # command, tamper, the loop that would redraw forever without its bound
@@ -1013,7 +1014,7 @@ def test_import_fills_no_cache():
     sizes = json.loads(done.stdout)
     assert {"cubicjordan.hvariety._sampling_tables", "cubicjordan.hvariety._fiber_system",
             "cubicjordan.hvariety._chart_pfaffians",
-            "cubicjordan.hvariety._parametrization_batch",
+            "cubicjordan.hvariety._parametrization_batch", "cubicjordan.hvariety._locus_batch",
             "cubicjordan.relatives._embedding_batches"} <= set(sizes)
     assert set(sizes.values()) == {0}
 

@@ -336,6 +336,18 @@ def test_fano_requires_enough_sections():
         grading.fano_invariants(w, standard_numerator(), sections=15)
 
 
+@pytest.mark.parametrize("weights,sections,message", [
+    # the bound comes first: the standard grading has 14 weight-one coordinates
+    ({}, 15, "the number of sections must be at most 12"),
+    # three of the weight-one pair coordinates moved to weight two leave 11
+    ({"x11": 2, "x21": 2, "x12": 2}, 12, "not enough coordinates of the section weight"),
+])
+def test_fano_section_count_errors(weights, sections, message):
+    w = {**grading.standard_weights(), **weights}
+    with pytest.raises(InputError, match=message):
+        grading.fano_invariants(w, standard_numerator(), sections=sections)
+
+
 def test_ambient_series_control():
     # with no sections the series of the full coordinate ring is recovered;
     # its first coefficients count monomials of each weight

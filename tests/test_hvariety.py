@@ -375,6 +375,29 @@ def test_component_rows_lie_on_their_fibers():
     assert sum(not r.is_zero() for r in residuals("p2", flipped)) == 3
 
 
+def test_radical_rows_lie_on_their_loci():
+    # each radical sampler draws on its row's locus: a parametrization row's
+    # numerator images make every locus equation vanish identically, and the
+    # p1 sampler, a function, draws points where the compiled equations vanish
+    def residuals(row):
+        images = row.radical.numerators()
+        eqs = row.locus(coord_ring(False).var)
+        return substitute_all(eqs, dict(zip(COORD_VARS, images)), images[0].ring)
+
+    reps = hvariety.REPRESENTATIVES
+    rows = [name for name, row in reps.items() if isinstance(row.radical, hvariety.Parametrization)]
+    assert rows == ["origin", "p2", "p3"]
+    for name in rows:
+        assert all(r.is_zero() for r in residuals(reps[name])), name
+    rng, locus = random.Random(7), hvariety._locus_batch(reps["p1"].locus)
+    assert not any(any(locus(*hvariety._p1_radical(rng))[0]) for _ in range(50))
+    # p2's x21 x22 term with its sign flipped no longer vanishes on the sampled locus
+    p2 = reps["p2"]
+    flipped = p2._replace(locus=lambda v: [*p2.locus(v)[:4],
+                                           v("x11") * v("x12") - v("x21") * v("x22")])
+    assert any(not r.is_zero() for r in residuals(flipped))
+
+
 def test_p2_quadric_is_a_generator():
     eqs = hvariety.fiber_equations(representative("p2"))
     ring = eqs.ring

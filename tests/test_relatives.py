@@ -6,7 +6,6 @@ import pytest
 
 from cubicjordan import grading, relatives
 from cubicjordan.coord8 import ALL_VARS
-from cubicjordan.errors import UnknownDictionary
 from cubicjordan.exactcore import span_compare
 
 
@@ -86,7 +85,8 @@ def test_dictionary_images_are_pinned(name):
 
 
 def test_unknown_dictionary():
-    with pytest.raises(UnknownDictionary):
+    # no guard of its own: the lookup raises
+    with pytest.raises(KeyError, match="'nope'"):
         relatives.dictionary("nope")
 
 
